@@ -15,14 +15,14 @@
 //   tcp    — the same through the TCP listener (loopback, TCP_NODELAY)
 //
 // plus a closed-loop load mode: C concurrent clients, each with its own
-// connection, against a server with N worker replicas — aggregate
+// connection, against a server with N workers — aggregate
 // queries/s and p50/p99/p999 latency as offered load and worker count
 // vary. Results are printed as a table and written as BENCH_serving.json
 // (or argv[1]). RANM_SMOKE=1 shrinks the sweep for CI smoke runs.
 //
 // NOTE on hardware: this container exposes 1 CPU, so worker scaling is
 // handoff-overhead-bound here — the (workers, clients) grid measures the
-// architecture honestly on this box; on multi-core hosts the replicas
+// architecture honestly on this box; on multi-core hosts the workers
 // run truly in parallel.
 #include <unistd.h>
 
@@ -102,7 +102,7 @@ struct Measurement {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double p999_ms = 0.0;
-  // Median kSwap round trip (rebuild + publish across replicas), only on
+  // Median kSwap round trip (rebuild + publish), only on
   // "swap" rows; < 0 elsewhere. bench_diff gates this in CI.
   double swap_ms = -1.0;
 };
@@ -160,7 +160,7 @@ Measurement sweep(const Fixture& fx, const std::string& monitor,
 
 /// Closed-loop load: `clients` threads, each with its own connection,
 /// each issuing `per_client` queries of `batch` samples back to back
-/// against a server with `workers` replicas. Aggregate throughput and the
+/// against a server with `workers` workers. Aggregate throughput and the
 /// merged latency distribution.
 Measurement load_sweep(const Fixture& fx, serve::MonitorService& service,
                        const std::string& monitor, std::size_t workers,
@@ -304,8 +304,8 @@ int run(int argc, char** argv) {
     server_thread.join();
   }
 
-  // Closed-loop load grid: C clients x N worker replicas on the flat
-  // monitor (replica parallelism is the subject; shard threads stay out).
+  // Closed-loop load grid: C clients x N workers on the flat monitor
+  // (worker parallelism is the subject; shard threads stay out).
   {
     serve::MonitorService service(fx.clone_net(), fx.build_monitor(1),
                                   fx.k, 1);
@@ -326,8 +326,8 @@ int run(int argc, char** argv) {
   }
 
   // Monitor lifecycle: what staging a live batch costs on the query
-  // path, and how long the atomic swap (background rebuild + publish to
-  // every replica) takes end to end over the wire.
+  // path, and how long the atomic swap (background rebuild + publish)
+  // takes end to end over the wire.
   {
     serve::MonitorService service(fx.clone_net(), fx.build_monitor(1),
                                   fx.k, 1);

@@ -38,7 +38,8 @@ struct Literal {
 enum class CubeBit : std::int8_t { kZero = 0, kOne = 1, kDontCare = 2 };
 
 /// Hash-consing BDD manager. All NodeRefs are owned by and only valid with
-/// the manager that created them. Not thread-safe.
+/// the manager that created them. Construction is single-threaded; the
+/// const evaluation calls are reentrant while profiling is off.
 class BddManager {
  public:
   explicit BddManager(std::uint32_t num_vars);
@@ -332,7 +333,8 @@ class BddManager {
   // Profile state. hits_ptr_ is null whenever profiling is off; the eval
   // templates test only this pointer, keeping the disabled path identical
   // to the pre-profiling code. Counters are mutable because evaluation is
-  // const; the manager is documented single-threaded (shards each own one).
+  // const. Profiling is single-threaded developer tooling: concurrent
+  // queries on a profiled manager race on the counters.
   bool profiling_ = false;
   mutable std::vector<std::uint64_t> hits_;
   mutable std::uint64_t* hits_ptr_ = nullptr;

@@ -68,7 +68,6 @@ CompiledMonitor::CompiledMonitor(std::size_t dim, std::string source,
     max_shard_cost_ = std::max(max_shard_cost_,
                                unit_cost_per_sample(sh.unit));
   }
-  scratch_.resize(shards_.size());
 }
 
 void CompiledMonitor::observe(std::span<const float>) {
@@ -103,10 +102,14 @@ void CompiledMonitor::eval_shard(std::size_t s, const FeatureBatch& batch,
   // The neuron list doubles as eval_unit's row map, so a sharded query
   // reads its rows straight out of the full batch — no per-call row-view
   // construction (which allocates, and at batch 1 the allocations cost
-  // more than the shard evaluations themselves).
+  // more than the shard evaluations themselves). Evaluation buffers are
+  // the running thread's, grown to their high-water size and reused: a
+  // thread evaluates one shard at a time, and the steady-state hot path
+  // does not allocate.
+  thread_local EvalScratch scratch;
   const Shard& sh = shards_[s];
   eval_unit(sh.unit, batch, sh.neurons.empty() ? nullptr : sh.neurons.data(),
-            out, scratch_[s]);
+            out, scratch);
 }
 
 void CompiledMonitor::contains_batch(const FeatureBatch& batch,
@@ -132,11 +135,7 @@ void CompiledMonitor::contains_batch(const FeatureBatch& batch,
     out[0] = verdict;
     return;
   }
-  if (rows_capacity_ < S * n) {
-    rows_scratch_ = std::make_unique<bool[]>(S * n);
-    rows_capacity_ = S * n;
-  }
-  bool* rows = rows_scratch_.get();
+  bool* rows = thread_scratch<CompiledMonitor>(S * n).data();
   const auto run = [&](std::size_t s) { eval_shard(s, batch, rows + s * n); };
   // Tiny batches — by sample count or by estimated per-shard work — run
   // inline even with a pool: waking the workers costs more than the

@@ -13,9 +13,9 @@
 //
 // Thread model mirrors ShardedMonitor: set_threads fans the per-shard
 // evaluations of a query batch out on an internal pool; every task reads
-// the shared batch through its own shard's neuron map and touches only
-// its own program and scratch, so the fan-out is race-free by
-// construction. Like every Monitor, callers serialise calls on it.
+// the shared batch through its own shard's neuron map and evaluates into
+// the scratch of the thread running it, so the fan-out is race-free by
+// construction and any number of threads may query one monitor at once.
 #pragma once
 
 #include <memory>
@@ -109,14 +109,6 @@ class CompiledMonitor final : public Monitor {
   /// construction for the pool-grain test in contains_batch.
   std::size_t max_shard_cost_ = 0;
   std::unique_ptr<ThreadPool> pool_;  // null: run inline
-  // Per-shard evaluation buffers plus the S x n verdict matrix, grown
-  // once and reused: the batched membership query is the deployment hot
-  // path and must not pay steady-state allocator traffic. Mutable
-  // because contains_batch is const; safe because callers serialise
-  // calls (scratch_[s] is only ever touched by shard s's task).
-  mutable std::vector<EvalScratch> scratch_;
-  mutable std::unique_ptr<bool[]> rows_scratch_;
-  mutable std::size_t rows_capacity_ = 0;
 };
 
 }  // namespace ranm::compile

@@ -21,12 +21,29 @@
 // types only have to implement the scalar path to be correct.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <string>
 
 #include "core/feature_batch.hpp"
 
 namespace ranm {
+
+/// Query scratch of the calling thread: at least `n` bools, grown to the
+/// high-water size and reused, so concurrent queries share nothing and a
+/// steady-state query does not allocate. Each `Owner` type gets its own
+/// buffer, so nested users (a service around a sharded monitor) never
+/// alias; one owner must not nest calls on the same thread.
+template <typename Owner>
+[[nodiscard]] std::span<bool> thread_scratch(std::size_t n) {
+  thread_local std::unique_ptr<bool[]> buffer;
+  thread_local std::size_t capacity = 0;
+  if (capacity < n) {
+    buffer = std::make_unique<bool[]>(n);
+    capacity = n;
+  }
+  return {buffer.get(), n};
+}
 
 /// Set abstraction over feature vectors in R^d.
 class Monitor {

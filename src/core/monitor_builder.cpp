@@ -5,7 +5,7 @@
 
 namespace ranm {
 
-MonitorBuilder::MonitorBuilder(Network& net, std::size_t layer_k)
+MonitorBuilder::MonitorBuilder(const Network& net, std::size_t layer_k)
     : net_(net), k_(layer_k) {
   if (k_ == 0 || k_ > net.num_layers()) {
     throw std::invalid_argument("MonitorBuilder: layer k out of range");

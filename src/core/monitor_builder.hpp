@@ -23,7 +23,7 @@ class MonitorBuilder {
  public:
   /// Requires 1 <= layer_k <= net.num_layers(). The network must outlive
   /// the builder.
-  MonitorBuilder(Network& net, std::size_t layer_k);
+  MonitorBuilder(const Network& net, std::size_t layer_k);
 
   [[nodiscard]] std::size_t layer_k() const noexcept { return k_; }
   /// Feature dimension d_k of the monitored layer.
@@ -81,7 +81,7 @@ class MonitorBuilder {
   static constexpr std::size_t kDefaultBatch = 256;
 
  private:
-  Network& net_;
+  const Network& net_;
   std::size_t k_;
 };
 

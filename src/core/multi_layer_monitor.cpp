@@ -19,7 +19,7 @@ std::string_view warn_policy_name(WarnPolicy policy) noexcept {
   return "?";
 }
 
-MultiLayerMonitor::MultiLayerMonitor(Network& net, WarnPolicy policy)
+MultiLayerMonitor::MultiLayerMonitor(const Network& net, WarnPolicy policy)
     : net_(net), policy_(policy) {}
 
 void MultiLayerMonitor::attach(std::size_t layer_k, NeuronSelection selection,
@@ -89,7 +89,7 @@ void MultiLayerMonitor::for_each_layer_features_batch(
   // gets its selection projected straight into a dim × n FeatureBatch.
   std::vector<Tensor> acts(inputs.begin(), inputs.end());
   for (std::size_t k = 1; k <= max_layer_; ++k) {
-    Layer& layer = net_.layer(k);
+    const Layer& layer = net_.layer(k);
     for (std::size_t i = 0; i < n; ++i) acts[i] = layer.forward(acts[i]);
     for (const Entry& e : entries_) {
       if (e.layer_k != k) continue;

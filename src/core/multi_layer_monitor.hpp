@@ -29,7 +29,7 @@ enum class WarnPolicy {
 /// network. The network reference must outlive the MultiLayerMonitor.
 class MultiLayerMonitor {
  public:
-  MultiLayerMonitor(Network& net, WarnPolicy policy);
+  MultiLayerMonitor(const Network& net, WarnPolicy policy);
 
   /// Attaches `monitor` to layer `layer_k` (1-indexed) restricted to the
   /// neurons in `selection`. The monitor's dimension must equal
@@ -94,7 +94,7 @@ class MultiLayerMonitor {
   void for_each_layer_features_batch(std::span<const Tensor> inputs,
                                      Visit&& visit) const;
 
-  Network& net_;
+  const Network& net_;
   WarnPolicy policy_;
   std::vector<Entry> entries_;
   std::size_t max_layer_ = 0;

@@ -17,7 +17,7 @@ std::string_view bound_domain_name(BoundDomain domain) noexcept {
   return "?";
 }
 
-PerturbationEstimator::PerturbationEstimator(Network& net,
+PerturbationEstimator::PerturbationEstimator(const Network& net,
                                              std::size_t layer_k,
                                              PerturbationSpec spec)
     : net_(net), k_(layer_k), spec_(spec) {

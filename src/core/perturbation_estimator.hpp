@@ -38,7 +38,7 @@ class PerturbationEstimator {
  public:
   /// Requires 0 <= spec.kp < k <= net.num_layers() and spec.delta >= 0.
   /// The network reference must outlive the estimator.
-  PerturbationEstimator(Network& net, std::size_t layer_k,
+  PerturbationEstimator(const Network& net, std::size_t layer_k,
                         PerturbationSpec spec);
 
   [[nodiscard]] std::size_t layer_k() const noexcept { return k_; }
@@ -64,7 +64,7 @@ class PerturbationEstimator {
   [[nodiscard]] std::vector<float> features(const Tensor& input) const;
 
  private:
-  Network& net_;
+  const Network& net_;
   std::size_t k_;
   PerturbationSpec spec_;
 };

@@ -190,12 +190,9 @@ void ShardedMonitor::contains_batch(const FeatureBatch& batch,
   }
   // One result row per shard; rows are disjoint, so the parallel fan-out
   // writes race-free, and the final AND-reduce runs on the caller. The
-  // matrix is monitor-owned scratch, grown once per high-water batch size.
-  if (rows_capacity_ < shards_.size() * n) {
-    rows_capacity_ = shards_.size() * n;
-    rows_scratch_ = std::make_unique<bool[]>(rows_capacity_);
-  }
-  bool* rows_ptr = rows_scratch_.get();
+  // matrix is the calling thread's scratch (shards are flat monitors, so
+  // no nested call on this thread reuses it).
+  bool* rows_ptr = thread_scratch<ShardedMonitor>(shards_.size() * n).data();
   for_each_shard(
       [this, &batch, rows_ptr, n](std::size_t s) {
         shards_[s]->contains_batch(batch.view_rows(plan_.neurons(s)),

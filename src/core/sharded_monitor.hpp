@@ -16,8 +16,11 @@
 // per-shard row views of one FeatureBatch out on an internal thread pool
 // (set_threads), and every task touches exactly one shard's monitor.
 // Distinct shards share no mutable state, so the fan-out is race-free by
-// construction. The ShardedMonitor itself is not thread-safe: callers
-// serialise calls on it just like on any other Monitor.
+// construction. Queries are const and reentrant: their scratch belongs to
+// the calling thread, so any number of threads may query one monitor
+// concurrently (the shared pool accepts concurrent parallel_for calls).
+// Construction (observe*, replace_shard, set_threads) must not overlap
+// anything else.
 #pragma once
 
 #include <memory>
@@ -139,13 +142,6 @@ class ShardedMonitor final : public Monitor {
   std::vector<std::unique_ptr<Monitor>> shards_;
   std::size_t observations_ = 0;
   std::unique_ptr<ThreadPool> pool_;  // null: run inline
-  // Per-query S × n result matrix, grown once and reused — the batched
-  // membership query is the deployment hot path and must not pay
-  // steady-state allocator traffic. Mutable because contains_batch is
-  // const; safe because the monitor (like every Monitor) requires calls
-  // to be serialised by the caller.
-  mutable std::unique_ptr<bool[]> rows_scratch_;
-  mutable std::size_t rows_capacity_ = 0;
 };
 
 }  // namespace ranm

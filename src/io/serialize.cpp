@@ -81,16 +81,18 @@ void copy_params(Layer& layer, std::istream& in) {
 
 }  // namespace
 
-void save_network(std::ostream& out, Network& net) {
+void save_network(std::ostream& out, const Network& net) {
   write_pod(out, kNetMagic);
   write_u64(out, net.num_layers());
   for (std::size_t k = 1; k <= net.num_layers(); ++k) {
-    Layer& layer = net.layer(k);
-    if (auto* d = dynamic_cast<Dense*>(&layer)) {
+    const Layer& layer = net.layer(k);
+    if (auto* d = dynamic_cast<const Dense*>(&layer)) {
       write_pod(out, LayerTag::kDense);
       write_u64(out, d->input_size());
       write_u64(out, d->output_size());
-    } else if (auto* c = dynamic_cast<Conv2D*>(&layer)) {
+      write_tensor(out, d->weights());
+      write_tensor(out, d->bias());
+    } else if (auto* c = dynamic_cast<const Conv2D*>(&layer)) {
       write_pod(out, LayerTag::kConv2D);
       const Conv2D::Config& cfg = c->config();
       write_u64(out, cfg.in_channels);
@@ -101,20 +103,22 @@ void save_network(std::ostream& out, Network& net) {
       write_u64(out, cfg.kernel_w);
       write_u64(out, cfg.stride);
       write_u64(out, cfg.padding);
-    } else if (dynamic_cast<ReLU*>(&layer)) {
+      write_tensor(out, c->weights());
+      write_tensor(out, c->bias());
+    } else if (dynamic_cast<const ReLU*>(&layer)) {
       write_pod(out, LayerTag::kReLU);
       write_shape(out, layer.input_shape());
-    } else if (auto* lr = dynamic_cast<LeakyReLU*>(&layer)) {
+    } else if (auto* lr = dynamic_cast<const LeakyReLU*>(&layer)) {
       write_pod(out, LayerTag::kLeakyReLU);
       write_shape(out, layer.input_shape());
       write_pod(out, lr->alpha());
-    } else if (dynamic_cast<Sigmoid*>(&layer)) {
+    } else if (dynamic_cast<const Sigmoid*>(&layer)) {
       write_pod(out, LayerTag::kSigmoid);
       write_shape(out, layer.input_shape());
-    } else if (dynamic_cast<Tanh*>(&layer)) {
+    } else if (dynamic_cast<const Tanh*>(&layer)) {
       write_pod(out, LayerTag::kTanh);
       write_shape(out, layer.input_shape());
-    } else if (auto* mp = dynamic_cast<MaxPool2D*>(&layer)) {
+    } else if (auto* mp = dynamic_cast<const MaxPool2D*>(&layer)) {
       write_pod(out, LayerTag::kMaxPool2D);
       const Pooling::Config& cfg = mp->config();
       write_u64(out, cfg.channels);
@@ -122,7 +126,7 @@ void save_network(std::ostream& out, Network& net) {
       write_u64(out, cfg.in_width);
       write_u64(out, cfg.window);
       write_u64(out, cfg.stride);
-    } else if (auto* ap = dynamic_cast<AvgPool2D*>(&layer)) {
+    } else if (auto* ap = dynamic_cast<const AvgPool2D*>(&layer)) {
       write_pod(out, LayerTag::kAvgPool2D);
       const Pooling::Config& cfg = ap->config();
       write_u64(out, cfg.channels);
@@ -130,10 +134,10 @@ void save_network(std::ostream& out, Network& net) {
       write_u64(out, cfg.in_width);
       write_u64(out, cfg.window);
       write_u64(out, cfg.stride);
-    } else if (dynamic_cast<Flatten*>(&layer)) {
+    } else if (dynamic_cast<const Flatten*>(&layer)) {
       write_pod(out, LayerTag::kFlatten);
       write_shape(out, layer.input_shape());
-    } else if (auto* nz = dynamic_cast<Normalization*>(&layer)) {
+    } else if (auto* nz = dynamic_cast<const Normalization*>(&layer)) {
       write_pod(out, LayerTag::kNormalization);
       write_shape(out, layer.input_shape());
       for (float v : nz->mean()) write_pod(out, v);
@@ -142,7 +146,6 @@ void save_network(std::ostream& out, Network& net) {
       throw std::invalid_argument("save_network: unsupported layer " +
                                   layer.name());
     }
-    for (Tensor* p : layer.parameters()) write_tensor(out, *p);
   }
 }
 
@@ -249,7 +252,7 @@ Network load_network(std::istream& in) {
   return net;
 }
 
-void save_network_file(const std::string& path, Network& net) {
+void save_network_file(const std::string& path, const Network& net) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("save_network_file: cannot open " + path);
   save_network(out, net);

@@ -25,10 +25,10 @@ namespace ranm {
 /// Saves layer structure plus all parameters. Supported layer types:
 /// Dense, Conv2D, ReLU, LeakyReLU, Sigmoid, Tanh, MaxPool2D, AvgPool2D,
 /// Flatten. Throws std::invalid_argument on an unsupported layer.
-void save_network(std::ostream& out, Network& net);
+void save_network(std::ostream& out, const Network& net);
 [[nodiscard]] Network load_network(std::istream& in);
 
-void save_network_file(const std::string& path, Network& net);
+void save_network_file(const std::string& path, const Network& net);
 [[nodiscard]] Network load_network_file(const std::string& path);
 
 // ---- threshold specs ------------------------------------------------------

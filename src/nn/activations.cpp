@@ -11,28 +11,22 @@ Activation::Activation(Shape shape) : shape_(std::move(shape)) {
   }
 }
 
-Tensor Activation::forward(const Tensor& x) {
+Tensor Activation::forward(const Tensor& x) const {
   if (x.numel() != shape_numel(shape_)) {
     throw std::invalid_argument(name() + ": input size mismatch");
   }
-  last_in_ = x;
   Tensor y = x;
   for (std::size_t i = 0; i < y.numel(); ++i) y[i] = f(y[i]);
-  last_out_ = y;
   return y;
 }
 
-Tensor Activation::backward(const Tensor& grad_out) {
-  if (last_in_.empty()) {
-    throw std::logic_error(name() + ": backward before forward");
-  }
-  if (grad_out.numel() != last_in_.numel()) {
+Tensor Activation::backward(const Tensor& x, const Tensor& y,
+                            const Tensor& grad_out) {
+  if (grad_out.numel() != x.numel() || y.numel() != x.numel()) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
   Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.numel(); ++i) {
-    g[i] *= df(last_in_[i], last_out_[i]);
-  }
+  for (std::size_t i = 0; i < g.numel(); ++i) g[i] *= df(x[i], y[i]);
   return g;
 }
 

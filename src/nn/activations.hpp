@@ -11,18 +11,17 @@ class Activation : public Layer {
   explicit Activation(Shape shape);
   [[nodiscard]] Shape input_shape() const override { return shape_; }
   [[nodiscard]] Shape output_shape() const override { return shape_; }
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
 
  protected:
   /// Scalar function value.
   [[nodiscard]] virtual float f(float v) const noexcept = 0;
-  /// Scalar derivative, given input v and cached output y = f(v).
+  /// Scalar derivative, given input v and output y = f(v).
   [[nodiscard]] virtual float df(float v, float y) const noexcept = 0;
 
   Shape shape_;
-  Tensor last_in_;
-  Tensor last_out_;
 };
 
 /// Rectified linear unit: max(0, x).

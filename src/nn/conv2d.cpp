@@ -81,13 +81,12 @@ void Conv2D::linear_apply(const float* in, float* out) const noexcept {
   }
 }
 
-Tensor Conv2D::forward(const Tensor& x) {
+Tensor Conv2D::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument(name() + ": input size mismatch");
   }
-  last_in_ = x.rank() == 3 ? x : x.reshaped(input_shape());
   Tensor y(output_shape());
-  linear_apply(last_in_.data(), y.data());
+  linear_apply(x.data(), y.data());
   for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
     float* plane = y.data() + oc * oh_ * ow_;
     for (std::size_t i = 0; i < oh_ * ow_; ++i) plane[i] += b_[oc];
@@ -95,18 +94,16 @@ Tensor Conv2D::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_out) {
-  if (last_in_.empty()) {
-    throw std::logic_error(name() + ": backward before forward");
-  }
-  if (grad_out.numel() != output_size()) {
+Tensor Conv2D::backward(const Tensor& x, const Tensor& /*y*/,
+                        const Tensor& grad_out) {
+  if (x.numel() != input_size() || grad_out.numel() != output_size()) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
   const auto& c = cfg_;
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
   Tensor grad_in(input_shape());
   const float* g = grad_out.data();
-  const float* in = last_in_.data();
+  const float* in = x.data();
   for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {

@@ -27,8 +27,9 @@ class Conv2D final : public Layer {
   [[nodiscard]] Shape input_shape() const override;
   [[nodiscard]] Shape output_shape() const override;
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -47,7 +48,9 @@ class Conv2D final : public Layer {
   [[nodiscard]] std::size_t out_height() const noexcept { return oh_; }
   [[nodiscard]] std::size_t out_width() const noexcept { return ow_; }
   [[nodiscard]] Tensor& weights() noexcept { return w_; }
+  [[nodiscard]] const Tensor& weights() const noexcept { return w_; }
   [[nodiscard]] Tensor& bias() noexcept { return b_; }
+  [[nodiscard]] const Tensor& bias() const noexcept { return b_; }
 
  private:
   /// Applies the convolution's linear part (no bias) to a flat CHW input.
@@ -58,7 +61,6 @@ class Conv2D final : public Layer {
   Tensor w_;   // (out_c, in_c, kh, kw)
   Tensor b_;   // (out_c)
   Tensor gw_, gb_;
-  Tensor last_in_;
 };
 
 }  // namespace ranm

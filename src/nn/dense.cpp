@@ -24,26 +24,23 @@ std::string Dense::name() const {
   return "Dense(" + std::to_string(in_) + "->" + std::to_string(out_) + ")";
 }
 
-Tensor Dense::forward(const Tensor& x) {
+Tensor Dense::forward(const Tensor& x) const {
   if (x.numel() != in_) {
     throw std::invalid_argument(name() + ": input has " +
                                 std::to_string(x.numel()) + " elements");
   }
-  last_in_ = x.rank() == 1 ? x : x.reshaped({in_});
-  Tensor y = matvec(w_, last_in_);
+  Tensor y = x.rank() == 1 ? matvec(w_, x) : matvec(w_, x.reshaped({in_}));
   y += b_;
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
-  if (grad_out.numel() != out_) {
+Tensor Dense::backward(const Tensor& x, const Tensor& /*y*/,
+                       const Tensor& grad_out) {
+  if (x.numel() != in_ || grad_out.numel() != out_) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
-  if (last_in_.empty()) {
-    throw std::logic_error(name() + ": backward before forward");
-  }
   const Tensor g = grad_out.rank() == 1 ? grad_out : grad_out.reshaped({out_});
-  gw_ += outer(g, last_in_);
+  gw_ += x.rank() == 1 ? outer(g, x) : outer(g, x.reshaped({in_}));
   gb_ += g;
   return matvec_t(w_, g);
 }

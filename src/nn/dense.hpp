@@ -15,8 +15,9 @@ class Dense final : public Layer {
   [[nodiscard]] Shape input_shape() const override { return {in_}; }
   [[nodiscard]] Shape output_shape() const override { return {out_}; }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -40,7 +41,6 @@ class Dense final : public Layer {
   std::size_t in_, out_;
   Tensor w_, b_;    // parameters
   Tensor gw_, gb_;  // gradient accumulators
-  Tensor last_in_;  // cached by forward for backward
 };
 
 }  // namespace ranm

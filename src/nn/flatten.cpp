@@ -10,14 +10,15 @@ Flatten::Flatten(Shape in_shape) : in_shape_(std::move(in_shape)) {
   }
 }
 
-Tensor Flatten::forward(const Tensor& x) {
+Tensor Flatten::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument("Flatten: input size mismatch");
   }
   return x.reshaped({x.numel()});
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+Tensor Flatten::backward(const Tensor& /*x*/, const Tensor& /*y*/,
+                         const Tensor& grad_out) {
   if (grad_out.numel() != input_size()) {
     throw std::invalid_argument("Flatten: gradient size mismatch");
   }

@@ -17,8 +17,9 @@ class Flatten final : public Layer {
     return {shape_numel(in_shape_)};
   }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

@@ -25,9 +25,11 @@ namespace ranm {
 
 class Rng;
 
-/// One transformation g_k of the network. Stateful across
-/// forward()/backward() pairs (activations are cached for the gradient);
-/// the abstract transformers and shape queries are const and reentrant.
+/// One transformation g_k of the network. Inference is const and
+/// reentrant: forward(), the abstract transformers and the shape queries
+/// keep no per-call state, so any number of threads may share one layer.
+/// Only training mutates it — backward() accumulates parameter gradients
+/// and the optimiser updates parameters().
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -48,13 +50,14 @@ class Layer {
     return shape_numel(output_shape());
   }
 
-  /// Concrete forward pass. Caches whatever backward() needs.
-  [[nodiscard]] virtual Tensor forward(const Tensor& x) = 0;
+  /// Concrete forward pass.
+  [[nodiscard]] virtual Tensor forward(const Tensor& x) const = 0;
 
-  /// Gradient of the loss w.r.t. this layer's input, given the gradient
-  /// w.r.t. its output. Accumulates parameter gradients (+=). Must be
-  /// called after forward() on the same sample.
-  [[nodiscard]] virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// Gradient of the loss w.r.t. this layer's input, given the input `x`
+  /// of a forward() call, its output `y` = forward(x), and the gradient
+  /// w.r.t. that output. Accumulates parameter gradients (+=).
+  [[nodiscard]] virtual Tensor backward(const Tensor& x, const Tensor& y,
+                                        const Tensor& grad_out) = 0;
 
   /// Sound interval transfer function: the returned box contains
   /// g_k(x) for every x in the input box.

@@ -48,11 +48,11 @@ Shape Network::output_shape() const {
   return layers_.back()->output_shape();
 }
 
-Tensor Network::forward(const Tensor& x) {
+Tensor Network::forward(const Tensor& x) const {
   return forward_to(layers_.size(), x);
 }
 
-Tensor Network::forward_to(std::size_t k, const Tensor& x) {
+Tensor Network::forward_to(std::size_t k, const Tensor& x) const {
   if (k == 0) return x;
   check_layer_index(k, "forward_to");
   Tensor v = x;
@@ -60,7 +60,8 @@ Tensor Network::forward_to(std::size_t k, const Tensor& x) {
   return v;
 }
 
-Tensor Network::forward_range(std::size_t l, std::size_t k, const Tensor& x) {
+Tensor Network::forward_range(std::size_t l, std::size_t k,
+                              const Tensor& x) const {
   check_layer_index(l, "forward_range");
   check_layer_index(k, "forward_range");
   if (l > k) throw std::invalid_argument("Network::forward_range: l > k");
@@ -70,7 +71,7 @@ Tensor Network::forward_range(std::size_t l, std::size_t k, const Tensor& x) {
 }
 
 FeatureBatch Network::forward_batch(std::size_t k,
-                                    std::span<const Tensor> inputs) {
+                                    std::span<const Tensor> inputs) const {
   if (k != 0) check_layer_index(k, "forward_batch");
   if (inputs.empty()) {
     const std::size_t dim =
@@ -93,15 +94,29 @@ FeatureBatch Network::forward_batch(std::size_t k,
   return out;
 }
 
-FeatureBatch Network::forward_batch(std::span<const Tensor> inputs) {
+FeatureBatch Network::forward_batch(std::span<const Tensor> inputs) const {
   return forward_batch(layers_.size(), inputs);
 }
 
-Tensor Network::backward(const Tensor& grad_out) {
+void Network::forward_trace(const Tensor& x, std::vector<Tensor>& acts) const {
   if (layers_.empty()) throw std::logic_error("Network: no layers");
+  acts.resize(layers_.size() + 1);
+  acts[0] = x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    acts[i + 1] = layers_[i]->forward(acts[i]);
+  }
+}
+
+Tensor Network::backward(std::span<const Tensor> acts,
+                         const Tensor& grad_out) {
+  if (layers_.empty()) throw std::logic_error("Network: no layers");
+  if (acts.size() != layers_.size() + 1) {
+    throw std::invalid_argument(
+        "Network::backward: need one activation per layer plus the input");
+  }
   Tensor g = grad_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->backward(g);
+    g = layers_[i]->backward(acts[i], acts[i + 1], g);
   }
   return g;
 }

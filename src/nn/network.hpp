@@ -13,6 +13,8 @@ namespace ranm {
 
 /// Owns an ordered list of layers. Layer indices follow the paper:
 /// layers are numbered 1..n, G^0 is the identity (the input itself).
+/// Every const member is reentrant: one trained network serves any number
+/// of concurrent inference threads.
 class Network {
  public:
   Network() = default;
@@ -44,26 +46,34 @@ class Network {
   [[nodiscard]] Shape output_shape() const;
 
   /// Full forward pass G(x).
-  [[nodiscard]] Tensor forward(const Tensor& x);
+  [[nodiscard]] Tensor forward(const Tensor& x) const;
   /// Prefix G^k(x): layers 1..k. k = 0 returns x unchanged.
-  [[nodiscard]] Tensor forward_to(std::size_t k, const Tensor& x);
+  [[nodiscard]] Tensor forward_to(std::size_t k, const Tensor& x) const;
   /// Slice G^{l↪k}(x): layers l..k, 1 <= l <= k <= n. The input must have
   /// the shape expected by layer l.
   [[nodiscard]] Tensor forward_range(std::size_t l, std::size_t k,
-                                     const Tensor& x);
+                                     const Tensor& x) const;
 
   /// Batched feature extraction G^k over a minibatch: the layer-k
   /// activations of every input, produced in one pass and scattered
   /// straight into a dim × n FeatureBatch (no per-sample feature-vector
   /// allocations). k = 0 packs the flattened inputs themselves.
-  [[nodiscard]] FeatureBatch forward_batch(std::size_t k,
-                                           std::span<const Tensor> inputs);
+  [[nodiscard]] FeatureBatch forward_batch(
+      std::size_t k, std::span<const Tensor> inputs) const;
   /// Full-network minibatch pass: forward_batch(num_layers(), inputs).
-  [[nodiscard]] FeatureBatch forward_batch(std::span<const Tensor> inputs);
+  [[nodiscard]] FeatureBatch forward_batch(
+      std::span<const Tensor> inputs) const;
 
-  /// Backward pass through all layers (after a full forward on the same
-  /// sample); returns the gradient w.r.t. the input.
-  [[nodiscard]] Tensor backward(const Tensor& grad_out);
+  /// Full forward pass keeping every activation for backward():
+  /// acts[0] = x and acts[i] = G^i(x), so acts.back() = G(x). The caller
+  /// owns `acts` (training keeps one list per step).
+  void forward_trace(const Tensor& x, std::vector<Tensor>& acts) const;
+
+  /// Backward pass through all layers over the activations forward_trace
+  /// recorded for one sample; accumulates parameter gradients and returns
+  /// the gradient w.r.t. the input.
+  [[nodiscard]] Tensor backward(std::span<const Tensor> acts,
+                                const Tensor& grad_out);
 
   /// Sound box propagation through layers l..k (1 <= l <= k <= n).
   [[nodiscard]] IntervalVector propagate_box(std::size_t l, std::size_t k,

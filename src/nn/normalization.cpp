@@ -28,7 +28,7 @@ Normalization::Normalization(Shape shape, float mean, float inv_std)
                     std::vector<float>(shape_numel(shape), mean),
                     std::vector<float>(shape_numel(shape), inv_std)) {}
 
-Tensor Normalization::forward(const Tensor& x) {
+Tensor Normalization::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument("Normalization: input size mismatch");
   }
@@ -39,7 +39,8 @@ Tensor Normalization::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Normalization::backward(const Tensor& grad_out) {
+Tensor Normalization::backward(const Tensor& /*x*/, const Tensor& /*y*/,
+                               const Tensor& grad_out) {
   if (grad_out.numel() != input_size()) {
     throw std::invalid_argument("Normalization: gradient size mismatch");
   }

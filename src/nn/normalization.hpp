@@ -24,8 +24,9 @@ class Normalization final : public Layer {
   [[nodiscard]] Shape input_shape() const override { return shape_; }
   [[nodiscard]] Shape output_shape() const override { return shape_; }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

@@ -41,49 +41,49 @@ std::string MaxPool2D::name() const {
          ", s=" + std::to_string(cfg_.stride) + ")";
 }
 
-Tensor MaxPool2D::forward(const Tensor& x) {
+MaxPool2D::WindowMax MaxPool2D::window_max(
+    const float* in, std::size_t ch, std::size_t oy,
+    std::size_t ox) const noexcept {
+  WindowMax best{-std::numeric_limits<float>::infinity(), 0};
+  for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+    for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+      const std::size_t iy = oy * cfg_.stride + ky;
+      const std::size_t ix = ox * cfg_.stride + kx;
+      const std::size_t idx = (ch * cfg_.in_height + iy) * cfg_.in_width + ix;
+      if (in[idx] > best.value) best = {in[idx], idx};
+    }
+  }
+  return best;
+}
+
+Tensor MaxPool2D::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument(name() + ": input size mismatch");
   }
-  const float* in = x.data();
   Tensor y(output_shape());
-  argmax_.assign(output_size(), 0);
   for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-            const std::size_t iy = oy * cfg_.stride + ky;
-            const std::size_t ix = ox * cfg_.stride + kx;
-            const std::size_t idx =
-                (ch * cfg_.in_height + iy) * cfg_.in_width + ix;
-            if (in[idx] > best) {
-              best = in[idx];
-              best_idx = idx;
-            }
-          }
-        }
-        const std::size_t out_idx = (ch * oh_ + oy) * ow_ + ox;
-        y[out_idx] = best;
-        argmax_[out_idx] = best_idx;
+        y[(ch * oh_ + oy) * ow_ + ox] = window_max(x.data(), ch, oy, ox).value;
       }
     }
   }
   return y;
 }
 
-Tensor MaxPool2D::backward(const Tensor& grad_out) {
-  if (argmax_.empty()) {
-    throw std::logic_error(name() + ": backward before forward");
-  }
-  if (grad_out.numel() != output_size()) {
+Tensor MaxPool2D::backward(const Tensor& x, const Tensor& /*y*/,
+                           const Tensor& grad_out) {
+  if (x.numel() != input_size() || grad_out.numel() != output_size()) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
   Tensor grad_in(input_shape());
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    grad_in[argmax_[i]] += grad_out[i];
+  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        grad_in[window_max(x.data(), ch, oy, ox).index] +=
+            grad_out[(ch * oh_ + oy) * ow_ + ox];
+      }
+    }
   }
   return grad_in;
 }
@@ -150,7 +150,7 @@ void AvgPool2D::linear_apply(const float* in, float* out) const noexcept {
   }
 }
 
-Tensor AvgPool2D::forward(const Tensor& x) {
+Tensor AvgPool2D::forward(const Tensor& x) const {
   if (x.numel() != input_size()) {
     throw std::invalid_argument(name() + ": input size mismatch");
   }
@@ -159,7 +159,8 @@ Tensor AvgPool2D::forward(const Tensor& x) {
   return y;
 }
 
-Tensor AvgPool2D::backward(const Tensor& grad_out) {
+Tensor AvgPool2D::backward(const Tensor& /*x*/, const Tensor& /*y*/,
+                           const Tensor& grad_out) {
   if (grad_out.numel() != output_size()) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }

@@ -35,8 +35,11 @@ class MaxPool2D final : public Pooling {
  public:
   explicit MaxPool2D(const Config& cfg) : Pooling(cfg) {}
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  /// Routes each output gradient to its window's argmax, recomputed from
+  /// `x` with forward()'s loop (first maximum wins on ties).
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -44,7 +47,13 @@ class MaxPool2D final : public Pooling {
                                          const BoxBatch& in) const override;
 
  private:
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  struct WindowMax {
+    float value;
+    std::size_t index;  // flat input index
+  };
+  [[nodiscard]] WindowMax window_max(const float* in, std::size_t ch,
+                                     std::size_t oy,
+                                     std::size_t ox) const noexcept;
 };
 
 /// Average pooling (linear, so both abstract transformers are exact).
@@ -52,8 +61,9 @@ class AvgPool2D final : public Pooling {
  public:
   explicit AvgPool2D(const Config& cfg) : Pooling(cfg) {}
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] Tensor forward(const Tensor& x) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_out) override;
+  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] IntervalVector propagate(
       const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

@@ -23,6 +23,7 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
 
   std::vector<EpochStats> history;
   history.reserve(cfg.epochs);
+  std::vector<Tensor> acts;  // one step's activations, reused across steps
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const auto order = rng.permutation(inputs.size());
     double epoch_loss = 0.0;
@@ -30,11 +31,11 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
     net.zero_gradients();
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const std::size_t idx = order[pos];
-      const Tensor pred = net.forward(inputs[idx]);
-      LossResult lr = loss.evaluate(pred, targets[idx]);
+      net.forward_trace(inputs[idx], acts);
+      LossResult lr = loss.evaluate(acts.back(), targets[idx]);
       epoch_loss += lr.value;
       lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
-      (void)net.backward(lr.grad);
+      (void)net.backward(acts, lr.grad);
       ++batch_count;
       if (batch_count == cfg.batch_size || pos + 1 == order.size()) {
         optimizer.step();  // also zeroes the gradient accumulators
@@ -51,7 +52,7 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
   return history;
 }
 
-float evaluate_loss(Network& net, const Loss& loss,
+float evaluate_loss(const Network& net, const Loss& loss,
                     const std::vector<Tensor>& inputs,
                     const std::vector<Tensor>& targets) {
   if (inputs.size() != targets.size() || inputs.empty()) {
@@ -64,7 +65,7 @@ float evaluate_loss(Network& net, const Loss& loss,
   return static_cast<float>(acc / double(inputs.size()));
 }
 
-float evaluate_accuracy(Network& net, const std::vector<Tensor>& inputs,
+float evaluate_accuracy(const Network& net, const std::vector<Tensor>& inputs,
                         const std::vector<Tensor>& targets) {
   if (inputs.size() != targets.size() || inputs.empty()) {
     throw std::invalid_argument("evaluate_accuracy: bad dataset");

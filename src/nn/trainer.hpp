@@ -35,12 +35,12 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
                               const TrainConfig& cfg, Rng& rng);
 
 /// Mean loss of `net` over a dataset (no parameter updates).
-float evaluate_loss(Network& net, const Loss& loss,
+float evaluate_loss(const Network& net, const Loss& loss,
                     const std::vector<Tensor>& inputs,
                     const std::vector<Tensor>& targets);
 
 /// Classification accuracy in [0, 1]: argmax(prediction) vs target[0].
-float evaluate_accuracy(Network& net, const std::vector<Tensor>& inputs,
+float evaluate_accuracy(const Network& net, const std::vector<Tensor>& inputs,
                         const std::vector<Tensor>& targets);
 
 }  // namespace ranm

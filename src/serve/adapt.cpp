@@ -6,8 +6,11 @@
 namespace ranm::serve {
 
 AdaptState::AdaptState(std::size_t dimension, std::string base_artifact,
-                       std::size_t shard_count, std::size_t max_staged)
-    : dimension_(dimension), max_staged_(max_staged) {
+                       std::size_t shard_count, std::size_t max_staged_bytes)
+    : dimension_(dimension),
+      max_staged_(dimension == 0
+                      ? 0
+                      : max_staged_bytes / (dimension * sizeof(float))) {
   if (dimension_ == 0) {
     throw std::invalid_argument("AdaptState: zero dimension");
   }
@@ -25,8 +28,8 @@ std::uint64_t AdaptState::stage(const FeatureBatch& features,
   const std::size_t staged = staged_.size() / dimension_;
   if (staged + features.size() > max_staged_) {
     throw std::runtime_error(
-        "AdaptState: staged-sample cap reached — swap (or restart) before "
-        "observing more");
+        "AdaptState: staging byte budget reached — swap (or restart) "
+        "before observing more");
   }
   std::vector<float> column(dimension_);
   for (std::size_t i = 0; i < features.size(); ++i) {

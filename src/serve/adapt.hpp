@@ -1,11 +1,11 @@
-// Shared online-adaptation state of one serving process.
+// Online-adaptation state of one serving process.
 //
-// Every worker replica of a MonitorService clones the *monitor*, but all
-// clones share one AdaptState: the staged-sample pool feeding the next
-// rebuild, the per-shard novelty counters behind kStats, the generation
-// counter, and the in-memory + on-disk history kRollback restores from.
-// One mutex guards all of it — staging copies a few KB per observe frame
-// and swap/rollback are rare control operations, so contention is not a
+// A MonitorService owns one AdaptState, which every worker reaches
+// through that service: the staged-sample pool feeding the next rebuild,
+// the per-shard novelty counters behind kStats, the generation counter,
+// and the in-memory + on-disk history kRollback restores from. One mutex
+// guards all of it — staging copies a few KB per observe frame and
+// swap/rollback are rare control operations, so contention is not a
 // concern on this path (queries never touch it).
 //
 // Generations are monotonic and never reused: the initial monitor is
@@ -47,18 +47,21 @@ struct RebuildInput {
 
 class AdaptState {
  public:
-  /// Cap on staged samples awaiting a swap; past it, stage() throws and
-  /// the operator must swap (or drop the connection's stream). Injectable
-  /// for tests.
-  static constexpr std::size_t kMaxStagedSamples = 1ULL << 20;
+  /// Byte budget of the staged features awaiting a swap; past it,
+  /// stage() throws and the operator must swap (or drop the connection's
+  /// stream). A rebuild copies the pool once more, so the peak is twice
+  /// this. At dimension 32 it holds 2^20 samples. Injectable for tests.
+  static constexpr std::size_t kMaxStagedBytes = std::size_t{128} << 20;
 
   /// `base_artifact` is the serialized generation-1 monitor; `shard_count`
   /// sizes the novelty counters (0 for unsharded monitors).
   AdaptState(std::size_t dimension, std::string base_artifact,
              std::size_t shard_count,
-             std::size_t max_staged = kMaxStagedSamples);
+             std::size_t max_staged_bytes = kMaxStagedBytes);
 
   [[nodiscard]] std::size_t dimension() const { return dimension_; }
+  /// Samples the byte budget admits at this dimension.
+  [[nodiscard]] std::size_t max_staged_samples() const { return max_staged_; }
 
   /// Stages one observed feature batch plus its per-shard novelty counts;
   /// returns the staged total. Throws std::runtime_error past the staging
@@ -109,7 +112,7 @@ class AdaptState {
   static constexpr std::size_t kHistoryDepth = 8;
 
   const std::size_t dimension_;
-  const std::size_t max_staged_;
+  const std::size_t max_staged_;  // samples
 
   mutable Mutex mu_;
   std::uint64_t generation_ RANM_GUARDED_BY(mu_) = 1;     // being served

@@ -65,7 +65,7 @@ class ServeClient {
   [[nodiscard]] ObserveReply observe(std::span<const Tensor> inputs);
 
   /// Asks the daemon to rebuild from its staged samples and atomically
-  /// publish the refreshed monitor across every worker replica.
+  /// publish the refreshed monitor to every worker.
   [[nodiscard]] SwapReply swap();
 
   /// Restores a persisted generation (0 = the previous one).

@@ -59,7 +59,7 @@ MonitorService::MonitorService(Network net,
               dynamic_cast<const ShardedMonitor*>(monitor_.get())) {
         shard_count = sharded->shard_count();
       }
-      adapt_ = std::make_shared<AdaptState>(dim_, std::move(bytes),
+      adapt_ = std::make_unique<AdaptState>(dim_, std::move(bytes),
                                             shard_count);
     } catch (const std::invalid_argument&) {
       adapt_.reset();
@@ -97,26 +97,6 @@ std::shared_ptr<Monitor> MonitorService::snapshot() const {
   return monitor_;
 }
 
-std::unique_ptr<MonitorService> MonitorService::clone() {
-  // Round-trip both artifacts through their serialisers: the same bytes a
-  // deploy would ship, so a replica is bit-identical to loading the
-  // artifacts fresh (the differential tests lean on this).
-  std::stringstream net_buf(std::ios::in | std::ios::out |
-                            std::ios::binary);
-  save_network(net_buf, net_);
-  net_buf.seekg(0);
-  std::stringstream mon_buf(std::ios::in | std::ios::out |
-                            std::ios::binary);
-  save_any_monitor(mon_buf, *snapshot());
-  mon_buf.seekg(0);
-  auto replica = std::make_unique<MonitorService>(
-      load_network(net_buf), load_any_monitor(mon_buf), k_, threads_);
-  // All replicas share one AdaptState: one staging pool, one generation
-  // counter, one store — a swap through any of them is the swap.
-  replica->adapt_ = adapt_;
-  return replica;
-}
-
 void MonitorService::query_warns_into(std::span<const Tensor> inputs,
                                       std::vector<std::uint8_t>& warns) {
   warns.clear();
@@ -128,15 +108,11 @@ void MonitorService::query_warns_into(std::span<const Tensor> inputs,
     return;
   }
   // RCU read side: copy the snapshot pointer, then answer the whole
-  // batch against that one monitor. A concurrent adopt() swaps the
+  // batch against that one monitor. A concurrent publish() swaps the
   // pointer for the *next* query — never mid-batch.
   const std::shared_ptr<Monitor> snap = snapshot();
   const FeatureBatch batch = net_.forward_batch(k_, inputs);
-  if (scratch_capacity_ < inputs.size()) {
-    scratch_ = std::make_unique<bool[]>(inputs.size());
-    scratch_capacity_ = inputs.size();
-  }
-  const std::span<bool> row(scratch_.get(), inputs.size());
+  const std::span<bool> row = thread_scratch<MonitorService>(inputs.size());
   snap->warn_batch(batch, row);
   warns.resize(inputs.size());
   std::uint64_t warned = 0;
@@ -174,11 +150,7 @@ ObserveReply MonitorService::observe_batch(std::span<const Tensor> inputs) {
         "observe: compiled monitors are frozen — serve the source "
         "artifact to adapt online");
   }
-  if (adapt_ == nullptr) {
-    throw std::invalid_argument(
-        "observe: this monitor family has no serialiser — online "
-        "adaptation is disabled");
-  }
+  require_adaptive("observe");
   if (inputs.size() > kMaxQuerySamples) {
     throw std::invalid_argument("observe: batch too large");
   }
@@ -189,11 +161,7 @@ ObserveReply MonitorService::observe_batch(std::span<const Tensor> inputs) {
     return reply;
   }
   const FeatureBatch batch = net_.forward_batch(k_, inputs);
-  if (scratch_capacity_ < inputs.size()) {
-    scratch_ = std::make_unique<bool[]>(inputs.size());
-    scratch_capacity_ = inputs.size();
-  }
-  const std::span<bool> row(scratch_.get(), inputs.size());
+  const std::span<bool> row = thread_scratch<MonitorService>(inputs.size());
   snap->warn_batch(batch, row);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     reply.novel += row[i] ? 1 : 0;
@@ -217,16 +185,34 @@ ObserveReply MonitorService::observe_batch(std::span<const Tensor> inputs) {
   return reply;
 }
 
-std::string MonitorService::rebuild_refreshed(std::uint64_t& applied) {
+void MonitorService::require_adaptive(const char* what) const {
   if (adapt_ == nullptr) {
     throw std::invalid_argument(
-        "swap: online adaptation is disabled for this monitor family");
+        std::string(what) +
+        ": online adaptation is disabled for this monitor family");
   }
+}
+
+void MonitorService::publish(const std::string& bytes) {
+  std::shared_ptr<Monitor> next = monitor_from_bytes(bytes);
+  if (next->dimension() != dim_) {
+    throw std::invalid_argument(
+        "publish: artifact dimension " + std::to_string(next->dimension()) +
+        " != served dimension " + std::to_string(dim_));
+  }
+  apply_threads(*next);
+  MutexLock lock(snapshot_mu_);
+  monitor_ = std::move(next);
+}
+
+SwapReply MonitorService::swap() {
+  require_adaptive("swap");
+  MutexLock lock(lifecycle_mu_);
+  Timer timer;
   const RebuildInput input = adapt_->rebuild_input();
-  applied = input.staged_count;
   // A fresh monitor from the pristine bytes — not the live object — so
-  // the rebuild shares nothing with the replicas still answering
-  // queries, and a rollback of the result is exact.
+  // the rebuild shares nothing with the queries still answering, and a
+  // rollback of the result is exact.
   std::unique_ptr<Monitor> refreshed =
       monitor_from_bytes(input.base_artifact);
   if (input.staged_count > 0) {
@@ -238,43 +224,21 @@ std::string MonitorService::rebuild_refreshed(std::uint64_t& applied) {
     }
     refreshed->observe_batch(staged);
   }
-  return monitor_bytes(*refreshed);
-}
-
-void MonitorService::adopt(const std::string& bytes) {
-  std::shared_ptr<Monitor> next = monitor_from_bytes(bytes);
-  if (next->dimension() != dim_) {
-    throw std::invalid_argument(
-        "adopt: artifact dimension " + std::to_string(next->dimension()) +
-        " != served dimension " + std::to_string(dim_));
-  }
-  apply_threads(*next);
-  MutexLock lock(snapshot_mu_);
-  monitor_ = std::move(next);
-}
-
-SwapReply MonitorService::commit_swap(std::string bytes,
-                                      std::uint64_t applied,
-                                      std::uint64_t duration_us) {
+  std::string bytes = monitor_bytes(*refreshed);
+  publish(bytes);
   SwapReply reply;
-  reply.generation = adapt_->commit_swap(std::move(bytes), applied);
-  reply.staged_applied = applied;
-  reply.duration_us = duration_us;
+  reply.duration_us = std::uint64_t(timer.millis() * 1000.0);
+  reply.generation = adapt_->commit_swap(std::move(bytes), input.staged_count);
+  reply.staged_applied = input.staged_count;
   reply.monitor = monitor_description();
   return reply;
 }
 
-std::pair<std::uint64_t, std::string> MonitorService::checkout_generation(
-    std::uint64_t target) const {
-  if (adapt_ == nullptr) {
-    throw std::invalid_argument(
-        "rollback: online adaptation is disabled for this monitor family");
-  }
-  return adapt_->checkout(target);
-}
-
-RollbackReply MonitorService::commit_rollback(std::uint64_t generation,
-                                              std::string bytes) {
+RollbackReply MonitorService::rollback(std::uint64_t target) {
+  require_adaptive("rollback");
+  MutexLock lock(lifecycle_mu_);
+  auto [generation, bytes] = adapt_->checkout(target);
+  publish(bytes);
   adapt_->commit_rollback(generation, std::move(bytes));
   RollbackReply reply;
   reply.generation = generation;
@@ -282,31 +246,12 @@ RollbackReply MonitorService::commit_rollback(std::uint64_t generation,
   return reply;
 }
 
-SwapReply MonitorService::swap() {
-  Timer timer;
-  std::uint64_t applied = 0;
-  std::string bytes = rebuild_refreshed(applied);
-  adopt(bytes);
-  const auto duration_us =
-      std::uint64_t(timer.millis() * 1000.0);
-  return commit_swap(std::move(bytes), applied, duration_us);
-}
-
-RollbackReply MonitorService::rollback(std::uint64_t target) {
-  auto [generation, bytes] = checkout_generation(target);
-  adopt(bytes);
-  return commit_rollback(generation, std::move(bytes));
-}
-
 std::uint64_t MonitorService::set_snapshot_store(
     std::unique_ptr<SnapshotStore> store) {
-  if (adapt_ == nullptr) {
-    throw std::invalid_argument(
-        "snapshot store: online adaptation is disabled for this monitor "
-        "family");
-  }
+  require_adaptive("snapshot store");
+  MutexLock lock(lifecycle_mu_);
   auto [resumed, bytes] = adapt_->attach_store(std::move(store));
-  if (resumed != 0) adopt(bytes);
+  if (resumed != 0) publish(bytes);
   return resumed;
 }
 
@@ -316,15 +261,6 @@ void MonitorService::record_rolling(std::uint64_t samples,
   rolling_[rolling_next_] = {samples, warnings};
   rolling_next_ = (rolling_next_ + 1) % kRollingWindow;
   if (rolling_filled_ < kRollingWindow) ++rolling_filled_;
-}
-
-void MonitorService::rolling_counters(std::uint64_t& samples,
-                                      std::uint64_t& warnings) const {
-  MutexLock lock(rolling_mu_);
-  for (std::size_t i = 0; i < rolling_filled_; ++i) {
-    samples += rolling_[i].first;
-    warnings += rolling_[i].second;
-  }
 }
 
 std::uint64_t MonitorService::generation() const {
@@ -346,10 +282,16 @@ ServiceStats MonitorService::stats() const {
   stats.dimension = snap->dimension();
   stats.layer = k_;
   stats.threads = threads_;
-  stats.queries = queries();
-  stats.samples = samples();
-  stats.warnings = warnings();
-  rolling_counters(stats.rolling_samples, stats.rolling_warnings);
+  stats.queries = queries_.load(std::memory_order_relaxed);
+  stats.samples = samples_.load(std::memory_order_relaxed);
+  stats.warnings = warnings_.load(std::memory_order_relaxed);
+  {
+    MutexLock lock(rolling_mu_);
+    for (std::size_t i = 0; i < rolling_filled_; ++i) {
+      stats.rolling_samples += rolling_[i].first;
+      stats.rolling_warnings += rolling_[i].second;
+    }
+  }
   AdaptTelemetry adapt;
   if (adapt_) {
     adapt = adapt_->telemetry();

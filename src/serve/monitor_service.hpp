@@ -12,24 +12,24 @@
 //
 // MonitorService is the transport-independent API: tests and
 // bench_serving call it directly (no subprocess, no socket), while the
-// epoll Server exposes the same calls over the frame protocol.
-// Like every Monitor, a service instance is not thread-safe for queries
-// (forward_batch and warn_batch share per-instance scratch): one thread
-// queries at a time. Concurrency comes from replication instead — the
-// server clone()s one replica per worker, which is sound because monitors
-// are read-only after load. The lifetime counters are atomic, so stats()
-// and the counter accessors may race with a query from another thread.
+// epoll Server exposes the same calls over the frame protocol, with every
+// worker thread calling the one service it was given.
+//
+// Every public call is thread-safe. Inference is const and reentrant —
+// Network::forward_batch keeps no per-call state and Monitor queries keep
+// their scratch per calling thread — so N workers share one network and
+// one monitor in memory and answer queries in parallel without a lock.
+// The lifetime counters are atomic; stats() may race with queries.
 //
 // Online adaptation (monitor lifecycle). The served monitor is an
 // RCU-style snapshot: queries copy a shared_ptr under a tiny mutex, then
-// run lock-free against that copy, so a concurrent adopt() publishes a
-// refreshed monitor atomically — every query is answered entirely by the
-// old or the new snapshot, never a blend. observe_batch() stages live
-// batches (as layer-k features) into the AdaptState all replicas share;
-// rebuild_refreshed() folds the staged pool into a fresh monitor loaded
-// from the pristine current-generation bytes — touching no per-replica
-// scratch, so it runs on a background thread while queries continue —
-// and adopt() + commit_swap() publish it everywhere as one generation.
+// run lock-free against that copy, so swap() and rollback() publish a new
+// monitor atomically — every query is answered entirely by the old or the
+// new snapshot, never a blend. observe_batch() stages live batches (as
+// layer-k features) into the AdaptState; swap() folds the staged pool into
+// a fresh monitor loaded from the pristine current-generation bytes —
+// never the live object, so it runs on a background thread while queries
+// continue — and publishes it as the next generation.
 #pragma once
 
 #include <array>
@@ -73,15 +73,6 @@ class MonitorService {
   MonitorService(const MonitorService&) = delete;
   MonitorService& operator=(const MonitorService&) = delete;
 
-  /// Deep-copies the service by round-tripping both artifacts through
-  /// their serialisers — bit-identical network and monitor, fresh
-  /// counters, fresh scratch. This is how the server builds per-worker
-  /// replicas; they share this service's AdaptState, so a swap staged
-  /// through any replica publishes one generation for all of them.
-  /// Non-const only because save_network is. Throws
-  /// std::invalid_argument for monitors without a serialiser.
-  [[nodiscard]] std::unique_ptr<MonitorService> clone();
-
   /// Answers one minibatch into `warns` (resized to inputs.size()):
   /// warns[i] = 1 iff the monitor warns on inputs[i] (membership negated).
   /// The caller-owned vector keeps its capacity across calls, so a
@@ -104,73 +95,31 @@ class MonitorService {
   /// Stages one live minibatch for the next rebuild: extracts layer-k
   /// features, counts how many samples the *current* snapshot warns on
   /// (drift signal, per shard too for sharded monitors), and appends the
-  /// features to the shared staging pool. Serialised with queries on the
-  /// same replica (same scratch); safe against concurrent staging through
-  /// other replicas. Throws std::invalid_argument for frozen/compiled
-  /// monitors and std::runtime_error past the staging cap.
+  /// features to the staging pool. Throws std::invalid_argument for
+  /// frozen/compiled monitors and std::runtime_error past the staging cap.
   [[nodiscard]] ObserveReply observe_batch(std::span<const Tensor> inputs);
 
-  /// Builds the refreshed artifact: loads a fresh monitor from the
-  /// pristine current-generation bytes, folds the staged features into
-  /// it, and returns its serialised bytes ( `applied` = staged samples
-  /// consumed). Touches no per-replica scratch — safe on a background
-  /// thread while this and other replicas keep answering queries.
-  [[nodiscard]] std::string rebuild_refreshed(std::uint64_t& applied);
+  /// Folds the staged samples into a fresh monitor loaded from the
+  /// pristine current-generation bytes and publishes it as the next
+  /// generation (persisted when a store is attached). Queries keep
+  /// answering off the previous snapshot while the rebuild runs.
+  [[nodiscard]] SwapReply swap() RANM_EXCLUDES(lifecycle_mu_);
 
-  /// Atomically publishes a monitor loaded from `bytes` as this replica's
-  /// snapshot. In-flight queries keep the snapshot they started with.
-  void adopt(const std::string& bytes);
-
-  /// Records a rebuilt artifact as the next generation in the shared
-  /// AdaptState (persisting it when a store is attached) and returns the
-  /// swap reply. Call after every replica adopt()ed `bytes`.
-  [[nodiscard]] SwapReply commit_swap(std::string bytes,
-                                      std::uint64_t applied,
-                                      std::uint64_t duration_us);
-
-  /// Resolves a rollback target (0 = previous) to {generation, bytes}.
-  [[nodiscard]] std::pair<std::uint64_t, std::string> checkout_generation(
-      std::uint64_t target) const;
-
-  /// Records a rollback in the shared AdaptState. Call after every
-  /// replica adopt()ed the checked-out bytes.
-  [[nodiscard]] RollbackReply commit_rollback(std::uint64_t generation,
-                                              std::string bytes);
-
-  /// In-process swap: rebuild, adopt, commit — what the server spreads
-  /// across its background thread and replicas, in one call.
-  [[nodiscard]] SwapReply swap();
-
-  /// In-process rollback to `target` (0 = previous generation).
-  [[nodiscard]] RollbackReply rollback(std::uint64_t target = 0);
+  /// Restores generation `target` (0 = the previous one) and publishes it.
+  [[nodiscard]] RollbackReply rollback(std::uint64_t target = 0)
+      RANM_EXCLUDES(lifecycle_mu_);
 
   /// Attaches the on-disk generation store. On a fresh store the current
   /// generation is persisted; on a store carrying history (daemon
-  /// restart) the newest persisted generation is adopted and returned
-  /// (0 = nothing resumed). Call before clone()ing replicas.
-  std::uint64_t set_snapshot_store(std::unique_ptr<SnapshotStore> store);
+  /// restart) the newest persisted generation is published and returned
+  /// (0 = nothing resumed).
+  std::uint64_t set_snapshot_store(std::unique_ptr<SnapshotStore> store)
+      RANM_EXCLUDES(lifecycle_mu_);
 
-  /// Lifetime counters plus the per-shard table `ranm_cli info` shows.
-  /// The counter fields are relaxed snapshots — safe to call while
-  /// another thread queries.
-  [[nodiscard]] ServiceStats stats() const;
-
-  // Relaxed snapshots of the lifetime counters (the server aggregates
-  // these across worker replicas for kStats).
-  [[nodiscard]] std::uint64_t queries() const noexcept {
-    return queries_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t samples() const noexcept {
-    return samples_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t warnings() const noexcept {
-    return warnings_.load(std::memory_order_relaxed);
-  }
-  /// Sums this replica's rolling window (last kRollingWindow queries)
-  /// into the caller's accumulators.
-  void rolling_counters(std::uint64_t& samples,
-                        std::uint64_t& warnings) const
-      RANM_EXCLUDES(rolling_mu_);
+  /// Lifetime counters over every caller, the rolling window, and the
+  /// per-shard table `ranm_cli info` shows. The counter fields are
+  /// relaxed snapshots — safe to call while other threads query.
+  [[nodiscard]] ServiceStats stats() const RANM_EXCLUDES(rolling_mu_);
 
   /// Published generation (0: adaptation disabled for this family).
   [[nodiscard]] std::uint64_t generation() const;
@@ -188,6 +137,11 @@ class MonitorService {
       RANM_EXCLUDES(snapshot_mu_);
   /// Applies the host thread count to a freshly loaded monitor.
   void apply_threads(Monitor& monitor) const;
+  /// Atomically publishes a monitor loaded from `bytes` as the snapshot.
+  /// In-flight queries keep the snapshot they started with.
+  void publish(const std::string& bytes) RANM_EXCLUDES(snapshot_mu_);
+  /// Throws std::invalid_argument when adaptation is disabled.
+  void require_adaptive(const char* what) const;
   void record_rolling(std::uint64_t samples, std::uint64_t warnings)
       RANM_EXCLUDES(rolling_mu_);
 
@@ -196,14 +150,15 @@ class MonitorService {
   std::shared_ptr<Monitor> monitor_ RANM_GUARDED_BY(snapshot_mu_);
   std::size_t k_;
   std::size_t threads_;
-  std::size_t dim_;         // fixed across swaps; adopt() re-checks it
+  std::size_t dim_;         // fixed across swaps; publish() re-checks it
   MonitorBuilder builder_;  // binds net_ + k_; lives exactly as long
-  // Shared across clone()d replicas; null when the family has no
-  // serialiser (adaptation disabled).
-  std::shared_ptr<AdaptState> adapt_;
+  // Null when the family has no serialiser (adaptation disabled).
+  std::unique_ptr<AdaptState> adapt_;
+  // Serialises swap/rollback/store attachment against each other; queries
+  // and observes never take it.
+  Mutex lifecycle_mu_;
   // Lifetime counters surfaced in stats frames. Atomic (relaxed): workers
-  // bump their replica's counters while the event loop aggregates them
-  // for a concurrent kStats.
+  // bump them while the event loop reads them for a concurrent kStats.
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> samples_{0};
   std::atomic<std::uint64_t> warnings_{0};
@@ -215,10 +170,6 @@ class MonitorService {
       rolling_ RANM_GUARDED_BY(rolling_mu_){};
   std::size_t rolling_next_ RANM_GUARDED_BY(rolling_mu_) = 0;
   std::size_t rolling_filled_ RANM_GUARDED_BY(rolling_mu_) = 0;
-  // Reused per-query verdict scratch: the serving hot path must not pay
-  // steady-state allocator traffic for the bool row.
-  std::unique_ptr<bool[]> scratch_;
-  std::size_t scratch_capacity_ = 0;
 };
 
 }  // namespace ranm::serve

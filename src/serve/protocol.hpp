@@ -183,7 +183,7 @@ struct ShardStatsWire {
   double patterns = 0.0;    // stored words (-1: not pattern-based)
 };
 
-/// One worker replica's lifetime counters. With N concurrent workers the
+/// One worker's lifetime counters. With N concurrent workers the
 /// aggregate alone hides imbalance, so stats carry both.
 struct WorkerCountersWire {
   std::uint64_t queries = 0;   // query frames answered by this worker
@@ -202,7 +202,7 @@ struct ServiceStats {
   std::uint64_t queries = 0;   // aggregate across workers
   std::uint64_t samples = 0;
   std::uint64_t warnings = 0;
-  std::vector<WorkerCountersWire> workers;  // per replica; empty: direct
+  std::vector<WorkerCountersWire> workers;  // per worker; empty: direct
   // Serving-loop telemetry (zero when the service is driven in-process).
   std::uint64_t in_flight = 0;       // queries dispatched, not yet replied
   std::uint64_t queue_depth = 0;     // requests waiting for a worker

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <iterator>
@@ -13,7 +14,6 @@
 #include <utility>
 
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace ranm::serve {
 namespace {
@@ -95,8 +95,9 @@ void Server::BufferPool::release(std::string&& buf) {
   if (spares_.size() < 64) spares_.push_back(std::move(buf));
 }
 
-Server::Server(MonitorService& prototype, ServerConfig config)
+Server::Server(MonitorService& service, ServerConfig config)
     : config_(std::move(config)),
+      service_(service),
       queue_(config_.workers == 0 || config_.workers > 1
                  ? config_.queue_capacity
                  : 1) {
@@ -107,10 +108,7 @@ Server::Server(MonitorService& prototype, ServerConfig config)
   }
   const std::size_t workers = resolve_thread_count(config_.workers);
   config_.workers = workers;
-  replicas_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    replicas_.push_back(prototype.clone());
-  }
+  worker_counters_ = std::make_unique<WorkerCounters[]>(workers);
 
   if (!config_.unix_path.empty()) {
     unix_listener_ = listeners_.size();
@@ -174,14 +172,13 @@ void Server::stop() noexcept { signal_eventfd(stop_event_fd_); }
 void Server::run() { event_loop(); }
 
 void Server::worker_main(std::size_t index) {
-  MonitorService& service = *replicas_[index];
   for (;;) {
     std::optional<Request> request = queue_.pop();
     if (!request.has_value()) return;  // queue closed and drained
     Completion done;
     done.conn_id = request->conn_id;
     done.payload = buffers_.acquire();
-    execute_request(service, request->type, request->payload, done.type,
+    execute_request(index, request->type, request->payload, done.type,
                     done.payload);
     buffers_.release(std::move(request->payload));
     {
@@ -192,7 +189,7 @@ void Server::worker_main(std::size_t index) {
   }
 }
 
-void Server::execute_request(MonitorService& service, FrameType request,
+void Server::execute_request(std::size_t worker, FrameType request,
                              std::string_view payload, FrameType& type,
                              std::string& reply) {
   // Decode scratch lives per-thread: each worker (and the inline loop)
@@ -204,10 +201,16 @@ void Server::execute_request(MonitorService& service, FrameType request,
     if (request == FrameType::kObserve) {
       // A service-side throw (frozen monitor, staging cap) becomes a
       // structured kError below — the worker and connection survive.
-      encode_observe_reply_into(reply, service.observe_batch(inputs));
+      encode_observe_reply_into(reply, service_.observe_batch(inputs));
       type = FrameType::kObserveReply;
     } else {
-      service.query_warns_into(inputs, warns);
+      service_.query_warns_into(inputs, warns);
+      WorkerCounters& counters = worker_counters_[worker];
+      counters.queries.fetch_add(1, std::memory_order_relaxed);
+      counters.samples.fetch_add(warns.size(), std::memory_order_relaxed);
+      counters.warnings.fetch_add(
+          std::uint64_t(std::count(warns.begin(), warns.end(), 1)),
+          std::memory_order_relaxed);
       encode_verdicts_into(reply, warns);
       type = FrameType::kQueryReply;
     }
@@ -428,13 +431,13 @@ void Server::parse_frames(Conn& conn) {
 
 void Server::dispatch_request(Conn& conn, FrameType request_type,
                               std::string_view payload) {
-  if (replicas_.size() == 1) {
-    // Inline mode: execute on the loop thread. One replica would
+  if (config_.workers == 1) {
+    // Inline mode: execute on the loop thread. One worker would
     // serialise every query anyway; skipping the handoff saves two
     // context switches per query.
     thread_local std::string reply;
     FrameType type = FrameType::kError;
-    execute_request(*replicas_[0], request_type, payload, type, reply);
+    execute_request(0, request_type, payload, type, reply);
     queue_reply(conn, type, reply);
     return;
   }
@@ -477,21 +480,10 @@ void Server::run_swap(std::uint64_t conn_id) {
   done.conn_id = conn_id;
   done.swap_done = true;
   try {
-    Timer timer;
-    // Rebuild off the shared staging pool — no replica scratch, so every
-    // worker (and the loop, in inline mode) keeps answering queries.
-    std::uint64_t applied = 0;
-    std::string bytes = replicas_[0]->rebuild_refreshed(applied);
-    // Publish everywhere: each replica loads its own monitor object from
-    // the same bytes (replicas never share mutable monitor state), then
-    // swaps it in atomically. In-flight queries finish on the snapshot
-    // they started with.
-    for (auto& replica : replicas_) replica->adopt(bytes);
-    const auto duration_us = std::uint64_t(timer.millis() * 1000.0);
-    const SwapReply reply =
-        replicas_[0]->commit_swap(std::move(bytes), applied, duration_us);
+    // Every worker (and the loop, in inline mode) keeps answering
+    // queries off the current snapshot while the rebuild runs.
+    done.payload = encode_swap_reply(service_.swap());
     done.type = FrameType::kSwapReply;
-    done.payload = encode_swap_reply(reply);
   } catch (const std::exception& e) {
     done.type = FrameType::kError;
     done.payload = encode_error(e.what());
@@ -510,11 +502,7 @@ void Server::handle_rollback(Conn& conn, std::string_view payload) {
     return;
   }
   try {
-    const std::uint64_t target = decode_rollback(payload);
-    auto [generation, bytes] = replicas_[0]->checkout_generation(target);
-    for (auto& replica : replicas_) replica->adopt(bytes);
-    const RollbackReply reply =
-        replicas_[0]->commit_rollback(generation, std::move(bytes));
+    const RollbackReply reply = service_.rollback(decode_rollback(payload));
     queue_reply(conn, FrameType::kRollbackReply,
                 encode_rollback_reply(reply));
   } catch (const std::exception& e) {
@@ -554,36 +542,21 @@ void Server::handle_completions() {
 }
 
 ServiceStats Server::build_stats() {
-  // Identity and shard table come from replica 0; counters are the
-  // aggregate across all replicas plus the per-worker breakdown.
-  ServiceStats stats = replicas_[0]->stats();
-  stats.queries = 0;
-  stats.samples = 0;
-  stats.warnings = 0;
-  stats.workers.clear();
-  stats.workers.reserve(replicas_.size());
-  for (const auto& replica : replicas_) {
-    WorkerCountersWire w;
-    w.queries = replica->queries();
-    w.samples = replica->samples();
-    w.warnings = replica->warnings();
-    stats.queries += w.queries;
-    stats.samples += w.samples;
-    stats.warnings += w.warnings;
-    stats.workers.push_back(w);
+  // Identity, shard table and aggregate counters come from the service;
+  // the per-worker breakdown from this server's own slots.
+  ServiceStats stats = service_.stats();
+  stats.workers.resize(config_.workers);
+  for (std::size_t i = 0; i < config_.workers; ++i) {
+    const WorkerCounters& counters = worker_counters_[i];
+    stats.workers[i].queries = counters.queries.load(std::memory_order_relaxed);
+    stats.workers[i].samples = counters.samples.load(std::memory_order_relaxed);
+    stats.workers[i].warnings =
+        counters.warnings.load(std::memory_order_relaxed);
   }
   stats.in_flight = in_flight_;
-  stats.queue_depth = replicas_.size() > 1 ? queue_.size() : 0;
-  stats.queue_capacity = replicas_.size() > 1 ? queue_.capacity() : 0;
+  stats.queue_depth = config_.workers > 1 ? queue_.size() : 0;
+  stats.queue_capacity = config_.workers > 1 ? queue_.capacity() : 0;
   stats.overloaded = overloaded_;
-  // Rolling warning-rate: sum every replica's recent window (replica 0's
-  // alone would miss the pooled workers' traffic).
-  stats.rolling_samples = 0;
-  stats.rolling_warnings = 0;
-  for (const auto& replica : replicas_) {
-    replica->rolling_counters(stats.rolling_samples,
-                              stats.rolling_warnings);
-  }
   return stats;
 }
 

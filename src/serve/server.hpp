@@ -1,7 +1,6 @@
 // Concurrent front end of the serving layer: one epoll event loop
-// multiplexing many connections, a fixed pool of worker threads each
-// holding its own MonitorService replica, and a bounded request queue
-// between them.
+// multiplexing many connections, a fixed pool of worker threads sharing
+// one MonitorService, and a bounded request queue between them.
 //
 // Architecture (replaces the PR 4 one-connection-at-a-time SocketServer):
 //
@@ -16,16 +15,16 @@
 //   bounded request queue ── full ⇒ the query is answered kOverloaded
 //        │                   immediately (explicit backpressure instead of
 //        ▼                   unbounded buffering); the connection survives
-//   N workers ── each owns a private MonitorService replica (monitors are
-//                read-only after load, so replicas never share mutable
-//                state and queries execute in parallel without a global
-//                lock); replies travel back to the loop, which owns all
-//                socket writes
+//   N workers ── all call the one MonitorService (inference is const and
+//                reentrant, so one network and one monitor in memory
+//                serve every worker in parallel without a global lock);
+//                replies travel back to the loop, which owns all socket
+//                writes
 //
 // With workers == 1 the pool degenerates: the loop executes queries
-// inline on the single replica (everything would serialise through it
-// anyway, so the cross-thread handoff would be pure overhead). The
-// bounded queue and kOverloaded apply to the pooled (workers >= 2) shape.
+// inline (one worker would serialise everything anyway, so the
+// cross-thread handoff would be pure overhead). The bounded queue and
+// kOverloaded apply to the pooled (workers >= 2) shape.
 //
 // Protocol ordering: at most one query per connection is in flight at a
 // time — the loop stops parsing (and reading) a connection while its
@@ -38,15 +37,15 @@
 // dispatched, queued, or fully buffered — is answered and flushed, then
 // run() returns.
 //
-// Monitor lifecycle: kObserve frames dispatch like queries (the staging
-// pool is shared across replicas). kSwap runs the rebuild on a dedicated
-// background thread — the loop and the workers keep answering queries
-// off their current snapshots — then every replica adopts the same
-// artifact and the generation commits once; at most one swap is in
-// flight (a second kSwap is answered kError). kRollback executes inline
-// on the loop thread (artifact loads, no rebuild); replica adoption is a
-// pointer swap per replica, so queries racing it are answered entirely
-// by the old or the new monitor, never a blend.
+// Monitor lifecycle: kObserve frames dispatch like queries. kSwap runs
+// MonitorService::swap() on a dedicated background thread — the loop and
+// the workers keep answering queries off the current snapshot — and at
+// most one swap is in flight (a second kSwap is answered kError).
+// kRollback runs MonitorService::rollback() inline on the loop thread
+// (an artifact load, no rebuild). Either publishes with one pointer
+// swap, so queries racing it are answered entirely by the old or the new
+// monitor, never a blend. The caller's service is the served one: a swap
+// over the wire is visible to its in-process queries too.
 #pragma once
 
 #include <atomic>
@@ -72,7 +71,7 @@ struct ServerConfig {
   /// TCP port; 0 binds a kernel-assigned ephemeral port, reported by
   /// Server::tcp_port() (how the tests avoid port collisions).
   std::uint16_t tcp_port = 0;
-  /// Worker replicas executing queries. 0 = hardware concurrency; 1 runs
+  /// Worker threads executing queries. 0 = hardware concurrency; 1 runs
   /// inline in the event loop (no pool).
   std::size_t workers = 1;
   /// Bound on queued (accepted but not yet executing) queries; beyond it
@@ -82,15 +81,12 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Builds the serving fleet from `prototype`: each worker gets its own
-  /// replica via MonitorService::clone() (bit-identical artifacts, fresh
-  /// counters), so the caller keeps the prototype for direct use (or may
-  /// drop it — the server never touches it after construction). Binds
-  /// every configured listener before returning. Throws
-  /// std::invalid_argument when no listener is configured,
-  /// std::runtime_error on socket errors (including a Unix path a live
-  /// daemon is already serving).
-  Server(MonitorService& prototype, ServerConfig config);
+  /// Serves `service` from every worker; it must outlive the server and
+  /// stays usable in-process meanwhile. Binds every configured listener
+  /// before returning. Throws std::invalid_argument when no listener is
+  /// configured, std::runtime_error on socket errors (including a Unix
+  /// path a live daemon is already serving).
+  Server(MonitorService& service, ServerConfig config);
   ~Server();
 
   Server(const Server&) = delete;
@@ -112,7 +108,7 @@ class Server {
     return tcp_port_;
   }
   [[nodiscard]] std::size_t worker_count() const noexcept {
-    return replicas_.size();
+    return config_.workers;
   }
   [[nodiscard]] std::uint64_t connections_served() const noexcept {
     return connections_.load(std::memory_order_relaxed);
@@ -159,21 +155,21 @@ class Server {
   /// Parses every complete frame the connection has buffered (stopping
   /// while a query is in flight) and dispatches/answers them.
   void parse_frames(Conn& conn);
-  /// Dispatches a kQuery/kObserve frame: inline at one replica, through
+  /// Dispatches a kQuery/kObserve frame: inline with one worker, through
   /// the bounded queue otherwise.
   void dispatch_request(Conn& conn, FrameType request, std::string_view payload);
   /// Starts the background rebuild+swap for one kSwap frame (or rejects
   /// it when a swap is already in flight).
   void handle_swap(Conn& conn);
-  /// Swap-thread body: rebuild, adopt on every replica, commit, complete.
+  /// Swap-thread body: MonitorService::swap(), then a completion.
   void run_swap(std::uint64_t conn_id);
   /// Restores a persisted generation inline on the loop thread.
   void handle_rollback(Conn& conn, std::string_view payload);
   void handle_completions();
-  /// Executes one kQuery/kObserve request against `service` into
-  /// (type, payload); never throws — failures become kError replies and
-  /// the worker (and connection) survive.
-  void execute_request(MonitorService& service, FrameType request,
+  /// Executes one kQuery/kObserve request for `worker` into (type,
+  /// payload); never throws — failures become kError replies and the
+  /// worker (and connection) survive.
+  void execute_request(std::size_t worker, FrameType request,
                        std::string_view payload, FrameType& type,
                        std::string& reply);
   [[nodiscard]] ServiceStats build_stats();
@@ -186,8 +182,17 @@ class Server {
   void begin_drain();
   [[nodiscard]] bool drain_complete() const;
 
+  /// Queries answered by one worker (the inline loop is worker 0). Each
+  /// worker bumps only its own slot, so slots sit on separate cache lines.
+  struct alignas(64) WorkerCounters {
+    std::atomic<std::uint64_t> queries{0};
+    std::atomic<std::uint64_t> samples{0};
+    std::atomic<std::uint64_t> warnings{0};
+  };
+
   ServerConfig config_;
-  std::vector<std::unique_ptr<MonitorService>> replicas_;
+  MonitorService& service_;
+  std::unique_ptr<WorkerCounters[]> worker_counters_;
   std::vector<Listener> listeners_;  // [0] unix (if any), then tcp
   std::size_t unix_listener_ = SIZE_MAX;
   std::size_t tcp_listener_ = SIZE_MAX;

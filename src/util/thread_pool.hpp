@@ -26,8 +26,10 @@ namespace ranm {
 [[nodiscard]] std::size_t resolve_thread_count(std::size_t requested);
 
 /// Fixed set of worker threads executing blocking index-parallel loops.
-/// parallel_for calls are serialised by the caller (the pool is not
-/// reentrant: `body` must not call back into the same pool).
+/// Several threads may call parallel_for concurrently: each call keeps its
+/// own index counter and completion state, and its caller drains its own
+/// indices, so every call finishes even while the workers serve others.
+/// `body` must not call back into the same pool.
 class ThreadPool {
  public:
   /// `threads` is the total concurrency of a parallel_for, including the

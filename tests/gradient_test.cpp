@@ -18,7 +18,7 @@ namespace {
 
 /// Scalar objective over a layer's output: sum of coef[i] * out[i], which
 /// gives grad_out = coef and an easy finite-difference target.
-float objective(Layer& layer, const Tensor& x, const Tensor& coef) {
+float objective(const Layer& layer, const Tensor& x, const Tensor& coef) {
   Tensor y = layer.forward(x);
   float acc = 0.0F;
   for (std::size_t i = 0; i < y.numel(); ++i) acc += coef[i] * y[i];
@@ -28,8 +28,8 @@ float objective(Layer& layer, const Tensor& x, const Tensor& coef) {
 void check_input_gradient(Layer& layer, const Tensor& x, Rng& rng,
                           float tol = 2e-2F) {
   Tensor coef = Tensor::random_uniform({layer.output_size()}, rng);
-  (void)objective(layer, x, coef);
-  Tensor analytic = layer.backward(coef.reshaped(layer.output_shape()));
+  Tensor analytic = layer.backward(x, layer.forward(x),
+                                   coef.reshaped(layer.output_shape()));
 
   const float eps = 1e-2F;
   for (std::size_t i = 0; i < x.numel(); ++i) {
@@ -48,8 +48,8 @@ void check_param_gradients(Layer& layer, const Tensor& x, Rng& rng,
                            float tol = 2e-2F) {
   Tensor coef = Tensor::random_uniform({layer.output_size()}, rng);
   for (Tensor* g : layer.gradients()) g->zero();
-  (void)objective(layer, x, coef);
-  (void)layer.backward(coef.reshaped(layer.output_shape()));
+  (void)layer.backward(x, layer.forward(x),
+                       coef.reshaped(layer.output_shape()));
 
   auto params = layer.parameters();
   auto grads = layer.gradients();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <vector>
+
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
@@ -89,8 +93,10 @@ TEST(Network, ZeroGradients) {
   Rng rng(7);
   Network net = tiny_net(rng);
   Tensor x = Tensor::random_uniform({3}, rng);
-  (void)net.forward(x);
-  (void)net.backward(Tensor::vector({1.0F, -1.0F}));
+  std::vector<Tensor> acts;
+  net.forward_trace(x, acts);
+  EXPECT_EQ(acts.size(), net.num_layers() + 1);
+  (void)net.backward(acts, Tensor::vector({1.0F, -1.0F}));
   bool any_nonzero = false;
   for (Tensor* g : net.gradients()) any_nonzero |= g->norm2() > 0.0F;
   EXPECT_TRUE(any_nonzero);
@@ -133,6 +139,40 @@ TEST(MakeSmallConvnet, EndToEndShapes) {
   Tensor x = Tensor::random_uniform({1, 16, 16}, rng);
   Tensor y = net.forward(x);
   EXPECT_EQ(y.shape(), (Shape{3}));
+}
+
+// One const network serves every inference thread: concurrent
+// forward_batch calls on a conv -> pool -> dense chain must produce the
+// serial run's activations bit for bit (and race-free under TSan).
+TEST(Network, ConcurrentForwardBatchMatchesSerial) {
+  Rng rng(12);
+  const Network net = make_small_convnet(12, 12, 4, 16, 3, rng);
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 24; ++i) {
+    inputs.push_back(Tensor::random_uniform({1, 12, 12}, rng));
+  }
+  const std::size_t k = 6;  // post-Dense LeakyReLU
+  const FeatureBatch serial = net.forward_batch(k, inputs);
+  const std::vector<float> expected(serial.storage().begin(),
+                                    serial.storage().end());
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const FeatureBatch got = net.forward_batch(k, inputs);
+        if (!std::equal(got.storage().begin(), got.storage().end(),
+                        expected.begin(), expected.end())) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 }  // namespace

@@ -149,19 +149,53 @@ TEST(MonitorService, CountersAndShardStats) {
   EXPECT_EQ(neurons, 32U);
 }
 
-TEST(MonitorService, CloneIsBitIdenticalWithFreshCounters) {
-  ServeFixture fx;
-  MonitorService service(fx.clone_net(), fx.build_monitor(4), fx.k, 2);
-  const std::vector<Tensor> warmup = fx.make_inputs(8, 21);
-  (void)service.query_warns(warmup);
+/// Queries one service from several threads at once, alternating the
+/// whole probe (the shard fan-out path) with single samples (the inline
+/// path); every verdict must equal the serial answer.
+void expect_concurrent_queries_match_serial(MonitorService& service,
+                                            const std::vector<Tensor>& probe) {
+  const std::vector<std::uint8_t> serial = service.query_warns(probe);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::uint8_t> warns;
+      for (int r = 0; r < kRounds; ++r) {
+        service.query_warns_into(probe, warns);
+        if (warns != serial) ++mismatches[t];
+        for (std::size_t i = 0; i < probe.size(); i += 7) {
+          service.query_warns_into({&probe[i], 1}, warns);
+          if (warns.size() != 1 || warns[0] != serial[i]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  EXPECT_EQ(service.stats().samples,
+            probe.size() * (1 + kThreads * kRounds) +
+                kThreads * kRounds * ((probe.size() + 6) / 7));
+}
 
-  const std::unique_ptr<MonitorService> replica = service.clone();
-  EXPECT_EQ(replica->queries(), 0U);   // counters reset, not inherited
-  EXPECT_EQ(replica->samples(), 0U);
-  const std::vector<Tensor> inputs = fx.make_inputs(32, 55);
-  EXPECT_EQ(replica->query_warns(inputs), service.query_warns(inputs));
-  EXPECT_EQ(replica->dimension(), service.dimension());
-  EXPECT_EQ(replica->layer_k(), service.layer_k());
+// One service, one network and one monitor answer every thread: the flat,
+// sharded (S = 3 on a 2-thread pool) and compiled sharded engines must be
+// reentrant and bit-identical to serial.
+TEST(MonitorService, ConcurrentQueriesMatchSerial) {
+  ServeFixture fx;
+  const std::vector<Tensor> probe = fx.make_inputs(700, 55);
+  MonitorService flat(fx.clone_net(), fx.build_monitor(1), fx.k);
+  expect_concurrent_queries_match_serial(flat, probe);
+  MonitorService sharded(fx.clone_net(), fx.build_monitor(3), fx.k, 2);
+  expect_concurrent_queries_match_serial(sharded, probe);
+  MonitorService compiled(fx.clone_net(),
+                          std::make_unique<compile::CompiledMonitor>(
+                              compile::compile_monitor(*fx.build_monitor(3))),
+                          fx.k, 2);
+  expect_concurrent_queries_match_serial(compiled, probe);
+  EXPECT_EQ(compiled.query_warns(probe),
+            fx.direct_warns(*fx.build_monitor(3), probe));
 }
 
 TEST(MonitorService, ServiceSurvivesFailedQuery) {
@@ -316,7 +350,8 @@ TEST(MonitorServiceLifecycle, CompiledMonitorIsFrozen) {
 
 TEST(MonitorServiceLifecycle, StagingCapRejectsOverflow) {
   FeatureBatch batch(2, 3);
-  AdaptState state(2, "base-bytes", 0, /*max_staged=*/4);
+  AdaptState state(2, "base-bytes", 0,
+                   /*max_staged_bytes=*/4 * 2 * sizeof(float));
   EXPECT_EQ(state.stage(batch, {}), 3U);
   EXPECT_THROW((void)state.stage(batch, {}), std::runtime_error);
   // A failed stage is atomic: the pool still holds exactly 3 samples and
@@ -325,21 +360,46 @@ TEST(MonitorServiceLifecycle, StagingCapRejectsOverflow) {
   EXPECT_EQ(state.stage(FeatureBatch(2, 1), {}), 4U);
 }
 
-TEST(MonitorServiceLifecycle, ClonesShareOneGeneration) {
+TEST(MonitorServiceLifecycle, StagingBudgetIsBytesNotSamples) {
+  // 128 MiB holds 2^20 samples at dimension 32, as the old sample cap
+  // did, but only 32768 at a 1024-wide layer (not 4 GiB).
+  EXPECT_EQ(AdaptState(32, "base", 0).max_staged_samples(),
+            std::size_t{1} << 20);
+  EXPECT_EQ(AdaptState(1024, "base", 0).max_staged_samples(), 32768U);
+  // The refusal itself at d = 1024, under a 3-sample injected budget.
+  AdaptState state(1024, "base", 0, 3 * 1024 * sizeof(float));
+  EXPECT_EQ(state.stage(FeatureBatch(1024, 2), {}), 2U);
+  EXPECT_THROW((void)state.stage(FeatureBatch(1024, 2), {}),
+               std::runtime_error);
+  EXPECT_EQ(state.stage(FeatureBatch(1024, 1), {}), 3U);
+}
+
+// Observers on several threads stage into the service's one pool, and the
+// next swap folds every one of their samples in.
+TEST(MonitorServiceLifecycle, ConcurrentObserversShareOneStagingPool) {
   ServeFixture fx;
-  MonitorService service(fx.clone_net(), fx.build_monitor(1), fx.k);
-  const std::unique_ptr<MonitorService> replica = service.clone();
+  MonitorService service(fx.clone_net(), fx.build_monitor(4), fx.k, 2);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<Tensor>> live;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    live.push_back(fx.make_inputs(12, 80 + t));
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { (void)service.observe_batch(live[t]); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(service.staged_samples(), kThreads * 12);
 
-  (void)replica->observe_batch(fx.make_inputs(8, 90));
-  EXPECT_EQ(service.staged_samples(), 8U);  // one shared staging pool
-
-  // Swap through the parent, then adopt on the replica — the server's
-  // exact sequence — and both serve the same generation and verdicts.
   const SwapReply swapped = service.swap();
-  replica->adopt(service.checkout_generation(swapped.generation).second);
-  EXPECT_EQ(replica->generation(), 2U);
-  const std::vector<Tensor> probe = fx.make_inputs(30, 89);
-  EXPECT_EQ(replica->query_warns(probe), service.query_warns(probe));
+  EXPECT_EQ(swapped.generation, 2U);
+  EXPECT_EQ(swapped.staged_applied, kThreads * 12);
+  const std::unique_ptr<Monitor> reference = fx.build_monitor(4);
+  for (const std::vector<Tensor>& batch : live) {
+    reference->observe_batch(fx.net.forward_batch(fx.k, batch));
+  }
+  const std::vector<Tensor> probe = fx.make_inputs(40, 89);
+  EXPECT_EQ(service.query_warns(probe), fx.direct_warns(*reference, probe));
 }
 
 // ---- socket transport -----------------------------------------------------
@@ -533,7 +593,7 @@ TEST(Server, StatsReportPerWorkerAndAggregate) {
 TEST(Server, ObserveSwapRollbackOverTheWire) {
   ServeFixture fx;
   MonitorService service(fx.clone_net(), fx.build_monitor(4), fx.k, 2);
-  // Two worker replicas: a swap must publish to both.
+  // Two workers share the one service: a swap reaches both.
   ServerHarness harness(service,
                         ServerHarness::unix_config("lifecycle", 2));
 
@@ -550,7 +610,7 @@ TEST(Server, ObserveSwapRollbackOverTheWire) {
   EXPECT_EQ(swapped.generation, 2U);
   EXPECT_EQ(swapped.staged_applied, 24U);
 
-  // Both replicas serve the refreshed generation: the offline-rebuilt
+  // Both workers serve the refreshed generation: the offline-rebuilt
   // reference matches over many queries (round-robin hits each worker).
   const std::unique_ptr<Monitor> reference = fx.build_monitor(4);
   reference->observe_batch(fx.net.forward_batch(fx.k, live));
@@ -574,6 +634,68 @@ TEST(Server, ObserveSwapRollbackOverTheWire) {
   stats = client.stats();
   EXPECT_EQ(stats.generation, 1U);
   EXPECT_EQ(stats.rollbacks, 1U);
+}
+
+// The caller's service is the served one: a swap or rollback over the
+// wire changes what in-process queries on it answer, too.
+TEST(Server, WireSwapReachesTheCallersService) {
+  ServeFixture fx;
+  MonitorService service(fx.clone_net(), fx.build_monitor(1), fx.k);
+  ServerHarness harness(service, ServerHarness::unix_config("caller", 2));
+  ServeClient client(harness.server.unix_path());
+  const std::vector<Tensor> live = fx.make_inputs(32, 76);
+  // The probe holds the observed samples, which the swap takes in.
+  std::vector<Tensor> probe = fx.make_inputs(28, 75);
+  probe.insert(probe.end(), live.begin(), live.end());
+  const std::vector<std::uint8_t> before = service.query_warns(probe);
+
+  (void)client.observe(live);
+  ASSERT_EQ(client.swap().generation, 2U);
+  const std::unique_ptr<Monitor> reference = fx.build_monitor(1);
+  reference->observe_batch(fx.net.forward_batch(fx.k, live));
+  const std::vector<std::uint8_t> expected =
+      fx.direct_warns(*reference, probe);
+  ASSERT_NE(expected, before);  // the swap must change some verdict
+  EXPECT_EQ(service.generation(), 2U);
+  EXPECT_EQ(service.query_warns(probe), expected);
+
+  ASSERT_EQ(client.rollback().generation, 1U);
+  EXPECT_EQ(service.query_warns(probe), before);
+}
+
+// A store attached after the server started resumes its newest
+// generation for every worker, not only for the caller.
+TEST(Server, StoreAttachedAfterStartResumesForEveryWorker) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("ranm_serve_late_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  ServeFixture fx;
+  const std::vector<Tensor> live = fx.make_inputs(24, 78);
+  std::vector<Tensor> probe = fx.make_inputs(16, 77);
+  probe.insert(probe.end(), live.begin(), live.end());
+  std::vector<std::uint8_t> swapped;
+  {
+    MonitorService first(fx.clone_net(), fx.build_monitor(1), fx.k);
+    (void)first.set_snapshot_store(
+        std::make_unique<SnapshotStore>(dir.string(), 4));
+    const std::vector<std::uint8_t> before = first.query_warns(probe);
+    (void)first.observe_batch(live);
+    ASSERT_EQ(first.swap().generation, 2U);
+    swapped = first.query_warns(probe);
+    ASSERT_NE(swapped, before);  // generation 2 must be distinguishable
+  }
+  MonitorService restarted(fx.clone_net(), fx.build_monitor(1), fx.k);
+  ServerHarness harness(restarted, ServerHarness::unix_config("late", 2));
+  EXPECT_EQ(restarted.set_snapshot_store(
+                std::make_unique<SnapshotStore>(dir.string(), 4)),
+            2U);
+  ServeClient client(harness.server.unix_path());
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(client.query_warns(probe), swapped) << i;
+  }
+  EXPECT_EQ(client.stats().generation, 2U);
+  fs::remove_all(dir);
 }
 
 TEST(Server, CompiledObserveAnswersErrorAndServesOn) {

@@ -311,21 +311,20 @@ TEST(ServerLoop, InlineModeServesConcurrentClients) {
   ServerHarness harness(service, unix_config("inline", 1));
 
   constexpr std::size_t kClients = 3;
-  // Expected verdicts are computed up front: MonitorService::query_warns
-  // is not safe for concurrent callers (that is what replicas are for).
   std::vector<std::vector<Tensor>> inputs(kClients);
-  std::vector<std::vector<std::uint8_t>> expected(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
     inputs[c] = fx.make_inputs(30, 1000 + c);
-    expected[c] = fx.direct_warns(reference, inputs[c]);
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      // The reference service answers every client thread concurrently.
+      const std::vector<std::uint8_t> expected =
+          fx.direct_warns(reference, inputs[c]);
       ServeClient client(harness.server.unix_path());
       for (int round = 0; round < 3; ++round) {
-        if (client.query_warns(inputs[c]) != expected[c]) {
+        if (client.query_warns(inputs[c]) != expected) {
           failures.fetch_add(1);
         }
       }
@@ -388,7 +387,7 @@ TEST(ServerLoop, DrainUnderLoadAnswersEveryAcceptedQuery) {
 // The tentpole invariant: swapping the monitor under concurrent query
 // load is atomic per query. Every verdict vector any client ever sees is
 // either the pure-old or the pure-new answer — never a blend — and once
-// the swap reply arrives, fresh queries are pure-new on every replica.
+// the swap reply arrives, fresh queries are pure-new on every worker.
 TEST(ServerLoop, SwapUnderLoadYieldsPureOldOrPureNewVerdicts) {
   LoopFixture fx;
   MonitorService service = fx.make_service();
@@ -448,7 +447,7 @@ TEST(ServerLoop, SwapUnderLoadYieldsPureOldOrPureNewVerdicts) {
   EXPECT_EQ(failures.load(), 0);  // never a blend
   EXPECT_GE(old_seen.load(), 16U);
   EXPECT_GE(new_seen.load(), 16U);
-  // After the swap reply, every replica answers pure-new — a fresh
+  // After the swap reply, every worker answers pure-new — a fresh
   // connection can land on any of the three workers.
   for (int i = 0; i < 6; ++i) {
     ServeClient fresh(harness.server.unix_path());

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -90,6 +91,33 @@ TEST(ThreadPool, ManyRoundsStress) {
     });
   }
   EXPECT_EQ(total.load(), 200L * (16 * 17 / 2));
+}
+
+// A monitor shared by several serving workers calls parallel_for from all
+// of them at once: every call must still run each of its own indices
+// exactly once and return only when they are done.
+TEST(ThreadPool, ConcurrentCallersEachCompleteTheirOwnLoop) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  constexpr std::size_t kCount = 37;
+  std::vector<int> failures(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<std::atomic<int>> hits(kCount);
+        pool.parallel_for(kCount, [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const auto& h : hits) {
+          if (h.load(std::memory_order_relaxed) != 1) ++failures[c];
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) EXPECT_EQ(failures[c], 0) << c;
 }
 
 TEST(ThreadPool, DestructionWithIdleWorkersIsClean) {

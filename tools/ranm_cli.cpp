@@ -681,8 +681,8 @@ int cmd_observe(const ArgParser& args) {
 }
 
 /// Rebuild-and-publish: the daemon folds its staged samples into a fresh
-/// monitor in the background and atomically swaps every worker replica to
-/// the new generation.
+/// monitor in the background and atomically publishes it to every worker
+/// as the new generation.
 int cmd_swap(const ArgParser& args) {
   args.check_known({"socket", "tcp"});
   serve::ServeClient client = connect_daemon(args, "swap");

@@ -9,11 +9,11 @@
 //              --socket /tmp/ranm.sock [--tcp PORT] [--workers N]
 //              [--queue CAP] [--threads T]
 //
-// An epoll event loop multiplexes all connections; --workers N replicas
-// of the service execute queries in parallel (N == 1 executes inline in
-// the loop), fed through a bounded queue of --queue requests — when it is
-// full, queries are answered kOverloaded instead of buffered without
-// bound.
+// An epoll event loop multiplexes all connections; --workers N threads
+// share the one loaded service and execute queries in parallel (N == 1
+// executes inline in the loop), fed through a bounded queue of --queue
+// requests — when it is full, queries are answered kOverloaded instead
+// of buffered without bound.
 //
 // Clients: `ranm query --socket /tmp/ranm.sock --in-dist test.ds` (or
 // `--tcp host:port`), the in-process ServeClient API, or anything
@@ -48,11 +48,11 @@ namespace {
       "  --socket:  Unix-domain listener path\n"
       "  --tcp:     TCP listener port (1-65535)\n"
       "             at least one of --socket/--tcp is required\n"
-      "  --workers: service replicas executing queries in parallel\n"
+      "  --workers: worker threads executing queries in parallel\n"
       "             (0 = hardware concurrency, default 1 = inline)\n"
       "  --queue:   bounded request queue capacity; overflowing queries\n"
       "             are answered kOverloaded (default 256)\n"
-      "  --threads: shard-level parallelism inside each replica for\n"
+      "  --threads: shard-level parallelism inside each query for\n"
       "             sharded monitors (0 = hardware concurrency, default 1)\n"
       "  --generations: directory persisting swapped monitor generations\n"
       "             (crash-consistent, rotated; newest resumed on restart)\n"
@@ -158,8 +158,8 @@ int run(int argc, char** argv) {
   server.run();
   g_server = nullptr;
 
-  // Counters live in the server's replicas; the load-time service only
-  // saw construction.
+  // The aggregate counters are the service's; the server adds the
+  // per-worker breakdown.
   const serve::ServiceStats stats = server.stats();
   std::printf("stopped after %llu connections: %llu queries, "
               "%llu samples, %llu warnings\n",
