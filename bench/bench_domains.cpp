@@ -7,12 +7,13 @@
 // depth, at higher runtime cost. Star sets are not implemented (LP solver
 // out of scope — see DESIGN.md substitutions).
 //
-// Sweep 2 (backend_sweep): batched box propagation on every registered
-// BoundBackend across batch size. The reference backend runs the scalar
-// per-sample loops; the vectorized backend sweeps contiguous neuron-major
-// rows. Bounds are identical (cross-checked per run); only throughput
-// differs. The committed full run is the acceptance baseline for the
-// vectorized backend (>= 2x reference at batch 256).
+// Sweep 2 (backend_sweep): batched box propagation on both BoundBackends
+// across batch size. The reference backend (the test oracle, constructed
+// here directly) runs per-sample loops; the vectorized backend (the one
+// production engine) sweeps contiguous neuron-major rows. Bounds are
+// identical (cross-checked per run); only throughput differs. The
+// committed full run is the acceptance baseline for the vectorized
+// backend (>= 2x reference at batch 256).
 //
 // Prints tables and writes machine-readable JSON (BENCH_domains.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
@@ -171,6 +172,12 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
   table.set_header(
       {"backend", "batch", "us/input", "speedup vs reference"});
 
+  // Reference first: it is the baseline of the speedup column and of the
+  // bounds cross-check.
+  const ReferenceBoundBackend reference;
+  const VectorizedBoundBackend vectorized;
+  const BoundBackend* const backends[] = {&reference, &vectorized};
+
   std::vector<BackendMeasurement> results;
   for (const std::size_t batch : batch_sizes) {
     std::vector<Tensor> inputs;
@@ -183,29 +190,32 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
     const std::size_t reps =
         smoke ? 2 : std::max<std::size_t>(4, 4096 / batch);
 
+    // The box estimate at kp = 0, on an explicit backend: pack the
+    // inputs, inflate to the Δ-ball, propagate through every layer.
+    auto estimate = [&](const BoundBackend& backend) {
+      const BoxBatch ball =
+          BoxBatch::linf_ball(net.forward_batch(0, inputs), 0.05F);
+      return net.propagate_box_batch(1, k, ball, backend);
+    };
     double reference_us = 0.0;
     std::vector<BoxBatch> check;  // one warm-up result per backend
-    for (const BoundBackendKind kind : bound_backend_kinds()) {
-      PerturbationSpec spec;
-      spec.delta = 0.05F;
-      spec.backend = kind;
-      const PerturbationEstimator pe(net, k, spec);
-      check.push_back(pe.estimate_batch(inputs));  // warm-up, untimed
+    for (const BoundBackend* backend : backends) {
+      check.push_back(estimate(*backend));  // warm-up, untimed
       Timer timer;
       double checksum = 0.0;
       for (std::size_t r = 0; r < reps; ++r) {
-        const BoxBatch bounds = pe.estimate_batch(inputs);
+        const BoxBatch bounds = estimate(*backend);
         checksum += double(bounds.hi(0, 0));
       }
       const double us_per_input =
           timer.millis() * 1000.0 / double(reps * batch);
 
       BackendMeasurement m;
-      m.backend = std::string(bound_backend_name(kind));
+      m.backend = std::string(backend->name());
       m.batch_size = batch;
       m.hidden_layers = kDepth;
       m.us_per_input = us_per_input;
-      if (kind == BoundBackendKind::kReference) {
+      if (backend == backends[0]) {
         reference_us = us_per_input;
         m.speedup_vs_reference = 1.0;
       } else {
@@ -229,8 +239,7 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
         std::fprintf(stderr,
                      "bench_domains: backend %s tightened bounds inward "
                      "vs reference at batch %zu\n",
-                     std::string(bound_backend_name(bound_backend_kinds()[b]))
-                         .c_str(),
+                     std::string(backends[b]->name()).c_str(),
                      batch);
         sound = false;
       }

@@ -1,7 +1,7 @@
-// Reference bound backend: one sample at a time, with exactly the scalar
-// expressions (and evaluation order) of the Layer::propagate(IntervalVector)
-// transfer functions — the bit-for-bit ground truth the differential suite
-// compares the vectorized backend against.
+// Reference bound backend: one sample at a time, with the same per-sample
+// expressions (and evaluation order) as the vectorized backend — the
+// bit-for-bit oracle the differential suite compares the vectorized
+// kernels against. Only tests and bench_domains construct it.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -10,6 +10,31 @@
 #include "absint/bound_backend.hpp"
 
 namespace ranm {
+namespace {
+
+/// Twice the centre and radius of bound (j, i), exact in double: in float,
+/// 0.5F * (lo + hi) can round so that [cen - rad, cen + rad] misses an
+/// endpoint.
+double center2(const BoxBatch& in, std::size_t j, std::size_t i) {
+  return double(in.lo(j, i)) + double(in.hi(j, i));
+}
+double radius2(const BoxBatch& in, std::size_t j, std::size_t i) {
+  return double(in.hi(j, i)) - double(in.lo(j, i));
+}
+
+/// Writes bound (j, i) of an affine output from its bias-free doubled
+/// centre/radius accumulators: halve, add the bias, widen by u·(|c| + r)
+/// for the forward pass's rounding of Σ w·x to float, round outward.
+void emit_bounds(double acc_c2, double acc_r2, float bias, BoxBatch& out,
+                 std::size_t j, std::size_t i) {
+  const double c = 0.5 * acc_c2;
+  const double r = 0.5 * acc_r2;
+  const double rad = r + kFloatUnitRoundoff * (std::fabs(c) + r);
+  out.lo(j, i) = round_down(c + double(bias) - rad);
+  out.hi(j, i) = round_up(c + double(bias) + rad);
+}
+
+}  // namespace
 
 BoxBatch ReferenceBoundBackend::do_affine(std::span<const float> w,
                                           std::size_t rows, std::size_t cols,
@@ -19,18 +44,14 @@ BoxBatch ReferenceBoundBackend::do_affine(std::span<const float> w,
   BoxBatch out(rows, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < rows; ++r) {
-      // Centre/radius form, double accumulation in ascending j — the same
-      // expression Dense::propagate evaluates per output neuron.
-      double c = bias[r], rad = 0.0;
+      // Doubled centre/radius form, double accumulation in ascending j.
+      double c = 0.0, rad = 0.0;
       const float* row = w.data() + r * cols;
       for (std::size_t j = 0; j < cols; ++j) {
-        const float cen = 0.5F * (in.lo(j, i) + in.hi(j, i));
-        const float radius = 0.5F * (in.hi(j, i) - in.lo(j, i));
-        c += double(row[j]) * cen;
-        rad += std::fabs(double(row[j])) * radius;
+        c += double(row[j]) * center2(in, j, i);
+        rad += std::fabs(double(row[j])) * radius2(in, j, i);
       }
-      out.lo(r, i) = round_down(c - rad);
-      out.hi(r, i) = round_up(c + rad);
+      emit_bounds(c, rad, bias[r], out, r, i);
     }
   }
   return out;
@@ -42,18 +63,18 @@ BoxBatch ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
                                           const BoxBatch& in) const {
   const std::size_t n = in.size();
   BoxBatch out(g.output_size(), n);
-  // Per-sample centre/radius staging, as Conv2D::propagate does.
-  std::vector<float> cen(g.input_size()), rad(g.input_size());
+  // Per-sample staging of the doubled centre/radius.
+  std::vector<double> cen(g.input_size()), rad(g.input_size());
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.padding);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < g.input_size(); ++j) {
-      cen[j] = 0.5F * (in.lo(j, i) + in.hi(j, i));
-      rad[j] = 0.5F * (in.hi(j, i) - in.lo(j, i));
+      cen[j] = center2(in, j, i);
+      rad[j] = radius2(in, j, i);
     }
     for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
       for (std::size_t oy = 0; oy < g.out_height; ++oy) {
         for (std::size_t ox = 0; ox < g.out_width; ++ox) {
-          double acc_c = bias[oc];
+          double acc_c = 0.0;
           double acc_r = 0.0;
           for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
             for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
@@ -81,10 +102,8 @@ BoxBatch ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
               }
             }
           }
-          out.lo((oc * g.out_height + oy) * g.out_width + ox, i) =
-              round_down(acc_c - acc_r);
-          out.hi((oc * g.out_height + oy) * g.out_width + ox, i) =
-              round_up(acc_c + acc_r);
+          emit_bounds(acc_c, acc_r, bias[oc], out,
+                      (oc * g.out_height + oy) * g.out_width + ox, i);
         }
       }
     }

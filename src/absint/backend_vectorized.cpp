@@ -1,10 +1,12 @@
-// Vectorized bound backend: the batch dimension is innermost, so every hot
-// loop sweeps contiguous BoxBatch rows with the neuron's parameters hoisted
-// into scalars — the shape the compiler auto-vectorizes. Per sample the
-// accumulation order and expressions are identical to the reference
-// backend (double accumulators, ascending term order, round_down/round_up
-// at the narrowing cast), so bounds never tighten relative to it: on
-// targets without FP contraction they are bit-identical.
+// Vectorized bound backend, the production engine: the batch dimension is
+// innermost, so every hot loop sweeps contiguous BoxBatch rows with the
+// neuron's parameters hoisted into scalars — the shape the compiler
+// auto-vectorizes. Per sample the accumulation order and expressions are
+// identical to the reference backend (double accumulators of lo + hi and
+// hi - lo, ascending term order, bias and roundoff widening added last,
+// round_down/round_up at the narrowing cast), so bounds never tighten
+// relative to it: on targets without FP contraction they are
+// bit-identical.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -15,34 +17,31 @@
 namespace ranm {
 namespace {
 
-/// Stages the centre/radius form of a whole batch once: cen/rad are dim × n
-/// row-major, computed with the same float expressions as
-/// Interval::center()/radius() so downstream accumulation sees the exact
-/// values the reference backend derives per sample.
-void stage_center_radius(const BoxBatch& in, std::vector<float>& cen,
-                         std::vector<float>& rad) {
-  const std::size_t n = in.size();
-  cen.resize(in.dimension() * n);
-  rad.resize(in.dimension() * n);
-  for (std::size_t j = 0; j < in.dimension(); ++j) {
-    const float* lo = in.lo_row(j).data();
-    const float* hi = in.hi_row(j).data();
-    float* cj = cen.data() + j * n;
-    float* rj = rad.data() + j * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      cj[i] = 0.5F * (lo[i] + hi[i]);
-      rj[i] = 0.5F * (hi[i] - lo[i]);
-    }
+/// One term of the affine accumulators: Σ w·(lo + hi) and Σ |w|·(hi - lo),
+/// twice the centre and radius sums. Both are exact in double, where the
+/// float centre 0.5F * (lo + hi) can round so that [cen - rad, cen + rad]
+/// misses an endpoint.
+void accumulate(double wv, const float* lo, const float* hi, double* acc_c2,
+                double* acc_r2, std::size_t n) {
+  const double aw = std::fabs(wv);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double l = lo[i], h = hi[i];
+    acc_c2[i] += wv * (l + h);
+    acc_r2[i] += aw * (h - l);
   }
 }
 
-/// Narrows the double centre/radius accumulators of one output row to the
-/// outward-rounded float bounds.
-void emit_bounds(const double* acc_c, const double* acc_r, float* lo,
-                 float* hi, std::size_t n) {
+/// Narrows the bias-free doubled centre/radius accumulators of one output
+/// row to float bounds: halve, add the bias, widen by u·(|c| + r) for the
+/// forward pass's rounding of Σ w·x to float, round outward.
+void emit_bounds(const double* acc_c2, const double* acc_r2, float bias,
+                 float* lo, float* hi, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    lo[i] = round_down(acc_c[i] - acc_r[i]);
-    hi[i] = round_up(acc_c[i] + acc_r[i]);
+    const double c = 0.5 * acc_c2[i];
+    const double r = 0.5 * acc_r2[i];
+    const double rad = r + kFloatUnitRoundoff * (std::fabs(c) + r);
+    lo[i] = round_down(c + double(bias) - rad);
+    hi[i] = round_up(c + double(bias) + rad);
   }
 }
 
@@ -55,24 +54,16 @@ BoxBatch VectorizedBoundBackend::do_affine(std::span<const float> w,
   const std::size_t n = in.size();
   BoxBatch out(rows, n);
   if (n == 0) return out;
-  std::vector<float> cen, rad;
-  stage_center_radius(in, cen, rad);
   std::vector<double> acc_c(n), acc_r(n);
   for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc_c.begin(), acc_c.end(), double(bias[r]));
+    std::fill(acc_c.begin(), acc_c.end(), 0.0);
     std::fill(acc_r.begin(), acc_r.end(), 0.0);
     const float* wrow = w.data() + r * cols;
     for (std::size_t j = 0; j < cols; ++j) {
-      const double wv = double(wrow[j]);
-      const double aw = std::fabs(wv);
-      const float* cj = cen.data() + j * n;
-      const float* rj = rad.data() + j * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc_c[i] += wv * double(cj[i]);
-        acc_r[i] += aw * double(rj[i]);
-      }
+      accumulate(double(wrow[j]), in.lo_row(j).data(), in.hi_row(j).data(),
+                 acc_c.data(), acc_r.data(), n);
     }
-    emit_bounds(acc_c.data(), acc_r.data(), out.lo_row(r).data(),
+    emit_bounds(acc_c.data(), acc_r.data(), bias[r], out.lo_row(r).data(),
                 out.hi_row(r).data(), n);
   }
   return out;
@@ -85,14 +76,12 @@ BoxBatch VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
   const std::size_t n = in.size();
   BoxBatch out(g.output_size(), n);
   if (n == 0) return out;
-  std::vector<float> cen, rad;
-  stage_center_radius(in, cen, rad);
   std::vector<double> acc_c(n), acc_r(n);
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.padding);
   for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
     for (std::size_t oy = 0; oy < g.out_height; ++oy) {
       for (std::size_t ox = 0; ox < g.out_width; ++ox) {
-        std::fill(acc_c.begin(), acc_c.end(), double(bias[oc]));
+        std::fill(acc_c.begin(), acc_c.end(), 0.0);
         std::fill(acc_r.begin(), acc_r.end(), 0.0);
         for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
           for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
@@ -111,22 +100,17 @@ BoxBatch VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
                   double(w[((oc * g.in_channels + ic) * g.kernel_h + ky) *
                                g.kernel_w +
                            kx]);
-              const double aw = std::fabs(wv);
               const std::size_t iidx =
                   (ic * g.in_height + std::size_t(iy)) * g.in_width +
                   std::size_t(ix);
-              const float* cj = cen.data() + iidx * n;
-              const float* rj = rad.data() + iidx * n;
-              for (std::size_t i = 0; i < n; ++i) {
-                acc_c[i] += wv * double(cj[i]);
-                acc_r[i] += aw * double(rj[i]);
-              }
+              accumulate(wv, in.lo_row(iidx).data(), in.hi_row(iidx).data(),
+                         acc_c.data(), acc_r.data(), n);
             }
           }
         }
         const std::size_t oidx = (oc * g.out_height + oy) * g.out_width + ox;
-        emit_bounds(acc_c.data(), acc_r.data(), out.lo_row(oidx).data(),
-                    out.hi_row(oidx).data(), n);
+        emit_bounds(acc_c.data(), acc_r.data(), bias[oc],
+                    out.lo_row(oidx).data(), out.hi_row(oidx).data(), n);
       }
     }
   }

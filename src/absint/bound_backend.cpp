@@ -1,8 +1,7 @@
-// Shape validation for every backend (NVI wrappers) and the backend
-// registry. Kernels live in backend_reference.cpp / backend_vectorized.cpp.
+// Shape validation for every backend (NVI wrappers). Kernels live in
+// backend_reference.cpp / backend_vectorized.cpp.
 #include "absint/bound_backend.hpp"
 
-#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -123,43 +122,6 @@ BoxBatch BoundBackend::monotone(float (*f)(float), const BoxBatch& in) const {
     throw std::invalid_argument("BoundBackend::monotone: null function");
   }
   return do_monotone(f, in);
-}
-
-// ---- registry -------------------------------------------------------------
-
-std::string_view bound_backend_name(BoundBackendKind kind) noexcept {
-  switch (kind) {
-    case BoundBackendKind::kReference:
-      return "reference";
-    case BoundBackendKind::kVectorized:
-      return "vectorized";
-  }
-  return "?";
-}
-
-BoundBackendKind parse_bound_backend(std::string_view name) {
-  if (name == "reference") return BoundBackendKind::kReference;
-  if (name == "vectorized") return BoundBackendKind::kVectorized;
-  throw std::invalid_argument("unknown bound backend \"" + std::string(name) +
-                              "\" (valid: reference, vectorized)");
-}
-
-const BoundBackend& bound_backend(BoundBackendKind kind) {
-  static const ReferenceBoundBackend reference;
-  static const VectorizedBoundBackend vectorized;
-  switch (kind) {
-    case BoundBackendKind::kReference:
-      return reference;
-    case BoundBackendKind::kVectorized:
-      return vectorized;
-  }
-  throw std::invalid_argument("bound_backend: unknown kind");
-}
-
-std::span<const BoundBackendKind> bound_backend_kinds() noexcept {
-  static constexpr std::array<BoundBackendKind, 2> kinds = {
-      BoundBackendKind::kReference, BoundBackendKind::kVectorized};
-  return kinds;
 }
 
 }  // namespace ranm

@@ -1,4 +1,5 @@
-// Multi-backend batched bound propagation (interval/box domain).
+// Batched bound propagation (interval/box domain) — the repo's one
+// interval transfer function.
 //
 // The robust monitor construction (paper Definition 1, interval bound
 // propagation per Gowal et al. 2018) pushes one perturbation set per
@@ -6,25 +7,30 @@
 // BoundBackend is the execution engine for that propagation over whole
 // minibatches: every layer family maps its batched transfer function onto
 // one of the primitives below, so swapping the backend swaps the kernel
-// implementation for the entire stack without touching layer code — the
-// seam a future SIMD-intrinsics or GPU/accelerator backend plugs into.
+// implementation for the entire stack without touching layer code. A
+// single box is a one-column batch.
 //
 // Soundness contract (every backend, every primitive):
 //   * the output box of sample i must contain g(x) for every x in the
 //     input box of sample i (per-sample soundness, no cross-talk);
-//   * accumulation runs in double and the final narrowing to float rounds
-//     outward via round_down/round_up, exactly like the scalar transfer
-//     functions in Layer::propagate — bounds may only ever widen;
+//   * the output box must also contain what the concrete float forward
+//     pass computes: affine kernels accumulate the doubled centre and
+//     radius (lo + hi, hi - lo, both exact) in double without the bias,
+//     then add the bias, widen by one float unit roundoff of the
+//     accumulated magnitude (the forward pass rounds Σ w·x to float
+//     before adding b) and narrow to float outward via
+//     round_down/round_up — bounds may only ever widen;
 //   * relative to the reference backend, bounds must be identical or wider
 //     (never tighter) — the backend-differential test suite enforces this.
 //
-// Two backends ship today:
-//   * ReferenceBoundBackend — per-sample scalar loops, bit-for-bit the
-//     semantics of Layer::propagate(IntervalVector). The ground truth.
+// Two backends exist:
 //   * VectorizedBoundBackend — neuron-major sweeps over contiguous BoxBatch
 //     rows with the per-sample accumulation order preserved, written so the
 //     compiler auto-vectorizes the affine/ReLU/pool hot loops across the
-//     batch lane. Same arithmetic per sample, same outward rounding.
+//     batch lane. The engine every production path runs.
+//   * ReferenceBoundBackend — plain per-sample loops with the same
+//     arithmetic. Not selectable: tests and bench_domains construct it
+//     directly as the differential oracle for the vectorized kernels.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +89,8 @@ class BoundBackend {
  public:
   virtual ~BoundBackend() = default;
 
-  /// Short identifier ("reference", "vectorized") for CLIs and reports.
+  /// Short identifier ("reference", "vectorized") for reports and test
+  /// messages.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Dense affine map y = W x + b with W row-major (rows × cols):
@@ -148,9 +155,8 @@ class BoundBackend {
                                              const BoxBatch& in) const = 0;
 };
 
-/// Per-sample scalar backend: bit-for-bit the semantics of the scalar
-/// Layer::propagate(IntervalVector) path. Serves as the differential
-/// ground truth and as the portable fallback.
+/// Per-sample loop backend: the straightforward form of every kernel, one
+/// sample at a time. The differential oracle for VectorizedBoundBackend.
 class ReferenceBoundBackend final : public BoundBackend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -180,10 +186,11 @@ class ReferenceBoundBackend final : public BoundBackend {
                                      const BoxBatch& in) const override;
 };
 
-/// Vectorized CPU backend: contiguous neuron-major sweeps with the batch
-/// dimension innermost, so the affine/ReLU/pool hot loops auto-vectorize.
-/// Per-sample accumulation order (and therefore rounding) matches the
-/// reference backend exactly; only the loop nest differs.
+/// Vectorized CPU backend, the production engine: contiguous neuron-major
+/// sweeps with the batch dimension innermost, so the affine/ReLU/pool hot
+/// loops auto-vectorize. Per-sample accumulation order (and therefore
+/// rounding) matches the reference backend exactly; only the loop nest
+/// differs.
 class VectorizedBoundBackend final : public BoundBackend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -212,31 +219,5 @@ class VectorizedBoundBackend final : public BoundBackend {
   [[nodiscard]] BoxBatch do_monotone(float (*f)(float),
                                      const BoxBatch& in) const override;
 };
-
-/// Backend registry. The enum is the serialisable/CLI-facing handle; the
-/// instances are stateless process-lifetime singletons.
-enum class BoundBackendKind {
-  kReference,
-  kVectorized,
-};
-
-/// "reference" | "vectorized".
-[[nodiscard]] std::string_view bound_backend_name(
-    BoundBackendKind kind) noexcept;
-
-/// Parses a backend name; throws std::invalid_argument listing the valid
-/// names on an unknown one.
-[[nodiscard]] BoundBackendKind parse_bound_backend(std::string_view name);
-
-/// The singleton instance for a kind.
-[[nodiscard]] const BoundBackend& bound_backend(BoundBackendKind kind);
-
-/// Every registered backend kind, in registry order (for `info`).
-[[nodiscard]] std::span<const BoundBackendKind> bound_backend_kinds() noexcept;
-
-/// The default engine for batched propagation (vectorized: identical
-/// bounds, highest throughput).
-inline constexpr BoundBackendKind kDefaultBoundBackend =
-    BoundBackendKind::kVectorized;
 
 }  // namespace ranm

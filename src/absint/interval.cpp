@@ -83,17 +83,6 @@ Interval Interval::scaled(float s) const noexcept {
                    : make_unchecked(hi * s, lo * s);
 }
 
-Interval Interval::relu() const noexcept {
-  return make_unchecked(std::max(0.0F, lo), std::max(0.0F, hi));
-}
-
-Interval Interval::leaky_relu(float alpha) const noexcept {
-  auto f = [alpha](float v) { return v > 0.0F ? v : alpha * v; };
-  // Monotone for alpha >= 0; handle negative alpha defensively.
-  const float a = f(lo), b = f(hi);
-  return make_unchecked(std::min(a, b), std::max(a, b));
-}
-
 namespace {
 float sigmoid_scalar(float v) noexcept { return 1.0F / (1.0F + std::exp(-v)); }
 }  // namespace
@@ -104,10 +93,6 @@ Interval Interval::sigmoid() const noexcept {
 
 Interval Interval::tanh_() const noexcept {
   return make_unchecked(std::tanh(lo), std::tanh(hi));
-}
-
-Interval Interval::max_with(const Interval& o) const noexcept {
-  return make_unchecked(std::max(lo, o.lo), std::max(hi, o.hi));
 }
 
 std::string Interval::str() const {

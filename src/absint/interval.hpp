@@ -3,8 +3,10 @@
 // propagation [Gowal et al. 2018]).
 //
 // An Interval is a closed real interval [lo, hi]. An IntervalVector is a box
-// in R^d. Layer transfer functions live with the layers (ranm::nn); this
-// header provides the arithmetic they are built from.
+// in R^d. The layer transfer functions run batched on a BoundBackend
+// (absint/bound_backend.hpp); this header provides the outward rounding
+// they narrow with, and the per-box arithmetic the zonotope domain and
+// the monitors use.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +23,12 @@ namespace ranm {
 [[nodiscard]] float round_down(double v) noexcept;
 /// Rounds a double-precision upper bound outward (up) to float.
 [[nodiscard]] float round_up(double v) noexcept;
+
+/// Float unit roundoff u = 2^-24: rounding a double v to float moves it by
+/// at most u·|v| (normal range). The affine bound kernels widen by
+/// u·(|centre| + radius) to cover the concrete pass rounding Σ w·x to
+/// float before it adds the bias.
+inline constexpr double kFloatUnitRoundoff = 0x1p-24;
 
 /// Closed interval [lo, hi]. An interval with lo > hi is "empty"; the
 /// constructors never produce one, but is_empty() is provided for callers
@@ -69,13 +77,10 @@ struct Interval {
   /// Scaling by a (possibly negative) constant.
   [[nodiscard]] Interval scaled(float s) const noexcept;
 
-  // Monotone / piecewise transfer functions used by activation layers.
-  [[nodiscard]] Interval relu() const noexcept;
-  [[nodiscard]] Interval leaky_relu(float alpha) const noexcept;
+  // Monotone transfer functions (the zonotope domain's sigmoid and tanh
+  // go through the bounding box).
   [[nodiscard]] Interval sigmoid() const noexcept;
   [[nodiscard]] Interval tanh_() const noexcept;
-  /// max of two intervals: [max(lo,lo'), max(hi,hi')].
-  [[nodiscard]] Interval max_with(const Interval& o) const noexcept;
 
   [[nodiscard]] std::string str() const;
 

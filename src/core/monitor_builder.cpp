@@ -81,9 +81,8 @@ void MonitorBuilder::build_robust(Monitor& monitor,
   const PerturbationEstimator pe(net_, k_, spec);
   for (std::size_t start = 0; start < data.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, data.size() - start);
-    // Whole-minibatch bound propagation (spec.backend picks the engine);
-    // the BoxBatch's lo/hi matrices feed the batched observe path with no
-    // per-sample staging.
+    // Whole-minibatch bound propagation; the BoxBatch's lo/hi matrices
+    // feed the batched observe path with no per-sample staging.
     const BoxBatch bounds = pe.estimate_batch({data.data() + start, n});
     monitor.observe_bounds_batch(bounds.lower(), bounds.upper());
   }

@@ -60,7 +60,7 @@ class MonitorBuilder {
 
   /// Robust construction: folds abR(pe(v, kp, Δ)) for every v in data.
   /// Each chunk's perturbation sets are propagated as one BoxBatch on
-  /// spec.backend's batched bound kernels and handed to
+  /// the vectorized bound backend's batched kernels and handed to
   /// observe_bounds_batch (sharded monitors fan each chunk's bound views
   /// out per shard, as above).
   void build_robust(Monitor& monitor, const std::vector<Tensor>& data,

@@ -146,11 +146,11 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
         "MultiLayerMonitor::build_robust: zero batch size");
   }
 
-  // The box domain propagates whole chunks on spec.backend's batched
-  // kernels; the zonotope domain is inherently per-sample (per-sample
-  // generator sets). Either way the resulting bounds are folded into each
-  // attached monitor one batched call per chunk, so the monitors'
-  // per-call setup amortises over the chunk.
+  // The box domain propagates whole chunks on the vectorized backend's
+  // batched kernels; the zonotope domain is inherently per-sample
+  // (per-sample generator sets). Either way the resulting bounds are
+  // folded into each attached monitor one batched call per chunk, so the
+  // monitors' per-call setup amortises over the chunk.
   for (std::size_t start = 0; start < data.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, data.size() - start);
     const std::span<const Tensor> chunk(data.data() + start, n);
@@ -162,7 +162,7 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
       hi_batches.emplace_back(e.selection.output_dim(), n);
     }
     if (spec.domain == BoundDomain::kBox) {
-      const BoundBackend& backend = bound_backend(spec.backend);
+      const VectorizedBoundBackend backend;
       const FeatureBatch at_kp = net_.forward_batch(spec.kp, chunk);
       BoxBatch box = BoxBatch::linf_ball(at_kp, spec.delta);
       for (std::size_t k = spec.kp + 1; k <= max_layer_; ++k) {

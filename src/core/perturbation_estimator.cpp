@@ -44,15 +44,13 @@ std::size_t PerturbationEstimator::feature_dim() const {
 }
 
 IntervalVector PerturbationEstimator::estimate(const Tensor& input) const {
-  // Concrete prefix: ˘v's centre is G^{kp}(input); kp = 0 keeps the input.
-  const Tensor at_kp = net_.forward_to(spec_.kp, input);
   switch (spec_.domain) {
-    case BoundDomain::kBox: {
-      const IntervalVector ball =
-          IntervalVector::linf_ball(at_kp.span(), spec_.delta);
-      return net_.propagate_box(spec_.kp + 1, k_, ball);
-    }
+    case BoundDomain::kBox:
+      return estimate_batch({&input, 1}).box(0);
     case BoundDomain::kZonotope: {
+      // Concrete prefix: ˘v's centre is G^{kp}(input); kp = 0 keeps the
+      // input.
+      const Tensor at_kp = net_.forward_to(spec_.kp, input);
       const Zonotope ball = Zonotope::linf_ball(at_kp.span(), spec_.delta);
       return net_.propagate_zonotope(spec_.kp + 1, k_, ball).to_box();
     }
@@ -70,7 +68,7 @@ BoxBatch PerturbationEstimator::estimate_batch(
       const FeatureBatch at_kp = net_.forward_batch(spec_.kp, inputs);
       const BoxBatch ball = BoxBatch::linf_ball(at_kp, spec_.delta);
       return net_.propagate_box_batch(spec_.kp + 1, k_, ball,
-                                      bound_backend(spec_.backend));
+                                      VectorizedBoundBackend{});
     }
     case BoundDomain::kZonotope: {
       BoxBatch out(feature_dim(), inputs.size());

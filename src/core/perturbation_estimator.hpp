@@ -22,15 +22,11 @@ enum class BoundDomain {
 
 [[nodiscard]] std::string_view bound_domain_name(BoundDomain domain) noexcept;
 
-/// Parameters (kp, Δ, domain) of the robust construction, plus the bound
-/// backend that executes the batched box propagation (an execution choice,
-/// not a semantic one: every backend is sound and the bounds agree up to
-/// outward-only widening).
+/// Parameters (kp, Δ, domain) of the robust construction.
 struct PerturbationSpec {
   std::size_t kp = 0;  // perturbation layer; 0 = input layer
   float delta = 0.0F;  // per-dimension L-infinity bound Δ; finite, >= 0
   BoundDomain domain = BoundDomain::kBox;
-  BoundBackendKind backend = kDefaultBoundBackend;
 };
 
 /// Computes perturbation estimates at a fixed monitored layer k.
@@ -48,16 +44,17 @@ class PerturbationEstimator {
   /// Feature dimension d_k at the monitored layer.
   [[nodiscard]] std::size_t feature_dim() const;
 
-  /// pe^G_k(input, kp, Δ): per-neuron sound bounds at layer k. Scalar
-  /// path — one sample through the per-sample abstract transformers.
+  /// pe^G_k(input, kp, Δ): per-neuron sound bounds at layer k for one
+  /// sample. The box domain is column 0 of estimate_batch on a one-sample
+  /// batch.
   [[nodiscard]] IntervalVector estimate(const Tensor& input) const;
 
   /// Batched estimate over a whole minibatch: column i of the result is
   /// pe^G_k(inputs[i], kp, Δ). The box domain runs one concrete batched
-  /// prefix pass plus one batched bound propagation on spec().backend;
-  /// the zonotope domain falls back to per-sample propagation (zonotopes
-  /// carry per-sample generator sets that do not batch) and concretises
-  /// each result into the BoxBatch.
+  /// prefix pass plus one batched bound propagation on the vectorized
+  /// bound backend; the zonotope domain falls back to per-sample
+  /// propagation (zonotopes carry per-sample generator sets that do not
+  /// batch) and concretises each result into the BoxBatch.
   [[nodiscard]] BoxBatch estimate_batch(std::span<const Tensor> inputs) const;
 
   /// The concrete feature vector G^k(input) (the Δ = 0 operation path).

@@ -37,12 +37,6 @@ float ReLU::df(float v, float /*y*/) const noexcept {
   return v > 0.0F ? 1.0F : 0.0F;
 }
 
-IntervalVector ReLU::propagate(const IntervalVector& in) const {
-  IntervalVector out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i].relu();
-  return out;
-}
-
 Zonotope ReLU::propagate(const Zonotope& in) const { return in.relu(); }
 
 BoxBatch ReLU::propagate_batch(const BoundBackend& backend,
@@ -70,14 +64,6 @@ float LeakyReLU::df(float v, float /*y*/) const noexcept {
   return v > 0.0F ? 1.0F : alpha_;
 }
 
-IntervalVector LeakyReLU::propagate(const IntervalVector& in) const {
-  IntervalVector out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = in[i].leaky_relu(alpha_);
-  }
-  return out;
-}
-
 Zonotope LeakyReLU::propagate(const Zonotope& in) const {
   return in.leaky_relu(alpha_);
 }
@@ -96,12 +82,6 @@ float Sigmoid::df(float /*v*/, float y) const noexcept {
   return y * (1.0F - y);
 }
 
-IntervalVector Sigmoid::propagate(const IntervalVector& in) const {
-  IntervalVector out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i].sigmoid();
-  return out;
-}
-
 Zonotope Sigmoid::propagate(const Zonotope& in) const {
   return in.monotone_via_box(
       +[](const Interval& iv) { return iv.sigmoid(); });
@@ -118,12 +98,6 @@ BoxBatch Sigmoid::propagate_batch(const BoundBackend& backend,
 
 float Tanh::f(float v) const noexcept { return std::tanh(v); }
 float Tanh::df(float /*v*/, float y) const noexcept { return 1.0F - y * y; }
-
-IntervalVector Tanh::propagate(const IntervalVector& in) const {
-  IntervalVector out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = in[i].tanh_();
-  return out;
-}
 
 Zonotope Tanh::propagate(const Zonotope& in) const {
   return in.monotone_via_box(+[](const Interval& iv) { return iv.tanh_(); });

@@ -29,8 +29,6 @@ class ReLU final : public Activation {
  public:
   explicit ReLU(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "ReLU"; }
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -46,8 +44,6 @@ class LeakyReLU final : public Activation {
   LeakyReLU(Shape shape, float alpha = 0.01F);
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] float alpha() const noexcept { return alpha_; }
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -65,8 +61,6 @@ class Sigmoid final : public Activation {
  public:
   explicit Sigmoid(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -81,8 +75,6 @@ class Tanh final : public Activation {
  public:
   explicit Tanh(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "Tanh"; }
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;

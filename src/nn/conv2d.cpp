@@ -140,58 +140,6 @@ Tensor Conv2D::backward(const Tensor& x, const Tensor& /*y*/,
   return grad_in;
 }
 
-IntervalVector Conv2D::propagate(const IntervalVector& in) const {
-  if (in.size() != input_size()) {
-    throw std::invalid_argument(name() + ": interval input size mismatch");
-  }
-  // Centre/radius form: centre goes through the affine map (with bias),
-  // radius through |W|. Zero padding contributes (0, 0).
-  std::vector<float> cen(in.size()), rad(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    cen[i] = in[i].center();
-    rad[i] = in[i].radius();
-  }
-  const auto& c = cfg_;
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
-  IntervalVector out(output_size());
-  for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        double acc_c = b_[oc];
-        double acc_r = 0.0;
-        for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
-          for (std::size_t ky = 0; ky < c.kernel_h; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * c.stride + ky) - pad;
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(c.in_height)) {
-              continue;
-            }
-            for (std::size_t kx = 0; kx < c.kernel_w; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * c.stride + kx) - pad;
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(c.in_width)) {
-                continue;
-              }
-              const float wv =
-                  w_[((oc * c.in_channels + ic) * c.kernel_h + ky) *
-                         c.kernel_w +
-                     kx];
-              const std::size_t iidx =
-                  (ic * c.in_height + std::size_t(iy)) * c.in_width +
-                  std::size_t(ix);
-              acc_c += double(wv) * cen[iidx];
-              acc_r += std::fabs(double(wv)) * rad[iidx];
-            }
-          }
-        }
-        out[(oc * oh_ + oy) * ow_ + ox] = Interval::make_unchecked(
-            round_down(acc_c - acc_r), round_up(acc_c + acc_r));
-      }
-    }
-  }
-  return out;
-}
-
 Zonotope Conv2D::propagate(const Zonotope& in) const {
   if (in.dim() != input_size()) {
     throw std::invalid_argument(name() + ": zonotope input size mismatch");

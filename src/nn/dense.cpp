@@ -45,24 +45,6 @@ Tensor Dense::backward(const Tensor& x, const Tensor& /*y*/,
   return matvec_t(w_, g);
 }
 
-IntervalVector Dense::propagate(const IntervalVector& in) const {
-  if (in.size() != in_) {
-    throw std::invalid_argument(name() + ": interval input size mismatch");
-  }
-  IntervalVector out(out_);
-  for (std::size_t r = 0; r < out_; ++r) {
-    // Centre/radius form avoids 2x min/max per term.
-    double c = b_[r], rad = 0.0;
-    const float* row = w_.data() + r * in_;
-    for (std::size_t j = 0; j < in_; ++j) {
-      c += double(row[j]) * in[j].center();
-      rad += std::fabs(double(row[j])) * in[j].radius();
-    }
-    out[r] = Interval::make_unchecked(round_down(c - rad), round_up(c + rad));
-  }
-  return out;
-}
-
 Zonotope Dense::propagate(const Zonotope& in) const {
   if (in.dim() != in_) {
     throw std::invalid_argument(name() + ": zonotope input size mismatch");

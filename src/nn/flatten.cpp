@@ -25,10 +25,6 @@ Tensor Flatten::backward(const Tensor& /*x*/, const Tensor& /*y*/,
   return grad_out.reshaped(in_shape_);
 }
 
-IntervalVector Flatten::propagate(const IntervalVector& in) const {
-  return in;
-}
-
 Zonotope Flatten::propagate(const Zonotope& in) const { return in; }
 
 BoxBatch Flatten::propagate_batch(const BoundBackend& /*backend*/,

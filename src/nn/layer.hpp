@@ -2,10 +2,11 @@
 //
 // The paper models a trained DNN as G = g_n ∘ ... ∘ g_1 with fixed
 // parameters. Each Layer here is one g_k. Besides the concrete forward
-// pass, every layer implements two *abstract transformers* — one for the
-// interval (box) domain and one for the zonotope domain — which is what
-// lets the monitor construction compute the perturbation estimate of
-// Definition 1 with either bound engine.
+// pass, every layer implements two *abstract transformers* — a batched
+// one for the interval (box) domain, run on a BoundBackend's kernels,
+// and one for the zonotope domain — which is what lets the monitor
+// construction compute the perturbation estimate of Definition 1 with
+// either bound engine.
 //
 // Layers fix their input shape at construction time so that the abstract
 // transformers can operate on flat vectors (row-major CHW order for
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "absint/bound_backend.hpp"
-#include "absint/interval.hpp"
 #include "absint/zonotope.hpp"
 #include "tensor/tensor.hpp"
 
@@ -59,21 +59,15 @@ class Layer {
   [[nodiscard]] virtual Tensor backward(const Tensor& x, const Tensor& y,
                                         const Tensor& grad_out) = 0;
 
-  /// Sound interval transfer function: the returned box contains
-  /// g_k(x) for every x in the input box.
-  [[nodiscard]] virtual IntervalVector propagate(
-      const IntervalVector& in) const = 0;
-
   /// Sound zonotope transfer function.
   [[nodiscard]] virtual Zonotope propagate(const Zonotope& in) const = 0;
 
-  /// Sound batched interval transfer: column i of the result contains
-  /// g_k(x) for every x in column i of `in`. Concrete layers map this
-  /// onto one of the backend's batched kernels; the base default falls
-  /// back to the per-sample scalar propagate() (sound for any layer, but
-  /// without the batched memory layout win).
+  /// Sound interval transfer function, the only one: column i of the
+  /// result contains g_k(x) for every x in column i of `in`. Each layer
+  /// maps it onto one of the backend's batched kernels; a single box is a
+  /// one-column batch.
   [[nodiscard]] virtual BoxBatch propagate_batch(const BoundBackend& backend,
-                                                 const BoxBatch& in) const;
+                                                 const BoxBatch& in) const = 0;
 
   /// Trainable parameter tensors (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Tensor*> parameters() { return {}; }

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace ranm {
 
@@ -121,16 +122,6 @@ Tensor Network::backward(std::span<const Tensor> acts,
   return g;
 }
 
-IntervalVector Network::propagate_box(std::size_t l, std::size_t k,
-                                      const IntervalVector& in) const {
-  check_layer_index(l, "propagate_box");
-  check_layer_index(k, "propagate_box");
-  if (l > k) throw std::invalid_argument("Network::propagate_box: l > k");
-  IntervalVector v = in;
-  for (std::size_t i = l - 1; i < k; ++i) v = layers_[i]->propagate(v);
-  return v;
-}
-
 BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
                                       const BoxBatch& in,
                                       const BoundBackend& backend) const {
@@ -138,6 +129,15 @@ BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
   check_layer_index(k, "propagate_box_batch");
   if (l > k) {
     throw std::invalid_argument("Network::propagate_box_batch: l > k");
+  }
+  // Checked once here: the elementwise and Flatten transfers pass any
+  // width through, so a slice starting at one would not catch it.
+  if (in.dimension() != layers_[l - 1]->input_size()) {
+    throw std::invalid_argument(
+        "Network::propagate_box_batch: input dimension " +
+        std::to_string(in.dimension()) + " does not match layer " +
+        std::to_string(l) + " input size " +
+        std::to_string(layers_[l - 1]->input_size()));
   }
   BoxBatch v = layers_[l - 1]->propagate_batch(backend, in);
   for (std::size_t i = l; i < k; ++i) {

@@ -75,13 +75,11 @@ class Network {
   [[nodiscard]] Tensor backward(std::span<const Tensor> acts,
                                 const Tensor& grad_out);
 
-  /// Sound box propagation through layers l..k (1 <= l <= k <= n).
-  [[nodiscard]] IntervalVector propagate_box(std::size_t l, std::size_t k,
-                                             const IntervalVector& in) const;
-  /// Batched sound box propagation through layers l..k: every column of
-  /// the BoxBatch is propagated in one pass using the given bound
-  /// backend's batched layer kernels. Column i of the result contains
-  /// G^{l↪k}(x) for every x in column i of `in`.
+  /// Sound box propagation through layers l..k (1 <= l <= k <= n): every
+  /// column of the BoxBatch is propagated in one pass using the given
+  /// bound backend's batched layer kernels. Column i of the result
+  /// contains G^{l↪k}(x) for every x in column i of `in`. The batch
+  /// dimension must equal layer l's input size.
   [[nodiscard]] BoxBatch propagate_box_batch(std::size_t l, std::size_t k,
                                              const BoxBatch& in,
                                              const BoundBackend& backend) const;

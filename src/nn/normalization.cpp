@@ -49,21 +49,6 @@ Tensor Normalization::backward(const Tensor& /*x*/, const Tensor& /*y*/,
   return g;
 }
 
-IntervalVector Normalization::propagate(const IntervalVector& in) const {
-  if (in.size() != input_size()) {
-    throw std::invalid_argument(
-        "Normalization: interval input size mismatch");
-  }
-  IntervalVector out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    // inv_std > 0, so the map is monotone; endpoints map to endpoints with
-    // the same scalar expression the concrete path uses.
-    out[i] = Interval::make_unchecked((in[i].lo - mean_[i]) * inv_std_[i],
-                                      (in[i].hi - mean_[i]) * inv_std_[i]);
-  }
-  return out;
-}
-
 BoxBatch Normalization::propagate_batch(const BoundBackend& backend,
                                         const BoxBatch& in) const {
   return backend.normalize(mean_, inv_std_, in);

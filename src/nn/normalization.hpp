@@ -27,8 +27,6 @@ class Normalization final : public Layer {
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;

@@ -88,35 +88,13 @@ Tensor MaxPool2D::backward(const Tensor& x, const Tensor& /*y*/,
   return grad_in;
 }
 
-IntervalVector MaxPool2D::propagate(const IntervalVector& in) const {
-  if (in.size() != input_size()) {
-    throw std::invalid_argument(name() + ": interval input size mismatch");
-  }
-  IntervalVector out(output_size());
-  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        Interval acc = Interval::make_unchecked(
-            -std::numeric_limits<float>::infinity(),
-            -std::numeric_limits<float>::infinity());
-        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-            const std::size_t iy = oy * cfg_.stride + ky;
-            const std::size_t ix = ox * cfg_.stride + kx;
-            acc = acc.max_with(
-                in[(ch * cfg_.in_height + iy) * cfg_.in_width + ix]);
-          }
-        }
-        out[(ch * oh_ + oy) * ow_ + ox] = acc;
-      }
-    }
-  }
-  return out;
-}
-
 Zonotope MaxPool2D::propagate(const Zonotope& in) const {
-  // Max is not affine; soundly coarsen to the bounding box and pool that.
-  return Zonotope::from_box(propagate(in.to_box()));
+  // Max is not affine; soundly coarsen to the bounding box and pool that
+  // as a one-column batch.
+  BoxBatch box(input_size(), 1);
+  box.set_box(0, in.to_box());
+  return Zonotope::from_box(
+      VectorizedBoundBackend{}.max_pool(geometry(), box).box(0));
 }
 
 BoxBatch MaxPool2D::propagate_batch(const BoundBackend& backend,
@@ -181,34 +159,6 @@ Tensor AvgPool2D::backward(const Tensor& /*x*/, const Tensor& /*y*/,
     }
   }
   return grad_in;
-}
-
-IntervalVector AvgPool2D::propagate(const IntervalVector& in) const {
-  if (in.size() != input_size()) {
-    throw std::invalid_argument(name() + ": interval input size mismatch");
-  }
-  const double inv = 1.0 / double(cfg_.window * cfg_.window);
-  IntervalVector out(output_size());
-  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        double lo = 0.0, hi = 0.0;
-        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-            const std::size_t iy = oy * cfg_.stride + ky;
-            const std::size_t ix = ox * cfg_.stride + kx;
-            const Interval& iv =
-                in[(ch * cfg_.in_height + iy) * cfg_.in_width + ix];
-            lo += iv.lo;
-            hi += iv.hi;
-          }
-        }
-        out[(ch * oh_ + oy) * ow_ + ox] = Interval::make_unchecked(
-            round_down(lo * inv), round_up(hi * inv));
-      }
-    }
-  }
-  return out;
 }
 
 BoxBatch AvgPool2D::propagate_batch(const BoundBackend& backend,

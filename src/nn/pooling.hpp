@@ -40,8 +40,6 @@ class MaxPool2D final : public Pooling {
   /// `x` with forward()'s loop (first maximum wins on ties).
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -64,8 +62,6 @@ class AvgPool2D final : public Pooling {
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
-  [[nodiscard]] IntervalVector propagate(
-      const IntervalVector& in) const override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;

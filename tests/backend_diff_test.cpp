@@ -2,10 +2,10 @@
 // against the scalar reference backend over randomized layer chains
 // (Dense / Conv2D / pooling / normalization / activations), random shapes,
 // and batch sizes including 0, 1, and non-multiples of any SIMD lane
-// width. The contract: per element, vectorized bounds must be identical to
-// the reference bounds or widen only outward — never inward. The reference
-// backend itself is pinned bit-for-bit against the per-sample scalar
-// Layer::propagate path it re-implements in batched form.
+// width. The backend contract: per element, bounds must be identical to the
+// reference bounds or widen only outward — never inward. The two kernels
+// evaluate the same per-sample expressions, so on this build (no FP
+// contraction) they must in fact agree bit for bit, which is asserted too.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -20,6 +20,7 @@
 #include "nn/network.hpp"
 #include "nn/normalization.hpp"
 #include "nn/pooling.hpp"
+#include "one_box.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -87,30 +88,25 @@ void expect_outward_only(const BoxBatch& ref, const BoxBatch& vec) {
   }
 }
 
-/// The reference backend's batched result must be bit-for-bit the scalar
-/// per-sample Layer::propagate path.
-void expect_matches_scalar(const Network& net, const BoxBatch& in,
-                           const BoxBatch& ref) {
-  const std::size_t k = net.num_layers();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const IntervalVector scalar = net.propagate_box(1, k, in.box(i));
-    ASSERT_EQ(scalar.size(), ref.dimension());
-    for (std::size_t j = 0; j < scalar.size(); ++j) {
-      EXPECT_EQ(scalar[j].lo, ref.lo(j, i))
-          << "reference backend deviates from scalar path at neuron " << j
-          << ", sample " << i;
-      EXPECT_EQ(scalar[j].hi, ref.hi(j, i))
-          << "reference backend deviates from scalar path at neuron " << j
-          << ", sample " << i;
+/// Bit-for-bit agreement of the two backends.
+void expect_bit_identical(const BoxBatch& ref, const BoxBatch& vec) {
+  ASSERT_EQ(ref.dimension(), vec.dimension());
+  ASSERT_EQ(ref.size(), vec.size());
+  for (std::size_t j = 0; j < ref.dimension(); ++j) {
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(vec.lo(j, i), ref.lo(j, i))
+          << "backends disagree at neuron " << j << ", sample " << i;
+      EXPECT_EQ(vec.hi(j, i), ref.hi(j, i))
+          << "backends disagree at neuron " << j << ", sample " << i;
     }
   }
 }
 
+const ReferenceBoundBackend reference;
+const VectorizedBoundBackend vectorized;
+const BoundBackend* const kBackends[] = {&reference, &vectorized};
+
 void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
-  const BoundBackend& reference =
-      bound_backend(BoundBackendKind::kReference);
-  const BoundBackend& vectorized =
-      bound_backend(BoundBackendKind::kVectorized);
   const std::size_t k = net.num_layers();
   // Batch sizes around every boundary: empty, single sample, odd sizes
   // that are not a multiple of any SIMD lane width, and one full chunk.
@@ -123,7 +119,7 @@ void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
       const BoxBatch ref = net.propagate_box_batch(1, k, in, reference);
       const BoxBatch vec = net.propagate_box_batch(1, k, in, vectorized);
       expect_outward_only(ref, vec);
-      expect_matches_scalar(net, in, ref);
+      expect_bit_identical(ref, vec);
     }
   }
 }
@@ -165,10 +161,6 @@ TEST(BackendDiff, SubRangePropagation) {
   // kernels with an intermediate-layer input distribution.
   Rng rng(11);
   Network net = make_mlp({6, 12, 9, 5}, rng);
-  const BoundBackend& reference =
-      bound_backend(BoundBackendKind::kReference);
-  const BoundBackend& vectorized =
-      bound_backend(BoundBackendKind::kVectorized);
   const std::size_t mid_dim = net.layer(2).output_size();
   const BoxBatch in =
       BoxBatch::linf_ball(random_centers(mid_dim, 13, rng), 0.1F);
@@ -177,14 +169,7 @@ TEST(BackendDiff, SubRangePropagation) {
   const BoxBatch vec =
       net.propagate_box_batch(3, net.num_layers(), in, vectorized);
   expect_outward_only(ref, vec);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const IntervalVector scalar =
-        net.propagate_box(3, net.num_layers(), in.box(i));
-    for (std::size_t j = 0; j < scalar.size(); ++j) {
-      EXPECT_EQ(scalar[j].lo, ref.lo(j, i));
-      EXPECT_EQ(scalar[j].hi, ref.hi(j, i));
-    }
-  }
+  expect_bit_identical(ref, vec);
 }
 
 TEST(BackendDiff, DimensionMismatchThrows) {
@@ -192,10 +177,99 @@ TEST(BackendDiff, DimensionMismatchThrows) {
   Network net = make_mlp({6, 4, 3}, rng);
   const BoxBatch wrong =
       BoxBatch::linf_ball(random_centers(5, 2, rng), 0.1F);
-  for (const BoundBackendKind kind : bound_backend_kinds()) {
-    EXPECT_THROW(net.propagate_box_batch(1, net.num_layers(), wrong,
-                                         bound_backend(kind)),
-                 std::invalid_argument);
+  for (const BoundBackend* be : kBackends) {
+    EXPECT_THROW(
+        net.propagate_box_batch(1, net.num_layers(), wrong, *be),
+        std::invalid_argument);
+  }
+}
+
+TEST(BackendDiff, SliceInputDimensionChecked) {
+  // Elementwise and Flatten transfers pass any width through, so a slice
+  // that starts at one of them must be checked against its first layer:
+  // otherwise a 5-wide batch into the convnet's Flatten (layer 4) or
+  // hidden LeakyReLU (layer 6) comes back 5 wide.
+  Rng rng(12);
+  Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
+  const BoxBatch wrong =
+      BoxBatch::linf_ball(random_centers(5, 2, rng), 0.1F);
+  for (const std::size_t l : {std::size_t(4), std::size_t(6)}) {
+    for (const BoundBackend* be : kBackends) {
+      EXPECT_THROW((void)net.propagate_box_batch(l, l, wrong, *be),
+                   std::invalid_argument)
+          << "slice " << l << ".." << l << ", backend " << be->name();
+    }
+    const BoxBatch right = BoxBatch::linf_ball(
+        random_centers(net.layer(l).input_size(), 2, rng), 0.1F);
+    EXPECT_EQ(net.propagate_box_batch(l, l, right, vectorized).dimension(),
+              net.layer(l).output_size());
+  }
+}
+
+TEST(BackendDiff, CenterRadiusStagingKeepsEndpoints) {
+  // w = {1, -1} on the box {[1, 1 + 2^-23], [1, 1]}: the corner
+  // (1 + 2^-23, 1) maps to 2^-23. A centre staged in float,
+  // 0.5F * (lo + hi), rounds the 1 + 2^-24 midpoint to 1 and puts the
+  // upper bound at 2^-24.
+  Network net;
+  Dense& dense = net.emplace<Dense>(2, 1);
+  dense.weights()[0] = 1.0F;
+  dense.weights()[1] = -1.0F;
+  const float top = 1.0F + 0x1p-23F;
+  const IntervalVector box(
+      std::vector<Interval>{Interval(1.0F, top), Interval(1.0F, 1.0F)});
+  const float corner = net.forward(Tensor::vector({top, 1.0F}))[0];
+  ASSERT_EQ(corner, 0x1p-23F);
+  for (const BoundBackend* be : kBackends) {
+    const BoxBatch out = be->affine(dense.weights().span(), 1, 2,
+                                    dense.bias().span(), one_column(box));
+    EXPECT_LE(out.lo(0, 0), 0.0F) << be->name();
+    EXPECT_GE(out.hi(0, 0), corner) << be->name();
+  }
+}
+
+TEST(BackendDiff, ActivationAndMaxPoolKernelValues) {
+  // Exact endpoint values of the elementwise ReLU / LeakyReLU kernels and
+  // the interval max of a max-pool window, on both backends.
+  BoxBatch in(3, 1);
+  const float lo[] = {-2.0F, 1.0F, -1.0F};
+  const float hi[] = {-1.0F, 2.0F, 2.0F};
+  for (std::size_t j = 0; j < 3; ++j) {
+    in.lo(j, 0) = lo[j];
+    in.hi(j, 0) = hi[j];
+  }
+  // One 2x2 window over a single-channel 2x2 input.
+  BoxBatch pool_in(4, 1);
+  const float pool_lo[] = {0.0F, 2.0F, -1.0F, -3.0F};
+  const float pool_hi[] = {5.0F, 3.0F, 1.0F, -2.0F};
+  for (std::size_t j = 0; j < 4; ++j) {
+    pool_in.lo(j, 0) = pool_lo[j];
+    pool_in.hi(j, 0) = pool_hi[j];
+  }
+  Pool2DGeometry window;
+  window.channels = 1;
+  window.in_height = 2;
+  window.in_width = 2;
+  window.out_height = 1;
+  window.out_width = 1;
+  window.window = 2;
+  window.stride = 2;
+  for (const BoundBackend* be : kBackends) {
+    const BoxBatch r = be->relu(in);
+    EXPECT_EQ(r.lo(0, 0), 0.0F);
+    EXPECT_EQ(r.hi(0, 0), 0.0F);
+    EXPECT_EQ(r.lo(1, 0), 1.0F);
+    EXPECT_EQ(r.hi(1, 0), 2.0F);
+    EXPECT_EQ(r.lo(2, 0), 0.0F);
+    EXPECT_EQ(r.hi(2, 0), 2.0F);
+    const BoxBatch lr = be->leaky_relu(0.1F, in);
+    EXPECT_FLOAT_EQ(lr.lo(2, 0), -0.1F);
+    EXPECT_FLOAT_EQ(lr.hi(2, 0), 2.0F);
+    EXPECT_FLOAT_EQ(lr.lo(0, 0), -0.2F);
+    EXPECT_FLOAT_EQ(lr.hi(0, 0), -0.1F);
+    const BoxBatch m = be->max_pool(window, pool_in);
+    EXPECT_EQ(m.lo(0, 0), 2.0F);
+    EXPECT_EQ(m.hi(0, 0), 5.0F);
   }
 }
 
@@ -216,11 +290,10 @@ TEST(BackendDiff, BackendValidatesKernelPreconditions) {
   bad.stride = 2;
   const std::vector<float> mean(16, 0.0F);
   const std::vector<float> neg_std(16, -1.0F);
-  for (const BoundBackendKind kind : bound_backend_kinds()) {
-    const BoundBackend& be = bound_backend(kind);
-    EXPECT_THROW((void)be.max_pool(bad, in), std::invalid_argument);
-    EXPECT_THROW((void)be.avg_pool(bad, in), std::invalid_argument);
-    EXPECT_THROW((void)be.normalize(mean, neg_std, in),
+  for (const BoundBackend* be : kBackends) {
+    EXPECT_THROW((void)be->max_pool(bad, in), std::invalid_argument);
+    EXPECT_THROW((void)be->avg_pool(bad, in), std::invalid_argument);
+    EXPECT_THROW((void)be->normalize(mean, neg_std, in),
                  std::invalid_argument);
   }
 }

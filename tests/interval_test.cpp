@@ -72,18 +72,6 @@ TEST(Interval, ScaledNegative) {
   EXPECT_EQ(s.hi, -3.0F);
 }
 
-TEST(Interval, Relu) {
-  EXPECT_EQ(Interval(-2, -1).relu(), Interval(0, 0));
-  EXPECT_EQ(Interval(1, 2).relu(), Interval(1, 2));
-  EXPECT_EQ(Interval(-1, 2).relu(), Interval(0, 2));
-}
-
-TEST(Interval, LeakyRelu) {
-  Interval iv = Interval(-2, 4).leaky_relu(0.1F);
-  EXPECT_FLOAT_EQ(iv.lo, -0.2F);
-  EXPECT_FLOAT_EQ(iv.hi, 4.0F);
-}
-
 TEST(Interval, MonotoneTransfers) {
   const Interval iv(-1.0F, 1.0F);
   const Interval s = iv.sigmoid();
@@ -92,12 +80,6 @@ TEST(Interval, MonotoneTransfers) {
   const Interval t = iv.tanh_();
   EXPECT_NEAR(t.lo, std::tanh(-1.0F), 1e-5F);
   EXPECT_NEAR(t.hi, std::tanh(1.0F), 1e-5F);
-}
-
-TEST(Interval, MaxWith) {
-  Interval m = Interval(0, 5).max_with(Interval(2, 3));
-  EXPECT_EQ(m.lo, 2.0F);
-  EXPECT_EQ(m.hi, 5.0F);
 }
 
 // Property: interval arithmetic is sound — f(x) op g(y) lies inside
@@ -116,7 +98,6 @@ TEST_P(IntervalSoundness, ArithmeticContainsSampledValues) {
     EXPECT_TRUE((ia + ib).contains(x + y));
     EXPECT_TRUE((ia - ib).contains(x - y));
     EXPECT_TRUE((ia * ib).contains(x * y));
-    EXPECT_TRUE(ia.relu().contains(std::max(0.0F, x)));
     EXPECT_TRUE(ia.scaled(2.5F).contains(2.5F * x));
     EXPECT_TRUE(ia.scaled(-1.5F).contains(-1.5F * x));
   }

@@ -14,6 +14,9 @@
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/onoff_monitor.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 
@@ -140,6 +143,54 @@ TEST(Lemma1Standard, StandardMonitorDoesWarnOnPerturbation) {
   }
   // The standard monitor has a substantial FP rate under perturbation.
   EXPECT_GT(warned, total / 10);
+}
+
+/// Lemma 1 at Δ = 0 when the bias cancels the weighted sum: the forward
+/// pass rounds w·x = 1 + 3e-8 to 1.0F before it adds b = -1, so the ReLU
+/// activation is exactly 0. A bound that adds b inside its double
+/// accumulator rounds once, lands on [3e-8, 3e-8] and misses it; a 1-bit
+/// on-off monitor built robustly from that bound then warns on its own
+/// training input, which the standard build accepts.
+void expect_robust_accepts_own_input(const Network& net,
+                                     const Tensor& input) {
+  const std::vector<Tensor> train{input};
+  const std::size_t k = net.num_layers();
+  const float activation = net.forward(train[0])[0];
+  ASSERT_EQ(activation, 0.0F);
+
+  const PerturbationSpec spec{0, 0.0F, BoundDomain::kBox};
+  const IntervalVector box =
+      PerturbationEstimator(net, k, spec).estimate(train[0]);
+  EXPECT_LE(box[0].lo, activation);
+  EXPECT_GE(box[0].hi, activation);
+
+  MonitorBuilder builder(net, k);
+  const std::vector<float> zero{0.0F};
+  OnOffMonitor standard(ThresholdSpec::onoff(zero));
+  builder.build_standard(standard, train);
+  EXPECT_FALSE(builder.warns(standard, train[0]));
+  OnOffMonitor robust(ThresholdSpec::onoff(zero));
+  builder.build_robust(robust, train, spec);
+  EXPECT_FALSE(builder.warns(robust, train[0]))
+      << "robust monitor warned on its own training input";
+}
+
+TEST(Lemma1Rounding, DenseBiasCancellationAtZeroDelta) {
+  Network net;
+  Dense& dense = net.emplace<Dense>(1, 1);
+  dense.weights()[0] = 1.0F / 3.0F;
+  dense.bias()[0] = -1.0F;
+  net.emplace<ReLU>(Shape{1});
+  expect_robust_accepts_own_input(net, Tensor::vector({3.0F}));
+}
+
+TEST(Lemma1Rounding, ConvBiasCancellationAtZeroDelta) {
+  Network net;
+  Conv2D& conv = net.emplace<Conv2D>(Conv2D::Config{1, 1, 1, 1, 1, 1, 1, 0});
+  conv.weights()[0] = 1.0F / 3.0F;
+  conv.bias()[0] = -1.0F;
+  net.emplace<ReLU>(Shape{1, 1, 1});
+  expect_robust_accepts_own_input(net, Tensor({1, 1, 1}, 3.0F));
 }
 
 }  // namespace

@@ -174,35 +174,6 @@ TEST(MultiLayerMonitor, RobustBuildRequiresKpBelowAllLayers) {
       std::invalid_argument);
 }
 
-TEST(MultiLayerMonitor, RobustBoxBuildBackendInvariant) {
-  // The multi-layer robust box build runs on the batched bound backends;
-  // every backend must produce a behaviourally identical monitor.
-  Rng rng(8);
-  Network net = make_mlp({4, 10, 6, 2}, rng);
-  const std::vector<Tensor> train = random_inputs(rng, 12, 4);
-  const std::vector<Tensor> probes = random_inputs(rng, 24, 4);
-
-  std::vector<std::vector<char>> verdicts;
-  for (const BoundBackendKind backend : bound_backend_kinds()) {
-    MultiLayerMonitor mlm(net, WarnPolicy::kAny);
-    mlm.attach(2, NeuronSelection::all(10),
-               std::make_unique<MinMaxMonitor>(10));
-    mlm.attach(4, NeuronSelection::all(6),
-               std::make_unique<MinMaxMonitor>(6));
-    PerturbationSpec spec{1, 0.05F, BoundDomain::kBox, backend};
-    mlm.build_robust(train, spec);
-
-    auto out = std::make_unique<bool[]>(probes.size());
-    mlm.warns_batch(probes, {out.get(), probes.size()});
-    std::vector<char> v(probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) v[i] = out[i];
-    verdicts.push_back(std::move(v));
-  }
-  for (std::size_t b = 1; b < verdicts.size(); ++b) {
-    EXPECT_EQ(verdicts[b], verdicts[0]);
-  }
-}
-
 struct MultiLemmaCase {
   int seed;
   BoundDomain domain;

@@ -4,6 +4,7 @@
 
 #include "nn/dense.hpp"
 #include "nn/network.hpp"
+#include "one_box.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -48,9 +49,10 @@ TEST(Normalization, IntervalTransferExactEndpoints) {
   Normalization norm(Shape{1}, std::vector<float>{1.0F},
                      std::vector<float>{2.0F});
   IntervalVector in(std::vector<Interval>{Interval(0.0F, 3.0F)});
-  const auto out = norm.propagate(in);
-  EXPECT_FLOAT_EQ(out[0].lo, -2.0F);
-  EXPECT_FLOAT_EQ(out[0].hi, 4.0F);
+  const BoxBatch out =
+      norm.propagate_batch(VectorizedBoundBackend{}, one_column(in));
+  EXPECT_FLOAT_EQ(out.lo(0, 0), -2.0F);
+  EXPECT_FLOAT_EQ(out.hi(0, 0), 4.0F);
 }
 
 TEST(Normalization, ZonotopeTransferMatchesInterval) {
@@ -60,7 +62,9 @@ TEST(Normalization, ZonotopeTransferMatchesInterval) {
   Zonotope z = Zonotope::linf_ball(c, 1.0F);
   const auto zbox = norm.propagate(z).to_box();
   const auto ibox =
-      norm.propagate(IntervalVector::linf_ball(c, 1.0F));
+      norm.propagate_batch(VectorizedBoundBackend{},
+                           one_column(IntervalVector::linf_ball(c, 1.0F)))
+          .box(0);
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_NEAR(zbox[j].lo, ibox[j].lo, 1e-5F);
     EXPECT_NEAR(zbox[j].hi, ibox[j].hi, 1e-5F);
@@ -76,8 +80,7 @@ TEST(Normalization, ComposesInNetworkSoundly) {
 
   Tensor center = Tensor::random_uniform({4}, rng);
   const float delta = 0.1F;
-  const auto box = net.propagate_box(
-      1, 2, IntervalVector::linf_ball(center.span(), delta));
+  const auto box = propagate_ball(net, 2, center.span(), delta);
   for (int trial = 0; trial < 200; ++trial) {
     Tensor x = center;
     for (std::size_t j = 0; j < 4; ++j) {

@@ -1,11 +1,12 @@
 // Soundness of the abstract transformers through whole networks: for any
 // sampled input inside the initial region, the concrete activation at the
 // target layer must lie inside the propagated box/zonotope. This is the
-// semantic foundation of Definition 1.
+// semantic foundation of Definition 1. Boxes run as one-column batches.
 #include <gtest/gtest.h>
 
 #include "nn/init.hpp"
 #include "nn/network.hpp"
+#include "one_box.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -24,9 +25,9 @@ TEST_P(BoxPropagation, MlpSound) {
   Network net = make_mlp({6, 12, 10, 4}, rng);
   Tensor center = Tensor::random_uniform({6}, rng);
 
-  const auto ball = IntervalVector::linf_ball(center.span(), param.delta);
   for (std::size_t k = 1; k <= net.num_layers(); ++k) {
-    const IntervalVector box = net.propagate_box(1, k, ball);
+    const IntervalVector box =
+        propagate_ball(net, k, center.span(), param.delta);
     for (int trial = 0; trial < 100; ++trial) {
       Tensor x = center;
       for (std::size_t j = 0; j < x.numel(); ++j) {
@@ -82,9 +83,8 @@ TEST(Propagation, ConvnetBoxSound) {
   Network net = make_small_convnet(8, 8, 3, 10, 2, rng);
   Tensor center = Tensor::random_uniform({1, 8, 8}, rng, 0.0F, 1.0F);
   const float delta = 0.05F;
-  const auto ball = IntervalVector::linf_ball(center.span(), delta);
   const std::size_t k = net.num_layers();
-  const IntervalVector box = net.propagate_box(1, k, ball);
+  const IntervalVector box = propagate_ball(net, k, center.span(), delta);
   for (int trial = 0; trial < 100; ++trial) {
     Tensor x = center;
     for (std::size_t j = 0; j < x.numel(); ++j) {
@@ -104,8 +104,7 @@ TEST(Propagation, ConvnetZonotopeSoundAndAtLeastAsTight) {
   Tensor center = Tensor::random_uniform({1, 8, 8}, rng, 0.0F, 1.0F);
   const float delta = 0.05F;
   const std::size_t k = net.num_layers();
-  const IntervalVector ibox = net.propagate_box(
-      1, k, IntervalVector::linf_ball(center.span(), delta));
+  const IntervalVector ibox = propagate_ball(net, k, center.span(), delta);
   const IntervalVector zbox =
       net.propagate_zonotope(1, k, Zonotope::linf_ball(center.span(), delta))
           .to_box();
@@ -124,8 +123,7 @@ TEST(Propagation, DegenerateBallIsPoint) {
   Network net = make_mlp({4, 6, 3}, rng);
   Tensor x = Tensor::random_uniform({4}, rng);
   const std::size_t k = net.num_layers();
-  const IntervalVector box =
-      net.propagate_box(1, k, IntervalVector::linf_ball(x.span(), 0.0F));
+  const IntervalVector box = propagate_ball(net, k, x.span(), 0.0F);
   const Tensor y = net.forward(x);
   for (std::size_t j = 0; j < y.numel(); ++j) {
     EXPECT_NEAR(box[j].lo, y[j], 1e-4F);
@@ -140,8 +138,7 @@ TEST(Propagation, WidthGrowsWithDelta) {
   const std::size_t k = net.num_layers();
   float prev = 0.0F;
   for (float delta : {0.01F, 0.05F, 0.1F, 0.3F}) {
-    const IntervalVector box = net.propagate_box(
-        1, k, IntervalVector::linf_ball(x.span(), delta));
+    const IntervalVector box = propagate_ball(net, k, x.span(), delta);
     EXPECT_GE(box.total_width(), prev);
     prev = box.total_width();
   }

@@ -38,7 +38,8 @@ expect_range_error(${RANM_CLI} build --net x --data x --layer 3 --type minmax --
 expect_range_error(${RANM_CLI} build --net x --data x --layer 3 --type minmax --robust --delta inf --out /dev/null)
 expect_range_error(${RANM_CLI} build --net x --data x --layer 3 --type minmax --robust --kp 3 --out /dev/null)
 expect_range_error(${RANM_CLI} build --net x --data x --layer 0 --type minmax --out /dev/null)
-expect_stderr_matches("unknown bound backend"
+# There is one bound engine; the old engine selector is gone, not ignored.
+expect_stderr_matches("unknown option --backend"
   ${RANM_CLI} build --net x --data x --layer 3 --type minmax --backend bogus --out /dev/null)
 
 # Misspelled options must be fatal, not silently ignored. The motivating
@@ -66,9 +67,9 @@ expect_stderr_matches("unknown option --frobnicate"
   ${RANM_CLI} gen --workload digits --frobnicate 1 --out /dev/null)
 
 # --key=value is not part of the grammar; the parser names the fix
-# instead of treating "--backend=vectorized" as an (ignored) unknown key.
-expect_stderr_matches("use '--backend vectorized'"
-  ${RANM_CLI} build --net x --data x --layer 3 --type minmax --backend=vectorized --out /dev/null)
+# instead of treating "--type=minmax" as an (ignored) unknown key.
+expect_stderr_matches("use '--type minmax'"
+  ${RANM_CLI} build --net x --data x --layer 3 --type=minmax --out /dev/null)
 
 # Lifecycle subcommands declare their key sets like everything else.
 expect_stderr_matches("unknown option --bacth .did you mean --batch\\?."

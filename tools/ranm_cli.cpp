@@ -21,7 +21,6 @@
 #include <iostream>
 #include <string>
 
-#include "absint/bound_backend.hpp"
 #include "compile/compiled_io.hpp"
 #include "compile/lower.hpp"
 #include "core/interval_monitor.hpp"
@@ -66,7 +65,6 @@ namespace {
       "         [--shard-strategy contiguous|round-robin|shuffled]\n"
       "         [--shard-seed S]\n"
       "         [--robust] [--delta F] [--kp K] [--domain box|zonotope]\n"
-      "         [--backend reference|vectorized]\n"
       "         --out FILE\n"
       "  compile --monitor FILE --out FILE [--threads T]\n"
       "         [--cube-limit N]   (lower a frozen monitor to an RCM1\n"
@@ -88,8 +86,7 @@ namespace {
       "         samples and atomically publish the refreshed monitor)\n"
       "  rollback --socket PATH | --tcp HOST:PORT [--generation G]\n"
       "         (restore a persisted generation; default: the previous)\n"
-      "  info   --net FILE | --monitor FILE [--dot FILE] | --data FILE\n"
-      "         | --backends\n",
+      "  info   --net FILE | --monitor FILE [--dot FILE] | --data FILE\n",
       stderr);
   std::exit(2);
 }
@@ -268,7 +265,7 @@ int cmd_build(const ArgParser& args) {
   // I/O (or, for a NaN delta, after silently poisoning every bound).
   args.check_known({"net", "data", "layer", "type", "bits", "shards",
                     "threads", "shard-strategy", "shard-seed", "robust",
-                    "delta", "kp", "domain", "backend", "out"});
+                    "delta", "kp", "domain", "out"});
   const std::size_t layer = args.get_size("layer", 0, kMaxLayer);
   if (layer == 0) {
     throw std::invalid_argument("--layer must be in 1.." +
@@ -288,8 +285,6 @@ int cmd_build(const ArgParser& args) {
 
   const bool robust = args.has("robust");
   PerturbationSpec spec;
-  spec.backend = parse_bound_backend(
-      args.get("backend", std::string(bound_backend_name(spec.backend))));
   if (robust) {
     spec.kp = args.get_size("kp", 0, kMaxKp);
     if (spec.kp >= layer) {
@@ -337,9 +332,8 @@ int cmd_build(const ArgParser& args) {
   if (!out) throw std::runtime_error("cannot write monitor file");
   save_any_monitor(out, *monitor);
   if (robust) {
-    std::printf("robust build: domain %s, backend %s, delta %g, kp %zu\n",
+    std::printf("robust build: domain %s, delta %g, kp %zu\n",
                 std::string(bound_domain_name(spec.domain)).c_str(),
-                std::string(bound_backend_name(spec.backend)).c_str(),
                 double(spec.delta), spec.kp);
   }
   std::printf("built %s [%s] from %zu samples -> %s\n",
@@ -708,19 +702,7 @@ int cmd_rollback(const ArgParser& args) {
 }
 
 int cmd_info(const ArgParser& args) {
-  args.check_known({"net", "monitor", "data", "backends", "dot"});
-  if (args.has("backends")) {
-    // The engines `build --backend` (and build_robust) can run batched
-    // bound propagation on. Bounds agree across backends (outward-only
-    // widening at most); only throughput differs.
-    std::printf("bound backends (batched box propagation engines):\n");
-    for (const BoundBackendKind kind : bound_backend_kinds()) {
-      std::printf("  %-12s%s\n",
-                  std::string(bound_backend_name(kind)).c_str(),
-                  kind == kDefaultBoundBackend ? "  [default]" : "");
-    }
-    return 0;
-  }
+  args.check_known({"net", "monitor", "data", "dot"});
   if (args.has("net")) {
     Network net = load_network_file(args.require("net"));
     std::printf("network: %zu layers, %zu parameters\n%s",
