@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace ranm {
 
@@ -84,21 +85,27 @@ template <typename Visit>
 void MultiLayerMonitor::for_each_layer_features_batch(
     std::span<const Tensor> inputs, Visit&& visit) const {
   const std::size_t n = inputs.size();
-  // One traversal of the shared layer prefix for the whole batch: the
-  // per-layer activations are kept per sample, and each attached layer
-  // gets its selection projected straight into a dim × n FeatureBatch.
-  std::vector<Tensor> acts(inputs.begin(), inputs.end());
+  // One traversal of the shared layer prefix for the whole batch: one
+  // neuron-major activation matrix is carried through the layers' batch
+  // kernels, and each attached layer gets its selected rows copied into a
+  // dim × n FeatureBatch.
+  FeatureBatch acts = net_.forward_batch(0, inputs);
+  if (n != 0 && acts.dimension() != net_.layer(1).input_size()) {
+    throw std::invalid_argument(
+        "MultiLayerMonitor: inputs do not match the network input size");
+  }
   for (std::size_t k = 1; k <= max_layer_; ++k) {
     const Layer& layer = net_.layer(k);
-    for (std::size_t i = 0; i < n; ++i) acts[i] = layer.forward(acts[i]);
+    FeatureBatch next(layer.output_size(), n);
+    layer.forward_batch(acts.storage().data(), next.storage().data(), n);
+    acts = std::move(next);
     for (const Entry& e : entries_) {
       if (e.layer_k != k) continue;
       FeatureBatch batch(e.selection.output_dim(), n);
       const auto& kept = e.selection.kept();
       for (std::size_t jj = 0; jj < kept.size(); ++jj) {
-        const auto row = batch.neuron(jj);
-        const std::size_t src = kept[jj];
-        for (std::size_t i = 0; i < n; ++i) row[i] = acts[i][src];
+        const auto src = std::as_const(acts).neuron(kept[jj]);
+        std::copy(src.begin(), src.end(), batch.neuron(jj).begin());
       }
       visit(e, batch);
     }

@@ -5,19 +5,9 @@
 
 namespace ranm {
 
-Activation::Activation(Shape shape) : shape_(std::move(shape)) {
-  if (shape_numel(shape_) == 0) {
-    throw std::invalid_argument("Activation: empty shape");
-  }
-}
-
-Tensor Activation::forward(const Tensor& x) const {
-  if (x.numel() != shape_numel(shape_)) {
-    throw std::invalid_argument(name() + ": input size mismatch");
-  }
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] = f(y[i]);
-  return y;
+Activation::Activation(Shape shape)
+    : shape_(std::move(shape)), numel_(shape_numel(shape_)) {
+  if (numel_ == 0) throw std::invalid_argument("Activation: empty shape");
 }
 
 Tensor Activation::backward(const Tensor& x, const Tensor& y,
@@ -35,6 +25,11 @@ Tensor Activation::backward(const Tensor& x, const Tensor& y,
 float ReLU::f(float v) const noexcept { return v > 0.0F ? v : 0.0F; }
 float ReLU::df(float v, float /*y*/) const noexcept {
   return v > 0.0F ? 1.0F : 0.0F;
+}
+
+void ReLU::forward_batch(const float* in, float* out,
+                         std::size_t n) const noexcept {
+  map(in, out, n, [this](float v) { return ReLU::f(v); });
 }
 
 Zonotope ReLU::propagate(const Zonotope& in) const { return in.relu(); }
@@ -64,6 +59,18 @@ float LeakyReLU::df(float v, float /*y*/) const noexcept {
   return v > 0.0F ? 1.0F : alpha_;
 }
 
+void LeakyReLU::forward_batch(const float* in, float* out,
+                              std::size_t n) const noexcept {
+  // f in two passes, the product and then the select, so that both
+  // vectorise; one loop keeps the product inside a mispredicted branch.
+  const float alpha = alpha_;
+  const std::size_t count = n * numel_;
+  for (std::size_t i = 0; i < count; ++i) out[i] = alpha * in[i];
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = in[i] > 0.0F ? in[i] : out[i];
+  }
+}
+
 Zonotope LeakyReLU::propagate(const Zonotope& in) const {
   return in.leaky_relu(alpha_);
 }
@@ -82,6 +89,11 @@ float Sigmoid::df(float /*v*/, float y) const noexcept {
   return y * (1.0F - y);
 }
 
+void Sigmoid::forward_batch(const float* in, float* out,
+                            std::size_t n) const noexcept {
+  map(in, out, n, [this](float v) { return Sigmoid::f(v); });
+}
+
 Zonotope Sigmoid::propagate(const Zonotope& in) const {
   return in.monotone_via_box(
       +[](const Interval& iv) { return iv.sigmoid(); });
@@ -98,6 +110,11 @@ BoxBatch Sigmoid::propagate_batch(const BoundBackend& backend,
 
 float Tanh::f(float v) const noexcept { return std::tanh(v); }
 float Tanh::df(float /*v*/, float y) const noexcept { return 1.0F - y * y; }
+
+void Tanh::forward_batch(const float* in, float* out,
+                         std::size_t n) const noexcept {
+  map(in, out, n, [this](float v) { return Tanh::f(v); });
+}
 
 Zonotope Tanh::propagate(const Zonotope& in) const {
   return in.monotone_via_box(+[](const Interval& iv) { return iv.tanh_(); });

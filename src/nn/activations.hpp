@@ -5,13 +5,14 @@
 
 namespace ranm {
 
-/// Common base for shape-preserving elementwise activations.
+/// Common base for shape-preserving elementwise activations. Each final
+/// activation's forward kernel is its own loop over f, so no element pays
+/// for a virtual call.
 class Activation : public Layer {
  public:
   explicit Activation(Shape shape);
   [[nodiscard]] Shape input_shape() const override { return shape_; }
   [[nodiscard]] Shape output_shape() const override { return shape_; }
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
 
@@ -21,7 +22,15 @@ class Activation : public Layer {
   /// Scalar derivative, given input v and output y = f(v).
   [[nodiscard]] virtual float df(float v, float y) const noexcept = 0;
 
+  /// out[i] = fn(in[i]) over all n samples of the batch.
+  template <typename Fn>
+  void map(const float* in, float* out, std::size_t n, Fn fn) const noexcept {
+    const std::size_t count = n * numel_;
+    for (std::size_t i = 0; i < count; ++i) out[i] = fn(in[i]);
+  }
+
   Shape shape_;
+  std::size_t numel_;
 };
 
 /// Rectified linear unit: max(0, x).
@@ -29,6 +38,8 @@ class ReLU final : public Activation {
  public:
   explicit ReLU(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "ReLU"; }
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -44,6 +55,8 @@ class LeakyReLU final : public Activation {
   LeakyReLU(Shape shape, float alpha = 0.01F);
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] float alpha() const noexcept { return alpha_; }
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -61,6 +74,8 @@ class Sigmoid final : public Activation {
  public:
   explicit Sigmoid(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;
@@ -75,6 +90,8 @@ class Tanh final : public Activation {
  public:
   explicit Tanh(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "Tanh"; }
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
                                          const BoxBatch& in) const override;

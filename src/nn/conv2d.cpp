@@ -1,9 +1,10 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
+#include "nn/tile.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -45,53 +46,83 @@ Shape Conv2D::input_shape() const {
 
 Shape Conv2D::output_shape() const { return {cfg_.out_channels, oh_, ow_}; }
 
-void Conv2D::linear_apply(const float* in, float* out) const noexcept {
+namespace {
+
+/// Kernel offsets [lo, hi) whose taps land inside an input axis of
+/// `extent` for the window starting at `origin` (which zero padding can
+/// make negative); padded taps add nothing and are skipped.
+struct TapRange {
+  std::size_t lo, hi;
+};
+
+TapRange taps_inside(std::ptrdiff_t origin, std::size_t extent,
+                     std::size_t kernel) noexcept {
+  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -origin);
+  const std::ptrdiff_t hi =
+      std::min<std::ptrdiff_t>(std::ptrdiff_t(kernel),
+                               std::ptrdiff_t(extent) - origin);
+  return {std::size_t(lo), std::size_t(std::max(lo, hi))};
+}
+
+}  // namespace
+
+void Conv2D::convolve(const float* in, float* out, std::size_t n,
+                      const float* bias) const noexcept {
   const auto& c = cfg_;
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
-  for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        double acc = 0.0;
+  const std::size_t kernel_size = c.in_channels * c.kernel_h * c.kernel_w;
+  for (std::size_t oy = 0; oy < oh_; ++oy) {
+    const std::ptrdiff_t y0 = std::ptrdiff_t(oy * c.stride) - pad;
+    const TapRange ky = taps_inside(y0, c.in_height, c.kernel_h);
+    for (std::size_t ox = 0; ox < ow_; ++ox) {
+      const std::ptrdiff_t x0 = std::ptrdiff_t(ox * c.stride) - pad;
+      const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
+      // Neurons of a tile are output channels at this (oy, ox): they share
+      // every tap position and differ only in their weights.
+      for_each_tile(n, c.out_channels, [&]<std::size_t U, std::size_t T>(
+                                           std::size_t oc0, std::size_t s0) {
+        double acc[U][T] = {};
+        const float* w = w_.data() + oc0 * kernel_size;
         for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
-          for (std::size_t ky = 0; ky < c.kernel_h; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * c.stride + ky) - pad;
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(c.in_height)) {
-              continue;
-            }
-            for (std::size_t kx = 0; kx < c.kernel_w; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * c.stride + kx) - pad;
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(c.in_width)) {
-                continue;
+          for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+            const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+            const std::size_t tap_row = (ic * c.kernel_h + r) * c.kernel_w;
+            for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+              const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
+              const float* x =
+                  in + ((ic * c.in_height + iy) * c.in_width + ix) * n + s0;
+              double xd[T];
+              for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
+              for (std::size_t u = 0; u < U; ++u) {
+                const double wv = w[u * kernel_size + tap_row + q];
+                for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
               }
-              const float wv =
-                  w_[((oc * c.in_channels + ic) * c.kernel_h + ky) *
-                         c.kernel_w +
-                     kx];
-              acc += double(wv) *
-                     in[(ic * c.in_height + std::size_t(iy)) * c.in_width +
-                        std::size_t(ix)];
             }
           }
         }
-        out[(oc * oh_ + oy) * ow_ + ox] = static_cast<float>(acc);
-      }
+        for (std::size_t u = 0; u < U; ++u) {
+          float* y = out + (((oc0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+          if (bias == nullptr) {
+            for (std::size_t t = 0; t < T; ++t) {
+              y[t] = static_cast<float>(acc[u][t]);
+            }
+            continue;
+          }
+          // The bias in a local: a load between the stores would keep the
+          // stores, and with them the accumulation, from vectorising.
+          const float b = bias[oc0 + u];
+          for (std::size_t t = 0; t < T; ++t) {
+            y[t] = static_cast<float>(acc[u][t]) + b;
+          }
+        }
+      });
     }
   }
 }
 
-Tensor Conv2D::forward(const Tensor& x) const {
-  if (x.numel() != input_size()) {
-    throw std::invalid_argument(name() + ": input size mismatch");
-  }
-  Tensor y(output_shape());
-  linear_apply(x.data(), y.data());
-  for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-    float* plane = y.data() + oc * oh_ * ow_;
-    for (std::size_t i = 0; i < oh_ * ow_; ++i) plane[i] += b_[oc];
-  }
-  return y;
+void Conv2D::forward_batch(const float* in, float* out,
+                           std::size_t n) const noexcept {
+  convolve(in, out, n, b_.data());
 }
 
 Tensor Conv2D::backward(const Tensor& x, const Tensor& /*y*/,

@@ -27,7 +27,8 @@ class Conv2D final : public Layer {
   [[nodiscard]] Shape input_shape() const override;
   [[nodiscard]] Shape output_shape() const override;
 
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -51,8 +52,15 @@ class Conv2D final : public Layer {
   [[nodiscard]] const Tensor& bias() const noexcept { return b_; }
 
  private:
-  /// Applies the convolution's linear part (no bias) to a flat CHW input.
-  void linear_apply(const float* in, float* out) const noexcept;
+  /// The convolution over an n-sample neuron-major batch, adding `bias`
+  /// per output channel unless it is null.
+  void convolve(const float* in, float* out, std::size_t n,
+                const float* bias) const noexcept;
+  /// Applies the convolution's linear part (no bias) to one flat CHW
+  /// input: the bias-free one-column case of convolve().
+  void linear_apply(const float* in, float* out) const noexcept {
+    convolve(in, out, 1, nullptr);
+  }
 
   Config cfg_;
   std::size_t oh_, ow_;

@@ -15,7 +15,8 @@ class Dense final : public Layer {
   [[nodiscard]] Shape input_shape() const override { return {in_}; }
   [[nodiscard]] Shape output_shape() const override { return {out_}; }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

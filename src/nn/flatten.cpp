@@ -1,5 +1,6 @@
 #include "nn/flatten.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ranm {
@@ -10,11 +11,9 @@ Flatten::Flatten(Shape in_shape) : in_shape_(std::move(in_shape)) {
   }
 }
 
-Tensor Flatten::forward(const Tensor& x) const {
-  if (x.numel() != input_size()) {
-    throw std::invalid_argument("Flatten: input size mismatch");
-  }
-  return x.reshaped({x.numel()});
+void Flatten::forward_batch(const float* in, float* out,
+                            std::size_t n) const noexcept {
+  std::copy_n(in, n * shape_numel(in_shape_), out);
 }
 
 Tensor Flatten::backward(const Tensor& /*x*/, const Tensor& /*y*/,

@@ -5,8 +5,9 @@
 
 namespace ranm {
 
-/// Identity on data; only the shape changes. Abstract transformers are
-/// the identity because IntervalVector/Zonotope are already flat.
+/// Identity on data; only the shape changes. The forward kernel copies and
+/// the abstract transformers are the identity, because batches and
+/// zonotopes are already flat.
 class Flatten final : public Layer {
  public:
   explicit Flatten(Shape in_shape);
@@ -17,7 +18,8 @@ class Flatten final : public Layer {
     return {shape_numel(in_shape_)};
   }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

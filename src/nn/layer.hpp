@@ -1,16 +1,16 @@
 // Layer abstraction for the feed-forward DNN substrate.
 //
 // The paper models a trained DNN as G = g_n ∘ ... ∘ g_1 with fixed
-// parameters. Each Layer here is one g_k. Besides the concrete forward
-// pass, every layer implements two *abstract transformers* — a batched
-// one for the interval (box) domain, run on a BoundBackend's kernels,
-// and one for the zonotope domain — which is what lets the monitor
-// construction compute the perturbation estimate of Definition 1 with
-// either bound engine.
+// parameters. Each Layer here is one g_k. Every layer implements one
+// concrete forward kernel over a neuron-major batch and two *abstract
+// transformers* — a batched one for the interval (box) domain, run on a
+// BoundBackend's kernels, and one for the zonotope domain — which is what
+// lets the monitor construction compute the perturbation estimate of
+// Definition 1 with either bound engine.
 //
-// Layers fix their input shape at construction time so that the abstract
-// transformers can operate on flat vectors (row-major CHW order for
-// convolutional layers).
+// Layers fix their input shape at construction time so that the kernels
+// and abstract transformers can operate on flat vectors (row-major CHW
+// order for convolutional layers).
 #pragma once
 
 #include <memory>
@@ -26,8 +26,9 @@ namespace ranm {
 class Rng;
 
 /// One transformation g_k of the network. Inference is const and
-/// reentrant: forward(), the abstract transformers and the shape queries
-/// keep no per-call state, so any number of threads may share one layer.
+/// reentrant: the forward kernel, the abstract transformers and the shape
+/// queries keep no per-call state, so any number of threads may share one
+/// layer.
 /// Only training mutates it — backward() accumulates parameter gradients
 /// and the optimiser updates parameters().
 class Layer {
@@ -50,8 +51,23 @@ class Layer {
     return shape_numel(output_shape());
   }
 
-  /// Concrete forward pass.
-  [[nodiscard]] virtual Tensor forward(const Tensor& x) const = 0;
+  /// Concrete forward kernel over a neuron-major batch of n samples, the
+  /// FeatureBatch/BoxBatch layout with the batch index innermost: `in`
+  /// holds input_size() rows of n values (row j = input neuron j of every
+  /// sample) and every element of `out`'s output_size() rows of n is
+  /// written. The buffers must not overlap. Each column gets exactly the
+  /// arithmetic of a one-sample pass (a dot product accumulates in double
+  /// in a fixed tap order, is cast to float, then the float bias is
+  /// added), so a sample's activations do not depend on the batch it
+  /// rides in. Unchecked: the caller validates the buffer sizes.
+  virtual void forward_batch(const float* in, float* out,
+                             std::size_t n) const noexcept = 0;
+
+  /// Concrete forward pass of one sample: the one-column case of
+  /// forward_batch (at n = 1 the neuron-major layout is the flat tensor).
+  /// Throws std::invalid_argument unless x has input_size() elements; the
+  /// result has output_shape().
+  [[nodiscard]] Tensor forward(const Tensor& x) const;
 
   /// Gradient of the loss w.r.t. this layer's input, given the input `x`
   /// of a forward() call, its output `y` = forward(x), and the gradient

@@ -1,8 +1,11 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ranm {
 
@@ -71,26 +74,94 @@ Tensor Network::forward_range(std::size_t l, std::size_t k,
   return v;
 }
 
+namespace {
+
+/// Samples per block of forward_batch. The ping-pong scratch holds one
+/// block's activations, so its size is bounded by the widest layer, not by
+/// the batch.
+constexpr std::size_t kForwardBlock = 32;
+
+/// Ping-pong activation buffers of the calling thread, grown to the
+/// high-water size and reused. Never zero-filled: every kernel writes all
+/// of its output.
+struct ForwardScratch {
+  std::unique_ptr<float[]> ping, pong;
+  std::size_t capacity = 0;
+
+  void reserve(std::size_t size) {
+    if (capacity >= size) return;
+    ping = std::make_unique_for_overwrite<float[]>(size);
+    pong = std::make_unique_for_overwrite<float[]>(size);
+    capacity = size;
+  }
+};
+
+/// Scatters sample-major inputs into neuron-major rows of the given
+/// stride: element j of input i lands at out[j * stride + i].
+void pack(std::span<const Tensor> inputs, std::size_t dim, std::size_t stride,
+          float* out) noexcept {
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const float* x = inputs[i].data();
+    for (std::size_t j = 0; j < dim; ++j) out[j * stride + i] = x[j];
+  }
+}
+
+}  // namespace
+
 FeatureBatch Network::forward_batch(std::size_t k,
                                     std::span<const Tensor> inputs) const {
   if (k != 0) check_layer_index(k, "forward_batch");
-  if (inputs.empty()) {
-    const std::size_t dim =
-        k == 0 ? 0 : layers_[k - 1]->output_size();
-    return FeatureBatch(dim, 0);
+  const std::size_t n = inputs.size();
+  if (n == 0) {
+    return FeatureBatch(k == 0 ? 0 : layers_[k - 1]->output_size(), 0);
   }
-  if (k == 0) {
-    FeatureBatch out(inputs.front().numel(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      out.set_sample(i, inputs[i].span());
+  // The kernels read raw pointers, so every input is checked before any
+  // of them runs.
+  const std::size_t in_dim =
+      k == 0 ? inputs.front().numel() : layers_.front()->input_size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (inputs[i].numel() != in_dim) {
+      throw std::invalid_argument(
+          "Network::forward_batch: input " + std::to_string(i) + " has " +
+          std::to_string(inputs[i].numel()) + " elements, expected " +
+          std::to_string(in_dim));
     }
+  }
+  const std::size_t out_dim = k == 0 ? in_dim : layers_[k - 1]->output_size();
+  FeatureBatch out(out_dim, n);
+  float* dst = out.storage().data();
+  if (k == 0) {
+    pack(inputs, in_dim, n, dst);
     return out;
   }
-  FeatureBatch out(layers_[k - 1]->output_size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    Tensor v = inputs[i];
-    for (std::size_t l = 0; l < k; ++l) v = layers_[l]->forward(v);
-    out.set_sample(i, v.span());
+
+  // Blocks of samples ping-pong through layers 1..k-1 in this thread's
+  // scratch; layer k writes straight into the result when one block
+  // covers the batch, and through the scratch into its columns otherwise.
+  std::size_t width = out_dim;
+  for (std::size_t l = 0; l < k; ++l) {
+    width = std::max(width, layers_[l]->input_size());
+  }
+  const std::size_t block = std::min(n, kForwardBlock);
+  thread_local ForwardScratch scratch;
+  scratch.reserve(width * block);
+  for (std::size_t c0 = 0; c0 < n; c0 += block) {
+    const std::size_t b = std::min(block, n - c0);
+    float* src = scratch.ping.get();
+    float* tmp = scratch.pong.get();
+    pack(inputs.subspan(c0, b), in_dim, b, src);
+    for (std::size_t l = 0; l + 1 < k; ++l) {
+      layers_[l]->forward_batch(src, tmp, b);
+      std::swap(src, tmp);
+    }
+    if (b == n) {
+      layers_[k - 1]->forward_batch(src, dst, n);
+      break;
+    }
+    layers_[k - 1]->forward_batch(src, tmp, b);
+    for (std::size_t j = 0; j < out_dim; ++j) {
+      std::copy_n(tmp + j * b, b, dst + j * n + c0);
+    }
   }
   return out;
 }

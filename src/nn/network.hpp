@@ -55,9 +55,13 @@ class Network {
                                      const Tensor& x) const;
 
   /// Batched feature extraction G^k over a minibatch: the layer-k
-  /// activations of every input, produced in one pass and scattered
-  /// straight into a dim × n FeatureBatch (no per-sample feature-vector
-  /// allocations). k = 0 packs the flattened inputs themselves.
+  /// activations of every input as a dim × n FeatureBatch. The inputs are
+  /// packed neuron-major once, run through each layer's batch kernel in
+  /// reused per-thread scratch, and layer k writes into the result; column
+  /// i is bit-identical to forward_to(k, inputs[i]). k = 0 packs the
+  /// flattened inputs themselves. Throws std::invalid_argument, before any
+  /// kernel runs, if any input has the wrong element count (for k = 0: a
+  /// count other than the first input's).
   [[nodiscard]] FeatureBatch forward_batch(
       std::size_t k, std::span<const Tensor> inputs) const;
   /// Full-network minibatch pass: forward_batch(num_layers(), inputs).

@@ -28,15 +28,15 @@ Normalization::Normalization(Shape shape, float mean, float inv_std)
                     std::vector<float>(shape_numel(shape), mean),
                     std::vector<float>(shape_numel(shape), inv_std)) {}
 
-Tensor Normalization::forward(const Tensor& x) const {
-  if (x.numel() != input_size()) {
-    throw std::invalid_argument("Normalization: input size mismatch");
+void Normalization::forward_batch(const float* in, float* out,
+                                  std::size_t n) const noexcept {
+  for (std::size_t j = 0; j < mean_.size(); ++j) {
+    const float m = mean_[j];
+    const float s = inv_std_[j];
+    const float* x = in + j * n;
+    float* y = out + j * n;
+    for (std::size_t i = 0; i < n; ++i) y[i] = (x[i] - m) * s;
   }
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    y[i] = (y[i] - mean_[i]) * inv_std_[i];
-  }
-  return y;
 }
 
 Tensor Normalization::backward(const Tensor& /*x*/, const Tensor& /*y*/,

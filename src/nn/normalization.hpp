@@ -24,7 +24,8 @@ class Normalization final : public Layer {
   [[nodiscard]] Shape input_shape() const override { return shape_; }
   [[nodiscard]] Shape output_shape() const override { return shape_; }
 
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

@@ -3,6 +3,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "nn/tile.hpp"
+
 namespace ranm {
 
 Pooling::Pooling(const Config& cfg) : cfg_(cfg), oh_(0), ow_(0) {
@@ -56,19 +58,40 @@ MaxPool2D::WindowMax MaxPool2D::window_max(
   return best;
 }
 
-Tensor MaxPool2D::forward(const Tensor& x) const {
-  if (x.numel() != input_size()) {
-    throw std::invalid_argument(name() + ": input size mismatch");
-  }
-  Tensor y(output_shape());
-  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        y[(ch * oh_ + oy) * ow_ + ox] = window_max(x.data(), ch, oy, ox).value;
-      }
+void MaxPool2D::forward_batch(const float* in, float* out,
+                              std::size_t n) const noexcept {
+  const std::size_t plane = cfg_.in_height * cfg_.in_width;
+  for (std::size_t oy = 0; oy < oh_; ++oy) {
+    for (std::size_t ox = 0; ox < ow_; ++ox) {
+      // Neurons of a tile are channels at this (oy, ox).
+      for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
+                                          std::size_t ch0, std::size_t s0) {
+        float best[U][T];
+        for (std::size_t u = 0; u < U; ++u) {
+          for (std::size_t t = 0; t < T; ++t) {
+            best[u][t] = -std::numeric_limits<float>::infinity();
+          }
+        }
+        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+            const std::size_t iy = oy * cfg_.stride + ky;
+            const std::size_t ix = ox * cfg_.stride + kx;
+            for (std::size_t u = 0; u < U; ++u) {
+              const float* x =
+                  in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
+              for (std::size_t t = 0; t < T; ++t) {
+                best[u][t] = x[t] > best[u][t] ? x[t] : best[u][t];
+              }
+            }
+          }
+        }
+        for (std::size_t u = 0; u < U; ++u) {
+          float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+          for (std::size_t t = 0; t < T; ++t) y[t] = best[u][t];
+        }
+      });
     }
   }
-  return y;
 }
 
 Tensor MaxPool2D::backward(const Tensor& x, const Tensor& /*y*/,
@@ -109,32 +132,36 @@ std::string AvgPool2D::name() const {
          ", s=" + std::to_string(cfg_.stride) + ")";
 }
 
-void AvgPool2D::linear_apply(const float* in, float* out) const noexcept {
+void AvgPool2D::forward_batch(const float* in, float* out,
+                              std::size_t n) const noexcept {
   const float inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
-  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        double acc = 0.0;
+  const std::size_t plane = cfg_.in_height * cfg_.in_width;
+  for (std::size_t oy = 0; oy < oh_; ++oy) {
+    for (std::size_t ox = 0; ox < ow_; ++ox) {
+      // Neurons of a tile are channels at this (oy, ox).
+      for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
+                                          std::size_t ch0, std::size_t s0) {
+        double acc[U][T] = {};
         for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
           for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
             const std::size_t iy = oy * cfg_.stride + ky;
             const std::size_t ix = ox * cfg_.stride + kx;
-            acc += in[(ch * cfg_.in_height + iy) * cfg_.in_width + ix];
+            for (std::size_t u = 0; u < U; ++u) {
+              const float* x =
+                  in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
+              for (std::size_t t = 0; t < T; ++t) acc[u][t] += x[t];
+            }
           }
         }
-        out[(ch * oh_ + oy) * ow_ + ox] = static_cast<float>(acc) * inv;
-      }
+        for (std::size_t u = 0; u < U; ++u) {
+          float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+          for (std::size_t t = 0; t < T; ++t) {
+            y[t] = static_cast<float>(acc[u][t]) * inv;
+          }
+        }
+      });
     }
   }
-}
-
-Tensor AvgPool2D::forward(const Tensor& x) const {
-  if (x.numel() != input_size()) {
-    throw std::invalid_argument(name() + ": input size mismatch");
-  }
-  Tensor y(output_shape());
-  linear_apply(x.data(), y.data());
-  return y;
 }
 
 Tensor AvgPool2D::backward(const Tensor& /*x*/, const Tensor& /*y*/,

@@ -35,9 +35,11 @@ class MaxPool2D final : public Pooling {
  public:
   explicit MaxPool2D(const Config& cfg) : Pooling(cfg) {}
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   /// Routes each output gradient to its window's argmax, recomputed from
-  /// `x` with forward()'s loop (first maximum wins on ties).
+  /// `x` in the forward kernel's window order (first maximum wins on
+  /// ties).
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -59,7 +61,8 @@ class AvgPool2D final : public Pooling {
  public:
   explicit AvgPool2D(const Config& cfg) : Pooling(cfg) {}
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -67,7 +70,11 @@ class AvgPool2D final : public Pooling {
                                          const BoxBatch& in) const override;
 
  private:
-  void linear_apply(const float* in, float* out) const noexcept;
+  /// The pooling is linear with no bias, so its one-column kernel call is
+  /// the map the zonotope transfer applies to the centre and generators.
+  void linear_apply(const float* in, float* out) const noexcept {
+    forward_batch(in, out, 1);
+  }
 };
 
 }  // namespace ranm

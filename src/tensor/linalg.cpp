@@ -11,35 +11,6 @@ void require(bool cond, const char* msg) {
 
 }  // namespace
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  require(a.rank() == 2 && b.rank() == 2, "matmul: rank-2 tensors required");
-  require(a.dim(1) == b.dim(0), "matmul: inner dimensions differ");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a(i, p);
-      if (av == 0.0F) continue;
-      for (std::size_t j = 0; j < n; ++j) c(i, j) += av * b(p, j);
-    }
-  }
-  return c;
-}
-
-Tensor matvec(const Tensor& a, const Tensor& x) {
-  require(a.rank() == 2 && x.rank() == 1, "matvec: need matrix and vector");
-  require(a.dim(1) == x.dim(0), "matvec: dimension mismatch");
-  const std::size_t m = a.dim(0), k = a.dim(1);
-  Tensor y({m});
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    const float* row = a.data() + i * k;
-    for (std::size_t p = 0; p < k; ++p) acc += double(row[p]) * x[p];
-    y[i] = static_cast<float>(acc);
-  }
-  return y;
-}
-
 Tensor matvec_t(const Tensor& a, const Tensor& x) {
   require(a.rank() == 2 && x.rank() == 1, "matvec_t: need matrix and vector");
   require(a.dim(0) == x.dim(0), "matvec_t: dimension mismatch");
@@ -61,23 +32,6 @@ Tensor outer(const Tensor& x, const Tensor& y) {
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < n; ++j) c(i, j) = x[i] * y[j];
   return c;
-}
-
-Tensor transpose(const Tensor& a) {
-  require(a.rank() == 2, "transpose: rank-2 tensor required");
-  const std::size_t m = a.dim(0), n = a.dim(1);
-  Tensor t({n, m});
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) t(j, i) = a(i, j);
-  return t;
-}
-
-float dot(const Tensor& x, const Tensor& y) {
-  require(x.rank() == 1 && y.rank() == 1 && x.dim(0) == y.dim(0),
-          "dot: rank-1 tensors of equal length required");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.dim(0); ++i) acc += double(x[i]) * y[i];
-  return static_cast<float>(acc);
 }
 
 }  // namespace ranm

@@ -1,26 +1,14 @@
-// Small dense linear-algebra helpers on rank-2 tensors.
+// Small dense linear-algebra helpers for the Dense layer's backward pass.
 #pragma once
 
 #include "tensor/tensor.hpp"
 
 namespace ranm {
 
-/// Matrix product C = A * B for rank-2 tensors; A is (m x k), B is (k x n).
-[[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Matrix-vector product y = A * x; A is (m x k), x is rank-1 of length k.
-[[nodiscard]] Tensor matvec(const Tensor& a, const Tensor& x);
-
 /// Transposed matrix-vector product y = A^T * x; A is (m x k), x length m.
 [[nodiscard]] Tensor matvec_t(const Tensor& a, const Tensor& x);
 
 /// Outer product M = x y^T; result is (len(x) x len(y)).
 [[nodiscard]] Tensor outer(const Tensor& x, const Tensor& y);
-
-/// Transpose of a rank-2 tensor.
-[[nodiscard]] Tensor transpose(const Tensor& a);
-
-/// Dot product of two rank-1 tensors of equal length.
-[[nodiscard]] float dot(const Tensor& x, const Tensor& y);
 
 }  // namespace ranm

@@ -1,11 +1,8 @@
 // Dense row-major float tensor used throughout the network substrate.
 //
 // The tensor is deliberately simple: contiguous float storage plus a shape.
-// The networks in this repo are small (the paper monitors close-to-output
-// layers of perception networks; our experiments use 32x32 inputs), so
-// clarity beats BLAS-grade performance. All shape errors throw
-// std::invalid_argument at the API boundary; inner loops use unchecked
-// access.
+// All shape errors throw std::invalid_argument at the API boundary; inner
+// loops use unchecked access.
 #pragma once
 
 #include <cstddef>

@@ -7,57 +7,18 @@
 namespace ranm {
 namespace {
 
-TEST(Linalg, MatmulSmall) {
-  Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-  Tensor c = matmul(a, b);
-  ASSERT_EQ(c.shape(), (Shape{2, 2}));
-  EXPECT_FLOAT_EQ(c(0, 0), 58.0F);
-  EXPECT_FLOAT_EQ(c(0, 1), 64.0F);
-  EXPECT_FLOAT_EQ(c(1, 0), 139.0F);
-  EXPECT_FLOAT_EQ(c(1, 1), 154.0F);
-}
-
-TEST(Linalg, MatmulIdentity) {
-  Rng rng(3);
-  Tensor a = Tensor::random_uniform({4, 4}, rng);
-  Tensor eye({4, 4});
-  for (std::size_t i = 0; i < 4; ++i) eye(i, i) = 1.0F;
-  EXPECT_TRUE(matmul(a, eye).allclose(a));
-  EXPECT_TRUE(matmul(eye, a).allclose(a));
-}
-
-TEST(Linalg, MatmulShapeErrors) {
-  Tensor a({2, 3}), b({2, 3});
-  EXPECT_THROW((void)matmul(a, b), std::invalid_argument);
-  Tensor v({3});
-  EXPECT_THROW((void)matmul(a, v), std::invalid_argument);
-}
-
-TEST(Linalg, MatvecMatchesMatmul) {
-  Rng rng(4);
-  Tensor a = Tensor::random_uniform({5, 7}, rng);
-  Tensor x = Tensor::random_uniform({7}, rng);
-  Tensor y = matvec(a, x);
-  Tensor col = matmul(a, x.reshaped({7, 1}));
-  ASSERT_EQ(y.numel(), 5U);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(y[i], col[i], 1e-4F);
-}
-
 TEST(Linalg, MatvecTIsTransposeProduct) {
   Rng rng(5);
   Tensor a = Tensor::random_uniform({5, 7}, rng);
   Tensor x = Tensor::random_uniform({5}, rng);
   Tensor y = matvec_t(a, x);
-  Tensor yt = matvec(transpose(a), x);
   ASSERT_EQ(y.numel(), 7U);
-  for (std::size_t i = 0; i < 7; ++i) EXPECT_NEAR(y[i], yt[i], 1e-4F);
-}
-
-TEST(Linalg, TransposeInvolution) {
-  Rng rng(6);
-  Tensor a = Tensor::random_uniform({3, 8}, rng);
-  EXPECT_TRUE(transpose(transpose(a)).allclose(a));
+  for (std::size_t p = 0; p < 7; ++p) {
+    double expected = 0.0;
+    for (std::size_t i = 0; i < 5; ++i) expected += double(a(i, p)) * x[i];
+    EXPECT_NEAR(y[p], expected, 1e-4);
+  }
+  EXPECT_THROW((void)matvec_t(a, Tensor({7})), std::invalid_argument);
 }
 
 TEST(Linalg, Outer) {
@@ -67,13 +28,6 @@ TEST(Linalg, Outer) {
   ASSERT_EQ(m.shape(), (Shape{2, 3}));
   EXPECT_FLOAT_EQ(m(0, 2), 5.0F);
   EXPECT_FLOAT_EQ(m(1, 0), 6.0F);
-}
-
-TEST(Linalg, Dot) {
-  EXPECT_FLOAT_EQ(dot(Tensor::vector({1, 2, 3}), Tensor::vector({4, 5, 6})),
-                  32.0F);
-  EXPECT_THROW((void)dot(Tensor::vector({1}), Tensor::vector({1, 2})),
-               std::invalid_argument);
 }
 
 }  // namespace

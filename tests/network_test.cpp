@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -143,18 +145,25 @@ TEST(MakeSmallConvnet, EndToEndShapes) {
 
 // One const network serves every inference thread: concurrent
 // forward_batch calls on a conv -> pool -> dense chain must produce the
-// serial run's activations bit for bit (and race-free under TSan).
+// serial run's activations bit for bit (and race-free under TSan). Each
+// thread cycles through batch sizes on both sides of the sample tile and
+// the sample block, so its reused per-thread scratch is rewritten at
+// different widths.
 TEST(Network, ConcurrentForwardBatchMatchesSerial) {
   Rng rng(12);
   const Network net = make_small_convnet(12, 12, 4, 16, 3, rng);
   std::vector<Tensor> inputs;
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 70; ++i) {
     inputs.push_back(Tensor::random_uniform({1, 12, 12}, rng));
   }
   const std::size_t k = 6;  // post-Dense LeakyReLU
-  const FeatureBatch serial = net.forward_batch(k, inputs);
-  const std::vector<float> expected(serial.storage().begin(),
-                                    serial.storage().end());
+  const std::vector<std::size_t> sizes{1, 17, 24, 33, 70};
+  std::vector<std::vector<float>> expected;
+  for (const std::size_t n : sizes) {
+    const FeatureBatch serial =
+        net.forward_batch(k, std::span(inputs.data(), n));
+    expected.emplace_back(serial.storage().begin(), serial.storage().end());
+  }
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 8;
@@ -163,9 +172,11 @@ TEST(Network, ConcurrentForwardBatchMatchesSerial) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int r = 0; r < kRounds; ++r) {
-        const FeatureBatch got = net.forward_batch(k, inputs);
+        const std::size_t s = std::size_t(r + t) % sizes.size();
+        const FeatureBatch got =
+            net.forward_batch(k, std::span(inputs.data(), sizes[s]));
         if (!std::equal(got.storage().begin(), got.storage().end(),
-                        expected.begin(), expected.end())) {
+                        expected[s].begin(), expected[s].end())) {
           ++mismatches[t];
         }
       }
@@ -173,6 +184,28 @@ TEST(Network, ConcurrentForwardBatchMatchesSerial) {
   }
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+}
+
+// The batch kernels read raw pointers, so forward_batch checks every
+// input before any of them runs: one short input (index 17 of 33, or the
+// first) is rejected at every prefix, k = 0 included.
+TEST(Network, ForwardBatchRejectsAnyBadInput) {
+  Rng rng(13);
+  const Network net = make_small_convnet(12, 12, 4, 16, 3, rng);
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 33; ++i) {
+    inputs.push_back(Tensor::random_uniform({1, 12, 12}, rng));
+  }
+  inputs[17] = Tensor::random_uniform({1, 12, 11}, rng);
+  for (std::size_t k = 0; k <= net.num_layers(); ++k) {
+    EXPECT_THROW((void)net.forward_batch(k, inputs), std::invalid_argument)
+        << "k=" << k;
+  }
+  std::swap(inputs[0], inputs[17]);
+  for (std::size_t k = 0; k <= net.num_layers(); ++k) {
+    EXPECT_THROW((void)net.forward_batch(k, inputs), std::invalid_argument)
+        << "k=" << k;
+  }
 }
 
 }  // namespace

@@ -208,6 +208,23 @@ TEST(MonitorService, ServiceSurvivesFailedQuery) {
   EXPECT_EQ(service.query_warns(good).size(), 8U);
 }
 
+// One bad input anywhere in a batch is rejected before the batch kernels
+// read it through a raw pointer, and the failed query is not counted.
+TEST(MonitorService, QueryRejectsOneBadInputBeforeCounting) {
+  ServeFixture fx;
+  MonitorService service(fx.clone_net(), fx.build_monitor(1), fx.k);
+  (void)service.query_warns(fx.make_inputs(5, 3));
+  const ServiceStats before = service.stats();
+  std::vector<Tensor> inputs = fx.make_inputs(33, 4);
+  inputs[17] = Tensor::random_uniform({15}, fx.rng);  // one element short
+  std::vector<std::uint8_t> warns;
+  EXPECT_THROW(service.query_warns_into(inputs, warns), std::invalid_argument);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.queries, before.queries);
+  EXPECT_EQ(after.samples, before.samples);
+  EXPECT_EQ(after.warnings, before.warnings);
+}
+
 TEST(MonitorService, FromFilesRoundTrip) {
   ServeFixture fx;
   namespace fs = std::filesystem;
