@@ -5,7 +5,13 @@
 // ordered node array with branchless child indexing. This bench pins the
 // claim down: every family, flat and 4-shard, batch sizes 1..256, with
 // the interpreted monitor as the baseline in each row. The acceptance
-// bar tracked per-PR is the BDD-family speedup at batch 256.
+// bar tracked per-PR is the BDD-family speedup at batch 256. Every row
+// records the compiled program's BDD node count: the small robust
+// families sit below the sweep/walk crossover (compile::kBddWalkHopCost),
+// while interval_robust_large — a robust interval monitor over enough
+// observations for 100k+ nodes, the size class of the paper's robust
+// construction — sits past it at every batch size, so its rows time the
+// interleaved walk. Smoke runs keep it, so CI runs the walk too.
 //
 // Results print as a table and land in BENCH_compiled.json (or argv[1]);
 // RANM_SMOKE=1 shrinks repetitions for CI smoke runs.
@@ -35,6 +41,8 @@ namespace {
 
 constexpr std::size_t kDim = 64;
 constexpr std::size_t kObservations = 24;
+/// Observations behind interval_robust_large: 110,624 flat BDD nodes.
+constexpr std::size_t kLargeObservations = 1000;
 
 std::size_t g_sink = 0;
 
@@ -44,6 +52,7 @@ struct Measurement {
   std::size_t batch_size = 0;
   std::size_t shards = 0;  // 0: flat
   std::size_t threads = 0;
+  std::size_t nodes = 0;  // compiled BDD nodes over all shards
   double interpreted_ns = 0.0;  // per sample
   double compiled_ns = 0.0;     // per sample
   [[nodiscard]] double speedup() const {
@@ -58,15 +67,15 @@ std::vector<float> random_feature(Rng& rng) {
 }
 
 /// Shared training set: point features plus widened interval bounds for
-/// the robust builds, so every monitor folds the same data.
+/// the robust builds, so every monitor of a fixture folds the same data.
 struct Fixture {
   Rng rng{20301};
   std::vector<std::vector<float>> features;
   std::vector<std::vector<float>> lo, hi;
   NeuronStats stats{kDim, true};
 
-  Fixture() {
-    for (std::size_t i = 0; i < kObservations; ++i) {
+  explicit Fixture(std::size_t observations) {
+    for (std::size_t i = 0; i < observations; ++i) {
       features.push_back(random_feature(rng));
       const auto& v = features.back();
       std::vector<float> l(v), h(v);
@@ -82,7 +91,7 @@ struct Fixture {
   }
 
   void fold(Monitor& monitor, bool robust) const {
-    for (std::size_t i = 0; i < kObservations; ++i) {
+    for (std::size_t i = 0; i < features.size(); ++i) {
       if (robust) {
         monitor.observe_bounds(lo[i], hi[i]);
       } else {
@@ -127,6 +136,7 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
   m.batch_size = batch_size;
   m.shards = shards;
   m.threads = threads;
+  m.nodes = compiled.total_nodes();
   m.interpreted_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       interpreted.contains_batch(batch, out_span);
@@ -181,11 +191,11 @@ void bench_family(const std::string& name, const Fixture& f,
 
 void print_table(const std::vector<Measurement>& results) {
   TextTable table("compiled vs interpreted contains_batch, ns/sample");
-  table.set_header({"monitor", "program", "batch", "shards", "interp ns",
-                    "compiled ns", "speedup"});
+  table.set_header({"monitor", "program", "batch", "shards", "nodes",
+                    "interp ns", "compiled ns", "speedup"});
   for (const Measurement& m : results) {
     table.add_row({m.monitor, m.program, std::to_string(m.batch_size),
-                   std::to_string(m.shards),
+                   std::to_string(m.shards), std::to_string(m.nodes),
                    TextTable::num(m.interpreted_ns, 1),
                    TextTable::num(m.compiled_ns, 1),
                    TextTable::num(m.speedup(), 2) + "x"});
@@ -202,12 +212,16 @@ void write_json(const std::string& path, bool smoke,
     row << "{\"monitor\": \"" << m.monitor << "\", \"program\": \""
         << m.program << "\", \"batch_size\": " << m.batch_size
         << ", \"shards\": " << m.shards << ", \"threads\": " << m.threads
+        << ", \"nodes\": " << m.nodes
         << ", \"interpreted_ns_per_sample\": " << m.interpreted_ns
         << ", \"compiled_ns_per_sample\": " << m.compiled_ns
         << ", \"speedup\": " << m.speedup() << "}";
     rows.push_back(row.str());
   }
-  benchutil::write_json_report(path, "bench_compiled", smoke, rows);
+  benchutil::write_json_report(
+      path, "bench_compiled", smoke, rows,
+      "ns/sample: mean over one timed run of reps x batch samples after one "
+      "untimed warm-up call");
 }
 
 int run(int argc, char** argv) {
@@ -218,7 +232,7 @@ int run(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{16, 256}
             : std::vector<std::size_t>{1, 16, 64, 256};
 
-  const Fixture f;
+  const Fixture f(kObservations);
   const ThresholdSpec means = ThresholdSpec::from_means(f.stats);
   const ThresholdSpec pct2 = ThresholdSpec::from_percentiles(f.stats, 2);
   std::vector<Measurement> results;
@@ -310,6 +324,24 @@ int run(int argc, char** argv) {
             ShardedMonitor::interval(ShardPlan::contiguous(kDim, s), pct2));
         f.fold(*monitor, true);
         optimize_with_workload(*monitor);
+        return monitor;
+      });
+
+  // The paper-sized robust BDD: past the crossover at every batch size.
+  const Fixture large(kLargeObservations);
+  const ThresholdSpec large_pct2 =
+      ThresholdSpec::from_percentiles(large.stats, 2);
+  bench_family(
+      "interval_robust_large", large, batch_sizes, base_reps, results,
+      [&] {
+        auto monitor = std::make_unique<IntervalMonitor>(large_pct2);
+        large.fold(*monitor, true);
+        return monitor;
+      },
+      [&](std::size_t s) {
+        auto monitor = std::make_unique<ShardedMonitor>(ShardedMonitor::interval(
+            ShardPlan::contiguous(kDim, s), large_pct2));
+        large.fold(*monitor, true);
         return monitor;
       });
 

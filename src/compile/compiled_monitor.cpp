@@ -12,22 +12,15 @@ namespace {
                          "source monitor and recompile to observe new data");
 }
 
-/// Rough per-sample op count of one unit's evaluator, for the pool-grain
-/// test: box sweeps touch dim * boxes coordinates, coded programs pay
-/// the threshold coding plus either the cube scan or the node sweep
-/// (O(nodes) amortised over each 64-sample block).
-std::size_t unit_cost_per_sample(const CompiledUnit& u) {
-  switch (u.kind) {
-    case ProgramKind::kBox:
-      return u.box.dim * u.box.num_boxes;
-    case ProgramKind::kCube:
-      return u.coding.dim * u.coding.thresholds_per_neuron() +
-             u.cube.num_cubes * u.coding.num_words();
-    case ProgramKind::kBdd:
-      return u.coding.dim * u.coding.thresholds_per_neuron() +
-             u.bdd.nodes.size() / 16;
+/// Largest per-sample cost estimate over the shards at batch size n, for
+/// the pool-grain test in contains_batch.
+std::size_t max_shard_cost(const std::vector<CompiledMonitor::Shard>& shards,
+                           std::size_t n) {
+  std::size_t cost = 0;
+  for (const CompiledMonitor::Shard& sh : shards) {
+    cost = std::max(cost, unit_cost_per_sample(sh.unit, n));
   }
-  return 1;
+  return cost;
 }
 
 }  // namespace
@@ -63,11 +56,7 @@ CompiledMonitor::CompiledMonitor(std::size_t dim, std::string source,
   }
   // Precompute the per-unit support masks (compiler and loader both come
   // through here, so every served unit has them).
-  for (Shard& sh : shards_) {
-    sh.unit.finalize();
-    max_shard_cost_ = std::max(max_shard_cost_,
-                               unit_cost_per_sample(sh.unit));
-  }
+  for (Shard& sh : shards_) sh.unit.finalize();
 }
 
 void CompiledMonitor::observe(std::span<const float>) {
@@ -141,7 +130,8 @@ void CompiledMonitor::contains_batch(const FeatureBatch& batch,
   // inline even with a pool: waking the workers costs more than the
   // queries themselves (same floor as ShardedMonitor, plus a work grain
   // because compiled shards are often far cheaper than interpreted ones).
-  if (pool_ && n >= kMinPoolBatch && n * max_shard_cost_ >= kMinPoolWork) {
+  if (pool_ && n >= kMinPoolBatch &&
+      n * max_shard_cost(shards_, n) >= kMinPoolWork) {
     pool_->parallel_for(S, run);
   } else {
     for (std::size_t s = 0; s < S; ++s) run(s);

@@ -105,9 +105,6 @@ class CompiledMonitor final : public Monitor {
   std::size_t dim_;
   std::string source_;
   std::vector<Shard> shards_;
-  /// Largest per-sample cost estimate over the shards, precomputed at
-  /// construction for the pool-grain test in contains_batch.
-  std::size_t max_shard_cost_ = 0;
   std::unique_ptr<ThreadPool> pool_;  // null: run inline
 };
 

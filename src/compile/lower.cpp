@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "bdd/bdd.hpp"
 #include "core/box_cluster_monitor.hpp"
@@ -108,16 +109,51 @@ bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
   return true;
 }
 
-/// Flattens the nodes reachable from `root` into level-ascending order.
-/// The BDD is level-ordered (children strictly deeper than parents), so
-/// sorting by *level* puts every child after its parent — the flat refs
-/// then satisfy the child > parent invariant the loader re-validates.
-/// Level order also keeps consecutive nodes' children clustered in the
-/// next level's block, which the bit-parallel bottom-up sweep depends
-/// on: its vals[child] loads stay in a narrow window. (A reverse-DFS
-/// layout that makes per-sample walks stride-1 was tried and scatters
-/// those loads instead — the full-block sweep nearly doubled in cost
-/// for a walk gain the branch-speculated select already provides.)
+/// The nodes reachable from `root` in reverse DFS postorder, taking
+/// child[1] before child[0]: every node precedes its children, and each
+/// node's lo-subtree follows it directly.
+std::vector<bdd::NodeRef> reverse_postorder(const bdd::BddManager& mgr,
+                                            bdd::NodeRef root,
+                                            std::size_t count) {
+  std::vector<bdd::NodeRef> post;
+  post.reserve(count);
+  std::unordered_set<bdd::NodeRef> seen{root};
+  seen.reserve(count);
+  std::vector<std::pair<bdd::NodeRef, int>> stack{{root, 0}};
+  while (!stack.empty()) {
+    auto& [r, visited] = stack.back();
+    if (visited == 2) {
+      post.push_back(r);
+      stack.pop_back();
+      continue;
+    }
+    const bdd::BddManager::NodeView nv = mgr.view(r);
+    const bdd::NodeRef child = visited++ == 0 ? nv.hi : nv.lo;
+    if (child >= 2 && seen.insert(child).second) {
+      stack.push_back({child, 0});
+    }
+  }
+  std::reverse(post.begin(), post.end());
+  return post;
+}
+
+/// Flattens the nodes reachable from `root` into a topological order:
+/// every child after its parent, so the flat refs satisfy the
+/// child > parent invariant the loader re-validates. The order follows
+/// the evaluator the program will run (see bdd_always_walks):
+///
+///   - Level-ascending for programs the bit-parallel sweep may run. The
+///     BDD is level-ordered (children strictly deeper than parents), so
+///     sorting by *level* puts every child after its parent, and keeps
+///     consecutive nodes' children clustered in the next level's block,
+///     which the sweep depends on: its vals[child] loads stay in a
+///     narrow window. (A reverse-DFS layout scatters those loads — the
+///     full-block sweep nearly doubled in cost.)
+///   - Reverse DFS postorder for programs only ever walked. Successive
+///     hops of a walk then land on nearby cache lines instead of one
+///     level block each: on the 204,825-node robust race-track monitor
+///     the interleaved walk ran 2-3x faster than over the level order.
+///
 /// The emitted FlatBddNode::var is the semantic slot (via slot_of_level),
 /// which under a custom order is not monotone in flat position — only
 /// the refs must be, and they are.
@@ -131,6 +167,8 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
   std::vector<bdd::NodeRef> reach;
   std::vector<bdd::NodeRef> pending{root};
   std::unordered_map<bdd::NodeRef, std::uint32_t> remap;
+  std::vector<bool> var_used(slot_of_level.size(), false);
+  std::size_t path_len = 0;
   while (!pending.empty()) {
     const bdd::NodeRef r = pending.back();
     pending.pop_back();
@@ -138,13 +176,21 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
     remap.emplace(r, 0);  // placeholder; final refs assigned after sorting
     reach.push_back(r);
     const bdd::BddManager::NodeView nv = mgr.view(r);
+    if (!var_used[nv.var]) {
+      var_used[nv.var] = true;
+      ++path_len;
+    }
     if (nv.lo >= 2) pending.push_back(nv.lo);
     if (nv.hi >= 2) pending.push_back(nv.hi);
   }
-  std::stable_sort(reach.begin(), reach.end(),
-                   [&mgr](bdd::NodeRef a, bdd::NodeRef b) {
-                     return mgr.view(a).var < mgr.view(b).var;
-                   });
+  if (bdd_always_walks(reach.size(), path_len)) {
+    reach = reverse_postorder(mgr, root, reach.size());
+  } else {
+    std::stable_sort(reach.begin(), reach.end(),
+                     [&mgr](bdd::NodeRef a, bdd::NodeRef b) {
+                       return mgr.view(a).var < mgr.view(b).var;
+                     });
+  }
   for (std::size_t i = 0; i < reach.size(); ++i) {
     remap[reach[i]] = static_cast<std::uint32_t>(i + 2);
   }

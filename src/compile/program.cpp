@@ -1,6 +1,7 @@
 #include "compile/program.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace ranm::compile {
@@ -341,65 +342,90 @@ void transpose64(std::uint64_t a[64]) {
   }
 }
 
-void eval_bdd(const CodingTable& ct, const BddProgram& p,
-              const FeatureBatch& batch, const std::uint32_t* row_map,
-              bool* out, EvalScratch& s, const std::uint64_t* support) {
-  const std::size_t n = batch.size();
-  if (p.root < 2) {
-    std::fill(out, out + n, p.root == 1);
-    return;
-  }
+/// Interleaved BDD walk over sample-major codewords (stride W, pinned at
+/// compile time when kWords != 0): samples [0, n) each walk root to
+/// terminal on bit tests. Groups of kWalkWays samples walk in lock step —
+/// each round advances every unfinished walk one hop, so the group's node
+/// loads are independent and overlap instead of serialising on one cache
+/// miss after another. A finished walk idles on a conditional move rather
+/// than a branch, and a group takes as many rounds as its longest path.
+/// (8 ways measured fastest; 4 and 16 ways, and a refill ring that hands
+/// a finished lane the next sample, all ran slower.) The remainder walks
+/// one sample at a time.
+template <std::size_t kWords>
+void walk_bdd_stride(const BddProgram& p, const std::uint64_t* words,
+                     std::size_t w64, std::size_t n, bool* out) {
+  constexpr std::size_t kWalkWays = 8;
+  const std::size_t W = kWords != 0 ? kWords : w64;
   const FlatBddNode* nodes = p.nodes.data();
-  const std::size_t W = ct.num_words();
-  const std::size_t num_nodes = p.nodes.size();
-  // Support mask: neurons none of whose variables label a node never
-  // influence a verdict, so coding skips them (robust sets drop many).
-  // Normally precomputed once (CompiledUnit::finalize).
-  if (support == nullptr) {
-    s.needed.assign(W, 0ULL);
-    for (std::size_t k = 0; k < num_nodes; ++k) {
-      s.needed[nodes[k].var >> 6] |= 1ULL << (nodes[k].var & 63);
-    }
-    support = s.needed.data();
-  }
-  if (n < kSmallBatch && W <= kMaxStackWords) {
-    // Lazy per-sample path: code the sample's supported neurons once,
-    // then walk the BDD on bit tests. Coding is one streaming pass over
-    // the threshold table; the old walk re-ran the threshold compares at
-    // every node (twice per 2-bit neuron), which made a single compiled
-    // query slower than the interpreted one.
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t word[kMaxStackWords] = {};
-      code_sample_word(ct, batch, row_map, i, support, word);
-      std::uint32_t ref = p.root;
-      // The child select is a *branch* on purpose: a branch lets the
-      // core speculate down the predicted path instead of serialising
-      // every hop on the word load (indexing child[bit] directly is a
-      // data dependency and measures ~2x slower on deep walks), and
-      // monitor query streams repeat similar paths, so it predicts well.
-      while (ref >= 2) {
-        const FlatBddNode& nd = nodes[ref - 2];
-        if ((word[nd.var >> 6] >> (nd.var & 63)) & 1ULL) {
-          ref = nd.child[1];
-        } else {
-          ref = nd.child[0];
-        }
+  std::size_t i = 0;
+  for (; i + kWalkWays <= n; i += kWalkWays) {
+    const std::uint64_t* word = words + i * W;
+    std::uint32_t ref[kWalkWays];
+    for (std::size_t k = 0; k < kWalkWays; ++k) ref[k] = p.root;
+    bool live = true;
+    while (live) {
+      live = false;
+      for (std::size_t k = 0; k < kWalkWays; ++k) {
+        const std::uint32_t r = ref[k];
+        // Terminal refs re-read node 0 and keep their value.
+        const FlatBddNode& nd = nodes[r >= 2 ? r - 2 : 0];
+        const std::uint64_t bit =
+            (word[k * W + (nd.var >> 6)] >> (nd.var & 63)) & 1ULL;
+        const std::uint32_t next = r >= 2 ? nd.child[bit] : r;
+        ref[k] = next;
+        live |= next >= 2;
       }
-      out[i] = ref == 1;
     }
-    return;
+    for (std::size_t k = 0; k < kWalkWays; ++k) out[i + k] = ref[k] == 1;
   }
-  // Bit-parallel sweeps, 64 samples per block, over one u64 lane per
-  // variable (bit i = sample base + i's value): pack sample-major
-  // codewords once (the per-neuron compare loops vectorize), then
-  // transpose each block into var-major lanes.
-  fill_words(ct, batch, row_map, s, support);
+  for (; i < n; ++i) {
+    const std::uint64_t* word = words + i * W;
+    std::uint32_t ref = p.root;
+    // The child select is a *branch* on purpose: a branch lets the core
+    // speculate down the predicted path instead of serialising every hop
+    // on the word load (indexing child[bit] directly is a data dependency
+    // and measures ~2x slower on deep single walks), and monitor query
+    // streams repeat similar paths, so it predicts well.
+    while (ref >= 2) {
+      const FlatBddNode& nd = nodes[ref - 2];
+      if ((word[nd.var >> 6] >> (nd.var & 63)) & 1ULL) {
+        ref = nd.child[1];
+      } else {
+        ref = nd.child[0];
+      }
+    }
+    out[i] = ref == 1;
+  }
+}
+
+void walk_bdd(const BddProgram& p, const std::uint64_t* words, std::size_t W,
+              std::size_t n, bool* out) {
+  switch (W) {
+    case 1:
+      walk_bdd_stride<1>(p, words, W, n, out);
+      return;
+    case 2:
+      walk_bdd_stride<2>(p, words, W, n, out);
+      return;
+    default:
+      walk_bdd_stride<0>(p, words, W, n, out);
+      return;
+  }
+}
+
+/// Bit-parallel sweep over sample-major codewords, 64 samples per block:
+/// each block is transposed into one u64 lane per variable (bit i =
+/// sample base + i's value) and every node is evaluated once.
+void sweep_bdd(const BddProgram& p, const std::uint64_t* words, std::size_t W,
+               std::size_t n, bool* out, EvalScratch& s) {
+  const FlatBddNode* nodes = p.nodes.data();
+  const std::size_t num_nodes = p.nodes.size();
   s.varbits.resize(W * 64);
   // vals is indexed by *ref* with the two terminals padded in front
   // (vals[0] = FALSE, vals[1] = TRUE, node k at vals[k + 2]), so the
   // sweep resolves children with one unconditional load each.
   s.vals.resize(num_nodes + 2);
-  const std::uint64_t* words = s.words.data();
   for (std::size_t base = 0; base < n; base += kLane) {
     const std::size_t count = std::min(kLane, n - base);
     for (std::size_t w = 0; w < W; ++w) {
@@ -414,10 +440,7 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
     const std::uint64_t* varbits = s.varbits.data();
     // Bottom-up, every node exactly once — vals[ref] =
     // (lane & hi) | (~lane & lo), walking the array backwards so
-    // children (strictly larger refs) are already resolved. Per block
-    // this costs O(nodes), versus O(sum of path lengths) for a
-    // per-sample walk: the whole block shares one sweep instead of
-    // chasing up to 64 separate root-to-terminal chains. Partial
+    // children (strictly larger refs) are already resolved. Partial
     // blocks run the same sweep with the spare lane bits zeroed and
     // ignored: a sparse top-down reach-mask pass that skips unreached
     // nodes was tried and lost — at tail sizes its per-node skip
@@ -439,6 +462,67 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
   }
 }
 
+std::size_t popcount_words(const std::uint64_t* words, std::size_t count) {
+  std::size_t total = 0;
+  for (std::size_t w = 0; w < count; ++w) {
+    total += std::size_t(std::popcount(words[w]));
+  }
+  return total;
+}
+
+/// The BDD evaluators' cost model, in sweep node evaluations: true when
+/// the interleaved walk is the cheaper evaluator for a batch of n
+/// samples. The sweep pays every node once per (possibly partial)
+/// 64-sample block; the walk pays kBddWalkHopCost per hop, at most one
+/// hop per supported variable. Tiny batches always walk: the transpose
+/// and the batch matrix would dominate them.
+bool bdd_walks(std::size_t num_nodes, std::size_t path_len, std::size_t n) {
+  const std::size_t blocks = (n + kLane - 1) / kLane;
+  return n < kSmallBatch ||
+         num_nodes * blocks > kBddWalkHopCost * path_len * n;
+}
+
+void eval_bdd(const CodingTable& ct, const BddProgram& p,
+              const FeatureBatch& batch, const std::uint32_t* row_map,
+              bool* out, EvalScratch& s, const std::uint64_t* support) {
+  const std::size_t n = batch.size();
+  if (p.root < 2) {
+    std::fill(out, out + n, p.root == 1);
+    return;
+  }
+  const std::size_t W = ct.num_words();
+  // Support mask: neurons none of whose variables label a node never
+  // influence a verdict, so coding skips them (robust sets drop many).
+  // Normally precomputed once (CompiledUnit::finalize).
+  if (support == nullptr) {
+    s.needed.assign(W, 0ULL);
+    for (const FlatBddNode& nd : p.nodes) {
+      s.needed[nd.var >> 6] |= 1ULL << (nd.var & 63);
+    }
+    support = s.needed.data();
+  }
+  if (n < kSmallBatch && W <= kMaxStackWords) {
+    // Lazy per-sample coding: code each sample's supported neurons once
+    // into a stack codeword (one streaming pass over the threshold
+    // table, no batch matrix), then walk on bit tests.
+    std::uint64_t words[kSmallBatch * kMaxStackWords];
+    std::fill(words, words + n * W, 0ULL);
+    for (std::size_t i = 0; i < n; ++i) {
+      code_sample_word(ct, batch, row_map, i, support, words + i * W);
+    }
+    walk_bdd(p, words, W, n, out);
+    return;
+  }
+  // Pack sample-major codewords once (the per-neuron compare loops
+  // vectorize); both evaluators read the same codeword bits.
+  fill_words(ct, batch, row_map, s, support);
+  if (bdd_walks(p.nodes.size(), popcount_words(support, W), n)) {
+    walk_bdd(p, s.words.data(), W, n, out);
+  } else {
+    sweep_bdd(p, s.words.data(), W, n, out, s);
+  }
+}
+
 }  // namespace
 
 void CompiledUnit::finalize() {
@@ -455,6 +539,36 @@ void CompiledUnit::finalize() {
       support[nd.var >> 6] |= 1ULL << (nd.var & 63);
     }
   }
+}
+
+bool bdd_always_walks(std::size_t num_nodes, std::size_t path_len) noexcept {
+  // ceil(n / 64) / n is smallest at n = 64: the sweep's best case.
+  return bdd_walks(num_nodes, path_len, kLane);
+}
+
+std::size_t unit_cost_per_sample(const CompiledUnit& unit,
+                                 std::size_t batch) noexcept {
+  const CodingTable& ct = unit.coding;
+  const std::size_t coding = ct.dim * ct.thresholds_per_neuron();
+  switch (unit.kind) {
+    case ProgramKind::kBox:
+      return unit.box.dim * unit.box.num_boxes;
+    case ProgramKind::kCube:
+      return coding + unit.cube.num_cubes * ct.num_words();
+    case ProgramKind::kBdd: {
+      const std::size_t nodes = unit.bdd.nodes.size();
+      const std::size_t path_len =
+          unit.support.empty()
+              ? ct.num_vars()
+              : popcount_words(unit.support.data(), unit.support.size());
+      if (bdd_walks(nodes, path_len, batch)) {
+        return coding + kBddWalkHopCost * path_len;
+      }
+      const std::size_t blocks = (batch + kLane - 1) / kLane;
+      return coding + (nodes * blocks + batch - 1) / batch;
+    }
+  }
+  return 1;
 }
 
 void eval_unit(const CompiledUnit& unit, const FeatureBatch& batch,

@@ -21,21 +21,39 @@
 // Evaluation sweeps samples batch-lane-innermost (like the vectorized
 // bound backend): per-neuron parameters load once per batch row, coding
 // fuses compare-and-pack into sample-major u64 codewords (each lane's
-// whole codeword stays on one cache line for the cube compares), cube
-// covers skip coding any neuron no cube tests, and BDD programs run a
-// bit-parallel bottom-up sweep — each 64-sample block's codewords are
-// transposed into one u64 lane per variable and every node is evaluated
-// exactly once per block with three bitwise ops, so the whole block
-// shares one O(nodes) pass instead of 64 root-to-terminal chases.
-// (Coding straight into var-major lanes, skipping the transpose, is
-// slower: the scalar shift-chain packing defeats the vectorization of
-// the sample-major compare loops, and the 64x64 transpose is cheap.)
-// Partial trailing blocks run the same sweep with the spare lane bits
-// zeroed: the sweep is branchless, and that beats any sparse
-// reached-nodes pass whose per-node skip branches mispredict. Tiny
-// batches (below the same threshold the interpreted monitors use) take
-// lazy per-sample paths — code the sample's supported neurons once,
-// then walk the BDD on bit tests — so the matrix setup never dominates.
+// whole codeword stays on one cache line for the cube compares), and
+// cube covers skip coding any neuron no cube tests.
+//
+// BDD programs have two evaluators over the same codeword bits, and a
+// cost model (kBddWalkHopCost) picks one per call:
+//
+//   - The bit-parallel bottom-up sweep. Each 64-sample block's codewords
+//     are transposed into one u64 lane per variable, and every node is
+//     evaluated exactly once per block with three bitwise ops, so the
+//     block shares one O(nodes) pass instead of 64 root-to-terminal
+//     chases. (Coding straight into var-major lanes, skipping the
+//     transpose, is slower: the scalar shift-chain packing defeats the
+//     vectorization of the sample-major compare loops, and the 64x64
+//     transpose is cheap.) Partial trailing blocks run the same sweep
+//     with the spare lane bits zeroed: the sweep is branchless, and that
+//     beats any sparse reached-nodes pass whose per-node skip branches
+//     mispredict.
+//   - The interleaved walk: 8 samples walk root to terminal in lock step
+//     so their node loads overlap, and the remainder walks one sample at
+//     a time. It costs at most one hop per supported variable, whatever
+//     the node count.
+//
+// "Every node once per block" therefore holds only below the crossover:
+// the sweep wins on small BDDs at large batches, and the walk wins once
+// num_nodes outgrows kBddWalkHopCost * min(n, 64) * path_len. The paper's
+// robust construction stores every Delta-reachable pattern, and its BDDs
+// sit far past the crossover. On the 204,825-node race-track monitor
+// (64 variables) the sweep cost ~10x the interpreted walk per sample at
+// a 32-frame batch. A walk-only evaluator was rejected: on small robust
+// BDDs at batch >= 64 it lost ~3x to the sweep. Tiny batches (below the
+// same threshold the interpreted monitors use) code each sample's
+// supported neurons into a stack codeword and walk, so the matrix setup
+// never dominates.
 // Scratch deliberately holds no char-sized buffers: u32/u64 lanes
 // cannot alias the float rows, which keeps the inner sweeps
 // vectorizable.
@@ -107,9 +125,11 @@ struct FlatBddNode {
   std::uint32_t child[2] = {0, 0};
 };
 
-/// Reachable BDD as a flat array in topological (variable-ascending)
-/// order. Ref convention: 0 = FALSE, 1 = TRUE, r >= 2 is nodes[r - 2];
-/// children always have strictly larger refs than their parent.
+/// Reachable BDD as a flat array in topological order: variable-ascending
+/// for programs the sweep may run, depth-first for programs the cost
+/// model always walks (bdd_always_walks). Ref convention: 0 = FALSE,
+/// 1 = TRUE, r >= 2 is nodes[r - 2]; children always have strictly
+/// larger refs than their parent.
 struct BddProgram {
   std::uint32_t root = 0;
   std::vector<FlatBddNode> nodes;
@@ -153,6 +173,38 @@ struct EvalScratch {
   std::vector<std::uint64_t> varbits;  // var-major block lanes (BDD sweep)
   std::vector<std::uint64_t> vals;     // per-node block verdicts (BDD sweep)
 };
+
+/// BDD evaluator crossover: one hop of the interleaved walk costs about
+/// as much as this many node evaluations of the bit-parallel sweep.
+/// eval_bdd walks a batch of n >= 8 samples when
+/// num_nodes * ceil(n / 64) > kBddWalkHopCost * path_len * n, which is
+/// num_nodes > kBddWalkHopCost * min(n, 64) * path_len for n <= 64
+/// (path_len: the supported variables, an upper bound on any path), and
+/// sweeps otherwise.
+///
+/// Measured on robust 2-bit interval BDDs over 128 supported variables
+/// (random features, level-ordered programs; 4-vCPU Xeon, GCC 12.2
+/// Release, warm cache). The walk's per-sample cost divided by
+/// path_len came to 1.0-1.7 sweep node evaluations from 2.8k to 17k
+/// nodes, which is the crossover region for batches 8..64, and to 2-4
+/// at 110k-270k nodes. At batch 64 the sweep won at 6.9k nodes
+/// (115 vs 211 ns/sample) and lost at 17k (293 vs 236).
+inline constexpr std::size_t kBddWalkHopCost = 2;
+
+/// Rough per-sample op count of eval_unit on a batch of `batch` samples,
+/// in units of one sweep node evaluation: box programs test dim * boxes
+/// coordinates; coded programs pay the threshold coding plus the cube
+/// scan or the cheaper of the two BDD evaluators — the same cost model
+/// eval_bdd dispatches on. CompiledMonitor sizes its pool grain with it.
+[[nodiscard]] std::size_t unit_cost_per_sample(const CompiledUnit& unit,
+                                               std::size_t batch) noexcept;
+
+/// True when the cost model walks every batch of a BDD program with
+/// `num_nodes` nodes over `path_len` supported variables: the sweep loses
+/// even on full 64-sample blocks. The lowering lays such programs out for
+/// the walk (compile/lower.cpp).
+[[nodiscard]] bool bdd_always_walks(std::size_t num_nodes,
+                                    std::size_t path_len) noexcept;
 
 /// Batched membership: out[i] = unit contains sample i of `batch`.
 /// `row_map`, when non-null, maps the unit's local neuron j to batch row

@@ -8,9 +8,12 @@
 // batches, and batch sizes that are not multiples of any internal lane
 // width. Both lowering paths for the BDD families are exercised: the
 // bounded cube cover (default) and the flat node array (forced via
-// cube_limit = 0).
+// cube_limit = 0). BDD programs on both sides of the evaluator crossover
+// (compile::kBddWalkHopCost) pin the bit-parallel sweep and the
+// interleaved walk to the same verdicts.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -32,6 +35,7 @@ namespace {
 using compile::compile_monitor;
 using compile::CompiledMonitor;
 using compile::CompileOptions;
+using compile::kBddWalkHopCost;
 
 std::vector<float> random_feature(std::size_t dim, Rng& rng) {
   std::vector<float> v(dim);
@@ -219,6 +223,119 @@ TEST(CompiledMonitor, CubeAndBddLoweringsAgree) {
   EXPECT_EQ(as_bdd.total_cubes(), 0U);
   expect_match(interpreted, as_cubes, dim, stored, true, rng);
   expect_match(interpreted, as_bdd, dim, stored, true, rng);
+}
+
+/// Supported variables of a BDD unit: the cost model's path-length bound.
+std::size_t supported_vars(const compile::CompiledUnit& unit) {
+  std::size_t vars = 0;
+  for (const std::uint64_t w : unit.support) vars += std::popcount(w);
+  return vars;
+}
+
+/// Asserts which side of the crossover every shard's BDD program sits on:
+/// `large` programs walk every batch (even a full 64-sample block), small
+/// ones sweep every batch of 8 or more.
+void expect_crossover_side(const CompiledMonitor& compiled, bool large) {
+  for (const CompiledMonitor::Shard& sh : compiled.shards()) {
+    ASSERT_EQ(sh.unit.kind, compile::ProgramKind::kBdd);
+    const std::size_t nodes = sh.unit.bdd.nodes.size();
+    const std::size_t vars = supported_vars(sh.unit);
+    if (large) {
+      EXPECT_GT(nodes, kBddWalkHopCost * 64 * vars);
+      EXPECT_TRUE(compile::bdd_always_walks(nodes, vars));
+    } else {
+      EXPECT_LE(nodes, kBddWalkHopCost * 8 * vars);
+      EXPECT_FALSE(compile::bdd_always_walks(nodes, vars));
+    }
+  }
+}
+
+TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
+  Rng rng(8128);
+  // Every 8-way interleave remainder and both sides of the 64-lane block
+  // edge.
+  const std::vector<std::size_t> batch_sizes = {1,  7,  8,  9,  15, 16, 17,
+                                                31, 32, 33, 63, 64, 65, 200};
+  for (const bool large : {false, true}) {
+    for (const std::size_t shards : {1UL, 2UL}) {
+      for (const std::size_t bits : {1UL, 2UL}) {
+        for (const bool robust : {false, true}) {
+          SCOPED_TRACE(std::string(large ? "large" : "small") +
+                       " shards=" + std::to_string(shards) + " bits=" +
+                       std::to_string(bits) +
+                       (robust ? " robust" : " standard"));
+          // Per shard: 20 variables and 1500 random patterns put the
+          // program past kBddWalkHopCost * 64 * vars nodes; 6 neurons
+          // and 15 patterns keep it under kBddWalkHopCost * 8 * vars.
+          const std::size_t dim = shards * (large ? 20 / bits : 6);
+          const std::size_t count = large ? 1500 : 15;
+          const ThresholdSpec spec = random_spec(dim, bits, rng);
+          const ShardPlan plan = ShardPlan::contiguous(dim, shards);
+          std::unique_ptr<Monitor> interpreted;
+          if (shards == 1) {
+            interpreted =
+                bits == 1
+                    ? std::unique_ptr<Monitor>(
+                          std::make_unique<OnOffMonitor>(spec))
+                    : std::make_unique<IntervalMonitor>(spec);
+          } else {
+            interpreted = std::make_unique<ShardedMonitor>(
+                bits == 1 ? ShardedMonitor::onoff(plan, spec)
+                          : ShardedMonitor::interval(plan, spec));
+          }
+          std::vector<std::vector<float>> stored;
+          for (std::size_t i = 0; i < count; ++i) {
+            std::vector<float> v = random_feature(dim, rng);
+            stored.push_back(v);
+            if (robust) {
+              // Narrow boxes: a few straddled thresholds per pattern.
+              std::vector<float> lo(v), hi(v);
+              for (std::size_t j = 0; j < dim; ++j) {
+                const float d = float(rng.uniform() * 0.05);
+                lo[j] -= d;
+                hi[j] += d;
+              }
+              interpreted->observe_bounds(lo, hi);
+            } else {
+              interpreted->observe(v);
+            }
+          }
+          // cube_limit 0: always the flat node array.
+          CompiledMonitor compiled =
+              compile_monitor(*interpreted, CompileOptions{0, 1});
+          expect_crossover_side(compiled, large);
+          if (shards == 1) {
+            EXPECT_EQ(compiled.total_nodes(),
+                      compiled.shards()[0].unit.bdd.nodes.size());
+          }
+          // The pool path sizes its grain with the same cost model.
+          compiled.set_threads(shards);
+          std::vector<float> sample(dim);
+          for (const std::size_t n : batch_sizes) {
+            const FeatureBatch queries =
+                query_batch(dim, n, stored, true, rng);
+            auto want = std::make_unique<bool[]>(n);
+            auto got = std::make_unique<bool[]>(n);
+            interpreted->contains_batch(queries, {want.get(), n});
+            compiled.contains_batch(queries, {got.get(), n});
+            std::size_t hits = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(got[i], want[i]) << "batch " << n << " sample " << i;
+              queries.copy_sample(i, sample);
+              ASSERT_EQ(compiled.contains(sample), interpreted->contains(sample))
+                  << "scalar, batch " << n << " sample " << i;
+              hits += want[i] ? 1 : 0;
+            }
+            // Stored samples guarantee both verdicts in larger batches.
+            if (n >= 9) {
+              EXPECT_GT(hits, 0U) << "batch " << n;
+              EXPECT_LT(hits, n) << "batch " << n;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CompiledMonitor, ObserveEntryPointsThrow) {
