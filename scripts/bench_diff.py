@@ -24,14 +24,24 @@ which depends only on the seeded workload, never on timer noise.
 
 --fail-increase-matching-smoke METRIC[:PCT] (repeatable) is the same gate
 but only enforced when the baseline and fresh reports have the same smoke
-flag. Use it for timing metrics (e.g. p99_ms): comparing a committed full
-run against a CI smoke run is noise, but two runs of the same shape
-regressing by a wide margin is a real signal.
+flag and the same provenance. Use it for timing metrics (e.g. p99_ms):
+comparing a committed full run against a CI smoke run is noise, but two
+runs of the same shape regressing by a wide margin is a real signal.
+
+Like perfbench/compare.py, the script refuses to compare timings between
+reports whose provenance differs in compiler, build type, CPU, hardware
+threads or repetition statistic (or that carry no provenance): such a
+delta measures the two set-ups, not the change. For a refused pair only
+the --fail-increase metrics, which are deterministic, are shown and gated.
+
+--self-test checks the gating and refusal rules on synthetic reports.
 
 Stdlib only — no pip dependencies.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -44,6 +54,11 @@ IDENTITY_NUMERIC = {"batch_size", "shards", "threads", "bits", "samples",
 # Run-shape metadata: differs between smoke and full runs by design, and a
 # delta on it is noise — excluded from both identity and metrics.
 IGNORED = {"requests"}
+# Provenance keys (bench_util.hpp's stamp) that must agree before timings
+# are compared. The commit and the dirty flag may differ: they are the
+# change being measured.
+MUST_MATCH = ("compiler", "build_type", "cpu", "hardware_threads",
+              "statistic")
 
 
 def row_identity(row):
@@ -87,6 +102,16 @@ def parse_fail_rules(specs):
     return rules
 
 
+def provenance_mismatch(baseline, fresh):
+    """The MUST_MATCH keys on which two reports' provenance differs; all of
+    them when either report has none."""
+    old = baseline.get("provenance")
+    new = fresh.get("provenance")
+    if not isinstance(old, dict) or not isinstance(new, dict):
+        return list(MUST_MATCH)
+    return [k for k in MUST_MATCH if old.get(k) != new.get(k)]
+
+
 def diff_report(name, baseline, fresh, threshold, fail_rules,
                 matching_smoke_rules):
     failures = []
@@ -96,7 +121,13 @@ def diff_report(name, baseline, fresh, threshold, fail_rules,
         lines.append(
             f"  note: smoke flags differ (baseline={baseline.get('smoke')}, "
             f"fresh={fresh.get('smoke')}) — absolute deltas are expected")
-    if smoke_matches and matching_smoke_rules:
+    mismatch = provenance_mismatch(baseline, fresh)
+    if mismatch:
+        lines.append(
+            "  refusing to compare timings: provenance differs in "
+            f"{', '.join(mismatch)}; showing only "
+            f"{', '.join(sorted(fail_rules)) or 'no metrics'}")
+    elif smoke_matches and matching_smoke_rules:
         fail_rules = {**matching_smoke_rules, **fail_rules}
 
     base_rows = {row_identity(r): r for r in baseline.get("results", [])}
@@ -111,6 +142,11 @@ def diff_report(name, baseline, fresh, threshold, fail_rules,
             continue
         old_metrics = row_metrics(base_rows[identity])
         new_metrics = row_metrics(fresh_rows[identity])
+        if mismatch:
+            old_metrics = {k: v for k, v in old_metrics.items()
+                           if k in fail_rules}
+            new_metrics = {k: v for k, v in new_metrics.items()
+                           if k in fail_rules}
         cells = []
         worst = 0.0
         for key in sorted(set(old_metrics) | set(new_metrics)):
@@ -145,7 +181,57 @@ def diff_report(name, baseline, fresh, threshold, fail_rules,
     return failures
 
 
+def self_test():
+    """Runs diff_report on synthetic reports; returns the exit status."""
+    prov = {"commit": "a", "dirty": False, "compiler": "gcc 12.2.0",
+            "build_type": "Release", "cpu": "cpu", "hardware_threads": 4,
+            "statistic": "median"}
+
+    def report(ms, nodes, **changes):
+        row = {"mode": "robust", "train_size": 64, "build_ms": ms,
+               "bdd_nodes": nodes}
+        out = {"bench": "b", "smoke": True, "results": [row]}
+        if changes.get("provenance", True):
+            out["provenance"] = {**prov, **changes.get("stamp", {})}
+        return out
+
+    gates = {"bdd_nodes": 0.0}
+    timing = {"build_ms": 10.0}
+    cases = [
+        # (what, baseline, fresh, expect failures, expect refusal)
+        ("slower build, same provenance", report(1.0, 5),
+         report(2.0, 5, stamp={"commit": "b", "dirty": True}), 1, False),
+        ("slower build, other compiler", report(1.0, 5),
+         report(2.0, 5, stamp={"compiler": "clang 17"}), 0, True),
+        ("slower build, other CPU", report(1.0, 5),
+         report(2.0, 5, stamp={"cpu": "other"}), 0, True),
+        ("slower build, no provenance", report(1.0, 5),
+         report(2.0, 5, provenance=False), 0, True),
+        ("more nodes, other compiler", report(1.0, 5),
+         report(1.0, 6, stamp={"compiler": "clang 17"}), 1, True),
+        ("same run", report(1.0, 5), report(1.0, 5), 0, False),
+    ]
+    errors = []
+    for what, base, fresh, want_failures, want_refusal in cases:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            failures = diff_report("b", base, fresh, 0.0, gates, timing)
+        refused = "refusing to compare timings" in out.getvalue()
+        shows_timing = "build_ms" in out.getvalue()
+        if len(failures) != want_failures or refused != want_refusal \
+                or shows_timing == want_refusal:
+            errors.append(f"{what}: {len(failures)} failures, refused "
+                          f"{refused}, timings shown {shows_timing}")
+    for error in errors:
+        print(f"self-test FAILED: {error}", file=sys.stderr)
+    if not errors:
+        print(f"self-test ok: {len(cases)} cases")
+    return 1 if errors else 0
+
+
 def main():
+    if "--self-test" in sys.argv[1:]:
+        return self_test()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline_dir", type=Path)
     parser.add_argument("fresh_dir", type=Path)

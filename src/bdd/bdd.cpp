@@ -5,23 +5,71 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace ranm::bdd {
+namespace {
 
-BddManager::BddManager(std::uint32_t num_vars) : num_vars_(num_vars) {
+/// Mixes a node triple or an ite key into a table index (the finaliser of
+/// splitmix64 over a multiply-xor fold of the three words).
+std::size_t hash3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
+  std::uint64_t x = ((std::uint64_t(a) << 32) | b) * 0x9E3779B97F4A7C15ULL;
+  x ^= std::uint64_t(c) * 0xC2B2AE3D27D4EB4FULL;
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return static_cast<std::size_t>(x);
+}
+
+}  // namespace
+
+BddManager::BddManager(std::uint32_t num_vars)
+    : num_vars_(num_vars),
+      unique_(kInitialSlots),
+      cache_(kInitialSlots / kSlotsPerCacheEntry) {
   nodes_.push_back({kTerminalVar, kFalse, kFalse});  // node 0 = FALSE
   nodes_.push_back({kTerminalVar, kTrue, kTrue});    // node 1 = TRUE
 }
 
 NodeRef BddManager::make_node(std::uint32_t v, NodeRef lo, NodeRef hi) {
   if (lo == hi) return lo;  // reduction rule
-  const UniqueKey key{v, lo, hi};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
-  const NodeRef ref = static_cast<NodeRef>(nodes_.size());
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t slot = hash3(v, lo, hi) & mask;
+  for (NodeRef r = unique_[slot]; r != kFalse; r = unique_[slot]) {
+    const Node& n = nodes_[r];
+    if (n.var == v && n.lo == lo && n.hi == hi) return r;
+    slot = (slot + 1) & mask;
+  }
+  if (nodes_.size() >= kMaxNodes) {
+    throw NodeBudgetError("BddManager: node budget kMaxNodes exhausted");
+  }
+  const auto ref = static_cast<NodeRef>(nodes_.size());
   nodes_.push_back({v, lo, hi});
-  unique_.emplace(key, ref);
+  if (2 * (nodes_.size() - 2) > unique_.size()) {
+    grow_tables();  // re-inserts the new node with the rest
+  } else {
+    unique_[slot] = ref;
+  }
   return ref;
+}
+
+void BddManager::grow_tables() {
+  unique_.assign(unique_.size() * 2, kFalse);
+  const std::size_t mask = unique_.size() - 1;
+  for (std::size_t i = 2; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    std::size_t slot = hash3(n.var, n.lo, n.hi) & mask;
+    while (unique_[slot] != kFalse) slot = (slot + 1) & mask;
+    unique_[slot] = static_cast<NodeRef>(i);
+  }
+  std::vector<CacheEntry> old(unique_.size() / kSlotsPerCacheEntry);
+  old.swap(cache_);
+  const std::size_t cache_mask = cache_.size() - 1;
+  for (const CacheEntry& e : old) {
+    if (e.f != kFalse) cache_[hash3(e.f, e.g, e.h) & cache_mask] = e;
+  }
 }
 
 NodeRef BddManager::make_node_checked(std::uint32_t v, NodeRef lo,
@@ -65,9 +113,8 @@ NodeRef BddManager::ite(NodeRef f, NodeRef g, NodeRef h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  const IteKey key{f, g, h};
-  auto it = ite_cache_.find(key);
-  if (it != ite_cache_.end()) return it->second;
+  const CacheEntry& cached = cache_[hash3(f, g, h) & (cache_.size() - 1)];
+  if (cached.f == f && cached.g == g && cached.h == h) return cached.r;
 
   const std::uint32_t top =
       std::min({level(f), level(g), level(h)});
@@ -78,7 +125,8 @@ NodeRef BddManager::ite(NodeRef f, NodeRef g, NodeRef h) {
   const NodeRef hi = ite(cof(f, true), cof(g, true), cof(h, true));
   const NodeRef lo = ite(cof(f, false), cof(g, false), cof(h, false));
   const NodeRef result = make_node(top, lo, hi);
-  ite_cache_.emplace(key, result);
+  // The recursion may have grown the table, so the slot is looked up anew.
+  cache_[hash3(f, g, h) & (cache_.size() - 1)] = {f, g, h, result};
   return result;
 }
 
@@ -89,6 +137,19 @@ NodeRef BddManager::xor_(NodeRef a, NodeRef b) {
 }
 NodeRef BddManager::not_(NodeRef a) { return ite(a, kFalse, kTrue); }
 NodeRef BddManager::implies(NodeRef a, NodeRef b) { return ite(a, b, kTrue); }
+
+NodeRef BddManager::or_all(std::vector<NodeRef> terms) {
+  if (terms.empty()) return kFalse;
+  for (std::size_t live = terms.size(); live > 1;) {
+    const std::size_t half = live / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      terms[i] = or_(terms[2 * i], terms[2 * i + 1]);
+    }
+    if (live % 2 != 0) terms[half] = terms[live - 1];
+    live = half + live % 2;
+  }
+  return terms[0];
+}
 
 NodeRef BddManager::cube(std::span<const CubeBit> bits) {
   if (bits.size() > num_vars_) {

@@ -6,17 +6,35 @@
 // Design: a single arena of nodes owned by a BddManager. Node 0 is the
 // FALSE terminal, node 1 the TRUE terminal. Variables are dense integers
 // 0..num_vars-1 ordered by index (smaller index nearer the root). Nodes are
-// hash-consed through a unique table, so structural equality is pointer
-// equality — two BDDs are the same function iff they are the same NodeRef.
-// Nodes are never garbage collected; monitor workloads allocate a few
-// hundred thousand nodes at most.
+// never garbage collected, so a NodeRef stays valid for the manager's
+// lifetime; the arena is capped at kMaxNodes. Robust monitors reach
+// millions of nodes (BENCH_scalability's 1024-sample robust build holds
+// 1.46M reachable ones), so both tables below are flat arrays over arena
+// indices, after Brace, Rudell & Bryant, "Efficient implementation of a
+// BDD package" (DAC 1990):
+//
+// - The unique table hash-conses (var, lo, hi) so structural equality is
+//   pointer equality: two BDDs are the same function iff they are the same
+//   NodeRef. It is open-addressed with linear probing; a slot holds an
+//   arena index, and 0 marks an empty slot (FALSE is never hash-consed).
+//   When the internal nodes reach half the slots, the table doubles and
+//   every arena node is re-inserted.
+// - The computed table memoises ite(f, g, h). It is direct-mapped and
+//   lossy: a new entry overwrites whatever shared its slot, so its memory
+//   is bounded by the arena rather than by the number of operations. An
+//   entry with f == 0 is empty, which no real key can be, because ite
+//   returns before the cache on a terminal f. It has one entry per two
+//   unique-table slots and doubles with that table, keeping the entries
+//   that still fit. Dropping an entry costs only a recomputation, which
+//   finds the same canonical nodes through the unique table, so results
+//   never depend on what the cache happened to keep.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace ranm::bdd {
@@ -27,6 +45,20 @@ using NodeRef = std::uint32_t;
 /// The two terminal nodes have fixed references.
 inline constexpr NodeRef kFalse = 0;
 inline constexpr NodeRef kTrue = 1;
+
+/// The node budget: the most nodes (terminals included) one manager's arena
+/// may hold, and so the most a saved BDD may declare. The builder throws
+/// NodeBudgetError rather than let a NodeRef wrap, save_bdd refuses a
+/// function this large and load_bdd rejects a count above it. 2^30 nodes
+/// is 12 GiB of arena, far past any monitor that fits in memory.
+inline constexpr std::uint32_t kMaxNodes = 1U << 30;
+
+/// Thrown when an operation would grow an arena past kMaxNodes, or save a
+/// function the loader would refuse.
+class NodeBudgetError : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
 
 /// A literal: variable index plus polarity.
 struct Literal {
@@ -68,6 +100,11 @@ class BddManager {
   [[nodiscard]] NodeRef xor_(NodeRef a, NodeRef b);
   [[nodiscard]] NodeRef not_(NodeRef a);
   [[nodiscard]] NodeRef implies(NodeRef a, NodeRef b);
+  /// Disjunction of every term, combined pairwise in a balanced tree so
+  /// each OR joins operands of similar size. Batched inserts reduce a
+  /// chunk's words this way before one OR into a large set, instead of
+  /// walking the set once per word.
+  [[nodiscard]] NodeRef or_all(std::vector<NodeRef> terms);
 
   /// Conjunction of literals; bits[i] == kDontCare contributes nothing.
   /// This is exactly the paper's word2set: constrained bits become
@@ -228,17 +265,26 @@ class BddManager {
   };
   static constexpr std::uint32_t kTerminalVar = 0xFFFFFFFFU;
 
-  struct TripleHash {
-    std::size_t operator()(const std::uint64_t& k) const noexcept {
-      std::uint64_t x = k;
-      x ^= x >> 33;
-      x *= 0xFF51AFD7ED558CCDULL;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
+  /// One computed-table entry: ite(f, g, h) == r. f == kFalse marks it
+  /// empty.
+  struct CacheEntry {
+    NodeRef f = kFalse;
+    NodeRef g = kFalse;
+    NodeRef h = kFalse;
+    NodeRef r = kFalse;
   };
+  /// Unique-table slots of a new manager (a power of two).
+  static constexpr std::size_t kInitialSlots = 1024;
+  /// Unique-table slots per computed-table entry: between one and two
+  /// entries per internal node, as the unique table is a quarter to half
+  /// full. A cache as large as the unique table cost 15 MB more peak RSS
+  /// on the race-track robust build and no build speed.
+  static constexpr std::size_t kSlotsPerCacheEntry = 2;
 
   [[nodiscard]] NodeRef make_node(std::uint32_t v, NodeRef lo, NodeRef hi);
+  /// Doubles the unique table, re-inserting every arena node, and grows
+  /// the computed table to match, keeping what its entries still map to.
+  void grow_tables();
   [[nodiscard]] std::uint32_t level(NodeRef n) const noexcept {
     return nodes_[n].var;
   }
@@ -294,41 +340,10 @@ class BddManager {
 
   std::uint32_t num_vars_;
   std::vector<Node> nodes_;
-  // unique table: (var, lo, hi) -> node. Keys are packed pairs of 64-bit
-  // values; we use a map from a 128-bit mix reduced to 64 bits with the
-  // full triple stored in the node for verification-free hash consing via
-  // open addressing on exact triples.
-  struct UniqueKey {
-    std::uint32_t var;
-    NodeRef lo, hi;
-    bool operator==(const UniqueKey&) const = default;
-  };
-  struct UniqueKeyHash {
-    std::size_t operator()(const UniqueKey& k) const noexcept {
-      std::uint64_t x = (std::uint64_t(k.var) << 40) ^
-                        (std::uint64_t(k.lo) << 20) ^ std::uint64_t(k.hi);
-      x ^= x >> 33;
-      x *= 0xC2B2AE3D27D4EB4FULL;
-      x ^= x >> 29;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  struct IteKey {
-    NodeRef f, g, h;
-    bool operator==(const IteKey&) const = default;
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const noexcept {
-      std::uint64_t x = (std::uint64_t(k.f) << 42) ^
-                        (std::uint64_t(k.g) << 21) ^ std::uint64_t(k.h);
-      x ^= x >> 33;
-      x *= 0xFF51AFD7ED558CCDULL;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  std::unordered_map<UniqueKey, NodeRef, UniqueKeyHash> unique_;
-  std::unordered_map<IteKey, NodeRef, IteKeyHash> ite_cache_;
+  // Open-addressed unique table over arena indices (0 = empty slot) and
+  // the lossy direct-mapped ite cache; both sizes are powers of two.
+  std::vector<NodeRef> unique_;
+  std::vector<CacheEntry> cache_;
 
   // Profile state. hits_ptr_ is null whenever profiling is off; the eval
   // templates test only this pointer, keeping the disabled path identical

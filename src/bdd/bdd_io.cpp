@@ -48,6 +48,9 @@ std::vector<NodeRef> save_bdd(std::ostream& out, const BddManager& mgr,
   order.push_back(kFalse);
   order.push_back(kTrue);
   collect_post_order(mgr, f, order, index);
+  if (order.size() > kMaxNodes) {
+    throw NodeBudgetError("save_bdd: node count above kMaxNodes");
+  }
 
   write_pod(out, kMagic);
   write_pod(out, mgr.num_vars());
@@ -77,17 +80,12 @@ LoadedBdd load_bdd_nodes(std::istream& in, BddManager& mgr) {
   }
   const auto count = read_pod<std::uint32_t>(in);
   if (count < 2) throw std::runtime_error("load_bdd: node count < 2");
-  // A corrupted count would make the vector below zero-fill memory before
-  // the per-node reads could detect truncation; bound it first. 2^24 is
-  // an order of magnitude above the largest benchmarked artifact (~1.5M
-  // nodes for the robust 1024-neuron monitor) while keeping the worst
-  // hostile up-front allocation at 64 MB.
-  if (count > (1U << 24)) {
+  if (count > kMaxNodes) {
     throw std::runtime_error("load_bdd: implausible node count");
   }
-  std::vector<NodeRef> local(count);
-  local[0] = kFalse;
-  local[1] = kTrue;
+  // The slot vector grows as nodes are actually read, so a corrupted count
+  // cannot commit memory before the per-node reads detect truncation.
+  std::vector<NodeRef> local{kFalse, kTrue};
   for (std::uint32_t i = 2; i < count; ++i) {
     const auto var = read_pod<std::uint32_t>(in);
     const auto lo = read_pod<std::uint32_t>(in);
@@ -95,7 +93,7 @@ LoadedBdd load_bdd_nodes(std::istream& in, BddManager& mgr) {
     if (lo >= i || hi >= i) {
       throw std::runtime_error("load_bdd: forward reference");
     }
-    local[i] = mgr.make_node_checked(var, local[lo], local[hi]);
+    local.push_back(mgr.make_node_checked(var, local[lo], local[hi]));
   }
   const auto root = read_pod<std::uint32_t>(in);
   if (root >= count) throw std::runtime_error("load_bdd: bad root index");

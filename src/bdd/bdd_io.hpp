@@ -18,6 +18,8 @@ namespace ranm::bdd {
 /// node for each saved local slot (slot 0 = FALSE, 1 = TRUE, then the
 /// internal nodes in file order) so callers can serialise per-node
 /// side-channel data — e.g. profile counters — aligned with the format.
+/// Throws NodeBudgetError when the function has more than kMaxNodes nodes
+/// (terminals included), which load_bdd would reject.
 std::vector<NodeRef> save_bdd(std::ostream& out, const BddManager& mgr,
                               NodeRef f);
 
@@ -30,7 +32,8 @@ struct LoadedBdd {
 
 /// Reads a BDD written by save_bdd into `mgr` (which must have at least as
 /// many variables as the saved function's largest variable + 1) and returns
-/// the root. Throws std::runtime_error on malformed input.
+/// the root. Throws std::runtime_error on malformed input, including a node
+/// count above kMaxNodes.
 [[nodiscard]] NodeRef load_bdd(std::istream& in, BddManager& mgr);
 
 /// load_bdd variant that also exposes the per-slot node mapping, for

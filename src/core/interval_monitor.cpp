@@ -174,15 +174,18 @@ void IntervalMonitor::observe_batch(const FeatureBatch& batch) {
   const std::size_t nvars = dimension() * spec_.bits();
   std::vector<std::uint8_t> bits;
   fill_bit_matrix(batch, bits);
-  // One cube scratch buffer for the whole batch.
+  // One cube scratch buffer for the whole batch. The words meet in a
+  // balanced OR-tree, so the set is walked once per batch, not per word.
   std::vector<bdd::CubeBit> cube(nvars);
+  std::vector<bdd::NodeRef> words(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t v = 0; v < nvars; ++v) {
       cube[v] = bits[v * n + i] != 0 ? bdd::CubeBit::kOne
                                      : bdd::CubeBit::kZero;
     }
-    set_ = mgr_.or_(set_, mgr_.cube(cube));
+    words[i] = mgr_.cube(cube);
   }
+  set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
 }
 
 void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
@@ -192,6 +195,9 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
   const std::size_t d = dimension();
   if (n == 0) return;
   std::vector<float> lo_scratch(d), hi_scratch(d);
+  // The words meet in a balanced OR-tree, so the set is walked once per
+  // batch, not per word; a bound violation leaves the set untouched.
+  std::vector<bdd::NodeRef> words(n);
   for (std::size_t i = 0; i < n; ++i) {
     lo.copy_sample(i, lo_scratch);
     hi.copy_sample(i, hi_scratch);
@@ -205,8 +211,9 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
           bdd::code_in_range(mgr_, neuron_vars(j), clo, chi);
       word = mgr_.and_(range, word);
     }
-    set_ = mgr_.or_(set_, word);
+    words[i] = word;
   }
+  set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
 }
 
 void IntervalMonitor::contains_batch(const FeatureBatch& batch,

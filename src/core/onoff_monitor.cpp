@@ -149,15 +149,18 @@ void OnOffMonitor::observe_batch(const FeatureBatch& batch) {
   std::vector<std::uint8_t> bits;
   fill_bit_matrix(spec_, vars_, batch, bits);
   // One cube scratch buffer for the whole batch. The matrix rows are
-  // level-indexed, matching the cube's variable indexing directly.
+  // level-indexed, matching the cube's variable indexing directly. The
+  // words meet in a balanced OR-tree, so the set is walked once per batch.
   std::vector<bdd::CubeBit> cube(d);
+  std::vector<bdd::NodeRef> words(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t v = 0; v < d; ++v) {
       cube[v] = bits[v * n + i] != 0 ? bdd::CubeBit::kOne
                                      : bdd::CubeBit::kZero;
     }
-    set_ = mgr_.or_(set_, mgr_.cube(cube));
+    words[i] = mgr_.cube(cube);
   }
+  set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
 }
 
 void OnOffMonitor::observe_bounds_batch(const FeatureBatch& lo,
@@ -168,6 +171,9 @@ void OnOffMonitor::observe_bounds_batch(const FeatureBatch& lo,
   if (n == 0) return;
   std::vector<bdd::CubeBit> cube(d);
   std::vector<float> lo_scratch(d), hi_scratch(d);
+  // The words meet in a balanced OR-tree, so the set is walked once per
+  // batch, not per word; a bound violation leaves the set untouched.
+  std::vector<bdd::NodeRef> words(n);
   for (std::size_t i = 0; i < n; ++i) {
     lo.copy_sample(i, lo_scratch);
     hi.copy_sample(i, hi_scratch);
@@ -177,13 +183,14 @@ void OnOffMonitor::observe_bounds_batch(const FeatureBatch& lo,
       const auto [clo, chi] = spec_.code_range(j, lo_scratch[j],
                                                hi_scratch[j]);
       if (clo == chi) {
-        cube[j] = clo == 1 ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
+        cube[vars_[j]] = clo == 1 ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
       } else {
-        cube[j] = bdd::CubeBit::kDontCare;
+        cube[vars_[j]] = bdd::CubeBit::kDontCare;
       }
     }
-    set_ = mgr_.or_(set_, mgr_.cube(cube));
+    words[i] = mgr_.cube(cube);
   }
+  set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
 }
 
 void OnOffMonitor::contains_batch(const FeatureBatch& batch,

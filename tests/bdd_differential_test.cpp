@@ -5,10 +5,19 @@
 // paper's robust word2set) are mirrored into both representations; then
 // membership, satisfying-assignment count, and min Hamming distance must
 // agree exactly. Any divergence pinpoints a BDD combinator bug.
+//
+// A second oracle keeps whole truth tables over 20 variables, packed 64
+// points to a word, and mirrors long random and_/or_/xor_/ite chains. The
+// chains create far more ite results than the computed table has entries,
+// so they exercise its lossy overwrites and every unique-table growth.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -132,6 +141,144 @@ TEST_P(BddDifferential, MinHammingDistanceMatchesOracle) {
                 oracle_min_distance(oracle, point));
     }
   }
+}
+
+/// A function over kTableVars variables as its packed truth table: bit k
+/// of word w is the value at the point whose variable v is bit v of
+/// w * 64 + k.
+constexpr std::uint32_t kTableVars = 20;
+using Table = std::vector<std::uint64_t>;
+
+Table variable_table(std::uint32_t v) {
+  // Variables below 6 alternate inside a word, the rest across words.
+  static constexpr std::uint64_t kInWord[6] = {
+      0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+      0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+  Table t(std::size_t{1} << (kTableVars - 6));
+  for (std::size_t w = 0; w < t.size(); ++w) {
+    t[w] = v < 6 ? kInWord[v] : (((w >> (v - 6)) & 1U) != 0 ? ~0ULL : 0ULL);
+  }
+  return t;
+}
+
+template <typename Op>
+Table combine(const Table& a, const Table& b, const Table& c, Op op) {
+  Table t(a.size());
+  for (std::size_t w = 0; w < t.size(); ++w) t[w] = op(a[w], b[w], c[w]);
+  return t;
+}
+
+struct Pool {
+  std::vector<NodeRef> refs;
+  std::vector<Table> tables;
+};
+
+/// A random literal over kTableVars variables, in both representations.
+std::pair<NodeRef, Table> random_literal(BddManager& mgr, Rng& rng) {
+  const auto v = std::uint32_t(rng.below(kTableVars));
+  Table t = variable_table(v);
+  if (rng.chance(0.5)) return {mgr.var(v), std::move(t)};
+  for (auto& w : t) w = ~w;
+  return {mgr.nvar(v), std::move(t)};
+}
+
+Pool literal_pool(BddManager& mgr, Rng& rng, std::size_t size) {
+  Pool pool;
+  for (std::size_t i = 0; i < size; ++i) {
+    auto [ref, table] = random_literal(mgr, rng);
+    pool.refs.push_back(ref);
+    pool.tables.push_back(std::move(table));
+  }
+  return pool;
+}
+
+/// One random step of a chain: combines three random pool members with a
+/// random operator, mirrored in both representations, and replaces a
+/// random member with the result. One step in four draws a fresh literal
+/// instead, so the chain keeps growing rather than collapsing to constants.
+void random_step(BddManager& mgr, Pool& pool, Rng& rng) {
+  const std::size_t n = pool.refs.size();
+  const std::size_t a = rng.below(n), b = rng.below(n), c = rng.below(n);
+  NodeRef r = kFalse;
+  Table t;
+  switch (rng.below(8)) {
+    case 0:
+    case 1:
+      r = mgr.and_(pool.refs[a], pool.refs[b]);
+      t = combine(pool.tables[a], pool.tables[b], pool.tables[c],
+                  [](auto x, auto y, auto) { return x & y; });
+      break;
+    case 2:
+    case 3:
+      r = mgr.or_(pool.refs[a], pool.refs[b]);
+      t = combine(pool.tables[a], pool.tables[b], pool.tables[c],
+                  [](auto x, auto y, auto) { return x | y; });
+      break;
+    case 4:
+      r = mgr.xor_(pool.refs[a], pool.refs[b]);
+      t = combine(pool.tables[a], pool.tables[b], pool.tables[c],
+                  [](auto x, auto y, auto) { return x ^ y; });
+      break;
+    case 5:
+      r = mgr.ite(pool.refs[a], pool.refs[b], pool.refs[c]);
+      t = combine(pool.tables[a], pool.tables[b], pool.tables[c],
+                  [](auto x, auto y, auto z) { return (x & y) | (~x & z); });
+      break;
+    default:
+      std::tie(r, t) = random_literal(mgr, rng);
+      break;
+  }
+  const std::size_t slot = rng.below(n);
+  pool.refs[slot] = r;
+  pool.tables[slot] = std::move(t);
+}
+
+void expect_pool_matches(const BddManager& mgr, const Pool& pool, Rng& rng) {
+  for (std::size_t i = 0; i < pool.refs.size(); ++i) {
+    std::size_t ones = 0;
+    for (const std::uint64_t w : pool.tables[i]) ones += std::popcount(w);
+    EXPECT_DOUBLE_EQ(mgr.sat_count(pool.refs[i]), double(ones))
+        << "pool member " << i;
+    for (int probe = 0; probe < 200; ++probe) {
+      const auto point = std::uint32_t(rng.below(1ULL << kTableVars));
+      const bool want = ((pool.tables[i][point >> 6] >> (point & 63)) & 1U) != 0;
+      ASSERT_EQ(mgr.eval(pool.refs[i], word_from_bits(point, kTableVars)),
+                want)
+          << "pool member " << i << " point " << point;
+    }
+  }
+}
+
+TEST_P(BddDifferential, LongChainsMatchTruthTablesThroughCacheCollisions) {
+  Rng rng(std::uint64_t(GetParam()) * 15485863);
+  BddManager mgr(kTableVars);
+  Pool pool = literal_pool(mgr, rng, 24);
+  for (int step = 0; step < 3000; ++step) random_step(mgr, pool, rng);
+  // Far more nodes than a new manager's tables hold: both have grown, and
+  // the computed table has wrapped many times over.
+  EXPECT_GT(mgr.arena_size(), 8192U) << mgr.arena_size();
+  expect_pool_matches(mgr, pool, rng);
+}
+
+TEST_P(BddDifferential, CopiedManagersStayInStep) {
+  Rng rng(std::uint64_t(GetParam()) * 32452843);
+  BddManager mgr(kTableVars);
+  Pool pool = literal_pool(mgr, rng, 16);
+  for (int step = 0; step < 1000; ++step) random_step(mgr, pool, rng);
+  BddManager copy = mgr;
+  Pool copy_pool = pool;
+  Rng copy_rng = rng;
+  for (int step = 0; step < 1000; ++step) {
+    random_step(mgr, pool, rng);
+    random_step(copy, copy_pool, copy_rng);
+  }
+  EXPECT_EQ(mgr.arena_size(), copy.arena_size());
+  EXPECT_EQ(pool.refs, copy_pool.refs);
+  for (std::size_t i = 0; i < pool.refs.size(); ++i) {
+    EXPECT_EQ(mgr.node_count(pool.refs[i]),
+              copy.node_count(copy_pool.refs[i]));
+  }
+  expect_pool_matches(copy, copy_pool, copy_rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddDifferential,

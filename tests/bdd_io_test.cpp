@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -95,6 +98,66 @@ TEST(BddIo, RejectsNodeCountAboveCap) {
   put_u32((1U << 24) + 1);  // node count: just past the cap
   BddManager mgr(4);
   EXPECT_THROW((void)load_bdd(ss, mgr), std::runtime_error);
+}
+
+/// A 12-byte BDD header declaring `count` nodes and nothing after it.
+std::string header_only(std::uint32_t count) {
+  std::string s(12, '\0');
+  const std::uint32_t words[3] = {0x42444431U, 4, count};  // BDD1, 4 vars
+  std::memcpy(s.data(), words, sizeof words);
+  return s;
+}
+
+TEST(BddIo, RejectsNodeCountAboveBudget) {
+  std::stringstream ss(header_only(kMaxNodes + 1));
+  BddManager mgr(4);
+  try {
+    (void)load_bdd(ss, mgr);
+    FAIL() << "a count above kMaxNodes was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible node count"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BddIo, CountWithinBudgetAllocatesOnlyWhatIsRead) {
+  // The budget itself is a legal count. The slot vector grows as nodes
+  // arrive, so the empty body fails on its first read instead of after
+  // committing kMaxNodes slots.
+  std::stringstream ss(header_only(kMaxNodes));
+  BddManager mgr(4);
+  try {
+    (void)load_bdd(ss, mgr);
+    FAIL() << "a truncated stream was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated stream"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(mgr.arena_size(), 2U);
+}
+
+TEST(BddIo, RoundTripOfAFunctionOverTwoToTheSixteenNodes) {
+  // The loader's slot vector grows as nodes arrive; 5000 random 40-bit
+  // words share little below their top dozen levels.
+  constexpr std::uint32_t kVars = 40;
+  BddManager mgr(kVars);
+  Rng rng(4093);
+  std::vector<NodeRef> words;
+  for (int c = 0; c < 5000; ++c) {
+    std::vector<CubeBit> bits(kVars);
+    for (auto& b : bits) b = rng.chance(0.5) ? CubeBit::kOne : CubeBit::kZero;
+    words.push_back(mgr.cube(bits));
+  }
+  const NodeRef f = mgr.or_all(std::move(words));
+  ASSERT_GT(mgr.node_count(f), std::size_t{1} << 16);
+  std::stringstream ss;
+  save_bdd(ss, mgr, f);
+  BddManager mgr2(kVars);
+  const NodeRef g = load_bdd(ss, mgr2);
+  EXPECT_EQ(mgr2.node_count(g), mgr.node_count(f));
+  EXPECT_DOUBLE_EQ(mgr2.sat_count(g), mgr.sat_count(f));
 }
 
 }  // namespace
