@@ -7,18 +7,28 @@
 // depth, at higher runtime cost. Star sets are not implemented (LP solver
 // out of scope — see DESIGN.md substitutions).
 //
-// Sweep 2 (backend_sweep): batched box propagation on both BoundBackends
-// across batch size. The reference backend (the test oracle, constructed
-// here directly) runs per-sample loops; the vectorized backend (the one
-// production engine) sweeps contiguous neuron-major rows. Bounds are
-// identical (cross-checked per run); only throughput differs. The
-// committed full run is the acceptance baseline for the vectorized
-// backend (>= 2x reference at batch 256).
+// Sweep 2 (backend_sweep): batched box propagation on both BoundBackends.
+// The reference backend (the test oracle, constructed here directly) runs
+// per-sample loops; the vectorized backend (the one production engine)
+// runs register-tiled kernels over neuron-major rows. Two networks: an
+// MLP of width 64 and depth 4 across batch size, and the lab convnet
+// (make_small_convnet(32, 32, 6, 32, 2), the Δ-ball propagated through
+// g1..g6 as in the robust build) at batch 1, 32 and 256, plus one row per
+// layer g1..g6 at batch 256 that times that layer's kernel alone over the
+// whole batch in one call. Every run checks the vectorized bounds are bit
+// for bit the reference bounds, whole network and per layer; only
+// throughput differs. The committed full run is the acceptance baseline
+// for the vectorized backend (>= 2x reference at batch 256).
+//
+// Every timing is the median, with the minimum beside it, of 5 timed
+// blocks after one untimed warm-up call; the report stamps that statistic.
 //
 // Prints tables and writes machine-readable JSON (BENCH_domains.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
 // RANM_SMOKE=1 shrinks the sweeps for CI.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -35,20 +45,50 @@
 namespace ranm {
 namespace {
 
+/// Consumes a value of every timed call so that none is optimised away;
+/// printed at exit.
+double g_sink = 0.0;
+
+/// Timed blocks per measurement; odd, so the median is one block.
+constexpr std::size_t kBlocks = 5;
+
+/// Median and minimum over kBlocks timed blocks, in us per input.
+struct Timing {
+  double median_us = 0.0;
+  double min_us = 0.0;
+};
+
+/// Runs `fn` once untimed, then kBlocks blocks of `reps` calls; each call
+/// covers `inputs` inputs.
+template <typename Fn>
+Timing time_blocks(std::size_t reps, std::size_t inputs, Fn&& fn) {
+  fn();
+  std::vector<double> us(kBlocks);
+  for (double& block_us : us) {
+    Timer timer;
+    for (std::size_t r = 0; r < reps; ++r) fn();
+    block_us = timer.millis() * 1000.0 / double(reps * inputs);
+  }
+  std::sort(us.begin(), us.end());
+  return {us[kBlocks / 2], us.front()};
+}
+
 struct DomainMeasurement {
   std::size_t hidden_layers = 0;
   double box_width = 0.0;
   double zono_width = 0.0;
   double ratio = 0.0;
-  double box_us_per_input = 0.0;
-  double zono_us_per_input = 0.0;
+  Timing box;
+  Timing zono;
 };
 
 struct BackendMeasurement {
   std::string backend;
+  std::string network;
+  std::string layers;             // "g1-g6" for a whole slice, or "g3"
+  std::size_t hidden_layers = 0;  // MLP rows only
   std::size_t batch_size = 0;
-  std::size_t hidden_layers = 0;
-  double us_per_input = 0.0;
+  Timing time;
   double speedup_vs_reference = 0.0;
 };
 
@@ -63,20 +103,30 @@ void write_json(const std::string& path, bool smoke,
         << m.hidden_layers << ", \"box_width\": " << m.box_width
         << ", \"zono_width\": " << m.zono_width
         << ", \"zono_box_ratio\": " << m.ratio
-        << ", \"box_us_per_input\": " << m.box_us_per_input
-        << ", \"zono_us_per_input\": " << m.zono_us_per_input << "}";
+        << ", \"box_us_per_input\": " << m.box.median_us
+        << ", \"box_us_per_input_min\": " << m.box.min_us
+        << ", \"zono_us_per_input\": " << m.zono.median_us
+        << ", \"zono_us_per_input_min\": " << m.zono.min_us << "}";
     rows.push_back(row.str());
   }
   for (const BackendMeasurement& m : backends) {
     std::ostringstream row;
     row << "{\"mode\": \"backend_sweep\", \"backend\": \"" << m.backend
-        << "\", \"batch_size\": " << m.batch_size
-        << ", \"hidden_layers\": " << m.hidden_layers
-        << ", \"us_per_input\": " << m.us_per_input
+        << "\", \"network\": \"" << m.network << "\", \"layers\": \""
+        << m.layers << "\", \"batch_size\": " << m.batch_size;
+    if (m.hidden_layers != 0) {
+      row << ", \"hidden_layers\": " << m.hidden_layers;
+    }
+    row << ", \"us_per_input\": " << m.time.median_us
+        << ", \"us_per_input_min\": " << m.time.min_us
         << ", \"speedup_vs_reference\": " << m.speedup_vs_reference << "}";
     rows.push_back(row.str());
   }
-  benchutil::write_json_report(path, "bench_domains", smoke, rows);
+  benchutil::write_json_report(
+      path, "bench_domains", smoke, rows,
+      "us/input: median (and _min: minimum) over 5 timed blocks of reps "
+      "calls after one untimed warm-up call; per-layer rows time the "
+      "layer's kernel alone over the whole batch in one call");
 }
 
 std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
@@ -112,15 +162,16 @@ std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
 
     DomainMeasurement m;
     m.hidden_layers = depth;
-    Timer box_timer;
-    for (const auto& v : inputs) m.box_width += box_pe.estimate(v).total_width();
-    m.box_us_per_input = box_timer.millis() * 1000.0 / double(inputs.size());
-    Timer zono_timer;
     for (const auto& v : inputs) {
+      m.box_width += box_pe.estimate(v).total_width();
       m.zono_width += zono_pe.estimate(v).total_width();
     }
-    m.zono_us_per_input =
-        zono_timer.millis() * 1000.0 / double(inputs.size());
+    m.box = time_blocks(1, inputs.size(), [&] {
+      for (const auto& v : inputs) g_sink += box_pe.estimate(v)[0].hi;
+    });
+    m.zono = time_blocks(1, inputs.size(), [&] {
+      for (const auto& v : inputs) g_sink += zono_pe.estimate(v)[0].hi;
+    });
     m.ratio = m.box_width > 0.0 ? m.zono_width / m.box_width : 0.0;
     m.box_width /= double(inputs.size());
     m.zono_width /= double(inputs.size());
@@ -129,22 +180,23 @@ std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
     table.add_row({std::to_string(depth), TextTable::num(m.box_width, 3),
                    TextTable::num(m.zono_width, 3),
                    TextTable::num(m.ratio, 3),
-                   TextTable::num(m.box_us_per_input, 1),
-                   TextTable::num(m.zono_us_per_input, 1)});
+                   TextTable::num(m.box.median_us, 1),
+                   TextTable::num(m.zono.median_us, 1)});
   }
   table.print();
   return results;
 }
 
-/// Outward-only containment check of `vec` against `ref` (the in-run
-/// guard behind the "bounds are cross-checked per run" claim).
-bool bounds_contain(const BoxBatch& ref, const BoxBatch& vec) {
-  if (ref.dimension() != vec.dimension() || ref.size() != vec.size()) {
-    return false;
-  }
-  for (std::size_t j = 0; j < ref.dimension(); ++j) {
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      if (vec.lo(j, i) > ref.lo(j, i) || vec.hi(j, i) < ref.hi(j, i)) {
+/// Bit-for-bit agreement of two bound batches (the in-run guard behind
+/// "bounds are identical").
+bool bit_identical(const BoxBatch& a, const BoxBatch& b) {
+  if (a.dimension() != b.dimension() || a.size() != b.size()) return false;
+  for (std::size_t j = 0; j < a.dimension(); ++j) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (std::bit_cast<std::uint32_t>(a.lo(j, i)) !=
+              std::bit_cast<std::uint32_t>(b.lo(j, i)) ||
+          std::bit_cast<std::uint32_t>(a.hi(j, i)) !=
+              std::bit_cast<std::uint32_t>(b.hi(j, i))) {
         return false;
       }
     }
@@ -152,98 +204,152 @@ bool bounds_contain(const BoxBatch& ref, const BoxBatch& vec) {
   return true;
 }
 
+/// Whether any bound of `b` is NaN (two backends that share a defect can
+/// agree bit for bit on a NaN).
+bool has_nan(const BoxBatch& b) {
+  const auto nan = [](float v) { return v != v; };
+  return std::ranges::any_of(b.lower().storage(), nan) ||
+         std::ranges::any_of(b.upper().storage(), nan);
+}
+
+/// Times both backends (reference first, the baseline of the speedup
+/// column) on one workload, adds their rows, and checks their untimed
+/// results are bit-identical and free of NaN. `run(backend, out)` computes the workload's
+/// bounds into `out`; `label` fills the rows' identity fields.
+template <typename Run>
+void measure_backends(const BackendMeasurement& label, std::size_t reps,
+                      Run&& run, TextTable& table,
+                      std::vector<BackendMeasurement>& results, bool& sound) {
+  const ReferenceBoundBackend reference;
+  const VectorizedBoundBackend vectorized;
+  const BoundBackend* const backends[] = {&reference, &vectorized};
+  BoxBatch check[2];
+  double reference_us = 0.0;
+  for (std::size_t b = 0; b < 2; ++b) {
+    const BoundBackend& backend = *backends[b];
+    run(backend, check[b]);
+    BoxBatch out;
+    BackendMeasurement m = label;
+    m.backend = std::string(backend.name());
+    m.time = time_blocks(reps, label.batch_size, [&] {
+      run(backend, out);
+      g_sink += double(out.hi(0, 0));
+    });
+    if (b == 0) reference_us = m.time.median_us;
+    m.speedup_vs_reference =
+        m.time.median_us > 0.0 ? reference_us / m.time.median_us : 0.0;
+    table.add_row({m.backend, m.network, m.layers,
+                   std::to_string(m.batch_size),
+                   TextTable::num(m.time.median_us, 2),
+                   TextTable::num(m.time.min_us, 2),
+                   TextTable::num(m.speedup_vs_reference, 2)});
+    results.push_back(m);
+  }
+  if (!bit_identical(check[0], check[1])) {
+    std::fprintf(stderr,
+                 "bench_domains: backends disagree on %s %s at batch %zu\n",
+                 label.network.c_str(), label.layers.c_str(),
+                 label.batch_size);
+    sound = false;
+  }
+  for (std::size_t b = 0; b < 2; ++b) {
+    if (has_nan(check[b])) {
+      std::fprintf(stderr,
+                   "bench_domains: NaN bound (backend %s) on %s %s at batch "
+                   "%zu\n",
+                   std::string(backends[b]->name()).c_str(),
+                   label.network.c_str(), label.layers.c_str(),
+                   label.batch_size);
+      sound = false;
+    }
+  }
+}
+
+/// The Δ-ball (Δ = 0.05) around `batch` random inputs of `net`.
+BoxBatch random_ball(const Network& net, std::size_t batch, Rng& rng) {
+  std::vector<Tensor> inputs;
+  inputs.reserve(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    inputs.push_back(Tensor::random_uniform(net.input_shape(), rng));
+  }
+  return BoxBatch::linf_ball(net.forward_batch(0, inputs), 0.05F);
+}
+
 std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
-  // Wide-ish MLP so the affine kernels dominate, as in deployment.
+  TextTable table("E5b: batched box propagation, backend x network x batch "
+                  "(Δ = 0.05, kp = 0; us/input median and min of 5 blocks)");
+  table.set_header({"backend", "network", "layers", "batch", "us/input",
+                    "min", "speedup vs reference"});
+  std::vector<BackendMeasurement> results;
+  auto measure = [&](const BackendMeasurement& label, std::size_t reps,
+                     auto&& run) {
+    measure_backends(label, reps, run, table, results, sound);
+  };
+  // Enough repetitions that even the fast configurations time a
+  // multi-millisecond block.
+  auto reps_for = [smoke](std::size_t batch, std::size_t budget) {
+    return smoke ? std::size_t{1} : std::max<std::size_t>(1, budget / batch);
+  };
+
+  // Wide-ish MLP so the affine kernels dominate.
   constexpr std::size_t kDepth = 4;
   constexpr std::size_t kWidth = 64;
-  const std::vector<std::size_t> batch_sizes =
-      smoke ? std::vector<std::size_t>{1, 8}
-            : std::vector<std::size_t>{1, 16, 64, 256};
-
   Rng rng(78);
   std::vector<std::size_t> dims{16};
   for (std::size_t i = 0; i < kDepth; ++i) dims.push_back(kWidth);
   dims.push_back(8);
-  Network net = make_mlp(dims, rng);
-  const std::size_t k = net.num_layers();
+  const Network mlp = make_mlp(dims, rng);
+  for (const std::size_t batch :
+       smoke ? std::vector<std::size_t>{1, 8}
+             : std::vector<std::size_t>{1, 16, 64, 256}) {
+    const BoxBatch ball = random_ball(mlp, batch, rng);
+    BackendMeasurement label;
+    label.network = "mlp";
+    label.layers = "g1-g" + std::to_string(mlp.num_layers());
+    label.hidden_layers = kDepth;
+    label.batch_size = batch;
+    measure(label, reps_for(batch, 1024),
+            [&](const BoundBackend& backend, BoxBatch& out) {
+              out = mlp.propagate_box_batch(1, mlp.num_layers(), ball,
+                                            backend);
+            });
+  }
 
-  TextTable table("E5b: batched box propagation, backend x batch size "
-                  "(MLP width 64, depth 4, Δ = 0.05, kp = 0)");
-  table.set_header(
-      {"backend", "batch", "us/input", "speedup vs reference"});
-
-  // Reference first: it is the baseline of the speedup column and of the
-  // bounds cross-check.
-  const ReferenceBoundBackend reference;
-  const VectorizedBoundBackend vectorized;
-  const BoundBackend* const backends[] = {&reference, &vectorized};
-
-  std::vector<BackendMeasurement> results;
-  for (const std::size_t batch : batch_sizes) {
-    std::vector<Tensor> inputs;
-    inputs.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      inputs.push_back(Tensor::random_uniform({16}, rng));
-    }
-    // Enough repetitions that even the fast configurations time a
-    // multi-millisecond region.
-    const std::size_t reps =
-        smoke ? 2 : std::max<std::size_t>(4, 4096 / batch);
-
-    // The box estimate at kp = 0, on an explicit backend: pack the
-    // inputs, inflate to the Δ-ball, propagate through every layer.
-    auto estimate = [&](const BoundBackend& backend) {
-      const BoxBatch ball =
-          BoxBatch::linf_ball(net.forward_batch(0, inputs), 0.05F);
-      return net.propagate_box_batch(1, k, ball, backend);
-    };
-    double reference_us = 0.0;
-    std::vector<BoxBatch> check;  // one warm-up result per backend
-    for (const BoundBackend* backend : backends) {
-      check.push_back(estimate(*backend));  // warm-up, untimed
-      Timer timer;
-      double checksum = 0.0;
-      for (std::size_t r = 0; r < reps; ++r) {
-        const BoxBatch bounds = estimate(*backend);
-        checksum += double(bounds.hi(0, 0));
-      }
-      const double us_per_input =
-          timer.millis() * 1000.0 / double(reps * batch);
-
-      BackendMeasurement m;
-      m.backend = std::string(backend->name());
-      m.batch_size = batch;
-      m.hidden_layers = kDepth;
-      m.us_per_input = us_per_input;
-      if (backend == backends[0]) {
-        reference_us = us_per_input;
-        m.speedup_vs_reference = 1.0;
-      } else {
-        m.speedup_vs_reference =
-            us_per_input > 0.0 ? reference_us / us_per_input : 0.0;
-      }
-      results.push_back(m);
-      table.add_row({m.backend, std::to_string(batch),
-                     TextTable::num(m.us_per_input, 2),
-                     TextTable::num(m.speedup_vs_reference, 2)});
-      if (checksum != checksum) {
-        std::fprintf(stderr, "bench_domains: NaN checksum (backend %s)\n",
-                     m.backend.c_str());
-        sound = false;
-      }
-    }
-    // Cross-check: every backend's bounds must contain the reference
-    // bounds (check[0]) — identical or outward-only.
-    for (std::size_t b = 1; b < check.size(); ++b) {
-      if (!bounds_contain(check[0], check[b])) {
-        std::fprintf(stderr,
-                     "bench_domains: backend %s tightened bounds inward "
-                     "vs reference at batch %zu\n",
-                     std::string(backends[b]->name()).c_str(),
-                     batch);
-        sound = false;
-      }
-    }
+  // The lab convnet up to its monitored layer g6 (the post-Dense
+  // LeakyReLU), as the robust build propagates it.
+  const std::size_t side = smoke ? 12 : 32;
+  const Network conv = make_small_convnet(side, side, 6, 32, 2, rng);
+  constexpr std::size_t kMonitored = 6;
+  for (const std::size_t batch :
+       smoke ? std::vector<std::size_t>{1, 33}
+             : std::vector<std::size_t>{1, 32, 256}) {
+    const BoxBatch ball = random_ball(conv, batch, rng);
+    BackendMeasurement label;
+    label.network = "lab_convnet";
+    label.layers = "g1-g6";
+    label.batch_size = batch;
+    measure(label, reps_for(batch, 64),
+            [&](const BoundBackend& backend, BoxBatch& out) {
+              out = conv.propagate_box_batch(1, kMonitored, ball, backend);
+            });
+  }
+  // Per layer: each layer's kernel alone, on the bounds layers 1..k-1
+  // produce for the batch.
+  const std::size_t layer_batch = smoke ? 33 : 256;
+  BoxBatch in = random_ball(conv, layer_batch, rng);
+  for (std::size_t k = 1; k <= kMonitored; ++k) {
+    BackendMeasurement label;
+    label.network = "lab_convnet";
+    label.layers = "g" + std::to_string(k);
+    label.batch_size = layer_batch;
+    const Layer& layer = conv.layer(k);
+    measure(label, reps_for(layer_batch, 64),
+            [&](const BoundBackend& backend, BoxBatch& out) {
+              layer.propagate_batch(backend, in, out);
+            });
+    BoxBatch next;
+    layer.propagate_batch(VectorizedBoundBackend{}, in, next);
+    in = std::move(next);
   }
   table.print();
   return results;
@@ -264,14 +370,14 @@ int run(int argc, char** argv) {
 
   write_json(json_path, smoke, domains, backends);
   std::printf(
-      "wrote %s\n"
+      "wrote %s (sink %g)\n"
       "\n[E5] expected shape: (a) zono/box ratio < 1 everywhere and "
       "shrinking with depth (zonotopes track affine correlations that "
       "boxes lose); zonotope runtime grows with generator count. "
       "(b) vectorized speedup grows with batch size (contiguous "
       "neuron-major sweeps amortise across the batch lane) and clears "
       "2x at batch 256.\n",
-      json_path.c_str());
+      json_path.c_str(), g_sink);
   return 0;
 }
 

@@ -80,7 +80,10 @@ void write_json(const std::string& path, bool smoke,
         << ", \"query_ns_per_sample\": " << m.query_ns << "}";
     rows.push_back(row.str());
   }
-  benchutil::write_json_report(path, "bench_scalability", smoke, rows);
+  benchutil::write_json_report(
+      path, "bench_scalability", smoke, rows,
+      "build_ms: one timed build per row; query_ns: min over 3 timed blocks "
+      "of reps batched queries after one untimed warm-up call");
 }
 
 int run(int argc, char** argv) {

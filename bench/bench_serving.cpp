@@ -391,7 +391,11 @@ int run(int argc, char** argv) {
     rows.push_back(json_row(m));
   }
   table.print();
-  benchutil::write_json_report(report_path, "bench_serving", smoke, rows);
+  benchutil::write_json_report(
+      report_path, "bench_serving", smoke, rows,
+      "latency percentiles: element floor(q * n) of the sorted latencies of "
+      "every timed request after one untimed warm-up; queries/s: timed "
+      "requests over their wall time");
   std::printf("sink: %zu\n", g_sink);
   return 0;
 }

@@ -337,7 +337,11 @@ void write_json(const std::string& path, bool smoke,
         << ", \"speedup\": " << m.speedup() << "}";
     rows.push_back(row.str());
   }
-  benchutil::write_json_report(path, "bench_throughput", smoke, rows);
+  benchutil::write_json_report(
+      path, "bench_throughput", smoke, rows,
+      "ns/sample: mean over one timed run of reps x batch samples after one "
+      "untimed warm-up (folds: summed per-rep fold time, construction "
+      "excluded)");
 }
 
 int run(int argc, char** argv) {

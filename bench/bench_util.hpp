@@ -14,6 +14,9 @@
 #ifndef RANM_BUILD_TYPE
 #define RANM_BUILD_TYPE "unknown"
 #endif
+#ifndef RANM_CXX_FLAGS
+#define RANM_CXX_FLAGS "unknown"
+#endif
 
 namespace ranm::benchutil {
 
@@ -52,9 +55,9 @@ inline std::string json_string(const std::string& s) {
 }
 
 /// Where and how a report was measured: the commit of the working tree
-/// (plus whether tracked files differed from it), the compiler and build
-/// type the bench was built with, the CPU model and its hardware threads,
-/// and the repetition statistic behind the timings.
+/// (plus whether tracked files differed from it), the compiler, build
+/// type and compiler flags the bench was built with, the CPU model and its
+/// hardware threads, and the repetition statistic behind the timings.
 inline std::string provenance_json(const std::string& statistic) {
   const std::string commit =
       command_line("git rev-parse HEAD 2>/dev/null");
@@ -80,6 +83,7 @@ inline std::string provenance_json(const std::string& statistic) {
          ", \"dirty\": " + (dirty ? "true" : "false") +
          ", \"compiler\": " + json_string(compiler) +
          ", \"build_type\": " + json_string(RANM_BUILD_TYPE) +
+         ", \"flags\": " + json_string(RANM_CXX_FLAGS) +
          ", \"cpu\": " + json_string(cpu.empty() ? "unknown" : cpu) +
          ", \"hardware_threads\": " +
          std::to_string(std::thread::hardware_concurrency()) +
@@ -87,13 +91,14 @@ inline std::string provenance_json(const std::string& statistic) {
 }
 
 /// Writes the per-PR report: each entry of `rows` is one pre-rendered
-/// JSON object, stamped with provenance_json(statistic). Failure to open
+/// JSON object, stamped with provenance_json(statistic). Every bench
+/// states how its timings were reduced from repetitions. Failure to open
 /// the path is reported on stderr, not fatal — the bench's table output
 /// already happened.
 inline void write_json_report(const std::string& path,
                               const std::string& bench, bool smoke,
                               const std::vector<std::string>& rows,
-                              const std::string& statistic = "unrecorded") {
+                              const std::string& statistic) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "%s: cannot write %s\n", bench.c_str(),

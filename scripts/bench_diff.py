@@ -29,8 +29,8 @@ comparing a committed full run against a CI smoke run is noise, but two
 runs of the same shape regressing by a wide margin is a real signal.
 
 Like perfbench/compare.py, the script refuses to compare timings between
-reports whose provenance differs in compiler, build type, CPU, hardware
-threads or repetition statistic (or that carry no provenance): such a
+reports whose provenance differs in compiler, build type, compiler flags,
+CPU, hardware threads or repetition statistic (or that carry no provenance): such a
 delta measures the two set-ups, not the change. For a refused pair only
 the --fail-increase metrics, which are deterministic, are shown and gated.
 
@@ -57,7 +57,7 @@ IGNORED = {"requests"}
 # Provenance keys (bench_util.hpp's stamp) that must agree before timings
 # are compared. The commit and the dirty flag may differ: they are the
 # change being measured.
-MUST_MATCH = ("compiler", "build_type", "cpu", "hardware_threads",
+MUST_MATCH = ("compiler", "build_type", "flags", "cpu", "hardware_threads",
               "statistic")
 
 
@@ -184,8 +184,8 @@ def diff_report(name, baseline, fresh, threshold, fail_rules,
 def self_test():
     """Runs diff_report on synthetic reports; returns the exit status."""
     prov = {"commit": "a", "dirty": False, "compiler": "gcc 12.2.0",
-            "build_type": "Release", "cpu": "cpu", "hardware_threads": 4,
-            "statistic": "median"}
+            "build_type": "Release", "flags": "-O3 -DNDEBUG", "cpu": "cpu",
+            "hardware_threads": 4, "statistic": "median"}
 
     def report(ms, nodes, **changes):
         row = {"mode": "robust", "train_size": 64, "build_ms": ms,
@@ -203,6 +203,8 @@ def self_test():
          report(2.0, 5, stamp={"commit": "b", "dirty": True}), 1, False),
         ("slower build, other compiler", report(1.0, 5),
          report(2.0, 5, stamp={"compiler": "clang 17"}), 0, True),
+        ("slower build, other flags", report(1.0, 5),
+         report(2.0, 5, stamp={"flags": "-O2 -fsanitize=address"}), 0, True),
         ("slower build, other CPU", report(1.0, 5),
          report(2.0, 5, stamp={"cpu": "other"}), 0, True),
         ("slower build, no provenance", report(1.0, 5),

@@ -36,12 +36,12 @@ void emit_bounds(double acc_c2, double acc_r2, float bias, BoxBatch& out,
 
 }  // namespace
 
-BoxBatch ReferenceBoundBackend::do_affine(std::span<const float> w,
-                                          std::size_t rows, std::size_t cols,
-                                          std::span<const float> bias,
-                                          const BoxBatch& in) const {
+void ReferenceBoundBackend::do_affine(std::span<const float> w,
+                                      std::size_t rows, std::size_t cols,
+                                      std::span<const float> bias,
+                                      const BoxBatch& in,
+                                      BoxBatch& out) const {
   const std::size_t n = in.size();
-  BoxBatch out(rows, n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < rows; ++r) {
       // Doubled centre/radius form, double accumulation in ascending j.
@@ -54,15 +54,14 @@ BoxBatch ReferenceBoundBackend::do_affine(std::span<const float> w,
       emit_bounds(c, rad, bias[r], out, r, i);
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
-                                          std::span<const float> w,
-                                          std::span<const float> bias,
-                                          const BoxBatch& in) const {
+void ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
+                                      std::span<const float> w,
+                                      std::span<const float> bias,
+                                      const BoxBatch& in,
+                                      BoxBatch& out) const {
   const std::size_t n = in.size();
-  BoxBatch out(g.output_size(), n);
   // Per-sample staging of the doubled centre/radius.
   std::vector<double> cen(g.input_size()), rad(g.input_size());
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.padding);
@@ -108,13 +107,12 @@ BoxBatch ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
       }
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_max_pool(const Pool2DGeometry& g,
-                                            const BoxBatch& in) const {
+void ReferenceBoundBackend::do_max_pool(const Pool2DGeometry& g,
+                                        const BoxBatch& in,
+                                        BoxBatch& out) const {
   const std::size_t n = in.size();
-  BoxBatch out(g.output_size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t ch = 0; ch < g.channels; ++ch) {
       for (std::size_t oy = 0; oy < g.out_height; ++oy) {
@@ -138,14 +136,13 @@ BoxBatch ReferenceBoundBackend::do_max_pool(const Pool2DGeometry& g,
       }
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_avg_pool(const Pool2DGeometry& g,
-                                            const BoxBatch& in) const {
+void ReferenceBoundBackend::do_avg_pool(const Pool2DGeometry& g,
+                                        const BoxBatch& in,
+                                        BoxBatch& out) const {
   const std::size_t n = in.size();
   const double inv = 1.0 / double(g.window * g.window);
-  BoxBatch out(g.output_size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t ch = 0; ch < g.channels; ++ch) {
       for (std::size_t oy = 0; oy < g.out_height; ++oy) {
@@ -168,24 +165,20 @@ BoxBatch ReferenceBoundBackend::do_avg_pool(const Pool2DGeometry& g,
       }
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_relu(const BoxBatch& in) const {
-  BoxBatch out(in.dimension(), in.size());
+void ReferenceBoundBackend::do_relu(const BoxBatch& in, BoxBatch& out) const {
   for (std::size_t i = 0; i < in.size(); ++i) {
     for (std::size_t j = 0; j < in.dimension(); ++j) {
       out.lo(j, i) = std::max(0.0F, in.lo(j, i));
       out.hi(j, i) = std::max(0.0F, in.hi(j, i));
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_leaky_relu(float alpha,
-                                              const BoxBatch& in) const {
+void ReferenceBoundBackend::do_leaky_relu(float alpha, const BoxBatch& in,
+                                          BoxBatch& out) const {
   auto f = [alpha](float v) { return v > 0.0F ? v : alpha * v; };
-  BoxBatch out(in.dimension(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     for (std::size_t j = 0; j < in.dimension(); ++j) {
       const float a = f(in.lo(j, i)), b = f(in.hi(j, i));
@@ -193,32 +186,29 @@ BoxBatch ReferenceBoundBackend::do_leaky_relu(float alpha,
       out.hi(j, i) = std::max(a, b);
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_normalize(std::span<const float> mean,
-                                             std::span<const float> inv_std,
-                                             const BoxBatch& in) const {
-  BoxBatch out(in.dimension(), in.size());
+void ReferenceBoundBackend::do_normalize(std::span<const float> mean,
+                                         std::span<const float> inv_std,
+                                         const BoxBatch& in,
+                                         BoxBatch& out) const {
   for (std::size_t i = 0; i < in.size(); ++i) {
     for (std::size_t j = 0; j < in.dimension(); ++j) {
       out.lo(j, i) = (in.lo(j, i) - mean[j]) * inv_std[j];
       out.hi(j, i) = (in.hi(j, i) - mean[j]) * inv_std[j];
     }
   }
-  return out;
 }
 
-BoxBatch ReferenceBoundBackend::do_monotone(float (*f)(float),
-                                            const BoxBatch& in) const {
-  BoxBatch out(in.dimension(), in.size());
+void ReferenceBoundBackend::do_monotone(float (*f)(float),
+                                        const BoxBatch& in,
+                                        BoxBatch& out) const {
   for (std::size_t i = 0; i < in.size(); ++i) {
     for (std::size_t j = 0; j < in.dimension(); ++j) {
       out.lo(j, i) = f(in.lo(j, i));
       out.hi(j, i) = f(in.hi(j, i));
     }
   }
-  return out;
 }
 
 }  // namespace ranm

@@ -1,126 +1,152 @@
 // Vectorized bound backend, the production engine: the batch dimension is
-// innermost, so every hot loop sweeps contiguous BoxBatch rows with the
-// neuron's parameters hoisted into scalars — the shape the compiler
-// auto-vectorizes. Per sample the accumulation order and expressions are
-// identical to the reference backend (double accumulators of lo + hi and
-// hi - lo, ascending term order, bias and roundoff widening added last,
+// innermost, and every hot loop is branch-free with the neuron's
+// parameters hoisted into registers. The affine, conv and average-pool
+// kernels compute register tiles (util/tile.hpp) of several output
+// neurons by several samples, so each input bound is loaded, and its
+// centre and radius formed, once per tile instead of once per output
+// neuron. Per sample the accumulation order and expressions are identical
+// to the reference backend (double accumulators of lo + hi and hi - lo,
+// ascending term order, bias and roundoff widening added last,
 // round_down/round_up at the narrowing cast), so bounds never tighten
 // relative to it: on targets without FP contraction they are
 // bit-identical.
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "absint/bound_backend.hpp"
+#include "util/tile.hpp"
 
 namespace ranm {
 namespace {
 
-/// One term of the affine accumulators: Σ w·(lo + hi) and Σ |w|·(hi - lo),
-/// twice the centre and radius sums. Both are exact in double, where the
-/// float centre 0.5F * (lo + hi) can round so that [cen - rad, cen + rad]
-/// misses an endpoint.
-void accumulate(double wv, const float* lo, const float* hi, double* acc_c2,
-                double* acc_r2, std::size_t n) {
-  const double aw = std::fabs(wv);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double l = lo[i], h = hi[i];
-    acc_c2[i] += wv * (l + h);
-    acc_r2[i] += aw * (h - l);
-  }
-}
+// Affine/conv tile: kBoxNeuronTile output neurons × kBoxSampleTile samples
+// over the full sample tiles, kNeuronTile neurons per leftover sample.
+constexpr std::size_t kBoxNeuronTile = 3;
+constexpr std::size_t kBoxSampleTile = 8;
 
-/// Narrows the bias-free doubled centre/radius accumulators of one output
-/// row to float bounds: halve, add the bias, widen by u·(|c| + r) for the
-/// forward pass's rounding of Σ w·x to float, round outward.
-void emit_bounds(const double* acc_c2, const double* acc_r2, float bias,
-                 float* lo, float* hi, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double c = 0.5 * acc_c2[i];
-    const double r = 0.5 * acc_r2[i];
-    const double rad = r + kFloatUnitRoundoff * (std::fabs(c) + r);
-    lo[i] = round_down(c + double(bias) - rad);
-    hi[i] = round_up(c + double(bias) + rad);
-  }
-}
+/// The affine accumulators of a U-neuron × T-sample tile: Σ w·(lo + hi)
+/// and Σ |w|·(hi - lo), twice the centre and radius sums. Both are exact
+/// in double, where the float centre 0.5F * (lo + hi) can round so that
+/// [cen - rad, cen + rad] misses an endpoint.
+template <std::size_t U, std::size_t T>
+struct AffineTile {
+  double c2[U][T] = {};
+  double r2[U][T] = {};
 
-}  // namespace
-
-BoxBatch VectorizedBoundBackend::do_affine(std::span<const float> w,
-                                           std::size_t rows, std::size_t cols,
-                                           std::span<const float> bias,
-                                           const BoxBatch& in) const {
-  const std::size_t n = in.size();
-  BoxBatch out(rows, n);
-  if (n == 0) return out;
-  std::vector<double> acc_c(n), acc_r(n);
-  for (std::size_t r = 0; r < rows; ++r) {
-    std::fill(acc_c.begin(), acc_c.end(), 0.0);
-    std::fill(acc_r.begin(), acc_r.end(), 0.0);
-    const float* wrow = w.data() + r * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      accumulate(double(wrow[j]), in.lo_row(j).data(), in.hi_row(j).data(),
-                 acc_c.data(), acc_r.data(), n);
+  /// Adds one input term of T samples (bounds lo[0..T), hi[0..T)) with
+  /// weight w[u * w_stride] for neuron u of the tile.
+  void add(const float* w, std::size_t w_stride, const float* lo,
+           const float* hi) noexcept {
+    double sum[T], diff[T];
+    for (std::size_t t = 0; t < T; ++t) {
+      const double l = lo[t], h = hi[t];
+      sum[t] = l + h;
+      diff[t] = h - l;
     }
-    emit_bounds(acc_c.data(), acc_r.data(), bias[r], out.lo_row(r).data(),
-                out.hi_row(r).data(), n);
-  }
-  return out;
-}
-
-BoxBatch VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
-                                           std::span<const float> w,
-                                           std::span<const float> bias,
-                                           const BoxBatch& in) const {
-  const std::size_t n = in.size();
-  BoxBatch out(g.output_size(), n);
-  if (n == 0) return out;
-  std::vector<double> acc_c(n), acc_r(n);
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.padding);
-  for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
-    for (std::size_t oy = 0; oy < g.out_height; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_width; ++ox) {
-        std::fill(acc_c.begin(), acc_c.end(), 0.0);
-        std::fill(acc_r.begin(), acc_r.end(), 0.0);
-        for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
-          for (std::size_t ky = 0; ky < g.kernel_h; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * g.stride + ky) - pad;
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_height)) {
-              continue;
-            }
-            for (std::size_t kx = 0; kx < g.kernel_w; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * g.stride + kx) - pad;
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_width)) {
-                continue;
-              }
-              const double wv =
-                  double(w[((oc * g.in_channels + ic) * g.kernel_h + ky) *
-                               g.kernel_w +
-                           kx]);
-              const std::size_t iidx =
-                  (ic * g.in_height + std::size_t(iy)) * g.in_width +
-                  std::size_t(ix);
-              accumulate(wv, in.lo_row(iidx).data(), in.hi_row(iidx).data(),
-                         acc_c.data(), acc_r.data(), n);
-            }
-          }
-        }
-        const std::size_t oidx = (oc * g.out_height + oy) * g.out_width + ox;
-        emit_bounds(acc_c.data(), acc_r.data(), bias[oc],
-                    out.lo_row(oidx).data(), out.hi_row(oidx).data(), n);
+    for (std::size_t u = 0; u < U; ++u) {
+      const double wv = w[u * w_stride];
+      const double aw = std::fabs(wv);
+      for (std::size_t t = 0; t < T; ++t) {
+        c2[u][t] += wv * sum[t];
+        r2[u][t] += aw * diff[t];
       }
     }
   }
-  return out;
+
+  /// Narrows neuron u's accumulators to float bounds: halve, add the bias,
+  /// widen by u·(|c| + r) for the forward pass's rounding of Σ w·x to
+  /// float, round outward.
+  void emit(std::size_t u, float bias, float* lo, float* hi) const noexcept {
+    for (std::size_t t = 0; t < T; ++t) {
+      const double c = 0.5 * c2[u][t];
+      const double r = 0.5 * r2[u][t];
+      const double rad = r + kFloatUnitRoundoff * (std::fabs(c) + r);
+      lo[t] = round_down(c + double(bias) - rad);
+      hi[t] = round_up(c + double(bias) + rad);
+    }
+  }
+};
+
+}  // namespace
+
+void VectorizedBoundBackend::do_affine(std::span<const float> w,
+                                       std::size_t rows, std::size_t cols,
+                                       std::span<const float> bias,
+                                       const BoxBatch& in,
+                                       BoxBatch& out) const {
+  const std::size_t n = in.size();
+  const float* lo = in.lower().storage().data();
+  const float* hi = in.upper().storage().data();
+  float* out_lo = out.lower().storage().data();
+  float* out_hi = out.upper().storage().data();
+  for_each_tile<kBoxNeuronTile, kBoxSampleTile>(
+      n, rows, [&]<std::size_t U, std::size_t T>(std::size_t o0,
+                                                 std::size_t s0) {
+        AffineTile<U, T> acc;
+        const float* wrow = w.data() + o0 * cols;
+        for (std::size_t j = 0; j < cols; ++j) {
+          acc.add(wrow + j, cols, lo + j * n + s0, hi + j * n + s0);
+        }
+        for (std::size_t u = 0; u < U; ++u) {
+          const std::size_t at = (o0 + u) * n + s0;
+          acc.emit(u, bias[o0 + u], out_lo + at, out_hi + at);
+        }
+      });
 }
 
-BoxBatch VectorizedBoundBackend::do_max_pool(const Pool2DGeometry& g,
-                                             const BoxBatch& in) const {
+void VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
+                                       std::span<const float> w,
+                                       std::span<const float> bias,
+                                       const BoxBatch& in,
+                                       BoxBatch& out) const {
   const std::size_t n = in.size();
-  BoxBatch out(g.output_size(), n);
+  const float* lo = in.lower().storage().data();
+  const float* hi = in.upper().storage().data();
+  float* out_lo = out.lower().storage().data();
+  float* out_hi = out.upper().storage().data();
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.padding);
+  const std::size_t kernel_size = g.in_channels * g.kernel_h * g.kernel_w;
+  for (std::size_t oy = 0; oy < g.out_height; ++oy) {
+    const std::ptrdiff_t y0 = std::ptrdiff_t(oy * g.stride) - pad;
+    const TapRange ky = taps_inside(y0, g.in_height, g.kernel_h);
+    for (std::size_t ox = 0; ox < g.out_width; ++ox) {
+      const std::ptrdiff_t x0 = std::ptrdiff_t(ox * g.stride) - pad;
+      const TapRange kx = taps_inside(x0, g.in_width, g.kernel_w);
+      // Neurons of a tile are output channels at this (oy, ox): they share
+      // every tap and differ only in their weights.
+      for_each_tile<kBoxNeuronTile, kBoxSampleTile>(
+          n, g.out_channels, [&]<std::size_t U, std::size_t T>(
+                                 std::size_t oc0, std::size_t s0) {
+            AffineTile<U, T> acc;
+            const float* w0 = w.data() + oc0 * kernel_size;
+            for (std::size_t ic = 0; ic < g.in_channels; ++ic) {
+              for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+                const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+                const std::size_t tap_row = (ic * g.kernel_h + r) * g.kernel_w;
+                for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+                  const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
+                  const std::size_t at =
+                      ((ic * g.in_height + iy) * g.in_width + ix) * n + s0;
+                  acc.add(w0 + tap_row + q, kernel_size, lo + at, hi + at);
+                }
+              }
+            }
+            for (std::size_t u = 0; u < U; ++u) {
+              const std::size_t at =
+                  (((oc0 + u) * g.out_height + oy) * g.out_width + ox) * n +
+                  s0;
+              acc.emit(u, bias[oc0 + u], out_lo + at, out_hi + at);
+            }
+          });
+    }
+  }
+}
+
+void VectorizedBoundBackend::do_max_pool(const Pool2DGeometry& g,
+                                         const BoxBatch& in,
+                                         BoxBatch& out) const {
+  const std::size_t n = in.size();
   for (std::size_t ch = 0; ch < g.channels; ++ch) {
     for (std::size_t oy = 0; oy < g.out_height; ++oy) {
       for (std::size_t ox = 0; ox < g.out_width; ++ox) {
@@ -145,49 +171,52 @@ BoxBatch VectorizedBoundBackend::do_max_pool(const Pool2DGeometry& g,
       }
     }
   }
-  return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_avg_pool(const Pool2DGeometry& g,
-                                             const BoxBatch& in) const {
+void VectorizedBoundBackend::do_avg_pool(const Pool2DGeometry& g,
+                                         const BoxBatch& in,
+                                         BoxBatch& out) const {
   const std::size_t n = in.size();
   const double inv = 1.0 / double(g.window * g.window);
-  BoxBatch out(g.output_size(), n);
-  if (n == 0) return out;
-  std::vector<double> acc_lo(n), acc_hi(n);
-  for (std::size_t ch = 0; ch < g.channels; ++ch) {
-    for (std::size_t oy = 0; oy < g.out_height; ++oy) {
-      for (std::size_t ox = 0; ox < g.out_width; ++ox) {
-        std::fill(acc_lo.begin(), acc_lo.end(), 0.0);
-        std::fill(acc_hi.begin(), acc_hi.end(), 0.0);
+  const float* lo = in.lower().storage().data();
+  const float* hi = in.upper().storage().data();
+  float* out_lo = out.lower().storage().data();
+  float* out_hi = out.upper().storage().data();
+  const std::size_t plane = g.in_height * g.in_width;
+  for (std::size_t oy = 0; oy < g.out_height; ++oy) {
+    for (std::size_t ox = 0; ox < g.out_width; ++ox) {
+      // Neurons of a tile are channels at this (oy, ox).
+      for_each_tile(n, g.channels, [&]<std::size_t U, std::size_t T>(
+                                       std::size_t ch0, std::size_t s0) {
+        double acc_lo[U][T] = {};
+        double acc_hi[U][T] = {};
         for (std::size_t ky = 0; ky < g.window; ++ky) {
           for (std::size_t kx = 0; kx < g.window; ++kx) {
-            const std::size_t iy = oy * g.stride + ky;
-            const std::size_t ix = ox * g.stride + kx;
-            const std::size_t idx = (ch * g.in_height + iy) * g.in_width + ix;
-            const float* ilo = in.lo_row(idx).data();
-            const float* ihi = in.hi_row(idx).data();
-            for (std::size_t i = 0; i < n; ++i) {
-              acc_lo[i] += ilo[i];
-              acc_hi[i] += ihi[i];
+            const std::size_t tap =
+                (oy * g.stride + ky) * g.in_width + ox * g.stride + kx;
+            for (std::size_t u = 0; u < U; ++u) {
+              const std::size_t at = ((ch0 + u) * plane + tap) * n + s0;
+              for (std::size_t t = 0; t < T; ++t) {
+                acc_lo[u][t] += lo[at + t];
+                acc_hi[u][t] += hi[at + t];
+              }
             }
           }
         }
-        const std::size_t oidx = (ch * g.out_height + oy) * g.out_width + ox;
-        float* lo = out.lo_row(oidx).data();
-        float* hi = out.hi_row(oidx).data();
-        for (std::size_t i = 0; i < n; ++i) {
-          lo[i] = round_down(acc_lo[i] * inv);
-          hi[i] = round_up(acc_hi[i] * inv);
+        for (std::size_t u = 0; u < U; ++u) {
+          const std::size_t at =
+              (((ch0 + u) * g.out_height + oy) * g.out_width + ox) * n + s0;
+          for (std::size_t t = 0; t < T; ++t) {
+            out_lo[at + t] = round_down(acc_lo[u][t] * inv);
+            out_hi[at + t] = round_up(acc_hi[u][t] * inv);
+          }
         }
-      }
+      });
     }
   }
-  return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_relu(const BoxBatch& in) const {
-  BoxBatch out(in.dimension(), in.size());
+void VectorizedBoundBackend::do_relu(const BoxBatch& in, BoxBatch& out) const {
   const std::span<const float> ilo = in.lower().storage();
   const std::span<const float> ihi = in.upper().storage();
   const std::span<float> olo = out.lower().storage();
@@ -196,30 +225,30 @@ BoxBatch VectorizedBoundBackend::do_relu(const BoxBatch& in) const {
     olo[e] = std::max(0.0F, ilo[e]);
     ohi[e] = std::max(0.0F, ihi[e]);
   }
-  return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_leaky_relu(float alpha,
-                                               const BoxBatch& in) const {
-  BoxBatch out(in.dimension(), in.size());
+void VectorizedBoundBackend::do_leaky_relu(float alpha, const BoxBatch& in,
+                                           BoxBatch& out) const {
   const std::span<const float> ilo = in.lower().storage();
   const std::span<const float> ihi = in.upper().storage();
   const std::span<float> olo = out.lower().storage();
   const std::span<float> ohi = out.upper().storage();
   for (std::size_t e = 0; e < ilo.size(); ++e) {
-    const float a = ilo[e] > 0.0F ? ilo[e] : alpha * ilo[e];
-    const float b = ihi[e] > 0.0F ? ihi[e] : alpha * ihi[e];
+    // max(v, αv) is v > 0 ? v : αv for α in [0, 1), signed zeros
+    // included, and unlike the select it computes both operands
+    // unconditionally, so the loop vectorizes under -ftrapping-math.
+    const float a = std::max(ilo[e], alpha * ilo[e]);
+    const float b = std::max(ihi[e], alpha * ihi[e]);
     olo[e] = std::min(a, b);
     ohi[e] = std::max(a, b);
   }
-  return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_normalize(std::span<const float> mean,
-                                              std::span<const float> inv_std,
-                                              const BoxBatch& in) const {
+void VectorizedBoundBackend::do_normalize(std::span<const float> mean,
+                                          std::span<const float> inv_std,
+                                          const BoxBatch& in,
+                                          BoxBatch& out) const {
   const std::size_t n = in.size();
-  BoxBatch out(in.dimension(), in.size());
   for (std::size_t j = 0; j < in.dimension(); ++j) {
     const float m = mean[j];
     const float s = inv_std[j];
@@ -232,12 +261,11 @@ BoxBatch VectorizedBoundBackend::do_normalize(std::span<const float> mean,
       ohi[i] = (ihi[i] - m) * s;
     }
   }
-  return out;
 }
 
-BoxBatch VectorizedBoundBackend::do_monotone(float (*f)(float),
-                                             const BoxBatch& in) const {
-  BoxBatch out(in.dimension(), in.size());
+void VectorizedBoundBackend::do_monotone(float (*f)(float),
+                                         const BoxBatch& in,
+                                         BoxBatch& out) const {
   const std::span<const float> ilo = in.lower().storage();
   const std::span<const float> ihi = in.upper().storage();
   const std::span<float> olo = out.lower().storage();
@@ -246,7 +274,6 @@ BoxBatch VectorizedBoundBackend::do_monotone(float (*f)(float),
     olo[e] = f(ilo[e]);
     ohi[e] = f(ihi[e]);
   }
-  return out;
 }
 
 }  // namespace ranm

@@ -1,4 +1,5 @@
-// Shape validation for every backend (NVI wrappers). Kernels live in
+// Shape validation for every backend (NVI wrappers): each checks its
+// arguments, reshapes the output batch and dispatches. Kernels live in
 // backend_reference.cpp / backend_vectorized.cpp.
 #include "absint/bound_backend.hpp"
 
@@ -20,6 +21,17 @@ void check_dim(const BoxBatch& in, std::size_t expected, const char* what) {
   }
 }
 
+/// Reshapes `out` to dim × in.size() for a kernel to fill. A kernel reads
+/// `in` while it writes `out`, so they may not be the same batch.
+void prepare_out(const BoxBatch& in, BoxBatch& out, std::size_t dim,
+                 const char* what) {
+  if (&in == &out) {
+    throw std::invalid_argument(std::string("BoundBackend::") + what +
+                                ": input and output are the same batch");
+  }
+  out.reshape(dim, in.size());
+}
+
 /// The last window along one axis must fit the input extent, or the
 /// kernels read past the row: (out - 1) * stride + window <= in.
 void check_pool_fits(const Pool2DGeometry& g, const char* what) {
@@ -33,9 +45,9 @@ void check_pool_fits(const Pool2DGeometry& g, const char* what) {
 
 }  // namespace
 
-BoxBatch BoundBackend::affine(std::span<const float> w, std::size_t rows,
-                              std::size_t cols, std::span<const float> bias,
-                              const BoxBatch& in) const {
+void BoundBackend::affine(std::span<const float> w, std::size_t rows,
+                          std::size_t cols, std::span<const float> bias,
+                          const BoxBatch& in, BoxBatch& out) const {
   if (rows == 0 || cols == 0) {
     throw std::invalid_argument("BoundBackend::affine: zero dimension");
   }
@@ -47,13 +59,13 @@ BoxBatch BoundBackend::affine(std::span<const float> w, std::size_t rows,
     throw std::invalid_argument("BoundBackend::affine: bias size mismatch");
   }
   check_dim(in, cols, "affine");
-  return do_affine(w, rows, cols, bias, in);
+  prepare_out(in, out, rows, "affine");
+  do_affine(w, rows, cols, bias, in, out);
 }
 
-BoxBatch BoundBackend::conv2d(const Conv2DGeometry& g,
-                              std::span<const float> w,
-                              std::span<const float> bias,
-                              const BoxBatch& in) const {
+void BoundBackend::conv2d(const Conv2DGeometry& g, std::span<const float> w,
+                          std::span<const float> bias, const BoxBatch& in,
+                          BoxBatch& out) const {
   if (g.input_size() == 0 || g.output_size() == 0 || g.stride == 0) {
     throw std::invalid_argument("BoundBackend::conv2d: empty geometry");
   }
@@ -64,44 +76,52 @@ BoxBatch BoundBackend::conv2d(const Conv2DGeometry& g,
     throw std::invalid_argument("BoundBackend::conv2d: bias size mismatch");
   }
   check_dim(in, g.input_size(), "conv2d");
-  return do_conv2d(g, w, bias, in);
+  prepare_out(in, out, g.output_size(), "conv2d");
+  do_conv2d(g, w, bias, in, out);
 }
 
-BoxBatch BoundBackend::max_pool(const Pool2DGeometry& g,
-                                const BoxBatch& in) const {
+void BoundBackend::max_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                            BoxBatch& out) const {
   if (g.input_size() == 0 || g.output_size() == 0 || g.window == 0 ||
       g.stride == 0) {
     throw std::invalid_argument("BoundBackend::max_pool: empty geometry");
   }
   check_pool_fits(g, "max_pool");
   check_dim(in, g.input_size(), "max_pool");
-  return do_max_pool(g, in);
+  prepare_out(in, out, g.output_size(), "max_pool");
+  do_max_pool(g, in, out);
 }
 
-BoxBatch BoundBackend::avg_pool(const Pool2DGeometry& g,
-                                const BoxBatch& in) const {
+void BoundBackend::avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                            BoxBatch& out) const {
   if (g.input_size() == 0 || g.output_size() == 0 || g.window == 0 ||
       g.stride == 0) {
     throw std::invalid_argument("BoundBackend::avg_pool: empty geometry");
   }
   check_pool_fits(g, "avg_pool");
   check_dim(in, g.input_size(), "avg_pool");
-  return do_avg_pool(g, in);
+  prepare_out(in, out, g.output_size(), "avg_pool");
+  do_avg_pool(g, in, out);
 }
 
-BoxBatch BoundBackend::relu(const BoxBatch& in) const { return do_relu(in); }
+void BoundBackend::relu(const BoxBatch& in, BoxBatch& out) const {
+  prepare_out(in, out, in.dimension(), "relu");
+  do_relu(in, out);
+}
 
-BoxBatch BoundBackend::leaky_relu(float alpha, const BoxBatch& in) const {
+void BoundBackend::leaky_relu(float alpha, const BoxBatch& in,
+                              BoxBatch& out) const {
   if (!(alpha >= 0.0F) || alpha >= 1.0F) {
     throw std::invalid_argument(
         "BoundBackend::leaky_relu: alpha must be in [0, 1)");
   }
-  return do_leaky_relu(alpha, in);
+  prepare_out(in, out, in.dimension(), "leaky_relu");
+  do_leaky_relu(alpha, in, out);
 }
 
-BoxBatch BoundBackend::normalize(std::span<const float> mean,
-                                 std::span<const float> inv_std,
-                                 const BoxBatch& in) const {
+void BoundBackend::normalize(std::span<const float> mean,
+                             std::span<const float> inv_std,
+                             const BoxBatch& in, BoxBatch& out) const {
   if (mean.size() != in.dimension() || inv_std.size() != in.dimension()) {
     throw std::invalid_argument(
         "BoundBackend::normalize: statistics size mismatch");
@@ -114,14 +134,17 @@ BoxBatch BoundBackend::normalize(std::span<const float> mean,
           "BoundBackend::normalize: inv_std must be positive and finite");
     }
   }
-  return do_normalize(mean, inv_std, in);
+  prepare_out(in, out, in.dimension(), "normalize");
+  do_normalize(mean, inv_std, in, out);
 }
 
-BoxBatch BoundBackend::monotone(float (*f)(float), const BoxBatch& in) const {
+void BoundBackend::monotone(float (*f)(float), const BoxBatch& in,
+                            BoxBatch& out) const {
   if (f == nullptr) {
     throw std::invalid_argument("BoundBackend::monotone: null function");
   }
-  return do_monotone(f, in);
+  prepare_out(in, out, in.dimension(), "monotone");
+  do_monotone(f, in, out);
 }
 
 }  // namespace ranm

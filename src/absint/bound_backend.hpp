@@ -10,6 +10,13 @@
 // implementation for the entire stack without touching layer code. A
 // single box is a one-column batch.
 //
+// Every primitive reads a const input batch and writes a caller-owned
+// output batch, which it reshapes (BoxBatch::reshape keeps the storage,
+// which only grows, and zero-fills nothing it already had) and then fills
+// completely. A caller that keeps its output batches, such as
+// Network::propagate_box_batch with its per-thread scratch, allocates and
+// clears nothing once they have reached their largest shape.
+//
 // Soundness contract (every backend, every primitive):
 //   * the output box of sample i must contain g(x) for every x in the
 //     input box of sample i (per-sample soundness, no cross-talk);
@@ -24,15 +31,20 @@
 //     (never tighter) — the backend-differential test suite enforces this.
 //
 // Two backends exist:
-//   * VectorizedBoundBackend — neuron-major sweeps over contiguous BoxBatch
-//     rows with the per-sample accumulation order preserved, written so the
-//     compiler auto-vectorizes the affine/ReLU/pool hot loops across the
-//     batch lane. The engine every production path runs.
+//   * VectorizedBoundBackend — the engine every production path runs. The
+//     affine, conv and average-pool kernels compute register tiles of
+//     several output neurons by several samples (util/tile.hpp), loading
+//     each input bound once per tile; the elementwise and max-pool kernels
+//     sweep contiguous BoxBatch rows. Their loops are branch-free (the
+//     outward rounding included, see interval.hpp), which is what lets
+//     GCC vectorize them under its default -ftrapping-math. The
+//     per-sample accumulation order is preserved.
 //   * ReferenceBoundBackend — plain per-sample loops with the same
 //     arithmetic. Not selectable: tests and bench_domains construct it
 //     directly as the differential oracle for the vectorized kernels.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <string_view>
@@ -63,6 +75,23 @@ struct Conv2DGeometry {
   }
 };
 
+/// Kernel offsets [lo, hi) whose taps land inside an input axis of
+/// `extent` for the window starting at `origin` (which zero padding can
+/// make negative); padded taps add nothing and are skipped. Shared by the
+/// concrete and the bound convolution kernels.
+struct TapRange {
+  std::size_t lo, hi;
+};
+
+[[nodiscard]] inline TapRange taps_inside(std::ptrdiff_t origin,
+                                          std::size_t extent,
+                                          std::size_t kernel) noexcept {
+  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -origin);
+  const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
+      std::ptrdiff_t(kernel), std::ptrdiff_t(extent) - origin);
+  return {std::size_t(lo), std::size_t(std::max(lo, hi))};
+}
+
 /// Geometry of a k x k / stride-s pooling window over flat CHW vectors.
 struct Pool2DGeometry {
   std::size_t channels = 0;
@@ -82,9 +111,11 @@ struct Pool2DGeometry {
 };
 
 /// Batched sound transfer-function kernels for the box domain. The public
-/// entry points validate shapes once and dispatch to the backend's
-/// kernels; implementations may assume validated inputs. All methods are
-/// const and reentrant. Input batches must be owning (contiguous rows).
+/// entry points validate shapes once, reshape `out` to the output
+/// dimension × in.size(), and dispatch to the backend's kernels;
+/// implementations may assume validated inputs and must write every
+/// element of `out`. All methods are const and reentrant. Batches must be
+/// owning (contiguous rows), and `in` and `out` distinct objects.
 class BoundBackend {
  public:
   virtual ~BoundBackend() = default;
@@ -95,64 +126,59 @@ class BoundBackend {
 
   /// Dense affine map y = W x + b with W row-major (rows × cols):
   /// centre/radius interval propagation with outward rounding.
-  [[nodiscard]] BoxBatch affine(std::span<const float> w, std::size_t rows,
-                                std::size_t cols, std::span<const float> bias,
-                                const BoxBatch& in) const;
+  void affine(std::span<const float> w, std::size_t rows, std::size_t cols,
+              std::span<const float> bias, const BoxBatch& in,
+              BoxBatch& out) const;
 
   /// Convolution over CHW boxes; zero padding contributes [0, 0].
-  [[nodiscard]] BoxBatch conv2d(const Conv2DGeometry& g,
-                                std::span<const float> w,
-                                std::span<const float> bias,
-                                const BoxBatch& in) const;
+  void conv2d(const Conv2DGeometry& g, std::span<const float> w,
+              std::span<const float> bias, const BoxBatch& in,
+              BoxBatch& out) const;
 
   /// Max pooling: elementwise interval max over each window.
-  [[nodiscard]] BoxBatch max_pool(const Pool2DGeometry& g,
-                                  const BoxBatch& in) const;
+  void max_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                BoxBatch& out) const;
 
   /// Average pooling: exact affine window mean with outward rounding.
-  [[nodiscard]] BoxBatch avg_pool(const Pool2DGeometry& g,
-                                  const BoxBatch& in) const;
+  void avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                BoxBatch& out) const;
 
   /// ReLU: [max(0, lo), max(0, hi)] per element.
-  [[nodiscard]] BoxBatch relu(const BoxBatch& in) const;
+  void relu(const BoxBatch& in, BoxBatch& out) const;
 
   /// LeakyReLU with slope alpha on the negative side.
-  [[nodiscard]] BoxBatch leaky_relu(float alpha, const BoxBatch& in) const;
+  void leaky_relu(float alpha, const BoxBatch& in, BoxBatch& out) const;
 
   /// Fixed elementwise normalisation: (x - mean_j) * inv_std_j with
   /// inv_std_j > 0 (monotone, endpoints map to endpoints — the same
   /// scalar expression as the concrete path).
-  [[nodiscard]] BoxBatch normalize(std::span<const float> mean,
-                                   std::span<const float> inv_std,
-                                   const BoxBatch& in) const;
+  void normalize(std::span<const float> mean, std::span<const float> inv_std,
+                 const BoxBatch& in, BoxBatch& out) const;
 
   /// Monotone non-decreasing elementwise function (sigmoid, tanh):
   /// [f(lo), f(hi)] per element.
-  [[nodiscard]] BoxBatch monotone(float (*f)(float),
-                                  const BoxBatch& in) const;
+  void monotone(float (*f)(float), const BoxBatch& in, BoxBatch& out) const;
 
  protected:
   // Kernel implementations; inputs are validated by the public wrappers.
-  [[nodiscard]] virtual BoxBatch do_affine(std::span<const float> w,
-                                           std::size_t rows, std::size_t cols,
-                                           std::span<const float> bias,
-                                           const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_conv2d(const Conv2DGeometry& g,
-                                           std::span<const float> w,
-                                           std::span<const float> bias,
-                                           const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_max_pool(const Pool2DGeometry& g,
-                                             const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_avg_pool(const Pool2DGeometry& g,
-                                             const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_relu(const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_leaky_relu(float alpha,
-                                               const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_normalize(std::span<const float> mean,
-                                              std::span<const float> inv_std,
-                                              const BoxBatch& in) const = 0;
-  [[nodiscard]] virtual BoxBatch do_monotone(float (*f)(float),
-                                             const BoxBatch& in) const = 0;
+  virtual void do_affine(std::span<const float> w, std::size_t rows,
+                         std::size_t cols, std::span<const float> bias,
+                         const BoxBatch& in, BoxBatch& out) const = 0;
+  virtual void do_conv2d(const Conv2DGeometry& g, std::span<const float> w,
+                         std::span<const float> bias, const BoxBatch& in,
+                         BoxBatch& out) const = 0;
+  virtual void do_max_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                           BoxBatch& out) const = 0;
+  virtual void do_avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                           BoxBatch& out) const = 0;
+  virtual void do_relu(const BoxBatch& in, BoxBatch& out) const = 0;
+  virtual void do_leaky_relu(float alpha, const BoxBatch& in,
+                             BoxBatch& out) const = 0;
+  virtual void do_normalize(std::span<const float> mean,
+                            std::span<const float> inv_std,
+                            const BoxBatch& in, BoxBatch& out) const = 0;
+  virtual void do_monotone(float (*f)(float), const BoxBatch& in,
+                           BoxBatch& out) const = 0;
 };
 
 /// Per-sample loop backend: the straightforward form of every kernel, one
@@ -164,33 +190,31 @@ class ReferenceBoundBackend final : public BoundBackend {
   }
 
  protected:
-  [[nodiscard]] BoxBatch do_affine(std::span<const float> w, std::size_t rows,
-                                   std::size_t cols,
-                                   std::span<const float> bias,
-                                   const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_conv2d(const Conv2DGeometry& g,
-                                   std::span<const float> w,
-                                   std::span<const float> bias,
-                                   const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_max_pool(const Pool2DGeometry& g,
-                                     const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_avg_pool(const Pool2DGeometry& g,
-                                     const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_relu(const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_leaky_relu(float alpha,
-                                       const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_normalize(std::span<const float> mean,
-                                      std::span<const float> inv_std,
-                                      const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_monotone(float (*f)(float),
-                                     const BoxBatch& in) const override;
+  void do_affine(std::span<const float> w, std::size_t rows,
+                 std::size_t cols, std::span<const float> bias,
+                 const BoxBatch& in, BoxBatch& out) const override;
+  void do_conv2d(const Conv2DGeometry& g, std::span<const float> w,
+                 std::span<const float> bias, const BoxBatch& in,
+                 BoxBatch& out) const override;
+  void do_max_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                   BoxBatch& out) const override;
+  void do_avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                   BoxBatch& out) const override;
+  void do_relu(const BoxBatch& in, BoxBatch& out) const override;
+  void do_leaky_relu(float alpha, const BoxBatch& in,
+                     BoxBatch& out) const override;
+  void do_normalize(std::span<const float> mean,
+                    std::span<const float> inv_std, const BoxBatch& in,
+                    BoxBatch& out) const override;
+  void do_monotone(float (*f)(float), const BoxBatch& in,
+                   BoxBatch& out) const override;
 };
 
-/// Vectorized CPU backend, the production engine: contiguous neuron-major
-/// sweeps with the batch dimension innermost, so the affine/ReLU/pool hot
-/// loops auto-vectorize. Per-sample accumulation order (and therefore
-/// rounding) matches the reference backend exactly; only the loop nest
-/// differs.
+/// Vectorized CPU backend, the production engine: register-tiled affine,
+/// conv and average-pool kernels and contiguous elementwise sweeps, with
+/// the batch dimension innermost and no branch in the hot loops.
+/// Per-sample accumulation order (and therefore rounding) matches the
+/// reference backend exactly; only the loop nest differs.
 class VectorizedBoundBackend final : public BoundBackend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -198,26 +222,24 @@ class VectorizedBoundBackend final : public BoundBackend {
   }
 
  protected:
-  [[nodiscard]] BoxBatch do_affine(std::span<const float> w, std::size_t rows,
-                                   std::size_t cols,
-                                   std::span<const float> bias,
-                                   const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_conv2d(const Conv2DGeometry& g,
-                                   std::span<const float> w,
-                                   std::span<const float> bias,
-                                   const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_max_pool(const Pool2DGeometry& g,
-                                     const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_avg_pool(const Pool2DGeometry& g,
-                                     const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_relu(const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_leaky_relu(float alpha,
-                                       const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_normalize(std::span<const float> mean,
-                                      std::span<const float> inv_std,
-                                      const BoxBatch& in) const override;
-  [[nodiscard]] BoxBatch do_monotone(float (*f)(float),
-                                     const BoxBatch& in) const override;
+  void do_affine(std::span<const float> w, std::size_t rows,
+                 std::size_t cols, std::span<const float> bias,
+                 const BoxBatch& in, BoxBatch& out) const override;
+  void do_conv2d(const Conv2DGeometry& g, std::span<const float> w,
+                 std::span<const float> bias, const BoxBatch& in,
+                 BoxBatch& out) const override;
+  void do_max_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                   BoxBatch& out) const override;
+  void do_avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
+                   BoxBatch& out) const override;
+  void do_relu(const BoxBatch& in, BoxBatch& out) const override;
+  void do_leaky_relu(float alpha, const BoxBatch& in,
+                     BoxBatch& out) const override;
+  void do_normalize(std::span<const float> mean,
+                    std::span<const float> inv_std, const BoxBatch& in,
+                    BoxBatch& out) const override;
+  void do_monotone(float (*f)(float), const BoxBatch& in,
+                   BoxBatch& out) const override;
 };
 
 }  // namespace ranm

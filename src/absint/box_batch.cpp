@@ -15,7 +15,8 @@ BoxBatch BoxBatch::linf_ball(const FeatureBatch& centers, float delta) {
         "BoxBatch::linf_ball: delta must be finite and >= 0, got " +
         std::to_string(delta));
   }
-  BoxBatch out(centers.dimension(), centers.size());
+  BoxBatch out;
+  out.reshape(centers.dimension(), centers.size());
   const std::size_t n = centers.size();
   for (std::size_t j = 0; j < centers.dimension(); ++j) {
     const std::span<const float> c = centers.neuron(j);

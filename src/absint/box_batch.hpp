@@ -27,6 +27,15 @@ class BoxBatch {
   /// together with size == 0 (FeatureBatch invariant).
   BoxBatch(std::size_t dim, std::size_t size);
 
+  /// Gives both bound matrices the shape dim × size, keeping their storage
+  /// and leaving the bounds unspecified (FeatureBatch::reshape): the
+  /// output form of every BoundBackend kernel, which then writes each
+  /// bound.
+  void reshape(std::size_t dim, std::size_t size) {
+    lo_.reshape(dim, size);
+    hi_.reshape(dim, size);
+  }
+
   /// One L-infinity ball of radius `delta` per column of `centers`:
   /// box i is [centers(j,i) - delta, centers(j,i) + delta] per neuron j.
   /// Requires delta finite and >= 0.

@@ -2,41 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace ranm {
-
-namespace {
-// Largest finite float, as a double: the float cast is only defined for
-// values in [-max, max], so magnitudes beyond it saturate to ±infinity
-// explicitly (the IEEE result the cast would give on common targets, but
-// without the undefined behaviour).
-constexpr double kFloatMax = std::numeric_limits<float>::max();
-}  // namespace
-
-float round_down(double v) noexcept {
-  // Unconditionally step one ulp down: covers both the float cast and the
-  // sub-float-ulp error of the double accumulation versus real arithmetic.
-  // Magnitudes beyond float range clamp to ±FLT_MAX *before* the step, so
-  // the outward cushion survives saturation (a double just past FLT_MAX
-  // may stand for a true value just below it); the step then carries
-  // -FLT_MAX on to -inf. NaN propagates.
-  const float f = v > kFloatMax    ? std::numeric_limits<float>::max()
-                  : v < -kFloatMax ? -std::numeric_limits<float>::max()
-                                   : static_cast<float>(v);
-  return std::nextafter(f, -std::numeric_limits<float>::infinity());
-}
-
-float round_up(double v) noexcept {
-  // Mirror of round_down: clamp to ±FLT_MAX, then step one ulp up
-  // (+FLT_MAX steps to +inf).
-  const float f = v > kFloatMax    ? std::numeric_limits<float>::max()
-                  : v < -kFloatMax ? -std::numeric_limits<float>::max()
-                                   : static_cast<float>(v);
-  return std::nextafter(f, std::numeric_limits<float>::infinity());
-}
 
 Interval::Interval(float l, float h) : lo(l), hi(h) {
   if (l > h) {

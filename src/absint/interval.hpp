@@ -9,20 +9,70 @@
 // the monitors use.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace ranm {
 
+namespace detail {
+
+inline constexpr std::uint32_t kSignBit = 0x80000000U;
+inline constexpr std::uint32_t kInfBits = 0x7f800000U;  // +inf
+
+/// Bits of the float nearest v clamped to [-FLT_MAX, FLT_MAX]; NaN stays
+/// NaN. The clamp is done in double, before the narrowing cast, because
+/// narrowing a finite double outside float's range is undefined
+/// behaviour. It clamps the magnitude (std::min returns its first
+/// argument, |v|, for NaN) and restores the sign: one select, which the
+/// compiler turns into a min instruction, where a two-sided clamp's
+/// chained selects keep the loops from vectorizing.
+inline std::uint32_t saturated_bits(double v) noexcept {
+  static_assert(std::numeric_limits<float>::is_iec559);
+  constexpr double kMax = std::numeric_limits<float>::max();
+  return std::bit_cast<std::uint32_t>(
+      static_cast<float>(std::copysign(std::min(std::fabs(v), kMax), v)));
+}
+
+}  // namespace detail
+
 /// Rounds a double-precision lower bound outward (down) when narrowing to
 /// float. Affine transfer functions accumulate in double and must not let
 /// the final float rounding pull a bound inward — Lemma 1 is claimed at
-/// float precision, so bounds are widened by one ulp at the cast.
-[[nodiscard]] float round_down(double v) noexcept;
-/// Rounds a double-precision upper bound outward (up) to float.
-[[nodiscard]] float round_up(double v) noexcept;
+/// float precision, so bounds are widened by one ulp at the cast. The
+/// narrowed value saturates at ±FLT_MAX *before* the step, so the outward
+/// cushion survives saturation (a double just past FLT_MAX may stand for a
+/// true value just below it); the step then carries -FLT_MAX on to -inf.
+/// ±0 steps to -denorm_min; NaN passes through.
+///
+/// After the clamp (a min on the magnitude), every step is an integer select
+/// on the float's bits, with no branch and no libm call: under the default
+/// -ftrapping-math the compiler may not if-convert a floating-point
+/// select, so a float formulation would keep the bound kernels' loops
+/// from vectorizing.
+[[nodiscard]] inline float round_down(double v) noexcept {
+  std::uint32_t b = detail::saturated_bits(v);
+  b = b == 0 ? detail::kSignBit : b;  // +0 steps like -0
+  const std::uint32_t stepped = (b & detail::kSignBit) != 0 ? b + 1 : b - 1;
+  const bool nan = (b & ~detail::kSignBit) > detail::kInfBits;
+  return std::bit_cast<float>(nan ? b : stepped);
+}
+
+/// Rounds a double-precision upper bound outward (up) to float: the
+/// mirror of round_down (+FLT_MAX steps to +inf, ±0 to +denorm_min).
+[[nodiscard]] inline float round_up(double v) noexcept {
+  std::uint32_t b = detail::saturated_bits(v);
+  b = b == detail::kSignBit ? 0 : b;  // -0 steps like +0
+  const std::uint32_t stepped = (b & detail::kSignBit) != 0 ? b - 1 : b + 1;
+  const bool nan = (b & ~detail::kSignBit) > detail::kInfBits;
+  return std::bit_cast<float>(nan ? b : stepped);
+}
 
 /// Float unit roundoff u = 2^-24: rounding a double v to float moves it by
 /// at most u·|v| (normal range). The affine bound kernels widen by

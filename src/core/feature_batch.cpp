@@ -6,8 +6,9 @@
 
 namespace ranm {
 
-FeatureBatch::FeatureBatch(std::size_t dim, std::size_t size)
-    : dim_(dim), size_(size) {
+namespace {
+
+void check_shape(std::size_t dim, std::size_t size) {
   if (dim == 0 && size != 0) {
     throw std::invalid_argument(
         "FeatureBatch: zero dimension with non-zero size");
@@ -15,7 +16,24 @@ FeatureBatch::FeatureBatch(std::size_t dim, std::size_t size)
   if (size != 0 && dim > std::numeric_limits<std::size_t>::max() / size) {
     throw std::invalid_argument("FeatureBatch: dim * size overflows");
   }
+}
+
+}  // namespace
+
+FeatureBatch::FeatureBatch(std::size_t dim, std::size_t size)
+    : dim_(dim), size_(size) {
+  check_shape(dim, size);
   data_.assign(dim * size, 0.0F);
+}
+
+void FeatureBatch::reshape(std::size_t dim, std::size_t size) {
+  if (is_view()) {
+    throw std::logic_error("FeatureBatch::reshape: view batches are read-only");
+  }
+  check_shape(dim, size);
+  if (data_.size() < dim * size) data_.resize(dim * size);
+  dim_ = dim;
+  size_ = size;
 }
 
 FeatureBatch FeatureBatch::from_samples(
@@ -97,7 +115,7 @@ std::span<const float> FeatureBatch::storage() const {
     throw std::logic_error(
         "FeatureBatch::storage: view batches have no contiguous storage");
   }
-  return data_;
+  return {data_.data(), dim_ * size_};
 }
 
 std::span<float> FeatureBatch::storage() {
@@ -105,7 +123,7 @@ std::span<float> FeatureBatch::storage() {
     throw std::logic_error(
         "FeatureBatch::storage: view batches have no contiguous storage");
   }
-  return data_;
+  return {data_.data(), dim_ * size_};
 }
 
 }  // namespace ranm

@@ -32,6 +32,15 @@ class FeatureBatch {
   /// together with size == 0.
   FeatureBatch(std::size_t dim, std::size_t size);
 
+  /// Gives an owning batch the shape dim × size, keeping its storage and
+  /// leaving the contents unspecified, so the caller must write every
+  /// element it reads. The storage only grows, to the largest shape the
+  /// batch has had, and only that growth is allocated and zero-filled:
+  /// scratch that is reshaped per call costs nothing after the first.
+  /// Same preconditions as the constructor; throws std::logic_error on a
+  /// view.
+  void reshape(std::size_t dim, std::size_t size);
+
   /// Packs sample-major vectors (one per sample) into a batch.
   static FeatureBatch from_samples(
       std::size_t dim, std::span<const std::vector<float>> samples);
@@ -88,7 +97,9 @@ class FeatureBatch {
 
   std::size_t dim_ = 0;
   std::size_t size_ = 0;
-  std::vector<float> data_;         // owning storage; empty for views
+  // Owning storage; empty for views. Its first dim_ * size_ elements are
+  // the batch, and reshape() may leave it longer.
+  std::vector<float> data_;
   std::vector<const float*> rows_;  // view row table; empty when owning
 };
 

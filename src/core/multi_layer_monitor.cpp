@@ -172,8 +172,10 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
       const VectorizedBoundBackend backend;
       const FeatureBatch at_kp = net_.forward_batch(spec.kp, chunk);
       BoxBatch box = BoxBatch::linf_ball(at_kp, spec.delta);
+      BoxBatch next;  // each layer's output, swapped into `box`
       for (std::size_t k = spec.kp + 1; k <= max_layer_; ++k) {
-        box = net_.layer(k).propagate_batch(backend, box);
+        net_.layer(k).propagate_batch(backend, box, next);
+        std::swap(box, next);
         for (std::size_t e = 0; e < entries_.size(); ++e) {
           if (entries_[e].layer_k != k) continue;
           // Batched projection: selected source rows copy straight into

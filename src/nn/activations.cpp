@@ -34,9 +34,9 @@ void ReLU::forward_batch(const float* in, float* out,
 
 Zonotope ReLU::propagate(const Zonotope& in) const { return in.relu(); }
 
-BoxBatch ReLU::propagate_batch(const BoundBackend& backend,
-                               const BoxBatch& in) const {
-  return backend.relu(in);
+void ReLU::propagate_batch(const BoundBackend& backend,
+                           const BoxBatch& in, BoxBatch& out) const {
+  backend.relu(in, out);
 }
 
 // ---- LeakyReLU ------------------------------------------------------------
@@ -75,9 +75,9 @@ Zonotope LeakyReLU::propagate(const Zonotope& in) const {
   return in.leaky_relu(alpha_);
 }
 
-BoxBatch LeakyReLU::propagate_batch(const BoundBackend& backend,
-                                    const BoxBatch& in) const {
-  return backend.leaky_relu(alpha_, in);
+void LeakyReLU::propagate_batch(const BoundBackend& backend,
+                                const BoxBatch& in, BoxBatch& out) const {
+  backend.leaky_relu(alpha_, in, out);
 }
 
 // ---- Sigmoid ----------------------------------------------------------------
@@ -99,11 +99,11 @@ Zonotope Sigmoid::propagate(const Zonotope& in) const {
       +[](const Interval& iv) { return iv.sigmoid(); });
 }
 
-BoxBatch Sigmoid::propagate_batch(const BoundBackend& backend,
-                                  const BoxBatch& in) const {
+void Sigmoid::propagate_batch(const BoundBackend& backend,
+                              const BoxBatch& in, BoxBatch& out) const {
   // Same scalar expression as Interval::sigmoid's endpoints.
-  return backend.monotone(
-      +[](float v) { return 1.0F / (1.0F + std::exp(-v)); }, in);
+  backend.monotone(
+      +[](float v) { return 1.0F / (1.0F + std::exp(-v)); }, in, out);
 }
 
 // ---- Tanh -----------------------------------------------------------------
@@ -120,9 +120,9 @@ Zonotope Tanh::propagate(const Zonotope& in) const {
   return in.monotone_via_box(+[](const Interval& iv) { return iv.tanh_(); });
 }
 
-BoxBatch Tanh::propagate_batch(const BoundBackend& backend,
-                               const BoxBatch& in) const {
-  return backend.monotone(+[](float v) { return std::tanh(v); }, in);
+void Tanh::propagate_batch(const BoundBackend& backend,
+                           const BoxBatch& in, BoxBatch& out) const {
+  backend.monotone(+[](float v) { return std::tanh(v); }, in, out);
 }
 
 }  // namespace ranm

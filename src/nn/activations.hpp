@@ -41,8 +41,8 @@ class ReLU final : public Activation {
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;
@@ -58,8 +58,8 @@ class LeakyReLU final : public Activation {
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;
@@ -77,8 +77,8 @@ class Sigmoid final : public Activation {
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;
@@ -93,8 +93,8 @@ class Tanh final : public Activation {
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  protected:
   [[nodiscard]] float f(float v) const noexcept override;

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/tile.hpp"
 #include "util/rng.hpp"
+#include "util/tile.hpp"
 
 namespace ranm {
 
@@ -45,26 +45,6 @@ Shape Conv2D::input_shape() const {
 }
 
 Shape Conv2D::output_shape() const { return {cfg_.out_channels, oh_, ow_}; }
-
-namespace {
-
-/// Kernel offsets [lo, hi) whose taps land inside an input axis of
-/// `extent` for the window starting at `origin` (which zero padding can
-/// make negative); padded taps add nothing and are skipped.
-struct TapRange {
-  std::size_t lo, hi;
-};
-
-TapRange taps_inside(std::ptrdiff_t origin, std::size_t extent,
-                     std::size_t kernel) noexcept {
-  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, -origin);
-  const std::ptrdiff_t hi =
-      std::min<std::ptrdiff_t>(std::ptrdiff_t(kernel),
-                               std::ptrdiff_t(extent) - origin);
-  return {std::size_t(lo), std::size_t(std::max(lo, hi))};
-}
-
-}  // namespace
 
 void Conv2D::convolve(const float* in, float* out, std::size_t n,
                       const float* bias) const noexcept {
@@ -191,8 +171,8 @@ Zonotope Conv2D::propagate(const Zonotope& in) const {
   return Zonotope(std::move(center), std::move(gens));
 }
 
-BoxBatch Conv2D::propagate_batch(const BoundBackend& backend,
-                                 const BoxBatch& in) const {
+void Conv2D::propagate_batch(const BoundBackend& backend,
+                             const BoxBatch& in, BoxBatch& out) const {
   Conv2DGeometry g;
   g.in_channels = cfg_.in_channels;
   g.in_height = cfg_.in_height;
@@ -204,7 +184,7 @@ BoxBatch Conv2D::propagate_batch(const BoundBackend& backend,
   g.kernel_w = cfg_.kernel_w;
   g.stride = cfg_.stride;
   g.padding = cfg_.padding;
-  return backend.conv2d(g, w_.span(), b_.span(), in);
+  backend.conv2d(g, w_.span(), b_.span(), in, out);
 }
 
 void Conv2D::init_params(Rng& rng) {

@@ -32,8 +32,8 @@ class Conv2D final : public Layer {
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
   [[nodiscard]] std::vector<Tensor*> parameters() override {
     return {&w_, &b_};

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/tile.hpp"
 #include "tensor/linalg.hpp"
 #include "util/rng.hpp"
+#include "util/tile.hpp"
 
 namespace ranm {
 
@@ -70,9 +70,9 @@ Zonotope Dense::propagate(const Zonotope& in) const {
   return in.affine(w_.span(), out_, b_.span());
 }
 
-BoxBatch Dense::propagate_batch(const BoundBackend& backend,
-                                const BoxBatch& in) const {
-  return backend.affine(w_.span(), out_, in_, b_.span(), in);
+void Dense::propagate_batch(const BoundBackend& backend,
+                            const BoxBatch& in, BoxBatch& out) const {
+  backend.affine(w_.span(), out_, in_, b_.span(), in, out);
 }
 
 void Dense::init_params(Rng& rng) {

@@ -26,9 +26,12 @@ Tensor Flatten::backward(const Tensor& /*x*/, const Tensor& /*y*/,
 
 Zonotope Flatten::propagate(const Zonotope& in) const { return in; }
 
-BoxBatch Flatten::propagate_batch(const BoundBackend& /*backend*/,
-                                  const BoxBatch& in) const {
-  return in;  // identity on data; BoxBatch is already flat
+void Flatten::propagate_batch(const BoundBackend& /*backend*/,
+                              const BoxBatch& in, BoxBatch& out) const {
+  // Identity on data: a BoxBatch is already flat.
+  out.reshape(in.dimension(), in.size());
+  std::ranges::copy(in.lower().storage(), out.lower().storage().begin());
+  std::ranges::copy(in.upper().storage(), out.upper().storage().begin());
 }
 
 }  // namespace ranm

@@ -23,8 +23,8 @@ class Flatten final : public Layer {
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  private:
   Shape in_shape_;

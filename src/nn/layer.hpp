@@ -78,12 +78,14 @@ class Layer {
   /// Sound zonotope transfer function.
   [[nodiscard]] virtual Zonotope propagate(const Zonotope& in) const = 0;
 
-  /// Sound interval transfer function, the only one: column i of the
-  /// result contains g_k(x) for every x in column i of `in`. Each layer
-  /// maps it onto one of the backend's batched kernels; a single box is a
-  /// one-column batch.
-  [[nodiscard]] virtual BoxBatch propagate_batch(const BoundBackend& backend,
-                                                 const BoxBatch& in) const = 0;
+  /// Sound interval transfer function, the only one: column i of `out`
+  /// contains g_k(x) for every x in column i of `in`. `out` is reshaped to
+  /// output_size() × in.size() (its allocation kept, see
+  /// BoxBatch::reshape) and every bound written; `in` and `out` must be
+  /// distinct batches. Each layer maps it onto one of the backend's
+  /// batched kernels; a single box is a one-column batch.
+  virtual void propagate_batch(const BoundBackend& backend,
+                               const BoxBatch& in, BoxBatch& out) const = 0;
 
   /// Trainable parameter tensors (empty for stateless layers).
   [[nodiscard]] virtual std::vector<Tensor*> parameters() { return {}; }

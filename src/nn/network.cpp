@@ -76,9 +76,9 @@ Tensor Network::forward_range(std::size_t l, std::size_t k,
 
 namespace {
 
-/// Samples per block of forward_batch. The ping-pong scratch holds one
-/// block's activations, so its size is bounded by the widest layer, not by
-/// the batch.
+/// Samples per block of forward_batch and propagate_box_batch. The
+/// ping-pong scratch holds one block's activations or bounds, so its size
+/// is bounded by the widest layer, not by the batch.
 constexpr std::size_t kForwardBlock = 32;
 
 /// Ping-pong activation buffers of the calling thread, grown to the
@@ -193,6 +193,30 @@ Tensor Network::backward(std::span<const Tensor> acts,
   return g;
 }
 
+namespace {
+
+/// Ping-pong bound batches of the calling thread for propagate_box_batch,
+/// reshaped per layer. Their storage only grows, to one block times the
+/// widest layer the thread has propagated through; after that a reshape
+/// neither allocates nor zero-fills.
+struct BoxScratch {
+  BoxBatch ping, pong;
+};
+
+/// Copies `count` columns of every bound row of `from`, starting at column
+/// `from_col`, to `to`'s rows starting at column `to_col`.
+void copy_columns(const BoxBatch& from, std::size_t from_col, BoxBatch& to,
+                  std::size_t to_col, std::size_t count) {
+  for (std::size_t j = 0; j < from.dimension(); ++j) {
+    std::copy_n(from.lo_row(j).data() + from_col, count,
+                to.lo_row(j).data() + to_col);
+    std::copy_n(from.hi_row(j).data() + from_col, count,
+                to.hi_row(j).data() + to_col);
+  }
+}
+
+}  // namespace
+
 BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
                                       const BoxBatch& in,
                                       const BoundBackend& backend) const {
@@ -210,11 +234,43 @@ BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
         std::to_string(l) + " input size " +
         std::to_string(layers_[l - 1]->input_size()));
   }
-  BoxBatch v = layers_[l - 1]->propagate_batch(backend, in);
-  for (std::size_t i = l; i < k; ++i) {
-    v = layers_[i]->propagate_batch(backend, v);
+  // Blocks of samples ping-pong through layers l..k-1 in this thread's
+  // scratch, like forward_batch. One block covering the batch reads `in`
+  // and has layer k write the result directly; a larger batch gathers
+  // each block's columns into the scratch and scatters layer k's rows
+  // into the result's columns.
+  const std::size_t n = in.size();
+  const bool blocked = n > kForwardBlock;
+  thread_local BoxScratch scratch;
+  BoxBatch out;
+  if (blocked) out.reshape(layers_[k - 1]->output_size(), n);
+  // One pass even for an empty batch, so the result still gets its shape.
+  for (std::size_t c0 = 0; c0 == 0 || c0 < n; c0 += kForwardBlock) {
+    const std::size_t b = blocked ? std::min(kForwardBlock, n - c0) : n;
+    // `next` is the scratch batch the next layer writes; `spare` holds
+    // its input when that came from the scratch.
+    BoxBatch* next = &scratch.ping;
+    BoxBatch* spare = &scratch.pong;
+    const BoxBatch* src = &in;
+    if (blocked) {
+      next->reshape(in.dimension(), b);
+      copy_columns(in, c0, *next, 0, b);
+      src = next;
+      std::swap(next, spare);
+    }
+    for (std::size_t i = l - 1; i + 1 < k; ++i) {
+      layers_[i]->propagate_batch(backend, *src, *next);
+      src = next;
+      std::swap(next, spare);
+    }
+    if (!blocked) {
+      layers_[k - 1]->propagate_batch(backend, *src, out);
+      break;
+    }
+    layers_[k - 1]->propagate_batch(backend, *src, *next);
+    copy_columns(*next, 0, out, c0, b);
   }
-  return v;
+  return out;
 }
 
 Zonotope Network::propagate_zonotope(std::size_t l, std::size_t k,

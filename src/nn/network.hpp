@@ -79,11 +79,13 @@ class Network {
   [[nodiscard]] Tensor backward(std::span<const Tensor> acts,
                                 const Tensor& grad_out);
 
-  /// Sound box propagation through layers l..k (1 <= l <= k <= n): every
-  /// column of the BoxBatch is propagated in one pass using the given
-  /// bound backend's batched layer kernels. Column i of the result
-  /// contains G^{l↪k}(x) for every x in column i of `in`. The batch
-  /// dimension must equal layer l's input size.
+  /// Sound box propagation through layers l..k (1 <= l <= k <= n) on the
+  /// given bound backend's batched layer kernels. Column i of the result
+  /// contains G^{l↪k}(x) for every x in column i of `in`, and is
+  /// bit-identical to propagating that column alone. The batch dimension
+  /// must equal layer l's input size. Blocks of samples ping-pong through
+  /// reused per-thread scratch, bounded by one block times the widest
+  /// layer, as in forward_batch.
   [[nodiscard]] BoxBatch propagate_box_batch(std::size_t l, std::size_t k,
                                              const BoxBatch& in,
                                              const BoundBackend& backend) const;

@@ -49,9 +49,9 @@ Tensor Normalization::backward(const Tensor& /*x*/, const Tensor& /*y*/,
   return g;
 }
 
-BoxBatch Normalization::propagate_batch(const BoundBackend& backend,
-                                        const BoxBatch& in) const {
-  return backend.normalize(mean_, inv_std_, in);
+void Normalization::propagate_batch(const BoundBackend& backend,
+                                    const BoxBatch& in, BoxBatch& out) const {
+  backend.normalize(mean_, inv_std_, in, out);
 }
 
 Zonotope Normalization::propagate(const Zonotope& in) const {

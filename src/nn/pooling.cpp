@@ -3,7 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "nn/tile.hpp"
+#include "util/tile.hpp"
 
 namespace ranm {
 
@@ -116,13 +116,14 @@ Zonotope MaxPool2D::propagate(const Zonotope& in) const {
   // as a one-column batch.
   BoxBatch box(input_size(), 1);
   box.set_box(0, in.to_box());
-  return Zonotope::from_box(
-      VectorizedBoundBackend{}.max_pool(geometry(), box).box(0));
+  BoxBatch pooled;
+  VectorizedBoundBackend{}.max_pool(geometry(), box, pooled);
+  return Zonotope::from_box(pooled.box(0));
 }
 
-BoxBatch MaxPool2D::propagate_batch(const BoundBackend& backend,
-                                    const BoxBatch& in) const {
-  return backend.max_pool(geometry(), in);
+void MaxPool2D::propagate_batch(const BoundBackend& backend,
+                                const BoxBatch& in, BoxBatch& out) const {
+  backend.max_pool(geometry(), in, out);
 }
 
 // ---- AvgPool2D --------------------------------------------------------------
@@ -188,9 +189,9 @@ Tensor AvgPool2D::backward(const Tensor& /*x*/, const Tensor& /*y*/,
   return grad_in;
 }
 
-BoxBatch AvgPool2D::propagate_batch(const BoundBackend& backend,
-                                    const BoxBatch& in) const {
-  return backend.avg_pool(geometry(), in);
+void AvgPool2D::propagate_batch(const BoundBackend& backend,
+                                const BoxBatch& in, BoxBatch& out) const {
+  backend.avg_pool(geometry(), in, out);
 }
 
 Zonotope AvgPool2D::propagate(const Zonotope& in) const {

@@ -43,8 +43,8 @@ class MaxPool2D final : public Pooling {
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  private:
   struct WindowMax {
@@ -66,8 +66,8 @@ class AvgPool2D final : public Pooling {
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  [[nodiscard]] BoxBatch propagate_batch(const BoundBackend& backend,
-                                         const BoxBatch& in) const override;
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const override;
 
  private:
   /// The pooling is linear with no bias, so its one-column kernel call is

@@ -1,13 +1,17 @@
 // Backend-differential suite: the vectorized bound backend is compared
 // against the scalar reference backend over randomized layer chains
 // (Dense / Conv2D / pooling / normalization / activations), random shapes,
-// and batch sizes including 0, 1, and non-multiples of any SIMD lane
-// width. The backend contract: per element, bounds must be identical to the
+// and batch sizes including 0, 1, non-multiples of any SIMD lane width,
+// and either side of the register tile and of Network's sample block. The
+// backend contract: per element, bounds must be identical to the
 // reference bounds or widen only outward — never inward. The two kernels
 // evaluate the same per-sample expressions, so on this build (no FP
 // contraction) they must in fact agree bit for bit, which is asserted too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -71,6 +75,22 @@ Network make_avgpool_chain(Rng& rng) {
   return net;
 }
 
+/// Tile edges: a strided, padded conv whose 7 output channels and Dense
+/// layers whose 10 and 2 rows are not multiples of the 3-neuron tile, with
+/// a zero-slope LeakyReLU and an AvgPool in between.
+Network make_tile_edge_chain(Rng& rng) {
+  Network net;
+  net.emplace<Conv2D>(Conv2D::Config{2, 9, 9, 7, 3, 3, 2, 1});
+  net.emplace<LeakyReLU>(Shape{7, 5, 5}, 0.0F);
+  net.emplace<AvgPool2D>(Pooling::Config{7, 5, 5, 2, 1});
+  net.emplace<Flatten>(Shape{7, 4, 4});
+  net.emplace<Dense>(112, 10);
+  net.emplace<ReLU>(Shape{10});
+  net.emplace<Dense>(10, 2);
+  net.init_params(rng);
+  return net;
+}
+
 /// Per-element contract: vectorized bounds contain the reference bounds.
 void expect_outward_only(const BoxBatch& ref, const BoxBatch& vec) {
   ASSERT_EQ(ref.dimension(), vec.dimension());
@@ -109,8 +129,9 @@ const BoundBackend* const kBackends[] = {&reference, &vectorized};
 void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
   const std::size_t k = net.num_layers();
   // Batch sizes around every boundary: empty, single sample, odd sizes
-  // that are not a multiple of any SIMD lane width, and one full chunk.
-  const std::size_t batch_sizes[] = {0, 1, 3, 7, 17, 33};
+  // that are not a multiple of any SIMD lane width or sample tile, and
+  // either side of one, two and eight 32-sample blocks.
+  const std::size_t batch_sizes[] = {0, 1, 3, 7, 17, 31, 32, 33, 64, 65, 257};
   const float deltas[] = {0.0F, 0.02F, 0.4F};
   for (const std::size_t n : batch_sizes) {
     for (const float delta : deltas) {
@@ -154,6 +175,36 @@ TEST(BackendDiff, SeedConvnet) {
   Rng rng(7);
   Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
   run_differential(net, 8 * 8, rng);
+}
+
+TEST(BackendDiff, TileEdgeChain) {
+  Rng rng(31);
+  Network net = make_tile_edge_chain(rng);
+  run_differential(net, 2 * 9 * 9, rng);
+}
+
+TEST(BackendDiff, ColumnsDoNotDependOnTheBatch) {
+  // Column i of a 257-sample propagation (eight full blocks and a
+  // one-sample block; full and leftover tiles) is bit for bit the
+  // one-sample propagation of column i.
+  Rng rng(32);
+  Network net = make_tile_edge_chain(rng);
+  const BoxBatch in =
+      BoxBatch::linf_ball(random_centers(2 * 9 * 9, 257, rng), 0.05F);
+  const BoxBatch all = net.propagate_box_batch(1, net.num_layers(), in,
+                                               vectorized);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const IntervalVector one =
+        propagate_one(net, 1, net.num_layers(), in.box(i), vectorized);
+    for (std::size_t j = 0; j < one.size(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(all.lo(j, i)),
+                std::bit_cast<std::uint32_t>(one[j].lo))
+          << "neuron " << j << ", sample " << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(all.hi(j, i)),
+                std::bit_cast<std::uint32_t>(one[j].hi))
+          << "neuron " << j << ", sample " << i;
+    }
+  }
 }
 
 TEST(BackendDiff, SubRangePropagation) {
@@ -221,8 +272,9 @@ TEST(BackendDiff, CenterRadiusStagingKeepsEndpoints) {
   const float corner = net.forward(Tensor::vector({top, 1.0F}))[0];
   ASSERT_EQ(corner, 0x1p-23F);
   for (const BoundBackend* be : kBackends) {
-    const BoxBatch out = be->affine(dense.weights().span(), 1, 2,
-                                    dense.bias().span(), one_column(box));
+    BoxBatch out;
+    be->affine(dense.weights().span(), 1, 2, dense.bias().span(),
+               one_column(box), out);
     EXPECT_LE(out.lo(0, 0), 0.0F) << be->name();
     EXPECT_GE(out.hi(0, 0), corner) << be->name();
   }
@@ -255,21 +307,63 @@ TEST(BackendDiff, ActivationAndMaxPoolKernelValues) {
   window.window = 2;
   window.stride = 2;
   for (const BoundBackend* be : kBackends) {
-    const BoxBatch r = be->relu(in);
+    BoxBatch r, lr, m;
+    be->relu(in, r);
     EXPECT_EQ(r.lo(0, 0), 0.0F);
     EXPECT_EQ(r.hi(0, 0), 0.0F);
     EXPECT_EQ(r.lo(1, 0), 1.0F);
     EXPECT_EQ(r.hi(1, 0), 2.0F);
     EXPECT_EQ(r.lo(2, 0), 0.0F);
     EXPECT_EQ(r.hi(2, 0), 2.0F);
-    const BoxBatch lr = be->leaky_relu(0.1F, in);
+    be->leaky_relu(0.1F, in, lr);
     EXPECT_FLOAT_EQ(lr.lo(2, 0), -0.1F);
     EXPECT_FLOAT_EQ(lr.hi(2, 0), 2.0F);
     EXPECT_FLOAT_EQ(lr.lo(0, 0), -0.2F);
     EXPECT_FLOAT_EQ(lr.hi(0, 0), -0.1F);
-    const BoxBatch m = be->max_pool(window, pool_in);
+    be->max_pool(window, pool_in, m);
     EXPECT_EQ(m.lo(0, 0), 2.0F);
     EXPECT_EQ(m.hi(0, 0), 5.0F);
+  }
+}
+
+TEST(BackendDiff, LeakyReluKernelAtZerosAndSubnormals) {
+  // Each bound maps through v > 0 ? v : αv, the select the vectorized
+  // kernel computes as max(v, αv), and the mapped pair is ordered with
+  // std::min / std::max: bit for bit, signed zeros included, also at
+  // α = 0 and where αv underflows.
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float min_normal = std::numeric_limits<float>::min();
+  const float lo[] = {-0.0F, 0.0F, -0.0F, -tiny, -tiny, -min_normal,
+                      -3.0F, -2.0F, tiny};
+  const float hi[] = {-0.0F, 0.0F, 0.0F, -tiny, 0.0F, -0.5F * min_normal,
+                      -0.0F, 1.0F, min_normal};
+  constexpr std::size_t kCount = std::size(lo);
+  BoxBatch in(kCount, 1);
+  for (std::size_t j = 0; j < kCount; ++j) {
+    in.lo(j, 0) = lo[j];
+    in.hi(j, 0) = hi[j];
+  }
+  auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (const float alpha : {0.0F, 0.01F, 0.5F, 0.99F}) {
+    auto f = [alpha](float v) { return v > 0.0F ? v : alpha * v; };
+    for (const BoundBackend* be : kBackends) {
+      BoxBatch out;
+      be->leaky_relu(alpha, in, out);
+      for (std::size_t j = 0; j < kCount; ++j) {
+        const float a = f(lo[j]), b = f(hi[j]);
+        EXPECT_EQ(bits(out.lo(j, 0)), bits(std::min(a, b)))
+            << be->name() << " alpha " << alpha << " lo of " << lo[j];
+        EXPECT_EQ(bits(out.hi(j, 0)), bits(std::max(a, b)))
+            << be->name() << " alpha " << alpha << " hi of " << hi[j];
+      }
+    }
+  }
+}
+
+TEST(BackendDiff, KernelOutputMustNotBeItsInput) {
+  BoxBatch box(3, 2);
+  for (const BoundBackend* be : kBackends) {
+    EXPECT_THROW(be->relu(box, box), std::invalid_argument) << be->name();
   }
 }
 
@@ -290,10 +384,11 @@ TEST(BackendDiff, BackendValidatesKernelPreconditions) {
   bad.stride = 2;
   const std::vector<float> mean(16, 0.0F);
   const std::vector<float> neg_std(16, -1.0F);
+  BoxBatch out;
   for (const BoundBackend* be : kBackends) {
-    EXPECT_THROW((void)be->max_pool(bad, in), std::invalid_argument);
-    EXPECT_THROW((void)be->avg_pool(bad, in), std::invalid_argument);
-    EXPECT_THROW((void)be->normalize(mean, neg_std, in),
+    EXPECT_THROW(be->max_pool(bad, in, out), std::invalid_argument);
+    EXPECT_THROW(be->avg_pool(bad, in, out), std::invalid_argument);
+    EXPECT_THROW(be->normalize(mean, neg_std, in, out),
                  std::invalid_argument);
   }
 }

@@ -63,6 +63,29 @@ TEST(FeatureBatch, FromSamplesPacksColumns) {
   }
 }
 
+TEST(FeatureBatch, ReshapeKeepsTheLargestStorage) {
+  // Reused scratch: a reshape to a smaller or equal total keeps the
+  // storage (no reallocation), and rows follow the new sample count.
+  FeatureBatch batch(8, 4);
+  const float* storage = batch.storage().data();
+  batch.reshape(3, 5);
+  EXPECT_EQ(batch.dimension(), 3U);
+  EXPECT_EQ(batch.size(), 5U);
+  EXPECT_EQ(batch.storage().size(), 15U);
+  EXPECT_EQ(batch.storage().data(), storage);
+  EXPECT_EQ(batch.neuron(2).data(), storage + 10);
+  batch.reshape(4, 8);
+  EXPECT_EQ(batch.storage().data(), storage);
+  batch.reshape(0, 0);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_THROW(batch.reshape(0, 3), std::invalid_argument);
+  batch.reshape(16, 4);  // grows past the largest shape so far
+  EXPECT_EQ(batch.storage().size(), 64U);
+  const std::uint32_t rows[] = {1};
+  FeatureBatch view = batch.view_rows(rows);
+  EXPECT_THROW(view.reshape(1, 4), std::logic_error);
+}
+
 TEST(FeatureBatch, EmptyAndErrors) {
   const FeatureBatch empty;
   EXPECT_TRUE(empty.empty());

@@ -49,8 +49,8 @@ TEST(Normalization, IntervalTransferExactEndpoints) {
   Normalization norm(Shape{1}, std::vector<float>{1.0F},
                      std::vector<float>{2.0F});
   IntervalVector in(std::vector<Interval>{Interval(0.0F, 3.0F)});
-  const BoxBatch out =
-      norm.propagate_batch(VectorizedBoundBackend{}, one_column(in));
+  BoxBatch out;
+  norm.propagate_batch(VectorizedBoundBackend{}, one_column(in), out);
   EXPECT_FLOAT_EQ(out.lo(0, 0), -2.0F);
   EXPECT_FLOAT_EQ(out.hi(0, 0), 4.0F);
 }
@@ -61,10 +61,10 @@ TEST(Normalization, ZonotopeTransferMatchesInterval) {
   const std::vector<float> c{2.0F, 0.0F};
   Zonotope z = Zonotope::linf_ball(c, 1.0F);
   const auto zbox = norm.propagate(z).to_box();
-  const auto ibox =
-      norm.propagate_batch(VectorizedBoundBackend{},
-                           one_column(IntervalVector::linf_ball(c, 1.0F)))
-          .box(0);
+  BoxBatch out;
+  norm.propagate_batch(VectorizedBoundBackend{},
+                       one_column(IntervalVector::linf_ball(c, 1.0F)), out);
+  const auto ibox = out.box(0);
   for (std::size_t j = 0; j < 2; ++j) {
     EXPECT_NEAR(zbox[j].lo, ibox[j].lo, 1e-5F);
     EXPECT_NEAR(zbox[j].hi, ibox[j].hi, 1e-5F);

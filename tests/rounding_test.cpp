@@ -3,9 +3,14 @@
 // stepping in the normal range, saturation at extreme magnitudes (where a
 // bare float cast would be undefined behaviour), subnormals, and ±0.
 // Soundness invariant: round_down(v) <= v <= round_up(v) for every double.
+// The primitives are integer selects on the float's bits; the Oracle cases
+// pin them bit for bit to the clamp-then-std::nextafter definition they
+// replace, kept below as the oracle.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "absint/interval.hpp"
@@ -17,6 +22,34 @@ namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kFloatMax = std::numeric_limits<float>::max();
 constexpr float kTrueMin = std::numeric_limits<float>::denorm_min();
+
+/// The definition the bit-select primitives must reproduce: clamp to
+/// ±FLT_MAX, narrow, then step one ulp outward with std::nextafter.
+float oracle_narrow(double v) {
+  constexpr double kMax = kFloatMax;
+  return v > kMax ? kFloatMax : v < -kMax ? -kFloatMax : static_cast<float>(v);
+}
+float oracle_down(double v) { return std::nextafter(oracle_narrow(v), -kInf); }
+float oracle_up(double v) { return std::nextafter(oracle_narrow(v), kInf); }
+
+/// Bitwise agreement with the oracle on one input (NaN must stay NaN; its
+/// payload is not pinned). Returns false and records a failure otherwise.
+bool matches_oracle(double v) {
+  const float down = round_down(v);
+  const float up = round_up(v);
+  if (std::isnan(v)) {
+    EXPECT_TRUE(std::isnan(down) && std::isnan(up)) << "NaN input";
+    return std::isnan(down) && std::isnan(up);
+  }
+  const bool ok =
+      std::bit_cast<std::uint32_t>(down) ==
+          std::bit_cast<std::uint32_t>(oracle_down(v)) &&
+      std::bit_cast<std::uint32_t>(up) ==
+          std::bit_cast<std::uint32_t>(oracle_up(v));
+  EXPECT_TRUE(ok) << "v = " << v << " (bits 0x" << std::hex
+                  << std::bit_cast<std::uint64_t>(v) << ")";
+  return ok;
+}
 
 TEST(Rounding, StepsOneUlpInNormalRange) {
   EXPECT_EQ(round_down(1.0), std::nextafter(1.0F, -kInf));
@@ -93,6 +126,62 @@ TEST(Rounding, SoundnessPropertyRandomized) {
     const double v = sign * mantissa * std::pow(10.0, exponent);
     EXPECT_LE(double(round_down(v)), v) << "v = " << v;
     EXPECT_GE(double(round_up(v)), v) << "v = " << v;
+  }
+}
+
+TEST(Rounding, OracleSpecialValues) {
+  constexpr double kDoubleMax = std::numeric_limits<double>::max();
+  const double max = kFloatMax;
+  const double min_normal = std::numeric_limits<float>::min();
+  const double specials[] = {
+      0.0, -0.0, double(kTrueMin), -double(kTrueMin), 0.5 * kTrueMin,
+      -0.5 * kTrueMin, 0.6 * kTrueMin, -0.6 * kTrueMin, min_normal,
+      -min_normal, std::nextafter(min_normal, 0.0),
+      std::nextafter(-min_normal, 0.0), 1.0, -1.0, max, -max,
+      std::nextafter(max, kDoubleMax), std::nextafter(-max, -kDoubleMax),
+      std::nextafter(max, 0.0), std::nextafter(-max, 0.0),
+      // Halfway to the next binade above FLT_MAX, and either side of it:
+      // where narrowing switches between FLT_MAX and infinity.
+      max + std::ldexp(1.0, 103),
+      std::nextafter(max + std::ldexp(1.0, 103), 0.0),
+      -(max + std::ldexp(1.0, 103)), 1e39, -1e39, kDoubleMax, -kDoubleMax,
+      double(kInf), -double(kInf), std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : specials) matches_oracle(v);
+}
+
+TEST(Rounding, OracleStridedFloatPatternsAndNeighbours) {
+  // Every 251st float bit pattern (both signs, every exponent, subnormals,
+  // infinities and NaNs), each as a double and as its two double
+  // neighbours, which sit just inside and just outside the float.
+  constexpr std::uint64_t kStride = 251;
+  std::size_t mismatches = 0;
+  for (std::uint64_t bits = 0; bits <= 0xffffffffULL; bits += kStride) {
+    const double v = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+    const double neighbours[] = {
+        v, std::nextafter(v, -std::numeric_limits<double>::infinity()),
+        std::nextafter(v, std::numeric_limits<double>::infinity())};
+    for (const double x : neighbours) {
+      if (!matches_oracle(x) && ++mismatches > 10) FAIL() << "stopping";
+    }
+  }
+}
+
+TEST(Rounding, OracleRandomDoubles) {
+  // Random bit patterns cover every double exponent; uniform magnitudes
+  // in the float range cover the values the kernels actually narrow.
+  Rng rng(17);
+  std::size_t mismatches = 0;
+  for (int trial = 0; trial < 2'000'000; ++trial) {
+    const double any = std::bit_cast<double>(rng.next_u64());
+    const double in_range = rng.uniform(-1.0, 1.0) *
+                            std::ldexp(1.0, int(rng.below(260)) - 150);
+    if ((!matches_oracle(any) || !matches_oracle(in_range)) &&
+        ++mismatches > 10) {
+      FAIL() << "stopping";
+    }
   }
 }
 
