@@ -15,15 +15,12 @@
 //   tcp    — the same through the TCP listener (loopback, TCP_NODELAY)
 //
 // plus a closed-loop load mode: C concurrent clients, each with its own
-// connection, against a server with N workers — aggregate
-// queries/s and p50/p99/p999 latency as offered load and worker count
-// vary. Results are printed as a table and written as BENCH_serving.json
-// (or argv[1]). RANM_SMOKE=1 shrinks the sweep for CI smoke runs.
-//
-// NOTE on hardware: this container exposes 1 CPU, so worker scaling is
-// handoff-overhead-bound here — the (workers, clients) grid measures the
-// architecture honestly on this box; on multi-core hosts the workers
-// run truly in parallel.
+// connection, against a server with N event loops (`workers`) —
+// aggregate queries/s and p50/p99/p999 latency as offered load and loop
+// count vary; workers = clients at 1, 2 and 4 shows how the loops scale
+// with the cores the host gives them. Results are printed as a table and
+// written as BENCH_serving.json (or argv[1]). RANM_SMOKE=1 shrinks the
+// sweep for CI smoke runs.
 #include <unistd.h>
 
 #include <algorithm>
@@ -160,7 +157,7 @@ Measurement sweep(const Fixture& fx, const std::string& monitor,
 
 /// Closed-loop load: `clients` threads, each with its own connection,
 /// each issuing `per_client` queries of `batch` samples back to back
-/// against a server with `workers` workers. Aggregate throughput and the
+/// against a server with `workers` event loops. Aggregate throughput and the
 /// merged latency distribution.
 Measurement load_sweep(const Fixture& fx, serve::MonitorService& service,
                        const std::string& monitor, std::size_t workers,
@@ -304,8 +301,8 @@ int run(int argc, char** argv) {
     server_thread.join();
   }
 
-  // Closed-loop load grid: C clients x N workers on the flat monitor
-  // (worker parallelism is the subject; shard threads stay out).
+  // Closed-loop load grid: C clients x N loops on the flat monitor
+  // (loop parallelism is the subject; shard threads stay out).
   {
     serve::MonitorService service(fx.clone_net(), fx.build_monitor(1),
                                   fx.k, 1);
@@ -315,7 +312,7 @@ int run(int argc, char** argv) {
     const std::vector<LoadPoint> grid =
         smoke ? std::vector<LoadPoint>{{1, 2}, {2, 2}}
               : std::vector<LoadPoint>{
-                    {1, 1}, {1, 4}, {2, 4}, {4, 4}, {4, 8}};
+                    {1, 1}, {1, 4}, {2, 2}, {2, 4}, {4, 4}, {4, 8}};
     const std::size_t load_batch = 32;
     const std::size_t per_client = smoke ? 6 : 300;
     for (const LoadPoint& point : grid) {

@@ -24,9 +24,10 @@
 
 namespace ranm::serve {
 
-/// The server's bounded request queue was full and the query was rejected
-/// with kOverloaded. Distinct from std::runtime_error so callers can back
-/// off and retry: the connection is still usable.
+/// The query was rejected with kOverloaded. Distinct from
+/// std::runtime_error so callers can back off and retry: the connection is
+/// still usable. (serve::Server never sends kOverloaded; it has no request
+/// queue to overflow.)
 class ServerOverloadedError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -65,14 +66,14 @@ class ServeClient {
   [[nodiscard]] ObserveReply observe(std::span<const Tensor> inputs);
 
   /// Asks the daemon to rebuild from its staged samples and atomically
-  /// publish the refreshed monitor to every worker.
+  /// publish the refreshed monitor to every server loop.
   [[nodiscard]] SwapReply swap();
 
   /// Restores a persisted generation (0 = the previous one).
   [[nodiscard]] RollbackReply rollback(std::uint64_t generation = 0);
 
-  /// Fetches the daemon's per-worker + aggregate counters, serving-loop
-  /// telemetry, and per-shard statistics.
+  /// Fetches the daemon's per-loop + aggregate counters and per-shard
+  /// statistics.
   [[nodiscard]] ServiceStats stats();
 
   /// Asks the daemon to stop gracefully; returns once it acknowledged.

@@ -13,11 +13,11 @@
 // MonitorService is the transport-independent API: tests and
 // bench_serving call it directly (no subprocess, no socket), while the
 // epoll Server exposes the same calls over the frame protocol, with every
-// worker thread calling the one service it was given.
+// event loop calling the one service it was given.
 //
 // Every public call is thread-safe. Inference is const and reentrant —
 // Network::forward_batch keeps no per-call state and Monitor queries keep
-// their scratch per calling thread — so N workers share one network and
+// their scratch per calling thread — so N threads share one network and
 // one monitor in memory and answer queries in parallel without a lock.
 // The lifetime counters are atomic; stats() may race with queries.
 //
@@ -157,8 +157,8 @@ class MonitorService {
   // Serialises swap/rollback/store attachment against each other; queries
   // and observes never take it.
   Mutex lifecycle_mu_;
-  // Lifetime counters surfaced in stats frames. Atomic (relaxed): workers
-  // bump them while the event loop reads them for a concurrent kStats.
+  // Lifetime counters surfaced in stats frames. Atomic (relaxed): server
+  // loops bump them while another loop reads them for a kStats.
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> samples_{0};
   std::atomic<std::uint64_t> warnings_{0};

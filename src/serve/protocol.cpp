@@ -254,9 +254,6 @@ std::string encode_stats(const ServiceStats& stats) {
     io::append_u64(out, w.samples);
     io::append_u64(out, w.warnings);
   }
-  io::append_u64(out, stats.in_flight);
-  io::append_u64(out, stats.queue_depth);
-  io::append_u64(out, stats.queue_capacity);
   io::append_u64(out, stats.overloaded);
   io::append_u64(out, stats.generation);
   io::append_u64(out, stats.staged_samples);
@@ -297,9 +294,6 @@ ServiceStats decode_stats(std::string_view payload) {
     w.samples = in.read_u64();
     w.warnings = in.read_u64();
   }
-  stats.in_flight = in.read_u64();
-  stats.queue_depth = in.read_u64();
-  stats.queue_capacity = in.read_u64();
   stats.overloaded = in.read_u64();
   stats.generation = in.read_u64();
   stats.staged_samples = in.read_u64();

@@ -16,9 +16,7 @@
 // Request/response pairs (the protocol is strictly client-initiated):
 //
 //   kQuery    -> kQueryReply    n input tensors -> n warn flags (0/1)
-//             -> kOverloaded    bounded request queue full: backpressure,
-//                               retry later; the connection stays usable
-//   kStats    -> kStatsReply    per-worker + aggregate counters and the
+//   kStats    -> kStatsReply    per-loop + aggregate counters and the
 //                               per-shard table `ranm_cli info` prints
 //   kShutdown -> kShutdownAck   graceful daemon drain + stop
 //   kObserve  -> kObserveReply  stage n live input tensors for the next
@@ -33,6 +31,10 @@
 //   any       -> kError         length-prefixed message; malformed frames
 //                               additionally close the connection (the
 //                               stream may have desynced)
+//
+// kOverloaded (a rejected query) stays in the protocol for clients; the
+// server never sends it: it has no request queue to overflow, and a
+// client that outruns it is backpressured by its own socket buffer.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +55,9 @@ enum class FrameType : std::uint32_t {
   kShutdown = 5,
   kShutdownAck = 6,
   kError = 7,
-  // Explicit backpressure: the server's bounded request queue was full, so
-  // the query was rejected instead of buffered without bound. Carries an
-  // error-style message payload; the connection stays usable.
+  // A query rejected for load; error-style message payload, the
+  // connection stays usable. Reserved: the server never sends it (it has
+  // no request queue), but clients still recognise it.
   kOverloaded = 8,
   // ---- monitor lifecycle (online adaptation) ----
   // Stage a batch of live inputs for the next rebuild. Payload reuses the
@@ -82,7 +84,7 @@ constexpr std::uint64_t kMaxFramePayload = 1ULL << 26;
 constexpr std::uint64_t kMaxQuerySamples = 1ULL << 16;
 /// Cap on shard entries in a stats reply (matches the artifact cap).
 constexpr std::uint64_t kMaxStatsShards = 4096;
-/// Cap on worker entries in a stats reply.
+/// Cap on per-loop entries in a stats reply.
 constexpr std::uint64_t kMaxStatsWorkers = 1024;
 /// Cap on any string carried in a frame (descriptions, error messages).
 constexpr std::uint64_t kMaxFrameString = 4096;
@@ -183,31 +185,29 @@ struct ShardStatsWire {
   double patterns = 0.0;    // stored words (-1: not pattern-based)
 };
 
-/// One worker's lifetime counters. With N concurrent workers the
-/// aggregate alone hides imbalance, so stats carry both.
+/// One server event loop's lifetime counters. With N loops the aggregate
+/// alone hides imbalance, so stats carry both.
 struct WorkerCountersWire {
-  std::uint64_t queries = 0;   // query frames answered by this worker
+  std::uint64_t queries = 0;   // query frames answered by this loop
   std::uint64_t samples = 0;   // feature vectors judged
   std::uint64_t warnings = 0;  // warn verdicts issued
 };
 
-/// Stats reply: service identity, per-worker plus aggregate lifetime
-/// counters, serving-loop telemetry, and (for sharded monitors) the
-/// per-shard table `ranm_cli info` prints.
+/// Stats reply: service identity, per-loop plus aggregate lifetime
+/// counters, and (for sharded monitors) the per-shard table `ranm_cli
+/// info` prints.
 struct ServiceStats {
   std::string monitor;  // Monitor::describe()
   std::uint64_t dimension = 0;
   std::uint64_t layer = 0;
   std::uint64_t threads = 1;
-  std::uint64_t queries = 0;   // aggregate across workers
+  std::uint64_t queries = 0;   // aggregate across loops
   std::uint64_t samples = 0;
   std::uint64_t warnings = 0;
-  std::vector<WorkerCountersWire> workers;  // per worker; empty: direct
-  // Serving-loop telemetry (zero when the service is driven in-process).
-  std::uint64_t in_flight = 0;       // queries dispatched, not yet replied
-  std::uint64_t queue_depth = 0;     // requests waiting for a worker
-  std::uint64_t queue_capacity = 0;  // bound that triggers kOverloaded
-  std::uint64_t overloaded = 0;      // queries rejected with kOverloaded
+  std::vector<WorkerCountersWire> workers;  // per server loop; empty: direct
+  // Queries rejected with kOverloaded. Always 0 from this server, which
+  // never sends kOverloaded; kept for clients that report it.
+  std::uint64_t overloaded = 0;
   // Monitor-lifecycle telemetry (generation 0: adaptation disabled).
   std::uint64_t generation = 0;       // published snapshot generation
   std::uint64_t staged_samples = 0;   // samples awaiting the next swap

@@ -8,11 +8,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
+#include "util/annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ranm::serve {
@@ -21,9 +25,22 @@ namespace {
 // epoll_event.data.u64 keys below kFirstConnId are loop-internal wakeups
 // and listeners; connection ids start above them.
 constexpr std::uint64_t kKeyStop = 0;
-constexpr std::uint64_t kKeyCompletion = 1;
-constexpr std::uint64_t kKeyUnixListener = 2;
-constexpr std::uint64_t kKeyTcpListener = 3;
+constexpr std::uint64_t kKeyMailbox = 1;
+constexpr std::uint64_t kKeyListener = 2;  // + index into listeners_
+constexpr std::uint64_t kFirstConnId = 16;
+
+/// Bytes one recv() may take; a connection gets one per wakeup.
+constexpr std::size_t kReadChunk = 65536;
+/// Reading pauses while a connection holds this many unparsed bytes: the
+/// parser then always has one whole frame to consume, and `in` never
+/// holds more than this plus one chunk.
+constexpr std::size_t kMaxUnparsedBytes =
+    kFrameHeaderBytes + std::size_t(kMaxFramePayload);
+/// Reading and parsing pause while a connection's unflushed replies exceed
+/// this, so a client that pipelines without reading is backpressured by
+/// its own socket buffer. Every single reply is smaller than this, so
+/// the pending bytes stay under twice it.
+constexpr std::size_t kMaxPendingReplyBytes = std::size_t(1) << 18;
 
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string("ranm::serve: ") + what + ": " +
@@ -49,11 +66,8 @@ void signal_eventfd(int fd) noexcept {
   (void)::write(fd, &one, sizeof one);
 }
 
-}  // namespace
-
-/// Per-connection nonblocking state machine. All fields are owned by the
-/// event loop thread; workers only ever see a connection's id.
-struct Server::Conn {
+/// Per-connection nonblocking state machine, owned by one loop's thread.
+struct Conn {
   int fd = -1;
   std::uint64_t id = 0;
   /// Inbound bytes; [parsed, in.size()) is unconsumed. Partial frames
@@ -65,8 +79,8 @@ struct Server::Conn {
   /// is pending. Capacity persists across replies (write-side scratch).
   std::string out;
   std::size_t out_off = 0;
-  /// One query is with a worker: parsing (and reading) pause until its
-  /// completion, which keeps replies in order and inbound memory bounded.
+  /// A kSwap from this connection is rebuilding: parsing (and reading)
+  /// pause until its reply, which keeps replies in order.
   bool busy = false;
   /// Flush pending output, then close (protocol errors, peer EOF).
   bool closing = false;
@@ -79,39 +93,137 @@ struct Server::Conn {
   [[nodiscard]] bool out_pending() const noexcept {
     return out_off < out.size();
   }
+  [[nodiscard]] bool out_backlogged() const noexcept {
+    return out.size() - out_off > kMaxPendingReplyBytes;
+  }
 };
 
-std::string Server::BufferPool::acquire() {
-  const MutexLock lock(mu_);
-  if (spares_.empty()) return {};
-  std::string buf = std::move(spares_.back());
-  spares_.pop_back();
-  return buf;
+}  // namespace
+
+/// One event loop: its own epoll set, connections, counters and swap
+/// mailbox. Everything but the counters and the mailbox slot is touched
+/// only by the thread running it.
+class Server::Loop {
+ public:
+  explicit Loop(Server& server);
+  ~Loop();
+
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  /// Serves until this loop's drain completes.
+  void run();
+
+  /// Queries answered by this loop; bumped by its thread only, read by
+  /// any kStats.
+  struct alignas(64) Counters {
+    std::atomic<std::uint64_t> queries{0};
+    std::atomic<std::uint64_t> samples{0};
+    std::atomic<std::uint64_t> warnings{0};
+  };
+  Counters counters;
+
+ private:
+  struct Reply {
+    std::uint64_t conn_id = 0;
+    FrameType type = FrameType::kError;
+    std::string payload;
+  };
+
+  /// Adds `fd` to this loop's epoll set; throws on failure.
+  void watch(int fd, std::uint32_t events, std::uint64_t key);
+  /// Accepts one connection from listeners_[index].
+  void accept_one(std::size_t index);
+  void handle_conn_event(std::uint64_t conn_id, std::uint32_t events);
+  /// Parses and answers every complete buffered frame, in order, until
+  /// the connection's swap is in flight or its replies are backlogged.
+  void parse_frames(Conn& conn);
+  /// Answers one kQuery/kObserve inline; failures become kError replies
+  /// and the connection survives.
+  void answer_request(Conn& conn, FrameType request,
+                      std::string_view payload);
+  /// Starts the background rebuild+swap for one kSwap frame, or rejects
+  /// it while another swap or rollback runs.
+  void handle_swap(Conn& conn);
+  /// Swap-thread body: MonitorService::swap(), then the mailbox.
+  void run_swap(std::uint64_t conn_id) RANM_EXCLUDES(mailbox_mu_);
+  /// Restores a persisted generation inline on this loop.
+  void handle_rollback(Conn& conn, std::string_view payload);
+  /// Delivers the finished swap's reply and frees the lifecycle slot.
+  void take_mailbox() RANM_EXCLUDES(mailbox_mu_);
+  [[nodiscard]] bool claim_lifecycle() noexcept;
+  void release_lifecycle() noexcept;
+  void begin_drain();
+  void queue_reply(Conn& conn, FrameType type, std::string_view payload);
+  /// Flushes conn.out as far as the socket accepts; false = peer gone.
+  [[nodiscard]] bool flush_out(Conn& conn);
+  [[nodiscard]] bool wants_read(const Conn& conn) const noexcept;
+  /// Re-arms the epoll interest set, then closes the connection if it is
+  /// finished.
+  void settle(Conn& conn);
+  void destroy_conn(std::uint64_t conn_id);
+
+  Server& server_;
+  MonitorService& service_;
+  int epoll_fd_ = -1;
+  int mailbox_fd_ = -1;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
+  std::uint64_t next_conn_id_ = kFirstConnId;
+  bool draining_ = false;
+  /// This loop started the running swap: it owns swap_thread_ until the
+  /// reply is taken from the mailbox.
+  bool swap_pending_ = false;
+  std::thread swap_thread_;
+  Mutex mailbox_mu_;
+  /// The swap thread fills it, this loop empties it; the only state
+  /// another thread writes besides the counters.
+  std::optional<Reply> mailbox_ RANM_GUARDED_BY(mailbox_mu_);
+  // Decode/encode scratch, warm across requests.
+  std::vector<Tensor> inputs_;
+  std::vector<std::uint8_t> warns_;
+  std::string reply_;
+};
+
+Server::Loop::Loop(Server& server)
+    : server_(server), service_(server.service_) {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) throw_errno("epoll_create1");
+  mailbox_fd_ = make_eventfd();
+  watch(server.stop_event_fd_, EPOLLIN, kKeyStop);
+  watch(mailbox_fd_, EPOLLIN, kKeyMailbox);
+  // EPOLLEXCLUSIVE: a connect wakes one idle loop, not all of them.
+  for (std::size_t i = 0; i < server.listeners_.size(); ++i) {
+    watch(server.listeners_[i].fd(), EPOLLIN | EPOLLEXCLUSIVE,
+          kKeyListener + i);
+  }
 }
 
-void Server::BufferPool::release(std::string&& buf) {
-  buf.clear();
-  const MutexLock lock(mu_);
-  if (spares_.size() < 64) spares_.push_back(std::move(buf));
+void Server::Loop::watch(int fd, std::uint32_t events, std::uint64_t key) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = key;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    throw_errno("epoll_ctl(ADD)");
+  }
+}
+
+Server::Loop::~Loop() {
+  if (swap_thread_.joinable()) swap_thread_.join();
+  for (auto& [id, conn] : conns_) ::close(conn->fd);
+  if (mailbox_fd_ >= 0) ::close(mailbox_fd_);
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
 Server::Server(MonitorService& service, ServerConfig config)
-    : config_(std::move(config)),
-      service_(service),
-      queue_(config_.workers == 0 || config_.workers > 1
-                 ? config_.queue_capacity
-                 : 1) {
+    : config_(std::move(config)), service_(service) {
   if (config_.unix_path.empty() && !config_.tcp) {
     throw std::invalid_argument(
         "ranm::serve: Server needs at least one listener (unix_path or "
         "tcp)");
   }
-  const std::size_t workers = resolve_thread_count(config_.workers);
-  config_.workers = workers;
-  worker_counters_ = std::make_unique<WorkerCounters[]>(workers);
+  config_.workers = resolve_thread_count(config_.workers);
 
   if (!config_.unix_path.empty()) {
-    unix_listener_ = listeners_.size();
     listeners_.push_back(listen_unix(config_.unix_path));
   }
   if (config_.tcp) {
@@ -120,111 +232,64 @@ Server::Server(MonitorService& service, ServerConfig config)
     tcp_port_ = listeners_.back().port();
   }
 
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) throw_errno("epoll_create1");
   stop_event_fd_ = make_eventfd();
-  completion_event_fd_ = make_eventfd();
-
-  const auto add = [this](int fd, std::uint64_t key) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = key;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      throw_errno("epoll_ctl(ADD)");
-    }
-  };
-  add(stop_event_fd_, kKeyStop);
-  add(completion_event_fd_, kKeyCompletion);
-  if (unix_listener_ != SIZE_MAX) {
-    add(listeners_[unix_listener_].fd(), kKeyUnixListener);
+  loops_.reserve(config_.workers);
+  for (std::size_t i = 0; i < config_.workers; ++i) {
+    loops_.push_back(std::make_unique<Loop>(*this));
   }
-  if (tcp_listener_ != SIZE_MAX) {
-    add(listeners_[tcp_listener_].fd(), kKeyTcpListener);
-  }
-
-  // workers == 1 executes inline in the event loop; no pool threads.
-  if (workers > 1) {
-    workers_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-      workers_.emplace_back([this, i] { worker_main(i); });
-    }
-  }
+  listening_loops_.store(loops_.size());
 }
 
 Server::~Server() {
-  queue_.close();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  if (swap_thread_.joinable()) swap_thread_.join();
-  for (auto& [id, conn] : conns_) {
-    if (conn->fd >= 0) ::close(conn->fd);
-  }
-  conns_.clear();
-  if (completion_event_fd_ >= 0) ::close(completion_event_fd_);
+  loops_.clear();
   if (stop_event_fd_ >= 0) ::close(stop_event_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   // Listeners close (and unlink the Unix socket file) via their dtors.
 }
 
 void Server::stop() noexcept { signal_eventfd(stop_event_fd_); }
 
-void Server::run() { event_loop(); }
-
-void Server::worker_main(std::size_t index) {
-  for (;;) {
-    std::optional<Request> request = queue_.pop();
-    if (!request.has_value()) return;  // queue closed and drained
-    Completion done;
-    done.conn_id = request->conn_id;
-    done.payload = buffers_.acquire();
-    execute_request(index, request->type, request->payload, done.type,
-                    done.payload);
-    buffers_.release(std::move(request->payload));
-    {
-      const MutexLock lock(completions_mu_);
-      completions_.push_back(std::move(done));
+void Server::run() {
+  // A loop that fails stops the others, so run() still returns; the
+  // first failure is rethrown once every loop has.
+  std::vector<std::exception_ptr> errors(loops_.size());
+  const auto body = [this, &errors](std::size_t i) {
+    try {
+      loops_[i]->run();
+    } catch (...) {
+      errors[i] = std::current_exception();
+      stop();
     }
-    signal_eventfd(completion_event_fd_);
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(loops_.size() - 1);
+  for (std::size_t i = 1; i < loops_.size(); ++i) {
+    threads.emplace_back(body, i);
+  }
+  body(0);
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
-void Server::execute_request(std::size_t worker, FrameType request,
-                             std::string_view payload, FrameType& type,
-                             std::string& reply) {
-  // Decode scratch lives per-thread: each worker (and the inline loop)
-  // re-enters with warm vectors instead of allocating per query.
-  thread_local std::vector<Tensor> inputs;
-  thread_local std::vector<std::uint8_t> warns;
-  try {
-    inputs = decode_query(payload);
-    if (request == FrameType::kObserve) {
-      // A service-side throw (frozen monitor, staging cap) becomes a
-      // structured kError below — the worker and connection survive.
-      encode_observe_reply_into(reply, service_.observe_batch(inputs));
-      type = FrameType::kObserveReply;
-    } else {
-      service_.query_warns_into(inputs, warns);
-      WorkerCounters& counters = worker_counters_[worker];
-      counters.queries.fetch_add(1, std::memory_order_relaxed);
-      counters.samples.fetch_add(warns.size(), std::memory_order_relaxed);
-      counters.warnings.fetch_add(
-          std::uint64_t(std::count(warns.begin(), warns.end(), 1)),
-          std::memory_order_relaxed);
-      encode_verdicts_into(reply, warns);
-      type = FrameType::kQueryReply;
-    }
-  } catch (const std::exception& e) {
-    reply = encode_error(e.what());
-    type = FrameType::kError;
+ServiceStats Server::stats() const {
+  // Identity, shard table and aggregate counters come from the service;
+  // the per-loop breakdown from the loops' own slots.
+  ServiceStats stats = service_.stats();
+  stats.workers.resize(loops_.size());
+  for (std::size_t i = 0; i < loops_.size(); ++i) {
+    const Loop::Counters& c = loops_[i]->counters;
+    stats.workers[i].queries = c.queries.load(std::memory_order_relaxed);
+    stats.workers[i].samples = c.samples.load(std::memory_order_relaxed);
+    stats.workers[i].warnings = c.warnings.load(std::memory_order_relaxed);
   }
+  return stats;
 }
 
-void Server::event_loop() {
+void Server::Loop::run() {
   epoll_event events[64];
-  for (;;) {
-    const int n =
-        ::epoll_wait(epoll_fd_, events, std::size(events), -1);
+  while (!draining_ || !conns_.empty() || swap_pending_) {
+    const int n = ::epoll_wait(epoll_fd_, events, std::size(events), -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");
@@ -233,142 +298,134 @@ void Server::event_loop() {
       const std::uint64_t key = events[i].data.u64;
       switch (key) {
         case kKeyStop:
-          drain_eventfd(stop_event_fd_);
           begin_drain();
           break;
-        case kKeyCompletion:
-          drain_eventfd(completion_event_fd_);
-          handle_completions();
-          break;
-        case kKeyUnixListener:
-          handle_accept(unix_listener_);
-          break;
-        case kKeyTcpListener:
-          handle_accept(tcp_listener_);
+        case kKeyMailbox:
+          take_mailbox();
           break;
         default:
-          handle_conn_event(key, events[i].events);
+          if (key < kFirstConnId) {
+            accept_one(std::size_t(key - kKeyListener));
+          } else {
+            handle_conn_event(key, events[i].events);
+          }
           break;
       }
     }
-    // Completions may have landed while other events were processed.
-    handle_completions();
-    if (drain_sweep_pending_) {
-      // Safe here: no parse_frames is on the stack, so visiting (and
-      // possibly destroying) any connection cannot alias a live frame.
-      drain_sweep_pending_ = false;
-      std::vector<std::uint64_t> ids;
-      ids.reserve(conns_.size());
-      for (const auto& [id, conn] : conns_) ids.push_back(id);
-      for (const std::uint64_t id : ids) {
-        const auto it = conns_.find(id);
-        if (it == conns_.end()) continue;
-        Conn& conn = *it->second;
-        parse_frames(conn);
-        update_epoll(conn);
-        maybe_close(conn);
-      }
-    }
-    if (drain_complete()) return;
   }
 }
 
-bool Server::drain_complete() const {
-  return draining_ && conns_.empty() && in_flight_ == 0;
-}
-
-void Server::begin_drain() {
-  if (draining_) return;
+void Server::Loop::begin_drain() {
   draining_ = true;
-  // Stop accepting; existing connections stop reading but every fully
-  // buffered frame still gets parsed, executed, and flushed. The
-  // per-connection sweep is deferred to the event-loop level because a
-  // kShutdown frame reaches here from inside parse_frames.
-  for (auto& listener : listeners_) listener.close();
-  drain_sweep_pending_ = true;
-}
-
-void Server::handle_accept(std::size_t listener_index) {
-  if (listener_index == SIZE_MAX || draining_) return;
-  Listener& listener = listeners_[listener_index];
-  if (!listener.valid()) return;
-  for (;;) {
-    const int fd = ::accept4(listener.fd(), nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      // EAGAIN: accepted everything pending. Other errors (ECONNABORTED,
-      // EMFILE, ...) drop this accept but keep the server up.
-      return;
-    }
-    if (listener_index == tcp_listener_) set_tcp_nodelay(fd);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = conn->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    conn->epoll_events = EPOLLIN;
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    conns_.emplace(conn->id, std::move(conn));
+  // The stop eventfd stays readable for the other loops; this one stops
+  // watching it, and stops accepting. The last loop to let go of the
+  // listeners closes them, so none can accept on a closed fd.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, server_.stop_event_fd_, nullptr);
+  for (const Listener& listener : server_.listeners_) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener.fd(), nullptr);
+  }
+  if (server_.listening_loops_.fetch_sub(1, std::memory_order_acq_rel) ==
+      1) {
+    for (Listener& listener : server_.listeners_) listener.close();
+  }
+  // Reads stop, but every fully buffered frame is still answered and
+  // flushed before its connection closes.
+  std::vector<std::uint64_t> ids;
+  ids.reserve(conns_.size());
+  for (const auto& [id, conn] : conns_) ids.push_back(id);
+  for (const std::uint64_t id : ids) {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    parse_frames(*it->second);
+    settle(*it->second);
   }
 }
 
-void Server::handle_conn_event(std::uint64_t conn_id,
-                               std::uint32_t events) {
+void Server::Loop::accept_one(std::size_t index) {
+  // Once draining, the listeners may already be closed by another loop.
+  if (draining_) return;
+  const int listen_fd = server_.listeners_[index].fd();
+  int fd = -1;
+  do {
+    fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  // EAGAIN: another loop took it. Other errors (ECONNABORTED, EMFILE, ...)
+  // drop this accept but keep the server up.
+  if (fd < 0) return;
+  // Re-registering moves this loop to the back of the listener's
+  // exclusive wakeup queue, so connects arriving one after another rotate
+  // over the idle loops instead of all waking the first one.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd, nullptr);
+  try {
+    watch(listen_fd, EPOLLIN | EPOLLEXCLUSIVE, kKeyListener + index);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  if (index == server_.tcp_listener_) set_tcp_nodelay(fd);
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->id = next_conn_id_++;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = conn->id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    ::close(fd);
+    return;
+  }
+  conn->epoll_events = EPOLLIN;
+  server_.connections_.fetch_add(1, std::memory_order_relaxed);
+  conns_.emplace(conn->id, std::move(conn));
+}
+
+bool Server::Loop::wants_read(const Conn& conn) const noexcept {
+  return !conn.busy && !conn.closing && !conn.peer_eof && !draining_ &&
+         conn.unconsumed() < kMaxUnparsedBytes && !conn.out_backlogged();
+}
+
+void Server::Loop::handle_conn_event(std::uint64_t conn_id,
+                                     std::uint32_t events) {
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;  // closed earlier this wakeup
   Conn& conn = *it->second;
 
-  // A hangup while a query is in flight: the peer is gone in both
-  // directions, so the reply has nowhere to go — destroying now (the
-  // completion is dropped by id) also stops EPOLLHUP, which cannot be
-  // masked, from re-waking the loop until the worker finishes.
+  // A hangup while its swap runs: the peer is gone in both directions, so
+  // the reply has nowhere to go — destroying now (the mailbox drops it by
+  // id) also stops EPOLLHUP, which cannot be masked, from re-waking the
+  // loop until the rebuild finishes.
   if ((events & (EPOLLHUP | EPOLLERR)) != 0 && conn.busy) {
     destroy_conn(conn_id);
     return;
   }
 
-  if ((events & EPOLLOUT) != 0 && conn.out_pending()) {
-    if (!flush_out(conn)) {
-      destroy_conn(conn_id);
-      return;
-    }
+  if ((events & EPOLLOUT) != 0 && conn.out_pending() && !flush_out(conn)) {
+    destroy_conn(conn_id);
+    return;
   }
 
-  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && !conn.busy &&
-      !conn.closing && !conn.peer_eof && !draining_) {
-    char buf[65536];
-    for (;;) {
-      const ssize_t rc = ::recv(conn.fd, buf, sizeof buf, 0);
-      if (rc > 0) {
-        conn.in.append(buf, std::size_t(rc));
-        // While a request is in flight we stop reading entirely, so the
-        // unconsumed span is bounded by the frame cap plus one recv.
-        continue;
-      }
-      if (rc == 0) {
-        conn.peer_eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+  // One chunk per wakeup: epoll is level-triggered, so a connection with
+  // more to read is reported again after the other ready ones had their
+  // turn, and a pipelining client cannot starve the rest of its loop.
+  if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 && wants_read(conn)) {
+    char buf[kReadChunk];
+    const ssize_t rc = ::recv(conn.fd, buf, sizeof buf, 0);
+    if (rc > 0) {
+      conn.in.append(buf, std::size_t(rc));
+    } else if (rc == 0) {
+      conn.peer_eof = true;
+    } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
       destroy_conn(conn_id);  // ECONNRESET and friends
       return;
     }
-    parse_frames(conn);
   }
-
-  update_epoll(conn);
-  maybe_close(conn);
+  // Also after a flush alone, which may have brought the replies back
+  // under budget.
+  parse_frames(conn);
+  settle(conn);
 }
 
-void Server::parse_frames(Conn& conn) {
-  while (!conn.busy && !conn.closing) {
+void Server::Loop::parse_frames(Conn& conn) {
+  while (!conn.busy && !conn.closing && !conn.out_backlogged()) {
     if (conn.unconsumed() < kFrameHeaderBytes) break;
     char header[kFrameHeaderBytes];
     std::memcpy(header, conn.in.data() + conn.parsed, kFrameHeaderBytes);
@@ -393,7 +450,7 @@ void Server::parse_frames(Conn& conn) {
     switch (parsed.type) {
       case FrameType::kQuery:
       case FrameType::kObserve:
-        dispatch_request(conn, parsed.type, payload);
+        answer_request(conn, parsed.type, payload);
         break;
       case FrameType::kSwap:
         handle_swap(conn);
@@ -403,11 +460,11 @@ void Server::parse_frames(Conn& conn) {
         break;
       case FrameType::kStats:
         queue_reply(conn, FrameType::kStatsReply,
-                    encode_stats(build_stats()));
+                    encode_stats(server_.stats()));
         break;
       case FrameType::kShutdown:
         queue_reply(conn, FrameType::kShutdownAck, {});
-        begin_drain();
+        server_.stop();
         break;
       default:
         // Header-valid but not a request (a reply type, kOverloaded, ...)
@@ -429,76 +486,102 @@ void Server::parse_frames(Conn& conn) {
   }
 }
 
-void Server::dispatch_request(Conn& conn, FrameType request_type,
-                              std::string_view payload) {
-  if (config_.workers == 1) {
-    // Inline mode: execute on the loop thread. One worker would
-    // serialise every query anyway; skipping the handoff saves two
-    // context switches per query.
-    thread_local std::string reply;
-    FrameType type = FrameType::kError;
-    execute_request(0, request_type, payload, type, reply);
-    queue_reply(conn, type, reply);
-    return;
+void Server::Loop::answer_request(Conn& conn, FrameType request,
+                                  std::string_view payload) {
+  FrameType type = FrameType::kError;
+  try {
+    inputs_ = decode_query(payload);
+    if (request == FrameType::kObserve) {
+      // A service-side throw (frozen monitor, staging cap) becomes a
+      // structured kError below — the loop and connection survive.
+      encode_observe_reply_into(reply_, service_.observe_batch(inputs_));
+      type = FrameType::kObserveReply;
+    } else {
+      service_.query_warns_into(inputs_, warns_);
+      counters.queries.fetch_add(1, std::memory_order_relaxed);
+      counters.samples.fetch_add(warns_.size(), std::memory_order_relaxed);
+      counters.warnings.fetch_add(
+          std::uint64_t(std::count(warns_.begin(), warns_.end(), 1)),
+          std::memory_order_relaxed);
+      encode_verdicts_into(reply_, warns_);
+      type = FrameType::kQueryReply;
+    }
+  } catch (const std::exception& e) {
+    reply_ = encode_error(e.what());
   }
-  Request request;
-  request.conn_id = conn.id;
-  request.type = request_type;
-  request.payload = buffers_.acquire();
-  request.payload.assign(payload.data(), payload.size());
-  if (!queue_.try_push(std::move(request))) {
-    ++overloaded_;
-    queue_reply(conn, FrameType::kOverloaded,
-                encode_error("server overloaded: request queue full (" +
-                             std::to_string(queue_.capacity()) +
-                             " waiting); retry later"));
-    return;
-  }
-  conn.busy = true;
-  ++in_flight_;
+  queue_reply(conn, type, reply_);
 }
 
-void Server::handle_swap(Conn& conn) {
-  if (swap_in_flight_) {
+bool Server::Loop::claim_lifecycle() noexcept {
+  bool idle = false;
+  return server_.lifecycle_busy_.compare_exchange_strong(
+      idle, true, std::memory_order_acquire);
+}
+
+void Server::Loop::release_lifecycle() noexcept {
+  server_.lifecycle_busy_.store(false, std::memory_order_release);
+}
+
+void Server::Loop::handle_swap(Conn& conn) {
+  if (!claim_lifecycle()) {
     queue_reply(conn, FrameType::kError,
-                encode_error("swap already in progress; retry after it "
-                             "completes"));
+                encode_error("swap rejected: a swap or rollback is already "
+                             "in progress; retry after it completes"));
     return;
   }
-  // The previous swap's thread (flag already cleared via its completion)
-  // may still be a hair from returning; reap it before reusing the slot.
-  if (swap_thread_.joinable()) swap_thread_.join();
-  conn.busy = true;  // the reply comes back as a completion
-  ++in_flight_;
-  swap_in_flight_ = true;
+  // Holding the slot means this loop's previous swap thread was joined.
+  conn.busy = true;  // the reply comes back through the mailbox
+  swap_pending_ = true;
   const std::uint64_t conn_id = conn.id;
   swap_thread_ = std::thread([this, conn_id] { run_swap(conn_id); });
 }
 
-void Server::run_swap(std::uint64_t conn_id) {
-  Completion done;
-  done.conn_id = conn_id;
-  done.swap_done = true;
+void Server::Loop::run_swap(std::uint64_t conn_id) {
+  Reply reply;
+  reply.conn_id = conn_id;
   try {
-    // Every worker (and the loop, in inline mode) keeps answering
-    // queries off the current snapshot while the rebuild runs.
-    done.payload = encode_swap_reply(service_.swap());
-    done.type = FrameType::kSwapReply;
+    // Every loop keeps answering queries off the current snapshot while
+    // the rebuild runs.
+    reply.payload = encode_swap_reply(service_.swap());
+    reply.type = FrameType::kSwapReply;
   } catch (const std::exception& e) {
-    done.type = FrameType::kError;
-    done.payload = encode_error(e.what());
+    reply.type = FrameType::kError;
+    reply.payload = encode_error(e.what());
   }
   {
-    const MutexLock lock(completions_mu_);
-    completions_.push_back(std::move(done));
+    const MutexLock lock(mailbox_mu_);
+    mailbox_ = std::move(reply);
   }
-  signal_eventfd(completion_event_fd_);
+  signal_eventfd(mailbox_fd_);
 }
 
-void Server::handle_rollback(Conn& conn, std::string_view payload) {
-  if (swap_in_flight_) {
+void Server::Loop::take_mailbox() {
+  drain_eventfd(mailbox_fd_);
+  std::optional<Reply> reply;
+  {
+    const MutexLock lock(mailbox_mu_);
+    reply.swap(mailbox_);
+  }
+  if (!reply.has_value()) return;
+  swap_thread_.join();
+  swap_pending_ = false;
+  release_lifecycle();
+  const auto it = conns_.find(reply->conn_id);
+  if (it == conns_.end()) return;  // the connection died mid-swap
+  Conn& conn = *it->second;
+  conn.busy = false;
+  queue_reply(conn, reply->type, reply->payload);
+  // The reply unblocked parsing: the next buffered frame may run now
+  // (also how drains finish backlogs queued behind a swap).
+  parse_frames(conn);
+  settle(conn);
+}
+
+void Server::Loop::handle_rollback(Conn& conn, std::string_view payload) {
+  if (!claim_lifecycle()) {
     queue_reply(conn, FrameType::kError,
-                encode_error("rollback rejected: a swap is in progress"));
+                encode_error("rollback rejected: a swap or rollback is in "
+                             "progress"));
     return;
   }
   try {
@@ -508,74 +591,25 @@ void Server::handle_rollback(Conn& conn, std::string_view payload) {
   } catch (const std::exception& e) {
     queue_reply(conn, FrameType::kError, encode_error(e.what()));
   }
+  release_lifecycle();
 }
 
-void Server::handle_completions() {
-  {
-    const MutexLock lock(completions_mu_);
-    completion_scratch_.swap(completions_);
-  }
-  for (Completion& done : completion_scratch_) {
-    --in_flight_;
-    if (done.swap_done) {
-      // Clear before the conns_ lookup: a connection that died mid-swap
-      // must not leave the swap slot occupied forever.
-      swap_in_flight_ = false;
-      if (swap_thread_.joinable()) swap_thread_.join();
-    }
-    const auto it = conns_.find(done.conn_id);
-    if (it != conns_.end()) {
-      Conn& conn = *it->second;
-      conn.busy = false;
-      queue_reply(conn, done.type, done.payload);
-      // The reply unblocked parsing: the next buffered frame may
-      // dispatch now (also how drains finish multi-frame backlogs).
-      parse_frames(conn);
-      update_epoll(conn);
-      maybe_close(conn);
-    }
-    // else: the connection died while its query ran; drop the reply.
-    buffers_.release(std::move(done.payload));
-  }
-  // Keep the vector (capacity and all) as the next swap target.
-  completion_scratch_.clear();
-}
-
-ServiceStats Server::build_stats() {
-  // Identity, shard table and aggregate counters come from the service;
-  // the per-worker breakdown from this server's own slots.
-  ServiceStats stats = service_.stats();
-  stats.workers.resize(config_.workers);
-  for (std::size_t i = 0; i < config_.workers; ++i) {
-    const WorkerCounters& counters = worker_counters_[i];
-    stats.workers[i].queries = counters.queries.load(std::memory_order_relaxed);
-    stats.workers[i].samples = counters.samples.load(std::memory_order_relaxed);
-    stats.workers[i].warnings =
-        counters.warnings.load(std::memory_order_relaxed);
-  }
-  stats.in_flight = in_flight_;
-  stats.queue_depth = config_.workers > 1 ? queue_.size() : 0;
-  stats.queue_capacity = config_.workers > 1 ? queue_.capacity() : 0;
-  stats.overloaded = overloaded_;
-  return stats;
-}
-
-void Server::queue_reply(Conn& conn, FrameType type,
-                         std::string_view payload) {
+void Server::Loop::queue_reply(Conn& conn, FrameType type,
+                               std::string_view payload) {
   char header[kFrameHeaderBytes];
   encode_frame_header(header, type, payload.size());
   conn.out.append(header, kFrameHeaderBytes);
   conn.out.append(payload.data(), payload.size());
   if (!flush_out(conn)) {
     // Peer gone mid-reply. Destroying here would dangle the parse loop's
-    // reference, so just mark it; maybe_close reaps at a safe point.
+    // reference, so just mark it; settle reaps at a safe point.
     conn.closing = true;
     conn.out.clear();
     conn.out_off = 0;
   }
 }
 
-bool Server::flush_out(Conn& conn) {
+bool Server::Loop::flush_out(Conn& conn) {
   while (conn.out_pending()) {
     const ssize_t rc =
         ::send(conn.fd, conn.out.data() + conn.out_off,
@@ -592,32 +626,24 @@ bool Server::flush_out(Conn& conn) {
   return true;
 }
 
-void Server::update_epoll(Conn& conn) {
-  std::uint32_t want = 0;
-  if (!conn.busy && !conn.closing && !conn.peer_eof && !draining_) {
-    want |= EPOLLIN;
-  }
+void Server::Loop::settle(Conn& conn) {
+  std::uint32_t want = wants_read(conn) ? std::uint32_t(EPOLLIN) : 0;
   if (conn.out_pending()) want |= EPOLLOUT;
-  if (want == conn.epoll_events) return;
-  epoll_event ev{};
-  ev.events = want;
-  ev.data.u64 = conn.id;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
-    conn.epoll_events = want;
+  if (want != conn.epoll_events) {
+    epoll_event ev{};
+    ev.events = want;
+    ev.data.u64 = conn.id;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
+      conn.epoll_events = want;
+    }
   }
-}
-
-void Server::maybe_close(Conn& conn) {
   if (conn.busy || conn.out_pending()) return;
-  // During a drain every complete frame has been parsed by the time this
-  // runs, and reads have stopped, so a leftover partial frame can never
-  // finish — close unconditionally once quiescent.
-  if (conn.closing || conn.peer_eof || draining_) {
-    destroy_conn(conn.id);
-  }
+  // Quiescent: every complete frame has been answered, so what is left
+  // is at most a partial frame. Closing, EOF or a drain ends it here.
+  if (conn.closing || conn.peer_eof || draining_) destroy_conn(conn.id);
 }
 
-void Server::destroy_conn(std::uint64_t conn_id) {
+void Server::Loop::destroy_conn(std::uint64_t conn_id) {
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);

@@ -1,9 +1,9 @@
 // Clang Thread Safety Analysis support: annotation macros plus
 // capability-annotated synchronisation wrappers.
 //
-// Every lock-guarded structure in ranm (util/thread_pool,
-// util/bounded_queue, the serving layer's completion queue and buffer
-// pool) declares *which* mutex guards *which* data with the macros below.
+// Every lock-guarded structure in ranm (util/thread_pool, the serving
+// layer's snapshot and swap mailbox) declares *which* mutex guards
+// *which* data with the macros below.
 // Under clang the declarations become -Wthread-safety diagnostics — an
 // access to a GUARDED_BY field without its mutex held is a build error
 // (CI runs a clang job with -Wthread-safety -Werror), not a TSan lottery

@@ -603,7 +603,6 @@ TEST(Server, StatsReportPerWorkerAndAggregate) {
   EXPECT_EQ(stats.warnings, warnings);
   EXPECT_EQ(stats.queries, 5U);
   EXPECT_EQ(stats.samples, 50U);
-  EXPECT_EQ(stats.queue_capacity, 256U);
   EXPECT_EQ(stats.overloaded, 0U);
 }
 

@@ -1,14 +1,19 @@
 // Event-loop concurrency tests for the serving layer: slow-loris partial
-// writes interleaved across connections, mid-frame disconnects, queue
-// overload -> kOverloaded, N concurrent clients bit-identical to the
-// direct pipeline, and graceful drain under load. This suite runs under
-// TSan in CI — it is where loop/worker handoff races would surface.
+// writes interleaved across connections, mid-frame disconnects, per-
+// connection byte budgets, N concurrent clients over several loops
+// bit-identical to the direct pipeline, graceful drain under load, the
+// single-flight swap/rollback slot, and Lemma 1 over the socket. This
+// suite runs under TSan in CI — it is where cross-loop races would
+// surface.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <sstream>
 #include <thread>
 
@@ -89,12 +94,10 @@ struct ServerHarness {
   }
 };
 
-ServerConfig unix_config(const std::string& tag, std::size_t workers,
-                         std::size_t queue = 256) {
+ServerConfig unix_config(const std::string& tag, std::size_t workers) {
   ServerConfig config;
   config.unix_path = test_socket_path(tag);
   config.workers = workers;
-  config.queue_capacity = queue;
   return config;
 }
 
@@ -204,19 +207,17 @@ TEST(ServerLoop, MidFrameDisconnectLeavesServerHealthy) {
   EXPECT_EQ(client.query_warns(inputs), fx.direct_warns(reference, inputs));
 }
 
-// workers=2, queue=1, eight big queries at once: at least one must be
-// answered kOverloaded (2 executing + 1 queued < 8), every frame gets
-// exactly one reply, and an overloaded connection stays usable.
-TEST(ServerLoop, QueueOverloadAnswersOverloadedAndConnectionSurvives) {
+// workers=2, eight big queries at once: with no request queue nothing is
+// rejected — every frame gets exactly one kQueryReply, equal to the direct
+// pipeline, whichever loop owns its connection.
+TEST(ServerLoop, LargeConcurrentQueriesAllAnsweredAcrossLoops) {
   LoopFixture fx;
   MonitorService service = fx.make_service();
   MonitorService reference = fx.make_service();
-  ServerHarness harness(service, unix_config("overload", 2, 1));
+  ServerHarness harness(service, unix_config("large", 2));
 
-  // Big enough that both workers are still busy while the later arrivals
-  // hit the queue — ~50M flops per query on this MLP, vs microseconds for
-  // the loop to parse the remaining frames.
   const std::vector<Tensor> big = fx.make_inputs(8192, 700);
+  const std::vector<std::uint8_t> expected = fx.direct_warns(reference, big);
   const std::string frame = query_frame_bytes(big);
   constexpr std::size_t kConns = 8;
   int fds[kConns];
@@ -225,38 +226,17 @@ TEST(ServerLoop, QueueOverloadAnswersOverloadedAndConnectionSurvives) {
   }
   for (std::size_t i = 0; i < kConns; ++i) write_all(fds[i], frame);
 
-  std::size_t executed = 0, overloaded = 0;
-  int overloaded_fd = -1;
   Frame reply;
   for (std::size_t i = 0; i < kConns; ++i) {
     ASSERT_EQ(read_frame_fd(fds[i], reply), FdReadStatus::kFrame);
-    if (reply.type == FrameType::kQueryReply) {
-      ++executed;
-      EXPECT_EQ(decode_verdicts(reply.payload).size(), big.size());
-    } else {
-      ASSERT_EQ(reply.type, FrameType::kOverloaded);
-      EXPECT_NE(decode_error(reply.payload).find("overloaded"),
-                std::string::npos);
-      ++overloaded;
-      overloaded_fd = fds[i];
-    }
+    ASSERT_EQ(reply.type, FrameType::kQueryReply);
+    EXPECT_EQ(decode_verdicts(reply.payload), expected) << i;
   }
-  EXPECT_EQ(executed + overloaded, kConns);
-  ASSERT_GE(overloaded, 1U);  // 8 arrivals vs 2 workers + 1 queue slot
-
-  // The rejected connection is still usable once load passes.
-  const std::vector<Tensor> small = fx.make_inputs(5, 800);
-  write_all(overloaded_fd, query_frame_bytes(small));
-  ASSERT_EQ(read_frame_fd(overloaded_fd, reply), FdReadStatus::kFrame);
-  ASSERT_EQ(reply.type, FrameType::kQueryReply);
-  EXPECT_EQ(decode_verdicts(reply.payload),
-            fx.direct_warns(reference, small));
 
   ServeClient statsc(harness.server.unix_path());
   const ServiceStats stats = statsc.stats();
-  EXPECT_EQ(stats.overloaded, overloaded);
-  EXPECT_EQ(stats.queue_capacity, 1U);
-  EXPECT_EQ(stats.queries, executed + 1);
+  EXPECT_EQ(stats.overloaded, 0U);
+  EXPECT_EQ(stats.queries, kConns);
   for (std::size_t i = 0; i < kConns; ++i) ::close(fds[i]);
 }
 
@@ -341,7 +321,7 @@ TEST(ServerLoop, DrainUnderLoadAnswersEveryAcceptedQuery) {
   LoopFixture fx;
   MonitorService service = fx.make_service();
   MonitorService reference = fx.make_service();
-  ServerHarness harness(service, unix_config("drain", 2, 64));
+  ServerHarness harness(service, unix_config("drain", 2));
 
   const std::vector<Tensor> inputs = fx.make_inputs(8, 1100);
   const std::vector<std::uint8_t> expected =
@@ -380,8 +360,6 @@ TEST(ServerLoop, DrainUnderLoadAnswersEveryAcceptedQuery) {
   // counter matches the replies clients actually received.
   const ServiceStats stats = harness.server.stats();
   EXPECT_EQ(stats.queries, answered.load());
-  EXPECT_EQ(stats.in_flight, 0U);
-  EXPECT_EQ(stats.queue_depth, 0U);
 }
 
 // The tentpole invariant: swapping the monitor under concurrent query
@@ -500,6 +478,279 @@ TEST(ServerLoop, ConcurrentSwapRefusedWhileFirstInFlight) {
   // Both connections survive whatever happened.
   EXPECT_EQ(first.query_warns(live).size(), live.size());
   EXPECT_EQ(second.query_warns(live).size(), live.size());
+}
+
+/// Closes a raw client socket on scope exit — declared after the server
+/// harness, so a failed assertion closes it before the drain waits on it.
+struct ClientFd {
+  int fd;
+  explicit ClientFd(const std::string& path) : fd(connect_unix(path)) {}
+  ~ClientFd() { ::close(fd); }
+  ClientFd(const ClientFd&) = delete;
+  ClientFd& operator=(const ClientFd&) = delete;
+};
+
+/// What a client pipelining frames without reading managed to send.
+struct Pipelined {
+  bool blocked = false;    // the socket stayed unwritable
+  std::size_t bytes = 0;   // bytes the socket accepted
+  std::size_t frames = 0;  // frames begun (the last may be partial)
+  std::string rest;        // unsent tail of the last frame begun
+};
+
+/// Writes frames[0], frames[1], ... (cycling) on a nonblocking socket
+/// without reading a reply, until the socket stays unwritable for 200 ms
+/// or `limit` bytes went out.
+Pipelined pipeline_until_blocked(int fd,
+                                 const std::vector<std::string>& frames,
+                                 std::size_t limit) {
+  set_nonblocking(fd, true);
+  Pipelined p;
+  while (p.bytes < limit) {
+    if (p.rest.empty()) p.rest = frames[p.frames++ % frames.size()];
+    const ssize_t rc =
+        ::send(fd, p.rest.data(), p.rest.size(), MSG_NOSIGNAL);
+    if (rc > 0) {
+      p.bytes += std::size_t(rc);
+      p.rest.erase(0, std::size_t(rc));
+      continue;
+    }
+    if (rc < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 200) == 0) {
+      p.blocked = true;
+      break;
+    }
+  }
+  set_nonblocking(fd, false);
+  return p;
+}
+
+/// Query frames of 1-3 samples, and the direct pipeline's verdicts for
+/// each (the varying reply sizes make any reordering visible).
+struct FrameSet {
+  std::vector<std::vector<Tensor>> batches;
+  std::vector<std::string> frames;
+  std::vector<std::vector<std::uint8_t>> expected;
+
+  FrameSet(LoopFixture& fx, MonitorService& reference, std::uint64_t seed) {
+    for (std::size_t i = 0; i < 7; ++i) {
+      batches.push_back(fx.make_inputs(i % 3 + 1, seed + i));
+      frames.push_back(query_frame_bytes(batches.back()));
+      expected.push_back(fx.direct_warns(reference, batches.back()));
+    }
+  }
+};
+
+// A client that pipelines queries and never reads must be stopped by its
+// own socket buffer within a fixed byte bound (the server stops reading
+// and parsing it once its unflushed replies pass the budget), while a
+// second client on the same loop is still answered. Once the first
+// client reads, every reply arrives in order, bit-identical to the direct
+// pipeline.
+TEST(ServerLoop, PipeliningClientThatNeverReadsIsBackpressured) {
+  LoopFixture fx;
+  MonitorService service = fx.make_service();
+  MonitorService reference = fx.make_service();
+  ServerHarness harness(service, unix_config("backpressure", 1));
+  const FrameSet set(fx, reference, 1400);
+
+  const ClientFd hog(harness.server.unix_path());
+  const Pipelined sent =
+      pipeline_until_blocked(hog.fd, set.frames, std::size_t(64) << 20);
+  ASSERT_TRUE(sent.blocked) << "server kept reading " << sent.bytes
+                            << " bytes from a client that never reads";
+
+  ServeClient other(harness.server.unix_path());
+  for (std::size_t i = 0; i < set.batches.size(); ++i) {
+    EXPECT_EQ(other.query_warns(set.batches[i]), set.expected[i]);
+  }
+
+  // The tail of the last frame can only go out once the server reads
+  // again, i.e. once the replies below are drained.
+  std::thread finisher([&] { write_all(hog.fd, sent.rest); });
+  Frame reply;
+  for (std::size_t i = 0; i < sent.frames; ++i) {
+    ASSERT_EQ(read_frame_fd(hog.fd, reply), FdReadStatus::kFrame) << i;
+    ASSERT_EQ(reply.type, FrameType::kQueryReply) << i;
+    ASSERT_EQ(decode_verdicts(reply.payload),
+              set.expected[i % set.frames.size()])
+        << "reply " << i << " of " << sent.frames;
+  }
+  finisher.join();
+}
+
+// kShutdown on one connection drains the others, whichever loop owns
+// them: each backpressured pipeliner receives an in-order prefix of its
+// replies — every query the server accepted — and then its connection
+// closes; run() returns.
+TEST(ServerLoop, ShutdownDrainsBufferedQueriesOnEveryLoop) {
+  LoopFixture fx;
+  MonitorService service = fx.make_service();
+  MonitorService reference = fx.make_service();
+  ServerHarness harness(service, unix_config("drainbuf", 2));
+  const FrameSet set(fx, reference, 1500);
+
+  constexpr std::size_t kConns = 4;
+  std::vector<std::unique_ptr<ClientFd>> conns;
+  Frame reply;
+  for (std::size_t c = 0; c < kConns; ++c) {
+    conns.push_back(std::make_unique<ClientFd>(harness.server.unix_path()));
+    // One round trip first: the connection is accepted and served.
+    write_all(conns.back()->fd, set.frames[0]);
+    ASSERT_EQ(read_frame_fd(conns.back()->fd, reply), FdReadStatus::kFrame);
+    ASSERT_EQ(decode_verdicts(reply.payload), set.expected[0]);
+    const Pipelined sent = pipeline_until_blocked(
+        conns.back()->fd, set.frames, std::size_t(64) << 20);
+    ASSERT_TRUE(sent.blocked) << c;
+  }
+  {
+    ServeClient control(harness.server.unix_path());
+    control.shutdown_server();
+  }
+
+  std::uint64_t answered = kConns;  // the round trips
+  for (std::size_t c = 0; c < kConns; ++c) {
+    std::size_t i = 0;
+    try {
+      while (read_frame_fd(conns[c]->fd, reply) == FdReadStatus::kFrame) {
+        ASSERT_EQ(reply.type, FrameType::kQueryReply);
+        ASSERT_EQ(decode_verdicts(reply.payload),
+                  set.expected[i % set.frames.size()])
+            << "connection " << c << ", reply " << i;
+        ++i;
+      }
+    } catch (const std::runtime_error&) {
+      // Closed with our unread requests still queued: a reset, not EOF.
+    }
+    answered += i;
+  }
+  EXPECT_GT(answered, kConns);  // the drain answered buffered queries
+  conns.clear();
+  harness.join();
+  EXPECT_EQ(harness.server.stats().queries, answered);
+}
+
+// A rollback from another connection while a swap rebuilds is refused
+// with kError at once — the loop never waits on the swap — and succeeds
+// once the swap has answered.
+TEST(ServerLoop, RollbackRefusedWhileSwapInFlight) {
+  LoopFixture fx;
+  MonitorService service = fx.make_service();
+  ServerHarness harness(service, unix_config("rollswap", 2));
+
+  ServeClient stager(harness.server.unix_path());
+  // Enough staged samples that the rebuild outlasts many round trips.
+  const std::vector<Tensor> live = fx.make_inputs(4096, 1600);
+  for (int i = 0; i < 8; ++i) (void)stager.observe(live);
+
+  const ClientFd swapper(harness.server.unix_path());
+  write_frame_fd(swapper.fd, FrameType::kSwap, {});
+  // Until the swap starts, a rollback fails for lack of a previous
+  // generation; while it runs, for the single-flight slot. A probe that
+  // held the slot just as the swap arrived gets the swap refused instead:
+  // then the swap is sent again.
+  ServeClient roller(harness.server.unix_path());
+  bool refused_mid_swap = false;
+  Frame reply;
+  bool answered = false;
+  while (!refused_mid_swap && !answered) {
+    pollfd pfd{swapper.fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 0) == 1) {
+      ASSERT_EQ(read_frame_fd(swapper.fd, reply), FdReadStatus::kFrame);
+      answered = reply.type != FrameType::kError;
+      if (!answered) {
+        ASSERT_NE(decode_error(reply.payload).find("in progress"),
+                  std::string::npos);
+        write_frame_fd(swapper.fd, FrameType::kSwap, {});
+      }
+      continue;
+    }
+    try {
+      (void)roller.rollback();
+      FAIL() << "rollback succeeded before the swap answered";
+    } catch (const std::runtime_error& e) {
+      refused_mid_swap =
+          std::string(e.what()).find("in progress") != std::string::npos;
+    }
+  }
+  ASSERT_TRUE(refused_mid_swap) << "the swap answered before a rollback "
+                                   "could race it";
+
+  ASSERT_EQ(read_frame_fd(swapper.fd, reply), FdReadStatus::kFrame);
+  ASSERT_EQ(reply.type, FrameType::kSwapReply);
+  EXPECT_EQ(decode_swap_reply(reply.payload).generation, 2U);
+  // The slot is free again: the same rollback now restores generation 1.
+  EXPECT_EQ(roller.rollback().generation, 1U);
+}
+
+// Lemma 1 through the served path: a robust monitor built with (kp = 0,
+// Δ), served by two loops, never warns on a training input perturbed
+// within 0.9·Δ — before a wire swap that stages those inputs, after it,
+// and after a wire rollback.
+TEST(ServerLoop, RobustMonitorAcceptsPerturbedTrainingInputsAcrossSwapAndRollback) {
+  Rng rng(44);
+  Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
+  const std::size_t k = net.num_layers() - 1;
+  MonitorBuilder builder(net, k);
+  std::vector<Tensor> train;
+  for (int i = 0; i < 24; ++i) {
+    train.push_back(Tensor::random_uniform({1, 8, 8}, rng));
+  }
+  PerturbationSpec spec;
+  spec.kp = 0;
+  spec.delta = 0.04F;
+  MonitorOptions opts;
+  opts.family = MonitorFamily::kInterval;
+  opts.bits = 2;
+  std::unique_ptr<Monitor> monitor =
+      make_monitor(opts, builder.collect_stats(train, true));
+  builder.build_robust(*monitor, train, spec);
+  std::stringstream buf;
+  save_network(buf, net);
+  MonitorService service(load_network(buf), std::move(monitor), k);
+  ServerHarness harness(service, unix_config("lemma1", 2));
+
+  const auto perturbed = [&](std::uint64_t seed) {
+    Rng r{seed};
+    std::vector<Tensor> out;
+    for (int trial = 0; trial < 4; ++trial) {
+      for (const Tensor& t : train) {
+        Tensor p = t;
+        for (std::size_t j = 0; j < p.numel(); ++j) {
+          p[j] += r.uniform_f(-0.9F * spec.delta, 0.9F * spec.delta);
+        }
+        out.push_back(std::move(p));
+      }
+    }
+    return out;
+  };
+  // Two clients at once, each with its own perturbations.
+  const auto expect_no_warnings = [&](std::uint64_t seed,
+                                      const char* phase) {
+    std::atomic<std::uint64_t> warnings{0};
+    std::vector<std::thread> clients;
+    for (std::uint64_t c = 0; c < 2; ++c) {
+      clients.emplace_back([&, c] {
+        const std::vector<Tensor> inputs = perturbed(seed + c);
+        ServeClient client(harness.server.unix_path());
+        for (const std::uint8_t w : client.query_warns(inputs)) {
+          warnings.fetch_add(w);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(warnings.load(), 0U) << phase;
+  };
+
+  expect_no_warnings(100, "before the swap");
+  ServeClient control(harness.server.unix_path());
+  EXPECT_EQ(control.observe(perturbed(100)).accepted, 4U * train.size());
+  EXPECT_EQ(control.swap().generation, 2U);
+  expect_no_warnings(200, "after the swap");
+  EXPECT_EQ(control.rollback().generation, 1U);
+  expect_no_warnings(300, "after the rollback");
+  EXPECT_EQ(control.stats().warnings, 0U);
 }
 
 }  // namespace

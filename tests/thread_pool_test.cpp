@@ -4,6 +4,7 @@
 // dispatch/completion protocol from many rounds and sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -126,6 +127,14 @@ TEST(ThreadPool, DestructionWithIdleWorkersIsClean) {
     pool.parallel_for(5, [](std::size_t) {});
   }
   SUCCEED();
+}
+
+TEST(ResolveThreadCount, ZeroMeansHardwareConcurrencyAndNeverZero) {
+  EXPECT_EQ(resolve_thread_count(1), 1U);
+  EXPECT_EQ(resolve_thread_count(7), 7U);
+  EXPECT_GE(resolve_thread_count(0), 1U);
+  EXPECT_EQ(resolve_thread_count(0),
+            std::size_t(std::max(1U, std::thread::hardware_concurrency())));
 }
 
 }  // namespace

@@ -355,9 +355,6 @@ void emit_frame_corpus() {
   stats.warnings = 3;
   stats.workers = {{.queries = 6, .samples = 12, .warnings = 2},
                    {.queries = 4, .samples = 8, .warnings = 1}};
-  stats.in_flight = 1;
-  stats.queue_depth = 0;
-  stats.queue_capacity = 64;
   stats.overloaded = 0;
   stats.generation = 3;
   stats.staged_samples = 40;

@@ -540,8 +540,8 @@ void print_service_stats(const serve::ServiceStats& stats) {
                 static_cast<unsigned long long>(stats.rollbacks));
   }
   if (stats.workers.size() > 1) {
-    TextTable workers("per-worker counters");
-    workers.set_header({"worker", "queries", "samples", "warnings"});
+    TextTable workers("per-loop counters");
+    workers.set_header({"loop", "queries", "samples", "warnings"});
     for (std::size_t w = 0; w < stats.workers.size(); ++w) {
       const serve::WorkerCountersWire& c = stats.workers[w];
       workers.add_row({std::to_string(w), std::to_string(c.queries),
@@ -549,12 +549,6 @@ void print_service_stats(const serve::ServiceStats& stats) {
                        std::to_string(c.warnings)});
     }
     workers.print();
-    std::printf("loop: %llu in flight, queue %llu/%llu, "
-                "%llu overloaded\n",
-                static_cast<unsigned long long>(stats.in_flight),
-                static_cast<unsigned long long>(stats.queue_depth),
-                static_cast<unsigned long long>(stats.queue_capacity),
-                static_cast<unsigned long long>(stats.overloaded));
   }
   if (!stats.shards.empty()) {
     TextTable table("per-shard statistics");
@@ -675,7 +669,7 @@ int cmd_observe(const ArgParser& args) {
 }
 
 /// Rebuild-and-publish: the daemon folds its staged samples into a fresh
-/// monitor in the background and atomically publishes it to every worker
+/// monitor in the background and atomically publishes it to every loop
 /// as the new generation.
 int cmd_swap(const ArgParser& args) {
   args.check_known({"socket", "tcp"});

@@ -7,13 +7,12 @@
 //
 //   ranm_serve --net net.bin --monitor monitor.bin --layer 6
 //              --socket /tmp/ranm.sock [--tcp PORT] [--workers N]
-//              [--queue CAP] [--threads T]
+//              [--threads T]
 //
-// An epoll event loop multiplexes all connections; --workers N threads
-// share the one loaded service and execute queries in parallel (N == 1
-// executes inline in the loop), fed through a bounded queue of --queue
-// requests — when it is full, queries are answered kOverloaded instead
-// of buffered without bound.
+// --workers N runs N epoll event loops over the one loaded service. Each
+// connection is accepted by one loop, which answers its queries inline;
+// a client that pipelines without reading is backpressured through its
+// own socket.
 //
 // Clients: `ranm query --socket /tmp/ranm.sock --in-dist test.ds` (or
 // `--tcp host:port`), the in-process ServeClient API, or anything
@@ -43,15 +42,13 @@ namespace {
   std::fputs(
       "usage: ranm_serve --net FILE --monitor FILE --layer K\n"
       "                  [--socket PATH] [--tcp PORT]\n"
-      "                  [--workers N] [--queue CAP] [--threads T]\n"
+      "                  [--workers N] [--threads T]\n"
       "                  [--generations DIR] [--keep N]\n"
       "  --socket:  Unix-domain listener path\n"
       "  --tcp:     TCP listener port (1-65535)\n"
       "             at least one of --socket/--tcp is required\n"
-      "  --workers: worker threads executing queries in parallel\n"
-      "             (0 = hardware concurrency, default 1 = inline)\n"
-      "  --queue:   bounded request queue capacity; overflowing queries\n"
-      "             are answered kOverloaded (default 256)\n"
+      "  --workers: event loops, each answering the connections it\n"
+      "             accepted (0 = hardware concurrency, default 1)\n"
       "  --threads: shard-level parallelism inside each query for\n"
       "             sharded monitors (0 = hardware concurrency, default 1)\n"
       "  --generations: directory persisting swapped monitor generations\n"
@@ -86,7 +83,7 @@ void install_signal_handlers() {
 int run(int argc, char** argv) {
   const ArgParser args(argc, argv);
   args.check_known({"net", "monitor", "layer", "socket", "tcp", "workers",
-                    "queue", "threads", "generations", "keep", "help"});
+                    "threads", "generations", "keep", "help"});
   if (args.has("help")) usage();
   const std::size_t layer = args.get_size("layer", 0, 1U << 20);
   // 0 means hardware concurrency; bounded like ranm_cli's --threads.
@@ -113,10 +110,6 @@ int run(int argc, char** argv) {
         "--tcp PORT)");
   }
   config.workers = args.get_size("workers", 1, 256);
-  config.queue_capacity = args.get_size("queue", 256, 1U << 20);
-  if (config.queue_capacity == 0) {
-    throw std::invalid_argument("ranm_serve: --queue must be >= 1");
-  }
   if (args.has("keep") && !args.has("generations")) {
     throw std::invalid_argument(
         "ranm_serve: --keep needs --generations DIR");
@@ -150,7 +143,7 @@ int run(int argc, char** argv) {
   } else {
     std::printf("serving on tcp port %u", unsigned(server.tcp_port()));
   }
-  std::printf(" with %zu worker%s — SIGINT/SIGTERM/SIGHUP or a shutdown "
+  std::printf(" with %zu event loop%s — SIGINT/SIGTERM/SIGHUP or a shutdown "
               "frame drains\n",
               server.worker_count(),
               server.worker_count() == 1 ? "" : "s");
@@ -159,7 +152,7 @@ int run(int argc, char** argv) {
   g_server = nullptr;
 
   // The aggregate counters are the service's; the server adds the
-  // per-worker breakdown.
+  // per-loop breakdown.
   const serve::ServiceStats stats = server.stats();
   std::printf("stopped after %llu connections: %llu queries, "
               "%llu samples, %llu warnings\n",
