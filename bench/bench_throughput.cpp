@@ -14,6 +14,7 @@
 // table and written as machine-readable JSON (BENCH_throughput.json, or
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
 // RANM_SMOKE=1 shrinks repetition counts for CI smoke runs.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -61,32 +62,55 @@ struct Fixture {
 /// Keeps query results observable so the compiler cannot drop the loops.
 std::size_t g_sink = 0;
 
+/// Timed blocks per measurement; odd, so the median is one block.
+constexpr std::size_t kBlocks = 5;
+
+/// Median and minimum over kBlocks timed blocks, in ns per sample.
+struct Timing {
+  double median_ns = 0.0;
+  double min_ns = 0.0;
+};
+
+/// Sorts per-block ns/sample and keeps the median and the minimum.
+Timing reduce_blocks(std::vector<double> ns) {
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], ns.front()};
+}
+
 struct Measurement {
   std::string monitor;
   std::string mode;  // "query", "end_to_end", "construct", "shard_*"
   std::size_t batch_size = 0;
   // Sharded modes: shards/threads of the measured configuration; 0 marks
-  // an unsharded row. For shard_* rows scalar_ns holds the unsharded
-  // (S=1, one manager) baseline and batched_ns the sharded time, so
+  // an unsharded row. For shard_* rows `scalar` holds the unsharded
+  // (S=1, one manager) baseline and `batched` the sharded time, so
   // `speedup` is the sharded-vs-unsharded ratio.
   std::size_t shards = 0;
   std::size_t threads = 0;
-  double scalar_ns = 0.0;   // per sample
-  double batched_ns = 0.0;  // per sample
+  Timing scalar;   // ns per sample
+  Timing batched;  // ns per sample
+  /// Ratio of the medians.
   [[nodiscard]] double speedup() const {
-    return batched_ns > 0.0 ? scalar_ns / batched_ns : 0.0;
+    return batched.median_ns > 0.0 ? scalar.median_ns / batched.median_ns
+                                   : 0.0;
   }
 };
 
-/// Times `fn(reps)` and returns nanoseconds per sample, after one warmup.
+/// Runs `fn(1)` once untimed, then kBlocks timed blocks `fn(reps /
+/// kBlocks)` (at least one rep each); ns per sample of each block.
 template <typename Fn>
-double time_per_sample(std::size_t reps, std::size_t samples_per_rep,
+Timing time_per_sample(std::size_t reps, std::size_t samples_per_rep,
                        Fn&& fn) {
   fn(std::size_t{1});  // warmup
-  Timer timer;
-  fn(reps);
-  const double secs = timer.seconds();
-  return secs * 1e9 / double(reps) / double(samples_per_rep);
+  const std::size_t block_reps = std::max<std::size_t>(1, reps / kBlocks);
+  std::vector<double> ns(kBlocks);
+  for (double& block_ns : ns) {
+    Timer timer;
+    fn(block_reps);
+    block_ns = timer.seconds() * 1e9 / double(block_reps) /
+               double(samples_per_rep);
+  }
+  return reduce_blocks(std::move(ns));
 }
 
 /// Scalar-loop vs contains_batch on pre-extracted features.
@@ -101,7 +125,7 @@ Measurement bench_query(const std::string& name, const Monitor& monitor,
   m.monitor = name;
   m.mode = "query";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+  m.scalar = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t i = 0; i < batch_size; ++i) {
         g_sink += monitor.contains(f.features[i % f.features.size()]);
@@ -110,7 +134,7 @@ Measurement bench_query(const std::string& name, const Monitor& monitor,
   });
   auto out = std::make_unique<bool[]>(batch_size);
   std::span<bool> out_span(out.get(), batch_size);
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+  m.batched = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       monitor.contains_batch(batch, out_span);
       g_sink += out_span.front();
@@ -127,7 +151,7 @@ Measurement bench_end_to_end(const std::string& name,
   m.monitor = name;
   m.mode = "end_to_end";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+  m.scalar = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t i = 0; i < batch_size; ++i) {
         g_sink += f.builder.warns(monitor,
@@ -138,7 +162,7 @@ Measurement bench_end_to_end(const std::string& name,
   auto out = std::make_unique<bool[]>(batch_size);
   std::span<bool> out_span(out.get(), batch_size);
   std::span<const Tensor> inputs(f.train.data(), batch_size);
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+  m.batched = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       f.builder.warns_batch(monitor, inputs, out_span);
       g_sink += out_span.front();
@@ -160,7 +184,7 @@ Measurement bench_construct(const std::string& name, const Fixture& f,
   m.monitor = name;
   m.mode = "construct";
   m.batch_size = batch_size;
-  m.scalar_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+  m.scalar = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       auto monitor = make();
       for (std::size_t i = 0; i < batch_size; ++i) {
@@ -169,7 +193,7 @@ Measurement bench_construct(const std::string& name, const Fixture& f,
       g_sink += monitor->dimension();
     }
   });
-  m.batched_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
+  m.batched = time_per_sample(reps, batch_size, [&](std::size_t n) {
     for (std::size_t r = 0; r < n; ++r) {
       auto monitor = make();
       monitor->observe_batch(batch);
@@ -181,24 +205,30 @@ Measurement bench_construct(const std::string& name, const Fixture& f,
 
 /// ns/sample of `fold(monitor)` over fresh monitors, with monitor setup
 /// (manager allocation, thread-pool spawn) excluded from the timed
-/// region so sharded and unsharded rows compare pure fold cost.
+/// region so sharded and unsharded rows compare pure fold cost. After one
+/// untimed fold, kBlocks blocks of reps / kBlocks folds (at least one).
 template <typename Make, typename Fold>
-double time_fold_per_sample(std::size_t reps, std::size_t samples,
+Timing time_fold_per_sample(std::size_t reps, std::size_t samples,
                             Make&& make, Fold&& fold) {
   {
     auto monitor = make();  // warmup
     fold(*monitor);
     g_sink += monitor->dimension();
   }
-  double secs = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    auto monitor = make();
-    Timer timer;
-    fold(*monitor);
-    secs += timer.seconds();
-    g_sink += monitor->dimension();
+  const std::size_t block_reps = std::max<std::size_t>(1, reps / kBlocks);
+  std::vector<double> ns(kBlocks);
+  for (double& block_ns : ns) {
+    double secs = 0.0;
+    for (std::size_t r = 0; r < block_reps; ++r) {
+      auto monitor = make();
+      Timer timer;
+      fold(*monitor);
+      secs += timer.seconds();
+      g_sink += monitor->dimension();
+    }
+    block_ns = secs * 1e9 / double(block_reps) / double(samples);
   }
-  return secs * 1e9 / double(reps) / double(samples);
+  return reduce_blocks(std::move(ns));
 }
 
 /// Sharded-vs-unsharded sweep for one BDD monitor family. `make_plain`
@@ -217,13 +247,13 @@ void bench_sharded(const std::string& name, const Fixture& f,
   }
   // Unsharded baseline: one manager over all neurons.
   auto fold_batch = [&batch](Monitor& m) { m.observe_batch(batch); };
-  const double base_construct_ns = time_fold_per_sample(
+  const Timing base_construct = time_fold_per_sample(
       construct_reps, batch_size, make_plain, fold_batch);
   auto plain = make_plain();
   plain->observe_batch(batch);
   auto out = std::make_unique<bool[]>(batch_size);
   std::span<bool> out_span(out.get(), batch_size);
-  const double base_query_ns =
+  const Timing base_query =
       time_per_sample(query_reps, batch_size, [&](std::size_t n) {
         for (std::size_t r = 0; r < n; ++r) {
           plain->contains_batch(batch, out_span);
@@ -246,9 +276,9 @@ void bench_sharded(const std::string& name, const Fixture& f,
     construct.batch_size = batch_size;
     construct.shards = s;
     construct.threads = threads;
-    construct.scalar_ns = base_construct_ns;
-    construct.batched_ns = time_fold_per_sample(construct_reps, batch_size,
-                                                make_sh, fold_batch);
+    construct.scalar = base_construct;
+    construct.batched = time_fold_per_sample(construct_reps, batch_size,
+                                             make_sh, fold_batch);
     results.push_back(construct);
 
     auto sharded_ptr = make_sh();
@@ -260,8 +290,8 @@ void bench_sharded(const std::string& name, const Fixture& f,
     query.batch_size = batch_size;
     query.shards = s;
     query.threads = threads;
-    query.scalar_ns = base_query_ns;
-    query.batched_ns =
+    query.scalar = base_query;
+    query.batched =
         time_per_sample(query_reps, batch_size, [&](std::size_t n) {
           for (std::size_t r = 0; r < n; ++r) {
             sharded.contains_batch(batch, out_span);
@@ -300,7 +330,7 @@ void bench_sharded_robust(const std::string& name, const Fixture& f,
   auto fold_bounds = [&lo, &hi](Monitor& m) {
     m.observe_bounds_batch(lo, hi);
   };
-  const double base_ns =
+  const Timing base =
       time_fold_per_sample(reps, batch_size, make_plain, fold_bounds);
   for (const std::size_t s : shard_counts) {
     const std::size_t threads = std::min<std::size_t>(s, 4);
@@ -316,8 +346,8 @@ void bench_sharded_robust(const std::string& name, const Fixture& f,
     m.batch_size = batch_size;
     m.shards = s;
     m.threads = threads;
-    m.scalar_ns = base_ns;
-    m.batched_ns =
+    m.scalar = base;
+    m.batched =
         time_fold_per_sample(reps, batch_size, make_sh, fold_bounds);
     results.push_back(m);
   }
@@ -332,16 +362,18 @@ void write_json(const std::string& path, bool smoke,
     row << "{\"monitor\": \"" << m.monitor << "\", \"mode\": \"" << m.mode
         << "\", \"batch_size\": " << m.batch_size
         << ", \"shards\": " << m.shards << ", \"threads\": " << m.threads
-        << ", \"scalar_ns_per_sample\": " << m.scalar_ns
-        << ", \"batched_ns_per_sample\": " << m.batched_ns
+        << ", \"scalar_ns_per_sample\": " << m.scalar.median_ns
+        << ", \"scalar_ns_per_sample_min\": " << m.scalar.min_ns
+        << ", \"batched_ns_per_sample\": " << m.batched.median_ns
+        << ", \"batched_ns_per_sample_min\": " << m.batched.min_ns
         << ", \"speedup\": " << m.speedup() << "}";
     rows.push_back(row.str());
   }
   benchutil::write_json_report(
       path, "bench_throughput", smoke, rows,
-      "ns/sample: mean over one timed run of reps x batch samples after one "
-      "untimed warm-up (folds: summed per-rep fold time, construction "
-      "excluded)");
+      "ns/sample: median (and _min: minimum) over 5 timed blocks of reps/5 "
+      "x batch samples after one untimed warm-up (folds: summed per-fold "
+      "time within a block, construction excluded)");
 }
 
 int run(int argc, char** argv) {
@@ -405,7 +437,7 @@ int run(int argc, char** argv) {
     m.monitor = "multi_layer";
     m.mode = "end_to_end";
     m.batch_size = b;
-    m.scalar_ns = time_per_sample(e2e_reps, b, [&](std::size_t n) {
+    m.scalar = time_per_sample(e2e_reps, b, [&](std::size_t n) {
       for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t i = 0; i < b; ++i) {
           g_sink += multi.warns(f.train[i % f.train.size()]);
@@ -415,7 +447,7 @@ int run(int argc, char** argv) {
     auto out = std::make_unique<bool[]>(b);
     std::span<bool> out_span(out.get(), b);
     std::span<const Tensor> inputs(f.train.data(), b);
-    m.batched_ns = time_per_sample(e2e_reps, b, [&](std::size_t n) {
+    m.batched = time_per_sample(e2e_reps, b, [&](std::size_t n) {
       for (std::size_t r = 0; r < n; ++r) {
         multi.warns_batch(inputs, out_span);
         g_sink += out_span.front();
@@ -478,8 +510,8 @@ int run(int argc, char** argv) {
     table.add_row({m.monitor, m.mode, std::to_string(m.batch_size),
                    m.shards == 0 ? "-" : std::to_string(m.shards),
                    m.threads == 0 ? "-" : std::to_string(m.threads),
-                   TextTable::num(m.scalar_ns, 1),
-                   TextTable::num(m.batched_ns, 1),
+                   TextTable::num(m.scalar.median_ns, 1),
+                   TextTable::num(m.batched.median_ns, 1),
                    TextTable::num(m.speedup(), 2)});
   }
   table.print();

@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/isa.hpp"
+
 #ifndef RANM_BUILD_TYPE
 #define RANM_BUILD_TYPE "unknown"
 #endif
@@ -57,7 +59,8 @@ inline std::string json_string(const std::string& s) {
 /// Where and how a report was measured: the commit of the working tree
 /// (plus whether tracked files differed from it), the compiler, build
 /// type and compiler flags the bench was built with, the CPU model and its
-/// hardware threads, and the repetition statistic behind the timings.
+/// hardware threads, the level the dispatched kernels ran at
+/// (util/isa.hpp), and the repetition statistic behind the timings.
 inline std::string provenance_json(const std::string& statistic) {
   const std::string commit =
       command_line("git rev-parse HEAD 2>/dev/null");
@@ -87,6 +90,7 @@ inline std::string provenance_json(const std::string& statistic) {
          ", \"cpu\": " + json_string(cpu.empty() ? "unknown" : cpu) +
          ", \"hardware_threads\": " +
          std::to_string(std::thread::hardware_concurrency()) +
+         ", \"isa\": " + json_string(std::string(isa_name(kernel_isa()))) +
          ", \"statistic\": " + json_string(statistic) + "}";
 }
 

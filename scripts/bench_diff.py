@@ -30,8 +30,9 @@ runs of the same shape regressing by a wide margin is a real signal.
 
 Like perfbench/compare.py, the script refuses to compare timings between
 reports whose provenance differs in compiler, build type, compiler flags,
-CPU, hardware threads or repetition statistic (or that carry no provenance): such a
-delta measures the two set-ups, not the change. For a refused pair only
+CPU, hardware threads, dispatched kernel level (isa) or repetition
+statistic (or that carry no provenance): such a delta measures the two
+set-ups, not the change. For a refused pair only
 the --fail-increase metrics, which are deterministic, are shown and gated.
 
 --self-test checks the gating and refusal rules on synthetic reports.
@@ -58,7 +59,7 @@ IGNORED = {"requests"}
 # are compared. The commit and the dirty flag may differ: they are the
 # change being measured.
 MUST_MATCH = ("compiler", "build_type", "flags", "cpu", "hardware_threads",
-              "statistic")
+              "isa", "statistic")
 
 
 def row_identity(row):
@@ -185,7 +186,7 @@ def self_test():
     """Runs diff_report on synthetic reports; returns the exit status."""
     prov = {"commit": "a", "dirty": False, "compiler": "gcc 12.2.0",
             "build_type": "Release", "flags": "-O3 -DNDEBUG", "cpu": "cpu",
-            "hardware_threads": 4, "statistic": "median"}
+            "hardware_threads": 4, "isa": "avx2", "statistic": "median"}
 
     def report(ms, nodes, **changes):
         row = {"mode": "robust", "train_size": 64, "build_ms": ms,
@@ -207,6 +208,8 @@ def self_test():
          report(2.0, 5, stamp={"flags": "-O2 -fsanitize=address"}), 0, True),
         ("slower build, other CPU", report(1.0, 5),
          report(2.0, 5, stamp={"cpu": "other"}), 0, True),
+        ("slower build, other kernel level", report(1.0, 5),
+         report(2.0, 5, stamp={"isa": "baseline"}), 0, True),
         ("slower build, no provenance", report(1.0, 5),
          report(2.0, 5, provenance=False), 0, True),
         ("more nodes, other compiler", report(1.0, 5),

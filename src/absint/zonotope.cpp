@@ -1,15 +1,32 @@
 #include "absint/zonotope.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace ranm {
+namespace {
 
-Zonotope::Zonotope(std::vector<float> center, std::vector<float> gens)
-    : center_(std::move(center)), gens_(std::move(gens)) {
+/// |s|·e rounded up: a rounding radius under a per-dimension scale s.
+float scaled_radius(float e, float s) noexcept {
+  return e == 0.0F ? 0.0F : round_up(std::fabs(double(s)) * e);
+}
+
+}  // namespace
+
+Zonotope::Zonotope(std::vector<float> center, std::vector<float> gens,
+                   std::vector<float> rounding)
+    : center_(std::move(center)),
+      gens_(std::move(gens)),
+      err_(std::move(rounding)) {
   if (!center_.empty() && gens_.size() % center_.size() != 0) {
     throw std::invalid_argument(
         "Zonotope: generator storage size not a multiple of dimension");
+  }
+  if (err_.empty()) {
+    err_.assign(center_.size(), 0.0F);
+  } else if (err_.size() != center_.size()) {
+    throw std::invalid_argument("Zonotope: rounding size mismatch");
   }
 }
 
@@ -30,17 +47,23 @@ Zonotope Zonotope::linf_ball(std::span<const float> c, float delta) {
 
 Zonotope Zonotope::from_box(const IntervalVector& box) {
   const std::size_t d = box.size();
-  std::vector<float> c(d), gens;
+  std::vector<float> c(d), gens, err(d);
   std::vector<std::size_t> nondeg;
   for (std::size_t j = 0; j < d; ++j) {
+    const float r = box[j].radius();
     c[j] = box[j].center();
-    if (box[j].radius() > 0.0F) nondeg.push_back(j);
+    if (r > 0.0F) nondeg.push_back(j);
+    // The float centre and radius can round so that c ± r misses an
+    // endpoint; the rounding radius covers the miss.
+    const double miss = std::max(double(box[j].hi) - (double(c[j]) + r),
+                                 (double(c[j]) - r) - double(box[j].lo));
+    err[j] = miss > 0.0 ? round_up(miss) : 0.0F;
   }
   gens.assign(nondeg.size() * d, 0.0F);
   for (std::size_t i = 0; i < nondeg.size(); ++i) {
     gens[i * d + nondeg[i]] = box[nondeg[i]].radius();
   }
-  return Zonotope(std::move(c), std::move(gens));
+  return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
 std::span<const float> Zonotope::generator(std::size_t i) const {
@@ -52,7 +75,7 @@ std::span<const float> Zonotope::generator(std::size_t i) const {
 
 Interval Zonotope::concretize(std::size_t j) const noexcept {
   const std::size_t d = dim();
-  double r = 0.0;
+  double r = err_[j];
   for (std::size_t i = 0; i < num_generators(); ++i) {
     r += std::fabs(gens_[i * d + j]);
   }
@@ -75,25 +98,51 @@ Zonotope Zonotope::affine(std::span<const float> w, std::size_t rows,
   if (b.size() != rows) {
     throw std::invalid_argument("Zonotope::affine: bias size mismatch");
   }
-  const std::size_t ng = num_generators();
-  std::vector<float> c(rows, 0.0F), gens(ng * rows, 0.0F);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double acc = b[r];
-    const float* wrow = w.data() + r * d;
-    for (std::size_t j = 0; j < d; ++j) acc += double(wrow[j]) * center_[j];
-    c[r] = static_cast<float>(acc);
+  return linear(rows, b, [&](const float* x, double* y, bool absolute) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* wrow = w.data() + r * d;
+      double acc = 0.0;
+      for (std::size_t j = 0; j < d; ++j) {
+        const double wv = absolute ? std::fabs(wrow[j]) : wrow[j];
+        acc += wv * x[j];
+      }
+      y[r] = acc;
+    }
+  });
+}
+
+Zonotope Zonotope::linear(std::size_t rows, std::span<const float> b,
+                          const LinearMap& map) const {
+  if (!b.empty() && b.size() != rows) {
+    throw std::invalid_argument("Zonotope::linear: bias size mismatch");
   }
+  const std::size_t ng = num_generators();
+  std::vector<double> acc(rows), centre(rows), gen_sum(rows, 0.0),
+      err_in(rows);
+  map(center_.data(), centre.data(), false);
+  map(err_.data(), err_in.data(), true);
+  std::vector<float> gens(ng * rows);
   for (std::size_t i = 0; i < ng; ++i) {
-    const float* g = gens_.data() + i * d;
+    map(gens_.data() + i * dim(), acc.data(), false);
     float* out = gens.data() + i * rows;
     for (std::size_t r = 0; r < rows; ++r) {
-      double acc = 0.0;
-      const float* wrow = w.data() + r * d;
-      for (std::size_t j = 0; j < d; ++j) acc += double(wrow[j]) * g[j];
-      out[r] = static_cast<float>(acc);
+      out[r] = static_cast<float>(acc[r]);
+      gen_sum[r] += std::fabs(acc[r]);
     }
   }
-  return Zonotope(std::move(c), std::move(gens));
+  std::vector<float> c(rows), err(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double bias = b.empty() ? 0.0 : double(b[r]);
+    c[r] = static_cast<float>(centre[r] + bias);
+    // |A x| <= m over the set. The forward pass rounds A x to float and
+    // then rounds its bias add (or scale), each within u·(m + |b|); storing
+    // the centre and generators as floats rounds them within u·(m + |b|)
+    // together. 4u covers these three and their second-order terms.
+    const double m = std::fabs(centre[r]) + gen_sum[r] + err_in[r];
+    err[r] = round_up(err_in[r] +
+                      4.0 * kFloatUnitRoundoff * (m + std::fabs(bias)));
+  }
+  return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
 Zonotope Zonotope::scale_shift(std::span<const float> scale,
@@ -102,14 +151,17 @@ Zonotope Zonotope::scale_shift(std::span<const float> scale,
   if (scale.size() != d || shift.size() != d) {
     throw std::invalid_argument("Zonotope::scale_shift: size mismatch");
   }
-  std::vector<float> c(d), gens(gens_.size());
-  for (std::size_t j = 0; j < d; ++j) c[j] = center_[j] * scale[j] + shift[j];
+  std::vector<float> c(d), gens(gens_.size()), err(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    c[j] = center_[j] * scale[j] + shift[j];
+    err[j] = scaled_radius(err_[j], scale[j]);
+  }
   for (std::size_t i = 0; i < num_generators(); ++i) {
     for (std::size_t j = 0; j < d; ++j) {
       gens[i * d + j] = gens_[i * d + j] * scale[j];
     }
   }
-  return Zonotope(std::move(c), std::move(gens));
+  return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
 Zonotope Zonotope::relu() const { return leaky_relu(0.0F); }
@@ -146,9 +198,10 @@ Zonotope Zonotope::leaky_relu(float alpha) const {
     if (fresh[j] > 0.0F) ++n_fresh;
   }
 
-  std::vector<float> c(d), gens((ng + n_fresh) * d, 0.0F);
+  std::vector<float> c(d), gens((ng + n_fresh) * d, 0.0F), err(d);
   for (std::size_t j = 0; j < d; ++j) {
     c[j] = center_[j] * slope[j] + shift[j];
+    err[j] = scaled_radius(err_[j], slope[j]);
   }
   for (std::size_t i = 0; i < ng; ++i) {
     for (std::size_t j = 0; j < d; ++j) {
@@ -162,7 +215,7 @@ Zonotope Zonotope::leaky_relu(float alpha) const {
       ++next;
     }
   }
-  return Zonotope(std::move(c), std::move(gens));
+  return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
 Zonotope Zonotope::monotone_via_box(Interval (*f)(const Interval&)) const {
@@ -202,7 +255,7 @@ Zonotope Zonotope::reduced(float eps) const {
       gens.insert(gens.end(), g.begin(), g.end());
     }
   }
-  return Zonotope(center_, std::move(gens));
+  return Zonotope(center_, std::move(gens), err_);
 }
 
 }  // namespace ranm

@@ -8,15 +8,28 @@
 // plain interval propagation on deep affine chains. Nonlinear activations
 // use the standard DeepZ-style minimal-area approximation, adding one fresh
 // noise symbol per approximated neuron.
+//
+// Centre and generators are floats, while the concrete forward pass rounds
+// every layer's output to float. Each dimension therefore also carries a
+// rounding radius e_j: the set is c + Σ ε_i g_i + δ with |δ_j| <= e_j (one
+// fresh noise symbol per dimension, stored as a diagonal). The linear
+// transfers grow it to cover the forward pass's rounding, so the zonotope
+// holds the concrete float activation even at Δ = 0.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "absint/interval.hpp"
 
 namespace ranm {
+
+/// A linear map without bias for Zonotope::linear: writes A·x (|A|·x when
+/// `absolute`) for one input vector x, accumulated in double.
+using LinearMap =
+    std::function<void(const float* x, double* y, bool absolute)>;
 
 /// Zonotope over R^d with a shared set of noise symbols.
 /// Generators are stored row-major: gens_[i * dim + j] is the j-th
@@ -43,15 +56,24 @@ class Zonotope {
   [[nodiscard]] std::span<const float> generator(std::size_t i) const;
 
   /// Concretises dimension j to an interval:
-  /// [c_j - sum_i |g_ij|, c_j + sum_i |g_ij|].
+  /// [c_j - sum_i |g_ij| - e_j, c_j + sum_i |g_ij| + e_j].
   [[nodiscard]] Interval concretize(std::size_t j) const noexcept;
   /// Concretises the whole zonotope to its bounding box.
   [[nodiscard]] IntervalVector to_box() const;
 
-  /// Exact affine image: y = W x + b with W given row-major (rows x dim()).
-  /// Returns a zonotope of dimension `rows`.
+  /// Affine image y = W x + b with W given row-major (rows x dim()), as
+  /// linear() computes it. Returns a zonotope of dimension `rows`.
   [[nodiscard]] Zonotope affine(std::span<const float> w, std::size_t rows,
                                 std::span<const float> b) const;
+
+  /// Image under y = A x + b (`b` empty: no bias), sound for a forward
+  /// pass that accumulates A x in double, rounds it to float and then does
+  /// at most one more float operation (the bias add, or average pooling's
+  /// scale inside A). Centre and generators are A c and A g_i accumulated
+  /// in double, the bias added to the centre afterwards; the rounding radii
+  /// grow to cover the forward pass's and this transfer's float roundings.
+  [[nodiscard]] Zonotope linear(std::size_t rows, std::span<const float> b,
+                                const LinearMap& map) const;
 
   /// Generic per-dimension affine map y_j = scale_j * x_j + shift_j
   /// (used by normalisation-style layers). Exact.
@@ -71,8 +93,10 @@ class Zonotope {
   /// sigmoid/tanh where we do not implement the tighter slope relaxation.
   [[nodiscard]] Zonotope monotone_via_box(Interval (*f)(const Interval&)) const;
 
-  /// Builds a fresh zonotope from explicit parts (sizes validated).
-  Zonotope(std::vector<float> center, std::vector<float> gens);
+  /// Builds a zonotope from explicit parts (sizes validated); an empty
+  /// `rounding` means zero radii.
+  Zonotope(std::vector<float> center, std::vector<float> gens,
+           std::vector<float> rounding = {});
 
   /// Drops generators whose total magnitude is below `eps`, folding their
   /// mass into a single box generator per dimension (order reduction).
@@ -82,6 +106,7 @@ class Zonotope {
  private:
   std::vector<float> center_;
   std::vector<float> gens_;  // num_generators x dim, row-major
+  std::vector<float> err_;   // dim rounding radii, >= 0
 };
 
 }  // namespace ranm

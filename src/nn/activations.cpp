@@ -3,6 +3,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/isa.hpp"
+
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+
 namespace ranm {
 
 Activation::Activation(Shape shape)
@@ -29,7 +35,8 @@ float ReLU::df(float v, float /*y*/) const noexcept {
 
 void ReLU::forward_batch(const float* in, float* out,
                          std::size_t n) const noexcept {
-  map(in, out, n, [this](float v) { return ReLU::f(v); });
+  dispatch_kernel(
+      [&] { map(in, out, n, [this](float v) { return ReLU::f(v); }); });
 }
 
 Zonotope ReLU::propagate(const Zonotope& in) const { return in.relu(); }
@@ -61,14 +68,16 @@ float LeakyReLU::df(float v, float /*y*/) const noexcept {
 
 void LeakyReLU::forward_batch(const float* in, float* out,
                               std::size_t n) const noexcept {
-  // f in two passes, the product and then the select, so that both
-  // vectorise; one loop keeps the product inside a mispredicted branch.
-  const float alpha = alpha_;
-  const std::size_t count = n * numel_;
-  for (std::size_t i = 0; i < count; ++i) out[i] = alpha * in[i];
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = in[i] > 0.0F ? in[i] : out[i];
-  }
+  dispatch_kernel([&] {
+    // f in two passes, the product and then the select, so that both
+    // vectorise; one loop keeps the product inside a mispredicted branch.
+    const float alpha = alpha_;
+    const std::size_t count = n * numel_;
+    for (std::size_t i = 0; i < count; ++i) out[i] = alpha * in[i];
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = in[i] > 0.0F ? in[i] : out[i];
+    }
+  });
 }
 
 Zonotope LeakyReLU::propagate(const Zonotope& in) const {

@@ -4,8 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/tile.hpp"
+
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
 
 namespace ranm {
 
@@ -46,63 +51,54 @@ Shape Conv2D::input_shape() const {
 
 Shape Conv2D::output_shape() const { return {cfg_.out_channels, oh_, ow_}; }
 
-void Conv2D::convolve(const float* in, float* out, std::size_t n,
-                      const float* bias) const noexcept {
-  const auto& c = cfg_;
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
-  const std::size_t kernel_size = c.in_channels * c.kernel_h * c.kernel_w;
-  for (std::size_t oy = 0; oy < oh_; ++oy) {
-    const std::ptrdiff_t y0 = std::ptrdiff_t(oy * c.stride) - pad;
-    const TapRange ky = taps_inside(y0, c.in_height, c.kernel_h);
-    for (std::size_t ox = 0; ox < ow_; ++ox) {
-      const std::ptrdiff_t x0 = std::ptrdiff_t(ox * c.stride) - pad;
-      const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
-      // Neurons of a tile are output channels at this (oy, ox): they share
-      // every tap position and differ only in their weights.
-      for_each_tile(n, c.out_channels, [&]<std::size_t U, std::size_t T>(
-                                           std::size_t oc0, std::size_t s0) {
-        double acc[U][T] = {};
-        const float* w = w_.data() + oc0 * kernel_size;
-        for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
-          for (std::size_t r = ky.lo; r < ky.hi; ++r) {
-            const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
-            const std::size_t tap_row = (ic * c.kernel_h + r) * c.kernel_w;
-            for (std::size_t q = kx.lo; q < kx.hi; ++q) {
-              const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
-              const float* x =
-                  in + ((ic * c.in_height + iy) * c.in_width + ix) * n + s0;
-              double xd[T];
-              for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
-              for (std::size_t u = 0; u < U; ++u) {
-                const double wv = w[u * kernel_size + tap_row + q];
-                for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
+void Conv2D::forward_batch(const float* in, float* out,
+                           std::size_t n) const noexcept {
+  dispatch_kernel([&] {
+    const auto& c = cfg_;
+    const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
+    const std::size_t kernel_size = c.in_channels * c.kernel_h * c.kernel_w;
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      const std::ptrdiff_t y0 = std::ptrdiff_t(oy * c.stride) - pad;
+      const TapRange ky = taps_inside(y0, c.in_height, c.kernel_h);
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        const std::ptrdiff_t x0 = std::ptrdiff_t(ox * c.stride) - pad;
+        const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
+        // Neurons of a tile are output channels at this (oy, ox): they share
+        // every tap position and differ only in their weights.
+        for_each_tile(n, c.out_channels, [&]<std::size_t U, std::size_t T>(
+                                             std::size_t oc0, std::size_t s0) {
+          double acc[U][T] = {};
+          const float* w = w_.data() + oc0 * kernel_size;
+          for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
+            for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+              const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+              const std::size_t tap_row = (ic * c.kernel_h + r) * c.kernel_w;
+              for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+                const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
+                const float* x =
+                    in + ((ic * c.in_height + iy) * c.in_width + ix) * n + s0;
+                double xd[T];
+                for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
+                for (std::size_t u = 0; u < U; ++u) {
+                  const double wv = w[u * kernel_size + tap_row + q];
+                  for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
+                }
               }
             }
           }
-        }
-        for (std::size_t u = 0; u < U; ++u) {
-          float* y = out + (((oc0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
-          if (bias == nullptr) {
+          for (std::size_t u = 0; u < U; ++u) {
+            float* y = out + (((oc0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+            // The bias in a local: a load between the stores would keep the
+            // stores, and with them the accumulation, from vectorising.
+            const float b = b_[oc0 + u];
             for (std::size_t t = 0; t < T; ++t) {
-              y[t] = static_cast<float>(acc[u][t]);
+              y[t] = static_cast<float>(acc[u][t]) + b;
             }
-            continue;
           }
-          // The bias in a local: a load between the stores would keep the
-          // stores, and with them the accumulation, from vectorising.
-          const float b = bias[oc0 + u];
-          for (std::size_t t = 0; t < T; ++t) {
-            y[t] = static_cast<float>(acc[u][t]) + b;
-          }
-        }
-      });
+        });
+      }
     }
-  }
-}
-
-void Conv2D::forward_batch(const float* in, float* out,
-                           std::size_t n) const noexcept {
-  convolve(in, out, n, b_.data());
+  });
 }
 
 Tensor Conv2D::backward(const Tensor& x, const Tensor& /*y*/,
@@ -155,20 +151,41 @@ Zonotope Conv2D::propagate(const Zonotope& in) const {
   if (in.dim() != input_size()) {
     throw std::invalid_argument(name() + ": zonotope input size mismatch");
   }
-  const std::size_t od = output_size();
-  std::vector<float> center(od);
-  linear_apply(in.center().data(), center.data());
-  for (std::size_t oc = 0; oc < cfg_.out_channels; ++oc) {
-    for (std::size_t i = 0; i < oh_ * ow_; ++i) {
-      center[oc * oh_ * ow_ + i] += b_[oc];
+  const auto& c = cfg_;
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
+  const LinearMap convolve = [&](const float* x, double* y, bool absolute) {
+    for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        const std::ptrdiff_t y0 = std::ptrdiff_t(oy * c.stride) - pad;
+        const TapRange ky = taps_inside(y0, c.in_height, c.kernel_h);
+        for (std::size_t ox = 0; ox < ow_; ++ox) {
+          const std::ptrdiff_t x0 = std::ptrdiff_t(ox * c.stride) - pad;
+          const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
+          double acc = 0.0;
+          for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
+            for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+              const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+              const float* w =
+                  w_.data() + ((oc * c.in_channels + ic) * c.kernel_h + r) *
+                                  c.kernel_w;
+              for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+                const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
+                const double wv = absolute ? std::fabs(w[q]) : w[q];
+                acc += wv * x[(ic * c.in_height + iy) * c.in_width + ix];
+              }
+            }
+          }
+          y[(oc * oh_ + oy) * ow_ + ox] = acc;
+        }
+      }
     }
+  };
+  std::vector<float> bias(output_size());
+  for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+    std::fill_n(bias.begin() + std::ptrdiff_t(oc * oh_ * ow_), oh_ * ow_,
+                b_[oc]);
   }
-  const std::size_t ng = in.num_generators();
-  std::vector<float> gens(ng * od);
-  for (std::size_t i = 0; i < ng; ++i) {
-    linear_apply(in.generator(i).data(), gens.data() + i * od);
-  }
-  return Zonotope(std::move(center), std::move(gens));
+  return in.linear(output_size(), bias, convolve);
 }
 
 void Conv2D::propagate_batch(const BoundBackend& backend,

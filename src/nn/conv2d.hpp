@@ -52,16 +52,6 @@ class Conv2D final : public Layer {
   [[nodiscard]] const Tensor& bias() const noexcept { return b_; }
 
  private:
-  /// The convolution over an n-sample neuron-major batch, adding `bias`
-  /// per output channel unless it is null.
-  void convolve(const float* in, float* out, std::size_t n,
-                const float* bias) const noexcept;
-  /// Applies the convolution's linear part (no bias) to one flat CHW
-  /// input: the bias-free one-column case of convolve().
-  void linear_apply(const float* in, float* out) const noexcept {
-    convolve(in, out, 1, nullptr);
-  }
-
   Config cfg_;
   std::size_t oh_, ow_;
   Tensor w_;   // (out_c, in_c, kh, kw)

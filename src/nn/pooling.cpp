@@ -3,7 +3,12 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/isa.hpp"
 #include "util/tile.hpp"
+
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
 
 namespace ranm {
 
@@ -60,38 +65,40 @@ MaxPool2D::WindowMax MaxPool2D::window_max(
 
 void MaxPool2D::forward_batch(const float* in, float* out,
                               std::size_t n) const noexcept {
-  const std::size_t plane = cfg_.in_height * cfg_.in_width;
-  for (std::size_t oy = 0; oy < oh_; ++oy) {
-    for (std::size_t ox = 0; ox < ow_; ++ox) {
-      // Neurons of a tile are channels at this (oy, ox).
-      for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
-                                          std::size_t ch0, std::size_t s0) {
-        float best[U][T];
-        for (std::size_t u = 0; u < U; ++u) {
-          for (std::size_t t = 0; t < T; ++t) {
-            best[u][t] = -std::numeric_limits<float>::infinity();
+  dispatch_kernel([&] {
+    const std::size_t plane = cfg_.in_height * cfg_.in_width;
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        // Neurons of a tile are channels at this (oy, ox).
+        for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
+                                            std::size_t ch0, std::size_t s0) {
+          float best[U][T];
+          for (std::size_t u = 0; u < U; ++u) {
+            for (std::size_t t = 0; t < T; ++t) {
+              best[u][t] = -std::numeric_limits<float>::infinity();
+            }
           }
-        }
-        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-            const std::size_t iy = oy * cfg_.stride + ky;
-            const std::size_t ix = ox * cfg_.stride + kx;
-            for (std::size_t u = 0; u < U; ++u) {
-              const float* x =
-                  in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
-              for (std::size_t t = 0; t < T; ++t) {
-                best[u][t] = x[t] > best[u][t] ? x[t] : best[u][t];
+          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+              const std::size_t iy = oy * cfg_.stride + ky;
+              const std::size_t ix = ox * cfg_.stride + kx;
+              for (std::size_t u = 0; u < U; ++u) {
+                const float* x =
+                    in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
+                for (std::size_t t = 0; t < T; ++t) {
+                  best[u][t] = x[t] > best[u][t] ? x[t] : best[u][t];
+                }
               }
             }
           }
-        }
-        for (std::size_t u = 0; u < U; ++u) {
-          float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
-          for (std::size_t t = 0; t < T; ++t) y[t] = best[u][t];
-        }
-      });
+          for (std::size_t u = 0; u < U; ++u) {
+            float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+            for (std::size_t t = 0; t < T; ++t) y[t] = best[u][t];
+          }
+        });
+      }
     }
-  }
+  });
 }
 
 Tensor MaxPool2D::backward(const Tensor& x, const Tensor& /*y*/,
@@ -135,34 +142,36 @@ std::string AvgPool2D::name() const {
 
 void AvgPool2D::forward_batch(const float* in, float* out,
                               std::size_t n) const noexcept {
-  const float inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
-  const std::size_t plane = cfg_.in_height * cfg_.in_width;
-  for (std::size_t oy = 0; oy < oh_; ++oy) {
-    for (std::size_t ox = 0; ox < ow_; ++ox) {
-      // Neurons of a tile are channels at this (oy, ox).
-      for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
-                                          std::size_t ch0, std::size_t s0) {
-        double acc[U][T] = {};
-        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-            const std::size_t iy = oy * cfg_.stride + ky;
-            const std::size_t ix = ox * cfg_.stride + kx;
-            for (std::size_t u = 0; u < U; ++u) {
-              const float* x =
-                  in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
-              for (std::size_t t = 0; t < T; ++t) acc[u][t] += x[t];
+  dispatch_kernel([&] {
+    const float inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
+    const std::size_t plane = cfg_.in_height * cfg_.in_width;
+    for (std::size_t oy = 0; oy < oh_; ++oy) {
+      for (std::size_t ox = 0; ox < ow_; ++ox) {
+        // Neurons of a tile are channels at this (oy, ox).
+        for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
+                                            std::size_t ch0, std::size_t s0) {
+          double acc[U][T] = {};
+          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+              const std::size_t iy = oy * cfg_.stride + ky;
+              const std::size_t ix = ox * cfg_.stride + kx;
+              for (std::size_t u = 0; u < U; ++u) {
+                const float* x =
+                    in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
+                for (std::size_t t = 0; t < T; ++t) acc[u][t] += x[t];
+              }
             }
           }
-        }
-        for (std::size_t u = 0; u < U; ++u) {
-          float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
-          for (std::size_t t = 0; t < T; ++t) {
-            y[t] = static_cast<float>(acc[u][t]) * inv;
+          for (std::size_t u = 0; u < U; ++u) {
+            float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+            for (std::size_t t = 0; t < T; ++t) {
+              y[t] = static_cast<float>(acc[u][t]) * inv;
+            }
           }
-        }
-      });
+        });
+      }
     }
-  }
+  });
 }
 
 Tensor AvgPool2D::backward(const Tensor& /*x*/, const Tensor& /*y*/,
@@ -198,15 +207,28 @@ Zonotope AvgPool2D::propagate(const Zonotope& in) const {
   if (in.dim() != input_size()) {
     throw std::invalid_argument(name() + ": zonotope input size mismatch");
   }
-  const std::size_t od = output_size();
-  std::vector<float> center(od);
-  linear_apply(in.center().data(), center.data());
-  const std::size_t ng = in.num_generators();
-  std::vector<float> gens(ng * od);
-  for (std::size_t i = 0; i < ng; ++i) {
-    linear_apply(in.generator(i).data(), gens.data() + i * od);
-  }
-  return Zonotope(std::move(center), std::move(gens));
+  // The forward pass's float scale, inside the map: the pass rounds the
+  // window sum to float, then multiplies by inv in float.
+  const double inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
+  const std::size_t plane = cfg_.in_height * cfg_.in_width;
+  const LinearMap window_mean = [&](const float* x, double* y,
+                                    bool /*absolute: inv > 0*/) {
+    for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        for (std::size_t ox = 0; ox < ow_; ++ox) {
+          double acc = 0.0;
+          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+              acc += x[ch * plane + (oy * cfg_.stride + ky) * cfg_.in_width +
+                       ox * cfg_.stride + kx];
+            }
+          }
+          y[(ch * oh_ + oy) * ow_ + ox] = inv * acc;
+        }
+      }
+    }
+  };
+  return in.linear(output_size(), {}, window_mean);
 }
 
 }  // namespace ranm

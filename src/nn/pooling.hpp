@@ -69,12 +69,6 @@ class AvgPool2D final : public Pooling {
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
 
- private:
-  /// The pooling is linear with no bias, so its one-column kernel call is
-  /// the map the zonotope transfer applies to the centre and generators.
-  void linear_apply(const float* in, float* out) const noexcept {
-    forward_batch(in, out, 1);
-  }
 };
 
 }  // namespace ranm

@@ -9,6 +9,13 @@
 // sample tiles (all of them at batch 1) run alone, several neurons at a
 // time, so that independent accumulation chains overlap instead of one
 // chain waiting on each add.
+//
+// The kernels that tile this way run through dispatch_kernel
+// (util/isa.hpp), so one tile shape is compiled for the baseline, AVX2 and
+// AVX-512 targets: a wider vector covers a tile's samples in fewer
+// registers, and each sample's accumulation stays the same. The shapes
+// are the same on every level: more neurons per forward tile on the AVX
+// levels measured slower on the race-track convnet.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "absint/bound_backend.hpp"
+#include "kernel_checks.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -30,198 +31,27 @@
 namespace ranm {
 namespace {
 
-FeatureBatch random_centers(std::size_t dim, std::size_t n, Rng& rng,
-                            float lo = -2.0F, float hi = 2.0F) {
-  FeatureBatch batch(dim, n);
-  for (std::size_t j = 0; j < dim; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.at(j, i) = rng.uniform_f(lo, hi);
-    }
-  }
-  return batch;
-}
-
-/// Mixed conv chain: Normalization -> Conv2D(padded) -> LeakyReLU ->
-/// MaxPool -> Flatten -> Dense -> Sigmoid.
-Network make_conv_chain(Rng& rng) {
-  const Shape img{2, 9, 9};
-  std::vector<float> mean(shape_numel(img)), inv_std(shape_numel(img));
-  for (std::size_t i = 0; i < mean.size(); ++i) {
-    mean[i] = rng.uniform_f(-0.5F, 0.5F);
-    inv_std[i] = rng.uniform_f(0.5F, 2.0F);
-  }
-  Network net;
-  net.emplace<Normalization>(img, std::move(mean), std::move(inv_std));
-  net.emplace<Conv2D>(Conv2D::Config{2, 9, 9, 4, 3, 3, 1, 1});
-  net.emplace<LeakyReLU>(Shape{4, 9, 9}, 0.05F);
-  net.emplace<MaxPool2D>(Pooling::Config{4, 9, 9, 3, 2});
-  net.emplace<Flatten>(Shape{4, 4, 4});
-  net.emplace<Dense>(64, 10);
-  net.emplace<Sigmoid>(Shape{10});
-  net.init_params(rng);
-  return net;
-}
-
-/// Strided conv + ReLU + AvgPool + Flatten + Dense + Tanh.
-Network make_avgpool_chain(Rng& rng) {
-  Network net;
-  net.emplace<Conv2D>(Conv2D::Config{1, 8, 8, 3, 3, 3, 2, 0});
-  net.emplace<ReLU>(Shape{3, 3, 3});
-  net.emplace<AvgPool2D>(Pooling::Config{3, 3, 3, 2, 1});
-  net.emplace<Flatten>(Shape{3, 2, 2});
-  net.emplace<Dense>(12, 5);
-  net.emplace<Tanh>(Shape{5});
-  net.init_params(rng);
-  return net;
-}
-
-/// Tile edges: a strided, padded conv whose 7 output channels and Dense
-/// layers whose 10 and 2 rows are not multiples of the 3-neuron tile, with
-/// a zero-slope LeakyReLU and an AvgPool in between.
-Network make_tile_edge_chain(Rng& rng) {
-  Network net;
-  net.emplace<Conv2D>(Conv2D::Config{2, 9, 9, 7, 3, 3, 2, 1});
-  net.emplace<LeakyReLU>(Shape{7, 5, 5}, 0.0F);
-  net.emplace<AvgPool2D>(Pooling::Config{7, 5, 5, 2, 1});
-  net.emplace<Flatten>(Shape{7, 4, 4});
-  net.emplace<Dense>(112, 10);
-  net.emplace<ReLU>(Shape{10});
-  net.emplace<Dense>(10, 2);
-  net.init_params(rng);
-  return net;
-}
-
-/// Per-element contract: vectorized bounds contain the reference bounds.
-void expect_outward_only(const BoxBatch& ref, const BoxBatch& vec) {
-  ASSERT_EQ(ref.dimension(), vec.dimension());
-  ASSERT_EQ(ref.size(), vec.size());
-  for (std::size_t j = 0; j < ref.dimension(); ++j) {
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_LE(vec.lo(j, i), ref.lo(j, i))
-          << "lower bound tightened inward at neuron " << j << ", sample "
-          << i;
-      EXPECT_GE(vec.hi(j, i), ref.hi(j, i))
-          << "upper bound tightened inward at neuron " << j << ", sample "
-          << i;
-      EXPECT_LE(vec.lo(j, i), vec.hi(j, i)) << "inverted bound";
-    }
-  }
-}
-
-/// Bit-for-bit agreement of the two backends.
-void expect_bit_identical(const BoxBatch& ref, const BoxBatch& vec) {
-  ASSERT_EQ(ref.dimension(), vec.dimension());
-  ASSERT_EQ(ref.size(), vec.size());
-  for (std::size_t j = 0; j < ref.dimension(); ++j) {
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(vec.lo(j, i), ref.lo(j, i))
-          << "backends disagree at neuron " << j << ", sample " << i;
-      EXPECT_EQ(vec.hi(j, i), ref.hi(j, i))
-          << "backends disagree at neuron " << j << ", sample " << i;
-    }
-  }
-}
-
 const ReferenceBoundBackend reference;
 const VectorizedBoundBackend vectorized;
 const BoundBackend* const kBackends[] = {&reference, &vectorized};
 
-void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
-  const std::size_t k = net.num_layers();
-  // Batch sizes around every boundary: empty, single sample, odd sizes
-  // that are not a multiple of any SIMD lane width or sample tile, and
-  // either side of one, two and eight 32-sample blocks.
-  const std::size_t batch_sizes[] = {0, 1, 3, 7, 17, 31, 32, 33, 64, 65, 257};
-  const float deltas[] = {0.0F, 0.02F, 0.4F};
-  for (const std::size_t n : batch_sizes) {
-    for (const float delta : deltas) {
-      const BoxBatch in =
-          BoxBatch::linf_ball(random_centers(in_dim, n, rng), delta);
-      const BoxBatch ref = net.propagate_box_batch(1, k, in, reference);
-      const BoxBatch vec = net.propagate_box_batch(1, k, in, vectorized);
-      expect_outward_only(ref, vec);
-      expect_bit_identical(ref, vec);
-    }
-  }
-}
+TEST(BackendDiff, RandomMlpChains) { check_random_mlp_chains(); }
 
-TEST(BackendDiff, RandomMlpChains) {
-  for (int seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    // Random widths, including width-1 bottlenecks.
-    std::vector<std::size_t> dims{1 + std::size_t(rng.uniform_f(0, 11))};
-    const int depth = 2 + int(rng.uniform_f(0, 3));
-    for (int d = 0; d < depth; ++d) {
-      dims.push_back(1 + std::size_t(rng.uniform_f(0, 14)));
-    }
-    Network net = make_mlp(dims, rng);
-    run_differential(net, dims.front(), rng);
-  }
-}
-
-TEST(BackendDiff, ConvNormPoolChain) {
-  Rng rng(99);
-  Network net = make_conv_chain(rng);
-  run_differential(net, 2 * 9 * 9, rng);
-}
+TEST(BackendDiff, ConvNormPoolChain) { check_conv_norm_pool_chain(); }
 
 TEST(BackendDiff, StridedConvAvgPoolChain) {
-  Rng rng(123);
-  Network net = make_avgpool_chain(rng);
-  run_differential(net, 8 * 8, rng);
+  check_strided_conv_avg_pool_chain();
 }
 
-TEST(BackendDiff, SeedConvnet) {
-  Rng rng(7);
-  Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
-  run_differential(net, 8 * 8, rng);
-}
+TEST(BackendDiff, SeedConvnet) { check_seed_convnet(); }
 
-TEST(BackendDiff, TileEdgeChain) {
-  Rng rng(31);
-  Network net = make_tile_edge_chain(rng);
-  run_differential(net, 2 * 9 * 9, rng);
-}
+TEST(BackendDiff, TileEdgeChain) { check_tile_edge_chain(); }
 
 TEST(BackendDiff, ColumnsDoNotDependOnTheBatch) {
-  // Column i of a 257-sample propagation (eight full blocks and a
-  // one-sample block; full and leftover tiles) is bit for bit the
-  // one-sample propagation of column i.
-  Rng rng(32);
-  Network net = make_tile_edge_chain(rng);
-  const BoxBatch in =
-      BoxBatch::linf_ball(random_centers(2 * 9 * 9, 257, rng), 0.05F);
-  const BoxBatch all = net.propagate_box_batch(1, net.num_layers(), in,
-                                               vectorized);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const IntervalVector one =
-        propagate_one(net, 1, net.num_layers(), in.box(i), vectorized);
-    for (std::size_t j = 0; j < one.size(); ++j) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(all.lo(j, i)),
-                std::bit_cast<std::uint32_t>(one[j].lo))
-          << "neuron " << j << ", sample " << i;
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(all.hi(j, i)),
-                std::bit_cast<std::uint32_t>(one[j].hi))
-          << "neuron " << j << ", sample " << i;
-    }
-  }
+  check_columns_do_not_depend_on_the_batch();
 }
 
-TEST(BackendDiff, SubRangePropagation) {
-  // Propagating a slice l..k (not starting at layer 1) hits the same
-  // kernels with an intermediate-layer input distribution.
-  Rng rng(11);
-  Network net = make_mlp({6, 12, 9, 5}, rng);
-  const std::size_t mid_dim = net.layer(2).output_size();
-  const BoxBatch in =
-      BoxBatch::linf_ball(random_centers(mid_dim, 13, rng), 0.1F);
-  const BoxBatch ref =
-      net.propagate_box_batch(3, net.num_layers(), in, reference);
-  const BoxBatch vec =
-      net.propagate_box_batch(3, net.num_layers(), in, vectorized);
-  expect_outward_only(ref, vec);
-  expect_bit_identical(ref, vec);
-}
+TEST(BackendDiff, SubRangePropagation) { check_sub_range_propagation(); }
 
 TEST(BackendDiff, DimensionMismatchThrows) {
   Rng rng(5);

@@ -13,6 +13,7 @@
 
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
+#include "kernel_checks.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -233,149 +234,10 @@ TEST(ForwardBatch, BuilderWarnsBatchMatchesWarns) {
                std::invalid_argument);
 }
 
-// ---- Batched layer kernels: bit-identical to one-column passes ----------
-
-// Every parameter and normalisation statistic random (biases included), so
-// each kernel's bias and rounding path is exercised.
-void randomise(Network& net, Rng& rng) {
-  for (Tensor* p : net.parameters()) {
-    for (std::size_t i = 0; i < p->numel(); ++i) {
-      (*p)[i] = rng.uniform_f(-0.6F, 0.6F);
-    }
-  }
-}
-
-std::vector<float> random_stats(std::size_t n, Rng& rng, float lo, float hi) {
-  std::vector<float> v(n);
-  for (float& x : v) x = rng.uniform_f(lo, hi);
-  return v;
-}
-
-// Dense with ReLU, Sigmoid, Tanh and LeakyReLU between the affine layers.
-Network mlp_chain(Rng& rng) {
-  Network net;
-  net.emplace<Dense>(5, 9);
-  net.emplace<ReLU>(Shape{9});
-  net.emplace<Dense>(9, 7);
-  net.emplace<Sigmoid>(Shape{7});
-  net.emplace<Dense>(7, 6);
-  net.emplace<Tanh>(Shape{6});
-  net.emplace<Dense>(6, 4);
-  net.emplace<LeakyReLU>(Shape{4}, 0.1F);
-  randomise(net, rng);
-  return net;
-}
-
-// Normalization, a multi-channel stride-1 unpadded convolution, max
-// pooling, Flatten and a Dense head.
-Network conv_chain(Rng& rng) {
-  Network net;
-  const Shape in{2, 9, 8};
-  const std::size_t size = shape_numel(in);
-  net.emplace<Normalization>(in, random_stats(size, rng, -0.5F, 0.5F),
-                             random_stats(size, rng, 0.5F, 2.0F));
-  Conv2D::Config c1{2, 9, 8, 3};  // 3x3, stride 1, padding 0
-  auto& conv = net.emplace<Conv2D>(c1);
-  net.emplace<ReLU>(conv.output_shape());
-  auto& pool = net.emplace<MaxPool2D>(
-      Pooling::Config{3, conv.out_height(), conv.out_width(), 2, 2});
-  net.emplace<Flatten>(pool.output_shape());
-  net.emplace<Dense>(shape_numel(pool.output_shape()), 5);
-  net.emplace<Tanh>(Shape{5});
-  randomise(net, rng);
-  return net;
-}
-
-// Strided padded convolution with a non-square kernel, overlapping average
-// and max pooling, and a padded convolution whose border windows see only
-// padding.
-Network strided_chain(Rng& rng) {
-  Network net;
-  Conv2D::Config c1{3, 8, 7, 4};
-  c1.kernel_h = 3;
-  c1.kernel_w = 2;
-  c1.stride = 2;
-  c1.padding = 1;
-  auto& conv1 = net.emplace<Conv2D>(c1);
-  net.emplace<LeakyReLU>(conv1.output_shape(), 0.05F);
-  auto& avg = net.emplace<AvgPool2D>(
-      Pooling::Config{4, conv1.out_height(), conv1.out_width(), 2, 1});
-  Conv2D::Config c2{4, avg.output_shape()[1], avg.output_shape()[2], 2};
-  c2.kernel_h = 1;
-  c2.kernel_w = 1;
-  c2.padding = 1;
-  auto& conv2 = net.emplace<Conv2D>(c2);
-  net.emplace<Sigmoid>(conv2.output_shape());
-  auto& pool = net.emplace<MaxPool2D>(
-      Pooling::Config{2, conv2.out_height(), conv2.out_width(), 3, 1});
-  net.emplace<Flatten>(pool.output_shape());
-  net.emplace<Dense>(shape_numel(pool.output_shape()), 3);
-  randomise(net, rng);
-  return net;
-}
-
-// 256 inputs; every fourth is quantised to multiples of 1/4 so max-pool
-// windows tie and activations see exact (and signed) zeros.
-std::vector<Tensor> kernel_inputs(const Network& net, Rng& rng) {
-  std::vector<Tensor> inputs;
-  for (int i = 0; i < 256; ++i) {
-    Tensor x = Tensor::random_uniform(net.input_shape(), rng);
-    if (i % 4 == 0) {
-      for (std::size_t j = 0; j < x.numel(); ++j) {
-        x[j] = std::round(x[j] * 4.0F) / 4.0F;
-      }
-    }
-    inputs.push_back(std::move(x));
-  }
-  return inputs;
-}
-
-// forward_batch(k, ·) must equal n one-column forward_to(k, ·) calls bit
-// for bit, for every prefix k of every chain and across the batch tile
-// and block boundaries. The hash pins those activations to the ones the
-// per-sample layer code produced before the batched kernels existed.
+// forward_batch(k, ·) against one-column passes on every chain prefix,
+// pinned by an FNV golden (kernel_checks.hpp).
 TEST(ForwardBatch, BitIdenticalToOneColumnPassesOnEveryChain) {
-  Rng rng(2024);
-  std::vector<Network> chains;
-  chains.push_back(mlp_chain(rng));
-  chains.push_back(conv_chain(rng));
-  chains.push_back(strided_chain(rng));
-  chains.push_back(make_small_convnet(12, 12, 4, 16, 3, rng));
-  randomise(chains.back(), rng);
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
-  for (std::size_t c = 0; c < chains.size(); ++c) {
-    const Network& net = chains[c];
-    const std::vector<Tensor> inputs = kernel_inputs(net, rng);
-    for (std::size_t k = 0; k <= net.num_layers(); ++k) {
-      const std::size_t dim =
-          k == 0 ? shape_numel(net.input_shape()) : net.layer(k).output_size();
-      for (const std::size_t n : {0UL, 1UL, 3UL, 7UL, 15UL, 16UL, 17UL, 33UL,
-                                  100UL, 256UL}) {
-        const FeatureBatch batch =
-            net.forward_batch(k, std::span(inputs.data(), n));
-        ASSERT_EQ(batch.dimension(), n == 0 && k == 0 ? 0 : dim);
-        ASSERT_EQ(batch.size(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          const Tensor expected = net.forward_to(k, inputs[i]);
-          const std::vector<float> got = batch.sample(i);
-          ASSERT_EQ(got.size(), expected.numel());
-          EXPECT_EQ(std::memcmp(got.data(), expected.data(),
-                                got.size() * sizeof(float)),
-                    0)
-              << "chain " << c << " k=" << k << " n=" << n << " i=" << i;
-        }
-        for (const float v : batch.storage()) {
-          std::uint32_t bits = 0;
-          std::memcpy(&bits, &v, sizeof(bits));
-          for (int b = 0; b < 4; ++b) {
-            hash ^= (bits >> (8 * b)) & 0xFFU;
-            hash *= 1099511628211ULL;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(hash, 12851505403922816139ULL);
+  check_forward_batch_golden();
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
@@ -150,32 +151,36 @@ TEST(Lemma1Standard, StandardMonitorDoesWarnOnPerturbation) {
 /// activation is exactly 0. A bound that adds b inside its double
 /// accumulator rounds once, lands on [3e-8, 3e-8] and misses it; a 1-bit
 /// on-off monitor built robustly from that bound then warns on its own
-/// training input, which the standard build accepts.
-void expect_robust_accepts_own_input(const Network& net,
-                                     const Tensor& input) {
-  const std::vector<Tensor> train{input};
-  const std::size_t k = net.num_layers();
-  const float activation = net.forward(train[0])[0];
-  ASSERT_EQ(activation, 0.0F);
+/// training input, which the standard build accepts. Both domains must
+/// cover the forward pass's rounding.
+class Lemma1Rounding : public ::testing::TestWithParam<BoundDomain> {
+ protected:
+  void expect_robust_accepts_own_input(const Network& net,
+                                       const Tensor& input) const {
+    const std::vector<Tensor> train{input};
+    const std::size_t k = net.num_layers();
+    const float activation = net.forward(train[0])[0];
+    ASSERT_EQ(activation, 0.0F);
 
-  const PerturbationSpec spec{0, 0.0F, BoundDomain::kBox};
-  const IntervalVector box =
-      PerturbationEstimator(net, k, spec).estimate(train[0]);
-  EXPECT_LE(box[0].lo, activation);
-  EXPECT_GE(box[0].hi, activation);
+    const PerturbationSpec spec{0, 0.0F, GetParam()};
+    const IntervalVector box =
+        PerturbationEstimator(net, k, spec).estimate(train[0]);
+    EXPECT_LE(box[0].lo, activation);
+    EXPECT_GE(box[0].hi, activation);
 
-  MonitorBuilder builder(net, k);
-  const std::vector<float> zero{0.0F};
-  OnOffMonitor standard(ThresholdSpec::onoff(zero));
-  builder.build_standard(standard, train);
-  EXPECT_FALSE(builder.warns(standard, train[0]));
-  OnOffMonitor robust(ThresholdSpec::onoff(zero));
-  builder.build_robust(robust, train, spec);
-  EXPECT_FALSE(builder.warns(robust, train[0]))
-      << "robust monitor warned on its own training input";
-}
+    MonitorBuilder builder(net, k);
+    const std::vector<float> zero{0.0F};
+    OnOffMonitor standard(ThresholdSpec::onoff(zero));
+    builder.build_standard(standard, train);
+    EXPECT_FALSE(builder.warns(standard, train[0]));
+    OnOffMonitor robust(ThresholdSpec::onoff(zero));
+    builder.build_robust(robust, train, spec);
+    EXPECT_FALSE(builder.warns(robust, train[0]))
+        << "robust monitor warned on its own training input";
+  }
+};
 
-TEST(Lemma1Rounding, DenseBiasCancellationAtZeroDelta) {
+TEST_P(Lemma1Rounding, DenseBiasCancellationAtZeroDelta) {
   Network net;
   Dense& dense = net.emplace<Dense>(1, 1);
   dense.weights()[0] = 1.0F / 3.0F;
@@ -184,7 +189,7 @@ TEST(Lemma1Rounding, DenseBiasCancellationAtZeroDelta) {
   expect_robust_accepts_own_input(net, Tensor::vector({3.0F}));
 }
 
-TEST(Lemma1Rounding, ConvBiasCancellationAtZeroDelta) {
+TEST_P(Lemma1Rounding, ConvBiasCancellationAtZeroDelta) {
   Network net;
   Conv2D& conv = net.emplace<Conv2D>(Conv2D::Config{1, 1, 1, 1, 1, 1, 1, 0});
   conv.weights()[0] = 1.0F / 3.0F;
@@ -192,6 +197,13 @@ TEST(Lemma1Rounding, ConvBiasCancellationAtZeroDelta) {
   net.emplace<ReLU>(Shape{1, 1, 1});
   expect_robust_accepts_own_input(net, Tensor({1, 1, 1}, 3.0F));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Domains, Lemma1Rounding,
+    ::testing::Values(BoundDomain::kBox, BoundDomain::kZonotope),
+    [](const ::testing::TestParamInfo<BoundDomain>& param) {
+      return std::string(bound_domain_name(param.param));
+    });
 
 }  // namespace
 }  // namespace ranm

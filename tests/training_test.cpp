@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "eval/experiment.hpp"
+#include "kernel_checks.hpp"
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -174,40 +175,10 @@ TEST(Trainer, RejectsBadInput) {
                std::invalid_argument);
 }
 
-// FNV-1a over the raw bytes of every trainable parameter.
-std::uint64_t weight_hash(Network& net) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const Tensor* p : net.parameters()) {
-    for (std::size_t i = 0; i < p->numel(); ++i) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, p->data() + i, sizeof(bits));
-      for (int b = 0; b < 4; ++b) {
-        h ^= (bits >> (8 * b)) & 0xFFU;
-        h *= 1099511628211ULL;
-      }
-    }
-  }
-  return h;
-}
-
-// Golden: one epoch of the lab convnet (conv, LeakyReLU, max-pool, dense)
-// must reproduce these exact weights. fp_rate and detection_rate of every
-// experiment depend on the trained weights, so any change to the forward
-// or backward arithmetic (accumulation order, max-pool tie-breaking) shows
-// up here first.
+// One epoch of the lab convnet reproduces golden weights
+// (kernel_checks.hpp).
 TEST(Trainer, LabConvnetOneEpochWeightsAreGolden) {
-  LabConfig cfg;
-  cfg.train_samples = 120;
-  cfg.test_samples = 1;
-  cfg.ood_samples = 1;
-  cfg.epochs = 1;
-  cfg.conv_channels = 4;
-  cfg.hidden = 16;
-  cfg.track.height = 16;
-  cfg.track.width = 16;
-  cfg.seed = 5;
-  LabSetup setup = make_lab_setup(cfg);
-  EXPECT_EQ(weight_hash(setup.net), 18152838330587704031ULL);
+  check_lab_convnet_training_golden();
 }
 
 }  // namespace
