@@ -1,4 +1,5 @@
-// E5 — bound-engine comparison, two sweeps.
+// E5 — bound-engine comparison, two sweeps, and the concrete forward pass
+// the bounds start from.
 //
 // Sweep 1 (domain_compare): box vs zonotope perturbation estimates across
 // network depth (paper §III-B cites interval bound propagation [3],
@@ -20,6 +21,17 @@
 // throughput differs. The committed full run is the acceptance baseline
 // for the vectorized backend (>= 2x reference at batch 256).
 //
+// Sweep 3 (forward_sweep): the lab convnet's concrete forward pass up to
+// g6, which every robust-monitor verdict pays first, at batch 1, 32 and
+// 256. One row times the whole prefix (Network::forward_batch); the rows
+// below it split that time into the input pack (inputs scattered into
+// neuron-major rows) and each layer g1..g6, timed by a clock read between
+// the stages of forward_batch's own block loop, which runs right after
+// each timed prefix call; the prefix row records their sum over it (about
+// 1 when the split accounts for the whole pass).
+// The bench fails if a column of the batched pass differs from the
+// one-column pass.
+//
 // Every timing is the median, with the minimum beside it, of 5 timed
 // blocks after one untimed warm-up call; the report stamps that statistic.
 //
@@ -27,9 +39,12 @@
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
 // RANM_SMOKE=1 shrinks the sweeps for CI.
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -92,11 +107,21 @@ struct BackendMeasurement {
   double speedup_vs_reference = 0.0;
 };
 
+struct ForwardMeasurement {
+  std::string layers;  // "g1-g6" for the prefix, "pack", or "g3"
+  std::size_t batch_size = 0;
+  Timing time;
+  // Prefix row: the stage rows' median sum over this row's median. Stage
+  // rows: this row's median over the prefix row's.
+  double share = 0.0;
+};
+
 void write_json(const std::string& path, bool smoke,
                 const std::vector<DomainMeasurement>& domains,
-                const std::vector<BackendMeasurement>& backends) {
+                const std::vector<BackendMeasurement>& backends,
+                const std::vector<ForwardMeasurement>& forward) {
   std::vector<std::string> rows;
-  rows.reserve(domains.size() + backends.size());
+  rows.reserve(domains.size() + backends.size() + forward.size());
   for (const DomainMeasurement& m : domains) {
     std::ostringstream row;
     row << "{\"mode\": \"domain_compare\", \"hidden_layers\": "
@@ -122,11 +147,25 @@ void write_json(const std::string& path, bool smoke,
         << ", \"speedup_vs_reference\": " << m.speedup_vs_reference << "}";
     rows.push_back(row.str());
   }
+  for (const ForwardMeasurement& m : forward) {
+    const bool prefix = m.layers == "g1-g6";
+    std::ostringstream row;
+    row << "{\"mode\": \"forward_sweep\", \"network\": \"lab_convnet\", "
+        << "\"layers\": \"" << m.layers << "\", \"batch_size\": "
+        << m.batch_size << ", \"us_per_input\": " << m.time.median_us
+        << ", \"us_per_input_min\": " << m.time.min_us << ", \""
+        << (prefix ? "stage_sum_over_prefix" : "share_of_prefix")
+        << "\": " << m.share << "}";
+    rows.push_back(row.str());
+  }
   benchutil::write_json_report(
       path, "bench_domains", smoke, rows,
       "us/input: median (and _min: minimum) over 5 timed blocks of reps "
-      "calls after one untimed warm-up call; per-layer rows time the "
-      "layer's kernel alone over the whole batch in one call");
+      "calls after one untimed warm-up call; backend_sweep per-layer rows "
+      "time the layer's kernel alone over the whole batch in one call; "
+      "forward_sweep: each call runs forward_batch (the prefix row) and "
+      "then its block loop with a clock read between stages (the stage "
+      "rows)");
 }
 
 std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
@@ -355,6 +394,131 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
   return results;
 }
 
+/// Element j of inputs[c0 + i] at out[j * b + i], i < b: one block of
+/// Network::forward_batch's input pack.
+void pack_block(const std::vector<Tensor>& inputs, std::size_t c0,
+                std::size_t b, float* out) {
+  for (std::size_t i = 0; i < b; ++i) {
+    const Tensor& x = inputs[c0 + i];
+    for (std::size_t j = 0; j < x.numel(); ++j) out[j * b + i] = x[j];
+  }
+}
+
+std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
+  TextTable table("E5c: concrete forward pass of the lab convnet to g6, "
+                  "whole prefix and per stage (us/input median and min of 5 "
+                  "blocks)");
+  table.set_header({"layers", "batch", "us/input", "min", "share"});
+  std::vector<ForwardMeasurement> results;
+  // Network::forward_batch's block; its layers run one block at a time.
+  constexpr std::size_t kBlock = 32;
+  constexpr std::size_t kMonitored = 6;
+  const std::size_t side = smoke ? 12 : 32;
+  Rng rng(79);
+  const Network net = make_small_convnet(side, side, 6, 32, 2, rng);
+  const auto add_row = [&](const ForwardMeasurement& m) {
+    table.add_row({m.layers, std::to_string(m.batch_size),
+                   TextTable::num(m.time.median_us, 2),
+                   TextTable::num(m.time.min_us, 2),
+                   TextTable::num(m.share, 3)});
+    results.push_back(m);
+  };
+  for (const std::size_t batch :
+       smoke ? std::vector<std::size_t>{1, 33}
+             : std::vector<std::size_t>{1, 32, 256}) {
+    std::vector<Tensor> inputs;
+    for (std::size_t i = 0; i < batch; ++i) {
+      inputs.push_back(Tensor::random_uniform(net.input_shape(), rng));
+    }
+    const std::size_t reps =
+        smoke ? 1 : std::max<std::size_t>(1, 8192 / batch);
+
+    // The batched pass, column by column against the one-column pass.
+    const FeatureBatch whole = net.forward_batch(kMonitored, inputs);
+    for (std::size_t i = 0; i < batch; ++i) {
+      const Tensor one = net.forward_to(kMonitored, inputs[i]);
+      const std::vector<float> column = whole.sample(i);
+      if (column.size() != one.numel() ||
+          std::memcmp(column.data(), one.data(),
+                      column.size() * sizeof(float)) != 0) {
+        std::fprintf(stderr,
+                     "bench_domains: forward_batch column %zu of %zu differs "
+                     "from the one-column pass\n",
+                     i, batch);
+        sound = false;
+      }
+    }
+
+    // Row 0 times the whole prefix; rows 1.. time the stages inside
+    // forward_batch's own loop, run right after it, with a clock read
+    // between them: each block of 32 samples is packed neuron-major (row
+    // 1), then ping-pongs through g1..g6 (rows 2..) in two block-sized
+    // buffers, so every stage sees the working set it sees in
+    // forward_batch, and a change of the host's speed reaches all rows.
+    std::size_t width = net.layer(1).input_size();
+    for (std::size_t k = 1; k <= kMonitored; ++k) {
+      width = std::max(width, net.layer(k).output_size());
+    }
+    std::vector<float> ping(width * kBlock), pong(width * kBlock);
+    constexpr std::size_t kRows = kMonitored + 2;
+    using Clock = std::chrono::steady_clock;
+    const auto pass = [&](std::array<Clock::duration, kRows>& spent) {
+      Clock::time_point t = Clock::now();
+      g_sink += double(net.forward_batch(kMonitored, inputs).at(0, 0));
+      Clock::time_point now = Clock::now();
+      spent[0] += now - t;
+      for (std::size_t c0 = 0; c0 < batch; c0 += kBlock) {
+        const std::size_t b = std::min(kBlock, batch - c0);
+        float* src = ping.data();
+        float* dst = pong.data();
+        t = Clock::now();
+        pack_block(inputs, c0, b, src);
+        for (std::size_t row = 1; row < kRows; ++row) {
+          if (row > 1) {
+            net.layer(row - 1).forward_batch(src, dst, b);
+            std::swap(src, dst);
+          }
+          now = Clock::now();
+          spent[row] += now - t;
+          t = now;
+        }
+        g_sink += double(src[0]);
+      }
+    };
+    std::array<Clock::duration, kRows> warm{};
+    pass(warm);
+    std::array<std::vector<double>, kRows> block_us;
+    for (std::size_t blk = 0; blk < kBlocks; ++blk) {
+      std::array<Clock::duration, kRows> spent{};
+      for (std::size_t r = 0; r < reps; ++r) pass(spent);
+      for (std::size_t row = 0; row < kRows; ++row) {
+        block_us[row].push_back(
+            std::chrono::duration<double, std::micro>(spent[row]).count() /
+            double(reps * batch));
+      }
+    }
+    constexpr std::array<const char*, kRows> kLabels = {
+        "g1-g6", "pack", "g1", "g2", "g3", "g4", "g5", "g6"};
+    std::array<ForwardMeasurement, kRows> rows;
+    for (std::size_t row = 0; row < kRows; ++row) {
+      ForwardMeasurement& m = rows[row];
+      m.layers = kLabels[row];
+      m.batch_size = batch;
+      std::sort(block_us[row].begin(), block_us[row].end());
+      m.time = {block_us[row][kBlocks / 2], block_us[row].front()};
+    }
+    double sum = 0.0;
+    for (std::size_t row = 1; row < kRows; ++row) {
+      sum += rows[row].time.median_us;
+      rows[row].share = rows[row].time.median_us / rows[0].time.median_us;
+    }
+    rows[0].share = sum / rows[0].time.median_us;
+    for (const ForwardMeasurement& m : rows) add_row(m);
+  }
+  table.print();
+  return results;
+}
+
 int run(int argc, char** argv) {
   const bool smoke = benchutil::smoke_mode();
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_domains.json";
@@ -363,12 +527,14 @@ int run(int argc, char** argv) {
   bool sound = true;
   const std::vector<BackendMeasurement> backends =
       run_backend_sweep(smoke, sound);
+  const std::vector<ForwardMeasurement> forward =
+      run_forward_sweep(smoke, sound);
   if (!sound) {
-    std::fprintf(stderr, "bench_domains: backend cross-check FAILED\n");
+    std::fprintf(stderr, "bench_domains: bit-identity cross-check FAILED\n");
     return 1;
   }
 
-  write_json(json_path, smoke, domains, backends);
+  write_json(json_path, smoke, domains, backends, forward);
   std::printf(
       "wrote %s (sink %g)\n"
       "\n[E5] expected shape: (a) zono/box ratio < 1 everywhere and "
@@ -376,7 +542,9 @@ int run(int argc, char** argv) {
       "boxes lose); zonotope runtime grows with generator count. "
       "(b) vectorized speedup grows with batch size (contiguous "
       "neuron-major sweeps amortise across the batch lane) and clears "
-      "2x at batch 256.\n",
+      "2x at batch 256. (c) the forward stage rows sum to their prefix "
+      "row (stage_sum_over_prefix within 5%% of 1); Conv2D g1 and Dense g5 "
+      "take most of it.\n",
       json_path.c_str(), g_sink);
   return 0;
 }

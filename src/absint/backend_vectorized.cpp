@@ -30,11 +30,6 @@
 namespace ranm {
 namespace {
 
-// Affine/conv tile: kBoxNeuronTile output neurons × kBoxSampleTile samples
-// over the full sample tiles, kNeuronTile neurons per leftover sample.
-constexpr std::size_t kBoxNeuronTile = 3;
-constexpr std::size_t kBoxSampleTile = 8;
-
 /// The affine accumulators of a U-neuron × T-sample tile: Σ w·(lo + hi)
 /// and Σ |w|·(hi - lo), twice the centre and radius sums. Both are exact
 /// in double, where the float centre 0.5F * (lo + hi) can round so that
@@ -91,7 +86,7 @@ void VectorizedBoundBackend::do_affine(std::span<const float> w,
     const float* hi = in.upper().storage().data();
     float* out_lo = out.lower().storage().data();
     float* out_hi = out.upper().storage().data();
-    for_each_tile<kBoxNeuronTile, kBoxSampleTile>(
+    for_each_tile<kBoxAffineTile>(
         n, rows, [&]<std::size_t U, std::size_t T>(std::size_t o0,
                                                    std::size_t s0) {
           AffineTile<U, T> acc;
@@ -128,7 +123,7 @@ void VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
         const TapRange kx = taps_inside(x0, g.in_width, g.kernel_w);
         // Neurons of a tile are output channels at this (oy, ox): they share
         // every tap and differ only in their weights.
-        for_each_tile<kBoxNeuronTile, kBoxSampleTile>(
+        for_each_tile<kBoxAffineTile>(
             n, g.out_channels, [&]<std::size_t U, std::size_t T>(
                                    std::size_t oc0, std::size_t s0) {
               AffineTile<U, T> acc;
@@ -204,32 +199,35 @@ void VectorizedBoundBackend::do_avg_pool(const Pool2DGeometry& g,
     for (std::size_t oy = 0; oy < g.out_height; ++oy) {
       for (std::size_t ox = 0; ox < g.out_width; ++ox) {
         // Neurons of a tile are channels at this (oy, ox).
-        for_each_tile(n, g.channels, [&]<std::size_t U, std::size_t T>(
-                                         std::size_t ch0, std::size_t s0) {
-          double acc_lo[U][T] = {};
-          double acc_hi[U][T] = {};
-          for (std::size_t ky = 0; ky < g.window; ++ky) {
-            for (std::size_t kx = 0; kx < g.window; ++kx) {
-              const std::size_t tap =
-                  (oy * g.stride + ky) * g.in_width + ox * g.stride + kx;
-              for (std::size_t u = 0; u < U; ++u) {
-                const std::size_t at = ((ch0 + u) * plane + tap) * n + s0;
-                for (std::size_t t = 0; t < T; ++t) {
-                  acc_lo[u][t] += lo[at + t];
-                  acc_hi[u][t] += hi[at + t];
+        for_each_tile<kBoxAvgPoolTile>(
+            n, g.channels,
+            [&]<std::size_t U, std::size_t T>(std::size_t ch0,
+                                              std::size_t s0) {
+              double acc_lo[U][T] = {};
+              double acc_hi[U][T] = {};
+              for (std::size_t ky = 0; ky < g.window; ++ky) {
+                for (std::size_t kx = 0; kx < g.window; ++kx) {
+                  const std::size_t tap =
+                      (oy * g.stride + ky) * g.in_width + ox * g.stride + kx;
+                  for (std::size_t u = 0; u < U; ++u) {
+                    const std::size_t at = ((ch0 + u) * plane + tap) * n + s0;
+                    for (std::size_t t = 0; t < T; ++t) {
+                      acc_lo[u][t] += lo[at + t];
+                      acc_hi[u][t] += hi[at + t];
+                    }
+                  }
                 }
               }
-            }
-          }
-          for (std::size_t u = 0; u < U; ++u) {
-            const std::size_t at =
-                (((ch0 + u) * g.out_height + oy) * g.out_width + ox) * n + s0;
-            for (std::size_t t = 0; t < T; ++t) {
-              out_lo[at + t] = round_down(acc_lo[u][t] * inv);
-              out_hi[at + t] = round_up(acc_hi[u][t] * inv);
-            }
-          }
-        });
+              for (std::size_t u = 0; u < U; ++u) {
+                const std::size_t at =
+                    (((ch0 + u) * g.out_height + oy) * g.out_width + ox) * n +
+                    s0;
+                for (std::size_t t = 0; t < T; ++t) {
+                  out_lo[at + t] = round_down(acc_lo[u][t] * inv);
+                  out_hi[at + t] = round_up(acc_hi[u][t] * inv);
+                }
+              }
+            });
       }
     }
   });

@@ -7,9 +7,31 @@
 namespace ranm {
 namespace {
 
-/// |s|·e rounded up: a rounding radius under a per-dimension scale s.
-float scaled_radius(float e, float s) noexcept {
-  return e == 0.0F ? 0.0F : round_up(std::fabs(double(s)) * e);
+/// The rounding radii after an elementwise map y_j = s_j·x_j + t_j whose
+/// centre `c` and generators `gens` were computed in double and rounded to
+/// float once: the radii `e` scaled by |s_j| and grown by 4u·m_j, rounded
+/// up, where m_j = |c_j| + Σ_i |g_ij| + |s_j|·e_j bounds |y_j| over the
+/// set. The forward pass rounds y_j at most twice and storing the centre
+/// and each generator rounds once more, each within u·m_j; 4u covers these
+/// and the transfer's own double roundings.
+std::vector<float> elementwise_radii(const std::vector<float>& c,
+                                     const std::vector<float>& gens,
+                                     std::span<const double> scale,
+                                     std::span<const float> e) {
+  const std::size_t d = c.size();
+  std::vector<double> scaled(d), m(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    scaled[j] = std::fabs(scale[j]) * e[j];
+    m[j] = std::fabs(c[j]) + scaled[j];
+  }
+  for (std::size_t g = 0; g < gens.size(); g += d) {
+    for (std::size_t j = 0; j < d; ++j) m[j] += std::fabs(gens[g + j]);
+  }
+  std::vector<float> err(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    err[j] = round_up(scaled[j] + 4.0 * kFloatUnitRoundoff * m[j]);
+  }
+  return err;
 }
 
 }  // namespace
@@ -145,22 +167,23 @@ Zonotope Zonotope::linear(std::size_t rows, std::span<const float> b,
   return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
-Zonotope Zonotope::scale_shift(std::span<const float> scale,
-                               std::span<const float> shift) const {
+Zonotope Zonotope::normalize(std::span<const float> mean,
+                             std::span<const float> scale) const {
   const std::size_t d = dim();
-  if (scale.size() != d || shift.size() != d) {
-    throw std::invalid_argument("Zonotope::scale_shift: size mismatch");
+  if (mean.size() != d || scale.size() != d) {
+    throw std::invalid_argument("Zonotope::normalize: size mismatch");
   }
-  std::vector<float> c(d), gens(gens_.size()), err(d);
+  const std::vector<double> s(scale.begin(), scale.end());
+  std::vector<float> c(d), gens(gens_.size());
   for (std::size_t j = 0; j < d; ++j) {
-    c[j] = center_[j] * scale[j] + shift[j];
-    err[j] = scaled_radius(err_[j], scale[j]);
+    c[j] = static_cast<float>((double(center_[j]) - mean[j]) * s[j]);
   }
   for (std::size_t i = 0; i < num_generators(); ++i) {
     for (std::size_t j = 0; j < d; ++j) {
-      gens[i * d + j] = gens_[i * d + j] * scale[j];
+      gens[i * d + j] = static_cast<float>(gens_[i * d + j] * s[j]);
     }
   }
+  std::vector<float> err = elementwise_radii(c, gens, s, err_);
   return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
@@ -170,26 +193,27 @@ Zonotope Zonotope::leaky_relu(float alpha) const {
   const std::size_t d = dim();
   const std::size_t ng = num_generators();
 
-  // Per-dimension plan: pass-through (slope 1), kill (slope alpha),
-  // or relax with slope lambda and fresh noise.
-  std::vector<float> slope(d, 1.0F), shift(d, 0.0F), fresh(d, 0.0F);
+  // Per-dimension plan, in double: pass-through (slope 1), kill (slope
+  // alpha), or relax with slope lambda and fresh noise.
+  std::vector<double> slope(d, 1.0), shift(d, 0.0);
+  std::vector<float> fresh(d, 0.0F);
   for (std::size_t j = 0; j < d; ++j) {
     const Interval iv = concretize(j);
-    const float l = iv.lo, u = iv.hi;
-    if (l >= 0.0F) {
-      slope[j] = 1.0F;
-    } else if (u <= 0.0F) {
+    const double l = iv.lo, u = iv.hi;
+    if (l >= 0.0) {
+      slope[j] = 1.0;
+    } else if (u <= 0.0) {
       slope[j] = alpha;
     } else {
       // Minimal-area relaxation of max(alpha*x, x) over [l, u]:
       // lambda = (u - alpha*l) / (u - l); the relaxation band has height
       // (lambda - alpha) * (-l) at x = l (equivalently (1-lambda)*u at u),
       // centred by mu with radius mu as the fresh-noise coefficient.
-      const float lambda = (u - alpha * l) / (u - l);
-      const float mu = 0.5F * (lambda - alpha) * (-l);
+      const double lambda = (u - alpha * l) / (u - l);
+      const double mu = 0.5 * (lambda - alpha) * (-l);
       slope[j] = lambda;
       shift[j] = mu;
-      fresh[j] = mu;
+      fresh[j] = round_up(mu);
     }
   }
 
@@ -198,14 +222,13 @@ Zonotope Zonotope::leaky_relu(float alpha) const {
     if (fresh[j] > 0.0F) ++n_fresh;
   }
 
-  std::vector<float> c(d), gens((ng + n_fresh) * d, 0.0F), err(d);
+  std::vector<float> c(d), gens((ng + n_fresh) * d, 0.0F);
   for (std::size_t j = 0; j < d; ++j) {
-    c[j] = center_[j] * slope[j] + shift[j];
-    err[j] = scaled_radius(err_[j], slope[j]);
+    c[j] = static_cast<float>(center_[j] * slope[j] + shift[j]);
   }
   for (std::size_t i = 0; i < ng; ++i) {
     for (std::size_t j = 0; j < d; ++j) {
-      gens[i * d + j] = gens_[i * d + j] * slope[j];
+      gens[i * d + j] = static_cast<float>(gens_[i * d + j] * slope[j]);
     }
   }
   std::size_t next = ng;
@@ -215,6 +238,7 @@ Zonotope Zonotope::leaky_relu(float alpha) const {
       ++next;
     }
   }
+  std::vector<float> err = elementwise_radii(c, gens, slope, err_);
   return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 

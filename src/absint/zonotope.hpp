@@ -12,9 +12,9 @@
 // Centre and generators are floats, while the concrete forward pass rounds
 // every layer's output to float. Each dimension therefore also carries a
 // rounding radius e_j: the set is c + Σ ε_i g_i + δ with |δ_j| <= e_j (one
-// fresh noise symbol per dimension, stored as a diagonal). The linear
-// transfers grow it to cover the forward pass's rounding, so the zonotope
-// holds the concrete float activation even at Δ = 0.
+// fresh noise symbol per dimension, stored as a diagonal). The linear and
+// elementwise transfers grow it to cover the forward pass's rounding, so
+// the zonotope holds the concrete float activation at any Δ.
 #pragma once
 
 #include <cstddef>
@@ -75,14 +75,17 @@ class Zonotope {
   [[nodiscard]] Zonotope linear(std::size_t rows, std::span<const float> b,
                                 const LinearMap& map) const;
 
-  /// Generic per-dimension affine map y_j = scale_j * x_j + shift_j
-  /// (used by normalisation-style layers). Exact.
-  [[nodiscard]] Zonotope scale_shift(std::span<const float> scale,
-                                     std::span<const float> shift) const;
+  /// Per-dimension normalisation y_j = (x_j - mean_j) * scale_j, in that
+  /// order as the forward pass computes it; the rounding radii grow to
+  /// cover its float roundings and this transfer's.
+  [[nodiscard]] Zonotope normalize(std::span<const float> mean,
+                                   std::span<const float> scale) const;
 
   /// DeepZ ReLU transformer: exact where the sign is fixed, minimal-area
   /// linear relaxation (lambda = u/(u-l)) with one fresh noise symbol where
-  /// the interval straddles zero.
+  /// the interval straddles zero. Slopes and shifts are applied in double,
+  /// and the rounding radii grow to cover the float roundings, as in
+  /// normalize().
   [[nodiscard]] Zonotope relu() const;
 
   /// Leaky-ReLU transformer (alpha in [0,1)); same relaxation strategy.

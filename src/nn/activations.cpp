@@ -1,5 +1,6 @@
 #include "nn/activations.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -69,13 +70,13 @@ float LeakyReLU::df(float v, float /*y*/) const noexcept {
 void LeakyReLU::forward_batch(const float* in, float* out,
                               std::size_t n) const noexcept {
   dispatch_kernel([&] {
-    // f in two passes, the product and then the select, so that both
-    // vectorise; one loop keeps the product inside a mispredicted branch.
+    // max(v, αv) is v > 0 ? v : αv for α in [0, 1), signed zeros
+    // included, and computes both operands unconditionally, so the one
+    // pass vectorises.
     const float alpha = alpha_;
     const std::size_t count = n * numel_;
-    for (std::size_t i = 0; i < count; ++i) out[i] = alpha * in[i];
     for (std::size_t i = 0; i < count; ++i) {
-      out[i] = in[i] > 0.0F ? in[i] : out[i];
+      out[i] = std::max(in[i], alpha * in[i]);
     }
   });
 }

@@ -65,37 +65,50 @@ void Conv2D::forward_batch(const float* in, float* out,
         const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
         // Neurons of a tile are output channels at this (oy, ox): they share
         // every tap position and differ only in their weights.
-        for_each_tile(n, c.out_channels, [&]<std::size_t U, std::size_t T>(
-                                             std::size_t oc0, std::size_t s0) {
-          double acc[U][T] = {};
-          const float* w = w_.data() + oc0 * kernel_size;
-          for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
-            for (std::size_t r = ky.lo; r < ky.hi; ++r) {
-              const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
-              const std::size_t tap_row = (ic * c.kernel_h + r) * c.kernel_w;
-              for (std::size_t q = kx.lo; q < kx.hi; ++q) {
-                const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
-                const float* x =
-                    in + ((ic * c.in_height + iy) * c.in_width + ix) * n + s0;
-                double xd[T];
-                for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
-                for (std::size_t u = 0; u < U; ++u) {
-                  const double wv = w[u * kernel_size + tap_row + q];
-                  for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
+        for_each_tile<kConvTile>(
+            n, c.out_channels, [&]<std::size_t U, std::size_t T>(
+                                   std::size_t oc0, std::size_t s0) {
+              double acc[U][T] = {};
+              const float* w = w_.data() + oc0 * kernel_size;
+              for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
+                for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+                  const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+                  const std::size_t tap_row =
+                      (ic * c.kernel_h + r) * c.kernel_w;
+                  for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+                    const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
+                    const float* x =
+                        in + ((ic * c.in_height + iy) * c.in_width + ix) * n +
+                        s0;
+                    // The tile is past GCC's unroll budget, and forcing
+                    // its unroll measured faster (util/tile.hpp).
+                    double xd[T];
+#pragma GCC unroll 64
+                    for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
+#pragma GCC unroll 64
+                    for (std::size_t u = 0; u < U; ++u) {
+                      const double wv = w[u * kernel_size + tap_row + q];
+#pragma GCC unroll 64
+                      for (std::size_t t = 0; t < T; ++t) {
+                        acc[u][t] += wv * xd[t];
+                      }
+                    }
+                  }
                 }
               }
-            }
-          }
-          for (std::size_t u = 0; u < U; ++u) {
-            float* y = out + (((oc0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
-            // The bias in a local: a load between the stores would keep the
-            // stores, and with them the accumulation, from vectorising.
-            const float b = b_[oc0 + u];
-            for (std::size_t t = 0; t < T; ++t) {
-              y[t] = static_cast<float>(acc[u][t]) + b;
-            }
-          }
-        });
+#pragma GCC unroll 64
+              for (std::size_t u = 0; u < U; ++u) {
+                float* y = out + (((oc0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+                // The bias in a local: a load between the stores would keep
+                // the stores, and with them the accumulation, from
+                // vectorising.
+                const float b = b_[oc0 + u];
+#pragma GCC unroll 64
+                for (std::size_t t = 0; t < T; ++t) {
+                  y[t] = static_cast<float>(acc[u][t]) + b;
+                }
+              }
+            });
       }
     }
   });

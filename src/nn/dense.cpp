@@ -33,29 +33,30 @@ std::string Dense::name() const {
 void Dense::forward_batch(const float* in, float* out,
                           std::size_t n) const noexcept {
   dispatch_kernel([&] {
-    for_each_tile(n, out_, [&]<std::size_t U, std::size_t T>(std::size_t o0,
-                                                             std::size_t s0) {
-      double acc[U][T] = {};
-      const float* w = w_.data() + o0 * in_;
-      const float* x = in + s0;
-      for (std::size_t p = 0; p < in_; ++p, x += n) {
-        double xd[T];
-        for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
-        for (std::size_t u = 0; u < U; ++u) {
-          const double wv = w[u * in_ + p];
-          for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
-        }
-      }
-      for (std::size_t u = 0; u < U; ++u) {
-        // The bias in a local: a load between the stores would keep the
-        // stores, and with them the accumulation, from vectorising.
-        const float b = b_[o0 + u];
-        float* y = out + (o0 + u) * n + s0;
-        for (std::size_t t = 0; t < T; ++t) {
-          y[t] = static_cast<float>(acc[u][t]) + b;
-        }
-      }
-    });
+    for_each_tile<kDenseTile>(
+        n, out_, [&]<std::size_t U, std::size_t T>(std::size_t o0,
+                                                   std::size_t s0) {
+          double acc[U][T] = {};
+          const float* w = w_.data() + o0 * in_;
+          const float* x = in + s0;
+          for (std::size_t p = 0; p < in_; ++p, x += n) {
+            double xd[T];
+            for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
+            for (std::size_t u = 0; u < U; ++u) {
+              const double wv = w[u * in_ + p];
+              for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
+            }
+          }
+          for (std::size_t u = 0; u < U; ++u) {
+            // The bias in a local: a load between the stores would keep the
+            // stores, and with them the accumulation, from vectorising.
+            const float b = b_[o0 + u];
+            float* y = out + (o0 + u) * n + s0;
+            for (std::size_t t = 0; t < T; ++t) {
+              y[t] = static_cast<float>(acc[u][t]) + b;
+            }
+          }
+        });
   });
 }
 

@@ -59,11 +59,7 @@ Zonotope Normalization::propagate(const Zonotope& in) const {
     throw std::invalid_argument(
         "Normalization: zonotope input size mismatch");
   }
-  std::vector<float> shift(input_size());
-  for (std::size_t i = 0; i < shift.size(); ++i) {
-    shift[i] = -mean_[i] * inv_std_[i];
-  }
-  return in.scale_shift(inv_std_, shift);
+  return in.normalize(mean_, inv_std_);
 }
 
 }  // namespace ranm

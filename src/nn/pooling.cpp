@@ -70,32 +70,35 @@ void MaxPool2D::forward_batch(const float* in, float* out,
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         // Neurons of a tile are channels at this (oy, ox).
-        for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
-                                            std::size_t ch0, std::size_t s0) {
-          float best[U][T];
-          for (std::size_t u = 0; u < U; ++u) {
-            for (std::size_t t = 0; t < T; ++t) {
-              best[u][t] = -std::numeric_limits<float>::infinity();
-            }
-          }
-          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-              const std::size_t iy = oy * cfg_.stride + ky;
-              const std::size_t ix = ox * cfg_.stride + kx;
+        for_each_tile<kMaxPoolTile>(
+            n, cfg_.channels,
+            [&]<std::size_t U, std::size_t T>(std::size_t ch0,
+                                              std::size_t s0) {
+              float best[U][T];
               for (std::size_t u = 0; u < U; ++u) {
-                const float* x =
-                    in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
                 for (std::size_t t = 0; t < T; ++t) {
-                  best[u][t] = x[t] > best[u][t] ? x[t] : best[u][t];
+                  best[u][t] = -std::numeric_limits<float>::infinity();
                 }
               }
-            }
-          }
-          for (std::size_t u = 0; u < U; ++u) {
-            float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
-            for (std::size_t t = 0; t < T; ++t) y[t] = best[u][t];
-          }
-        });
+              for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+                for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+                  const std::size_t iy = oy * cfg_.stride + ky;
+                  const std::size_t ix = ox * cfg_.stride + kx;
+                  for (std::size_t u = 0; u < U; ++u) {
+                    const float* x =
+                        in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n +
+                        s0;
+                    for (std::size_t t = 0; t < T; ++t) {
+                      best[u][t] = x[t] > best[u][t] ? x[t] : best[u][t];
+                    }
+                  }
+                }
+              }
+              for (std::size_t u = 0; u < U; ++u) {
+                float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+                for (std::size_t t = 0; t < T; ++t) y[t] = best[u][t];
+              }
+            });
       }
     }
   });
@@ -148,27 +151,30 @@ void AvgPool2D::forward_batch(const float* in, float* out,
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         // Neurons of a tile are channels at this (oy, ox).
-        for_each_tile(n, cfg_.channels, [&]<std::size_t U, std::size_t T>(
-                                            std::size_t ch0, std::size_t s0) {
-          double acc[U][T] = {};
-          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-              const std::size_t iy = oy * cfg_.stride + ky;
-              const std::size_t ix = ox * cfg_.stride + kx;
-              for (std::size_t u = 0; u < U; ++u) {
-                const float* x =
-                    in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n + s0;
-                for (std::size_t t = 0; t < T; ++t) acc[u][t] += x[t];
+        for_each_tile<kAvgPoolTile>(
+            n, cfg_.channels,
+            [&]<std::size_t U, std::size_t T>(std::size_t ch0,
+                                              std::size_t s0) {
+              double acc[U][T] = {};
+              for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+                for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+                  const std::size_t iy = oy * cfg_.stride + ky;
+                  const std::size_t ix = ox * cfg_.stride + kx;
+                  for (std::size_t u = 0; u < U; ++u) {
+                    const float* x =
+                        in + ((ch0 + u) * plane + iy * cfg_.in_width + ix) * n +
+                        s0;
+                    for (std::size_t t = 0; t < T; ++t) acc[u][t] += x[t];
+                  }
+                }
               }
-            }
-          }
-          for (std::size_t u = 0; u < U; ++u) {
-            float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
-            for (std::size_t t = 0; t < T; ++t) {
-              y[t] = static_cast<float>(acc[u][t]) * inv;
-            }
-          }
-        });
+              for (std::size_t u = 0; u < U; ++u) {
+                float* y = out + (((ch0 + u) * oh_ + oy) * ow_ + ox) * n + s0;
+                for (std::size_t t = 0; t < T; ++t) {
+                  y[t] = static_cast<float>(acc[u][t]) * inv;
+                }
+              }
+            });
       }
     }
   });

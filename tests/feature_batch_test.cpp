@@ -240,5 +240,9 @@ TEST(ForwardBatch, BitIdenticalToOneColumnPassesOnEveryChain) {
   check_forward_batch_golden();
 }
 
+TEST(ForwardBatch, TileEdgesMatchOneColumnPasses) {
+  check_forward_tile_edges();
+}
+
 }  // namespace
 }  // namespace ranm

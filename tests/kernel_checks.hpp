@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "nn/pooling.hpp"
 #include "one_box.hpp"
 #include "util/rng.hpp"
+#include "util/tile.hpp"
 
 namespace ranm {
 
@@ -175,6 +177,91 @@ inline void check_forward_batch_golden() {
   EXPECT_EQ(hash, 12851505403922816139ULL);
 }
 
+// Layer 1 of `net` over n neuron-major samples in one forward_batch call
+// (no blocking, so n reaches past Network's 32-sample block) must equal,
+// column by column and bit for bit, the one-column pass forward_to(1, ·).
+inline void expect_columns_match_one_column_passes(const Network& net,
+                                                   std::size_t n, Rng& rng) {
+  const Layer& layer = net.layer(1);
+  const std::size_t in_dim = layer.input_size();
+  const std::size_t out_dim = layer.output_size();
+  std::vector<Tensor> inputs;
+  std::vector<float> in(in_dim * n), out(out_dim * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor x = Tensor::random_uniform(net.input_shape(), rng);
+    if (i % 4 == 0) {  // max-pool windows tie, activations hit zero
+      for (std::size_t j = 0; j < in_dim; ++j) {
+        x[j] = std::round(x[j] * 4.0F) / 4.0F;
+      }
+    }
+    for (std::size_t j = 0; j < in_dim; ++j) in[j * n + i] = x[j];
+    inputs.push_back(std::move(x));
+  }
+  layer.forward_batch(in.data(), out.data(), n);
+  std::vector<float> column(out_dim);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < out_dim; ++j) column[j] = out[j * n + i];
+    const Tensor expected = net.forward_to(1, inputs[i]);
+    ASSERT_EQ(expected.numel(), out_dim);
+    EXPECT_EQ(std::memcmp(column.data(), expected.data(),
+                          out_dim * sizeof(float)),
+              0)
+        << layer.name() << " n=" << n << " i=" << i;
+  }
+}
+
+// Every tiled forward kernel at the edges of its tile shape (util/tile.hpp):
+// widths (Dense outputs, Conv2D output channels, pooling channels) of
+// 1, U - 1, U, U + 1 and 2U + 1, at batch sizes on either side of one and
+// two sample tiles, 33 and 257, so that every leftover neuron and sample
+// tile runs.
+inline void check_forward_tile_edges() {
+  const auto edges = [](std::initializer_list<std::size_t> sizes) {
+    std::vector<std::size_t> v;
+    for (const std::size_t s : sizes) {
+      if (s != 0 && std::find(v.begin(), v.end(), s) == v.end()) {
+        v.push_back(s);
+      }
+    }
+    return v;
+  };
+  const auto widths = [&](TileShape t) {
+    const std::size_t u = t.neurons;
+    return edges({1, u - 1, u, u + 1, 2 * u + 1});
+  };
+  const auto batches = [&](TileShape t) {
+    const std::size_t s = t.samples;
+    return edges({1, s - 1, s, s + 1, 2 * s - 1, 2 * s + 1, 33, 257});
+  };
+  const auto check = [&](Network& net, TileShape t, Rng& rng) {
+    randomise(net, rng);
+    for (const std::size_t n : batches(t)) {
+      expect_columns_match_one_column_passes(net, n, rng);
+    }
+  };
+  Rng rng(20);
+  for (const std::size_t w : widths(kDenseTile)) {
+    Network net;
+    net.emplace<Dense>(7, w);
+    check(net, kDenseTile, rng);
+  }
+  for (const std::size_t w : widths(kConvTile)) {
+    Network net;
+    net.emplace<Conv2D>(Conv2D::Config{2, 5, 4, w, 3, 3, 1, 1});
+    check(net, kConvTile, rng);
+  }
+  for (const std::size_t w : widths(kMaxPoolTile)) {
+    Network net;
+    net.emplace<MaxPool2D>(Pooling::Config{w, 5, 4, 2, 2});
+    check(net, kMaxPoolTile, rng);
+  }
+  for (const std::size_t w : widths(kAvgPoolTile)) {
+    Network net;
+    net.emplace<AvgPool2D>(Pooling::Config{w, 5, 4, 2, 1});
+    check(net, kAvgPoolTile, rng);
+  }
+}
+
 // ---- Training ----------------------------------------------------------
 
 // FNV-1a over the raw bytes of every trainable parameter.
@@ -312,9 +399,11 @@ inline void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
   const VectorizedBoundBackend vectorized;
   const std::size_t k = net.num_layers();
   // Batch sizes around every boundary: empty, single sample, odd sizes
-  // that are not a multiple of any SIMD lane width or sample tile, and
-  // either side of one, two and eight 32-sample blocks.
-  const std::size_t batch_sizes[] = {0, 1, 3, 7, 17, 31, 32, 33, 64, 65, 257};
+  // that are not a multiple of any SIMD lane width, either side of the
+  // 16-sample affine tile, and either side of one, two and eight 32-sample
+  // blocks.
+  const std::size_t batch_sizes[] = {0,  1,  3,  7,  15, 16, 17,
+                                     31, 32, 33, 64, 65, 257};
   const float deltas[] = {0.0F, 0.02F, 0.4F};
   for (const std::size_t n : batch_sizes) {
     for (const float delta : deltas) {

@@ -1,7 +1,7 @@
 // Every dispatch level of the batched kernels (util/isa.hpp) computes the
-// same bits: the forward-pass and training goldens and the vectorized box
-// backend's bit-identity with the reference backend, each run at every
-// level. Levels this CPU lacks are skipped under their name, so CI can
+// same bits: the forward-pass and training goldens, the forward kernels at
+// their tile edges, and the vectorized box backend's bit-identity with the
+// reference backend, each run at every level. Levels this CPU lacks are skipped under their name, so CI can
 // tell a skipped level from a passing one.
 #include <gtest/gtest.h>
 
@@ -36,6 +36,8 @@ TEST_P(KernelIsa, ForwardBatchGolden) {
   ASSERT_EQ(kernel_isa(), GetParam());
   check_forward_batch_golden();
 }
+
+TEST_P(KernelIsa, ForwardTileEdges) { check_forward_tile_edges(); }
 
 TEST_P(KernelIsa, LabConvnetTrainingGolden) {
   check_lab_convnet_training_golden();

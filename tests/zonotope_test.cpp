@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "nn/activations.hpp"
+#include "nn/network.hpp"
+#include "nn/normalization.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -82,8 +87,9 @@ TEST(Zonotope, AffineChainsTrackCorrelations) {
 
 TEST(Zonotope, ScaleShift) {
   Zonotope z = Zonotope::linf_ball(std::vector<float>{1.0F, 2.0F}, 1.0F);
-  Zonotope s = z.scale_shift(std::vector<float>{2.0F, -1.0F},
-                             std::vector<float>{0.0F, 5.0F});
+  // (x - 0) * 2 and (x - 5) * -1.
+  Zonotope s = z.normalize(std::vector<float>{0.0F, 5.0F},
+                           std::vector<float>{2.0F, -1.0F});
   expect_interval_near(s.concretize(0), 0.0F, 4.0F);
   expect_interval_near(s.concretize(1), 2.0F, 4.0F);
 }
@@ -224,6 +230,55 @@ TEST(Zonotope, LeakyReluFixedSignKeepsSlope) {
   const auto iv = r.concretize(0);
   EXPECT_NEAR(iv.lo, -0.6F, 1e-5F);
   EXPECT_NEAR(iv.hi, -0.4F, 1e-5F);
+}
+
+std::vector<float> uniform_vector(std::size_t n, Rng& rng, float lo,
+                                  float hi) {
+  std::vector<float> v(n);
+  for (float& x : v) x = rng.uniform_f(lo, hi);
+  return v;
+}
+
+TEST(Zonotope, LeakyReluNormalizationChainHoldsTheFloatForwardPass) {
+  // At Δ > 0 every elementwise layer of the concrete float pass rounds its
+  // outputs; the zonotope's box must still hold them. Each layer is
+  // increasing per dimension, so an output's extremes over the ball are at
+  // the ball's lowest and highest float vertices.
+  constexpr std::size_t kDim = 512;
+  Rng rng(41);
+  Network net;
+  for (const float alpha : {0.1F, 0.01F, 0.3F}) {
+    net.emplace<Normalization>(Shape{kDim},
+                               uniform_vector(kDim, rng, -1.0F, 1.0F),
+                               uniform_vector(kDim, rng, 0.3F, 7.0F));
+    net.emplace<LeakyReLU>(Shape{kDim}, alpha);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float delta : {1e-4F, 0.01F, 0.3F}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::vector<float> c = uniform_vector(kDim, rng, -2.0F, 2.0F);
+      const Zonotope z = net.propagate_zonotope(
+          1, net.num_layers(), Zonotope::linf_ball(c, delta));
+      std::vector<Tensor> inputs(3, Tensor(Shape{kDim}));
+      for (std::size_t j = 0; j < kDim; ++j) {
+        // The floats nearest c ± Δ inside the real ball.
+        float lo = c[j] - delta, hi = c[j] + delta;
+        if (double(lo) < double(c[j]) - delta) lo = std::nextafter(lo, inf);
+        if (double(hi) > double(c[j]) + delta) hi = std::nextafter(hi, -inf);
+        inputs[0][j] = lo;
+        inputs[1][j] = hi;
+        inputs[2][j] = rng.uniform_f(lo, hi);
+      }
+      for (const Tensor& x : inputs) {
+        const Tensor y = net.forward(x);
+        for (std::size_t j = 0; j < kDim; ++j) {
+          const Interval box = z.concretize(j);
+          ASSERT_GE(y[j], box.lo) << "Δ " << delta << ", dimension " << j;
+          ASSERT_LE(y[j], box.hi) << "Δ " << delta << ", dimension " << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(Zonotope, MonotoneViaBoxSound) {
