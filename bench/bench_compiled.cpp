@@ -30,7 +30,6 @@
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
 #include "core/onoff_monitor.hpp"
-#include "core/optimize.hpp"
 #include "core/sharded_monitor.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -298,32 +297,6 @@ int run(int argc, char** argv) {
         auto monitor = std::make_unique<ShardedMonitor>(
             ShardedMonitor::interval(ShardPlan::contiguous(kDim, s), pct2));
         f.fold(*monitor, true);
-        return monitor;
-      });
-  // The same robust monitors after `ranm_cli optimize` (workload-guided
-  // sifting) and a recompile: the deployment pipeline for reordered
-  // artifacts. The stored set is identical, only the variable order (and
-  // thus node count / program size) changes.
-  const FeatureBatch opt_workload =
-      FeatureBatch::from_samples(kDim, f.features);
-  const auto optimize_with_workload = [&opt_workload](Monitor& monitor) {
-    OptimizeOptions options;
-    options.workload = &opt_workload;
-    (void)optimize_monitor(monitor, options);
-  };
-  bench_family(
-      "interval_robust_opt", f, batch_sizes, base_reps, results,
-      [&] {
-        auto monitor = std::make_unique<IntervalMonitor>(pct2);
-        f.fold(*monitor, true);
-        optimize_with_workload(*monitor);
-        return monitor;
-      },
-      [&](std::size_t s) {
-        auto monitor = std::make_unique<ShardedMonitor>(
-            ShardedMonitor::interval(ShardPlan::contiguous(kDim, s), pct2));
-        f.fold(*monitor, true);
-        optimize_with_workload(*monitor);
         return monitor;
       });
 

@@ -5,11 +5,9 @@
 // on the BDD not growing out of control as patterns accumulate. This
 // bench sweeps the training-set size and reports construction time,
 // monitor size, and batched query latency for standard and robust
-// interval monitors — plus, for every robust build, a post-optimize row
-// (`ranm_cli optimize`: workload-guided sifting) so the node-count and
-// query-latency wins of reordering are tracked per-PR. Prints a table and
-// writes machine-readable JSON (BENCH_scalability.json, or the path given
-// as argv[1]). RANM_SMOKE=1 shrinks the sweep for CI smoke runs.
+// interval monitors. Prints a table and writes machine-readable JSON
+// (BENCH_scalability.json, or the path given as argv[1]). RANM_SMOKE=1
+// shrinks the sweep for CI smoke runs.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -21,7 +19,6 @@
 #include "bench_util.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/optimize.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -34,36 +31,38 @@ std::size_t g_sink = 0;
 
 struct Measurement {
   std::size_t train_size = 0;
-  std::string mode;  // "standard", "robust", "robust-optimized"
-  double build_ms = 0.0;  // construction (or, optimized rows, optimize) time
+  std::string mode;  // "standard" or "robust"
+  double build_ms = 0.0;
   double us_per_sample = 0.0;
   double patterns = 0.0;
   std::size_t bdd_nodes = 0;
-  double query_ns = 0.0;  // batched contains ns/sample
+  double query_ns = 0.0;      // batched contains ns/sample, median block
+  double query_ns_min = 0.0;  // the fastest block
 };
 
-/// Batched membership latency, ns/sample, on a fixed query batch.
-/// Best of three timed blocks: the rows before and after a long
-/// construction or optimize phase otherwise see different machine
-/// states (frequency scaling after a minutes-long build burn skews a
-/// single block by tens of percent), and the minimum over blocks is the
-/// standard throttle-robust latency estimate.
-double query_ns_per_sample(const Monitor& m, const FeatureBatch& batch,
-                           std::size_t reps) {
+/// Timed query blocks per row; odd, so the median is one block.
+constexpr std::size_t kBlocks = 5;
+
+/// Batched membership latency, ns/sample, on a fixed query batch: one
+/// untimed warm-up call, then kBlocks timed blocks of `reps` calls.
+/// Sets the median and the minimum over the blocks.
+void time_queries(const Monitor& m, const FeatureBatch& batch,
+                  std::size_t reps, Measurement& r) {
   auto out = std::make_unique<bool[]>(batch.size());
   const std::span<bool> out_span(out.get(), batch.size());
   m.contains_batch(batch, out_span);  // warmup
-  double best = 0.0;
-  for (int block = 0; block < 3; ++block) {
+  std::vector<double> ns(kBlocks);
+  for (double& block_ns : ns) {
     Timer t;
-    for (std::size_t r = 0; r < reps; ++r) {
+    for (std::size_t rep = 0; rep < reps; ++rep) {
       m.contains_batch(batch, out_span);
       g_sink += out_span.front();
     }
-    const double ns = t.seconds() * 1e9 / double(reps) / double(batch.size());
-    if (block == 0 || ns < best) best = ns;
+    block_ns = t.seconds() * 1e9 / double(reps) / double(batch.size());
   }
-  return best;
+  std::sort(ns.begin(), ns.end());
+  r.query_ns = ns[kBlocks / 2];
+  r.query_ns_min = ns.front();
 }
 
 void write_json(const std::string& path, bool smoke,
@@ -77,13 +76,15 @@ void write_json(const std::string& path, bool smoke,
         << ", \"us_per_sample\": " << m.us_per_sample
         << ", \"patterns\": " << m.patterns
         << ", \"bdd_nodes\": " << m.bdd_nodes
-        << ", \"query_ns_per_sample\": " << m.query_ns << "}";
+        << ", \"query_ns_per_sample\": " << m.query_ns
+        << ", \"query_ns_per_sample_min\": " << m.query_ns_min << "}";
     rows.push_back(row.str());
   }
   benchutil::write_json_report(
       path, "bench_scalability", smoke, rows,
-      "build_ms: one timed build per row; query_ns: min over 3 timed blocks "
-      "of reps batched queries after one untimed warm-up call");
+      "build_ms: one timed build per row; query_ns_per_sample: median (and "
+      "_min: minimum) over 5 timed blocks of reps batched queries after one "
+      "untimed warm-up call");
 }
 
 int run(int argc, char** argv) {
@@ -120,8 +121,8 @@ int run(int argc, char** argv) {
   const std::vector<Tensor> query_inputs(pool.begin(),
                                          pool.begin() + long(query_n));
   const FeatureBatch query_batch = builder.features_batch(query_inputs);
-  // Enough reps that the timed region is tens of ms, not noise-dominated
-  // single-digit ms: the query column gates the optimize acceptance.
+  // Enough reps per block that each block is tens of ms, not
+  // noise-dominated single-digit ms.
   const std::size_t query_reps = smoke ? 3 : 500;
 
   TextTable table("E12: construction cost vs training-set size "
@@ -156,28 +157,9 @@ int run(int argc, char** argv) {
       r.us_per_sample = r.build_ms * 1000.0 / double(n);
       r.patterns = m.pattern_count();
       r.bdd_nodes = m.bdd_node_count();
-      r.query_ns = query_ns_per_sample(m, query_batch, query_reps);
+      time_queries(m, query_batch, query_reps, r);
       results.push_back(r);
       add_row(r);
-
-      if (!robust) continue;
-      // Post-optimize row: the `ranm_cli optimize` pass (profile the
-      // training workload, seed + sift, rebuild) on the same monitor.
-      const FeatureBatch workload = builder.features_batch(data);
-      OptimizeOptions oopts;
-      oopts.workload = &workload;
-      Timer ot;
-      (void)optimize_monitor(m, oopts);
-      Measurement o;
-      o.train_size = n;
-      o.mode = "robust-optimized";
-      o.build_ms = ot.millis();
-      o.us_per_sample = o.build_ms * 1000.0 / double(n);
-      o.patterns = m.pattern_count();
-      o.bdd_nodes = m.bdd_node_count();
-      o.query_ns = query_ns_per_sample(m, query_batch, query_reps);
-      results.push_back(o);
-      add_row(o);
     }
   }
   table.print();
@@ -192,9 +174,7 @@ int run(int argc, char** argv) {
       "features (sharded monitors exist to cut exactly this growth). On "
       "the structured perception workloads (E3) robust construction of "
       "500 samples costs ~0.5 ms/sample because feature vectors repeat "
-      "and correlate. The robust-optimized rows are the same monitors "
-      "after the workload-guided reorder pass: node counts should drop "
-      "sharply and query ns/sample must not regress.\n",
+      "and correlate.\n",
       json_path.c_str());
   std::printf("sink %zu\n", g_sink);
   return 0;

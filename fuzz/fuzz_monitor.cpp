@@ -1,9 +1,10 @@
 // libFuzzer harness for the type-erased monitor loader — the widest
 // untrusted-input surface in the repo. One byte stream may dispatch into
 // any artifact family: legacy flat monitors (min-max, on-off, interval),
-// V2 bodies with variable-order and profiling blocks, sharded RSH1
-// artifacts (per-shard neuron lists + nested flat payloads), and
-// compiled RCM1 artifacts (box/cube/BDD programs).
+// sharded RSH1 artifacts (per-shard neuron lists + nested flat payloads),
+// and compiled RCM1 artifacts (box/cube/BDD programs). The corpus also
+// keeps the retired V2 bodies (custom variable order, profile counts)
+// and their mutants, which the loader must now refuse cleanly.
 //
 // Invariant: load_any_monitor either throws cleanly, or yields a monitor
 // whose save -> load -> save is byte-identical (the serialisers are

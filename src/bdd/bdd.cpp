@@ -236,14 +236,6 @@ std::optional<unsigned> BddManager::min_hamming_distance(
 }
 
 bool BddManager::eval(NodeRef f, const std::vector<bool>& assignment) const {
-  if (hits_ptr_ != nullptr) {
-    return eval_with_profiled(f, [&](std::uint32_t v) {
-      if (v >= assignment.size()) {
-        throw std::invalid_argument("BddManager::eval: assignment too short");
-      }
-      return bool(assignment[v]);
-    });
-  }
   while (f != kFalse && f != kTrue) {
     const Node& n = nodes_[f];
     if (n.var >= assignment.size()) {
@@ -252,44 +244,6 @@ bool BddManager::eval(NodeRef f, const std::vector<bool>& assignment) const {
     f = assignment[n.var] ? n.hi : n.lo;
   }
   return f == kTrue;
-}
-
-std::uint64_t* BddManager::profile_counters() const {
-  if (hits_.size() < nodes_.size()) hits_.resize(nodes_.size(), 0);
-  hits_ptr_ = hits_.data();
-  return hits_ptr_;
-}
-
-void BddManager::set_profiling(bool enabled) {
-  profiling_ = enabled;
-  if (enabled) {
-    (void)profile_counters();
-  } else {
-    hits_ptr_ = nullptr;
-  }
-}
-
-void BddManager::reset_profile() {
-  std::fill(hits_.begin(), hits_.end(), 0);
-  queries_ = 0;
-}
-
-void BddManager::record_hits(NodeRef n, std::uint64_t count) {
-  if (n >= nodes_.size()) {
-    throw std::out_of_range("BddManager::record_hits: node out of range");
-  }
-  if (hits_.size() < nodes_.size()) hits_.resize(nodes_.size(), 0);
-  hits_[n] += count;
-  if (profiling_) hits_ptr_ = hits_.data();
-}
-
-std::uint64_t BddManager::var_hits(std::uint32_t v) const {
-  std::uint64_t total = 0;
-  const std::size_t n = std::min(hits_.size(), nodes_.size());
-  for (std::size_t i = 2; i < n; ++i) {
-    if (nodes_[i].var == v) total += hits_[i];
-  }
-  return total;
 }
 
 double BddManager::sat_count(NodeRef f) const {
@@ -397,88 +351,6 @@ std::string BddManager::to_dot(NodeRef f) const {
     if (n == kFalse || n == kTrue) continue;
     const Node& node = nodes_[n];
     out << "  n" << n << " [label=\"x" << node.var << "\"];\n";
-    out << "  n" << n << " -> n" << node.lo << " [style=dashed];\n";
-    out << "  n" << n << " -> n" << node.hi << ";\n";
-  }
-  out << "}\n";
-  return out.str();
-}
-
-NodeRef BddManager::swap_adjacent_levels(NodeRef f, std::uint32_t lvl) {
-  if (lvl + 1 >= num_vars_) {
-    throw std::invalid_argument(
-        "BddManager::swap_adjacent_levels: level out of range");
-  }
-  // g(.., x_l = a, x_{l+1} = b, ..) = f(.., x_l = b, x_{l+1} = a, ..):
-  // rebuild every node at or above level l+1 with the two cofactor rows
-  // exchanged. Memoised so shared sub-DAGs are visited once.
-  std::unordered_map<NodeRef, NodeRef> memo;
-  auto rec = [&](NodeRef n) -> NodeRef {
-    if (level(n) > lvl + 1) return n;  // below both levels (or terminal)
-    auto it = memo.find(n);
-    if (it != memo.end()) return it->second;
-    NodeRef result;
-    if (level(n) > lvl) {
-      // Depends on x_{l+1} but not x_l: x_{l+1}'s decision moves up to
-      // level l.
-      result = make_node(lvl, nodes_[n].lo, nodes_[n].hi);
-    } else {
-      const NodeRef f0 = nodes_[n].lo;
-      const NodeRef f1 = nodes_[n].hi;
-      auto cof = [&](NodeRef c, bool hi) -> NodeRef {
-        if (level(c) != lvl + 1) return c;
-        return hi ? nodes_[c].hi : nodes_[c].lo;
-      };
-      // Children of the rebuilt level-(l+1) nodes are below both levels
-      // already, so no recursion is needed past the cofactors.
-      const NodeRef new_lo = make_node(lvl + 1, cof(f0, false), cof(f1, false));
-      const NodeRef new_hi = make_node(lvl + 1, cof(f0, true), cof(f1, true));
-      result = make_node(lvl, new_lo, new_hi);
-    }
-    memo.emplace(n, result);
-    return result;
-  };
-  // Nodes strictly above level l still need their children rewritten.
-  std::unordered_map<NodeRef, NodeRef> above;
-  auto walk = [&](auto&& self, NodeRef n) -> NodeRef {
-    if (level(n) >= lvl) return rec(n);
-    auto it = above.find(n);
-    if (it != above.end()) return it->second;
-    const NodeRef lo = self(self, nodes_[n].lo);
-    const NodeRef hi = self(self, nodes_[n].hi);
-    const NodeRef result = make_node(nodes_[n].var, lo, hi);
-    above.emplace(n, result);
-    return result;
-  };
-  return walk(walk, f);
-}
-
-std::string BddManager::to_dot_profiled(NodeRef f,
-                                        std::uint64_t queries) const {
-  std::vector<NodeRef> order;
-  std::vector<bool> seen(nodes_.size(), false);
-  collect(f, order, seen);
-  std::ostringstream out;
-  out << "digraph bdd {\n";
-  out << "  n0 [label=\"0\", shape=box];\n";
-  out << "  n1 [label=\"1\", shape=box];\n";
-  for (NodeRef n : order) {
-    if (n == kFalse || n == kTrue) continue;
-    const Node& node = nodes_[n];
-    const std::uint64_t h = node_hits(n);
-    out << "  n" << n << " [label=\"x" << node.var << "\\n" << h;
-    if (queries > 0) {
-      // Integer per-mille so the rendering is deterministic across
-      // platforms (no float formatting).
-      const std::uint64_t permille = (h * 1000) / queries;
-      out << " (" << (permille / 10) << "." << (permille % 10) << "%)";
-      // Shade hot nodes: 9 grey steps from white (cold) to orange (hot).
-      const std::uint64_t step = std::min<std::uint64_t>(permille / 112, 8);
-      if (step > 0) {
-        out << "\", style=filled, fillcolor=\"/oranges9/" << step + 1;
-      }
-    }
-    out << "\"];\n";
     out << "  n" << n << " -> n" << node.lo << " [style=dashed];\n";
     out << "  n" << n << " -> n" << node.hi << ";\n";
   }

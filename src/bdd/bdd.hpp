@@ -70,8 +70,8 @@ struct Literal {
 enum class CubeBit : std::int8_t { kZero = 0, kOne = 1, kDontCare = 2 };
 
 /// Hash-consing BDD manager. All NodeRefs are owned by and only valid with
-/// the manager that created them. Construction is single-threaded; the
-/// const evaluation calls are reentrant while profiling is off.
+/// the manager that created them. Construction is single-threaded; const
+/// evaluation is reentrant.
 class BddManager {
  public:
   explicit BddManager(std::uint32_t num_vars);
@@ -144,7 +144,6 @@ class BddManager {
   /// std::vector<bool> assignment per sample.
   template <typename Lookup>
   [[nodiscard]] bool eval_with(NodeRef f, Lookup&& lookup) const {
-    if (hits_ptr_ != nullptr) return eval_with_profiled(f, lookup);
     while (f != kFalse && f != kTrue) {
       const Node& n = nodes_[f];
       f = lookup(n.var) ? n.hi : n.lo;
@@ -161,10 +160,6 @@ class BddManager {
   template <typename Lookup>
   void eval_batch(NodeRef f, std::size_t n, Lookup&& lookup,
                   bool* out) const {
-    if (hits_ptr_ != nullptr) {
-      eval_batch_profiled(f, n, lookup, out);
-      return;
-    }
     if (f == kFalse || f == kTrue) {
       for (std::size_t i = 0; i < n; ++i) out[i] = f == kTrue;
       return;
@@ -204,46 +199,6 @@ class BddManager {
 
   /// GraphViz dot rendering (debugging aid).
   [[nodiscard]] std::string to_dot(NodeRef f) const;
-  /// GraphViz dot rendering annotated with per-node hit counts (from the
-  /// profile mode below, or loaded from an artifact). `queries` scales the
-  /// counts to percentages; nodes are shaded by hit rate.
-  [[nodiscard]] std::string to_dot_profiled(NodeRef f,
-                                            std::uint64_t queries) const;
-
-  // -- workload profiling ---------------------------------------------------
-  // Per-node hit counters behind a zero-cost-when-off profile mode: the
-  // eval hot paths branch once on a raw counter pointer (null when off)
-  // and run the unprofiled loop untouched, so disabled profiling costs
-  // nothing on the level-synchronous batch sweep.
-  /// Enables/disables hit counting on eval/eval_with/eval_batch.
-  void set_profiling(bool enabled);
-  [[nodiscard]] bool profiling() const noexcept { return profiling_; }
-  /// Clears accumulated counters (keeps profiling enabled/disabled as-is).
-  void reset_profile();
-  /// Hits recorded on one node (0 if never profiled).
-  [[nodiscard]] std::uint64_t node_hits(NodeRef n) const noexcept {
-    return n < hits_.size() ? hits_[n] : 0;
-  }
-  /// Adds to a node's hit counter (used when loading persisted profiles).
-  void record_hits(NodeRef n, std::uint64_t count);
-  /// Total single-sample evaluations profiled so far.
-  [[nodiscard]] std::uint64_t profile_queries() const noexcept {
-    return queries_;
-  }
-  /// Adds to the profiled-query total (used when loading persisted
-  /// profiles).
-  void record_queries(std::uint64_t count) { queries_ += count; }
-  /// Sum of hit counters over nodes labelled with variable v.
-  [[nodiscard]] std::uint64_t var_hits(std::uint32_t v) const;
-
-  // -- variable reordering --------------------------------------------------
-  /// Transposes the variables at `level` and `level + 1` *in the
-  /// function*: returns g with g(.., x_l = a, x_{l+1} = b, ..) ==
-  /// f(.., x_l = b, x_{l+1} = a, ..). This is the swap-adjacent-levels
-  /// primitive classic sifting is built from; the arena is append-only,
-  /// so large-scale sifting should go through bdd::ReorderEngine
-  /// (reorder.hpp), which swaps levels in place on a compacted copy.
-  [[nodiscard]] NodeRef swap_adjacent_levels(NodeRef f, std::uint32_t level);
 
   // -- raw node access (serialisation) --------------------------------------
   struct NodeView {
@@ -291,69 +246,12 @@ class BddManager {
   void collect(NodeRef f, std::vector<NodeRef>& order,
                std::vector<bool>& seen) const;
 
-  /// Grows the counter array to cover the arena and refreshes the raw
-  /// pointer the hot paths branch on (the arena may have grown since
-  /// profiling was enabled).
-  std::uint64_t* profile_counters() const;
-
-  template <typename Lookup>
-  [[nodiscard]] bool eval_with_profiled(NodeRef f, Lookup&& lookup) const {
-    std::uint64_t* hits = profile_counters();
-    ++queries_;
-    while (f != kFalse && f != kTrue) {
-      ++hits[f];
-      const Node& n = nodes_[f];
-      f = lookup(n.var) ? n.hi : n.lo;
-    }
-    return f == kTrue;
-  }
-
-  template <typename Lookup>
-  void eval_batch_profiled(NodeRef f, std::size_t n, Lookup&& lookup,
-                           bool* out) const {
-    std::uint64_t* hits = profile_counters();
-    queries_ += n;
-    if (f == kFalse || f == kTrue) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = f == kTrue;
-      return;
-    }
-    std::vector<NodeRef> cur(n, f);
-    std::vector<std::uint32_t> active(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      active[i] = static_cast<std::uint32_t>(i);
-    }
-    std::size_t live = n;
-    while (live > 0) {
-      std::size_t kept = 0;
-      for (std::size_t r = 0; r < live; ++r) {
-        const std::uint32_t i = active[r];
-        ++hits[cur[i]];
-        const Node& nd = nodes_[cur[i]];
-        const NodeRef next = lookup(nd.var, i) ? nd.hi : nd.lo;
-        cur[i] = next;
-        if (next != kFalse && next != kTrue) active[kept++] = i;
-      }
-      live = kept;
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = cur[i] == kTrue;
-  }
-
   std::uint32_t num_vars_;
   std::vector<Node> nodes_;
   // Open-addressed unique table over arena indices (0 = empty slot) and
   // the lossy direct-mapped ite cache; both sizes are powers of two.
   std::vector<NodeRef> unique_;
   std::vector<CacheEntry> cache_;
-
-  // Profile state. hits_ptr_ is null whenever profiling is off; the eval
-  // templates test only this pointer, keeping the disabled path identical
-  // to the pre-profiling code. Counters are mutable because evaluation is
-  // const. Profiling is single-threaded developer tooling: concurrent
-  // queries on a profiled manager race on the counters.
-  bool profiling_ = false;
-  mutable std::vector<std::uint64_t> hits_;
-  mutable std::uint64_t* hits_ptr_ = nullptr;
-  mutable std::uint64_t queries_ = 0;
 };
 
 }  // namespace ranm::bdd

@@ -38,8 +38,7 @@ void collect_post_order(const BddManager& mgr, NodeRef f,
 
 }  // namespace
 
-std::vector<NodeRef> save_bdd(std::ostream& out, const BddManager& mgr,
-                              NodeRef f) {
+void save_bdd(std::ostream& out, const BddManager& mgr, NodeRef f) {
   std::vector<NodeRef> order;
   std::unordered_map<NodeRef, std::uint32_t> index;
   // Terminals always occupy local slots 0 and 1.
@@ -62,14 +61,9 @@ std::vector<NodeRef> save_bdd(std::ostream& out, const BddManager& mgr,
     write_pod(out, index.at(nv.hi));
   }
   write_pod(out, index.at(f));
-  return order;
 }
 
 NodeRef load_bdd(std::istream& in, BddManager& mgr) {
-  return load_bdd_nodes(in, mgr).root;
-}
-
-LoadedBdd load_bdd_nodes(std::istream& in, BddManager& mgr) {
   if (read_pod<std::uint32_t>(in) != kMagic) {
     throw std::runtime_error("load_bdd: bad magic");
   }
@@ -97,7 +91,7 @@ LoadedBdd load_bdd_nodes(std::istream& in, BddManager& mgr) {
   }
   const auto root = read_pod<std::uint32_t>(in);
   if (root >= count) throw std::runtime_error("load_bdd: bad root index");
-  return {local[root], std::move(local)};
+  return local[root];
 }
 
 }  // namespace ranm::bdd

@@ -39,14 +39,9 @@ CodingTable lower_coding(const ThresholdSpec& spec) {
 /// Aborts (returns false) past `cube_limit` covers or past the work
 /// bound — path counts can blow up combinatorially on dense sets even
 /// when the node count is small, so the visit counter, not just the cube
-/// counter, bounds the enumeration.
-///
-/// The source BDD's variable index is its *level*; the compiled program's
-/// bit positions are semantic *slots* (the CodingTable layout), so each
-/// constrained variable goes through `slot_of_level` — identity unless
-/// the monitor was reordered by `ranm_cli optimize`.
+/// counter, bounds the enumeration. BDD variable v is bit v of the
+/// CodingTable layout.
 bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
-                   std::span<const std::uint32_t> slot_of_level,
                    std::size_t num_vars, std::size_t num_words,
                    std::size_t cube_limit, CubeProgram& out) {
   out.num_cubes = 0;
@@ -78,9 +73,8 @@ bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
   while (!stack.empty()) {
     Frame& f = stack.back();
     const bdd::BddManager::NodeView nv = mgr.view(f.ref);
-    const std::uint32_t slot = slot_of_level[nv.var];
-    const std::size_t w = slot >> 6;
-    const std::uint64_t bit = 1ULL << (slot & 63);
+    const std::size_t w = nv.var >> 6;
+    const std::uint64_t bit = 1ULL << (nv.var & 63);
     if (f.next_child == 0) mask[w] |= bit;  // entering: var constrained
     if (f.next_child == 2) {                // leaving: var free again
       mask[w] &= ~bit;
@@ -153,12 +147,7 @@ std::vector<bdd::NodeRef> reverse_postorder(const bdd::BddManager& mgr,
 ///     hops of a walk then land on nearby cache lines instead of one
 ///     level block each: on the 204,825-node robust race-track monitor
 ///     the interleaved walk ran 2-3x faster than over the level order.
-///
-/// The emitted FlatBddNode::var is the semantic slot (via slot_of_level),
-/// which under a custom order is not monotone in flat position — only
-/// the refs must be, and they are.
-BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
-                       std::span<const std::uint32_t> slot_of_level) {
+BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root) {
   BddProgram p;
   if (root == bdd::kFalse || root == bdd::kTrue) {
     p.root = root;
@@ -167,7 +156,7 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
   std::vector<bdd::NodeRef> reach;
   std::vector<bdd::NodeRef> pending{root};
   std::unordered_map<bdd::NodeRef, std::uint32_t> remap;
-  std::vector<bool> var_used(slot_of_level.size(), false);
+  std::vector<bool> var_used(mgr.num_vars(), false);
   std::size_t path_len = 0;
   while (!pending.empty()) {
     const bdd::NodeRef r = pending.back();
@@ -200,7 +189,7 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
   p.nodes.resize(reach.size());
   for (std::size_t i = 0; i < reach.size(); ++i) {
     const bdd::BddManager::NodeView nv = mgr.view(reach[i]);
-    p.nodes[i].var = slot_of_level[nv.var];
+    p.nodes[i].var = nv.var;
     p.nodes[i].child[0] = flat_ref(nv.lo);
     p.nodes[i].child[1] = flat_ref(nv.hi);
   }
@@ -209,19 +198,18 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root,
 }
 
 CompiledUnit lower_bdd_set(const bdd::BddManager& mgr, bdd::NodeRef root,
-                           std::span<const std::uint32_t> slot_of_level,
                            const ThresholdSpec& spec,
                            std::size_t cube_limit) {
   CompiledUnit unit;
   unit.coding = lower_coding(spec);
-  if (extract_cubes(mgr, root, slot_of_level, unit.coding.num_vars(),
+  if (extract_cubes(mgr, root, unit.coding.num_vars(),
                     unit.coding.num_words(), cube_limit, unit.cube)) {
     unit.kind = ProgramKind::kCube;
     return unit;
   }
   unit.cube = CubeProgram{};
   unit.kind = ProgramKind::kBdd;
-  unit.bdd = flatten_bdd(mgr, root, slot_of_level);
+  unit.bdd = flatten_bdd(mgr, root);
   return unit;
 }
 
@@ -259,12 +247,10 @@ CompiledUnit lower_flat(const Monitor& monitor, std::size_t cube_limit) {
     return unit;
   }
   if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&monitor)) {
-    return lower_bdd_set(oo->manager(), oo->root(), oo->slot_of_level(),
-                         oo->spec(), cube_limit);
+    return lower_bdd_set(oo->manager(), oo->root(), oo->spec(), cube_limit);
   }
   if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&monitor)) {
-    return lower_bdd_set(iv->manager(), iv->root(), iv->slot_of_level(),
-                         iv->spec(), cube_limit);
+    return lower_bdd_set(iv->manager(), iv->root(), iv->spec(), cube_limit);
   }
   throw std::invalid_argument("compile_monitor: unsupported monitor type " +
                               monitor.describe());

@@ -1,6 +1,7 @@
 #include "core/interval_monitor.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "bdd/range.hpp"
@@ -10,78 +11,7 @@ namespace ranm {
 IntervalMonitor::IntervalMonitor(ThresholdSpec spec)
     : spec_(std::move(spec)),
       mgr_(static_cast<std::uint32_t>(spec_.dimension() * spec_.bits())),
-      set_(bdd::kFalse),
-      vars_(spec_.dimension() * spec_.bits()) {
-  for (std::size_t v = 0; v < vars_.size(); ++v) {
-    vars_[v] = static_cast<std::uint32_t>(v);
-  }
-  refresh_order_tables();
-}
-
-void IntervalMonitor::refresh_order_tables() {
-  slot_of_level_.assign(vars_.size(), 0);
-  std::vector<bool> seen(vars_.size(), false);
-  for (std::size_t s = 0; s < vars_.size(); ++s) {
-    const std::uint32_t lvl = vars_[s];
-    if (lvl >= vars_.size() || seen[lvl]) {
-      throw std::invalid_argument(
-          "IntervalMonitor: variable order is not a permutation");
-    }
-    seen[lvl] = true;
-    slot_of_level_[lvl] = static_cast<std::uint32_t>(s);
-  }
-  const std::size_t nbits = spec_.bits();
-  build_order_.resize(dimension());
-  for (std::size_t j = 0; j < dimension(); ++j) {
-    build_order_[j] = static_cast<std::uint32_t>(j);
-  }
-  std::stable_sort(build_order_.begin(), build_order_.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     const auto top = [&](std::uint32_t j) {
-                       std::uint32_t m = vars_[std::size_t(j) * nbits];
-                       for (std::size_t bit = 1; bit < nbits; ++bit) {
-                         m = std::min(m, vars_[std::size_t(j) * nbits + bit]);
-                       }
-                       return m;
-                     };
-                     return top(a) > top(b);
-                   });
-}
-
-bool IntervalMonitor::has_custom_order() const noexcept {
-  for (std::size_t s = 0; s < vars_.size(); ++s) {
-    if (vars_[s] != s) return true;
-  }
-  return false;
-}
-
-void IntervalMonitor::apply_variable_order(
-    std::vector<std::uint32_t> level_of_slot) {
-  if (set_ != bdd::kFalse) {
-    throw std::logic_error(
-        "IntervalMonitor::apply_variable_order: monitor not empty");
-  }
-  if (level_of_slot.size() != vars_.size()) {
-    throw std::invalid_argument(
-        "IntervalMonitor::apply_variable_order: size mismatch");
-  }
-  vars_ = std::move(level_of_slot);
-  refresh_order_tables();  // validates the permutation
-}
-
-void IntervalMonitor::adopt_reordered(
-    std::vector<std::uint32_t> level_of_slot, bdd::BddManager mgr,
-    bdd::NodeRef root) {
-  if (level_of_slot.size() != vars_.size() ||
-      mgr.num_vars() != mgr_.num_vars()) {
-    throw std::invalid_argument(
-        "IntervalMonitor::adopt_reordered: shape mismatch");
-  }
-  vars_ = std::move(level_of_slot);
-  refresh_order_tables();
-  mgr_ = std::move(mgr);
-  set_ = root;
-}
+      set_(bdd::kFalse) {}
 
 void IntervalMonitor::observe(std::span<const float> feature) {
   if (feature.size() != dimension()) {
@@ -95,8 +25,7 @@ void IntervalMonitor::observe(std::span<const float> feature) {
     const std::uint64_t code = spec_.code(j, feature[j]);
     for (std::size_t b = 0; b < nbits; ++b) {
       const bool bit = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
-      bits[vars_[j * nbits + b]] =
-          bit ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
+      bits[j * nbits + b] = bit ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
     }
   }
   set_ = mgr_.or_(set_, mgr_.cube(bits));
@@ -106,18 +35,23 @@ void IntervalMonitor::observe_bounds(std::span<const float> lo,
                                      std::span<const float> hi) {
   check_bounds_ordered(lo, hi, dimension(),
                        "IntervalMonitor::observe_bounds");
-  // word2set: the conjunction over neurons of "code_j in [code(l_j),
-  // code(u_j)]". Built from the deepest neuron in the variable order
-  // upward so each conjunction touches already-built structure below it
-  // only.
+  std::vector<std::uint32_t> vars(spec_.bits());
+  set_ = mgr_.or_(set_, bound_word(lo, hi, vars));
+}
+
+bdd::NodeRef IntervalMonitor::bound_word(std::span<const float> lo,
+                                         std::span<const float> hi,
+                                         std::vector<std::uint32_t>& vars) {
+  // Built from the last neuron upward so each conjunction touches
+  // already-built structure below it only.
   bdd::NodeRef word = bdd::kTrue;
-  for (const std::uint32_t j : build_order_) {
+  for (std::size_t j = dimension(); j-- > 0;) {
     const auto [clo, chi] = spec_.code_range(j, lo[j], hi[j]);
-    const bdd::NodeRef range =
-        bdd::code_in_range(mgr_, neuron_vars(j), clo, chi);
-    word = mgr_.and_(range, word);
+    std::iota(vars.begin(), vars.end(),
+              static_cast<std::uint32_t>(j * vars.size()));
+    word = mgr_.and_(bdd::code_in_range(mgr_, vars, clo, chi), word);
   }
-  set_ = mgr_.or_(set_, word);
+  return word;
 }
 
 void IntervalMonitor::fill_assignment(std::span<const float> feature,
@@ -127,8 +61,7 @@ void IntervalMonitor::fill_assignment(std::span<const float> feature,
   for (std::size_t j = 0; j < dimension(); ++j) {
     const std::uint64_t code = spec_.code(j, feature[j]);
     for (std::size_t b = 0; b < nbits; ++b) {
-      assignment[vars_[j * nbits + b]] =
-          ((code >> (nbits - 1 - b)) & 1ULL) != 0;
+      assignment[j * nbits + b] = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
     }
   }
 }
@@ -156,9 +89,7 @@ void IntervalMonitor::fill_bit_matrix(const FeatureBatch& batch,
       }
     }
     for (std::size_t b = 0; b < nbits; ++b) {
-      // Rows are indexed by BDD *level*, so the eval_batch lookup stays a
-      // single multiply-add under any variable order.
-      std::uint8_t* dst = bits.data() + std::size_t(vars_[j * nbits + b]) * n;
+      std::uint8_t* dst = bits.data() + (j * nbits + b) * n;
       const std::uint32_t mask = 1U << (nbits - 1 - b);
       for (std::size_t i = 0; i < n; ++i) {
         dst[i] = (codes[i] & mask) != 0 ? 1 : 0;
@@ -195,6 +126,7 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
   const std::size_t d = dimension();
   if (n == 0) return;
   std::vector<float> lo_scratch(d), hi_scratch(d);
+  std::vector<std::uint32_t> vars(spec_.bits());
   // The words meet in a balanced OR-tree, so the set is walked once per
   // batch, not per word; a bound violation leaves the set untouched.
   std::vector<bdd::NodeRef> words(n);
@@ -203,15 +135,7 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
     hi.copy_sample(i, hi_scratch);
     check_bounds_ordered(lo_scratch, hi_scratch, d,
                          "IntervalMonitor::observe_bounds_batch");
-    bdd::NodeRef word = bdd::kTrue;
-    for (const std::uint32_t j : build_order_) {
-      const auto [clo, chi] =
-          spec_.code_range(j, lo_scratch[j], hi_scratch[j]);
-      const bdd::NodeRef range =
-          bdd::code_in_range(mgr_, neuron_vars(j), clo, chi);
-      word = mgr_.and_(range, word);
-    }
-    words[i] = word;
+    words[i] = bound_word(lo_scratch, hi_scratch, vars);
   }
   set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
 }
@@ -230,9 +154,8 @@ void IntervalMonitor::contains_batch(const FeatureBatch& batch,
       batch.copy_sample(i, sample);
       out[i] = mgr_.eval_with(
           set_, [this, &sample, nbits](std::uint32_t var) {
-            const std::size_t slot = slot_of_level_[var];
-            const std::size_t j = slot / nbits;
-            const std::size_t b = slot % nbits;
+            const std::size_t j = var / nbits;
+            const std::size_t b = var % nbits;
             const std::uint64_t code = spec_.code(j, sample[j]);
             return ((code >> (nbits - 1 - b)) & 1ULL) != 0;
           });
@@ -291,14 +214,6 @@ std::optional<unsigned> IntervalMonitor::hamming_distance(
   const auto d = mgr_.min_hamming_distance(set_, assignment);
   if (!d || *d > max_radius) return std::nullopt;
   return *d;
-}
-
-std::uint64_t IntervalMonitor::profile_hits() const noexcept {
-  std::uint64_t total = 0;
-  for (bdd::NodeRef n = 2; n < mgr_.arena_size(); ++n) {
-    total += mgr_.node_hits(n);
-  }
-  return total;
 }
 
 double IntervalMonitor::pattern_count() const { return mgr_.sat_count(set_); }

@@ -20,13 +20,8 @@
 namespace ranm {
 
 /// Multi-bit activation-pattern monitor backed by a BDD with
-/// dimension * bits variables. Semantically, neuron j owns code *slots*
-/// j*bits .. j*bits+bits-1 (MSB first); by default slot s is decided by
-/// BDD variable s, but an optimized monitor may carry a custom variable
-/// order (level_of_slot permutation) chosen by `ranm_cli optimize` — the
-/// BDD variable index is always the *level*, and the batch bit matrix is
-/// written level-indexed so the eval hot path never pays for the
-/// indirection.
+/// dimension * bits variables: neuron j's code bits are BDD variables
+/// j*bits .. j*bits+bits-1, MSB first.
 class IntervalMonitor final : public Monitor {
  public:
   explicit IntervalMonitor(ThresholdSpec spec);
@@ -76,68 +71,21 @@ class IntervalMonitor final : public Monitor {
   [[nodiscard]] bdd::NodeRef root() const noexcept { return set_; }
   void set_root(bdd::NodeRef root) noexcept { set_ = root; }
 
-  // -- variable order -------------------------------------------------------
-  /// level_of_slot: the BDD level (= variable index) deciding each
-  /// semantic slot j*bits+b. Identity unless optimized/loaded otherwise.
-  [[nodiscard]] std::span<const std::uint32_t> variable_order()
-      const noexcept {
-    return vars_;
-  }
-  /// Inverse permutation: the slot decided at each level.
-  [[nodiscard]] std::span<const std::uint32_t> slot_of_level()
-      const noexcept {
-    return slot_of_level_;
-  }
-  [[nodiscard]] bool has_custom_order() const noexcept;
-  /// Installs a variable order on an *empty* monitor (used by the artifact
-  /// loader before the BDD body is read). Throws if patterns were already
-  /// inserted or the permutation is malformed.
-  void apply_variable_order(std::vector<std::uint32_t> level_of_slot);
-  /// Replaces the pattern set with a reordered rebuild: `mgr` holds the
-  /// same code set as the current one under the new order. Used by the
-  /// offline optimize pass; callers are responsible for having verified
-  /// equivalence.
-  void adopt_reordered(std::vector<std::uint32_t> level_of_slot,
-                       bdd::BddManager mgr, bdd::NodeRef root);
-
-  // -- profiling ------------------------------------------------------------
-  void set_profiling(bool enabled) override { mgr_.set_profiling(enabled); }
-  [[nodiscard]] bool profiling() const noexcept override {
-    return mgr_.profiling();
-  }
-  [[nodiscard]] std::uint64_t profile_queries() const noexcept override {
-    return mgr_.profile_queries();
-  }
-  [[nodiscard]] std::uint64_t profile_hits() const noexcept override;
-
  private:
-  /// Bit variables of neuron j, MSB first (view into the precomputed
-  /// variable table — no per-call allocation).
-  [[nodiscard]] std::span<const std::uint32_t> neuron_vars(
-      std::size_t j) const noexcept {
-    return {vars_.data() + j * spec_.bits(), spec_.bits()};
-  }
   void fill_assignment(std::span<const float> feature,
                        std::vector<bool>& assignment) const;
   /// bits[v * n + i] = value of BDD variable v for sample i.
   void fill_bit_matrix(const FeatureBatch& batch,
                        std::vector<std::uint8_t>& bits) const;
-
-  /// Recomputes slot_of_level_ and build_order_ from vars_.
-  void refresh_order_tables();
+  /// word2set of one bound vector: the conjunction over neurons of
+  /// "code_j in [code(l_j), code(u_j)]". `vars` is scratch.
+  [[nodiscard]] bdd::NodeRef bound_word(std::span<const float> lo,
+                                        std::span<const float> hi,
+                                        std::vector<std::uint32_t>& vars);
 
   ThresholdSpec spec_;
   bdd::BddManager mgr_;
   bdd::NodeRef set_;
-  /// level_of_slot: neuron j's bits live at levels
-  /// vars_[j*bits .. j*bits+bits-1].
-  std::vector<std::uint32_t> vars_;
-  /// Inverse of vars_.
-  std::vector<std::uint32_t> slot_of_level_;
-  /// Neurons sorted by descending topmost level, so bound insertion
-  /// conjoins from the bottom of the order upward (touching only
-  /// already-built structure) under any variable order.
-  std::vector<std::uint32_t> build_order_;
 };
 
 }  // namespace ranm

@@ -98,23 +98,6 @@ class Monitor {
   /// One-line description (type + key parameters) for logs and tables.
   [[nodiscard]] virtual std::string describe() const = 0;
 
-  // -- workload profiling ---------------------------------------------------
-  // BDD-backed monitors count per-node hits across contains/contains_batch
-  // while enabled (zero cost when off); other families ignore the calls
-  // and report zeros. See BddManager::set_profiling.
-
-  /// Enables/disables hit-rate profiling (no-op for non-BDD families).
-  virtual void set_profiling(bool enabled) { (void)enabled; }
-  [[nodiscard]] virtual bool profiling() const noexcept { return false; }
-  /// Membership queries profiled so far.
-  [[nodiscard]] virtual std::uint64_t profile_queries() const noexcept {
-    return 0;
-  }
-  /// Total node visits profiled so far.
-  [[nodiscard]] virtual std::uint64_t profile_hits() const noexcept {
-    return 0;
-  }
-
  protected:
   /// Below this batch size the batched kernels fall back to the scalar
   /// loop: the shared setup (bit matrices, sweep buffers) would dominate

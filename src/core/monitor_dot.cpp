@@ -1,6 +1,5 @@
 #include "core/monitor_dot.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -35,27 +34,16 @@ std::vector<bdd::NodeRef> reachable(const bdd::BddManager& mgr,
 }
 
 /// Emits one BDD's nodes and edges with every node id prefixed; labels
-/// match BddManager::to_dot_profiled (hit count + integer per-mille rate,
-/// /oranges9 shading for hot nodes).
+/// match BddManager::to_dot.
 void emit_bdd(std::ostringstream& out, const bdd::BddManager& mgr,
-              bdd::NodeRef root, std::uint64_t queries,
-              const std::string& prefix, const std::string& indent) {
+              bdd::NodeRef root, const std::string& prefix,
+              const std::string& indent) {
   out << indent << prefix << "0 [label=\"0\", shape=box];\n";
   out << indent << prefix << "1 [label=\"1\", shape=box];\n";
   for (const bdd::NodeRef n : reachable(mgr, root)) {
     if (n == bdd::kFalse || n == bdd::kTrue) continue;
     const auto v = mgr.view(n);
-    const std::uint64_t h = mgr.node_hits(n);
-    out << indent << prefix << n << " [label=\"x" << v.var << "\\n" << h;
-    if (queries > 0) {
-      const std::uint64_t permille = (h * 1000) / queries;
-      out << " (" << (permille / 10) << "." << (permille % 10) << "%)";
-      const std::uint64_t step = std::min<std::uint64_t>(permille / 112, 8);
-      if (step > 0) {
-        out << "\", style=filled, fillcolor=\"/oranges9/" << step + 1;
-      }
-    }
-    out << "\"];\n";
+    out << indent << prefix << n << " [label=\"x" << v.var << "\"];\n";
     out << indent << prefix << n << " -> " << prefix << v.lo
         << " [style=dashed];\n";
     out << indent << prefix << n << " -> " << prefix << v.hi << ";\n";
@@ -82,7 +70,7 @@ FlatBdd flat_bdd(const Monitor& m) {
 
 std::string monitor_to_dot(const Monitor& monitor) {
   if (const FlatBdd flat = flat_bdd(monitor); flat.mgr != nullptr) {
-    return flat.mgr->to_dot_profiled(flat.root, monitor.profile_queries());
+    return flat.mgr->to_dot(flat.root);
   }
   const auto* sm = dynamic_cast<const ShardedMonitor*>(&monitor);
   if (sm == nullptr) {
@@ -104,8 +92,7 @@ std::string monitor_to_dot(const Monitor& monitor) {
     std::string prefix = "s";
     prefix += std::to_string(s);
     prefix += "_n";
-    emit_bdd(out, *flat.mgr, flat.root, sm->shard(s).profile_queries(),
-             prefix, "    ");
+    emit_bdd(out, *flat.mgr, flat.root, prefix, "    ");
     out << "  }\n";
   }
   out << "}\n";

@@ -2,10 +2,8 @@
 //
 // Flat on-off/interval monitors render as one digraph; sharded monitors
 // render as one digraph with a subgraph cluster per shard (node ids
-// prefixed s<k>_ so the shards' arenas cannot collide). When the monitor
-// carries profile counts (see Monitor::set_profiling), every internal
-// node is annotated with its hit count and per-mille hit rate and hot
-// nodes are shaded — the visual companion of `ranm_cli optimize`.
+// prefixed s<k>_ so the shards' arenas cannot collide). Each internal
+// node is labelled with its BDD variable.
 #pragma once
 
 #include <string>

@@ -6,20 +6,17 @@
 namespace ranm {
 namespace {
 
-// bits[level_of_slot[j] * n + i] = 1-bit code of sample i at neuron j.
-// Neuron-major sweep: each threshold is loaded once and applied to a
-// contiguous batch row. Rows are indexed by BDD level so the eval_batch
-// lookup is order-free.
-void fill_bit_matrix(const ThresholdSpec& spec,
-                     std::span<const std::uint32_t> level_of_slot,
-                     const FeatureBatch& batch,
+// bits[j * n + i] = 1-bit code of sample i at neuron j. Neuron-major
+// sweep: each threshold is loaded once and applied to a contiguous batch
+// row.
+void fill_bit_matrix(const ThresholdSpec& spec, const FeatureBatch& batch,
                      std::vector<std::uint8_t>& bits) {
   const std::size_t n = batch.size();
   bits.resize(spec.dimension() * n);
   for (std::size_t j = 0; j < spec.dimension(); ++j) {
     const Threshold t = spec.thresholds(j).front();
     const auto row = batch.neuron(j);
-    std::uint8_t* dst = bits.data() + std::size_t(level_of_slot[j]) * n;
+    std::uint8_t* dst = bits.data() + j * n;
     if (t.inclusive_below) {
       for (std::size_t i = 0; i < n; ++i) dst[i] = row[i] > t.value ? 1 : 0;
     } else {
@@ -33,72 +30,11 @@ void fill_bit_matrix(const ThresholdSpec& spec,
 OnOffMonitor::OnOffMonitor(ThresholdSpec spec)
     : spec_(std::move(spec)),
       mgr_(static_cast<std::uint32_t>(spec_.dimension())),
-      set_(bdd::kFalse),
-      vars_(spec_.dimension()) {
+      set_(bdd::kFalse) {
   if (spec_.bits() != 1) {
     throw std::invalid_argument(
         "OnOffMonitor: threshold spec must be 1 bit per neuron");
   }
-  for (std::size_t j = 0; j < vars_.size(); ++j) {
-    vars_[j] = static_cast<std::uint32_t>(j);
-  }
-  refresh_order_tables();
-}
-
-void OnOffMonitor::refresh_order_tables() {
-  slot_of_level_.assign(vars_.size(), 0);
-  std::vector<bool> seen(vars_.size(), false);
-  for (std::size_t j = 0; j < vars_.size(); ++j) {
-    const std::uint32_t lvl = vars_[j];
-    if (lvl >= vars_.size() || seen[lvl]) {
-      throw std::invalid_argument(
-          "OnOffMonitor: variable order is not a permutation");
-    }
-    seen[lvl] = true;
-    slot_of_level_[lvl] = static_cast<std::uint32_t>(j);
-  }
-}
-
-bool OnOffMonitor::has_custom_order() const noexcept {
-  for (std::size_t j = 0; j < vars_.size(); ++j) {
-    if (vars_[j] != j) return true;
-  }
-  return false;
-}
-
-void OnOffMonitor::apply_variable_order(
-    std::vector<std::uint32_t> level_of_slot) {
-  if (set_ != bdd::kFalse) {
-    throw std::logic_error(
-        "OnOffMonitor::apply_variable_order: monitor not empty");
-  }
-  if (level_of_slot.size() != vars_.size()) {
-    throw std::invalid_argument(
-        "OnOffMonitor::apply_variable_order: size mismatch");
-  }
-  vars_ = std::move(level_of_slot);
-  refresh_order_tables();
-}
-
-void OnOffMonitor::adopt_reordered(std::vector<std::uint32_t> level_of_slot,
-                                   bdd::BddManager mgr, bdd::NodeRef root) {
-  if (level_of_slot.size() != vars_.size() ||
-      mgr.num_vars() != mgr_.num_vars()) {
-    throw std::invalid_argument(
-        "OnOffMonitor::adopt_reordered: shape mismatch");
-  }
-  vars_ = std::move(level_of_slot);
-  refresh_order_tables();
-  mgr_ = std::move(mgr);
-  set_ = root;
-}
-
-std::uint64_t OnOffMonitor::profile_hits() const noexcept {
-  std::uint64_t total = 0;
-  for (bdd::NodeRef n = 2; n < mgr_.arena_size(); ++n) {
-    total += mgr_.node_hits(n);
-  }
-  return total;
 }
 
 void OnOffMonitor::observe(std::span<const float> feature) {
@@ -107,8 +43,8 @@ void OnOffMonitor::observe(std::span<const float> feature) {
   }
   std::vector<bdd::CubeBit> bits(dimension());
   for (std::size_t j = 0; j < dimension(); ++j) {
-    bits[vars_[j]] = spec_.code(j, feature[j]) == 1 ? bdd::CubeBit::kOne
-                                                    : bdd::CubeBit::kZero;
+    bits[j] = spec_.code(j, feature[j]) == 1 ? bdd::CubeBit::kOne
+                                             : bdd::CubeBit::kZero;
   }
   set_ = mgr_.or_(set_, mgr_.cube(bits));
 }
@@ -122,9 +58,9 @@ void OnOffMonitor::observe_bounds(std::span<const float> lo,
   for (std::size_t j = 0; j < dimension(); ++j) {
     const auto [clo, chi] = spec_.code_range(j, lo[j], hi[j]);
     if (clo == chi) {
-      bits[vars_[j]] = clo == 1 ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
+      bits[j] = clo == 1 ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
     } else {
-      bits[vars_[j]] = bdd::CubeBit::kDontCare;  // word2set resolves both
+      bits[j] = bdd::CubeBit::kDontCare;  // word2set resolves both
     }
   }
   set_ = mgr_.or_(set_, mgr_.cube(bits));
@@ -136,7 +72,7 @@ bool OnOffMonitor::contains(std::span<const float> feature) const {
   }
   std::vector<bool> assignment(dimension());
   for (std::size_t j = 0; j < dimension(); ++j) {
-    assignment[vars_[j]] = spec_.code(j, feature[j]) == 1;
+    assignment[j] = spec_.code(j, feature[j]) == 1;
   }
   return mgr_.eval(set_, assignment);
 }
@@ -147,10 +83,9 @@ void OnOffMonitor::observe_batch(const FeatureBatch& batch) {
   const std::size_t d = dimension();
   if (n == 0) return;
   std::vector<std::uint8_t> bits;
-  fill_bit_matrix(spec_, vars_, batch, bits);
-  // One cube scratch buffer for the whole batch. The matrix rows are
-  // level-indexed, matching the cube's variable indexing directly. The
-  // words meet in a balanced OR-tree, so the set is walked once per batch.
+  fill_bit_matrix(spec_, batch, bits);
+  // One cube scratch buffer for the whole batch. The words meet in a
+  // balanced OR-tree, so the set is walked once per batch.
   std::vector<bdd::CubeBit> cube(d);
   std::vector<bdd::NodeRef> words(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -183,9 +118,9 @@ void OnOffMonitor::observe_bounds_batch(const FeatureBatch& lo,
       const auto [clo, chi] = spec_.code_range(j, lo_scratch[j],
                                                hi_scratch[j]);
       if (clo == chi) {
-        cube[vars_[j]] = clo == 1 ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
+        cube[j] = clo == 1 ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
       } else {
-        cube[vars_[j]] = bdd::CubeBit::kDontCare;
+        cube[j] = bdd::CubeBit::kDontCare;
       }
     }
     words[i] = mgr_.cube(cube);
@@ -206,15 +141,14 @@ void OnOffMonitor::contains_batch(const FeatureBatch& batch,
     std::vector<float> sample(d);
     for (std::size_t i = 0; i < n; ++i) {
       batch.copy_sample(i, sample);
-      out[i] = mgr_.eval_with(set_, [this, &sample](std::uint32_t var) {
-        const std::uint32_t j = slot_of_level_[var];
+      out[i] = mgr_.eval_with(set_, [this, &sample](std::uint32_t j) {
         return spec_.code(j, sample[j]) == 1;
       });
     }
     return;
   }
   std::vector<std::uint8_t> bits;
-  fill_bit_matrix(spec_, vars_, batch, bits);
+  fill_bit_matrix(spec_, batch, bits);
   const std::uint8_t* b = bits.data();
   mgr_.eval_batch(
       set_, n,
@@ -255,13 +189,9 @@ void OnOffMonitor::enlarge_hamming(unsigned radius) {
 std::optional<unsigned> OnOffMonitor::hamming_distance(
     std::span<const float> feature, unsigned max_radius) const {
   if (set_ == bdd::kFalse) return std::nullopt;
-  const std::vector<bool> bits = pattern(feature);
-  // min_hamming_distance wants the point indexed by BDD variable.
-  std::vector<bool> point(bits.size());
-  for (std::size_t j = 0; j < bits.size(); ++j) point[vars_[j]] = bits[j];
   // Exact shortest-path DP over the BDD: O(nodes) per query, no set
   // expansion (which blows up combinatorially on large pattern sets).
-  const auto d = mgr_.min_hamming_distance(set_, point);
+  const auto d = mgr_.min_hamming_distance(set_, pattern(feature));
   if (!d || *d > max_radius) return std::nullopt;
   return *d;
 }

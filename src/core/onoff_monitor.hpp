@@ -3,7 +3,7 @@
 //
 // Each monitored neuron contributes one bit: b_j = 1 iff v_j > c_j. The set
 // of Boolean words visited over the training set is stored in a BDD with
-// one variable per neuron. Robust construction maps the conservative bound
+// one variable per neuron: neuron j is BDD variable j. Robust construction maps the conservative bound
 // [l_j, u_j] to 1 (l_j > c_j), 0 (u_j <= c_j) or don't-care; the word2set
 // insertion is a cube over the constrained literals only, so it is linear
 // in the number of neurons regardless of how many concrete words the
@@ -77,46 +77,10 @@ class OnOffMonitor final : public Monitor {
   /// Replaces the stored set (used by deserialisation).
   void set_root(bdd::NodeRef root) noexcept { set_ = root; }
 
-  // -- variable order -------------------------------------------------------
-  // Semantically neuron j is one slot; by default it is decided by BDD
-  // variable j, but an optimized monitor may carry a custom level_of_slot
-  // permutation (see IntervalMonitor for the slot/level convention).
-  [[nodiscard]] std::span<const std::uint32_t> variable_order()
-      const noexcept {
-    return vars_;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> slot_of_level()
-      const noexcept {
-    return slot_of_level_;
-  }
-  [[nodiscard]] bool has_custom_order() const noexcept;
-  /// Installs a variable order on an *empty* monitor (loader path).
-  void apply_variable_order(std::vector<std::uint32_t> level_of_slot);
-  /// Replaces the pattern set with a reordered rebuild (optimize path).
-  void adopt_reordered(std::vector<std::uint32_t> level_of_slot,
-                       bdd::BddManager mgr, bdd::NodeRef root);
-
-  // -- profiling ------------------------------------------------------------
-  void set_profiling(bool enabled) override { mgr_.set_profiling(enabled); }
-  [[nodiscard]] bool profiling() const noexcept override {
-    return mgr_.profiling();
-  }
-  [[nodiscard]] std::uint64_t profile_queries() const noexcept override {
-    return mgr_.profile_queries();
-  }
-  [[nodiscard]] std::uint64_t profile_hits() const noexcept override;
-
  private:
-  /// Recomputes slot_of_level_ from vars_ (validating the permutation).
-  void refresh_order_tables();
-
   ThresholdSpec spec_;
   bdd::BddManager mgr_;
   bdd::NodeRef set_;
-  /// level_of_slot: neuron j is decided at level vars_[j].
-  std::vector<std::uint32_t> vars_;
-  /// Inverse of vars_.
-  std::vector<std::uint32_t> slot_of_level_;
 };
 
 }  // namespace ranm

@@ -218,46 +218,6 @@ Monitor& ShardedMonitor::shard(std::size_t s) {
   return *shards_[s];
 }
 
-void ShardedMonitor::replace_shard(std::size_t s,
-                                   std::unique_ptr<Monitor> monitor) {
-  if (s >= shards_.size()) {
-    throw std::out_of_range("ShardedMonitor::replace_shard");
-  }
-  if (!monitor) {
-    throw std::invalid_argument(
-        "ShardedMonitor::replace_shard: null monitor");
-  }
-  if (monitor->dimension() != plan_.neurons(s).size()) {
-    throw std::invalid_argument(
-        "ShardedMonitor::replace_shard: dimension does not match shard " +
-        std::to_string(s));
-  }
-  shards_[s] = std::move(monitor);
-}
-
-void ShardedMonitor::set_profiling(bool enabled) {
-  for (auto& m : shards_) m->set_profiling(enabled);
-}
-
-bool ShardedMonitor::profiling() const noexcept {
-  for (const auto& m : shards_) {
-    if (m->profiling()) return true;
-  }
-  return false;
-}
-
-std::uint64_t ShardedMonitor::profile_queries() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& m : shards_) total += m->profile_queries();
-  return total;
-}
-
-std::uint64_t ShardedMonitor::profile_hits() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& m : shards_) total += m->profile_hits();
-  return total;
-}
-
 namespace {
 
 /// BDD node count of an inner monitor, 0 for non-BDD families.
@@ -293,8 +253,6 @@ std::vector<ShardedMonitor::ShardStats> ShardedMonitor::shard_stats() const {
     st.bdd_nodes = inner_bdd_nodes(*shards_[s]);
     st.cubes_inserted = observations_;
     st.patterns = inner_patterns(*shards_[s]);
-    st.profile_queries = shards_[s]->profile_queries();
-    st.profile_hits = shards_[s]->profile_hits();
     st.description = shards_[s]->describe();
     stats.push_back(std::move(st));
   }

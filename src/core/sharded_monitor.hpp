@@ -1,6 +1,6 @@
 // Sharded monitor: S inner monitors over a ShardPlan partition of the
 // monitored neurons, each with its own private state (for the BDD families
-// its own BddManager and shard-local variable order).
+// its own BddManager).
 //
 // Semantics: a feature vector is in the monitored region iff *every* shard
 // accepts its projection onto that shard's neurons. For per-neuron
@@ -19,7 +19,7 @@
 // construction. Queries are const and reentrant: their scratch belongs to
 // the calling thread, so any number of threads may query one monitor
 // concurrently (the shared pool accepts concurrent parallel_for calls).
-// Construction (observe*, replace_shard, set_threads) must not overlap
+// Construction (observe*, set_threads) must not overlap
 // anything else.
 #pragma once
 
@@ -91,10 +91,6 @@ class ShardedMonitor final : public Monitor {
   }
   [[nodiscard]] const Monitor& shard(std::size_t s) const;
   [[nodiscard]] Monitor& shard(std::size_t s);
-  /// Swaps in a rebuilt inner monitor (the offline optimize pass rebuilds
-  /// each shard's BDD under a new variable order). The replacement must
-  /// match the shard's neuron-group dimension.
-  void replace_shard(std::size_t s, std::unique_ptr<Monitor> monitor);
 
   /// Construction steps folded in so far. Every step inserts one
   /// abstraction (for BDD shards: one cube) into each shard.
@@ -108,19 +104,11 @@ class ShardedMonitor final : public Monitor {
     std::size_t bdd_nodes = 0;      // reachable BDD nodes (0: no BDD)
     std::size_t cubes_inserted = 0; // construction steps folded in
     double patterns = 0.0;          // stored words (-1: not pattern-based)
-    std::uint64_t profile_queries = 0;  // profiled membership queries
-    std::uint64_t profile_hits = 0;     // profiled BDD node visits
     std::string description;        // inner monitor describe()
   };
   [[nodiscard]] std::vector<ShardStats> shard_stats() const;
   /// Sum of reachable BDD nodes across shards (0 for non-BDD families).
   [[nodiscard]] std::size_t total_bdd_nodes() const;
-
-  // ---- profiling (forwarded to every shard) ------------------------------
-  void set_profiling(bool enabled) override;
-  [[nodiscard]] bool profiling() const noexcept override;
-  [[nodiscard]] std::uint64_t profile_queries() const noexcept override;
-  [[nodiscard]] std::uint64_t profile_hits() const noexcept override;
 
  private:
   /// Below this batch size the shard fan-out runs inline even when a pool

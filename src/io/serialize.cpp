@@ -44,16 +44,12 @@ enum class MonitorTag : std::uint32_t {
   kMinMax = 1,
   kOnOff = 2,
   kInterval = 3,
-  // V2 bodies carry a flags word plus (optionally) a custom variable
-  // order and per-node profile counts. V2 is written only when one of
-  // those extras is present, so pre-existing artifacts stay byte-stable.
+  // Retired: bodies with a custom variable order or per-node profile
+  // counts, written by the removed `ranm_cli optimize`. Recognised only
+  // to refuse them with a clear message.
   kOnOffV2 = 4,
   kIntervalV2 = 5,
 };
-
-/// V2 flags word: which optional sections follow the threshold spec.
-constexpr std::uint32_t kFlagOrder = 1;    // level_of_slot permutation
-constexpr std::uint32_t kFlagProfile = 2;  // per-node hit counters
 
 // The bounded little-endian primitives live in io/wire.hpp, shared with
 // the serving frame protocol; the loaders below are written against them.
@@ -331,101 +327,50 @@ MinMaxMonitor load_minmax_body(std::istream& in) {
                                     count);
 }
 
-/// Writes the V2 extras (flags, optional order, BDD, optional profile
-/// counts) shared by both BDD-backed monitor families.
-template <typename M>
-void save_bdd_monitor_v2(std::ostream& out, const M& monitor) {
-  const bool has_order = monitor.has_custom_order();
-  const bool has_profile = monitor.profile_queries() > 0;
-  const std::uint32_t flags = (has_order ? kFlagOrder : 0U) |
-                              (has_profile ? kFlagProfile : 0U);
-  write_pod(out, flags);
-  if (has_order) {
-    for (const std::uint32_t lvl : monitor.variable_order()) {
-      write_pod(out, lvl);
-    }
-  }
-  const std::vector<bdd::NodeRef> node_order =
-      bdd::save_bdd(out, monitor.manager(), monitor.root());
-  if (has_profile) {
-    write_u64(out, monitor.profile_queries());
-    // One counter per saved slot, in file order (terminals first — their
-    // counters are always zero, kept for alignment simplicity).
-    for (const bdd::NodeRef n : node_order) {
-      write_u64(out, monitor.manager().node_hits(n));
-    }
-  }
-}
-
-/// Loads the V2 extras into a freshly constructed (still empty) monitor.
-template <typename M>
-void load_bdd_monitor_v2_body(std::istream& in, M& monitor,
-                              const char* what) {
-  const auto flags = read_pod<std::uint32_t>(in);
-  if ((flags & ~(kFlagOrder | kFlagProfile)) != 0) {
-    throw std::runtime_error(std::string(what) + ": unknown flags");
-  }
-  if ((flags & kFlagOrder) != 0) {
-    std::vector<std::uint32_t> order(monitor.variable_order().size());
-    for (auto& lvl : order) lvl = read_pod<std::uint32_t>(in);
-    try {
-      monitor.apply_variable_order(std::move(order));
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(std::string(what) + ": " + e.what());
-    }
-  }
-  const bdd::LoadedBdd loaded = bdd::load_bdd_nodes(in, monitor.manager());
-  monitor.set_root(loaded.root);
-  if ((flags & kFlagProfile) != 0) {
-    monitor.manager().record_queries(read_u64(in));
-    for (const bdd::NodeRef n : loaded.nodes) {
-      monitor.manager().record_hits(n, read_u64(in));
-    }
-  }
-}
-
-OnOffMonitor load_onoff_body(std::istream& in, bool v2) {
+OnOffMonitor load_onoff_body(std::istream& in) {
   OnOffMonitor monitor(load_threshold_spec(in));
-  if (v2) {
-    load_bdd_monitor_v2_body(in, monitor, "load_onoff_monitor");
-  } else {
-    monitor.set_root(bdd::load_bdd(in, monitor.manager()));
-  }
+  monitor.set_root(bdd::load_bdd(in, monitor.manager()));
   return monitor;
 }
 
-IntervalMonitor load_interval_body(std::istream& in, bool v2) {
+IntervalMonitor load_interval_body(std::istream& in) {
   IntervalMonitor monitor(load_threshold_spec(in));
-  if (v2) {
-    load_bdd_monitor_v2_body(in, monitor, "load_interval_monitor");
-  } else {
-    monitor.set_root(bdd::load_bdd(in, monitor.manager()));
-  }
+  monitor.set_root(bdd::load_bdd(in, monitor.manager()));
   return monitor;
+}
+
+/// Reads a monitor tag, refusing the retired V2 tags.
+MonitorTag read_monitor_tag(std::istream& in) {
+  const auto tag = read_pod<MonitorTag>(in);
+  if (tag == MonitorTag::kOnOffV2 || tag == MonitorTag::kIntervalV2) {
+    throw std::runtime_error(
+        "load monitor: artifacts with a custom variable order or profile "
+        "counts (written by `ranm_cli optimize`) are no longer supported; "
+        "rebuild the monitor");
+  }
+  return tag;
 }
 
 MonitorTag read_monitor_header(std::istream& in) {
   if (read_pod<std::uint32_t>(in) != kMonMagic) {
     throw std::runtime_error("load monitor: bad magic");
   }
-  return read_pod<MonitorTag>(in);
+  return read_monitor_tag(in);
 }
 
 /// Tag-dispatched body of a legacy single-monitor stream (the kMonMagic
 /// header word has already been consumed). The single switch serving
 /// every flat-monitor entry point.
 std::unique_ptr<Monitor> load_tagged_monitor_body(std::istream& in) {
-  switch (read_pod<MonitorTag>(in)) {
+  switch (read_monitor_tag(in)) {
     case MonitorTag::kMinMax:
       return std::make_unique<MinMaxMonitor>(load_minmax_body(in));
     case MonitorTag::kOnOff:
-      return std::make_unique<OnOffMonitor>(load_onoff_body(in, false));
+      return std::make_unique<OnOffMonitor>(load_onoff_body(in));
     case MonitorTag::kInterval:
-      return std::make_unique<IntervalMonitor>(load_interval_body(in, false));
-    case MonitorTag::kOnOffV2:
-      return std::make_unique<OnOffMonitor>(load_onoff_body(in, true));
-    case MonitorTag::kIntervalV2:
-      return std::make_unique<IntervalMonitor>(load_interval_body(in, true));
+      return std::make_unique<IntervalMonitor>(load_interval_body(in));
+    default:
+      break;
   }
   throw std::runtime_error("load monitor: unknown monitor tag");
 }
@@ -496,44 +441,30 @@ MinMaxMonitor load_minmax_monitor(std::istream& in) {
 
 void save_monitor(std::ostream& out, const OnOffMonitor& monitor) {
   write_pod(out, kMonMagic);
-  if (monitor.has_custom_order() || monitor.profile_queries() > 0) {
-    write_pod(out, MonitorTag::kOnOffV2);
-    save_threshold_spec(out, monitor.spec());
-    save_bdd_monitor_v2(out, monitor);
-    return;
-  }
   write_pod(out, MonitorTag::kOnOff);
   save_threshold_spec(out, monitor.spec());
-  (void)bdd::save_bdd(out, monitor.manager(), monitor.root());
+  bdd::save_bdd(out, monitor.manager(), monitor.root());
 }
 
 OnOffMonitor load_onoff_monitor(std::istream& in) {
-  const MonitorTag tag = read_monitor_header(in);
-  if (tag != MonitorTag::kOnOff && tag != MonitorTag::kOnOffV2) {
+  if (read_monitor_header(in) != MonitorTag::kOnOff) {
     throw std::runtime_error("load_onoff_monitor: bad header");
   }
-  return load_onoff_body(in, tag == MonitorTag::kOnOffV2);
+  return load_onoff_body(in);
 }
 
 void save_monitor(std::ostream& out, const IntervalMonitor& monitor) {
   write_pod(out, kMonMagic);
-  if (monitor.has_custom_order() || monitor.profile_queries() > 0) {
-    write_pod(out, MonitorTag::kIntervalV2);
-    save_threshold_spec(out, monitor.spec());
-    save_bdd_monitor_v2(out, monitor);
-    return;
-  }
   write_pod(out, MonitorTag::kInterval);
   save_threshold_spec(out, monitor.spec());
-  (void)bdd::save_bdd(out, monitor.manager(), monitor.root());
+  bdd::save_bdd(out, monitor.manager(), monitor.root());
 }
 
 IntervalMonitor load_interval_monitor(std::istream& in) {
-  const MonitorTag tag = read_monitor_header(in);
-  if (tag != MonitorTag::kInterval && tag != MonitorTag::kIntervalV2) {
+  if (read_monitor_header(in) != MonitorTag::kInterval) {
     throw std::runtime_error("load_interval_monitor: bad header");
   }
-  return load_interval_body(in, tag == MonitorTag::kIntervalV2);
+  return load_interval_body(in);
 }
 
 void save_monitor(std::ostream& out, const ShardedMonitor& monitor) {

@@ -17,8 +17,8 @@
 //                     parallel without a global lock
 //
 // A connection belongs to one loop for its lifetime and that loop answers
-// its frames one at a time in arrival order, so replies never reorder and
-// no loop ever hands a request or a reply to another thread.
+// its frames one at a time in arrival order, so replies leave in request
+// order and no loop ever hands a request or a reply to another thread.
 //
 // Byte budgets: a connection's inbound buffer stops reading once it holds
 // one maximal frame unparsed, and a connection whose unflushed replies

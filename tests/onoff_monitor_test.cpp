@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/monitor_dot.hpp"
 #include "core/neuron_stats.hpp"
-
+#include "core/sharded_monitor.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -156,6 +157,47 @@ TEST(OnOffMonitor, DescribeMentionsPatterns) {
   auto m = sign_monitor(2);
   m.observe(std::vector<float>{1.0F, 1.0F});
   EXPECT_NE(m.describe().find("patterns="), std::string::npos);
+}
+
+TEST(MonitorDot, GoldenTinyMonitor) {
+  // One stored pattern (x0 = 1, x1 = 0) gives the two-node BDD
+  // x0 AND NOT x1. The rendering is fully deterministic, so the whole
+  // string is pinned.
+  auto m = sign_monitor(2);
+  m.observe(std::vector<float>{1.0F, -1.0F});
+  EXPECT_EQ(monitor_to_dot(m),
+            "digraph bdd {\n"
+            "  n0 [label=\"0\", shape=box];\n"
+            "  n1 [label=\"1\", shape=box];\n"
+            "  n2 [label=\"x1\"];\n"
+            "  n2 -> n1 [style=dashed];\n"
+            "  n2 -> n0;\n"
+            "  n3 [label=\"x0\"];\n"
+            "  n3 -> n0 [style=dashed];\n"
+            "  n3 -> n2;\n"
+            "}\n");
+}
+
+TEST(MonitorDot, ShardedClustersPerShard) {
+  const std::size_t dim = 4;
+  const ThresholdSpec spec =
+      ThresholdSpec::onoff(std::vector<float>(dim, 0.0F));
+  const ShardPlan plan = ShardPlan::make(ShardStrategy::kContiguous, dim, 2);
+  ShardedMonitor sm = ShardedMonitor::onoff(plan, spec);
+  sm.observe(std::vector<float>{1.0F, -1.0F, 1.0F, -1.0F});
+  const std::string dot = monitor_to_dot(sm);
+  EXPECT_NE(dot.find("subgraph cluster_s0"), std::string::npos);
+  EXPECT_NE(dot.find("subgraph cluster_s1"), std::string::npos);
+  EXPECT_NE(dot.find("label=\"shard 1\""), std::string::npos);
+  EXPECT_NE(dot.find("s0_n2 [label=\"x1\"];"), std::string::npos);
+  EXPECT_NE(dot.find("s1_n2"), std::string::npos);
+}
+
+TEST(MonitorDot, RejectsNonBddFamilies) {
+  // Min-max monitors have no BDD to render.
+  const ShardPlan plan = ShardPlan::make(ShardStrategy::kContiguous, 4, 2);
+  ShardedMonitor sm = ShardedMonitor::minmax(plan);
+  EXPECT_THROW((void)monitor_to_dot(sm), std::invalid_argument);
 }
 
 }  // namespace

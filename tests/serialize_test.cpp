@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "bdd/bdd_io.hpp"
 #include "core/monitor_builder.hpp"
 #include "io/wire.hpp"
 #include "nn/dense.hpp"
@@ -313,6 +315,102 @@ TEST(Serialize, MonitorDimAtCapStillHasBoundedHeaderCheck) {
   put_u64(ss, io::kMaxMonitorDim);  // dim: exactly at the cap
   put_u64(ss, 0);                   // observation count, then EOF
   EXPECT_THROW((void)load_any_monitor(ss), std::runtime_error);
+}
+
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+TEST(Serialize, BddMonitorBytesArePinned) {
+  // Every BDD monitor has one variable order (neuron slot s is variable
+  // s), and its artifact bytes must not drift from the format that
+  // earlier builds wrote and deployed loaders read.
+  OnOffMonitor oo(ThresholdSpec::onoff(std::vector<float>(2, 0.0F)));
+  oo.observe(std::vector<float>{1.0F, -1.0F});
+  oo.observe_bounds(std::vector<float>{-1.0F, 0.5F},
+                    std::vector<float>{1.0F, 1.0F});
+  std::stringstream a;
+  save_monitor(a, oo);
+  EXPECT_EQ(to_hex(a.str()),
+            "314f4d520200000031535452020000000000000001000000000000000000"
+            "000001000000000131444442020000000400000001000000000000000100"
+            "000000000000020000000100000003000000");
+
+  IntervalMonitor iv(ThresholdSpec::paper_two_bit(
+      std::vector<float>(2, -1.0F), std::vector<float>(2, 0.0F),
+      std::vector<float>(2, 1.0F)));
+  iv.observe_bounds(std::vector<float>{-0.5F, 0.5F},
+                    std::vector<float>{0.5F, 2.0F});
+  std::stringstream b;
+  save_monitor(b, iv);
+  EXPECT_EQ(to_hex(b.str()),
+            "314f4d52030000003153545202000000000000000200000000000000000080"
+            "bf0100000000000000803f01000080bf0100000000000000803f0131444442"
+            "040000000600000002000000000000000100000001000000000000000200"
+            "000001000000020000000000000000000000030000000400000005000000");
+}
+
+/// A retired V2 artifact as `ranm_cli optimize` wrote it: RMO1, the V2
+/// tag, the threshold spec, a flags word, the optional variable order,
+/// the BDD and the optional profile counts.
+std::string retired_v2_stream(std::uint32_t tag, const ThresholdSpec& spec,
+                              std::uint32_t flags) {
+  const auto nvars =
+      static_cast<std::uint32_t>(spec.dimension() * spec.bits());
+  bdd::BddManager mgr(nvars);
+  const bdd::NodeRef f = mgr.and_(mgr.var(0), mgr.nvar(nvars - 1));
+  std::stringstream ss;
+  put_u32(ss, 0x524D4F31U);  // RMO1
+  put_u32(ss, tag);
+  save_threshold_spec(ss, spec);
+  put_u32(ss, flags);
+  if ((flags & 1U) != 0) {  // level_of_slot: the reversed order
+    for (std::uint32_t s = 0; s < nvars; ++s) put_u32(ss, nvars - 1 - s);
+  }
+  bdd::save_bdd(ss, mgr, f);
+  if ((flags & 2U) != 0) {  // query total, then one count per saved node
+    put_u64(ss, 3);
+    for (int n = 0; n < 4; ++n) put_u64(ss, n < 2 ? 0 : 3);
+  }
+  return ss.str();
+}
+
+void expect_refused_as_retired(const std::string& bytes) {
+  std::istringstream in(bytes);
+  try {
+    (void)load_any_monitor(in);
+    ADD_FAILURE() << "retired V2 artifact loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no longer supported"), std::string::npos) << what;
+    EXPECT_NE(what.find("rebuild the monitor"), std::string::npos) << what;
+  }
+}
+
+TEST(Serialize, RetiredVariableOrderArtifactIsRefused) {
+  const std::string bytes = retired_v2_stream(
+      4, ThresholdSpec::onoff(std::vector<float>(3, 0.0F)), 1U);
+  expect_refused_as_retired(bytes);
+  std::istringstream in(bytes);
+  EXPECT_THROW((void)load_onoff_monitor(in), std::runtime_error);
+}
+
+TEST(Serialize, RetiredProfileArtifactIsRefused) {
+  const std::string bytes = retired_v2_stream(
+      5,
+      ThresholdSpec::paper_two_bit(std::vector<float>(2, -1.0F),
+                                   std::vector<float>(2, 0.0F),
+                                   std::vector<float>(2, 1.0F)),
+      2U);
+  expect_refused_as_retired(bytes);
+  std::istringstream in(bytes);
+  EXPECT_THROW((void)load_interval_monitor(in), std::runtime_error);
 }
 
 }  // namespace

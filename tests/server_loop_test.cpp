@@ -527,7 +527,7 @@ Pipelined pipeline_until_blocked(int fd,
 }
 
 /// Query frames of 1-3 samples, and the direct pipeline's verdicts for
-/// each (the varying reply sizes make any reordering visible).
+/// each (the varying reply sizes make any out-of-order reply visible).
 struct FrameSet {
   std::vector<std::vector<Tensor>> batches;
   std::vector<std::string> frames;

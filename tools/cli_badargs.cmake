@@ -82,6 +82,11 @@ expect_range_error(${RANM_CLI} rollback --socket /tmp/none.sock --generation -1)
 expect_stderr_matches("invalid port"
   ${RANM_CLI} query --tcp 127.0.0.1:0 --in-dist x)
 
+# The variable-order optimizer is gone, not ignored: `optimize` is an
+# unknown command like any other.
+expect_stderr_matches("unknown command 'optimize'"
+  ${RANM_CLI} optimize --monitor x --out y)
+
 # The serving daemon validates its flags the same way.
 if(DEFINED RANM_SERVE)
   expect_stderr_matches("unknown option --montior .did you mean --monitor\\?."

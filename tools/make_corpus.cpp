@@ -141,35 +141,6 @@ void emit_monitor_corpus() {
                             ranm::save_any_monitor(out, interval);
                           }));
 
-  // V2 body with a non-identity variable order (kFlagOrder block).
-  ranm::OnOffMonitor ordered(
-      ranm::ThresholdSpec::onoff(std::vector<float>(4, 0.0F)));
-  ordered.apply_variable_order({3, 2, 1, 0});
-  for (int i = 0; i < 6; ++i) {
-    const auto v = random_vec(4, rng);
-    ordered.observe(v);
-  }
-  write_seed_with_mutants("monitor", "onoff_ordered",
-                          serialized([&](auto& out) {
-                            ranm::save_any_monitor(out, ordered);
-                          }));
-
-  // V2 body with hit counters (kFlagProfile block).
-  ranm::IntervalMonitor profiled(two_bit_spec(3));
-  profiled.set_profiling(true);
-  for (int i = 0; i < 5; ++i) {
-    const auto v = random_vec(3, rng);
-    profiled.observe(v);
-  }
-  for (int i = 0; i < 9; ++i) {
-    const auto v = random_vec(3, rng);
-    (void)profiled.warn(v);
-  }
-  write_seed_with_mutants("monitor", "interval_profiled",
-                          serialized([&](auto& out) {
-                            ranm::save_any_monitor(out, profiled);
-                          }));
-
   // Sharded container (RSH1): shard plan + per-shard flat payloads.
   ranm::ShardedMonitor sharded = ranm::ShardedMonitor::interval(
       ranm::ShardPlan::shuffled(8, 3, 7), two_bit_spec(8));

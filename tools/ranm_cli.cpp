@@ -29,7 +29,6 @@
 #include "core/monitor_dot.hpp"
 #include "core/monitorability.hpp"
 #include "core/onoff_monitor.hpp"
-#include "core/optimize.hpp"
 #include "core/sharded_monitor.hpp"
 #include "data/digits.hpp"
 #include "eval/experiment.hpp"
@@ -52,7 +51,7 @@ namespace {
 
 [[noreturn]] void usage() {
   std::fputs(
-      "usage: ranm <gen|train|build|compile|optimize|eval|query|observe|"
+      "usage: ranm <gen|train|build|compile|eval|query|observe|"
       "swap|rollback|info> [options]\n"
       "  gen    --workload track|digits|signs [--variant NAME]\n"
       "         --count N [--seed S] --out FILE\n"
@@ -69,11 +68,6 @@ namespace {
       "  compile --monitor FILE --out FILE [--threads T]\n"
       "         [--cube-limit N]   (lower a frozen monitor to an RCM1\n"
       "         compiled artifact; eval/serve load it like any monitor)\n"
-      "  optimize --monitor FILE --out FILE\n"
-      "         [--net FILE --data FILE --layer K]   (profile a workload\n"
-      "         to guide the variable order) [--threads T] [--passes N]\n"
-      "         [--max-growth F] [--seed S]   (resift a frozen BDD\n"
-      "         monitor into a smaller variable order)\n"
       "  eval   --net FILE --monitor FILE --layer K --in-dist FILE\n"
       "         [--ood FILE ...] [--threads T]\n"
       "  query  --socket PATH | --tcp HOST:PORT [--in-dist FILE]\n"
@@ -371,91 +365,6 @@ int cmd_compile(const ArgParser& args) {
   return 0;
 }
 
-/// Offline workload-guided reoptimization: loads a frozen BDD-backed
-/// monitor, optionally profiles a representative workload (--net/--data/
-/// --layer extract the same features eval would), resifts each shard's
-/// variable order, and saves the rebuilt — semantically identical —
-/// artifact. Compiled artifacts are already frozen to a fixed program:
-/// optimize the source monitor and recompile instead.
-int cmd_optimize(const ArgParser& args) {
-  args.check_known({"monitor", "out", "net", "data", "layer", "threads",
-                    "passes", "max-growth", "seed"});
-  OptimizeOptions opts;
-  opts.threads = parse_threads(args);
-  opts.sift_passes = args.get_size("passes", 2, 64);
-  opts.max_growth = args.get_double("max-growth", 1.2);
-  if (!(opts.max_growth >= 1.0 && opts.max_growth <= 64.0)) {
-    throw std::invalid_argument("--max-growth must be in [1, 64]");
-  }
-  opts.seed = std::uint64_t(args.get_int("seed", 1));
-
-  std::ifstream in(args.require("monitor"), std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open monitor file");
-  const auto monitor = load_any_monitor(in);
-  if (dynamic_cast<const compile::CompiledMonitor*>(monitor.get())) {
-    throw std::invalid_argument(
-        "optimize works on monitor artifacts, not compiled (RCM1) ones: "
-        "optimize the source monitor, then recompile");
-  }
-  if (auto* sharded = dynamic_cast<ShardedMonitor*>(monitor.get())) {
-    sharded->set_threads(opts.threads);
-  }
-
-  // The workload is optional; when given, all three of --net/--data/
-  // --layer are required so the features match what eval/serve will see.
-  FeatureBatch workload;
-  if (args.has("data") || args.has("net") || args.has("layer")) {
-    const std::size_t layer = args.get_size("layer", 0, kMaxLayer);
-    if (layer == 0) {
-      throw std::invalid_argument("--layer must be in 1.." +
-                                  std::to_string(kMaxLayer));
-    }
-    Network net = load_network_file(args.require("net"));
-    const Dataset ds = load_dataset_file(args.require("data"));
-    if (ds.empty()) throw std::runtime_error("empty workload dataset");
-    const MonitorBuilder builder(net, layer);
-    workload = builder.features_batch(ds.inputs);
-    opts.workload = &workload;
-  }
-
-  Timer timer;
-  const OptimizeReport report = optimize_monitor(*monitor, opts);
-  const double secs = timer.seconds();
-
-  std::ofstream out(args.require("out"), std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write monitor file");
-  save_any_monitor(out, *monitor);
-
-  TextTable table("variable-order optimization");
-  table.set_header({"shard", "nodes before", "nodes after", "swaps",
-                    "reordered"});
-  for (std::size_t s = 0; s < report.per_shard.size(); ++s) {
-    const ShardOptimizeReport& sr = report.per_shard[s];
-    table.add_row({std::to_string(s), std::to_string(sr.nodes_before),
-                   std::to_string(sr.nodes_after),
-                   std::to_string(sr.swaps),
-                   sr.reordered ? "yes" : "no"});
-  }
-  table.add_row({"total", std::to_string(report.nodes_before),
-                 std::to_string(report.nodes_after), "-", "-"});
-  table.print();
-  const double pct =
-      report.nodes_before == 0
-          ? 0.0
-          : 100.0 * (double(report.nodes_before) -
-                     double(report.nodes_after)) /
-                double(report.nodes_before);
-  std::printf("optimized %s\n  %zu -> %zu nodes (%.1f%% smaller), "
-              "%zu/%zu shards reordered, %llu workload samples, %.3fs\n"
-              "  -> %s\n",
-              monitor->describe().c_str(), report.nodes_before,
-              report.nodes_after, pct, report.shards_reordered,
-              report.per_shard.size(),
-              static_cast<unsigned long long>(report.workload_samples),
-              secs, args.require("out").c_str());
-  return 0;
-}
-
 int cmd_eval(const ArgParser& args) {
   args.check_known({"net", "monitor", "layer", "in-dist", "ood", "threads"});
   const std::size_t layer = args.get_size("layer", 0, kMaxLayer);
@@ -713,52 +622,31 @@ int cmd_info(const ArgParser& args) {
                 "over dim x n batches)\n",
                 monitor->dimension());
     if (args.has("dot")) {
-      // Graphviz dump of the stored BDDs, hit-rate annotated when the
-      // artifact carries profile counts. Fails fast for non-BDD families.
+      // Graphviz dump of the stored BDDs. Fails fast for non-BDD families.
       std::ofstream dot(args.require("dot"));
       if (!dot) throw std::runtime_error("cannot write dot file");
       dot << monitor_to_dot(*monitor);
       std::printf("wrote BDD graph to %s\n", args.require("dot").c_str());
     }
-    if (monitor->profile_queries() > 0) {
-      std::printf("profile: %llu queries, %llu BDD node visits\n",
-                  static_cast<unsigned long long>(monitor->profile_queries()),
-                  static_cast<unsigned long long>(monitor->profile_hits()));
-    }
     if (const auto* sharded =
             dynamic_cast<const ShardedMonitor*>(monitor.get())) {
       const auto stats = sharded->shard_stats();
-      const bool profiled = sharded->profile_queries() > 0;
       TextTable table("per-shard statistics");
-      std::vector<std::string> header = {"shard", "neurons", "bdd nodes",
-                                         "cubes inserted", "patterns"};
-      if (profiled) header.insert(header.end(), {"queries", "node hits"});
-      table.set_header(header);
+      table.set_header(
+          {"shard", "neurons", "bdd nodes", "cubes inserted", "patterns"});
       std::size_t neurons = 0, nodes = 0;
       for (std::size_t s = 0; s < stats.size(); ++s) {
         const auto& st = stats[s];
-        std::vector<std::string> row = {
-            std::to_string(s), std::to_string(st.neurons),
-            std::to_string(st.bdd_nodes),
-            std::to_string(st.cubes_inserted),
-            st.patterns < 0 ? std::string("-")
-                            : TextTable::num(st.patterns, 0)};
-        if (profiled) {
-          row.push_back(std::to_string(st.profile_queries));
-          row.push_back(std::to_string(st.profile_hits));
-        }
-        table.add_row(row);
+        table.add_row({std::to_string(s), std::to_string(st.neurons),
+                       std::to_string(st.bdd_nodes),
+                       std::to_string(st.cubes_inserted),
+                       st.patterns < 0 ? std::string("-")
+                                       : TextTable::num(st.patterns, 0)});
         neurons += st.neurons;
         nodes += st.bdd_nodes;
       }
-      std::vector<std::string> total = {
-          "total", std::to_string(neurons), std::to_string(nodes),
-          std::to_string(sharded->observation_count()), "-"};
-      if (profiled) {
-        total.push_back(std::to_string(sharded->profile_queries()));
-        total.push_back(std::to_string(sharded->profile_hits()));
-      }
-      table.add_row(total);
+      table.add_row({"total", std::to_string(neurons), std::to_string(nodes),
+                     std::to_string(sharded->observation_count()), "-"});
       table.print();
       std::printf("plan: %zu shards, strategy %s, seed %llu\n",
                   sharded->shard_count(),
@@ -810,13 +698,13 @@ int run(int argc, char** argv) {
   if (cmd == "train") return cmd_train(args);
   if (cmd == "build") return cmd_build(args);
   if (cmd == "compile") return cmd_compile(args);
-  if (cmd == "optimize") return cmd_optimize(args);
   if (cmd == "eval") return cmd_eval(args);
   if (cmd == "query") return cmd_query(args);
   if (cmd == "observe") return cmd_observe(args);
   if (cmd == "swap") return cmd_swap(args);
   if (cmd == "rollback") return cmd_rollback(args);
   if (cmd == "info") return cmd_info(args);
+  std::fprintf(stderr, "ranm: unknown command '%s'\n", cmd.c_str());
   usage();
 }
 
