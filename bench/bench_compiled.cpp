@@ -1,20 +1,28 @@
-// Compiled vs interpreted query throughput. `ranm_cli compile` exists to
-// buy deployment headroom: the interpreted BDD families chase hash-consed
-// arena nodes per query, while the compiled form runs either a bitmask
-// cube cover (a few u64 compares per sample) or a flat topologically
-// ordered node array with branchless child indexing. This bench pins the
-// claim down: every family, flat and 4-shard, batch sizes 1..256, with
-// the interpreted monitor as the baseline in each row. The acceptance
-// bar tracked per-PR is the BDD-family speedup at batch 256. Every row
-// records the compiled program's BDD node count: the small robust
-// families sit below the sweep/walk crossover (compile::kBddWalkHopCost),
-// while interval_robust_large — a robust interval monitor over enough
-// observations for 100k+ nodes, the size class of the paper's robust
-// construction — sits past it at every batch size, so its rows time the
-// interleaved walk. Smoke runs keep it, so CI runs the walk too.
+// Compiled vs interpreted query throughput. From compile::kSmallBatch
+// samples up both columns run one batched engine, the lowered program of
+// compile/program.hpp: the interpreted monitor lowers its program on its
+// first batch (Monitor::contains_batch, the untimed warm-up here) and the
+// CompiledMonitor runs the program `ranm_cli compile` builds. So those
+// rows compare two front ends of the same program: a flat monitor's
+// cached unit against a CompiledMonitor shard, and for sharded monitors
+// ShardedMonitor's per-shard row views against CompiledMonitor's row
+// maps. At batch 1 the interpreted column is the scalar contains (the
+// lazily coded BDD walk for on-off and interval) and the compiled column
+// the program's tiny-batch path. Every family, flat and 4-shard, batch
+// sizes 1..256. Every row records the compiled program's BDD node count:
+// the small robust families sit below the sweep/walk crossover
+// (compile::kBddWalkHopCost), while interval_robust_large — a robust
+// interval monitor over enough observations for 100k+ nodes, the size
+// class of the paper's robust construction — sits past it at every batch
+// size, so its rows time the interleaved walk. Smoke runs keep it, so CI
+// runs the walk too.
 //
-// Results print as a table and land in BENCH_compiled.json (or argv[1]);
-// RANM_SMOKE=1 shrinks repetitions for CI smoke runs.
+// Each row reports the median and the minimum of 5 timed blocks per
+// column, the interpreted and compiled blocks alternating, so a drifting
+// host moves both columns alike. Results print as a table and land in
+// BENCH_compiled.json (or argv[1]); RANM_SMOKE=1 shrinks repetitions for
+// CI smoke runs.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -45,6 +53,15 @@ constexpr std::size_t kLargeObservations = 1000;
 
 std::size_t g_sink = 0;
 
+/// Timed blocks per column; odd, so the median is one block.
+constexpr std::size_t kBlocks = 5;
+
+/// Median and minimum over kBlocks timed blocks, in ns per sample.
+struct Timing {
+  double median_ns = 0.0;
+  double min_ns = 0.0;
+};
+
 struct Measurement {
   std::string monitor;
   std::string program;  // "box", "cube", "bdd", "mixed"
@@ -52,10 +69,13 @@ struct Measurement {
   std::size_t shards = 0;  // 0: flat
   std::size_t threads = 0;
   std::size_t nodes = 0;  // compiled BDD nodes over all shards
-  double interpreted_ns = 0.0;  // per sample
-  double compiled_ns = 0.0;     // per sample
+  Timing interpreted;
+  Timing compiled;
+  /// Ratio of the medians.
   [[nodiscard]] double speedup() const {
-    return compiled_ns > 0.0 ? interpreted_ns / compiled_ns : 0.0;
+    return compiled.median_ns > 0.0
+               ? interpreted.median_ns / compiled.median_ns
+               : 0.0;
   }
 };
 
@@ -109,15 +129,14 @@ const char* program_label(const compile::CompiledMonitor& compiled) {
   return "box";
 }
 
-template <typename Fn>
-double time_per_sample(std::size_t reps, std::size_t samples_per_rep,
-                       Fn&& fn) {
-  fn(std::size_t{1});  // warmup
-  Timer timer;
-  fn(reps);
-  return timer.seconds() * 1e9 / double(reps) / double(samples_per_rep);
+/// Sorts per-block ns/sample and keeps the median and the minimum.
+Timing reduce_blocks(std::vector<double> ns) {
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], ns.front()};
 }
 
+/// One untimed warm-up call per form, then kBlocks timed blocks of
+/// reps / kBlocks calls (at least one) per form, alternating.
 Measurement bench_pair(const std::string& name, const Monitor& interpreted,
                        const compile::CompiledMonitor& compiled,
                        std::size_t shards, std::size_t threads,
@@ -129,6 +148,25 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
   }
   auto out = std::make_unique<bool[]>(batch_size);
   const std::span<bool> out_span(out.get(), batch_size);
+  const auto run = [&](const Monitor& monitor, std::size_t calls) {
+    for (std::size_t r = 0; r < calls; ++r) {
+      monitor.contains_batch(batch, out_span);
+      g_sink += out_span.front();
+    }
+  };
+  const std::size_t block_reps = std::max<std::size_t>(1, reps / kBlocks);
+  const auto block_ns = [&](const Monitor& monitor) {
+    Timer timer;
+    run(monitor, block_reps);
+    return timer.seconds() * 1e9 / double(block_reps) / double(batch_size);
+  };
+  run(interpreted, 1);
+  run(compiled, 1);
+  std::vector<double> interpreted_ns(kBlocks), compiled_ns(kBlocks);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    interpreted_ns[b] = block_ns(interpreted);
+    compiled_ns[b] = block_ns(compiled);
+  }
   Measurement m;
   m.monitor = name;
   m.program = program_label(compiled);
@@ -136,18 +174,8 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
   m.shards = shards;
   m.threads = threads;
   m.nodes = compiled.total_nodes();
-  m.interpreted_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      interpreted.contains_batch(batch, out_span);
-      g_sink += out_span.front();
-    }
-  });
-  m.compiled_ns = time_per_sample(reps, batch_size, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) {
-      compiled.contains_batch(batch, out_span);
-      g_sink += out_span.front();
-    }
-  });
+  m.interpreted = reduce_blocks(std::move(interpreted_ns));
+  m.compiled = reduce_blocks(std::move(compiled_ns));
   return m;
 }
 
@@ -189,14 +217,15 @@ void bench_family(const std::string& name, const Fixture& f,
 }
 
 void print_table(const std::vector<Measurement>& results) {
-  TextTable table("compiled vs interpreted contains_batch, ns/sample");
+  TextTable table(
+      "compiled vs interpreted contains_batch, median ns/sample of 5 blocks");
   table.set_header({"monitor", "program", "batch", "shards", "nodes",
                     "interp ns", "compiled ns", "speedup"});
   for (const Measurement& m : results) {
     table.add_row({m.monitor, m.program, std::to_string(m.batch_size),
                    std::to_string(m.shards), std::to_string(m.nodes),
-                   TextTable::num(m.interpreted_ns, 1),
-                   TextTable::num(m.compiled_ns, 1),
+                   TextTable::num(m.interpreted.median_ns, 1),
+                   TextTable::num(m.compiled.median_ns, 1),
                    TextTable::num(m.speedup(), 2) + "x"});
   }
   table.print();
@@ -212,15 +241,19 @@ void write_json(const std::string& path, bool smoke,
         << m.program << "\", \"batch_size\": " << m.batch_size
         << ", \"shards\": " << m.shards << ", \"threads\": " << m.threads
         << ", \"nodes\": " << m.nodes
-        << ", \"interpreted_ns_per_sample\": " << m.interpreted_ns
-        << ", \"compiled_ns_per_sample\": " << m.compiled_ns
+        << ", \"interpreted_ns_per_sample\": " << m.interpreted.median_ns
+        << ", \"interpreted_ns_per_sample_min\": " << m.interpreted.min_ns
+        << ", \"compiled_ns_per_sample\": " << m.compiled.median_ns
+        << ", \"compiled_ns_per_sample_min\": " << m.compiled.min_ns
         << ", \"speedup\": " << m.speedup() << "}";
     rows.push_back(row.str());
   }
   benchutil::write_json_report(
       path, "bench_compiled", smoke, rows,
-      "ns/sample: mean over one timed run of reps x batch samples after one "
-      "untimed warm-up call");
+      "ns/sample: median (and _min: minimum) over 5 timed blocks of reps/5 "
+      "calls per column, interpreted and compiled blocks alternating, after "
+      "one untimed warm-up call each (which lowers the interpreted "
+      "monitor's program); speedup is the ratio of the medians");
 }
 
 int run(int argc, char** argv) {

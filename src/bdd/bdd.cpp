@@ -247,28 +247,39 @@ bool BddManager::eval(NodeRef f, const std::vector<bool>& assignment) const {
 }
 
 double BddManager::sat_count(NodeRef f) const {
-  std::unordered_map<NodeRef, double> memo;
   // count(n) = number of assignments to variables strictly below n's level
-  // that satisfy n, divided appropriately by level gaps.
-  auto rec = [&](auto&& self, NodeRef n) -> double {
-    if (n == kFalse) return 0.0;
-    if (n == kTrue) return 1.0;
-    auto it = memo.find(n);
-    if (it != memo.end()) return it->second;
-    const Node& node = nodes_[n];
-    auto gap = [&](NodeRef child) {
-      const std::uint32_t child_level =
-          (child == kFalse || child == kTrue) ? num_vars_ : nodes_[child].var;
-      return std::pow(2.0, double(child_level) - double(node.var) - 1.0);
-    };
-    const double c =
-        self(self, node.lo) * gap(node.lo) + self(self, node.hi) * gap(node.hi);
-    memo.emplace(n, c);
-    return c;
+  // that satisfy n, divided appropriately by level gaps. Children precede
+  // their parents in the arena, so one ascending pass over the reachable
+  // nodes counts bottom-up; an entry keeps its node's level beside its
+  // count, so a parent reads one entry per child.
+  struct Entry {
+    double count;
+    std::uint32_t level;
   };
-  const std::uint32_t root_level =
-      (f == kFalse || f == kTrue) ? num_vars_ : nodes_[f].var;
-  return rec(rec, f) * std::pow(2.0, double(root_level));
+  const std::vector<bool> reach = reachable(f);
+  std::vector<Entry> entry(reach.size(), {0.0, num_vars_});
+  if (f != kFalse) entry[kTrue].count = 1.0;
+  for (NodeRef n = 2; n < reach.size(); ++n) {
+    if (!reach[n]) continue;
+    const Node& node = nodes_[n];
+    const Entry& lo = entry[node.lo];
+    const Entry& hi = entry[node.hi];
+    entry[n] = {lo.count * std::ldexp(1.0, int(lo.level - node.var) - 1) +
+                    hi.count * std::ldexp(1.0, int(hi.level - node.var) - 1),
+                node.var};
+  }
+  return entry[f].count * std::ldexp(1.0, int(entry[f].level));
+}
+
+std::vector<bool> BddManager::reachable(NodeRef f) const {
+  std::vector<bool> reach(std::size_t(f) + 1, false);
+  reach[f] = true;
+  for (NodeRef n = f; n >= 2; --n) {
+    if (!reach[n]) continue;
+    reach[nodes_[n].lo] = true;
+    reach[nodes_[n].hi] = true;
+  }
+  return reach;
 }
 
 void BddManager::collect(NodeRef f, std::vector<NodeRef>& order,
@@ -283,10 +294,8 @@ void BddManager::collect(NodeRef f, std::vector<NodeRef>& order,
 }
 
 std::size_t BddManager::node_count(NodeRef f) const {
-  std::vector<NodeRef> order;
-  std::vector<bool> seen(nodes_.size(), false);
-  collect(f, order, seen);
-  return order.size();
+  const std::vector<bool> reach = reachable(f);
+  return std::size_t(std::count(reach.begin(), reach.end(), true));
 }
 
 std::vector<std::uint32_t> BddManager::support(NodeRef f) const {

@@ -139,9 +139,10 @@ class BddManager {
                           const std::vector<bool>& assignment) const;
   /// Evaluates f under an assignment supplied by `lookup(var) -> bool`.
   /// The caller guarantees lookup is defined for every variable in f's
-  /// support; no per-node bounds check is paid. This is the batch query
-  /// hot path: one lookup closure serves a whole batch without building a
-  /// std::vector<bool> assignment per sample.
+  /// support; no per-node bounds check is paid. This is the scalar query
+  /// path of the on-off and interval monitors: the lookup codes a
+  /// variable only when the walk reaches it, and no std::vector<bool>
+  /// assignment is built.
   template <typename Lookup>
   [[nodiscard]] bool eval_with(NodeRef f, Lookup&& lookup) const {
     while (f != kFalse && f != kTrue) {
@@ -151,38 +152,6 @@ class BddManager {
     return f == kTrue;
   }
 
-  /// Evaluates f under `n` assignments at once; `lookup(var, i)` supplies
-  /// sample i's value of `var`. All samples advance level-synchronously,
-  /// so the arena loads of different samples overlap in the memory system
-  /// instead of each query serialising on its own root-to-terminal
-  /// pointer chase — the throughput shape of the batched membership
-  /// query. out[i] receives eval(f, sample i).
-  template <typename Lookup>
-  void eval_batch(NodeRef f, std::size_t n, Lookup&& lookup,
-                  bool* out) const {
-    if (f == kFalse || f == kTrue) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = f == kTrue;
-      return;
-    }
-    std::vector<NodeRef> cur(n, f);
-    std::vector<std::uint32_t> active(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      active[i] = static_cast<std::uint32_t>(i);
-    }
-    std::size_t live = n;
-    while (live > 0) {
-      std::size_t kept = 0;
-      for (std::size_t r = 0; r < live; ++r) {
-        const std::uint32_t i = active[r];
-        const Node& nd = nodes_[cur[i]];
-        const NodeRef next = lookup(nd.var, i) ? nd.hi : nd.lo;
-        cur[i] = next;
-        if (next != kFalse && next != kTrue) active[kept++] = i;
-      }
-      live = kept;
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = cur[i] == kTrue;
-  }
   /// Number of satisfying assignments over all num_vars() variables.
   [[nodiscard]] double sat_count(NodeRef f) const;
   /// Nodes reachable from f (the conventional "BDD size").
@@ -245,6 +214,11 @@ class BddManager {
   }
   void collect(NodeRef f, std::vector<NodeRef>& order,
                std::vector<bool>& seen) const;
+  /// reach[n] for every n <= f: whether node n (terminals included) is
+  /// reachable from f. Children are allocated before their parents, so
+  /// one sweep down the arena from f marks every node before its
+  /// children are read: sequential reads in place of a pointer chase.
+  [[nodiscard]] std::vector<bool> reachable(NodeRef f) const;
 
   std::uint32_t num_vars_;
   std::vector<Node> nodes_;

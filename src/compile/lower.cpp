@@ -2,16 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "bdd/bdd.hpp"
-#include "core/box_cluster_monitor.hpp"
-#include "core/interval_monitor.hpp"
-#include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
-#include "core/threshold_spec.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ranm::compile {
@@ -111,8 +103,9 @@ std::vector<bdd::NodeRef> reverse_postorder(const bdd::BddManager& mgr,
                                             std::size_t count) {
   std::vector<bdd::NodeRef> post;
   post.reserve(count);
-  std::unordered_set<bdd::NodeRef> seen{root};
-  seen.reserve(count);
+  // A NodeRef is an arena index, so a dense bitmap marks visited nodes.
+  std::vector<bool> seen(mgr.arena_size(), false);
+  seen[root] = true;
   std::vector<std::pair<bdd::NodeRef, int>> stack{{root, 0}};
   while (!stack.empty()) {
     auto& [r, visited] = stack.back();
@@ -123,7 +116,8 @@ std::vector<bdd::NodeRef> reverse_postorder(const bdd::BddManager& mgr,
     }
     const bdd::BddManager::NodeView nv = mgr.view(r);
     const bdd::NodeRef child = visited++ == 0 ? nv.hi : nv.lo;
-    if (child >= 2 && seen.insert(child).second) {
+    if (child >= 2 && !seen[child]) {
+      seen[child] = true;
       stack.push_back({child, 0});
     }
   }
@@ -155,14 +149,17 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root) {
   }
   std::vector<bdd::NodeRef> reach;
   std::vector<bdd::NodeRef> pending{root};
-  std::unordered_map<bdd::NodeRef, std::uint32_t> remap;
+  // Dense remap over arena indices (a NodeRef is an arena index): 0 is
+  // unreached, 1 reached, and the final flat refs (>= 2) are assigned
+  // after sorting.
+  std::vector<std::uint32_t> remap(mgr.arena_size(), 0);
   std::vector<bool> var_used(mgr.num_vars(), false);
   std::size_t path_len = 0;
   while (!pending.empty()) {
     const bdd::NodeRef r = pending.back();
     pending.pop_back();
-    if (remap.contains(r)) continue;
-    remap.emplace(r, 0);  // placeholder; final refs assigned after sorting
+    if (remap[r] != 0) continue;
+    remap[r] = 1;
     reach.push_back(r);
     const bdd::BddManager::NodeView nv = mgr.view(r);
     if (!var_used[nv.var]) {
@@ -184,7 +181,7 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root) {
     remap[reach[i]] = static_cast<std::uint32_t>(i + 2);
   }
   const auto flat_ref = [&remap](bdd::NodeRef r) {
-    return r < 2 ? static_cast<std::uint32_t>(r) : remap.at(r);
+    return r < 2 ? static_cast<std::uint32_t>(r) : remap[r];
   };
   p.nodes.resize(reach.size());
   for (std::size_t i = 0; i < reach.size(); ++i) {
@@ -197,66 +194,34 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root) {
   return p;
 }
 
-CompiledUnit lower_bdd_set(const bdd::BddManager& mgr, bdd::NodeRef root,
-                           const ThresholdSpec& spec,
-                           std::size_t cube_limit) {
-  CompiledUnit unit;
-  unit.coding = lower_coding(spec);
-  if (extract_cubes(mgr, root, unit.coding.num_vars(),
-                    unit.coding.num_words(), cube_limit, unit.cube)) {
-    unit.kind = ProgramKind::kCube;
-    return unit;
-  }
-  unit.cube = CubeProgram{};
-  unit.kind = ProgramKind::kBdd;
-  unit.bdd = flatten_bdd(mgr, root);
-  return unit;
-}
-
 /// Lowers one non-sharded monitor into a unit (the per-shard workhorse).
 CompiledUnit lower_flat(const Monitor& monitor, std::size_t cube_limit) {
-  if (const auto* mm = dynamic_cast<const MinMaxMonitor*>(&monitor)) {
-    CompiledUnit unit;
-    unit.kind = ProgramKind::kBox;
-    unit.box.dim = mm->dimension();
-    unit.box.num_boxes = 1;
-    unit.box.reject_nan = false;  // NaN contained, like the source
-    unit.box.lo.resize(unit.box.dim);
-    unit.box.hi.resize(unit.box.dim);
-    for (std::size_t j = 0; j < unit.box.dim; ++j) {
-      unit.box.lo[j] = mm->lower(j);
-      unit.box.hi[j] = mm->upper(j);
-    }
-    return unit;
+  std::unique_ptr<CompiledUnit> unit = monitor.lower_unit(cube_limit);
+  if (unit == nullptr) {
+    throw std::invalid_argument("compile_monitor: unsupported monitor type " +
+                                monitor.describe());
   }
-  if (const auto* bc = dynamic_cast<const BoxClusterMonitor*>(&monitor)) {
-    const auto& boxes = bc->boxes();  // throws logic_error pre-finalize
-    CompiledUnit unit;
-    unit.kind = ProgramKind::kBox;
-    unit.box.dim = bc->dimension();
-    unit.box.num_boxes = boxes.size();
-    unit.box.reject_nan = true;  // NaN rejected, like the source
-    unit.box.lo.resize(unit.box.num_boxes * unit.box.dim);
-    unit.box.hi.resize(unit.box.num_boxes * unit.box.dim);
-    for (std::size_t b = 0; b < boxes.size(); ++b) {
-      for (std::size_t j = 0; j < unit.box.dim; ++j) {
-        unit.box.lo[b * unit.box.dim + j] = boxes[b][j].lo;
-        unit.box.hi[b * unit.box.dim + j] = boxes[b][j].hi;
-      }
-    }
-    return unit;
-  }
-  if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&monitor)) {
-    return lower_bdd_set(oo->manager(), oo->root(), oo->spec(), cube_limit);
-  }
-  if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&monitor)) {
-    return lower_bdd_set(iv->manager(), iv->root(), iv->spec(), cube_limit);
-  }
-  throw std::invalid_argument("compile_monitor: unsupported monitor type " +
-                              monitor.describe());
+  return std::move(*unit);
 }
 
 }  // namespace
+
+std::unique_ptr<CompiledUnit> lower_bdd_set(const bdd::BddManager& mgr,
+                                            bdd::NodeRef root,
+                                            const ThresholdSpec& spec,
+                                            std::size_t cube_limit) {
+  auto unit = std::make_unique<CompiledUnit>();
+  unit->coding = lower_coding(spec);
+  if (extract_cubes(mgr, root, unit->coding.num_vars(),
+                    unit->coding.num_words(), cube_limit, unit->cube)) {
+    unit->kind = ProgramKind::kCube;
+    return unit;
+  }
+  unit->cube = CubeProgram{};
+  unit->kind = ProgramKind::kBdd;
+  unit->bdd = flatten_bdd(mgr, root);
+  return unit;
+}
 
 CompiledMonitor compile_monitor(const Monitor& monitor,
                                 const CompileOptions& options) {

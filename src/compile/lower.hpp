@@ -1,19 +1,18 @@
 // Monitor -> CompiledMonitor lowering (the "compile" in ranm_cli compile).
 //
-// Dispatches on the dynamic monitor type: min-max and box-cluster lower to
-// BoxPrograms; the BDD families (on-off, interval) first attempt a bounded
-// cube-cover extraction — robust builds with don't-cares usually cover in
-// a handful of cubes, which evaluate as plain bitmask compares — and fall
-// back to flattening the reachable BDD into a topologically-ordered node
-// array. A ShardedMonitor lowers shard-by-shard (optionally in parallel:
-// each shard's lowering touches only that shard's private manager).
+// Each flat family lowers itself (Monitor::lower_unit): min-max and
+// box-cluster to BoxPrograms; the BDD families (on-off, interval) through
+// lower_bdd_set, which first attempts a bounded cube-cover extraction —
+// robust builds with don't-cares usually cover in a handful of cubes,
+// which evaluate as plain bitmask compares — and falls back to flattening
+// the reachable BDD into a topologically-ordered node array. A
+// ShardedMonitor lowers shard-by-shard (optionally in parallel: each
+// shard's lowering touches only that shard's private manager).
 #pragma once
 
+#include "bdd/bdd.hpp"
 #include "compile/compiled_monitor.hpp"
-
-namespace ranm {
-class Monitor;
-}
+#include "core/threshold_spec.hpp"
 
 namespace ranm::compile {
 
@@ -27,6 +26,13 @@ struct CompileOptions {
   /// 1 runs inline, 0 uses hardware concurrency.
   std::size_t threads = 1;
 };
+
+/// Lowers the BDD set `root` of `mgr`, over the variables `spec` codes
+/// (neuron j owns bits j*bits .. j*bits+bits-1, MSB first), to a cube
+/// program of at most `cube_limit` cubes or else a flat BDD program.
+[[nodiscard]] std::unique_ptr<CompiledUnit> lower_bdd_set(
+    const bdd::BddManager& mgr, bdd::NodeRef root, const ThresholdSpec& spec,
+    std::size_t cube_limit);
 
 /// Lowers a frozen monitor into its compiled form. Supported sources:
 /// MinMaxMonitor, OnOffMonitor, IntervalMonitor, BoxClusterMonitor

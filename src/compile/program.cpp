@@ -9,10 +9,6 @@ namespace {
 
 /// Samples coded per stack-buffer block.
 constexpr std::size_t kLane = 64;
-/// Below this, matrix setup dominates and the per-sample lazy paths win —
-/// the same threshold the interpreted monitors use
-/// (Monitor::kMinBitMatrixBatch).
-constexpr std::size_t kSmallBatch = 8;
 /// Codewords up to this many words fit the lazy paths' stack buffer.
 constexpr std::size_t kMaxStackWords = 16;
 

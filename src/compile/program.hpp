@@ -18,6 +18,10 @@
 //                 nodes[r - 2]; every child ref is strictly greater than
 //                 its parent's ref, so a walk always terminates.
 //
+// These evaluators are the only batched query engine: a CompiledMonitor
+// runs its frozen units, a flat monitor the unit it lowers on its first
+// batch (Monitor::contains_batch).
+//
 // Evaluation sweeps samples batch-lane-innermost (like the vectorized
 // bound backend): per-neuron parameters load once per batch row, coding
 // fuses compare-and-pack into sample-major u64 codewords (each lane's
@@ -50,10 +54,9 @@
 // sit far past the crossover. On the 204,825-node race-track monitor
 // (64 variables) the sweep cost ~10x the interpreted walk per sample at
 // a 32-frame batch. A walk-only evaluator was rejected: on small robust
-// BDDs at batch >= 64 it lost ~3x to the sweep. Tiny batches (below the
-// same threshold the interpreted monitors use) code each sample's
-// supported neurons into a stack codeword and walk, so the matrix setup
-// never dominates.
+// BDDs at batch >= 64 it lost ~3x to the sweep. Tiny batches (below
+// kSmallBatch) code each sample's supported neurons into a stack
+// codeword and walk, so the matrix setup never dominates.
 // Scratch deliberately holds no char-sized buffers: u32/u64 lanes
 // cannot alias the float rows, which keeps the inner sweeps
 // vectorizable.
@@ -71,6 +74,11 @@
 #include "core/feature_batch.hpp"
 
 namespace ranm::compile {
+
+/// Below this batch size the batch setup would cost more than the
+/// queries: Monitor::contains_batch calls the scalar contains per sample,
+/// and eval_unit codes each sample into a stack codeword.
+inline constexpr std::size_t kSmallBatch = 8;
 
 /// Which evaluator a compiled unit runs.
 enum class ProgramKind : std::uint32_t { kBox = 1, kCube = 2, kBdd = 3 };

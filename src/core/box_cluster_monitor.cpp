@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
+
+#include "compile/program.hpp"
 
 namespace ranm {
 namespace {
@@ -171,6 +172,7 @@ void BoxClusterMonitor::finalize(Rng& rng, std::size_t iterations) {
   lo_buf_.clear();
   hi_buf_.clear();
   finalized_ = true;
+  invalidate_lowered();
 }
 
 bool BoxClusterMonitor::contains(std::span<const float> feature) const {
@@ -186,41 +188,22 @@ bool BoxClusterMonitor::contains(std::span<const float> feature) const {
   return false;
 }
 
-void BoxClusterMonitor::contains_batch(const FeatureBatch& batch,
-                                       std::span<bool> out) const {
-  if (!finalized_) {
-    throw std::logic_error("BoxClusterMonitor: query before finalize");
-  }
-  check_batch(batch, out.size(), "BoxClusterMonitor::contains_batch");
-  const std::size_t n = batch.size();
-  std::fill(out.begin(), out.end(), false);
-  if (n == 0) return;
-  if (n < kMinBitMatrixBatch) {
-    Monitor::contains_batch(batch, out);  // sweep setup would dominate
-    return;
-  }
-  // Box-major sweep: each hull box streams over the contiguous batch rows
-  // once; membership in any box is OR-folded into the output.
-  std::vector<std::uint8_t> in(n);
-  std::size_t remaining = n;
-  for (const auto& box : boxes_) {
-    std::fill(in.begin(), in.end(), std::uint8_t{1});
+std::unique_ptr<compile::CompiledUnit> BoxClusterMonitor::lower_unit(
+    std::size_t) const {
+  const auto& hulls = boxes();  // throws logic_error before finalize
+  auto unit = std::make_unique<compile::CompiledUnit>();
+  unit->kind = compile::ProgramKind::kBox;
+  // IntervalVector::contains's `lo <= v && v <= hi` test: NaN rejected.
+  unit->box.dim = dim_;
+  unit->box.num_boxes = hulls.size();
+  unit->box.reject_nan = true;
+  for (const IntervalVector& box : hulls) {
     for (std::size_t j = 0; j < dim_; ++j) {
-      const float lo = box[j].lo, hi = box[j].hi;
-      const auto row = batch.neuron(j);
-      for (std::size_t i = 0; i < n; ++i) {
-        in[i] = std::uint8_t(in[i] & std::uint8_t(row[i] >= lo) &
-                             std::uint8_t(row[i] <= hi));
-      }
+      unit->box.lo.push_back(box[j].lo);
+      unit->box.hi.push_back(box[j].hi);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (in[i] != 0 && !out[i]) {
-        out[i] = true;
-        --remaining;
-      }
-    }
-    if (remaining == 0) break;
   }
+  return unit;
 }
 
 std::string BoxClusterMonitor::describe() const {
@@ -250,6 +233,7 @@ void BoxClusterMonitor::enlarge(float gamma) {
                                         box[j].hi + gamma * half);
     }
   }
+  invalidate_lowered();
 }
 
 }  // namespace ranm

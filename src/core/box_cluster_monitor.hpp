@@ -32,14 +32,15 @@ class BoxClusterMonitor final : public Monitor {
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
 
-  // Batch path: buffering appends whole columns without per-sample
-  // validation overhead; queries sweep box-major so each hull box streams
-  // over the batch once, with samples already inside any box skipped.
+  // Batch construction appends whole columns to the buffers. Observations
+  // only buffer before finalize, when no lowered program can exist yet;
+  // batched queries run the hull boxes lowered to one box program.
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
+  /// Throws std::logic_error before finalize().
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
+      std::size_t cube_limit) const override;
 
   /// Runs k-means (k-means++ seeding, `iterations` Lloyd steps) on the
   /// buffered observation midpoints, then builds one hull box per cluster

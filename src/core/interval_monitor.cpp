@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "bdd/range.hpp"
+#include "compile/lower.hpp"
 
 namespace ranm {
 
@@ -29,6 +30,7 @@ void IntervalMonitor::observe(std::span<const float> feature) {
     }
   }
   set_ = mgr_.or_(set_, mgr_.cube(bits));
+  invalidate_lowered();
 }
 
 void IntervalMonitor::observe_bounds(std::span<const float> lo,
@@ -37,6 +39,7 @@ void IntervalMonitor::observe_bounds(std::span<const float> lo,
                        "IntervalMonitor::observe_bounds");
   std::vector<std::uint32_t> vars(spec_.bits());
   set_ = mgr_.or_(set_, bound_word(lo, hi, vars));
+  invalidate_lowered();
 }
 
 bdd::NodeRef IntervalMonitor::bound_word(std::span<const float> lo,
@@ -52,18 +55,6 @@ bdd::NodeRef IntervalMonitor::bound_word(std::span<const float> lo,
     word = mgr_.and_(bdd::code_in_range(mgr_, vars, clo, chi), word);
   }
   return word;
-}
-
-void IntervalMonitor::fill_assignment(std::span<const float> feature,
-                                      std::vector<bool>& assignment) const {
-  const std::size_t nbits = spec_.bits();
-  assignment.assign(dimension() * nbits, false);
-  for (std::size_t j = 0; j < dimension(); ++j) {
-    const std::uint64_t code = spec_.code(j, feature[j]);
-    for (std::size_t b = 0; b < nbits; ++b) {
-      assignment[j * nbits + b] = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
-    }
-  }
 }
 
 void IntervalMonitor::fill_bit_matrix(const FeatureBatch& batch,
@@ -117,6 +108,7 @@ void IntervalMonitor::observe_batch(const FeatureBatch& batch) {
     words[i] = mgr_.cube(cube);
   }
   set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
+  invalidate_lowered();
 }
 
 void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
@@ -138,39 +130,7 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
     words[i] = bound_word(lo_scratch, hi_scratch, vars);
   }
   set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
-}
-
-void IntervalMonitor::contains_batch(const FeatureBatch& batch,
-                                     std::span<bool> out) const {
-  check_batch(batch, out.size(), "IntervalMonitor::contains_batch");
-  const std::size_t n = batch.size();
-  if (n == 0) return;
-  if (n < kMinBitMatrixBatch) {
-    // Matrix setup would dominate; walk the BDD per sample instead,
-    // coding neurons lazily as their bit variables are visited.
-    const std::size_t nbits = spec_.bits();
-    std::vector<float> sample(dimension());
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.copy_sample(i, sample);
-      out[i] = mgr_.eval_with(
-          set_, [this, &sample, nbits](std::uint32_t var) {
-            const std::size_t j = var / nbits;
-            const std::size_t b = var % nbits;
-            const std::uint64_t code = spec_.code(j, sample[j]);
-            return ((code >> (nbits - 1 - b)) & 1ULL) != 0;
-          });
-    }
-    return;
-  }
-  std::vector<std::uint8_t> bits;
-  fill_bit_matrix(batch, bits);
-  const std::uint8_t* b = bits.data();
-  mgr_.eval_batch(
-      set_, n,
-      [b, n](std::uint32_t var, std::size_t i) {
-        return b[std::size_t(var) * n + i] != 0;
-      },
-      out.data());
+  invalidate_lowered();
 }
 
 bool IntervalMonitor::contains(std::span<const float> feature) const {
@@ -178,9 +138,19 @@ bool IntervalMonitor::contains(std::span<const float> feature) const {
     throw std::invalid_argument(
         "IntervalMonitor::contains: dimension mismatch");
   }
-  std::vector<bool> assignment;
-  fill_assignment(feature, assignment);
-  return mgr_.eval(set_, assignment);
+  // Codes lazily: a neuron is coded only when the walk visits one of
+  // its bit variables.
+  const std::size_t nbits = spec_.bits();
+  return mgr_.eval_with(set_, [this, feature, nbits](std::uint32_t var) {
+    const std::size_t j = var / nbits;
+    const std::uint64_t code = spec_.code(j, feature[j]);
+    return ((code >> (nbits - 1 - var % nbits)) & 1ULL) != 0;
+  });
+}
+
+std::unique_ptr<compile::CompiledUnit> IntervalMonitor::lower_unit(
+    std::size_t cube_limit) const {
+  return compile::lower_bdd_set(mgr_, set_, spec_, cube_limit);
 }
 
 std::string IntervalMonitor::describe() const {
@@ -209,9 +179,15 @@ std::optional<unsigned> IntervalMonitor::hamming_distance(
         "IntervalMonitor::hamming_distance: dimension mismatch");
   }
   if (set_ == bdd::kFalse) return std::nullopt;
-  std::vector<bool> assignment;
-  fill_assignment(feature, assignment);
-  const auto d = mgr_.min_hamming_distance(set_, assignment);
+  const std::size_t nbits = spec_.bits();
+  std::vector<bool> point(dimension() * nbits);
+  for (std::size_t j = 0; j < dimension(); ++j) {
+    const std::uint64_t code = spec_.code(j, feature[j]);
+    for (std::size_t b = 0; b < nbits; ++b) {
+      point[j * nbits + b] = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
+    }
+  }
+  const auto d = mgr_.min_hamming_distance(set_, point);
   if (!d || *d > max_radius) return std::nullopt;
   return *d;
 }

@@ -37,15 +37,15 @@ class IntervalMonitor final : public Monitor {
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
 
-  // Batch path. Codes are computed neuron-major (each neuron's threshold
-  // table stays hot across the whole batch row), expanded once into a
-  // shared bit matrix, and each sample's membership is a direct BDD walk
-  // against it — no per-query assignment vector.
+  // Batch construction codes neuron-major (each neuron's threshold table
+  // stays hot across the whole batch row) into a bit matrix, one cube per
+  // sample. Batched queries run the lowered program, which codes with the
+  // same thresholds (Monitor::contains_batch).
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
+      std::size_t cube_limit) const override;
 
   /// The code word ab(v): one code per neuron.
   [[nodiscard]] std::vector<std::uint64_t> codes(
@@ -69,11 +69,12 @@ class IntervalMonitor final : public Monitor {
   }
   [[nodiscard]] bdd::BddManager& manager() noexcept { return mgr_; }
   [[nodiscard]] bdd::NodeRef root() const noexcept { return set_; }
-  void set_root(bdd::NodeRef root) noexcept { set_ = root; }
+  void set_root(bdd::NodeRef root) noexcept {
+    set_ = root;
+    invalidate_lowered();
+  }
 
  private:
-  void fill_assignment(std::span<const float> feature,
-                       std::vector<bool>& assignment) const;
   /// bits[v * n + i] = value of BDD variable v for sample i.
   void fill_bit_matrix(const FeatureBatch& batch,
                        std::vector<std::uint8_t>& bits) const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "compile/program.hpp"
+
 namespace ranm {
 
 MinMaxMonitor::MinMaxMonitor(std::size_t dim)
@@ -38,6 +40,7 @@ void MinMaxMonitor::observe(std::span<const float> feature) {
     upper_[j] = std::max(upper_[j], feature[j]);
   }
   ++observations_;
+  invalidate_lowered();
 }
 
 void MinMaxMonitor::observe_bounds(std::span<const float> lo,
@@ -49,6 +52,7 @@ void MinMaxMonitor::observe_bounds(std::span<const float> lo,
     upper_[j] = std::max(upper_[j], hi[j]);
   }
   ++observations_;
+  invalidate_lowered();
 }
 
 bool MinMaxMonitor::contains(std::span<const float> feature) const {
@@ -88,6 +92,7 @@ void MinMaxMonitor::observe_batch(const FeatureBatch& batch) {
     upper_[j] = std::max(std::max(hi0, hi1), std::max(hi2, hi3));
   }
   observations_ += n;
+  invalidate_lowered();
 }
 
 void MinMaxMonitor::observe_bounds_batch(const FeatureBatch& lo,
@@ -116,22 +121,20 @@ void MinMaxMonitor::observe_bounds_batch(const FeatureBatch& lo,
     upper_[j] = u;
   }
   observations_ += lo.size();
+  invalidate_lowered();
 }
 
-void MinMaxMonitor::contains_batch(const FeatureBatch& batch,
-                                   std::span<bool> out) const {
-  check_batch(batch, out.size(), "MinMaxMonitor::contains_batch");
-  if (batch.empty()) return;
-  std::fill(out.begin(), out.end(), true);
-  for (std::size_t j = 0; j < lower_.size(); ++j) {
-    const auto row = batch.neuron(j);
-    const float lo = lower_[j], hi = upper_[j];
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      // Same comparison shape as the scalar path so NaN features resolve
-      // identically (neither < lo nor > hi, hence contained).
-      out[i] = out[i] && !(row[i] < lo || row[i] > hi);
-    }
-  }
+std::unique_ptr<compile::CompiledUnit> MinMaxMonitor::lower_unit(
+    std::size_t) const {
+  auto unit = std::make_unique<compile::CompiledUnit>();
+  unit->kind = compile::ProgramKind::kBox;
+  // One box with the scalar path's `v < L || v > U` test: NaN contained.
+  unit->box = {.dim = dimension(),
+               .num_boxes = 1,
+               .reject_nan = false,
+               .lo = lower_,
+               .hi = upper_};
+  return unit;
 }
 
 std::string MinMaxMonitor::describe() const {
@@ -167,6 +170,7 @@ void MinMaxMonitor::enlarge(float gamma) {
     lower_[j] -= gamma * half;
     upper_[j] += gamma * half;
   }
+  invalidate_lowered();
 }
 
 void MinMaxMonitor::enlarge_absolute(float margin) {
@@ -179,6 +183,7 @@ void MinMaxMonitor::enlarge_absolute(float margin) {
     lower_[j] -= margin;
     upper_[j] += margin;
   }
+  invalidate_lowered();
 }
 
 }  // namespace ranm

@@ -32,13 +32,14 @@ class MinMaxMonitor final : public Monitor {
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
 
-  // Batch path: per-neuron sweeps over the contiguous batch rows, with
-  // [L_j, U_j] loaded once per neuron instead of once per sample.
+  // Batch construction: per-neuron sweeps over the contiguous batch rows,
+  // with [L_j, U_j] loaded once per neuron instead of once per sample.
+  // Batched queries run the envelope lowered to one box.
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
+      std::size_t cube_limit) const override;
 
   /// Number of observe/observe_bounds calls folded in so far.
   [[nodiscard]] std::size_t observation_count() const noexcept {

@@ -3,6 +3,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "compile/lower.hpp"
+#include "compile/program.hpp"
+
 namespace ranm {
 
 void Monitor::check_batch(const FeatureBatch& batch, std::size_t out_size,
@@ -69,11 +72,43 @@ void Monitor::observe_bounds_batch(const FeatureBatch& lo,
 void Monitor::contains_batch(const FeatureBatch& batch,
                              std::span<bool> out) const {
   check_batch(batch, out.size(), "Monitor::contains_batch");
+  if (batch.size() >= compile::kSmallBatch) {
+    if (const auto unit = lowered()) {
+      // The running thread's buffers, grown to their high-water size and
+      // reused, as in CompiledMonitor.
+      thread_local compile::EvalScratch scratch;
+      compile::eval_unit(*unit, batch, out.data(), scratch);
+      return;
+    }
+  }
   std::vector<float> scratch(batch.dimension());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch.copy_sample(i, scratch);
     out[i] = contains(scratch);
   }
+}
+
+std::unique_ptr<compile::CompiledUnit> Monitor::lower_unit(std::size_t) const {
+  return nullptr;
+}
+
+std::shared_ptr<const compile::CompiledUnit> Monitor::lowered() const {
+  // Lowering holds the lock, so threads racing on the first batch lower
+  // once and the rest wait for that program instead of building their own.
+  MutexLock lock(lowered_mu_);
+  if (lowered_ == nullptr) {
+    std::unique_ptr<compile::CompiledUnit> unit =
+        lower_unit(compile::CompileOptions{}.cube_limit);
+    if (unit == nullptr) return nullptr;
+    unit->finalize();
+    lowered_ = std::move(unit);
+  }
+  return lowered_;
+}
+
+void Monitor::invalidate_lowered() noexcept {
+  MutexLock lock(lowered_mu_);
+  lowered_.reset();
 }
 
 }  // namespace ranm

@@ -15,10 +15,13 @@
 //
 // Every entry point exists in a scalar and a batch form. The batch form is
 // the deployment hot path: it answers one membership query per column of a
-// FeatureBatch and lets implementations hoist per-query setup (assignment
-// buffers, threshold loads, BDD cube scratch) out of the sample loop. The
-// base-class defaults fall back to the scalar virtuals so new monitor
-// types only have to implement the scalar path to be correct.
+// FeatureBatch. Batched queries have one engine, the lowered program of
+// compile/program.hpp: a family that implements lower_unit() is lowered
+// on its first batch of compile::kSmallBatch or more samples, and every
+// mutation drops the cached program (invalidate_lowered). Smaller
+// batches, and families without a lowering, loop over the scalar
+// contains, so a new monitor type only has to implement the scalar path
+// to be correct.
 #pragma once
 
 #include <memory>
@@ -26,8 +29,13 @@
 #include <string>
 
 #include "core/feature_batch.hpp"
+#include "util/annotations.hpp"
 
 namespace ranm {
+
+namespace compile {
+struct CompiledUnit;
+}
 
 /// Query scratch of the calling thread: at least `n` bools, grown to the
 /// high-water size and reused, so concurrent queries share nothing and a
@@ -86,6 +94,7 @@ class Monitor {
 
   /// Membership query per column: out[i] = contains(column i). out.size()
   /// must equal batch.size(). Element-wise identical to the scalar path.
+  /// Concurrent queries are safe: racing first batches lower once.
   virtual void contains_batch(const FeatureBatch& batch,
                               std::span<bool> out) const;
 
@@ -98,11 +107,25 @@ class Monitor {
   /// One-line description (type + key parameters) for logs and tables.
   [[nodiscard]] virtual std::string describe() const = 0;
 
+  /// This monitor as one program with the same verdicts, or null (the
+  /// default) for a family without a lowering. BDD sets whose cube cover
+  /// needs more than `cube_limit` cubes lower to a node array.
+  /// compile_monitor and contains_batch both lower through here.
+  [[nodiscard]] virtual std::unique_ptr<compile::CompiledUnit> lower_unit(
+      std::size_t cube_limit) const;
+
  protected:
-  /// Below this batch size the batched kernels fall back to the scalar
-  /// loop: the shared setup (bit matrices, sweep buffers) would dominate
-  /// the query work itself.
-  static constexpr std::size_t kMinBitMatrixBatch = 8;
+  Monitor() = default;
+  /// A copy starts without the lowered program.
+  Monitor(const Monitor&) noexcept {}
+  Monitor& operator=(const Monitor&) noexcept {
+    invalidate_lowered();
+    return *this;
+  }
+
+  /// Drops the cached lowered program; every mutation of a lowerable
+  /// family calls it.
+  void invalidate_lowered() noexcept RANM_EXCLUDES(lowered_mu_);
 
   /// Validates a (batch, out) query pair against this monitor's dimension.
   void check_batch(const FeatureBatch& batch, std::size_t out_size,
@@ -116,6 +139,19 @@ class Monitor {
   static void check_bounds_ordered(std::span<const float> lo,
                                    std::span<const float> hi,
                                    std::size_t dim, const char* what);
+
+ private:
+  /// The cached program, lowered first if there is none yet; null when
+  /// the family has no lowering.
+  [[nodiscard]] std::shared_ptr<const compile::CompiledUnit> lowered() const
+      RANM_EXCLUDES(lowered_mu_);
+
+  /// The lowered program behind contains_batch, shared with the queries
+  /// running on it. Never serialised; moving a Monitor copies its base,
+  /// so a copied or moved monitor starts without it.
+  mutable Mutex lowered_mu_;
+  mutable std::shared_ptr<const compile::CompiledUnit> lowered_
+      RANM_GUARDED_BY(lowered_mu_);
 };
 
 }  // namespace ranm

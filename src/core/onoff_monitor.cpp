@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "compile/lower.hpp"
+
 namespace ranm {
 namespace {
 
@@ -47,6 +49,7 @@ void OnOffMonitor::observe(std::span<const float> feature) {
                                              : bdd::CubeBit::kZero;
   }
   set_ = mgr_.or_(set_, mgr_.cube(bits));
+  invalidate_lowered();
 }
 
 void OnOffMonitor::observe_bounds(std::span<const float> lo,
@@ -64,17 +67,22 @@ void OnOffMonitor::observe_bounds(std::span<const float> lo,
     }
   }
   set_ = mgr_.or_(set_, mgr_.cube(bits));
+  invalidate_lowered();
 }
 
 bool OnOffMonitor::contains(std::span<const float> feature) const {
   if (feature.size() != dimension()) {
     throw std::invalid_argument("OnOffMonitor::contains: dimension mismatch");
   }
-  std::vector<bool> assignment(dimension());
-  for (std::size_t j = 0; j < dimension(); ++j) {
-    assignment[j] = spec_.code(j, feature[j]) == 1;
-  }
-  return mgr_.eval(set_, assignment);
+  // Codes lazily: only the neurons on the walked path are thresholded.
+  return mgr_.eval_with(set_, [this, feature](std::uint32_t j) {
+    return spec_.code(j, feature[j]) == 1;
+  });
+}
+
+std::unique_ptr<compile::CompiledUnit> OnOffMonitor::lower_unit(
+    std::size_t cube_limit) const {
+  return compile::lower_bdd_set(mgr_, set_, spec_, cube_limit);
 }
 
 void OnOffMonitor::observe_batch(const FeatureBatch& batch) {
@@ -96,6 +104,7 @@ void OnOffMonitor::observe_batch(const FeatureBatch& batch) {
     words[i] = mgr_.cube(cube);
   }
   set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
+  invalidate_lowered();
 }
 
 void OnOffMonitor::observe_bounds_batch(const FeatureBatch& lo,
@@ -126,36 +135,7 @@ void OnOffMonitor::observe_bounds_batch(const FeatureBatch& lo,
     words[i] = mgr_.cube(cube);
   }
   set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
-}
-
-void OnOffMonitor::contains_batch(const FeatureBatch& batch,
-                                  std::span<bool> out) const {
-  check_batch(batch, out.size(), "OnOffMonitor::contains_batch");
-  const std::size_t n = batch.size();
-  if (n == 0) return;
-  const std::size_t d = dimension();
-  if (n < kMinBitMatrixBatch) {
-    // Matrix setup would dominate; walk the BDD per sample instead,
-    // thresholding lazily — only variables on the walked path are coded,
-    // and no per-query assignment vector is allocated.
-    std::vector<float> sample(d);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.copy_sample(i, sample);
-      out[i] = mgr_.eval_with(set_, [this, &sample](std::uint32_t j) {
-        return spec_.code(j, sample[j]) == 1;
-      });
-    }
-    return;
-  }
-  std::vector<std::uint8_t> bits;
-  fill_bit_matrix(spec_, batch, bits);
-  const std::uint8_t* b = bits.data();
-  mgr_.eval_batch(
-      set_, n,
-      [b, n](std::uint32_t var, std::size_t i) {
-        return b[std::size_t(var) * n + i] != 0;
-      },
-      out.data());
+  invalidate_lowered();
 }
 
 std::string OnOffMonitor::describe() const {
@@ -184,6 +164,7 @@ void OnOffMonitor::enlarge_hamming(unsigned radius) {
   for (unsigned r = 0; r < radius; ++r) {
     set_ = mgr_.hamming_expand(set_, vars);
   }
+  invalidate_lowered();
 }
 
 std::optional<unsigned> OnOffMonitor::hamming_distance(

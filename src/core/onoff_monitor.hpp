@@ -34,15 +34,14 @@ class OnOffMonitor final : public Monitor {
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
 
-  // Batch path. Thresholding runs neuron-major over the contiguous batch
-  // rows (each neuron's threshold loaded once per batch), and membership
-  // is a direct BDD walk per sample against the shared bit matrix — no
-  // per-query assignment vector or cube scratch allocation.
+  // Batch construction thresholds neuron-major over the contiguous batch
+  // rows (each neuron's threshold loaded once per batch). Batched queries
+  // run the lowered program (Monitor::contains_batch).
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
+      std::size_t cube_limit) const override;
 
   /// The Boolean abstraction ab of a feature vector.
   [[nodiscard]] std::vector<bool> pattern(
@@ -75,7 +74,10 @@ class OnOffMonitor final : public Monitor {
   [[nodiscard]] bdd::BddManager& manager() noexcept { return mgr_; }
   [[nodiscard]] bdd::NodeRef root() const noexcept { return set_; }
   /// Replaces the stored set (used by deserialisation).
-  void set_root(bdd::NodeRef root) noexcept { set_ = root; }
+  void set_root(bdd::NodeRef root) noexcept {
+    set_ = root;
+    invalidate_lowered();
+  }
 
  private:
   ThresholdSpec spec_;

@@ -2,11 +2,14 @@
 // batch path is element-wise identical to the scalar path for every
 // monitor family (min-max, on-off, interval, box-cluster, multi-layer),
 // including robust/don't-care BDD constructions and empty / size-1
-// batches, plus the observe_bounds precondition (lo <= hi) validation.
+// batches, that every mutation drops the program a batch query lowered,
+// plus the observe_bounds precondition (lo <= hi) validation.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/box_cluster_monitor.hpp"
@@ -324,7 +327,7 @@ TEST(BatchQuery, NanFeaturesMatchScalarSemantics) {
   boxes.finalize(cluster_rng);
 
   // A batch mixing NaN positions with ordinary values, wide enough to take
-  // the bit-matrix path as well as (via the size-1 slice) the fallback.
+  // the lowered program as well as (via the size-1 slice) the scalar path.
   for (const std::size_t n : {1UL, 16UL}) {
     FeatureBatch batch(2, n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -374,6 +377,184 @@ TEST(BatchQuery, BatchArgumentValidation) {
   EXPECT_THROW(m.observe_batch(wrong_dim), std::invalid_argument);
   const FeatureBatch other = random_batch(4, 3, rng);
   EXPECT_THROW(m.observe_bounds_batch(ok, other), std::invalid_argument);
+}
+
+/// The first `n` columns of `batch`.
+FeatureBatch prefix(const FeatureBatch& batch, std::size_t n) {
+  FeatureBatch out(batch.dimension(), n);
+  std::vector<float> sample(batch.dimension());
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.copy_sample(i, sample);
+    out.set_sample(i, sample);
+  }
+  return out;
+}
+
+/// A batch query lowers the monitor's program; `mutate` then changes the
+/// stored set. Batches on both sides of the small-batch threshold must
+/// answer for the mutated set, like the scalar path, so the mutation must
+/// have dropped the program. The mutation must also move some probe
+/// verdict, or a stale program would go unseen.
+void check_mutation_drops_program(Monitor& monitor,
+                                  const FeatureBatch& probes,
+                                  const std::function<void()>& mutate,
+                                  const std::string& what) {
+  const std::size_t n = probes.size();
+  auto before = std::make_unique<bool[]>(n);
+  monitor.contains_batch(probes, {before.get(), n});
+  mutate();
+  for (const std::size_t size : {7UL, 8UL, 9UL, 64UL, 65UL}) {
+    expect_batch_matches_scalar(monitor, prefix(probes, size), what.c_str());
+  }
+  std::vector<float> sample(probes.dimension());
+  bool moved = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    probes.copy_sample(i, sample);
+    moved = moved || monitor.contains(sample) != before[i];
+  }
+  EXPECT_TRUE(moved) << what << ": no probe verdict changed";
+}
+
+/// One mutating entry point, applied to a freshly built monitor.
+template <typename M>
+struct Mutation {
+  const char* name;
+  std::function<void(M&, const FeatureBatch&)> apply;
+};
+
+/// Runs every mutation on its own fresh monitor from `make`. The probes
+/// lie outside the small-scale training data, so observing some of them
+/// (or widening the set) moves their verdicts.
+template <typename M>
+void check_every_mutation(const char* family,
+                          const std::function<std::unique_ptr<M>()>& make,
+                          const std::vector<Mutation<M>>& mutations,
+                          std::size_t dim, Rng& rng) {
+  for (const Mutation<M>& mutation : mutations) {
+    const std::unique_ptr<M> monitor = make();
+    const FeatureBatch probes = random_batch(dim, 65, rng);
+    check_mutation_drops_program(
+        *monitor, probes, [&] { mutation.apply(*monitor, probes); },
+        std::string(family) + "." + mutation.name);
+  }
+}
+
+/// The observe entry points every streaming family shares, each folding
+/// in the first probes.
+template <typename M>
+std::vector<Mutation<M>> observe_mutations() {
+  return {
+      {"observe",
+       [](M& m, const FeatureBatch& p) {
+         for (std::size_t i = 0; i < 4; ++i) m.observe(p.sample(i));
+       }},
+      {"observe_bounds",
+       [](M& m, const FeatureBatch& p) {
+         for (std::size_t i = 0; i < 4; ++i) {
+           m.observe_bounds(p.sample(i), p.sample(i));
+         }
+       }},
+      {"observe_batch",
+       [](M& m, const FeatureBatch& p) { m.observe_batch(prefix(p, 4)); }},
+      {"observe_bounds_batch",
+       [](M& m, const FeatureBatch& p) {
+         const FeatureBatch first = prefix(p, 4);
+         m.observe_bounds_batch(first, first);
+       }},
+  };
+}
+
+/// Training data at a quarter of the probes' scale.
+template <typename M>
+void fold_small(M& monitor, std::size_t dim, int count, Rng& rng) {
+  for (int s = 0; s < count; ++s) {
+    auto v = random_feature(dim, rng);
+    for (float& x : v) x *= 0.25F;
+    monitor.observe(v);
+  }
+}
+
+TEST(BatchQuery, EveryMutationDropsTheLoweredProgram) {
+  Rng rng(2718);
+  constexpr std::size_t kDim = 8;
+  const ThresholdSpec onoff_spec = random_spec(kDim, 1, rng);
+  const ThresholdSpec interval_spec = random_spec(kDim, 2, rng);
+
+  auto onoff_mutations = observe_mutations<OnOffMonitor>();
+  onoff_mutations.push_back(
+      {"enlarge_hamming",
+       [](OnOffMonitor& m, const FeatureBatch&) { m.enlarge_hamming(3); }});
+  onoff_mutations.push_back(
+      {"set_root", [](OnOffMonitor& m, const FeatureBatch&) {
+         m.set_root(bdd::kTrue);
+       }});
+  check_every_mutation<OnOffMonitor>(
+      "onoff",
+      [&] {
+        auto m = std::make_unique<OnOffMonitor>(onoff_spec);
+        fold_small(*m, kDim, 6, rng);
+        return m;
+      },
+      onoff_mutations, kDim, rng);
+
+  auto interval_mutations = observe_mutations<IntervalMonitor>();
+  interval_mutations.push_back(
+      {"set_root", [](IntervalMonitor& m, const FeatureBatch&) {
+         m.set_root(bdd::kTrue);
+       }});
+  check_every_mutation<IntervalMonitor>(
+      "interval",
+      [&] {
+        auto m = std::make_unique<IntervalMonitor>(interval_spec);
+        fold_small(*m, kDim, 6, rng);
+        return m;
+      },
+      interval_mutations, kDim, rng);
+
+  auto minmax_mutations = observe_mutations<MinMaxMonitor>();
+  minmax_mutations.push_back(
+      {"enlarge", [](MinMaxMonitor& m, const FeatureBatch&) {
+         m.enlarge(100.0F);
+       }});
+  minmax_mutations.push_back(
+      {"enlarge_absolute", [](MinMaxMonitor& m, const FeatureBatch&) {
+         m.enlarge_absolute(10.0F);
+       }});
+  check_every_mutation<MinMaxMonitor>(
+      "minmax",
+      [&] {
+        auto m = std::make_unique<MinMaxMonitor>(kDim);
+        fold_small(*m, kDim, 6, rng);
+        return m;
+      },
+      minmax_mutations, kDim, rng);
+
+  // A box-cluster monitor buffers its observations until finalize, and
+  // no program can be lowered before then, so enlarge is its one
+  // mutation of a queryable set.
+  check_every_mutation<BoxClusterMonitor>(
+      "box_cluster",
+      [&] {
+        auto m = std::make_unique<BoxClusterMonitor>(kDim, 3);
+        fold_small(*m, kDim, 25, rng);
+        Rng cluster_rng(7);
+        m->finalize(cluster_rng);
+        return m;
+      },
+      {{"enlarge",
+        [](BoxClusterMonitor& m, const FeatureBatch&) { m.enlarge(100.0F); }}},
+      kDim, rng);
+}
+
+TEST(BatchQuery, BoxClusterBatchBeforeFinalizeThrows) {
+  Rng rng(31);
+  BoxClusterMonitor m(3, 2);
+  for (int s = 0; s < 5; ++s) m.observe(random_feature(3, rng));
+  for (const std::size_t n : {1UL, 8UL}) {
+    const FeatureBatch batch = random_batch(3, n, rng);
+    auto buf = std::make_unique<bool[]>(n);
+    EXPECT_THROW(m.contains_batch(batch, {buf.get(), n}), std::logic_error);
+  }
 }
 
 // The observe_bounds precondition (lo[j] <= hi[j], documented in

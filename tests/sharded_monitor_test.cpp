@@ -11,14 +11,17 @@
 //    must not perturb. For the min-max family sharding is exact for any
 //    S, so there the unsharded monitor itself is the reference.
 // Covers standard and robust (don't-care) builds, NaN features,
-// empty/size-1 batches, scalar-vs-batch paths, thread counts, and
+// empty/size-1 batches, scalar-vs-batch paths, thread counts, concurrent
+// first batch queries (which lower each monitor's program), and
 // save -> load -> save byte-identical round-trips of the sharded format.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/interval_monitor.hpp"
@@ -257,6 +260,64 @@ TEST(ShardedMonitor, ThreadCountDoesNotChangeAnswers) {
   check_equivalence(Family::kInterval, 12, 2, 4, false, false, 4, rng);
   check_equivalence(Family::kInterval, 12, 2, 4, true, false, 4, rng);
   check_equivalence(Family::kOnOff, 12, 1, 3, false, false, 0, rng);
+}
+
+// The first batch query of a monitor lowers its program (each shard
+// lowers its own). Threads issuing it at once must all get the verdicts
+// of the scalar path, which lowers nothing.
+TEST(ShardedMonitor, ConcurrentFirstBatchQueriesMatchScalar) {
+  Rng rng(829);
+  constexpr std::size_t kDim = 16;
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kBatch = 32;
+  const ThresholdSpec spec = random_spec(kDim, 2, rng);
+  std::vector<std::vector<float>> stored, lo, hi;
+  for (int s = 0; s < 30; ++s) {
+    stored.push_back(random_feature(kDim, rng));
+    lo.push_back(stored.back());
+    hi.push_back(stored.back());
+    for (std::size_t j = 0; j < kDim; ++j) {
+      const float d = float(rng.uniform() * 0.5);
+      lo.back()[j] -= d;
+      hi.back()[j] += d;
+    }
+  }
+  const FeatureBatch batch = query_batch(kDim, kBatch, stored, false, rng);
+  for (const std::size_t shards : {1UL, 4UL}) {
+    std::unique_ptr<Monitor> monitor;
+    if (shards == 1) {
+      monitor = std::make_unique<IntervalMonitor>(spec);
+    } else {
+      auto sharded = std::make_unique<ShardedMonitor>(ShardedMonitor::interval(
+          ShardPlan::contiguous(kDim, shards), spec));
+      sharded->set_threads(shards);
+      monitor = std::move(sharded);
+    }
+    for (std::size_t s = 0; s < lo.size(); ++s) {
+      monitor->observe_bounds(lo[s], hi[s]);
+    }
+    std::vector<bool> expected(kBatch);
+    std::vector<float> sample(kDim);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      batch.copy_sample(i, sample);
+      expected[i] = monitor->contains(sample);
+    }
+    std::vector<std::vector<bool>> got(kThreads, std::vector<bool>(kBatch));
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto out = std::make_unique<bool[]>(kBatch);
+        start.arrive_and_wait();
+        monitor->contains_batch(batch, {out.get(), kBatch});
+        for (std::size_t i = 0; i < kBatch; ++i) got[t][i] = out[i];
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], expected) << "shards " << shards << ", thread " << t;
+    }
+  }
 }
 
 TEST(ShardedMonitor, MinMaxShardingIsExactForAnyShardCount) {

@@ -8,9 +8,10 @@
 // bytes themselves) plus hostile variants mirroring the loader-hardening
 // tests — bad magic, implausible dimensions and counts, truncations,
 // forward references, trailing garbage — and deterministic single-byte
-// corruptions of every valid seed. All randomness comes from fixed Rng
-// seeds, so regenerating the corpus is byte-stable and `git diff` stays
-// quiet unless a serializer actually changed.
+// corruptions of every valid seed. Each generator draws from its own
+// fixed-seed Rng, so regenerating the corpus is byte-stable, adding or
+// removing a generator leaves every other seed's bytes unchanged, and
+// `git diff` stays quiet unless a serializer actually changed.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -108,11 +109,10 @@ ranm::ThresholdSpec two_bit_spec(std::size_t dim) {
 // --- monitor -------------------------------------------------------------
 
 void emit_monitor_corpus() {
-  ranm::Rng rng(41);
-
   ranm::MinMaxMonitor minmax(6);
+  ranm::Rng minmax_rng(41);
   for (int i = 0; i < 8; ++i) {
-    const auto v = random_vec(6, rng);
+    const auto v = random_vec(6, minmax_rng);
     minmax.observe(v);
   }
   write_seed_with_mutants("monitor", "minmax", serialized([&](auto& out) {
@@ -121,8 +121,9 @@ void emit_monitor_corpus() {
 
   ranm::OnOffMonitor onoff(
       ranm::ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
+  ranm::Rng onoff_rng(42);
   for (int i = 0; i < 12; ++i) {
-    const auto v = random_vec(5, rng);
+    const auto v = random_vec(5, onoff_rng);
     onoff.observe(v);
   }
   write_seed_with_mutants("monitor", "onoff", serialized([&](auto& out) {
@@ -130,8 +131,9 @@ void emit_monitor_corpus() {
                           }));
 
   ranm::IntervalMonitor interval(two_bit_spec(4));
+  ranm::Rng interval_rng(44);
   for (int i = 0; i < 6; ++i) {
-    const auto v = random_vec(4, rng);
+    const auto v = random_vec(4, interval_rng);
     interval.observe(v);
   }
   const std::vector<float> blo(4, -0.5F);
@@ -144,8 +146,9 @@ void emit_monitor_corpus() {
   // Sharded container (RSH1): shard plan + per-shard flat payloads.
   ranm::ShardedMonitor sharded = ranm::ShardedMonitor::interval(
       ranm::ShardPlan::shuffled(8, 3, 7), two_bit_spec(8));
+  ranm::Rng sharded_rng(45);
   for (int i = 0; i < 10; ++i) {
-    const auto v = random_vec(8, rng);
+    const auto v = random_vec(8, sharded_rng);
     sharded.observe(v);
   }
   write_seed_with_mutants("monitor", "sharded", serialized([&](auto& out) {
