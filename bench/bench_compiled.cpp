@@ -2,20 +2,21 @@
 // samples up both columns run one batched engine, the lowered program of
 // compile/program.hpp: the interpreted monitor lowers its program on its
 // first batch (Monitor::contains_batch, the untimed warm-up here) and the
-// CompiledMonitor runs the program `ranm_cli compile` builds. So those
-// rows compare two front ends of the same program: a flat monitor's
-// cached unit against a CompiledMonitor shard, and for sharded monitors
-// ShardedMonitor's per-shard row views against CompiledMonitor's row
-// maps. At batch 1 the interpreted column is the scalar contains (the
-// lazily coded BDD walk for on-off and interval) and the compiled column
-// the program's tiny-batch path. Every family, flat and 4-shard, batch
-// sizes 1..256. Every row records the compiled program's BDD node count:
-// the small robust families sit below the sweep/walk crossover
-// (compile::kBddWalkHopCost), while interval_robust_large — a robust
-// interval monitor over enough observations for 100k+ nodes, the size
-// class of the paper's robust construction — sits past it at every batch
-// size, so its rows time the interleaved walk. Smoke runs keep it, so CI
-// runs the walk too.
+// CompiledMonitor runs the program `ranm_cli compile` builds. Flat or
+// sharded, both columns then go through the same Monitor::contains_batch
+// and compile::eval_program over the same units, so those rows differ
+// only by noise. At batch 1 the interpreted column is the scalar contains
+// (the lazily coded BDD walk for on-off and interval) and the compiled
+// column the program's tiny-batch path. The warm-up verdicts of the two
+// columns must agree, or the bench exits non-zero: a CI smoke run fails
+// on an engine split instead of timing it. Every family, flat and
+// 4-shard, batch sizes 1..256. Every row records the compiled program's
+// BDD node count: the small robust families sit below the sweep/walk
+// crossover (compile::kBddWalkHopCost), while interval_robust_large — a
+// robust interval monitor over enough observations for 100k+ nodes, the
+// size class of the paper's robust construction — sits past it at every
+// batch size, so its rows time the interleaved walk. Smoke runs keep it,
+// so CI runs the walk too.
 //
 // Each row reports the median and the minimum of 5 timed blocks per
 // column, the interpreted and compiled blocks alternating, so a drifting
@@ -71,6 +72,8 @@ struct Measurement {
   std::size_t nodes = 0;  // compiled BDD nodes over all shards
   Timing interpreted;
   Timing compiled;
+  /// Samples whose warm-up verdicts differ between the two columns.
+  std::size_t disagreements = 0;
   /// Ratio of the medians.
   [[nodiscard]] double speedup() const {
     return compiled.median_ns > 0.0
@@ -161,7 +164,12 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
     return timer.seconds() * 1e9 / double(block_reps) / double(batch_size);
   };
   run(interpreted, 1);
+  const std::vector<bool> want(out.get(), out.get() + batch_size);
   run(compiled, 1);
+  std::size_t disagreements = 0;
+  for (std::size_t i = 0; i < batch_size; ++i) {
+    disagreements += out[i] != want[i] ? 1 : 0;
+  }
   std::vector<double> interpreted_ns(kBlocks), compiled_ns(kBlocks);
   for (std::size_t b = 0; b < kBlocks; ++b) {
     interpreted_ns[b] = block_ns(interpreted);
@@ -176,6 +184,7 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
   m.nodes = compiled.total_nodes();
   m.interpreted = reduce_blocks(std::move(interpreted_ns));
   m.compiled = reduce_blocks(std::move(compiled_ns));
+  m.disagreements = disagreements;
   return m;
 }
 
@@ -196,10 +205,8 @@ void bench_family(const std::string& name, const Fixture& f,
   std::unique_ptr<ShardedMonitor> sharded = make_sharded(kShards);
   compile::CompiledMonitor compiled_sharded = [&] {
     if (sharded == nullptr) return compile::compile_monitor(*flat);
-    compile::CompileOptions options;
-    options.threads = kShards;
-    auto compiled = compile::compile_monitor(*sharded, options);
     sharded->set_threads(kShards);
+    auto compiled = compile::compile_monitor(*sharded);
     compiled.set_threads(kShards);
     return compiled;
   }();
@@ -355,7 +362,17 @@ int run(int argc, char** argv) {
   write_json(json_path, smoke, results);
   std::printf("sink %zu\n", g_sink);
   std::printf("report: %s\n", json_path.c_str());
-  return 0;
+  int status = 0;
+  for (const Measurement& m : results) {
+    if (m.disagreements == 0) continue;
+    std::fprintf(stderr,
+                 "verdict mismatch: %s, batch %zu, shards %zu: %zu of %zu "
+                 "samples differ between interpreted and compiled\n",
+                 m.monitor.c_str(), m.batch_size, m.shards, m.disagreements,
+                 m.batch_size);
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ CompiledUnit load_unit(std::istream& in, std::uint64_t expected_dim) {
       p.hi.resize(static_cast<std::size_t>(numel));
       for (auto& v : p.lo) v = read_pod<float>(in);
       for (auto& v : p.hi) v = read_pod<float>(in);
-      return unit;
+      break;
     }
     case std::uint32_t(ProgramKind::kCube): {
       unit.kind = ProgramKind::kCube;
@@ -136,7 +136,7 @@ CompiledUnit load_unit(std::istream& in, std::uint64_t expected_dim) {
           p.value[c * W + w] = read_u64(in);
         }
       }
-      return unit;
+      break;
     }
     case std::uint32_t(ProgramKind::kBdd): {
       unit.kind = ProgramKind::kBdd;
@@ -166,11 +166,13 @@ CompiledUnit load_unit(std::istream& in, std::uint64_t expected_dim) {
           }
         }
       }
-      return unit;
+      break;
     }
     default:
       fail("unknown program kind");
   }
+  unit.finalize();
+  return unit;
 }
 
 }  // namespace
@@ -185,7 +187,7 @@ void save_compiled_monitor(std::ostream& out,
   std::string source = monitor.source();
   if (source.size() > kMaxSourceLen) source.resize(kMaxSourceLen);
   write_string(out, source);
-  for (const CompiledMonitor::Shard& sh : monitor.shards()) {
+  for (const Shard& sh : monitor.shards()) {
     write_u64(out, sh.neurons.size());
     for (const std::uint32_t j : sh.neurons) write_u32(out, j);
     save_unit(out, sh.unit);
@@ -201,9 +203,9 @@ CompiledMonitor load_compiled_body(std::istream& in) {
     fail("implausible header");
   }
   std::string source = read_string(in, kMaxSourceLen);
-  std::vector<CompiledMonitor::Shard> shards(
-      static_cast<std::size_t>(shard_count));
-  for (auto& sh : shards) {
+  auto shards =
+      std::make_shared<Program>(static_cast<std::size_t>(shard_count));
+  for (Shard& sh : *shards) {
     const std::uint64_t neuron_count = read_dim_u64(in);
     if (neuron_count > dim) fail("implausible shard neuron count");
     if (neuron_count == 0 && shard_count != 1) {

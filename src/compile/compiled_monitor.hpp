@@ -1,21 +1,23 @@
 // Compiled monitor: a frozen monitor lowered to native decision code.
 //
 // A CompiledMonitor is the deployment form of any monitor family (flat or
-// sharded): one CompiledUnit per shard, evaluated through the batched
-// program evaluators in compile/program.hpp. It implements the Monitor
-// query surface — contains / contains_batch / warn_batch — so it drops
-// into MonitorService and ranm_serve unchanged, and answers verdicts
-// bit-for-bit identical to the monitor it was compiled from.
+// sharded): the monitor's lowered program (compile/program.hpp), one
+// CompiledUnit per shard, held frozen. It implements the Monitor query
+// surface, so it drops into MonitorService and ranm_serve unchanged, and
+// answers verdicts bit-for-bit identical to the monitor it was compiled
+// from. Batches go through the base Monitor::contains_batch, the same
+// eval_program and shard fan-out a flat or sharded monitor runs: its
+// lower_program hands back the frozen program, so the cache fills with a
+// pointer copy and is never invalidated.
 //
 // Compilation freezes the set: the observe* entry points throw
 // std::logic_error. To fold in new training data, rebuild the source
 // monitor and recompile (`ranm_cli compile`).
 //
-// Thread model mirrors ShardedMonitor: set_threads fans the per-shard
-// evaluations of a query batch out on an internal pool; every task reads
-// the shared batch through its own shard's neuron map and evaluates into
-// the scratch of the thread running it, so the fan-out is race-free by
-// construction and any number of threads may query one monitor at once.
+// Thread model: set_threads (on Monitor) fans the shards of a large
+// enough batch out on a pool; every task reads the shared batch through
+// its own shard's neuron list and evaluates into the scratch of the
+// thread running it, so any number of threads may query one monitor.
 #pragma once
 
 #include <memory>
@@ -24,26 +26,16 @@
 
 #include "compile/program.hpp"
 #include "core/monitor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ranm::compile {
 
-/// Frozen, query-only monitor built from lowered per-shard programs.
+/// Frozen, query-only monitor built from a lowered program.
 class CompiledMonitor final : public Monitor {
  public:
-  /// One lowered shard. An empty neuron list means the unit covers the
-  /// full feature space directly (the flat-monitor case, no row
-  /// gathering); otherwise the unit sees the projection onto `neurons`
-  /// in list order, exactly like a ShardedMonitor shard.
-  struct Shard {
-    std::vector<std::uint32_t> neurons;
-    CompiledUnit unit;
-  };
-
   /// `source` is the describe() string of the monitor this was compiled
   /// from (provenance only). Validates shard shapes against `dim`.
   CompiledMonitor(std::size_t dim, std::string source,
-                  std::vector<Shard> shards);
+                  std::shared_ptr<const Program> program);
 
   // ---- Monitor interface -------------------------------------------------
 
@@ -59,27 +51,17 @@ class CompiledMonitor final : public Monitor {
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
   [[nodiscard]] std::string describe() const override;
+  /// The frozen program itself, whatever the cube limit.
+  [[nodiscard]] std::shared_ptr<const Program> lower_program(
+      std::size_t cube_limit) const override;
 
   // ---- compiled-monitor surface ------------------------------------------
 
-  /// Shard-level query parallelism, same contract as
-  /// ShardedMonitor::set_threads: at most `threads` shards run
-  /// concurrently (caller included), 1 runs inline, 0 uses hardware
-  /// concurrency. A runtime property — never serialised.
-  void set_threads(std::size_t threads);
-  [[nodiscard]] std::size_t threads() const noexcept {
-    return pool_ ? pool_->thread_count() : 1;
-  }
-
   [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
+    return program_->size();
   }
-  [[nodiscard]] const std::vector<Shard>& shards() const noexcept {
-    return shards_;
-  }
+  [[nodiscard]] const Program& shards() const noexcept { return *program_; }
   /// describe() of the source monitor at compile time.
   [[nodiscard]] const std::string& source() const noexcept {
     return source_;
@@ -89,23 +71,17 @@ class CompiledMonitor final : public Monitor {
   /// Cubes summed over cube-program shards.
   [[nodiscard]] std::size_t total_cubes() const noexcept;
 
+ protected:
+  /// Every batch runs the program: contains is the program too, so the
+  /// scalar loop would only add copies.
+  [[nodiscard]] std::size_t min_program_batch() const noexcept override {
+    return 1;
+  }
+
  private:
-  /// Below this batch size the shard fan-out runs inline even when a
-  /// pool is configured (same rationale as ShardedMonitor::kMinPoolBatch).
-  static constexpr std::size_t kMinPoolBatch = 32;
-  /// Minimum estimated per-shard work (rough op count, batch included)
-  /// before the fan-out is worth a pool dispatch: compiled programs are
-  /// often so cheap that waking workers costs more than the whole batch,
-  /// so a batch-size floor alone is not enough grain control.
-  static constexpr std::size_t kMinPoolWork = 65536;
-
-  void eval_shard(std::size_t s, const FeatureBatch& batch,
-                  bool* out) const;
-
   std::size_t dim_;
   std::string source_;
-  std::vector<Shard> shards_;
-  std::unique_ptr<ThreadPool> pool_;  // null: run inline
+  std::shared_ptr<const Program> program_;
 };
 
 }  // namespace ranm::compile

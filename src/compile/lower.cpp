@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/sharded_monitor.hpp"
-#include "util/thread_pool.hpp"
-
 namespace ranm::compile {
 namespace {
 
@@ -194,16 +191,6 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root) {
   return p;
 }
 
-/// Lowers one non-sharded monitor into a unit (the per-shard workhorse).
-CompiledUnit lower_flat(const Monitor& monitor, std::size_t cube_limit) {
-  std::unique_ptr<CompiledUnit> unit = monitor.lower_unit(cube_limit);
-  if (unit == nullptr) {
-    throw std::invalid_argument("compile_monitor: unsupported monitor type " +
-                                monitor.describe());
-  }
-  return std::move(*unit);
-}
-
 }  // namespace
 
 std::unique_ptr<CompiledUnit> lower_bdd_set(const bdd::BddManager& mgr,
@@ -215,39 +202,29 @@ std::unique_ptr<CompiledUnit> lower_bdd_set(const bdd::BddManager& mgr,
   if (extract_cubes(mgr, root, unit->coding.num_vars(),
                     unit->coding.num_words(), cube_limit, unit->cube)) {
     unit->kind = ProgramKind::kCube;
-    return unit;
+  } else {
+    unit->cube = CubeProgram{};
+    unit->kind = ProgramKind::kBdd;
+    unit->bdd = flatten_bdd(mgr, root);
   }
-  unit->cube = CubeProgram{};
-  unit->kind = ProgramKind::kBdd;
-  unit->bdd = flatten_bdd(mgr, root);
+  unit->finalize();
   return unit;
 }
 
 CompiledMonitor compile_monitor(const Monitor& monitor,
                                 const CompileOptions& options) {
-  if (const auto* sh = dynamic_cast<const ShardedMonitor*>(&monitor)) {
-    const ShardPlan& plan = sh->plan();
-    std::vector<CompiledMonitor::Shard> shards(plan.shard_count());
-    const auto lower_one = [&](std::size_t s) {
-      const auto neurons = plan.neurons(s);
-      shards[s].neurons.assign(neurons.begin(), neurons.end());
-      shards[s].unit = lower_flat(sh->shard(s), options.cube_limit);
-    };
-    if (options.threads == 1) {
-      for (std::size_t s = 0; s < shards.size(); ++s) lower_one(s);
-    } else {
-      // Each task reads one shard's private manager and writes one slot:
-      // race-free fan-out, same shape as the sharded query path.
-      ThreadPool pool(options.threads);
-      pool.parallel_for(shards.size(), lower_one);
-    }
-    return CompiledMonitor(plan.dimension(), sh->describe(),
-                           std::move(shards));
+  // A compiled monitor's program is its own, so it would recompile to
+  // itself; refuse rather than pretend the cube limit applied.
+  std::shared_ptr<const Program> program =
+      dynamic_cast<const CompiledMonitor*>(&monitor) != nullptr
+          ? nullptr
+          : monitor.lower_program(options.cube_limit);
+  if (program == nullptr) {
+    throw std::invalid_argument("compile_monitor: unsupported monitor type " +
+                                monitor.describe());
   }
-  std::vector<CompiledMonitor::Shard> shards(1);
-  shards[0].unit = lower_flat(monitor, options.cube_limit);
   return CompiledMonitor(monitor.dimension(), monitor.describe(),
-                         std::move(shards));
+                         std::move(program));
 }
 
 }  // namespace ranm::compile

@@ -6,8 +6,10 @@
 // robust builds with don't-cares usually cover in a handful of cubes,
 // which evaluate as plain bitmask compares — and falls back to flattening
 // the reachable BDD into a topologically-ordered node array. A
-// ShardedMonitor lowers shard-by-shard (optionally in parallel: each
-// shard's lowering touches only that shard's private manager).
+// ShardedMonitor lowers shard by shard into one program, on its own pool
+// (Monitor::set_threads): each shard's lowering touches only that shard's
+// private manager. compile_monitor lowers (Monitor::lower_program) and
+// wraps the program in a CompiledMonitor.
 #pragma once
 
 #include "bdd/bdd.hpp"
@@ -21,24 +23,22 @@ struct CompileOptions {
   /// cover is larger (or whose enumeration exceeds the work bound) lower
   /// to a flat node array instead.
   std::size_t cube_limit = 64;
-  /// Shard-level lowering parallelism (ShardedMonitor sources only):
-  /// at most `threads` shards lower concurrently, caller included;
-  /// 1 runs inline, 0 uses hardware concurrency.
-  std::size_t threads = 1;
 };
 
 /// Lowers the BDD set `root` of `mgr`, over the variables `spec` codes
-/// (neuron j owns bits j*bits .. j*bits+bits-1, MSB first), to a cube
-/// program of at most `cube_limit` cubes or else a flat BDD program.
+/// (neuron j owns bits j*bits .. j*bits+bits-1, MSB first), to a
+/// finalized cube program of at most `cube_limit` cubes or else a flat
+/// BDD program.
 [[nodiscard]] std::unique_ptr<CompiledUnit> lower_bdd_set(
     const bdd::BddManager& mgr, bdd::NodeRef root, const ThresholdSpec& spec,
     std::size_t cube_limit);
 
-/// Lowers a frozen monitor into its compiled form. Supported sources:
-/// MinMaxMonitor, OnOffMonitor, IntervalMonitor, BoxClusterMonitor
-/// (finalized), and ShardedMonitor over those. Throws
-/// std::invalid_argument on an unsupported source and std::logic_error on
-/// an unfinalized box-cluster.
+/// Lowers a frozen monitor (Monitor::lower_program) and wraps the program
+/// in a CompiledMonitor. Supported sources: MinMaxMonitor, OnOffMonitor,
+/// IntervalMonitor, BoxClusterMonitor (finalized), and ShardedMonitor
+/// over those; a sharded source lowers on its own pool. Throws
+/// std::invalid_argument on an unsupported or already compiled source and
+/// std::logic_error on an unfinalized box-cluster.
 [[nodiscard]] CompiledMonitor compile_monitor(const Monitor& monitor,
                                               const CompileOptions& options = {});
 

@@ -4,8 +4,21 @@
 #include <bit>
 #include <stdexcept>
 
+#include "core/monitor.hpp"
+#include "util/thread_pool.hpp"
+
 namespace ranm::compile {
 namespace {
+
+/// Reusable per-unit evaluation buffers, one set per thread, so the
+/// steady-state query path pays no allocator traffic and concurrent
+/// shard evaluations never share scratch.
+struct EvalScratch {
+  std::vector<std::uint32_t> flags;    // box-sweep lane flags
+  std::vector<std::uint64_t> words;    // packed codewords, sample-major
+  std::vector<std::uint64_t> varbits;  // var-major block lanes (BDD sweep)
+  std::vector<std::uint64_t> vals;     // per-node block verdicts (BDD sweep)
+};
 
 /// Samples coded per stack-buffer block.
 constexpr std::size_t kLane = 64;
@@ -76,10 +89,9 @@ void code_sample_word(const CodingTable& ct, const FeatureBatch& batch,
 /// sample i. Sample-major keeps each lane's whole codeword on one cache
 /// line for the downstream cube compares and BDD walks. Coding runs
 /// through a stack-local block buffer so the threshold compares
-/// vectorize (nothing in the loop can alias the float rows). When
-/// `needed` is non-null, neurons none of whose variables appear in it
-/// are skipped — don't-care-rich cube covers pay only for the variables
-/// they test.
+/// vectorize (nothing in the loop can alias the float rows). Neurons
+/// none of whose variables appear in the unit's `support` are skipped —
+/// don't-care-rich cube covers pay only for the variables they test.
 ///
 /// kWords pins the codeword stride at compile time (0 = runtime): the
 /// packing passes store through dst[i * W], and with W a runtime value
@@ -89,7 +101,7 @@ void code_sample_word(const CodingTable& ct, const FeatureBatch& batch,
 template <std::size_t kWords>
 void fill_words_stride(const CodingTable& ct, const FeatureBatch& batch,
                        const std::uint32_t* row_map, EvalScratch& s,
-                       const std::uint64_t* needed) {
+                       const std::uint64_t* support) {
   const std::size_t n = batch.size();
   const std::size_t W = kWords != 0 ? kWords : ct.num_words();
   const std::size_t nbits = ct.bits;
@@ -99,14 +111,12 @@ void fill_words_stride(const CodingTable& ct, const FeatureBatch& batch,
   std::uint64_t* words = s.words.data();
   std::uint32_t codes[kLane];
   for (std::size_t j = 0; j < ct.dim; ++j) {
-    if (needed != nullptr) {
-      bool used = false;
-      for (std::size_t b = 0; b < nbits; ++b) {
-        const std::size_t var = j * nbits + b;
-        used = used || ((needed[var >> 6] >> (var & 63)) & 1ULL) != 0;
-      }
-      if (!used) continue;
+    bool used = false;
+    for (std::size_t b = 0; b < nbits; ++b) {
+      const std::size_t var = j * nbits + b;
+      used = used || ((support[var >> 6] >> (var & 63)) & 1ULL) != 0;
     }
+    if (!used) continue;
     const float* row =
         batch.neuron(row_map != nullptr ? row_map[j] : j).data();
     const float* values = ct.values.data() + j * m;
@@ -183,16 +193,16 @@ void fill_words_stride(const CodingTable& ct, const FeatureBatch& batch,
 
 void fill_words(const CodingTable& ct, const FeatureBatch& batch,
                 const std::uint32_t* row_map, EvalScratch& s,
-                const std::uint64_t* needed) {
+                const std::uint64_t* support) {
   switch (ct.num_words()) {
     case 1:
-      fill_words_stride<1>(ct, batch, row_map, s, needed);
+      fill_words_stride<1>(ct, batch, row_map, s, support);
       return;
     case 2:
-      fill_words_stride<2>(ct, batch, row_map, s, needed);
+      fill_words_stride<2>(ct, batch, row_map, s, support);
       return;
     default:
-      fill_words_stride<0>(ct, batch, row_map, s, needed);
+      fill_words_stride<0>(ct, batch, row_map, s, support);
       return;
   }
 }
@@ -281,17 +291,8 @@ void eval_cube(const CodingTable& ct, const CubeProgram& p,
                bool* out, EvalScratch& s, const std::uint64_t* support) {
   const std::size_t n = batch.size();
   const std::size_t W = ct.num_words();
-  // Union of the cube masks: variables outside it are don't-cares in
-  // every cube, so their neurons never need coding. Normally
-  // precomputed once (CompiledUnit::finalize); the fallback recompute
-  // only serves hand-built units.
-  if (support == nullptr) {
-    s.needed.assign(W, 0ULL);
-    for (std::size_t k = 0; k < p.num_cubes * W; ++k) {
-      s.needed[k % W] |= p.mask[k];
-    }
-    support = s.needed.data();
-  }
+  // `support` is the union of the cube masks: variables outside it are
+  // don't-cares in every cube, so their neurons never need coding.
   if (n < kSmallBatch && W <= kMaxStackWords) {
     // Lazy per-sample path: code one sample's needed neurons into a
     // stack codeword and scan the cubes — no batch matrix, so a single
@@ -487,16 +488,9 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
     return;
   }
   const std::size_t W = ct.num_words();
-  // Support mask: neurons none of whose variables label a node never
-  // influence a verdict, so coding skips them (robust sets drop many).
-  // Normally precomputed once (CompiledUnit::finalize).
-  if (support == nullptr) {
-    s.needed.assign(W, 0ULL);
-    for (const FlatBddNode& nd : p.nodes) {
-      s.needed[nd.var >> 6] |= 1ULL << (nd.var & 63);
-    }
-    support = s.needed.data();
-  }
+  // `support` holds the variables that label a node: neurons with none
+  // of them never influence a verdict, so coding skips them (robust sets
+  // drop many).
   if (n < kSmallBatch && W <= kMaxStackWords) {
     // Lazy per-sample coding: code each sample's supported neurons once
     // into a stack codeword (one streaming pass over the threshold
@@ -517,6 +511,91 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
   } else {
     sweep_bdd(p, s.words.data(), W, n, out, s);
   }
+}
+
+/// Rough per-sample op count of eval_unit on a batch of `batch` samples,
+/// in units of one sweep node evaluation: box programs test dim * boxes
+/// coordinates; coded programs pay the threshold coding plus the cube
+/// scan or the cheaper of the two BDD evaluators, the same cost model
+/// eval_bdd dispatches on.
+std::size_t unit_cost_per_sample(const CompiledUnit& unit,
+                                 std::size_t batch) noexcept {
+  const CodingTable& ct = unit.coding;
+  const std::size_t coding = ct.dim * ct.thresholds_per_neuron();
+  switch (unit.kind) {
+    case ProgramKind::kBox:
+      return unit.box.dim * unit.box.num_boxes;
+    case ProgramKind::kCube:
+      return coding + unit.cube.num_cubes * ct.num_words();
+    case ProgramKind::kBdd: {
+      const std::size_t nodes = unit.bdd.nodes.size();
+      const std::size_t path_len =
+          popcount_words(unit.support.data(), unit.support.size());
+      if (bdd_walks(nodes, path_len, batch)) {
+        return coding + kBddWalkHopCost * path_len;
+      }
+      const std::size_t blocks = (batch + kLane - 1) / kLane;
+      return coding + (nodes * blocks + batch - 1) / batch;
+    }
+  }
+  return 1;
+}
+
+/// Membership of one finalized unit: out[i] = unit contains sample i.
+/// `row_map`, when non-null, maps the unit's local neuron j to batch row
+/// row_map[j]; when null the mapping is the identity.
+void eval_unit(const CompiledUnit& unit, const FeatureBatch& batch,
+               const std::uint32_t* row_map, bool* out,
+               EvalScratch& scratch) {
+  // A row map's entries were validated when the program was built or
+  // loaded (the CompiledMonitor constructor range-checks every list).
+  if (row_map == nullptr && batch.dimension() != unit.dimension()) {
+    throw std::invalid_argument("eval_program: dimension mismatch");
+  }
+  switch (unit.kind) {
+    case ProgramKind::kBox:
+      eval_box(unit.box, batch, row_map, out, scratch);
+      return;
+    case ProgramKind::kCube:
+      eval_cube(unit.coding, unit.cube, batch, row_map, out, scratch,
+                unit.support.data());
+      return;
+    case ProgramKind::kBdd:
+      eval_bdd(unit.coding, unit.bdd, batch, row_map, out, scratch,
+               unit.support.data());
+      return;
+  }
+  throw std::logic_error("eval_program: corrupt program kind");
+}
+
+/// Evaluates one shard on the running thread's buffers, grown to their
+/// high-water size and reused: a thread evaluates one shard at a time,
+/// and the steady-state hot path does not allocate.
+void eval_shard(const Shard& shard, const FeatureBatch& batch, bool* out) {
+  thread_local EvalScratch scratch;
+  eval_unit(shard.unit, batch,
+            shard.neurons.empty() ? nullptr : shard.neurons.data(), out,
+            scratch);
+}
+
+/// Below this batch size the shard fan-out runs inline even with a pool:
+/// waking the workers costs more than the queries themselves.
+constexpr std::size_t kMinPoolBatch = 32;
+/// Minimum estimated per-shard work (rough op count, batch included)
+/// before the fan-out is worth a pool dispatch: lowered programs are
+/// often so cheap that waking workers costs more than the whole batch,
+/// so a batch-size floor alone is not enough grain control.
+constexpr std::size_t kMinPoolWork = 65536;
+
+/// True when a batch of n samples is worth fanning out on a pool: the
+/// costliest shard's estimated work clears the grain.
+bool worth_pool(const Program& program, std::size_t n) {
+  if (n < kMinPoolBatch) return false;
+  std::size_t cost = 0;
+  for (const Shard& shard : program) {
+    cost = std::max(cost, unit_cost_per_sample(shard.unit, n));
+  }
+  return n * cost >= kMinPoolWork;
 }
 
 }  // namespace
@@ -542,58 +621,43 @@ bool bdd_always_walks(std::size_t num_nodes, std::size_t path_len) noexcept {
   return bdd_walks(num_nodes, path_len, kLane);
 }
 
-std::size_t unit_cost_per_sample(const CompiledUnit& unit,
-                                 std::size_t batch) noexcept {
-  const CodingTable& ct = unit.coding;
-  const std::size_t coding = ct.dim * ct.thresholds_per_neuron();
-  switch (unit.kind) {
-    case ProgramKind::kBox:
-      return unit.box.dim * unit.box.num_boxes;
-    case ProgramKind::kCube:
-      return coding + unit.cube.num_cubes * ct.num_words();
-    case ProgramKind::kBdd: {
-      const std::size_t nodes = unit.bdd.nodes.size();
-      const std::size_t path_len =
-          unit.support.empty()
-              ? ct.num_vars()
-              : popcount_words(unit.support.data(), unit.support.size());
-      if (bdd_walks(nodes, path_len, batch)) {
-        return coding + kBddWalkHopCost * path_len;
-      }
-      const std::size_t blocks = (batch + kLane - 1) / kLane;
-      return coding + (nodes * blocks + batch - 1) / batch;
+void eval_program(const Program& program, const FeatureBatch& batch,
+                  bool* out, ThreadPool* pool, bool* rows) {
+  const std::size_t n = batch.size();
+  if (n == 0) return;
+  const std::size_t S = program.size();
+  if (rows == nullptr) {
+    if (S == 1) {
+      eval_shard(program[0], batch, out);
+      return;
     }
-  }
-  return 1;
-}
-
-void eval_unit(const CompiledUnit& unit, const FeatureBatch& batch,
-               const std::uint32_t* row_map, bool* out,
-               EvalScratch& scratch) {
-  // With a row map the batch is the caller's full feature space and the
-  // map entries were validated when the map was built (the CompiledMonitor
-  // constructor range-checks every shard's neuron list).
-  if (row_map == nullptr && batch.dimension() != unit.dimension()) {
-    throw std::invalid_argument("eval_unit: dimension mismatch");
-  }
-  if (batch.empty()) return;
-  const std::uint64_t* support =
-      unit.support.size() == unit.coding.num_words() && !unit.support.empty()
-          ? unit.support.data()
-          : nullptr;
-  switch (unit.kind) {
-    case ProgramKind::kBox:
-      eval_box(unit.box, batch, row_map, out, scratch);
+    if (n == 1) {
+      // Single query (the serving path): no verdict matrix, no pool, and
+      // the AND stops at the first rejecting shard.
+      bool verdict = true;
+      for (std::size_t s = 0; s < S && verdict; ++s) {
+        eval_shard(program[s], batch, &verdict);
+      }
+      out[0] = verdict;
       return;
-    case ProgramKind::kCube:
-      eval_cube(unit.coding, unit.cube, batch, row_map, out, scratch,
-                support);
-      return;
-    case ProgramKind::kBdd:
-      eval_bdd(unit.coding, unit.bdd, batch, row_map, out, scratch, support);
-      return;
+    }
+    // The calling thread's scratch; shards write disjoint rows, so the
+    // fan-out is race-free and the AND runs on the caller.
+    rows = thread_scratch<Program>(S * n).data();
   }
-  throw std::logic_error("eval_unit: corrupt program kind");
+  const auto run = [&](std::size_t s) {
+    eval_shard(program[s], batch, rows + s * n);
+  };
+  if (pool != nullptr && worth_pool(program, n)) {
+    pool->parallel_for(S, run);
+  } else {
+    for (std::size_t s = 0; s < S; ++s) run(s);
+  }
+  std::copy(rows, rows + n, out);
+  for (std::size_t s = 1; s < S; ++s) {
+    const bool* row = rows + s * n;
+    for (std::size_t i = 0; i < n; ++i) out[i] = out[i] && row[i];
+  }
 }
 
 }  // namespace ranm::compile

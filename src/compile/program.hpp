@@ -18,9 +18,12 @@
 //                 nodes[r - 2]; every child ref is strictly greater than
 //                 its parent's ref, so a walk always terminates.
 //
-// These evaluators are the only batched query engine: a CompiledMonitor
-// runs its frozen units, a flat monitor the unit it lowers on its first
-// batch (Monitor::contains_batch).
+// A whole monitor lowers to a Program: one unit per shard, each with the
+// neuron rows it reads (empty for the identity). eval_program is the only
+// batched query engine: it runs every monitor's program, whether a flat
+// or sharded monitor lowered it on its first batch or a CompiledMonitor
+// holds it frozen (Monitor::contains_batch), and it owns the one shard
+// fan-out, pool gate and AND over shards.
 //
 // Evaluation sweeps samples batch-lane-innermost (like the vectorized
 // bound backend): per-neuron parameters load once per batch row, coding
@@ -73,11 +76,15 @@
 
 #include "core/feature_batch.hpp"
 
+namespace ranm {
+class ThreadPool;
+}
+
 namespace ranm::compile {
 
 /// Below this batch size the batch setup would cost more than the
 /// queries: Monitor::contains_batch calls the scalar contains per sample,
-/// and eval_unit codes each sample into a stack codeword.
+/// and the unit evaluators code each sample into a stack codeword.
 inline constexpr std::size_t kSmallBatch = 8;
 
 /// Which evaluator a compiled unit runs.
@@ -158,28 +165,16 @@ struct CompiledUnit {
   /// Precomputed by finalize() so the evaluators don't redo the
   /// O(cubes)/O(nodes) sweep on every call — the fixed cost that made
   /// tiny-batch compiled queries lose to the interpreted monitors.
-  /// Empty (e.g. a hand-built unit) means compute on the fly.
   std::vector<std::uint64_t> support;
 
-  /// Recomputes `support` from the active program. Idempotent; called by
-  /// the CompiledMonitor constructor, which both the compiler and the
-  /// artifact loader go through.
+  /// Recomputes `support` from the active program. Idempotent; every
+  /// place that builds a unit calls it (lower_bdd_set, the box lowerings
+  /// and the artifact loader), so the evaluators can rely on it.
   void finalize();
 
   [[nodiscard]] std::size_t dimension() const noexcept {
     return kind == ProgramKind::kBox ? box.dim : coding.dim;
   }
-};
-
-/// Reusable per-unit evaluation buffers, owned by the caller so the
-/// steady-state query path pays no allocator traffic (and so concurrent
-/// shard evaluations never share scratch).
-struct EvalScratch {
-  std::vector<std::uint32_t> flags;    // box-sweep lane flags
-  std::vector<std::uint64_t> words;    // packed codewords, sample-major
-  std::vector<std::uint64_t> needed;   // cube-mask union / BDD support
-  std::vector<std::uint64_t> varbits;  // var-major block lanes (BDD sweep)
-  std::vector<std::uint64_t> vals;     // per-node block verdicts (BDD sweep)
 };
 
 /// BDD evaluator crossover: one hop of the interleaved walk costs about
@@ -199,14 +194,6 @@ struct EvalScratch {
 /// (115 vs 211 ns/sample) and lost at 17k (293 vs 236).
 inline constexpr std::size_t kBddWalkHopCost = 2;
 
-/// Rough per-sample op count of eval_unit on a batch of `batch` samples,
-/// in units of one sweep node evaluation: box programs test dim * boxes
-/// coordinates; coded programs pay the threshold coding plus the cube
-/// scan or the cheaper of the two BDD evaluators — the same cost model
-/// eval_bdd dispatches on. CompiledMonitor sizes its pool grain with it.
-[[nodiscard]] std::size_t unit_cost_per_sample(const CompiledUnit& unit,
-                                               std::size_t batch) noexcept;
-
 /// True when the cost model walks every batch of a BDD program with
 /// `num_nodes` nodes over `path_len` supported variables: the sweep loses
 /// even on full 64-sample blocks. The lowering lays such programs out for
@@ -214,19 +201,31 @@ inline constexpr std::size_t kBddWalkHopCost = 2;
 [[nodiscard]] bool bdd_always_walks(std::size_t num_nodes,
                                     std::size_t path_len) noexcept;
 
-/// Batched membership: out[i] = unit contains sample i of `batch`.
-/// `row_map`, when non-null, maps the unit's local neuron j to batch row
-/// row_map[j] (it must hold unit.dimension() in-range rows) — sharded
-/// monitors evaluate each shard straight off the full batch this way,
-/// with no per-call row-view construction. When null the mapping is the
-/// identity and batch.dimension() must equal unit.dimension(). `out`
-/// must hold batch.size() verdicts.
-void eval_unit(const CompiledUnit& unit, const FeatureBatch& batch,
-               const std::uint32_t* row_map, bool* out, EvalScratch& scratch);
+/// One lowered shard: `unit` sees the projection of the feature space
+/// onto `neurons`, in list order. An empty list means the identity: the
+/// unit covers the full feature space directly (a flat monitor).
+struct Shard {
+  std::vector<std::uint32_t> neurons;
+  CompiledUnit unit;
+};
 
-inline void eval_unit(const CompiledUnit& unit, const FeatureBatch& batch,
-                      bool* out, EvalScratch& scratch) {
-  eval_unit(unit, batch, nullptr, out, scratch);
-}
+/// A lowered monitor: its membership is the AND over its (one or more)
+/// shards. Built by Monitor::lower_program or loaded from an RCM1
+/// artifact; neuron ids must lie in the batch's feature space, and an
+/// identity shard must be the only one.
+using Program = std::vector<Shard>;
+
+/// Batched membership: out[i] = every shard of `program` contains sample
+/// i of `batch`; `out` must hold batch.size() verdicts. Each shard reads
+/// its rows straight out of the batch through its neuron list, with no
+/// row views and no copies. A single shard runs directly and a single
+/// sample stops at the first rejecting shard. With `pool`, batches of 32
+/// or more whose estimated per-shard work clears the grain run their
+/// shards on it; any number of threads may evaluate one program at once.
+/// When `rows` is non-null every shard runs, and shard s's verdicts land
+/// in rows[s * n .. s * n + n) (the per-shard drift counts of a served
+/// sharded monitor); it must hold program.size() * batch.size() bools.
+void eval_program(const Program& program, const FeatureBatch& batch,
+                  bool* out, ThreadPool* pool, bool* rows = nullptr);
 
 }  // namespace ranm::compile

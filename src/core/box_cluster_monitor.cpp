@@ -203,6 +203,7 @@ std::unique_ptr<compile::CompiledUnit> BoxClusterMonitor::lower_unit(
       unit->box.hi.push_back(box[j].hi);
     }
   }
+  unit->finalize();
   return unit;
 }
 

@@ -134,6 +134,7 @@ std::unique_ptr<compile::CompiledUnit> MinMaxMonitor::lower_unit(
                .reject_nan = false,
                .lo = lower_,
                .hi = upper_};
+  unit->finalize();
   return unit;
 }
 

@@ -72,12 +72,9 @@ void Monitor::observe_bounds_batch(const FeatureBatch& lo,
 void Monitor::contains_batch(const FeatureBatch& batch,
                              std::span<bool> out) const {
   check_batch(batch, out.size(), "Monitor::contains_batch");
-  if (batch.size() >= compile::kSmallBatch) {
-    if (const auto unit = lowered()) {
-      // The running thread's buffers, grown to their high-water size and
-      // reused, as in CompiledMonitor.
-      thread_local compile::EvalScratch scratch;
-      compile::eval_unit(*unit, batch, out.data(), scratch);
+  if (batch.size() >= min_program_batch()) {
+    if (const auto program = lowered()) {
+      compile::eval_program(*program, batch, out.data(), pool());
       return;
     }
   }
@@ -88,20 +85,53 @@ void Monitor::contains_batch(const FeatureBatch& batch,
   }
 }
 
+void Monitor::contains_batch_by_shard(const FeatureBatch& batch,
+                                      std::span<bool> out,
+                                      std::span<bool> rows) const {
+  check_batch(batch, out.size(), "Monitor::contains_batch_by_shard");
+  const auto program = lowered();
+  if (program == nullptr) {
+    throw std::invalid_argument(
+        "Monitor::contains_batch_by_shard: no lowering for " + describe());
+  }
+  if (rows.size() != program->size() * batch.size()) {
+    throw std::invalid_argument(
+        "Monitor::contains_batch_by_shard: rows size is not shards * batch");
+  }
+  compile::eval_program(*program, batch, out.data(), pool(), rows.data());
+}
+
 std::unique_ptr<compile::CompiledUnit> Monitor::lower_unit(std::size_t) const {
   return nullptr;
 }
 
-std::shared_ptr<const compile::CompiledUnit> Monitor::lowered() const {
+std::shared_ptr<const compile::Program> Monitor::lower_program(
+    std::size_t cube_limit) const {
+  std::unique_ptr<compile::CompiledUnit> unit = lower_unit(cube_limit);
+  if (unit == nullptr) return nullptr;
+  auto program = std::make_shared<compile::Program>(1);
+  (*program)[0].unit = std::move(*unit);
+  return program;
+}
+
+void Monitor::set_threads(std::size_t threads) {
+  if (threads == 1) {
+    pool_.reset();
+  } else {
+    pool_ = std::make_unique<ThreadPool>(threads);
+  }
+}
+
+std::size_t Monitor::min_program_batch() const noexcept {
+  return compile::kSmallBatch;
+}
+
+std::shared_ptr<const compile::Program> Monitor::lowered() const {
   // Lowering holds the lock, so threads racing on the first batch lower
   // once and the rest wait for that program instead of building their own.
   MutexLock lock(lowered_mu_);
   if (lowered_ == nullptr) {
-    std::unique_ptr<compile::CompiledUnit> unit =
-        lower_unit(compile::CompileOptions{}.cube_limit);
-    if (unit == nullptr) return nullptr;
-    unit->finalize();
-    lowered_ = std::move(unit);
+    lowered_ = lower_program(compile::CompileOptions{}.cube_limit);
   }
   return lowered_;
 }

@@ -15,26 +15,33 @@
 //
 // Every entry point exists in a scalar and a batch form. The batch form is
 // the deployment hot path: it answers one membership query per column of a
-// FeatureBatch. Batched queries have one engine, the lowered program of
-// compile/program.hpp: a family that implements lower_unit() is lowered
-// on its first batch of compile::kSmallBatch or more samples, and every
-// mutation drops the cached program (invalidate_lowered). Smaller
-// batches, and families without a lowering, loop over the scalar
-// contains, so a new monitor type only has to implement the scalar path
-// to be correct.
+// FeatureBatch. Batched queries have one engine and one implementation,
+// Monitor::contains_batch, which runs the monitor's lowered program
+// (compile::eval_program): one unit per shard, lowered on the first batch
+// of compile::kSmallBatch or more samples and cached until a mutation
+// drops it (invalidate_lowered). A flat family lowers through lower_unit;
+// a sharded monitor lowers each shard into one program; a compiled
+// monitor is its frozen program. Smaller batches, and families without a
+// lowering, loop over the scalar contains, so a new monitor type only has
+// to implement the scalar path to be correct. The thread pool the
+// program's shards fan out on (set_threads) lives next to the cache.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/feature_batch.hpp"
 #include "util/annotations.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ranm {
 
 namespace compile {
 struct CompiledUnit;
+struct Shard;
+using Program = std::vector<Shard>;
 }
 
 /// Query scratch of the calling thread: at least `n` bools, grown to the
@@ -95,8 +102,16 @@ class Monitor {
   /// Membership query per column: out[i] = contains(column i). out.size()
   /// must equal batch.size(). Element-wise identical to the scalar path.
   /// Concurrent queries are safe: racing first batches lower once.
-  virtual void contains_batch(const FeatureBatch& batch,
-                              std::span<bool> out) const;
+  void contains_batch(const FeatureBatch& batch, std::span<bool> out) const;
+
+  /// contains_batch through the lowered program whatever the batch size,
+  /// also keeping each program shard's verdicts: rows[s * n + i] is
+  /// shard s's verdict on column i, and out[i] their AND. rows.size()
+  /// must be the program's shard count times batch.size(). Throws
+  /// std::invalid_argument for a family without a lowering.
+  void contains_batch_by_shard(const FeatureBatch& batch,
+                               std::span<bool> out,
+                               std::span<bool> rows) const;
 
   /// Warning signal per column: out[i] = !contains(column i).
   void warn_batch(const FeatureBatch& batch, std::span<bool> out) const {
@@ -107,21 +122,52 @@ class Monitor {
   /// One-line description (type + key parameters) for logs and tables.
   [[nodiscard]] virtual std::string describe() const = 0;
 
-  /// This monitor as one program with the same verdicts, or null (the
+  /// This flat monitor as one unit with the same verdicts, or null (the
   /// default) for a family without a lowering. BDD sets whose cube cover
   /// needs more than `cube_limit` cubes lower to a node array.
-  /// compile_monitor and contains_batch both lower through here.
   [[nodiscard]] virtual std::unique_ptr<compile::CompiledUnit> lower_unit(
       std::size_t cube_limit) const;
 
+  /// This monitor as one program with the same verdicts, or null for a
+  /// family without a lowering. The default wraps lower_unit in one
+  /// identity shard. compile_monitor and contains_batch both lower
+  /// through here.
+  [[nodiscard]] virtual std::shared_ptr<const compile::Program>
+  lower_program(std::size_t cube_limit) const;
+
+  /// Shard-level parallelism of the batched queries (and of a sharded
+  /// monitor's construction and lowering): at most `threads` shards run
+  /// concurrently, caller included. 1 (the default) runs everything
+  /// inline; 0 uses hardware concurrency. A runtime property, never
+  /// serialised; it must not overlap other calls on this monitor.
+  void set_threads(std::size_t threads);
+  [[nodiscard]] std::size_t threads() const noexcept {
+    return pool_ ? pool_->thread_count() : 1;
+  }
+
  protected:
   Monitor() = default;
-  /// A copy starts without the lowered program.
+  /// A copy starts without the lowered program and runs inline; a move
+  /// keeps the thread pool.
   Monitor(const Monitor&) noexcept {}
+  Monitor(Monitor&& other) noexcept : pool_(std::move(other.pool_)) {}
   Monitor& operator=(const Monitor&) noexcept {
     invalidate_lowered();
     return *this;
   }
+  Monitor& operator=(Monitor&& other) noexcept {
+    invalidate_lowered();
+    pool_ = std::move(other.pool_);
+    return *this;
+  }
+
+  /// Smallest batch contains_batch answers through the lowered program.
+  /// Below it the scalar contains wins: for the BDD families it is a
+  /// lazily coded walk that skips the program's batch setup.
+  [[nodiscard]] virtual std::size_t min_program_batch() const noexcept;
+
+  /// The pool set_threads configured, or null to run inline.
+  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_.get(); }
 
   /// Drops the cached lowered program; every mutation of a lowerable
   /// family calls it.
@@ -143,15 +189,16 @@ class Monitor {
  private:
   /// The cached program, lowered first if there is none yet; null when
   /// the family has no lowering.
-  [[nodiscard]] std::shared_ptr<const compile::CompiledUnit> lowered() const
+  [[nodiscard]] std::shared_ptr<const compile::Program> lowered() const
       RANM_EXCLUDES(lowered_mu_);
 
   /// The lowered program behind contains_batch, shared with the queries
-  /// running on it. Never serialised; moving a Monitor copies its base,
-  /// so a copied or moved monitor starts without it.
+  /// running on it. Never serialised; a copied or moved monitor starts
+  /// without it.
   mutable Mutex lowered_mu_;
-  mutable std::shared_ptr<const compile::CompiledUnit> lowered_
+  mutable std::shared_ptr<const compile::Program> lowered_
       RANM_GUARDED_BY(lowered_mu_);
+  std::unique_ptr<ThreadPool> pool_;  // null: run inline
 };
 
 }  // namespace ranm

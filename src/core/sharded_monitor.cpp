@@ -1,8 +1,10 @@
 #include "core/sharded_monitor.hpp"
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
+#include "compile/program.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/onoff_monitor.hpp"
@@ -71,23 +73,10 @@ ShardedMonitor ShardedMonitor::interval(ShardPlan plan,
   return ShardedMonitor(std::move(plan), std::move(shards));
 }
 
-void ShardedMonitor::set_threads(std::size_t threads) {
-  if (threads == 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<ThreadPool>(threads);
-}
-
 void ShardedMonitor::for_each_shard(
     const std::function<void(std::size_t)>& body) const {
-  for_each_shard(body, true);
-}
-
-void ShardedMonitor::for_each_shard(
-    const std::function<void(std::size_t)>& body, bool parallel) const {
-  if (pool_ && parallel) {
-    pool_->parallel_for(shards_.size(), body);
+  if (ThreadPool* p = pool()) {
+    p->parallel_for(shards_.size(), body);
   } else {
     for (std::size_t s = 0; s < shards_.size(); ++s) body(s);
   }
@@ -107,6 +96,7 @@ void ShardedMonitor::observe(std::span<const float> feature) {
     throw std::invalid_argument(
         "ShardedMonitor::observe: dimension mismatch");
   }
+  invalidate_lowered();
   std::vector<float> scratch;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     gather(feature, s, scratch);
@@ -120,6 +110,7 @@ void ShardedMonitor::observe_bounds(std::span<const float> lo,
   // Validate the whole vector before any shard mutates, so a violation
   // cannot leave some shards one insertion ahead of others.
   check_bounds_ordered(lo, hi, dimension(), "ShardedMonitor::observe_bounds");
+  invalidate_lowered();
   std::vector<float> lo_scratch, hi_scratch;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     gather(lo, s, lo_scratch);
@@ -146,6 +137,7 @@ void ShardedMonitor::observe_batch(const FeatureBatch& batch) {
   check_batch(batch, batch.size(), "ShardedMonitor::observe_batch");
   const std::size_t n = batch.size();
   if (n == 0) return;
+  invalidate_lowered();
   for_each_shard([this, &batch](std::size_t s) {
     shards_[s]->observe_batch(batch.view_rows(plan_.neurons(s)));
   });
@@ -171,6 +163,7 @@ void ShardedMonitor::observe_bounds_batch(const FeatureBatch& lo,
       }
     }
   }
+  invalidate_lowered();
   for_each_shard([this, &lo, &hi](std::size_t s) {
     const auto neurons = plan_.neurons(s);
     shards_[s]->observe_bounds_batch(lo.view_rows(neurons),
@@ -179,41 +172,27 @@ void ShardedMonitor::observe_bounds_batch(const FeatureBatch& lo,
   observations_ += n;
 }
 
-void ShardedMonitor::contains_batch(const FeatureBatch& batch,
-                                    std::span<bool> out) const {
-  check_batch(batch, out.size(), "ShardedMonitor::contains_batch");
-  const std::size_t n = batch.size();
-  if (n == 0) return;
-  if (shards_.size() == 1) {
-    shards_[0]->contains_batch(batch.view_rows(plan_.neurons(0)), out);
-    return;
-  }
-  // One result row per shard; rows are disjoint, so the parallel fan-out
-  // writes race-free, and the final AND-reduce runs on the caller. The
-  // matrix is the calling thread's scratch (shards are flat monitors, so
-  // no nested call on this thread reuses it).
-  bool* rows_ptr = thread_scratch<ShardedMonitor>(shards_.size() * n).data();
-  for_each_shard(
-      [this, &batch, rows_ptr, n](std::size_t s) {
-        shards_[s]->contains_batch(batch.view_rows(plan_.neurons(s)),
-                                   {rows_ptr + s * n, n});
-      },
-      /*parallel=*/n >= kMinPoolBatch);
-  for (std::size_t i = 0; i < n; ++i) out[i] = rows_ptr[i];
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    const bool* row = rows_ptr + s * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = out[i] && row[i];
+std::shared_ptr<const compile::Program> ShardedMonitor::lower_program(
+    std::size_t cube_limit) const {
+  auto program = std::make_shared<compile::Program>(shards_.size());
+  std::atomic<bool> lowered{true};
+  // Each task reads one shard's private state and writes one slot.
+  for_each_shard([&](std::size_t s) {
+    std::unique_ptr<compile::CompiledUnit> unit =
+        shards_[s]->lower_unit(cube_limit);
+    if (unit == nullptr) {
+      lowered = false;
+      return;
     }
-  }
+    const auto neurons = plan_.neurons(s);
+    (*program)[s].neurons.assign(neurons.begin(), neurons.end());
+    (*program)[s].unit = std::move(*unit);
+  });
+  if (!lowered) return nullptr;
+  return program;
 }
 
 const Monitor& ShardedMonitor::shard(std::size_t s) const {
-  if (s >= shards_.size()) throw std::out_of_range("ShardedMonitor::shard");
-  return *shards_[s];
-}
-
-Monitor& ShardedMonitor::shard(std::size_t s) {
   if (s >= shards_.size()) throw std::out_of_range("ShardedMonitor::shard");
   return *shards_[s];
 }

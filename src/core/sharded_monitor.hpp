@@ -11,25 +11,30 @@
 // unsharded monitor, never invent new ones, while cutting BDD node growth
 // from one d_k-variable diagram to S diagrams of ~d_k/S variables.
 //
+// Queries: a sharded monitor lowers itself into one program, a unit per
+// shard reading its plan's neuron rows (lower_program), and answers
+// batches through the base Monitor::contains_batch, the same evaluator
+// and shard fan-out a CompiledMonitor runs. Scalar queries and batches
+// below compile::kSmallBatch walk the shards' own scalar paths.
+//
 // Thread model: BddManager is not thread-safe, so parallelism is purely
-// shard-level — the batched construction and query entry points fan the
-// per-shard row views of one FeatureBatch out on an internal thread pool
-// (set_threads), and every task touches exactly one shard's monitor.
-// Distinct shards share no mutable state, so the fan-out is race-free by
-// construction. Queries are const and reentrant: their scratch belongs to
-// the calling thread, so any number of threads may query one monitor
-// concurrently (the shared pool accepts concurrent parallel_for calls).
-// Construction (observe*, set_threads) must not overlap
-// anything else.
+// shard-level. The pool set_threads configures runs the batched
+// construction, the lowering and the lowered program's shards, and every
+// task touches exactly one shard's monitor or unit. Distinct shards share
+// no mutable state, so the fan-out is race-free by construction. Queries
+// are const and reentrant: their scratch belongs to the calling thread,
+// so any number of threads may query one monitor concurrently (the shared
+// pool accepts concurrent parallel_for calls). Construction (observe*,
+// set_threads) must not overlap anything else.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/monitor.hpp"
 #include "core/shard_plan.hpp"
 #include "core/threshold_spec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ranm {
 
@@ -66,31 +71,25 @@ class ShardedMonitor final : public Monitor {
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
 
-  // Batch paths: one row view per shard of the incoming batch (no feature
-  // copies), fanned out across shards on the thread pool.
+  // Batch construction: one row view per shard of the incoming batch (no
+  // feature copies), fanned out across shards on the thread pool.
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  void contains_batch(const FeatureBatch& batch,
-                      std::span<bool> out) const override;
+
+  /// One program shard per plan shard, in plan order: shard s's
+  /// lower_unit reading the rows plan().neurons(s). Null when a shard has
+  /// no lowering. The shards lower on the pool.
+  [[nodiscard]] std::shared_ptr<const compile::Program> lower_program(
+      std::size_t cube_limit) const override;
 
   // ---- sharding-specific surface ----------------------------------------
-
-  /// Shard-level parallelism for the batch entry points: at most `threads`
-  /// shards run concurrently (including the calling thread). 1 (the
-  /// default) runs everything inline; 0 uses hardware concurrency. The
-  /// thread count is a runtime property and is not serialised.
-  void set_threads(std::size_t threads);
-  [[nodiscard]] std::size_t threads() const noexcept {
-    return pool_ ? pool_->thread_count() : 1;
-  }
 
   [[nodiscard]] const ShardPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
   [[nodiscard]] const Monitor& shard(std::size_t s) const;
-  [[nodiscard]] Monitor& shard(std::size_t s);
 
   /// Construction steps folded in so far. Every step inserts one
   /// abstraction (for BDD shards: one cube) into each shard.
@@ -111,17 +110,8 @@ class ShardedMonitor final : public Monitor {
   [[nodiscard]] std::size_t total_bdd_nodes() const;
 
  private:
-  /// Below this batch size the shard fan-out runs inline even when a pool
-  /// is configured: waking workers costs more than the queries themselves
-  /// (the satellite fix for the compiled/sharded batch-1 regressions).
-  static constexpr std::size_t kMinPoolBatch = 32;
-
   /// Runs body(s) for every shard, on the pool when one is configured.
   void for_each_shard(const std::function<void(std::size_t)>& body) const;
-  /// Same, but runs inline when the per-shard work is below the pool
-  /// grain (`parallel` false).
-  void for_each_shard(const std::function<void(std::size_t)>& body,
-                      bool parallel) const;
   /// Gathers feature's projection onto shard s into `scratch`.
   void gather(std::span<const float> feature, std::size_t s,
               std::vector<float>& scratch) const;
@@ -129,7 +119,6 @@ class ShardedMonitor final : public Monitor {
   ShardPlan plan_;
   std::vector<std::unique_ptr<Monitor>> shards_;
   std::size_t observations_ = 0;
-  std::unique_ptr<ThreadPool> pool_;  // null: run inline
 };
 
 }  // namespace ranm

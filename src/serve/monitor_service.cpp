@@ -84,12 +84,7 @@ MonitorService MonitorService::from_files(const std::string& net_path,
 void MonitorService::apply_threads(Monitor& monitor) const {
   // Thread count is a host property, not part of the artifact — applied
   // after every load, exactly as `ranm_cli eval --threads` does.
-  if (auto* sharded = dynamic_cast<ShardedMonitor*>(&monitor)) {
-    sharded->set_threads(threads_);
-  } else if (auto* compiled =
-                 dynamic_cast<compile::CompiledMonitor*>(&monitor)) {
-    compiled->set_threads(threads_);
-  }
+  monitor.set_threads(threads_);
 }
 
 std::shared_ptr<Monitor> MonitorService::snapshot() const {
@@ -161,26 +156,24 @@ ObserveReply MonitorService::observe_batch(std::span<const Tensor> inputs) {
     return reply;
   }
   const FeatureBatch batch = net_.forward_batch(k_, inputs);
-  const std::span<bool> row = thread_scratch<MonitorService>(inputs.size());
-  snap->warn_batch(batch, row);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    reply.novel += row[i] ? 1 : 0;
-  }
-  // Per-shard drift: project the batch onto each shard's neuron rows and
-  // count the samples outside that shard's region — one view, no copies.
+  const std::size_t n = inputs.size();
+  const std::span<bool> row = thread_scratch<MonitorService>(n);
+  // Per-shard drift: one evaluation of the lowered program keeps each
+  // shard's verdicts, counting the samples outside that shard's region.
   std::vector<std::uint64_t> shard_novel;
   if (const auto* sharded =
           dynamic_cast<const ShardedMonitor*>(snap.get())) {
-    shard_novel.assign(sharded->shard_count(), 0);
-    for (std::size_t s = 0; s < sharded->shard_count(); ++s) {
-      const FeatureBatch view =
-          batch.view_rows(sharded->plan().neurons(s));
-      sharded->shard(s).contains_batch(view, row);
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        shard_novel[s] += row[i] ? 0 : 1;
-      }
+    const std::size_t shards = sharded->shard_count();
+    const auto rows = std::make_unique<bool[]>(shards * n);
+    sharded->contains_batch_by_shard(batch, row, {rows.get(), shards * n});
+    shard_novel.assign(shards, 0);
+    for (std::size_t k = 0; k < shards * n; ++k) {
+      shard_novel[k / n] += rows[k] ? 0 : 1;
     }
+  } else {
+    snap->contains_batch(batch, row);
   }
+  for (std::size_t i = 0; i < n; ++i) reply.novel += row[i] ? 0 : 1;
   reply.staged_total = adapt_->stage(batch, shard_novel);
   return reply;
 }

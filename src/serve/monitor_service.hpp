@@ -7,8 +7,9 @@
 // and answers each incoming minibatch through the batch-first pipeline:
 // Network::forward_batch (one feature-extraction pass) feeding
 // Monitor::contains_batch (one membership query per column). A
-// ShardedMonitor is the intended unit of deployment — `threads` fans its
-// per-shard row views out across cores — but any flat monitor serves too.
+// ShardedMonitor is the intended unit of deployment — `threads` fans the
+// shards of its lowered program out across cores — but any flat monitor
+// serves too.
 //
 // MonitorService is the transport-independent API: tests and
 // bench_serving call it directly (no subprocess, no socket), while the
@@ -58,9 +59,9 @@ class MonitorService {
 
   /// Takes ownership of both artifacts. `layer_k` is the monitored layer
   /// (1-based, as everywhere); the monitor's dimension must equal the
-  /// layer's feature dimension. `threads` configures shard-level
-  /// parallelism on a ShardedMonitor (0 = hardware concurrency) and is
-  /// ignored for flat monitors.
+  /// layer's feature dimension. `threads` is every served monitor's
+  /// Monitor::set_threads (0 = hardware concurrency); a flat monitor has
+  /// one shard, so it always runs inline.
   MonitorService(Network net, std::unique_ptr<Monitor> monitor,
                  std::size_t layer_k, std::size_t threads = 1);
 

@@ -1,9 +1,9 @@
 // Batched query/construction API: randomized property tests asserting the
 // batch path is element-wise identical to the scalar path for every
-// monitor family (min-max, on-off, interval, box-cluster, multi-layer),
-// including robust/don't-care BDD constructions and empty / size-1
-// batches, that every mutation drops the program a batch query lowered,
-// plus the observe_bounds precondition (lo <= hi) validation.
+// monitor family (min-max, on-off, interval, box-cluster, sharded,
+// multi-layer), including robust/don't-care BDD constructions and empty /
+// size-1 batches, that every mutation drops the program a batch query
+// lowered, plus the observe_bounds precondition (lo <= hi) validation.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,6 +18,7 @@
 #include "core/monitor_builder.hpp"
 #include "core/multi_layer_monitor.hpp"
 #include "core/onoff_monitor.hpp"
+#include "core/sharded_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 
@@ -528,6 +529,18 @@ TEST(BatchQuery, EveryMutationDropsTheLoweredProgram) {
         return m;
       },
       minmax_mutations, kDim, rng);
+
+  // A sharded monitor caches one program over all its shards; its own
+  // observe entry points must drop it, not only its shards'.
+  check_every_mutation<ShardedMonitor>(
+      "sharded",
+      [&] {
+        auto m = std::make_unique<ShardedMonitor>(ShardedMonitor::interval(
+            ShardPlan::contiguous(kDim, 4), interval_spec));
+        fold_small(*m, kDim, 6, rng);
+        return m;
+      },
+      observe_mutations<ShardedMonitor>(), kDim, rng);
 
   // A box-cluster monitor buffers its observations until finalize, and
   // no program can be lowered before then, so enlarge is its one

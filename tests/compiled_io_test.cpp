@@ -51,7 +51,7 @@ CompiledMonitor make_sharded_compiled(Rng& rng, std::size_t cube_limit) {
   ShardedMonitor source = ShardedMonitor::interval(
       ShardPlan::contiguous(dim, 3), random_spec(dim, 2, rng));
   for (int i = 0; i < 12; ++i) source.observe(random_feature(dim, rng));
-  return compile_monitor(source, CompileOptions{cube_limit, 1});
+  return compile_monitor(source, CompileOptions{cube_limit});
 }
 
 /// A flat min-max build: exercises the box program and the identity

@@ -159,7 +159,7 @@ TEST(CompiledMonitor, FlatFamiliesMatchBitForBit) {
           const std::unique_ptr<Monitor> interpreted =
               build_flat(family, dim, robust, rng, stored);
           const CompiledMonitor compiled =
-              compile_monitor(*interpreted, CompileOptions{cube_limit, 1});
+              compile_monitor(*interpreted, CompileOptions{cube_limit});
           EXPECT_EQ(compiled.shard_count(), 1U);
           EXPECT_EQ(compiled.source(), interpreted->describe());
           expect_match(*interpreted, compiled, dim, stored, with_nan, rng);
@@ -189,11 +189,10 @@ TEST(CompiledMonitor, ShardedMatchesBitForBit) {
                 : ShardedMonitor::interval(plan, random_spec(dim, 2, rng));
         std::vector<std::vector<float>> stored;
         observe_all(interpreted, dim, robust, rng, stored);
-        // Parallel shard lowering must produce the same artifact a
-        // sequential lowering would have.
-        const std::size_t lower_threads = shards > 1 ? 3 : 1;
-        CompiledMonitor compiled = compile_monitor(
-            interpreted, CompileOptions{64, lower_threads});
+        // Parallel shard lowering (on the monitor's own pool) must
+        // produce the same artifact a sequential lowering would have.
+        interpreted.set_threads(shards > 1 ? 3 : 1);
+        CompiledMonitor compiled = compile_monitor(interpreted);
         EXPECT_EQ(compiled.shard_count(), plan.shard_count());
         expect_match(interpreted, compiled, dim, stored, true, rng);
         // Threaded querying is a runtime property, not a semantic one.
@@ -207,6 +206,46 @@ TEST(CompiledMonitor, ShardedMatchesBitForBit) {
   }
 }
 
+// Moving a monitor copies its Monitor base, which starts without the
+// cached program (perfbench moves compile_monitor's result into a
+// unique_ptr). The moved monitor must re-lower, keep its pool, and still
+// answer like the scalar path on both sides of the small-batch and pool
+// thresholds.
+TEST(CompiledMonitor, MovedMonitorsMatchScalar) {
+  Rng rng(3141);
+  const std::size_t dim = 16;
+  ShardedMonitor source = ShardedMonitor::interval(
+      ShardPlan::contiguous(dim, 4), random_spec(dim, 2, rng));
+  std::vector<std::vector<float>> stored;
+  observe_all(source, dim, true, rng, stored);
+  source.set_threads(4);
+  CompiledMonitor compiled = compile_monitor(source);
+  compiled.set_threads(4);
+  const std::vector<std::size_t> sizes = {1, 7, 8, 33, 64};
+  const auto check = [&](const Monitor& monitor, const char* what) {
+    EXPECT_EQ(monitor.threads(), 4U) << what;
+    std::vector<float> sample(dim);
+    for (const std::size_t n : sizes) {
+      const FeatureBatch queries = query_batch(dim, n, stored, true, rng);
+      auto got = std::make_unique<bool[]>(n);
+      monitor.contains_batch(queries, {got.get(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        queries.copy_sample(i, sample);
+        EXPECT_EQ(got[i], monitor.contains(sample))
+            << what << ", batch " << n << " sample " << i;
+      }
+    }
+  };
+  // Query first, so each source has a cached program the move drops.
+  check(source, "sharded");
+  check(compiled, "compiled");
+  const ShardedMonitor moved_sharded = std::move(source);
+  const auto moved_compiled =
+      std::make_unique<CompiledMonitor>(std::move(compiled));
+  check(moved_sharded, "moved sharded");
+  check(*moved_compiled, "moved compiled");
+}
+
 TEST(CompiledMonitor, CubeAndBddLoweringsAgree) {
   Rng rng(555);
   const std::size_t dim = 8;
@@ -216,9 +255,9 @@ TEST(CompiledMonitor, CubeAndBddLoweringsAgree) {
   // case the default lowering is built for.
   observe_all(interpreted, dim, true, rng, stored);
   const CompiledMonitor as_cubes =
-      compile_monitor(interpreted, CompileOptions{1U << 20, 1});
+      compile_monitor(interpreted, CompileOptions{1U << 20});
   const CompiledMonitor as_bdd =
-      compile_monitor(interpreted, CompileOptions{0, 1});
+      compile_monitor(interpreted, CompileOptions{0});
   EXPECT_GT(as_bdd.total_nodes(), 0U);
   EXPECT_EQ(as_bdd.total_cubes(), 0U);
   expect_match(interpreted, as_cubes, dim, stored, true, rng);
@@ -236,7 +275,7 @@ std::size_t supported_vars(const compile::CompiledUnit& unit) {
 /// `large` programs walk every batch (even a full 64-sample block), small
 /// ones sweep every batch of 8 or more.
 void expect_crossover_side(const CompiledMonitor& compiled, bool large) {
-  for (const CompiledMonitor::Shard& sh : compiled.shards()) {
+  for (const compile::Shard& sh : compiled.shards()) {
     ASSERT_EQ(sh.unit.kind, compile::ProgramKind::kBdd);
     const std::size_t nodes = sh.unit.bdd.nodes.size();
     const std::size_t vars = supported_vars(sh.unit);
@@ -253,9 +292,10 @@ void expect_crossover_side(const CompiledMonitor& compiled, bool large) {
 TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
   Rng rng(8128);
   // Every 8-way interleave remainder and both sides of the 64-lane block
-  // edge.
-  const std::vector<std::size_t> batch_sizes = {1,  7,  8,  9,  15, 16, 17,
-                                                31, 32, 33, 63, 64, 65, 200};
+  // edge, plus a batch whose large two-shard programs clear the pool's
+  // work grain, so the shards run on the pool.
+  const std::vector<std::size_t> batch_sizes = {
+      1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200, 2048};
   for (const bool large : {false, true}) {
     for (const std::size_t shards : {1UL, 2UL}) {
       for (const std::size_t bits : {1UL, 2UL}) {
@@ -302,7 +342,7 @@ TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
           }
           // cube_limit 0: always the flat node array.
           CompiledMonitor compiled =
-              compile_monitor(*interpreted, CompileOptions{0, 1});
+              compile_monitor(*interpreted, CompileOptions{0});
           expect_crossover_side(compiled, large);
           if (shards == 1) {
             EXPECT_EQ(compiled.total_nodes(),

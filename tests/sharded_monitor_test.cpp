@@ -21,9 +21,12 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "compile/compiled_monitor.hpp"
+#include "compile/lower.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
@@ -262,9 +265,10 @@ TEST(ShardedMonitor, ThreadCountDoesNotChangeAnswers) {
   check_equivalence(Family::kOnOff, 12, 1, 3, false, false, 0, rng);
 }
 
-// The first batch query of a monitor lowers its program (each shard
-// lowers its own). Threads issuing it at once must all get the verdicts
-// of the scalar path, which lowers nothing.
+// The first batch query of a monitor lowers its program (a sharded
+// monitor lowers every shard into one program; a compiled monitor's
+// cache takes its frozen program). Threads issuing it at once must all
+// get the verdicts of the scalar path, which lowers nothing.
 TEST(ShardedMonitor, ConcurrentFirstBatchQueriesMatchScalar) {
   Rng rng(829);
   constexpr std::size_t kDim = 16;
@@ -283,24 +287,12 @@ TEST(ShardedMonitor, ConcurrentFirstBatchQueriesMatchScalar) {
     }
   }
   const FeatureBatch batch = query_batch(kDim, kBatch, stored, false, rng);
-  for (const std::size_t shards : {1UL, 4UL}) {
-    std::unique_ptr<Monitor> monitor;
-    if (shards == 1) {
-      monitor = std::make_unique<IntervalMonitor>(spec);
-    } else {
-      auto sharded = std::make_unique<ShardedMonitor>(ShardedMonitor::interval(
-          ShardPlan::contiguous(kDim, shards), spec));
-      sharded->set_threads(shards);
-      monitor = std::move(sharded);
-    }
-    for (std::size_t s = 0; s < lo.size(); ++s) {
-      monitor->observe_bounds(lo[s], hi[s]);
-    }
+  const auto race = [&](const Monitor& monitor, const std::string& what) {
     std::vector<bool> expected(kBatch);
     std::vector<float> sample(kDim);
     for (std::size_t i = 0; i < kBatch; ++i) {
       batch.copy_sample(i, sample);
-      expected[i] = monitor->contains(sample);
+      expected[i] = monitor.contains(sample);
     }
     std::vector<std::vector<bool>> got(kThreads, std::vector<bool>(kBatch));
     std::latch start(kThreads);
@@ -309,15 +301,28 @@ TEST(ShardedMonitor, ConcurrentFirstBatchQueriesMatchScalar) {
       threads.emplace_back([&, t] {
         auto out = std::make_unique<bool[]>(kBatch);
         start.arrive_and_wait();
-        monitor->contains_batch(batch, {out.get(), kBatch});
+        monitor.contains_batch(batch, {out.get(), kBatch});
         for (std::size_t i = 0; i < kBatch; ++i) got[t][i] = out[i];
       });
     }
     for (std::thread& th : threads) th.join();
     for (std::size_t t = 0; t < kThreads; ++t) {
-      EXPECT_EQ(got[t], expected) << "shards " << shards << ", thread " << t;
+      EXPECT_EQ(got[t], expected) << what << ", thread " << t;
     }
+  };
+  IntervalMonitor flat(spec);
+  ShardedMonitor sharded =
+      ShardedMonitor::interval(ShardPlan::contiguous(kDim, 4), spec);
+  sharded.set_threads(4);
+  for (std::size_t s = 0; s < lo.size(); ++s) {
+    flat.observe_bounds(lo[s], hi[s]);
+    sharded.observe_bounds(lo[s], hi[s]);
   }
+  race(flat, "flat");
+  race(sharded, "4 shards");
+  compile::CompiledMonitor compiled = compile::compile_monitor(sharded);
+  compiled.set_threads(4);
+  race(compiled, "compiled 4 shards");
 }
 
 TEST(ShardedMonitor, MinMaxShardingIsExactForAnyShardCount) {

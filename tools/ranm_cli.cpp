@@ -344,24 +344,29 @@ int cmd_build(const ArgParser& args) {
 int cmd_compile(const ArgParser& args) {
   args.check_known({"monitor", "out", "threads", "cube-limit"});
   compile::CompileOptions opts;
-  opts.threads = parse_threads(args);
+  const std::size_t threads = parse_threads(args);
   opts.cube_limit = args.get_size("cube-limit", 64, 1U << 20);
 
   std::ifstream in(args.require("monitor"), std::ios::binary);
   if (!in) throw std::runtime_error("cannot open monitor file");
   const auto monitor = load_any_monitor(in);
+  // --threads sets the pool a sharded monitor lowers its shards on, a
+  // host setting: the artifact records the monitor as loaded.
+  const std::string source = monitor->describe();
+  monitor->set_threads(threads);
 
   Timer timer;
-  const compile::CompiledMonitor compiled =
+  const compile::CompiledMonitor lowered =
       compile::compile_monitor(*monitor, opts);
+  const compile::CompiledMonitor compiled(
+      lowered.dimension(), source, lowered.lower_program(opts.cube_limit));
   const double secs = timer.seconds();
 
   std::ofstream out(args.require("out"), std::ios::binary);
   if (!out) throw std::runtime_error("cannot write compiled monitor file");
   compile::save_compiled_monitor(out, compiled);
-  std::printf("compiled %s\n  -> %s (%s, %.3fs)\n",
-              monitor->describe().c_str(), args.require("out").c_str(),
-              compiled.describe().c_str(), secs);
+  std::printf("compiled %s\n  -> %s (%s, %.3fs)\n", source.c_str(),
+              args.require("out").c_str(), compiled.describe().c_str(), secs);
   return 0;
 }
 
@@ -375,14 +380,8 @@ int cmd_eval(const ArgParser& args) {
   if (!min) throw std::runtime_error("cannot open monitor file");
   const auto monitor = load_any_monitor(min);
   // The thread count is a runtime (host) property, not part of the
-  // artifact: apply --threads to sharded and compiled monitors after
-  // loading.
-  if (auto* sharded = dynamic_cast<ShardedMonitor*>(monitor.get())) {
-    sharded->set_threads(threads);
-  } else if (auto* compiled =
-                 dynamic_cast<compile::CompiledMonitor*>(monitor.get())) {
-    compiled->set_threads(threads);
-  }
+  // artifact: apply --threads after loading.
+  monitor->set_threads(threads);
   MonitorBuilder builder(net, layer);
 
   // Each set runs through the batched query pipeline (one feature
