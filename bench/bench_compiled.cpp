@@ -8,8 +8,10 @@
 // only by noise. At batch 1 the interpreted column is the scalar contains
 // (the lazily coded BDD walk for on-off and interval) and the compiled
 // column the program's tiny-batch path. The warm-up verdicts of the two
-// columns must agree, or the bench exits non-zero: a CI smoke run fails
-// on an engine split instead of timing it. Every family, flat and
+// columns must agree, and so must both columns and the scalar contains
+// on an untimed batch of samples mostly outside the set, or the bench
+// exits non-zero: a CI smoke run fails on an engine split instead of
+// timing it. Every family, flat and
 // 4-shard, batch sizes 1..256. Every row records the compiled program's
 // BDD node count: the small robust families sit below the sweep/walk
 // crossover (compile::kBddWalkHopCost), while interval_robust_large — a
@@ -72,7 +74,8 @@ struct Measurement {
   std::size_t nodes = 0;  // compiled BDD nodes over all shards
   Timing interpreted;
   Timing compiled;
-  /// Samples whose warm-up verdicts differ between the two columns.
+  /// Samples whose warm-up verdicts differ between the two columns, plus
+  /// those of the out-of-set probe batch (probe_disagreements).
   std::size_t disagreements = 0;
   /// Ratio of the medians.
   [[nodiscard]] double speedup() const {
@@ -138,6 +141,46 @@ Timing reduce_blocks(std::vector<double> ns) {
   return {ns[ns.size() / 2], ns.front()};
 }
 
+/// Samples of an untimed batch, mostly outside the monitored set, on which
+/// the interpreted batch, the compiled batch and the scalar contains do
+/// not all agree. The timed batches hold training features only, which
+/// every monitor contains, so their check cannot see a form that accepts
+/// too much. Sample i is a fresh random feature (i % 3 == 0), a training
+/// feature with one coordinate moved by 3 (i % 3 == 1), or a training
+/// feature jittered by up to 0.02 per coordinate (i % 3 == 2).
+std::size_t probe_disagreements(const Monitor& interpreted,
+                                const compile::CompiledMonitor& compiled,
+                                const Fixture& f, std::size_t batch_size) {
+  Rng rng(7919 + batch_size);
+  FeatureBatch probe(kDim, batch_size);
+  std::vector<std::vector<float>> samples;
+  for (std::size_t i = 0; i < batch_size; ++i) {
+    std::vector<float> v = f.features[(i * 7) % f.features.size()];
+    if (i % 3 == 0) {
+      v = random_feature(rng);
+    } else if (i % 3 == 1) {
+      v[i % kDim] += 3.0F;
+    } else {
+      for (float& x : v) x += float(rng.uniform() * 0.04 - 0.02);
+    }
+    probe.set_sample(i, v);
+    samples.push_back(std::move(v));
+  }
+  const auto batch_verdicts = [&](const Monitor& monitor) {
+    auto out = std::make_unique<bool[]>(batch_size);
+    monitor.contains_batch(probe, std::span<bool>(out.get(), batch_size));
+    return out;
+  };
+  const auto by_interpreted = batch_verdicts(interpreted);
+  const auto by_compiled = batch_verdicts(compiled);
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < batch_size; ++i) {
+    const bool scalar = interpreted.contains(samples[i]);
+    differ += by_interpreted[i] != scalar || by_compiled[i] != scalar;
+  }
+  return differ;
+}
+
 /// One untimed warm-up call per form, then kBlocks timed blocks of
 /// reps / kBlocks calls (at least one) per form, alternating.
 Measurement bench_pair(const std::string& name, const Monitor& interpreted,
@@ -170,6 +213,7 @@ Measurement bench_pair(const std::string& name, const Monitor& interpreted,
   for (std::size_t i = 0; i < batch_size; ++i) {
     disagreements += out[i] != want[i] ? 1 : 0;
   }
+  disagreements += probe_disagreements(interpreted, compiled, f, batch_size);
   std::vector<double> interpreted_ns(kBlocks), compiled_ns(kBlocks);
   for (std::size_t b = 0; b < kBlocks; ++b) {
     interpreted_ns[b] = block_ns(interpreted);
@@ -367,9 +411,10 @@ int run(int argc, char** argv) {
     if (m.disagreements == 0) continue;
     std::fprintf(stderr,
                  "verdict mismatch: %s, batch %zu, shards %zu: %zu of %zu "
-                 "samples differ between interpreted and compiled\n",
+                 "samples differ between interpreted and compiled (warm-up "
+                 "and out-of-set probe batches)\n",
                  m.monitor.c_str(), m.batch_size, m.shards, m.disagreements,
-                 m.batch_size);
+                 2 * m.batch_size);
     status = 1;
   }
   return status;

@@ -24,11 +24,14 @@
 // Sweep 3 (forward_sweep): the lab convnet's concrete forward pass up to
 // g6, which every robust-monitor verdict pays first, at batch 1, 32 and
 // 256. One row times the whole prefix (Network::forward_batch); the rows
-// below it split that time into the input pack (inputs scattered into
-// neuron-major rows) and each layer g1..g6, timed by a clock read between
-// the stages of forward_batch's own block loop, which runs right after
-// each timed prefix call; the prefix row records their sum over it (about
-// 1 when the split accounts for the whole pass).
+// below it split that time into the input pack (pack_neuron_major, a
+// blocked transpose into neuron-major rows) and each step the network
+// runs: "g1+g2" is Conv2D with its LeakyReLU applied in the same kernel,
+// "g5+g6" the same for Dense, and the Flatten g4 is a view with no row.
+// The stages are timed by a clock read between the steps of
+// forward_batch's own block loop, which runs right after each timed
+// prefix call; the prefix row records their sum over it (about 1 when the
+// split accounts for the whole pass).
 // The bench fails if a column of the batched pass differs from the
 // one-column pass.
 //
@@ -39,7 +42,6 @@
 // the path given as argv[1]) so the perf trajectory is tracked per-PR.
 // RANM_SMOKE=1 shrinks the sweeps for CI.
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -53,6 +55,7 @@
 #include "bench_util.hpp"
 #include "core/perturbation_estimator.hpp"
 #include "nn/init.hpp"
+#include "util/aligned.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -108,7 +111,7 @@ struct BackendMeasurement {
 };
 
 struct ForwardMeasurement {
-  std::string layers;  // "g1-g6" for the prefix, "pack", or "g3"
+  std::string layers;  // "g1-g6" for the prefix, "pack", "g3" or "g1+g2"
   std::size_t batch_size = 0;
   Timing time;
   // Prefix row: the stage rows' median sum over this row's median. Stage
@@ -165,7 +168,8 @@ void write_json(const std::string& path, bool smoke,
       "time the layer's kernel alone over the whole batch in one call; "
       "forward_sweep: each call runs forward_batch (the prefix row) and "
       "then its block loop with a clock read between stages (the stage "
-      "rows)");
+      "rows: the pack and each step the network runs, an affine layer and "
+      "its fused activation as one, the Flatten view as none)");
 }
 
 std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
@@ -394,16 +398,6 @@ std::vector<BackendMeasurement> run_backend_sweep(bool smoke, bool& sound) {
   return results;
 }
 
-/// Element j of inputs[c0 + i] at out[j * b + i], i < b: one block of
-/// Network::forward_batch's input pack.
-void pack_block(const std::vector<Tensor>& inputs, std::size_t c0,
-                std::size_t b, float* out) {
-  for (std::size_t i = 0; i < b; ++i) {
-    const Tensor& x = inputs[c0 + i];
-    for (std::size_t j = 0; j < x.numel(); ++j) out[j * b + i] = x[j];
-  }
-}
-
 std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
   TextTable table("E5c: concrete forward pass of the lab convnet to g6, "
                   "whole prefix and per stage (us/input median and min of 5 "
@@ -452,17 +446,28 @@ std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
     // Row 0 times the whole prefix; rows 1.. time the stages inside
     // forward_batch's own loop, run right after it, with a clock read
     // between them: each block of 32 samples is packed neuron-major (row
-    // 1), then ping-pongs through g1..g6 (rows 2..) in two block-sized
-    // buffers, so every stage sees the working set it sees in
-    // forward_batch, and a change of the host's speed reaches all rows.
+    // 1), then ping-pongs through the steps the network runs for g1..g6
+    // (rows 2..: an affine layer and its activation are one step, and
+    // Flatten is a view that runs nothing) in two block-sized buffers, so
+    // every stage sees the working set it sees in forward_batch, and a
+    // change of the host's speed reaches all rows.
+    std::vector<Network::Step> steps;
+    for (std::size_t l = 1; l <= kMonitored;) {
+      const Network::Step s = net.step(l, kMonitored);
+      if (!s.view) steps.push_back(s);
+      l = s.last + 1;
+    }
     std::size_t width = net.layer(1).input_size();
     for (std::size_t k = 1; k <= kMonitored; ++k) {
       width = std::max(width, net.layer(k).output_size());
     }
-    std::vector<float> ping(width * kBlock), pong(width * kBlock);
-    constexpr std::size_t kRows = kMonitored + 2;
+    const std::size_t in_dim = net.layer(1).input_size();
+    // Cache-line aligned like forward_batch's own scratch.
+    AlignedFloats ping(width * kBlock), pong(width * kBlock);
+    const std::size_t rows_count = steps.size() + 2;
     using Clock = std::chrono::steady_clock;
-    const auto pass = [&](std::array<Clock::duration, kRows>& spent) {
+    using Spent = std::vector<Clock::duration>;
+    const auto pass = [&](Spent& spent) {
       Clock::time_point t = Clock::now();
       g_sink += double(net.forward_batch(kMonitored, inputs).at(0, 0));
       Clock::time_point now = Clock::now();
@@ -472,10 +477,10 @@ std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
         float* src = ping.data();
         float* dst = pong.data();
         t = Clock::now();
-        pack_block(inputs, c0, b, src);
-        for (std::size_t row = 1; row < kRows; ++row) {
+        pack_neuron_major(std::span(inputs).subspan(c0, b), in_dim, b, src);
+        for (std::size_t row = 1; row < rows_count; ++row) {
           if (row > 1) {
-            net.layer(row - 1).forward_batch(src, dst, b);
+            net.forward_step(steps[row - 2], src, dst, b);
             std::swap(src, dst);
           }
           now = Clock::now();
@@ -485,30 +490,36 @@ std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
         g_sink += double(src[0]);
       }
     };
-    std::array<Clock::duration, kRows> warm{};
+    Spent warm(rows_count);
     pass(warm);
-    std::array<std::vector<double>, kRows> block_us;
+    std::vector<std::vector<double>> block_us(rows_count);
     for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-      std::array<Clock::duration, kRows> spent{};
+      Spent spent(rows_count);
       for (std::size_t r = 0; r < reps; ++r) pass(spent);
-      for (std::size_t row = 0; row < kRows; ++row) {
+      for (std::size_t row = 0; row < rows_count; ++row) {
         block_us[row].push_back(
             std::chrono::duration<double, std::micro>(spent[row]).count() /
             double(reps * batch));
       }
     }
-    constexpr std::array<const char*, kRows> kLabels = {
-        "g1-g6", "pack", "g1", "g2", "g3", "g4", "g5", "g6"};
-    std::array<ForwardMeasurement, kRows> rows;
-    for (std::size_t row = 0; row < kRows; ++row) {
+    std::vector<ForwardMeasurement> rows(rows_count);
+    for (std::size_t row = 0; row < rows_count; ++row) {
       ForwardMeasurement& m = rows[row];
-      m.layers = kLabels[row];
+      if (row == 0) {
+        m.layers = "g1-g6";
+      } else if (row == 1) {
+        m.layers = "pack";
+      } else {
+        const Network::Step& s = steps[row - 2];
+        m.layers = "g" + std::to_string(s.first);
+        if (s.last > s.first) m.layers += "+g" + std::to_string(s.last);
+      }
       m.batch_size = batch;
       std::sort(block_us[row].begin(), block_us[row].end());
       m.time = {block_us[row][kBlocks / 2], block_us[row].front()};
     }
     double sum = 0.0;
-    for (std::size_t row = 1; row < kRows; ++row) {
+    for (std::size_t row = 1; row < rows_count; ++row) {
       sum += rows[row].time.median_us;
       rows[row].share = rows[row].time.median_us / rows[0].time.median_us;
     }
@@ -543,8 +554,8 @@ int run(int argc, char** argv) {
       "(b) vectorized speedup grows with batch size (contiguous "
       "neuron-major sweeps amortise across the batch lane) and clears "
       "2x at batch 256. (c) the forward stage rows sum to their prefix "
-      "row (stage_sum_over_prefix within 5%% of 1); Conv2D g1 and Dense g5 "
-      "take most of it.\n",
+      "row (stage_sum_over_prefix within 5%% of 1); the fused Conv2D step "
+      "g1+g2 and Dense step g5+g6 take most of it, the pack at most 5%%.\n",
       json_path.c_str(), g_sink);
   return 0;
 }

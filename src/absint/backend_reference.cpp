@@ -34,13 +34,35 @@ void emit_bounds(double acc_c2, double acc_r2, float bias, BoxBatch& out,
   out.hi(j, i) = round_up(c + double(bias) + rad);
 }
 
+/// The reference form of each activation's box transfer over every bound
+/// of `in`, written to `out` (which may be `in`): ReLU as max(0, v),
+/// LeakyReLU as the select v > 0 ? v : αv with the endpoints ordered, both
+/// independent of the vectorized backend's expressions (util/epilogue.hpp).
+void activate(const Epilogue& ep, const BoxBatch& in, BoxBatch& out) {
+  if (ep.identity()) return;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    for (std::size_t j = 0; j < in.dimension(); ++j) {
+      const float lo = in.lo(j, i), hi = in.hi(j, i);
+      if (ep.kind == Epilogue::Kind::kRelu) {
+        out.lo(j, i) = std::max(0.0F, lo);
+        out.hi(j, i) = std::max(0.0F, hi);
+      } else {
+        const float a = lo > 0.0F ? lo : ep.alpha * lo;
+        const float b = hi > 0.0F ? hi : ep.alpha * hi;
+        out.lo(j, i) = std::min(a, b);
+        out.hi(j, i) = std::max(a, b);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void ReferenceBoundBackend::do_affine(std::span<const float> w,
                                       std::size_t rows, std::size_t cols,
                                       std::span<const float> bias,
-                                      const BoxBatch& in,
-                                      BoxBatch& out) const {
+                                      const BoxBatch& in, BoxBatch& out,
+                                      const Epilogue& ep) const {
   const std::size_t n = in.size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < rows; ++r) {
@@ -54,13 +76,14 @@ void ReferenceBoundBackend::do_affine(std::span<const float> w,
       emit_bounds(c, rad, bias[r], out, r, i);
     }
   }
+  activate(ep, out, out);
 }
 
 void ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
                                       std::span<const float> w,
                                       std::span<const float> bias,
-                                      const BoxBatch& in,
-                                      BoxBatch& out) const {
+                                      const BoxBatch& in, BoxBatch& out,
+                                      const Epilogue& ep) const {
   const std::size_t n = in.size();
   // Per-sample staging of the doubled centre/radius.
   std::vector<double> cen(g.input_size()), rad(g.input_size());
@@ -107,6 +130,7 @@ void ReferenceBoundBackend::do_conv2d(const Conv2DGeometry& g,
       }
     }
   }
+  activate(ep, out, out);
 }
 
 void ReferenceBoundBackend::do_max_pool(const Pool2DGeometry& g,
@@ -168,24 +192,12 @@ void ReferenceBoundBackend::do_avg_pool(const Pool2DGeometry& g,
 }
 
 void ReferenceBoundBackend::do_relu(const BoxBatch& in, BoxBatch& out) const {
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    for (std::size_t j = 0; j < in.dimension(); ++j) {
-      out.lo(j, i) = std::max(0.0F, in.lo(j, i));
-      out.hi(j, i) = std::max(0.0F, in.hi(j, i));
-    }
-  }
+  activate({Epilogue::Kind::kRelu}, in, out);
 }
 
 void ReferenceBoundBackend::do_leaky_relu(float alpha, const BoxBatch& in,
                                           BoxBatch& out) const {
-  auto f = [alpha](float v) { return v > 0.0F ? v : alpha * v; };
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    for (std::size_t j = 0; j < in.dimension(); ++j) {
-      const float a = f(in.lo(j, i)), b = f(in.hi(j, i));
-      out.lo(j, i) = std::min(a, b);
-      out.hi(j, i) = std::max(a, b);
-    }
-  }
+  activate({Epilogue::Kind::kLeakyRelu, alpha}, in, out);
 }
 
 void ReferenceBoundBackend::do_normalize(std::span<const float> mean,

@@ -10,6 +10,13 @@
 // round_down/round_up at the narrowing cast), so bounds never tighten
 // relative to it: with FP contraction off they are bit-identical.
 //
+// The affine and conv kernels take the activation of a fused step as an
+// epilogue (util/epilogue.hpp) and apply its box transfer to the bounds
+// they have just written, while those are in cache: the conv kernel to
+// every channel of one output position after that position's tiles, the
+// affine kernel to the whole block. The ReLU and LeakyReLU kernels run the
+// same expressions, so a fused step gives the bits of the two-layer chain.
+//
 // Every kernel but monotone (a libm call per element) runs through
 // dispatch_kernel (util/isa.hpp): its body is compiled for the baseline,
 // AVX2 and AVX-512 targets and the CPU's level is picked at run time. A
@@ -78,8 +85,8 @@ struct AffineTile {
 void VectorizedBoundBackend::do_affine(std::span<const float> w,
                                        std::size_t rows, std::size_t cols,
                                        std::span<const float> bias,
-                                       const BoxBatch& in,
-                                       BoxBatch& out) const {
+                                       const BoxBatch& in, BoxBatch& out,
+                                       const Epilogue& ep) const {
   dispatch_kernel([&] {
     const std::size_t n = in.size();
     const float* lo = in.lower().storage().data();
@@ -99,14 +106,17 @@ void VectorizedBoundBackend::do_affine(std::span<const float> w,
             acc.emit(u, bias[o0 + u], out_lo + at, out_hi + at);
           }
         });
+    // The network's passes call this on one block of at most 32 samples,
+    // so the bounds just written are still in cache.
+    ep.apply_box(out_lo, out_hi, out_lo, out_hi, rows * n);
   });
 }
 
 void VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
                                        std::span<const float> w,
                                        std::span<const float> bias,
-                                       const BoxBatch& in,
-                                       BoxBatch& out) const {
+                                       const BoxBatch& in, BoxBatch& out,
+                                       const Epilogue& ep) const {
   dispatch_kernel([&] {
     const std::size_t n = in.size();
     const float* lo = in.lower().storage().data();
@@ -148,6 +158,15 @@ void VectorizedBoundBackend::do_conv2d(const Conv2DGeometry& g,
                 acc.emit(u, bias[oc0 + u], out_lo + at, out_hi + at);
               }
             });
+        // The activation runs over this position's rows, every channel
+        // of every sample, while they are in L1: outside the tiles, whose
+        // unrolled loops a branch on the epilogue would break.
+        if (ep.identity()) continue;
+        for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
+          const std::size_t at =
+              ((oc * g.out_height + oy) * g.out_width + ox) * n;
+          ep.apply_box(out_lo + at, out_hi + at, out_lo + at, out_hi + at, n);
+        }
       }
     }
   });
@@ -233,36 +252,25 @@ void VectorizedBoundBackend::do_avg_pool(const Pool2DGeometry& g,
   });
 }
 
-void VectorizedBoundBackend::do_relu(const BoxBatch& in, BoxBatch& out) const {
+namespace {
+
+void activate(const Epilogue& ep, const BoxBatch& in, BoxBatch& out) {
   dispatch_kernel([&] {
-    const std::span<const float> ilo = in.lower().storage();
-    const std::span<const float> ihi = in.upper().storage();
-    const std::span<float> olo = out.lower().storage();
-    const std::span<float> ohi = out.upper().storage();
-    for (std::size_t e = 0; e < ilo.size(); ++e) {
-      olo[e] = std::max(0.0F, ilo[e]);
-      ohi[e] = std::max(0.0F, ihi[e]);
-    }
+    ep.apply_box(in.lower().storage().data(), in.upper().storage().data(),
+                 out.lower().storage().data(), out.upper().storage().data(),
+                 in.lower().storage().size());
   });
+}
+
+}  // namespace
+
+void VectorizedBoundBackend::do_relu(const BoxBatch& in, BoxBatch& out) const {
+  activate({Epilogue::Kind::kRelu}, in, out);
 }
 
 void VectorizedBoundBackend::do_leaky_relu(float alpha, const BoxBatch& in,
                                            BoxBatch& out) const {
-  dispatch_kernel([&] {
-    const std::span<const float> ilo = in.lower().storage();
-    const std::span<const float> ihi = in.upper().storage();
-    const std::span<float> olo = out.lower().storage();
-    const std::span<float> ohi = out.upper().storage();
-    for (std::size_t e = 0; e < ilo.size(); ++e) {
-      // max(v, αv) is v > 0 ? v : αv for α in [0, 1), signed zeros
-      // included, and unlike the select it computes both operands
-      // unconditionally, so the loop vectorizes under -ftrapping-math.
-      const float a = std::max(ilo[e], alpha * ilo[e]);
-      const float b = std::max(ihi[e], alpha * ihi[e]);
-      olo[e] = std::min(a, b);
-      ohi[e] = std::max(a, b);
-    }
-  });
+  activate({Epilogue::Kind::kLeakyRelu, alpha}, in, out);
 }
 
 void VectorizedBoundBackend::do_normalize(std::span<const float> mean,

@@ -43,11 +43,25 @@ void check_pool_fits(const Pool2DGeometry& g, const char* what) {
   }
 }
 
+/// LeakyReLU's slope must lie in [0, 1), the range its max(v, αv) form and
+/// the box transfer's endpoint mapping are exact for.
+void check_alpha(float alpha, const char* what) {
+  if (!(alpha >= 0.0F) || alpha >= 1.0F) {
+    throw std::invalid_argument(std::string("BoundBackend::") + what +
+                                ": alpha must be in [0, 1)");
+  }
+}
+
+void check_epilogue(const Epilogue& ep, const char* what) {
+  if (ep.kind == Epilogue::Kind::kLeakyRelu) check_alpha(ep.alpha, what);
+}
+
 }  // namespace
 
 void BoundBackend::affine(std::span<const float> w, std::size_t rows,
                           std::size_t cols, std::span<const float> bias,
-                          const BoxBatch& in, BoxBatch& out) const {
+                          const BoxBatch& in, BoxBatch& out,
+                          Epilogue ep) const {
   if (rows == 0 || cols == 0) {
     throw std::invalid_argument("BoundBackend::affine: zero dimension");
   }
@@ -58,14 +72,15 @@ void BoundBackend::affine(std::span<const float> w, std::size_t rows,
   if (bias.size() != rows) {
     throw std::invalid_argument("BoundBackend::affine: bias size mismatch");
   }
+  check_epilogue(ep, "affine");
   check_dim(in, cols, "affine");
   prepare_out(in, out, rows, "affine");
-  do_affine(w, rows, cols, bias, in, out);
+  do_affine(w, rows, cols, bias, in, out, ep);
 }
 
 void BoundBackend::conv2d(const Conv2DGeometry& g, std::span<const float> w,
                           std::span<const float> bias, const BoxBatch& in,
-                          BoxBatch& out) const {
+                          BoxBatch& out, Epilogue ep) const {
   if (g.input_size() == 0 || g.output_size() == 0 || g.stride == 0) {
     throw std::invalid_argument("BoundBackend::conv2d: empty geometry");
   }
@@ -75,9 +90,10 @@ void BoundBackend::conv2d(const Conv2DGeometry& g, std::span<const float> w,
   if (bias.size() != g.out_channels) {
     throw std::invalid_argument("BoundBackend::conv2d: bias size mismatch");
   }
+  check_epilogue(ep, "conv2d");
   check_dim(in, g.input_size(), "conv2d");
   prepare_out(in, out, g.output_size(), "conv2d");
-  do_conv2d(g, w, bias, in, out);
+  do_conv2d(g, w, bias, in, out, ep);
 }
 
 void BoundBackend::max_pool(const Pool2DGeometry& g, const BoxBatch& in,
@@ -111,10 +127,7 @@ void BoundBackend::relu(const BoxBatch& in, BoxBatch& out) const {
 
 void BoundBackend::leaky_relu(float alpha, const BoxBatch& in,
                               BoxBatch& out) const {
-  if (!(alpha >= 0.0F) || alpha >= 1.0F) {
-    throw std::invalid_argument(
-        "BoundBackend::leaky_relu: alpha must be in [0, 1)");
-  }
+  check_alpha(alpha, "leaky_relu");
   prepare_out(in, out, in.dimension(), "leaky_relu");
   do_leaky_relu(alpha, in, out);
 }

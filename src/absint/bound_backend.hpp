@@ -50,6 +50,7 @@
 #include <string_view>
 
 #include "absint/box_batch.hpp"
+#include "util/epilogue.hpp"
 
 namespace ranm {
 
@@ -125,15 +126,19 @@ class BoundBackend {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Dense affine map y = W x + b with W row-major (rows × cols):
-  /// centre/radius interval propagation with outward rounding.
+  /// centre/radius interval propagation with outward rounding. A
+  /// non-identity `ep` is the activation after the map, applied to the
+  /// bounds before they leave the kernel: the bits of relu() or
+  /// leaky_relu() run on the affine bounds.
   void affine(std::span<const float> w, std::size_t rows, std::size_t cols,
-              std::span<const float> bias, const BoxBatch& in,
-              BoxBatch& out) const;
+              std::span<const float> bias, const BoxBatch& in, BoxBatch& out,
+              Epilogue ep = {}) const;
 
-  /// Convolution over CHW boxes; zero padding contributes [0, 0].
+  /// Convolution over CHW boxes; zero padding contributes [0, 0]. `ep` as
+  /// for affine().
   void conv2d(const Conv2DGeometry& g, std::span<const float> w,
-              std::span<const float> bias, const BoxBatch& in,
-              BoxBatch& out) const;
+              std::span<const float> bias, const BoxBatch& in, BoxBatch& out,
+              Epilogue ep = {}) const;
 
   /// Max pooling: elementwise interval max over each window.
   void max_pool(const Pool2DGeometry& g, const BoxBatch& in,
@@ -163,10 +168,11 @@ class BoundBackend {
   // Kernel implementations; inputs are validated by the public wrappers.
   virtual void do_affine(std::span<const float> w, std::size_t rows,
                          std::size_t cols, std::span<const float> bias,
-                         const BoxBatch& in, BoxBatch& out) const = 0;
+                         const BoxBatch& in, BoxBatch& out,
+                         const Epilogue& ep) const = 0;
   virtual void do_conv2d(const Conv2DGeometry& g, std::span<const float> w,
                          std::span<const float> bias, const BoxBatch& in,
-                         BoxBatch& out) const = 0;
+                         BoxBatch& out, const Epilogue& ep) const = 0;
   virtual void do_max_pool(const Pool2DGeometry& g, const BoxBatch& in,
                            BoxBatch& out) const = 0;
   virtual void do_avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
@@ -192,10 +198,11 @@ class ReferenceBoundBackend final : public BoundBackend {
  protected:
   void do_affine(std::span<const float> w, std::size_t rows,
                  std::size_t cols, std::span<const float> bias,
-                 const BoxBatch& in, BoxBatch& out) const override;
+                 const BoxBatch& in, BoxBatch& out,
+                 const Epilogue& ep) const override;
   void do_conv2d(const Conv2DGeometry& g, std::span<const float> w,
                  std::span<const float> bias, const BoxBatch& in,
-                 BoxBatch& out) const override;
+                 BoxBatch& out, const Epilogue& ep) const override;
   void do_max_pool(const Pool2DGeometry& g, const BoxBatch& in,
                    BoxBatch& out) const override;
   void do_avg_pool(const Pool2DGeometry& g, const BoxBatch& in,
@@ -224,10 +231,11 @@ class VectorizedBoundBackend final : public BoundBackend {
  protected:
   void do_affine(std::span<const float> w, std::size_t rows,
                  std::size_t cols, std::span<const float> bias,
-                 const BoxBatch& in, BoxBatch& out) const override;
+                 const BoxBatch& in, BoxBatch& out,
+                 const Epilogue& ep) const override;
   void do_conv2d(const Conv2DGeometry& g, std::span<const float> w,
                  std::span<const float> bias, const BoxBatch& in,
-                 BoxBatch& out) const override;
+                 BoxBatch& out, const Epilogue& ep) const override;
   void do_max_pool(const Pool2DGeometry& g, const BoxBatch& in,
                    BoxBatch& out) const override;
   void do_avg_pool(const Pool2DGeometry& g, const BoxBatch& in,

@@ -21,6 +21,8 @@
 #include <span>
 #include <vector>
 
+#include "util/aligned.hpp"
+
 namespace ranm {
 
 /// Row-major dim × n matrix of feature vectors (neuron-major storage).
@@ -97,9 +99,10 @@ class FeatureBatch {
 
   std::size_t dim_ = 0;
   std::size_t size_ = 0;
-  // Owning storage; empty for views. Its first dim_ * size_ elements are
-  // the batch, and reshape() may leave it longer.
-  std::vector<float> data_;
+  // Owning storage, cache-line aligned (util/aligned.hpp); empty for
+  // views. Its first dim_ * size_ elements are the batch, and reshape()
+  // may leave it longer.
+  AlignedFloats data_;
   std::vector<const float*> rows_;  // view row table; empty when owning
 };
 

@@ -169,13 +169,21 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
       hi_batches.emplace_back(e.selection.output_dim(), n);
     }
     if (spec.domain == BoundDomain::kBox) {
+      // One segment per attached layer: the network's steps run between
+      // attached layers and never fuse across one, so every attached
+      // layer's bounds are its own.
       const VectorizedBoundBackend backend;
-      const FeatureBatch at_kp = net_.forward_batch(spec.kp, chunk);
-      BoxBatch box = BoxBatch::linf_ball(at_kp, spec.delta);
-      BoxBatch next;  // each layer's output, swapped into `box`
+      BoxBatch box;
+      std::size_t done = spec.kp;  // box holds layer done's bounds
       for (std::size_t k = spec.kp + 1; k <= max_layer_; ++k) {
-        net_.layer(k).propagate_batch(backend, box, next);
-        std::swap(box, next);
+        bool attached = false;
+        for (const Entry& e : entries_) attached |= e.layer_k == k;
+        if (!attached) continue;
+        box = done == spec.kp
+                  ? net_.propagate_ball_batch(spec.kp, k, chunk, spec.delta,
+                                              backend)
+                  : net_.propagate_box_batch(done + 1, k, box, backend);
+        done = k;
         for (std::size_t e = 0; e < entries_.size(); ++e) {
           if (entries_[e].layer_k != k) continue;
           // Batched projection: selected source rows copy straight into

@@ -63,12 +63,11 @@ BoxBatch PerturbationEstimator::estimate_batch(
   if (inputs.empty()) return BoxBatch(feature_dim(), 0);
   switch (spec_.domain) {
     case BoundDomain::kBox: {
-      // One batched concrete prefix pass (kp = 0 packs the inputs), one
-      // batched bound propagation through layers kp+1..k.
-      const FeatureBatch at_kp = net_.forward_batch(spec_.kp, inputs);
-      const BoxBatch ball = BoxBatch::linf_ball(at_kp, spec_.delta);
-      return net_.propagate_box_batch(spec_.kp + 1, k_, ball,
-                                      VectorizedBoundBackend{});
+      // One batched pass: each block's concrete prefix (kp = 0: its
+      // pack) becomes its Δ-ball in place and is propagated through
+      // layers kp+1..k.
+      return net_.propagate_ball_batch(spec_.kp, k_, inputs, spec_.delta,
+                                       VectorizedBoundBackend{});
     }
     case BoundDomain::kZonotope: {
       BoxBatch out(feature_dim(), inputs.size());

@@ -50,9 +50,9 @@ class PerturbationEstimator {
   [[nodiscard]] IntervalVector estimate(const Tensor& input) const;
 
   /// Batched estimate over a whole minibatch: column i of the result is
-  /// pe^G_k(inputs[i], kp, Δ). The box domain runs one concrete batched
-  /// prefix pass plus one batched bound propagation on the vectorized
-  /// bound backend; the zonotope domain falls back to per-sample
+  /// pe^G_k(inputs[i], kp, Δ). The box domain is one
+  /// Network::propagate_ball_batch on the vectorized bound backend; the
+  /// zonotope domain falls back to per-sample
   /// propagation (zonotopes carry per-sample generator sets that do not
   /// batch) and concretises each result into the BoxBatch.
   [[nodiscard]] BoxBatch estimate_batch(std::span<const Tensor> inputs) const;

@@ -1,6 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,15 +28,14 @@ Tensor Activation::backward(const Tensor& x, const Tensor& y,
 
 // ---- ReLU -----------------------------------------------------------------
 
-float ReLU::f(float v) const noexcept { return v > 0.0F ? v : 0.0F; }
+float ReLU::f(float v) const noexcept { return relu(v); }
 float ReLU::df(float v, float /*y*/) const noexcept {
   return v > 0.0F ? 1.0F : 0.0F;
 }
 
 void ReLU::forward_batch(const float* in, float* out,
                          std::size_t n) const noexcept {
-  dispatch_kernel(
-      [&] { map(in, out, n, [this](float v) { return ReLU::f(v); }); });
+  dispatch_kernel([&] { epilogue().apply(in, out, n * numel_); });
 }
 
 Zonotope ReLU::propagate(const Zonotope& in) const { return in.relu(); }
@@ -60,25 +58,14 @@ std::string LeakyReLU::name() const {
   return "LeakyReLU(" + std::to_string(alpha_) + ")";
 }
 
-float LeakyReLU::f(float v) const noexcept {
-  return v > 0.0F ? v : alpha_ * v;
-}
+float LeakyReLU::f(float v) const noexcept { return leaky_relu(v, alpha_); }
 float LeakyReLU::df(float v, float /*y*/) const noexcept {
   return v > 0.0F ? 1.0F : alpha_;
 }
 
 void LeakyReLU::forward_batch(const float* in, float* out,
                               std::size_t n) const noexcept {
-  dispatch_kernel([&] {
-    // max(v, αv) is v > 0 ? v : αv for α in [0, 1), signed zeros
-    // included, and computes both operands unconditionally, so the one
-    // pass vectorises.
-    const float alpha = alpha_;
-    const std::size_t count = n * numel_;
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = std::max(in[i], alpha * in[i]);
-    }
-  });
+  dispatch_kernel([&] { epilogue().apply(in, out, n * numel_); });
 }
 
 Zonotope LeakyReLU::propagate(const Zonotope& in) const {

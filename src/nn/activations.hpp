@@ -2,6 +2,7 @@
 #pragma once
 
 #include "nn/layer.hpp"
+#include "util/epilogue.hpp"
 
 namespace ranm {
 
@@ -38,6 +39,10 @@ class ReLU final : public Activation {
  public:
   explicit ReLU(Shape shape) : Activation(std::move(shape)) {}
   [[nodiscard]] std::string name() const override { return "ReLU"; }
+  /// This activation as the epilogue of the affine step before it.
+  [[nodiscard]] static Epilogue epilogue() noexcept {
+    return {Epilogue::Kind::kRelu};
+  }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
@@ -55,6 +60,10 @@ class LeakyReLU final : public Activation {
   LeakyReLU(Shape shape, float alpha = 0.01F);
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] float alpha() const noexcept { return alpha_; }
+  /// This activation as the epilogue of the affine step before it.
+  [[nodiscard]] Epilogue epilogue() const noexcept {
+    return {Epilogue::Kind::kLeakyRelu, alpha_};
+  }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;

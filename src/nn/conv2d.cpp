@@ -51,8 +51,8 @@ Shape Conv2D::input_shape() const {
 
 Shape Conv2D::output_shape() const { return {cfg_.out_channels, oh_, ow_}; }
 
-void Conv2D::forward_batch(const float* in, float* out,
-                           std::size_t n) const noexcept {
+void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
+                           const Epilogue& ep) const noexcept {
   dispatch_kernel([&] {
     const auto& c = cfg_;
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
@@ -109,6 +109,14 @@ void Conv2D::forward_batch(const float* in, float* out,
                 }
               }
             });
+        // The activation runs over this position's rows, every channel of
+        // every sample, while they are in L1: outside the tiles, whose
+        // forced unroll a branch on the epilogue would break.
+        if (ep.identity()) continue;
+        for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+          float* y = out + ((oc * oh_ + oy) * ow_ + ox) * n;
+          ep.apply(y, y, n);
+        }
       }
     }
   });
@@ -201,8 +209,8 @@ Zonotope Conv2D::propagate(const Zonotope& in) const {
   return in.linear(output_size(), bias, convolve);
 }
 
-void Conv2D::propagate_batch(const BoundBackend& backend,
-                             const BoxBatch& in, BoxBatch& out) const {
+void Conv2D::propagate_fused(const BoundBackend& backend, const BoxBatch& in,
+                             BoxBatch& out, const Epilogue& ep) const {
   Conv2DGeometry g;
   g.in_channels = cfg_.in_channels;
   g.in_height = cfg_.in_height;
@@ -214,7 +222,7 @@ void Conv2D::propagate_batch(const BoundBackend& backend,
   g.kernel_w = cfg_.kernel_w;
   g.stride = cfg_.stride;
   g.padding = cfg_.padding;
-  backend.conv2d(g, w_.span(), b_.span(), in, out);
+  backend.conv2d(g, w_.span(), b_.span(), in, out, ep);
 }
 
 void Conv2D::init_params(Rng& rng) {

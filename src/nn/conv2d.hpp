@@ -8,7 +8,7 @@ namespace ranm {
 /// Convolution with square-free (kh x kw) kernels, integer stride, and
 /// symmetric zero padding. Input and output are CHW tensors; the abstract
 /// transformers view them as flat row-major vectors.
-class Conv2D final : public Layer {
+class Conv2D final : public AffineLayer {
  public:
   struct Config {
     std::size_t in_channels;
@@ -27,13 +27,13 @@ class Conv2D final : public Layer {
   [[nodiscard]] Shape input_shape() const override;
   [[nodiscard]] Shape output_shape() const override;
 
-  void forward_batch(const float* in, float* out,
-                     std::size_t n) const noexcept override;
+  void forward_fused(const float* in, float* out, std::size_t n,
+                     const Epilogue& ep) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
-                       BoxBatch& out) const override;
+  void propagate_fused(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out, const Epilogue& ep) const override;
 
   [[nodiscard]] std::vector<Tensor*> parameters() override {
     return {&w_, &b_};

@@ -30,8 +30,8 @@ std::string Dense::name() const {
   return "Dense(" + std::to_string(in_) + "->" + std::to_string(out_) + ")";
 }
 
-void Dense::forward_batch(const float* in, float* out,
-                          std::size_t n) const noexcept {
+void Dense::forward_fused(const float* in, float* out, std::size_t n,
+                          const Epilogue& ep) const noexcept {
   dispatch_kernel([&] {
     for_each_tile<kDenseTile>(
         n, out_, [&]<std::size_t U, std::size_t T>(std::size_t o0,
@@ -58,6 +58,11 @@ void Dense::forward_batch(const float* in, float* out,
           }
         });
   });
+  // The activation runs right after the tiles, over the outputs they have
+  // just written: the network's passes call this on one block of at most
+  // 32 samples, so those are still in cache. It is a loop of its own
+  // because inside the tiles' kernel it made the batch-1 tiles slower.
+  if (!ep.identity()) dispatch_kernel([&] { ep.apply(out, out, out_ * n); });
 }
 
 Tensor Dense::backward(const Tensor& x, const Tensor& /*y*/,
@@ -78,9 +83,9 @@ Zonotope Dense::propagate(const Zonotope& in) const {
   return in.affine(w_.span(), out_, b_.span());
 }
 
-void Dense::propagate_batch(const BoundBackend& backend,
-                            const BoxBatch& in, BoxBatch& out) const {
-  backend.affine(w_.span(), out_, in_, b_.span(), in, out);
+void Dense::propagate_fused(const BoundBackend& backend, const BoxBatch& in,
+                            BoxBatch& out, const Epilogue& ep) const {
+  backend.affine(w_.span(), out_, in_, b_.span(), in, out, ep);
 }
 
 void Dense::init_params(Rng& rng) {

@@ -6,7 +6,7 @@
 namespace ranm {
 
 /// Affine layer with weight matrix W (out x in) and bias b (out).
-class Dense final : public Layer {
+class Dense final : public AffineLayer {
  public:
   /// Creates a zero-initialised layer; call init_params to randomise.
   Dense(std::size_t in, std::size_t out);
@@ -15,13 +15,13 @@ class Dense final : public Layer {
   [[nodiscard]] Shape input_shape() const override { return {in_}; }
   [[nodiscard]] Shape output_shape() const override { return {out_}; }
 
-  void forward_batch(const float* in, float* out,
-                     std::size_t n) const noexcept override;
+  void forward_fused(const float* in, float* out, std::size_t n,
+                     const Epilogue& ep) const noexcept override;
   [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
                                 const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
-  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
-                       BoxBatch& out) const override;
+  void propagate_fused(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out, const Epilogue& ep) const override;
 
   [[nodiscard]] std::vector<Tensor*> parameters() override {
     return {&w_, &b_};

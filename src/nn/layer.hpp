@@ -20,6 +20,7 @@
 #include "absint/bound_backend.hpp"
 #include "absint/zonotope.hpp"
 #include "tensor/tensor.hpp"
+#include "util/epilogue.hpp"
 
 namespace ranm {
 
@@ -95,6 +96,32 @@ class Layer {
   /// Re-randomises parameters with a scheme appropriate for the layer
   /// (He-normal for ReLU-family weight layers). No-op if parameterless.
   virtual void init_params(Rng& /*rng*/) {}
+};
+
+/// A layer whose kernels can apply the activation after it to their
+/// outputs before those leave the kernel: Conv2D and Dense. Network runs
+/// such a layer and the ReLU or LeakyReLU after it as one step; the plain
+/// forward_batch and propagate_batch are that step with the identity
+/// epilogue, so there is one kernel per layer either way.
+class AffineLayer : public Layer {
+ public:
+  void forward_batch(const float* in, float* out,
+                     std::size_t n) const noexcept final {
+    forward_fused(in, out, n, {});
+  }
+  void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
+                       BoxBatch& out) const final {
+    propagate_fused(backend, in, out, {});
+  }
+
+  /// forward_batch followed by `ep` on every output: the bits of this
+  /// layer's forward_batch and then the activation layer's.
+  virtual void forward_fused(const float* in, float* out, std::size_t n,
+                             const Epilogue& ep) const noexcept = 0;
+  /// propagate_batch followed by `ep`'s box transfer, with the bits of
+  /// the two-layer chain on the same backend.
+  virtual void propagate_fused(const BoundBackend& backend, const BoxBatch& in,
+                               BoxBatch& out, const Epilogue& ep) const = 0;
 };
 
 }  // namespace ranm

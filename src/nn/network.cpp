@@ -1,11 +1,28 @@
+// The batched passes, forward_batch and propagate_box_batch (and
+// propagate_ball_batch, which starts the box pass from the inputs), run a
+// batch in blocks of 32 samples through two reused per-thread scratch
+// buffers, one step per kernel call. add() plans the steps once: a Conv2D
+// or Dense layer and the ReLU or LeakyReLU after it are one step, whose
+// kernel applies the activation as an epilogue (util/epilogue.hpp) before
+// its outputs leave it, and Flatten is a view step that runs nothing. A
+// step never reaches past the pass's last layer, so a pass that ends at
+// an affine layer returns that layer's own outputs. Each block's inputs
+// are packed neuron-major by a blocked transpose (pack_neuron_major); the
+// box estimate forms the block's Δ-ball in the same store. forward_to and
+// the per-layer kernels run no fused steps: they are the reference every
+// pass is bit-identical to.
 #include "nn/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "nn/activations.hpp"
+#include "nn/flatten.hpp"
 
 namespace ranm {
 
@@ -20,7 +37,22 @@ void Network::add(std::unique_ptr<Layer> layer) {
           layers_.back()->name() + " produces " + std::to_string(expected));
     }
   }
+  layers_.reserve(layers_.size() + 1);
+  plan_.reserve(plan_.size() + 1);
+  // The passes' steps (step()) are planned here, once per layer.
+  LayerPlan plan;
+  plan.affine = dynamic_cast<const AffineLayer*>(layer.get());
+  plan.view = dynamic_cast<const Flatten*>(layer.get()) != nullptr;
+  if (!plan_.empty() && plan_.back().affine != nullptr) {
+    if (dynamic_cast<const ReLU*>(layer.get()) != nullptr) {
+      plan_.back().next = ReLU::epilogue();
+    } else if (const auto* leaky =
+                   dynamic_cast<const LeakyReLU*>(layer.get())) {
+      plan_.back().next = leaky->epilogue();
+    }
+  }
   layers_.push_back(std::move(layer));
+  plan_.push_back(plan);
 }
 
 void Network::check_layer_index(std::size_t k, const char* what) const {
@@ -81,32 +113,161 @@ namespace {
 /// is bounded by the widest layer, not by the batch.
 constexpr std::size_t kForwardBlock = 32;
 
+/// Elements per block of pack_neuron_major: the block's rows of one
+/// block of samples stay in L1 however long the inputs are.
+constexpr std::size_t kPackBlock = 16;
+/// Samples whose values of one element pack_neuron_major gathers and
+/// stores as one run of a row.
+constexpr std::size_t kPackSamples = 4;
+
 /// Ping-pong activation buffers of the calling thread, grown to the
-/// high-water size and reused. Never zero-filled: every kernel writes all
-/// of its output.
+/// high-water size and reused; zero-filled only as they grow. Every
+/// kernel writes all of its output.
 struct ForwardScratch {
-  std::unique_ptr<float[]> ping, pong;
-  std::size_t capacity = 0;
+  AlignedFloats ping, pong;
 
   void reserve(std::size_t size) {
-    if (capacity >= size) return;
-    ping = std::make_unique_for_overwrite<float[]>(size);
-    pong = std::make_unique_for_overwrite<float[]>(size);
-    capacity = size;
+    if (ping.size() >= size) return;
+    ping.resize(size);
+    pong.resize(size);
   }
 };
 
-/// Scatters sample-major inputs into neuron-major rows of the given
-/// stride: element j of input i lands at out[j * stride + i].
-void pack(std::span<const Tensor> inputs, std::size_t dim, std::size_t stride,
-          float* out) noexcept {
+ForwardScratch& forward_scratch() {
+  thread_local ForwardScratch scratch;
+  return scratch;
+}
+
+/// Ping-pong bound batches of the calling thread, reshaped per step.
+/// Their storage only grows, to one block times the widest layer the
+/// thread has propagated through; after that a reshape neither allocates
+/// nor zero-fills.
+using BoxScratch = BoxBatch[2];
+
+BoxScratch& box_scratch() {
+  thread_local BoxScratch scratch;
+  return scratch;
+}
+
+/// The blocked transpose behind pack_neuron_major and the balls of
+/// propagate_ball_batch. For each block of kPackBlock elements, every
+/// group of kPackSamples samples gathers its values of one element into a
+/// run that store(offset, values, count) writes at the run's neuron-major
+/// offset; the samples left over store runs of one.
+template <typename Store>
+void pack_blocked(std::span<const Tensor> inputs, std::size_t dim,
+                  std::size_t stride, Store&& store) noexcept {
+  const std::size_t n = inputs.size();
+  for (std::size_t j0 = 0; j0 < dim; j0 += kPackBlock) {
+    const std::size_t j1 = std::min(dim, j0 + kPackBlock);
+    std::size_t i = 0;
+    for (; i + kPackSamples <= n; i += kPackSamples) {
+      const float* x[kPackSamples];
+      for (std::size_t t = 0; t < kPackSamples; ++t) {
+        x[t] = inputs[i + t].data();
+      }
+      for (std::size_t j = j0; j < j1; ++j) {
+        float run[kPackSamples];
+        for (std::size_t t = 0; t < kPackSamples; ++t) run[t] = x[t][j];
+        store(j * stride + i, run, kPackSamples);
+      }
+    }
+    for (; i < n; ++i) {
+      const float* x = inputs[i].data();
+      for (std::size_t j = j0; j < j1; ++j) store(j * stride + i, x + j, 1);
+    }
+  }
+}
+
+/// Throws unless every input has `dim` elements. The kernels read raw
+/// pointers, so every input is checked before any of them runs.
+void check_inputs(std::span<const Tensor> inputs, std::size_t dim,
+                  const char* what) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const float* x = inputs[i].data();
-    for (std::size_t j = 0; j < dim; ++j) out[j * stride + i] = x[j];
+    if (inputs[i].numel() != dim) {
+      throw std::invalid_argument(
+          std::string("Network::") + what + ": input " + std::to_string(i) +
+          " has " + std::to_string(inputs[i].numel()) +
+          " elements, expected " + std::to_string(dim));
+    }
+  }
+}
+
+/// Copies `count` columns of every bound row of `from`, starting at column
+/// `from_col`, to `to`'s rows starting at column `to_col`.
+void copy_columns(const BoxBatch& from, std::size_t from_col, BoxBatch& to,
+                  std::size_t to_col, std::size_t count) {
+  for (std::size_t j = 0; j < from.dimension(); ++j) {
+    std::copy_n(from.lo_row(j).data() + from_col, count,
+                to.lo_row(j).data() + to_col);
+    std::copy_n(from.hi_row(j).data() + from_col, count,
+                to.hi_row(j).data() + to_col);
   }
 }
 
 }  // namespace
+
+void pack_neuron_major(std::span<const Tensor> inputs, std::size_t dim,
+                       std::size_t stride, float* out) noexcept {
+  pack_blocked(inputs, dim, stride,
+               [out](std::size_t at, const float* v, std::size_t count) {
+                 std::copy_n(v, count, out + at);
+               });
+}
+
+Network::Step Network::step(std::size_t first, std::size_t k) const noexcept {
+  const LayerPlan& p = plan_[first - 1];
+  if (p.view) return {first, first, true};
+  if (!p.next.identity() && first < k) return {first, first + 1, false};
+  return {first, first, false};
+}
+
+void Network::forward_step(const Step& s, const float* in, float* out,
+                           std::size_t n) const noexcept {
+  const LayerPlan& p = plan_[s.first - 1];
+  if (s.last > s.first) {
+    p.affine->forward_fused(in, out, n, p.next);
+  } else {
+    layers_[s.first - 1]->forward_batch(in, out, n);
+  }
+}
+
+float* Network::forward_steps(std::size_t l, std::size_t k, float* cur,
+                              float* spare, std::size_t n,
+                              float* out) const noexcept {
+  for (std::size_t i = l; i <= k;) {
+    const Step s = step(i, k);
+    i = s.last + 1;
+    if (s.view) continue;
+    float* to = i > k && out != nullptr ? out : spare;
+    forward_step(s, cur, to, n);
+    spare = cur;
+    cur = to;
+  }
+  return cur;
+}
+
+const BoxBatch* Network::propagate_steps(std::size_t l, std::size_t k,
+                                         const BoxBatch* cur,
+                                         BoxBatch (&scratch)[2], BoxBatch* out,
+                                         const BoundBackend& backend) const {
+  for (std::size_t i = l; i <= k;) {
+    const Step s = step(i, k);
+    i = s.last + 1;
+    if (s.view) continue;
+    BoxBatch* to = i > k && out != nullptr ? out
+                   : cur == &scratch[0]    ? &scratch[1]
+                                           : &scratch[0];
+    const LayerPlan& p = plan_[s.first - 1];
+    if (s.last > s.first) {
+      p.affine->propagate_fused(backend, *cur, *to, p.next);
+    } else {
+      layers_[s.first - 1]->propagate_batch(backend, *cur, *to);
+    }
+    cur = to;
+  }
+  return cur;
+}
 
 FeatureBatch Network::forward_batch(std::size_t k,
                                     std::span<const Tensor> inputs) const {
@@ -115,52 +276,37 @@ FeatureBatch Network::forward_batch(std::size_t k,
   if (n == 0) {
     return FeatureBatch(k == 0 ? 0 : layers_[k - 1]->output_size(), 0);
   }
-  // The kernels read raw pointers, so every input is checked before any
-  // of them runs.
   const std::size_t in_dim =
       k == 0 ? inputs.front().numel() : layers_.front()->input_size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (inputs[i].numel() != in_dim) {
-      throw std::invalid_argument(
-          "Network::forward_batch: input " + std::to_string(i) + " has " +
-          std::to_string(inputs[i].numel()) + " elements, expected " +
-          std::to_string(in_dim));
-    }
-  }
+  check_inputs(inputs, in_dim, "forward_batch");
   const std::size_t out_dim = k == 0 ? in_dim : layers_[k - 1]->output_size();
   FeatureBatch out(out_dim, n);
   float* dst = out.storage().data();
   if (k == 0) {
-    pack(inputs, in_dim, n, dst);
+    pack_neuron_major(inputs, in_dim, n, dst);
     return out;
   }
 
-  // Blocks of samples ping-pong through layers 1..k-1 in this thread's
-  // scratch; layer k writes straight into the result when one block
-  // covers the batch, and through the scratch into its columns otherwise.
+  // Blocks of samples ping-pong through the steps of layers 1..k in this
+  // thread's scratch; the last step writes straight into the result when
+  // one block covers the batch, and through the scratch into its columns
+  // otherwise.
   std::size_t width = out_dim;
   for (std::size_t l = 0; l < k; ++l) {
     width = std::max(width, layers_[l]->input_size());
   }
   const std::size_t block = std::min(n, kForwardBlock);
-  thread_local ForwardScratch scratch;
+  ForwardScratch& scratch = forward_scratch();
   scratch.reserve(width * block);
   for (std::size_t c0 = 0; c0 < n; c0 += block) {
     const std::size_t b = std::min(block, n - c0);
-    float* src = scratch.ping.get();
-    float* tmp = scratch.pong.get();
-    pack(inputs.subspan(c0, b), in_dim, b, src);
-    for (std::size_t l = 0; l + 1 < k; ++l) {
-      layers_[l]->forward_batch(src, tmp, b);
-      std::swap(src, tmp);
-    }
-    if (b == n) {
-      layers_[k - 1]->forward_batch(src, dst, n);
-      break;
-    }
-    layers_[k - 1]->forward_batch(src, tmp, b);
+    float* src = scratch.ping.data();
+    pack_neuron_major(inputs.subspan(c0, b), in_dim, b, src);
+    const float* res = forward_steps(1, k, src, scratch.pong.data(), b,
+                                     b == n ? dst : nullptr);
+    if (res == dst) break;
     for (std::size_t j = 0; j < out_dim; ++j) {
-      std::copy_n(tmp + j * b, b, dst + j * n + c0);
+      std::copy_n(res + j * b, b, dst + j * n + c0);
     }
   }
   return out;
@@ -193,30 +339,6 @@ Tensor Network::backward(std::span<const Tensor> acts,
   return g;
 }
 
-namespace {
-
-/// Ping-pong bound batches of the calling thread for propagate_box_batch,
-/// reshaped per layer. Their storage only grows, to one block times the
-/// widest layer the thread has propagated through; after that a reshape
-/// neither allocates nor zero-fills.
-struct BoxScratch {
-  BoxBatch ping, pong;
-};
-
-/// Copies `count` columns of every bound row of `from`, starting at column
-/// `from_col`, to `to`'s rows starting at column `to_col`.
-void copy_columns(const BoxBatch& from, std::size_t from_col, BoxBatch& to,
-                  std::size_t to_col, std::size_t count) {
-  for (std::size_t j = 0; j < from.dimension(); ++j) {
-    std::copy_n(from.lo_row(j).data() + from_col, count,
-                to.lo_row(j).data() + to_col);
-    std::copy_n(from.hi_row(j).data() + from_col, count,
-                to.hi_row(j).data() + to_col);
-  }
-}
-
-}  // namespace
-
 BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
                                       const BoxBatch& in,
                                       const BoundBackend& backend) const {
@@ -225,8 +347,9 @@ BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
   if (l > k) {
     throw std::invalid_argument("Network::propagate_box_batch: l > k");
   }
-  // Checked once here: the elementwise and Flatten transfers pass any
-  // width through, so a slice starting at one would not catch it.
+  // Checked once here: the elementwise transfers pass any width through,
+  // and Flatten runs nothing, so a slice starting at one would not catch
+  // it.
   if (in.dimension() != layers_[l - 1]->input_size()) {
     throw std::invalid_argument(
         "Network::propagate_box_batch: input dimension " +
@@ -234,41 +357,102 @@ BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
         std::to_string(l) + " input size " +
         std::to_string(layers_[l - 1]->input_size()));
   }
-  // Blocks of samples ping-pong through layers l..k-1 in this thread's
-  // scratch, like forward_batch. One block covering the batch reads `in`
-  // and has layer k write the result directly; a larger batch gathers
-  // each block's columns into the scratch and scatters layer k's rows
-  // into the result's columns.
+  // Blocks of samples ping-pong through the steps of layers l..k in this
+  // thread's scratch, like forward_batch. One block covering the batch
+  // reads `in` and has the last step write the result directly; a larger
+  // batch gathers each block's columns into the scratch and scatters
+  // layer k's rows into the result's columns.
   const std::size_t n = in.size();
   const bool blocked = n > kForwardBlock;
-  thread_local BoxScratch scratch;
+  BoxScratch& scratch = box_scratch();
   BoxBatch out;
   if (blocked) out.reshape(layers_[k - 1]->output_size(), n);
   // One pass even for an empty batch, so the result still gets its shape.
   for (std::size_t c0 = 0; c0 == 0 || c0 < n; c0 += kForwardBlock) {
-    const std::size_t b = blocked ? std::min(kForwardBlock, n - c0) : n;
-    // `next` is the scratch batch the next layer writes; `spare` holds
-    // its input when that came from the scratch.
-    BoxBatch* next = &scratch.ping;
-    BoxBatch* spare = &scratch.pong;
     const BoxBatch* src = &in;
     if (blocked) {
-      next->reshape(in.dimension(), b);
-      copy_columns(in, c0, *next, 0, b);
-      src = next;
-      std::swap(next, spare);
+      const std::size_t b = std::min(kForwardBlock, n - c0);
+      scratch[0].reshape(in.dimension(), b);
+      copy_columns(in, c0, scratch[0], 0, b);
+      src = &scratch[0];
     }
-    for (std::size_t i = l - 1; i + 1 < k; ++i) {
-      layers_[i]->propagate_batch(backend, *src, *next);
-      src = next;
-      std::swap(next, spare);
+    const BoxBatch* res = propagate_steps(l, k, src, scratch,
+                                          blocked ? nullptr : &out, backend);
+    if (blocked) {
+      copy_columns(*res, 0, out, c0, res->size());
+    } else if (res != &out) {
+      out = *res;  // the last steps were views: no kernel wrote `out`
     }
-    if (!blocked) {
-      layers_[k - 1]->propagate_batch(backend, *src, out);
-      break;
+  }
+  return out;
+}
+
+BoxBatch Network::propagate_ball_batch(std::size_t kp, std::size_t k,
+                                       std::span<const Tensor> inputs,
+                                       float delta,
+                                       const BoundBackend& backend) const {
+  check_layer_index(k, "propagate_ball_batch");
+  if (kp >= k) {
+    throw std::invalid_argument(
+        "Network::propagate_ball_batch: requires kp < k");
+  }
+  if (!std::isfinite(delta) || delta < 0.0F) {
+    throw std::invalid_argument(
+        "Network::propagate_ball_batch: delta must be finite and >= 0, "
+        "got " +
+        std::to_string(delta));
+  }
+  const std::size_t in_dim = layers_.front()->input_size();
+  check_inputs(inputs, in_dim, "propagate_ball_batch");
+  const std::size_t n = inputs.size();
+  if (n == 0) return BoxBatch(layers_[k - 1]->output_size(), 0);
+  const std::size_t ball_dim =
+      kp == 0 ? in_dim : layers_[kp - 1]->output_size();
+  // Each block's ball is formed in the bound scratch, from the pack itself
+  // at kp = 0 and from the concrete steps of layers 1..kp otherwise, and
+  // then propagated like a block of propagate_box_batch.
+  const bool blocked = n > kForwardBlock;
+  BoxScratch& boxes = box_scratch();
+  ForwardScratch& concrete = forward_scratch();
+  if (kp > 0) {
+    std::size_t width = ball_dim;
+    for (std::size_t l = 0; l < kp; ++l) {
+      width = std::max(width, layers_[l]->input_size());
     }
-    layers_[k - 1]->propagate_batch(backend, *src, *next);
-    copy_columns(*next, 0, out, c0, b);
+    concrete.reserve(width * std::min(n, kForwardBlock));
+  }
+  BoxBatch out;
+  if (blocked) out.reshape(layers_[k - 1]->output_size(), n);
+  for (std::size_t c0 = 0; c0 < n; c0 += kForwardBlock) {
+    const std::size_t b = blocked ? std::min(kForwardBlock, n - c0) : n;
+    BoxBatch& ball = boxes[0];
+    ball.reshape(ball_dim, b);
+    float* lo = ball.lower().storage().data();
+    float* hi = ball.upper().storage().data();
+    // The expressions of BoxBatch::linf_ball.
+    const auto ball_around = [=](std::size_t at, const float* v,
+                                 std::size_t count) {
+      for (std::size_t t = 0; t < count; ++t) {
+        lo[at + t] = v[t] - delta;
+        hi[at + t] = v[t] + delta;
+      }
+    };
+    const std::span<const Tensor> block = inputs.subspan(c0, b);
+    if (kp == 0) {
+      pack_blocked(block, in_dim, b, ball_around);
+    } else {
+      float* src = concrete.ping.data();
+      pack_neuron_major(block, in_dim, b, src);
+      ball_around(0, forward_steps(1, kp, src, concrete.pong.data(), b, nullptr),
+                  ball_dim * b);
+    }
+    const BoxBatch* res = propagate_steps(kp + 1, k, &ball, boxes,
+                                          blocked ? nullptr : &out, backend);
+    if (blocked) {
+      copy_columns(*res, 0, out, c0, b);
+    } else if (res != &out) {
+      out = *res;  // the last steps were views: no kernel wrote `out`
+    }
   }
   return out;
 }

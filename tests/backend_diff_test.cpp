@@ -53,6 +53,10 @@ TEST(BackendDiff, ColumnsDoNotDependOnTheBatch) {
 
 TEST(BackendDiff, SubRangePropagation) { check_sub_range_propagation(); }
 
+TEST(BackendDiff, FusedTileEdges) { check_fused_tile_edges(); }
+
+TEST(BackendDiff, FusionStopsAtThePassEnds) { check_fusion_boundaries(); }
+
 TEST(BackendDiff, DimensionMismatchThrows) {
   Rng rng(5);
   Network net = make_mlp({6, 4, 3}, rng);

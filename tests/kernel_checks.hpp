@@ -262,6 +262,167 @@ inline void check_forward_tile_edges() {
   }
 }
 
+// ---- Fused steps ---------------------------------------------------------
+
+/// A neuron-major batch of n samples of dim values in [-1, 1]. Samples
+/// i % 4 == 0 are scaled by 1e-30 and samples i % 4 == 1 quantised to
+/// quarters (exact zeros among them), so that an affine layer whose
+/// weights are scaled by 1e-20 sums to signed zeros on them.
+inline FeatureBatch zero_prone_batch(std::size_t dim, std::size_t n,
+                                     Rng& rng) {
+  FeatureBatch batch(dim, n);
+  for (std::size_t j = 0; j < dim; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      float v = rng.uniform_f(-1.0F, 1.0F);
+      if (i % 4 == 0) v *= 1e-30F;
+      if (i % 4 == 1) v = std::round(v * 4.0F) / 4.0F;
+      batch.at(j, i) = v;
+    }
+  }
+  return batch;
+}
+
+/// Scales the weights of every third output neuron (Dense row, Conv2D
+/// output channel) by 1e-20 and gives it a -0 bias: its Σ w·x rounds to
+/// a signed zero on zero_prone_batch's tiny samples, and -0 + -0 keeps
+/// the sign, so the activation sees both +0 and -0.
+inline void make_zero_prone(Tensor& weights, Tensor& bias) {
+  const std::size_t outputs = bias.numel();
+  const std::size_t fan_in = weights.numel() / outputs;
+  for (std::size_t o = 0; o < outputs; o += 3) {
+    for (std::size_t t = 0; t < fan_in; ++t) weights[o * fan_in + t] *= 1e-20F;
+    bias[o] = -0.0F;
+  }
+}
+
+inline void expect_same_bytes(std::span<const float> got,
+                              std::span<const float> want,
+                              const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Layer 1 of `net` (Conv2D or Dense) fused with layer 2 (ReLU or
+/// LeakyReLU) over n samples in one kernel call, concrete and box on both
+/// backends, against the two-layer chain byte for byte.
+inline void expect_fused_step_matches_chain(const Network& net,
+                                            std::size_t n, Rng& rng) {
+  const Network::Step step = net.step(1, 2);
+  ASSERT_EQ(step.last, 2U) << "layers 1 and 2 must form one step";
+  const auto& affine = dynamic_cast<const AffineLayer&>(net.layer(1));
+  const Layer& act = net.layer(2);
+  const std::string what = affine.name() + " + " + act.name() +
+                           " n=" + std::to_string(n);
+  const FeatureBatch in = zero_prone_batch(affine.input_size(), n, rng);
+  const std::size_t out_dim = affine.output_size();
+  std::vector<float> fused(out_dim * n), mid(out_dim * n),
+      chain(out_dim * n);
+  net.forward_step(step, in.storage().data(), fused.data(), n);
+  affine.forward_batch(in.storage().data(), mid.data(), n);
+  act.forward_batch(mid.data(), chain.data(), n);
+  expect_same_bytes(fused, chain, "forward " + what);
+
+  const Epilogue ep = dynamic_cast<const ReLU*>(&act) != nullptr
+                          ? ReLU::epilogue()
+                          : dynamic_cast<const LeakyReLU&>(act).epilogue();
+  const ReferenceBoundBackend reference;
+  const VectorizedBoundBackend vectorized;
+  for (const float delta : {0.0F, 0.05F}) {
+    const BoxBatch ball = BoxBatch::linf_ball(in, delta);
+    for (const BoundBackend* backend :
+         {static_cast<const BoundBackend*>(&reference),
+          static_cast<const BoundBackend*>(&vectorized)}) {
+      const std::string box_what = std::string(backend->name()) +
+                                   " box delta=" + std::to_string(delta) +
+                                   " " + what;
+      // The whole batch in one fused kernel call, and through the
+      // network's blocked pass.
+      BoxBatch fused_box, mid_box, chain_box;
+      affine.propagate_fused(*backend, ball, fused_box, ep);
+      affine.propagate_batch(*backend, ball, mid_box);
+      act.propagate_batch(*backend, mid_box, chain_box);
+      expect_same_bytes(fused_box.lower().storage(),
+                        chain_box.lower().storage(), "lo " + box_what);
+      expect_same_bytes(fused_box.upper().storage(),
+                        chain_box.upper().storage(), "hi " + box_what);
+      const BoxBatch passed = net.propagate_box_batch(1, 2, ball, *backend);
+      expect_same_bytes(passed.lower().storage(),
+                        chain_box.lower().storage(), "pass lo " + box_what);
+      expect_same_bytes(passed.upper().storage(),
+                        chain_box.upper().storage(), "pass hi " + box_what);
+    }
+  }
+}
+
+// Every fused step at the edges of its kernels' tile shapes: Conv2D and
+// Dense, each followed by ReLU, LeakyReLU(0.01) and LeakyReLU(0), at the
+// widths and batch sizes check_forward_tile_edges uses for the forward
+// tile, and those of the box tile, with inputs that drive the affine
+// outputs to +0 and -0 (where ReLU and LeakyReLU(0) differ).
+inline void check_fused_tile_edges() {
+  const auto edges = [](TileShape t) {
+    const std::size_t u = t.neurons;
+    const std::size_t s = t.samples;
+    std::vector<std::size_t> widths, batches;
+    for (const std::size_t w : {1UL, u - 1, u, u + 1, 2 * u + 1}) {
+      if (w != 0) widths.push_back(w);
+    }
+    for (const std::size_t b :
+         {1UL, s - 1, s, s + 1, 2 * s - 1, 2 * s + 1, 33UL, 257UL}) {
+      if (b != 0) batches.push_back(b);
+    }
+    return std::pair{widths, batches};
+  };
+  const auto both = [&](TileShape forward) {
+    auto [widths, batches] = edges(forward);
+    auto [box_widths, box_batches] = edges(kBoxAffineTile);
+    widths.insert(widths.end(), box_widths.begin(), box_widths.end());
+    batches.insert(batches.end(), box_batches.begin(), box_batches.end());
+    for (auto* v : {&widths, &batches}) {
+      std::sort(v->begin(), v->end());
+      v->erase(std::unique(v->begin(), v->end()), v->end());
+    }
+    return std::pair{widths, batches};
+  };
+  const auto add_activation = [](Network& net, int which) {
+    const Shape shape = net.output_shape();
+    if (which == 0) {
+      net.emplace<ReLU>(shape);
+    } else {
+      net.emplace<LeakyReLU>(shape, which == 1 ? 0.01F : 0.0F);
+    }
+  };
+  Rng rng(21);
+  const auto [dense_widths, dense_batches] = both(kDenseTile);
+  for (const std::size_t w : dense_widths) {
+    for (int which = 0; which < 3; ++which) {
+      Network net;
+      auto& dense = net.emplace<Dense>(7, w);
+      add_activation(net, which);
+      randomise(net, rng);
+      make_zero_prone(dense.weights(), dense.bias());
+      for (const std::size_t n : dense_batches) {
+        expect_fused_step_matches_chain(net, n, rng);
+      }
+    }
+  }
+  const auto [conv_widths, conv_batches] = both(kConvTile);
+  for (const std::size_t w : conv_widths) {
+    for (int which = 0; which < 3; ++which) {
+      Network net;
+      auto& conv = net.emplace<Conv2D>(Conv2D::Config{2, 5, 4, w, 3, 3, 1, 1});
+      add_activation(net, which);
+      randomise(net, rng);
+      make_zero_prone(conv.weights(), conv.bias());
+      for (const std::size_t n : conv_batches) {
+        expect_fused_step_matches_chain(net, n, rng);
+      }
+    }
+  }
+}
+
 // ---- Training ----------------------------------------------------------
 
 // FNV-1a over the raw bytes of every trainable parameter.
@@ -394,6 +555,96 @@ inline void expect_bit_identical(const BoxBatch& ref, const BoxBatch& vec) {
   }
 }
 
+/// Box propagation through layers l..k one layer's kernel at a time, with
+/// no fused steps: the reference for Network::propagate_box_batch.
+inline BoxBatch layer_by_layer(const Network& net, std::size_t l,
+                               std::size_t k, const BoxBatch& in,
+                               const BoundBackend& backend) {
+  BoxBatch cur = in;
+  for (std::size_t i = l; i <= k; ++i) {
+    BoxBatch next;
+    net.layer(i).propagate_batch(backend, cur, next);
+    cur = std::move(next);
+  }
+  return cur;
+}
+
+/// Conv2D + LeakyReLU, MaxPool2D, Flatten, Dense + ReLU, Dense: two
+/// fusable pairs and a view.
+inline Network make_fusion_chain(Rng& rng) {
+  Network net;
+  net.emplace<Conv2D>(Conv2D::Config{1, 6, 6, 3, 3, 3, 1, 1});
+  net.emplace<LeakyReLU>(Shape{3, 6, 6}, 0.05F);
+  net.emplace<MaxPool2D>(Pooling::Config{3, 6, 6, 2, 2});
+  net.emplace<Flatten>(Shape{3, 3, 3});
+  net.emplace<Dense>(27, 5);
+  net.emplace<ReLU>(Shape{5});
+  net.emplace<Dense>(5, 2);
+  randomise(net, rng);
+  return net;
+}
+
+// Fusion never crosses the end of a pass: a pass ending at an affine
+// layer returns that layer's own outputs, and one starting at the
+// activation after it runs the activation alone. Every prefix
+// forward_batch(k) and every slice propagate_box_batch(l, k) must equal
+// the layer-by-layer reference bit for bit, and propagate_ball_batch the
+// pack, ball and propagation it replaces.
+inline void check_fusion_boundaries() {
+  Rng rng(41);
+  const Network net = make_fusion_chain(rng);
+  const std::size_t layers = net.num_layers();
+  // The plan: 1+2 and 5+6 fuse unless the pass ends at 1 or 5; 4 is a view.
+  EXPECT_EQ(net.step(1, 1).last, 1U);
+  EXPECT_EQ(net.step(1, 2).last, 2U);
+  EXPECT_EQ(net.step(2, 7).last, 2U);
+  EXPECT_TRUE(net.step(4, 7).view);
+  EXPECT_EQ(net.step(5, 5).last, 5U);
+  EXPECT_EQ(net.step(5, 7).last, 6U);
+  EXPECT_EQ(net.step(7, 7).last, 7U);
+
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < 40; ++i) {
+    inputs.push_back(Tensor::random_uniform(net.input_shape(), rng));
+  }
+  for (std::size_t k = 1; k <= layers; ++k) {
+    const FeatureBatch batch = net.forward_batch(k, inputs);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const Tensor one = net.forward_to(k, inputs[i]);
+      expect_same_bytes(batch.sample(i), one.span(),
+                        "forward_batch k=" + std::to_string(k) +
+                            " i=" + std::to_string(i));
+    }
+  }
+  const VectorizedBoundBackend vectorized;
+  for (const std::size_t n : {1UL, 40UL}) {
+    for (std::size_t l = 1; l <= layers; ++l) {
+      const BoxBatch in = BoxBatch::linf_ball(
+          random_centers(net.layer(l).input_size(), n, rng), 0.05F);
+      for (std::size_t k = l; k <= layers; ++k) {
+        expect_bit_identical(layer_by_layer(net, l, k, in, vectorized),
+                             net.propagate_box_batch(l, k, in, vectorized));
+      }
+    }
+  }
+  for (const std::size_t n : {0UL, 1UL, 33UL, 40UL}) {
+    const std::span<const Tensor> some(inputs.data(), n);
+    for (std::size_t k = 1; k <= layers; ++k) {
+      for (std::size_t kp = 0; kp < k; ++kp) {
+        const BoxBatch ball =
+            BoxBatch::linf_ball(net.forward_batch(kp, some), 0.02F);
+        const BoxBatch want = n == 0 ? BoxBatch(net.layer(k).output_size(), 0)
+                                     : net.propagate_box_batch(
+                                           kp + 1, k, ball, vectorized);
+        const BoxBatch got =
+            net.propagate_ball_batch(kp, k, some, 0.02F, vectorized);
+        expect_bit_identical(want, got);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
 inline void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
   const ReferenceBoundBackend reference;
   const VectorizedBoundBackend vectorized;
@@ -413,6 +664,9 @@ inline void run_differential(Network& net, std::size_t in_dim, Rng& rng) {
       const BoxBatch vec = net.propagate_box_batch(1, k, in, vectorized);
       expect_outward_only(ref, vec);
       expect_bit_identical(ref, vec);
+      // The pass runs fused steps; each layer's kernel on its own must
+      // give the same bits.
+      expect_bit_identical(layer_by_layer(net, 1, k, in, vectorized), vec);
     }
   }
 }

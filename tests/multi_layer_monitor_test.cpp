@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 
@@ -72,6 +73,54 @@ TEST(MultiLayerMonitor, SingleLayerMatchesMonitorBuilder) {
   for (int i = 0; i < 100; ++i) {
     const Tensor probe = Tensor::random_uniform({4}, rng, -2.0F, 2.0F);
     EXPECT_EQ(mlm.warns(probe), builder.warns(reference, probe));
+  }
+}
+
+TEST(MultiLayerMonitor, RobustBoundsAtAnAffineLayerAreItsOwn) {
+  // Monitors at the Conv2D (layer 1), at its LeakyReLU (2) and at the
+  // Dense (5) before the second LeakyReLU. The network's passes fuse 1
+  // with 2 and 5 with 6, but never across an attached layer, so every
+  // envelope must be the one of the layer-by-layer propagation, bit for
+  // bit.
+  Rng rng(8);
+  const Network net = make_small_convnet(8, 8, 3, 16, 4, rng);
+  std::vector<Tensor> train;
+  for (int i = 0; i < 45; ++i) {
+    train.push_back(Tensor::random_uniform(net.input_shape(), rng));
+  }
+  const std::size_t layers[] = {1, 2, 5};
+  MultiLayerMonitor mlm(net, WarnPolicy::kAny);
+  for (const std::size_t k : layers) {
+    const std::size_t d = net.layer(k).output_size();
+    mlm.attach(k, NeuronSelection::all(d), std::make_unique<MinMaxMonitor>(d));
+  }
+  const float delta = 0.01F;
+  mlm.build_robust(train, PerturbationSpec{0, delta, BoundDomain::kBox});
+
+  const VectorizedBoundBackend backend;
+  for (std::size_t e = 0; e < 3; ++e) {
+    const std::size_t k = layers[e];
+    const std::size_t d = net.layer(k).output_size();
+    std::vector<float> lo(d, std::numeric_limits<float>::infinity());
+    std::vector<float> hi(d, -std::numeric_limits<float>::infinity());
+    for (const Tensor& x : train) {
+      BoxBatch box(x.numel(), 1);
+      box.set_box(0, IntervalVector::linf_ball(x.span(), delta));
+      for (std::size_t l = 1; l <= k; ++l) {
+        BoxBatch next;
+        net.layer(l).propagate_batch(backend, box, next);
+        box = std::move(next);
+      }
+      for (std::size_t j = 0; j < d; ++j) {
+        lo[j] = std::min(lo[j], box.lo(j, 0));
+        hi[j] = std::max(hi[j], box.hi(j, 0));
+      }
+    }
+    const auto& mm = dynamic_cast<const MinMaxMonitor&>(mlm.monitor(e));
+    for (std::size_t j = 0; j < d; ++j) {
+      ASSERT_EQ(mm.lower(j), lo[j]) << "layer " << k << " neuron " << j;
+      ASSERT_EQ(mm.upper(j), hi[j]) << "layer " << k << " neuron " << j;
+    }
   }
 }
 
