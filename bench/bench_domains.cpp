@@ -35,6 +35,12 @@
 // The bench fails if a column of the batched pass differs from the
 // one-column pass.
 //
+// Sweep 4 (train_step): one training sample of the lab convnet as the
+// trainer runs it, split into forward_trace (the one-sample forward pass
+// that keeps every activation) and backward (the MSE loss's gradient and
+// Network::backward), in us per sample, each stage timed by a clock read
+// between them.
+//
 // Every timing is the median, with the minimum beside it, of 5 timed
 // blocks after one untimed warm-up call; the report stamps that statistic.
 //
@@ -55,6 +61,7 @@
 #include "bench_util.hpp"
 #include "core/perturbation_estimator.hpp"
 #include "nn/init.hpp"
+#include "nn/loss.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -119,12 +126,19 @@ struct ForwardMeasurement {
   double share = 0.0;
 };
 
+struct TrainMeasurement {
+  std::string stage;  // "forward_trace" or "backward"
+  Timing time;
+};
+
 void write_json(const std::string& path, bool smoke,
                 const std::vector<DomainMeasurement>& domains,
                 const std::vector<BackendMeasurement>& backends,
-                const std::vector<ForwardMeasurement>& forward) {
+                const std::vector<ForwardMeasurement>& forward,
+                const std::vector<TrainMeasurement>& train) {
   std::vector<std::string> rows;
-  rows.reserve(domains.size() + backends.size() + forward.size());
+  rows.reserve(domains.size() + backends.size() + forward.size() +
+               train.size());
   for (const DomainMeasurement& m : domains) {
     std::ostringstream row;
     row << "{\"mode\": \"domain_compare\", \"hidden_layers\": "
@@ -161,6 +175,14 @@ void write_json(const std::string& path, bool smoke,
         << "\": " << m.share << "}";
     rows.push_back(row.str());
   }
+  for (const TrainMeasurement& m : train) {
+    std::ostringstream row;
+    row << "{\"mode\": \"train_step\", \"network\": \"lab_convnet\", "
+        << "\"stage\": \"" << m.stage
+        << "\", \"us_per_sample\": " << m.time.median_us
+        << ", \"us_per_sample_min\": " << m.time.min_us << "}";
+    rows.push_back(row.str());
+  }
   benchutil::write_json_report(
       path, "bench_domains", smoke, rows,
       "us/input: median (and _min: minimum) over 5 timed blocks of reps "
@@ -169,7 +191,9 @@ void write_json(const std::string& path, bool smoke,
       "forward_sweep: each call runs forward_batch (the prefix row) and "
       "then its block loop with a clock read between stages (the stage "
       "rows: the pack and each step the network runs, an affine layer and "
-      "its fused activation as one, the Flatten view as none)");
+      "its fused activation as one, the Flatten view as none); train_step: "
+      "us per training sample, its forward_trace and backward timed by a "
+      "clock read between them");
 }
 
 std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
@@ -530,6 +554,67 @@ std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
   return results;
 }
 
+std::vector<TrainMeasurement> run_train_step(bool smoke) {
+  TextTable table("E5d: one training sample of the lab convnet, forward "
+                  "trace and backward (us/sample median and min of 5 "
+                  "blocks)");
+  table.set_header({"stage", "us/sample", "min"});
+  const std::size_t side = smoke ? 12 : 32;
+  Rng rng(83);
+  Network net = make_small_convnet(side, side, 6, 32, 2, rng);
+  const std::size_t samples = smoke ? 4 : 64;
+  std::vector<Tensor> inputs, targets;
+  for (std::size_t i = 0; i < samples; ++i) {
+    inputs.push_back(Tensor::random_uniform(net.input_shape(), rng));
+    Tensor target({2});
+    target[i % 2] = 1.0F;
+    targets.push_back(std::move(target));
+  }
+  const std::size_t reps = smoke ? 1 : 16;
+  // The trainer's step: forward_trace, then the loss's gradient scaled by
+  // 1/16 (the lab's batch) and Network::backward.
+  MSELoss loss;
+  std::vector<Tensor> acts;
+  using Clock = std::chrono::steady_clock;
+  Clock::duration spent[2] = {};
+  const auto pass = [&] {
+    for (std::size_t i = 0; i < samples; ++i) {
+      const Clock::time_point t0 = Clock::now();
+      net.forward_trace(inputs[i], acts);
+      const Clock::time_point t1 = Clock::now();
+      LossResult lr = loss.evaluate(acts.back(), targets[i]);
+      lr.grad *= 1.0F / 16.0F;
+      g_sink += double(net.backward(acts, lr.grad)[0]);
+      spent[0] += t1 - t0;
+      spent[1] += Clock::now() - t1;
+    }
+    net.zero_gradients();
+  };
+  pass();
+  std::vector<double> block_us[2];
+  for (std::size_t blk = 0; blk < kBlocks; ++blk) {
+    spent[0] = spent[1] = {};
+    for (std::size_t r = 0; r < reps; ++r) pass();
+    for (std::size_t stage = 0; stage < 2; ++stage) {
+      block_us[stage].push_back(
+          std::chrono::duration<double, std::micro>(spent[stage]).count() /
+          double(reps * samples));
+    }
+  }
+  std::vector<TrainMeasurement> results;
+  for (std::size_t stage = 0; stage < 2; ++stage) {
+    std::sort(block_us[stage].begin(), block_us[stage].end());
+    TrainMeasurement m;
+    m.stage = stage == 0 ? "forward_trace" : "backward";
+    m.time = {block_us[stage][kBlocks / 2], block_us[stage].front()};
+    table.add_row({m.stage, TextTable::num(m.time.median_us, 2),
+                   TextTable::num(m.time.min_us, 2)});
+    results.push_back(m);
+  }
+  table.print();
+  return results;
+}
+
 int run(int argc, char** argv) {
   const bool smoke = benchutil::smoke_mode();
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_domains.json";
@@ -540,12 +625,13 @@ int run(int argc, char** argv) {
       run_backend_sweep(smoke, sound);
   const std::vector<ForwardMeasurement> forward =
       run_forward_sweep(smoke, sound);
+  const std::vector<TrainMeasurement> train = run_train_step(smoke);
   if (!sound) {
     std::fprintf(stderr, "bench_domains: bit-identity cross-check FAILED\n");
     return 1;
   }
 
-  write_json(json_path, smoke, domains, backends, forward);
+  write_json(json_path, smoke, domains, backends, forward, train);
   std::printf(
       "wrote %s (sink %g)\n"
       "\n[E5] expected shape: (a) zono/box ratio < 1 everywhere and "
@@ -555,7 +641,10 @@ int run(int argc, char** argv) {
       "neuron-major sweeps amortise across the batch lane) and clears "
       "2x at batch 256. (c) the forward stage rows sum to their prefix "
       "row (stage_sum_over_prefix within 5%% of 1); the fused Conv2D step "
-      "g1+g2 and Dense step g5+g6 take most of it, the pack at most 5%%.\n",
+      "g1+g2 and Dense step g5+g6 take most of it, the pack at most 5%%; "
+      "g1+g2 at batch 1, which runs across the sample's outputs, within "
+      "2x of its batch-32 time per sample. (d) a training sample's "
+      "backward costs more than its forward_trace.\n",
       json_path.c_str(), g_sink);
   return 0;
 }

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/aligned.hpp"
+
 namespace ranm {
 
 std::string_view warn_policy_name(WarnPolicy policy) noexcept {
@@ -84,31 +86,58 @@ void MultiLayerMonitor::for_each_layer_features(const Tensor& input,
 template <typename Visit>
 void MultiLayerMonitor::for_each_layer_features_batch(
     std::span<const Tensor> inputs, Visit&& visit) const {
+  // Network::forward_batch's block: each block of samples is packed
+  // neuron-major and runs through the network's steps in two block-sized
+  // buffers, one segment (Network::forward_steps) per attached layer, so
+  // that no step fuses across one and every attached layer's activations
+  // are its own. Each segment ends by copying the layer's selected rows
+  // into the block's columns of the entries' batches.
+  constexpr std::size_t kBlock = 32;
   const std::size_t n = inputs.size();
-  // One traversal of the shared layer prefix for the whole batch: one
-  // neuron-major activation matrix is carried through the layers' batch
-  // kernels, and each attached layer gets its selected rows copied into a
-  // dim × n FeatureBatch.
-  FeatureBatch acts = net_.forward_batch(0, inputs);
-  if (n != 0 && acts.dimension() != net_.layer(1).input_size()) {
-    throw std::invalid_argument(
-        "MultiLayerMonitor: inputs do not match the network input size");
-  }
-  for (std::size_t k = 1; k <= max_layer_; ++k) {
-    const Layer& layer = net_.layer(k);
-    FeatureBatch next(layer.output_size(), n);
-    layer.forward_batch(acts.storage().data(), next.storage().data(), n);
-    acts = std::move(next);
-    for (const Entry& e : entries_) {
-      if (e.layer_k != k) continue;
-      FeatureBatch batch(e.selection.output_dim(), n);
-      const auto& kept = e.selection.kept();
-      for (std::size_t jj = 0; jj < kept.size(); ++jj) {
-        const auto src = std::as_const(acts).neuron(kept[jj]);
-        std::copy(src.begin(), src.end(), batch.neuron(jj).begin());
-      }
-      visit(e, batch);
+  const std::size_t in_dim = net_.layer(1).input_size();
+  for (const Tensor& x : inputs) {
+    if (x.numel() != in_dim) {
+      throw std::invalid_argument(
+          "MultiLayerMonitor: inputs do not match the network input size");
     }
+  }
+  std::vector<FeatureBatch> features;
+  features.reserve(entries_.size());
+  for (const Entry& e : entries_) {
+    features.emplace_back(e.selection.output_dim(), n);
+  }
+  std::vector<std::size_t> attached;  // the segments' last layers, ascending
+  for (const Entry& e : entries_) attached.push_back(e.layer_k);
+  std::sort(attached.begin(), attached.end());
+  attached.erase(std::unique(attached.begin(), attached.end()),
+                 attached.end());
+  std::size_t width = in_dim;
+  for (std::size_t k = 1; k <= max_layer_; ++k) {
+    width = std::max(width, net_.layer(k).output_size());
+  }
+  const std::size_t block = std::min(n, kBlock);
+  AlignedFloats ping(width * block), pong(width * block);
+  for (std::size_t c0 = 0; c0 < n; c0 += block) {
+    const std::size_t b = std::min(block, n - c0);
+    float* cur = ping.data();
+    pack_neuron_major(inputs.subspan(c0, b), in_dim, b, cur);
+    std::size_t done = 0;  // cur holds layer done's activations
+    for (const std::size_t k : attached) {
+      float* spare = cur == ping.data() ? pong.data() : ping.data();
+      cur = net_.forward_steps(done + 1, k, cur, spare, b, nullptr);
+      done = k;
+      for (std::size_t e = 0; e < entries_.size(); ++e) {
+        if (entries_[e].layer_k != k) continue;
+        const std::vector<std::size_t>& kept = entries_[e].selection.kept();
+        for (std::size_t j = 0; j < kept.size(); ++j) {
+          std::copy_n(cur + kept[j] * b, b,
+                      features[e].neuron(j).begin() + std::ptrdiff_t(c0));
+        }
+      }
+    }
+  }
+  for (std::size_t e = 0; e < entries_.size(); ++e) {
+    visit(entries_[e], features[e]);
   }
 }
 

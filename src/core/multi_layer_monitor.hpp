@@ -87,9 +87,10 @@ class MultiLayerMonitor {
   /// attached layer.
   template <typename Visit>
   void for_each_layer_features(const Tensor& input, Visit&& visit) const;
-  /// Runs one batched forward pass over `inputs`, invoking
-  /// `visit(entry, batch)` with the selection-projected dim × n
-  /// FeatureBatch at each attached layer.
+  /// Runs one batched forward pass over `inputs` in blocks of 32 samples,
+  /// the network's fused steps in segments that end at each attached
+  /// layer, then invokes `visit(entry, batch)` with each entry's
+  /// selection-projected dim × n FeatureBatch.
   template <typename Visit>
   void for_each_layer_features_batch(std::span<const Tensor> inputs,
                                      Visit&& visit) const;

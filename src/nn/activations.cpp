@@ -16,21 +16,20 @@ Activation::Activation(Shape shape)
   if (numel_ == 0) throw std::invalid_argument("Activation: empty shape");
 }
 
-Tensor Activation::backward(const Tensor& x, const Tensor& y,
-                            const Tensor& grad_out) {
+void Activation::check_gradient_sizes(const Tensor& x, const Tensor& y,
+                                      const Tensor& grad_out) const {
   if (grad_out.numel() != x.numel() || y.numel() != x.numel()) {
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.numel(); ++i) g[i] *= df(x[i], y[i]);
-  return g;
 }
 
 // ---- ReLU -----------------------------------------------------------------
 
-float ReLU::f(float v) const noexcept { return relu(v); }
-float ReLU::df(float v, float /*y*/) const noexcept {
-  return v > 0.0F ? 1.0F : 0.0F;
+Tensor ReLU::backward(const Tensor& x, const Tensor& y,
+                      const Tensor& grad_out) {
+  return scale_gradient(x, y, grad_out, [](float v, float /*y*/) {
+    return v > 0.0F ? 1.0F : 0.0F;
+  });
 }
 
 void ReLU::forward_batch(const float* in, float* out,
@@ -58,9 +57,12 @@ std::string LeakyReLU::name() const {
   return "LeakyReLU(" + std::to_string(alpha_) + ")";
 }
 
-float LeakyReLU::f(float v) const noexcept { return leaky_relu(v, alpha_); }
-float LeakyReLU::df(float v, float /*y*/) const noexcept {
-  return v > 0.0F ? 1.0F : alpha_;
+Tensor LeakyReLU::backward(const Tensor& x, const Tensor& y,
+                           const Tensor& grad_out) {
+  const float a = alpha_;
+  return scale_gradient(x, y, grad_out, [a](float v, float /*y*/) {
+    return v > 0.0F ? 1.0F : a;
+  });
 }
 
 void LeakyReLU::forward_batch(const float* in, float* out,
@@ -79,16 +81,16 @@ void LeakyReLU::propagate_batch(const BoundBackend& backend,
 
 // ---- Sigmoid ----------------------------------------------------------------
 
-float Sigmoid::f(float v) const noexcept {
-  return 1.0F / (1.0F + std::exp(-v));
-}
-float Sigmoid::df(float /*v*/, float y) const noexcept {
-  return y * (1.0F - y);
+Tensor Sigmoid::backward(const Tensor& x, const Tensor& y,
+                         const Tensor& grad_out) {
+  return scale_gradient(x, y, grad_out, [](float /*v*/, float yv) {
+    return yv * (1.0F - yv);
+  });
 }
 
 void Sigmoid::forward_batch(const float* in, float* out,
                             std::size_t n) const noexcept {
-  map(in, out, n, [this](float v) { return Sigmoid::f(v); });
+  map(in, out, n, [](float v) { return 1.0F / (1.0F + std::exp(-v)); });
 }
 
 Zonotope Sigmoid::propagate(const Zonotope& in) const {
@@ -105,12 +107,15 @@ void Sigmoid::propagate_batch(const BoundBackend& backend,
 
 // ---- Tanh -----------------------------------------------------------------
 
-float Tanh::f(float v) const noexcept { return std::tanh(v); }
-float Tanh::df(float /*v*/, float y) const noexcept { return 1.0F - y * y; }
+Tensor Tanh::backward(const Tensor& x, const Tensor& y,
+                      const Tensor& grad_out) {
+  return scale_gradient(x, y, grad_out,
+                        [](float /*v*/, float yv) { return 1.0F - yv * yv; });
+}
 
 void Tanh::forward_batch(const float* in, float* out,
                          std::size_t n) const noexcept {
-  map(in, out, n, [this](float v) { return Tanh::f(v); });
+  map(in, out, n, [](float v) { return std::tanh(v); });
 }
 
 Zonotope Tanh::propagate(const Zonotope& in) const {

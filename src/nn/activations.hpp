@@ -7,22 +7,15 @@
 namespace ranm {
 
 /// Common base for shape-preserving elementwise activations. Each final
-/// activation's forward kernel is its own loop over f, so no element pays
-/// for a virtual call.
+/// activation's forward kernel and backward pass are loops of their own
+/// over its expression, so no element pays for a virtual call.
 class Activation : public Layer {
  public:
   explicit Activation(Shape shape);
   [[nodiscard]] Shape input_shape() const override { return shape_; }
   [[nodiscard]] Shape output_shape() const override { return shape_; }
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
 
  protected:
-  /// Scalar function value.
-  [[nodiscard]] virtual float f(float v) const noexcept = 0;
-  /// Scalar derivative, given input v and output y = f(v).
-  [[nodiscard]] virtual float df(float v, float y) const noexcept = 0;
-
   /// out[i] = fn(in[i]) over all n samples of the batch.
   template <typename Fn>
   void map(const float* in, float* out, std::size_t n, Fn fn) const noexcept {
@@ -30,8 +23,27 @@ class Activation : public Layer {
     for (std::size_t i = 0; i < count; ++i) out[i] = fn(in[i]);
   }
 
+  /// The backward pass of an activation whose derivative at input v with
+  /// output y = f(v) is d(v, y): grad_out[i] * d(x[i], y[i]) for every
+  /// element. Throws std::invalid_argument on a size mismatch.
+  template <typename D>
+  [[nodiscard]] Tensor scale_gradient(const Tensor& x, const Tensor& y,
+                                      const Tensor& grad_out, D d) const {
+    check_gradient_sizes(x, y, grad_out);
+    Tensor g = grad_out;
+    const float* xv = x.data();
+    const float* yv = y.data();
+    float* gv = g.data();
+    for (std::size_t i = 0; i < g.numel(); ++i) gv[i] *= d(xv[i], yv[i]);
+    return g;
+  }
+
   Shape shape_;
   std::size_t numel_;
+
+ private:
+  void check_gradient_sizes(const Tensor& x, const Tensor& y,
+                            const Tensor& grad_out) const;
 };
 
 /// Rectified linear unit: max(0, x).
@@ -45,13 +57,11 @@ class ReLU final : public Activation {
   }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
-
- protected:
-  [[nodiscard]] float f(float v) const noexcept override;
-  [[nodiscard]] float df(float v, float y) const noexcept override;
 };
 
 /// Leaky rectified linear unit: x > 0 ? x : alpha * x.
@@ -66,13 +76,11 @@ class LeakyReLU final : public Activation {
   }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
-
- protected:
-  [[nodiscard]] float f(float v) const noexcept override;
-  [[nodiscard]] float df(float v, float y) const noexcept override;
 
  private:
   float alpha_;
@@ -85,13 +93,11 @@ class Sigmoid final : public Activation {
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
-
- protected:
-  [[nodiscard]] float f(float v) const noexcept override;
-  [[nodiscard]] float df(float v, float y) const noexcept override;
 };
 
 /// Hyperbolic tangent.
@@ -101,13 +107,11 @@ class Tanh final : public Activation {
   [[nodiscard]] std::string name() const override { return "Tanh"; }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
+  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
+                                const Tensor& grad_out) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
-
- protected:
-  [[nodiscard]] float f(float v) const noexcept override;
-  [[nodiscard]] float df(float v, float y) const noexcept override;
 };
 
 }  // namespace ranm

@@ -53,8 +53,21 @@ Shape Conv2D::output_shape() const { return {cfg_.out_channels, oh_, ow_}; }
 
 void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
                            const Epilogue& ep) const noexcept {
+  const auto& c = cfg_;
+  // A single sample runs across its own outputs, and so does an odd
+  // batch's last sample, copied out; the tiles below cover the samples
+  // before it in tiles of two or more.
+  if (n == 1) {
+    forward_one(in, out, ep);
+    return;
+  }
+  const std::size_t paired = n - n % 2;
+  if (paired < n) {
+    run_one_column(in, out, n, paired, c.in_channels * c.in_height * c.in_width,
+                   c.out_channels * oh_ * ow_,
+                   [&](const float* x, float* y) { forward_one(x, y, ep); });
+  }
   dispatch_kernel([&] {
-    const auto& c = cfg_;
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
     const std::size_t kernel_size = c.in_channels * c.kernel_h * c.kernel_w;
     for (std::size_t oy = 0; oy < oh_; ++oy) {
@@ -65,7 +78,7 @@ void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
         const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
         // Neurons of a tile are output channels at this (oy, ox): they share
         // every tap position and differ only in their weights.
-        for_each_tile<kConvTile>(
+        for_each_pair_tile<kConvTile>(
             n, c.out_channels, [&]<std::size_t U, std::size_t T>(
                                    std::size_t oc0, std::size_t s0) {
               double acc[U][T] = {};
@@ -110,15 +123,128 @@ void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
               }
             });
         // The activation runs over this position's rows, every channel of
-        // every sample, while they are in L1: outside the tiles, whose
-        // forced unroll a branch on the epilogue would break.
+        // every paired sample, while they are in L1: outside the tiles,
+        // whose forced unroll a branch on the epilogue would break.
         if (ep.identity()) continue;
         for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
           float* y = out + ((oc * oh_ + oy) * ow_ + ox) * n;
-          ep.apply(y, y, n);
+          ep.apply(y, y, paired);
         }
       }
     }
+  });
+}
+
+void Conv2D::forward_one(const float* in, float* out,
+                         const Epilogue& ep) const noexcept {
+  const auto& c = cfg_;
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
+  const std::size_t kernel_size = c.in_channels * c.kernel_h * c.kernel_w;
+  // The outputs [lo, hi) along an axis whose windows lie inside the input:
+  // the taps of the outputs before and after them cross the padded border.
+  const auto inside = [&](std::size_t extent, std::size_t kernel,
+                          std::size_t outputs) {
+    const std::size_t lo =
+        std::min(outputs, (c.padding + c.stride - 1) / c.stride);
+    const std::size_t hi =
+        extent + c.padding < kernel
+            ? lo
+            : std::clamp((extent + c.padding - kernel) / c.stride + 1, lo,
+                         outputs);
+    return TapRange{lo, hi};
+  };
+  const TapRange xs = inside(c.in_width, c.kernel_w, ow_);
+  const TapRange ys = inside(c.in_height, c.kernel_h, oh_);
+  const auto for_each_border = [&](const TapRange& range, std::size_t outputs,
+                                   auto&& fn) {
+    for (std::size_t o = 0; o < range.lo; ++o) fn(o);
+    for (std::size_t o = range.hi; o < outputs; ++o) fn(o);
+  };
+  with_step(c.stride, [&]<std::size_t Step>() {
+    dispatch_kernel([&] {
+      const std::size_t stride = Step == 0 ? c.stride : Step;
+      // The taps of the positions the next tiles cover.
+      TapRange ky{0, c.kernel_h};
+      TapRange kx{0, c.kernel_w};
+      // U output channels from oc0 at T positions from (oy0, ox0), along
+      // the row or, when Column, down the column: the same taps at inputs
+      // `stride` floats or `stride` rows apart.
+      const auto tile = [&]<std::size_t U, std::size_t T, bool Column>(
+                            std::size_t oc0, std::size_t oy0,
+                            std::size_t ox0) {
+        const std::size_t in_step = Column ? stride * c.in_width : stride;
+        const std::size_t out_step = Column ? ow_ : 1;
+        double acc[U][T] = {};
+        const float* w = w_.data() + oc0 * kernel_size;
+        const std::ptrdiff_t y0 = std::ptrdiff_t(oy0 * stride) - pad;
+        const std::ptrdiff_t x0 = std::ptrdiff_t(ox0 * stride) - pad;
+        for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
+          for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+            const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+            const std::size_t tap_row = (ic * c.kernel_h + r) * c.kernel_w;
+            const float* row = in + (ic * c.in_height + iy) * c.in_width;
+            for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+              const float* x = row + (x0 + std::ptrdiff_t(q));
+              double xd[T];
+#pragma GCC unroll 64
+              for (std::size_t t = 0; t < T; ++t) xd[t] = x[t * in_step];
+#pragma GCC unroll 64
+              for (std::size_t u = 0; u < U; ++u) {
+                const double wv = w[u * kernel_size + tap_row + q];
+#pragma GCC unroll 64
+                for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
+              }
+            }
+          }
+        }
+#pragma GCC unroll 64
+        for (std::size_t u = 0; u < U; ++u) {
+          float* y = out + ((oc0 + u) * oh_ + oy0) * ow_ + ox0;
+          const float b = b_[oc0 + u];
+#pragma GCC unroll 64
+          for (std::size_t t = 0; t < T; ++t) {
+            y[t * out_step] = static_cast<float>(acc[u][t]) + b;
+          }
+        }
+      };
+      // Each row: its inside positions in row tiles, and, in the rows
+      // whose windows cross the top or bottom border, its border positions
+      // one at a time.
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        const auto along_row = [&]<std::size_t U, std::size_t T>(
+                                   std::size_t oc0, std::size_t ox0) {
+          tile.template operator()<U, T, false>(oc0, oy, ox0);
+        };
+        ky = taps_inside(std::ptrdiff_t(oy * c.stride) - pad, c.in_height,
+                         c.kernel_h);
+        kx = {0, c.kernel_w};
+        for_each_row_tile<kConvRowTile>(xs.lo, xs.hi, c.out_channels,
+                                        along_row);
+        if (oy >= ys.lo && oy < ys.hi) continue;
+        for_each_border(xs, ow_, [&](std::size_t ox) {
+          kx = taps_inside(std::ptrdiff_t(ox * c.stride) - pad, c.in_width,
+                           c.kernel_w);
+          for_each_row_tile<kConvRowTile>(ox, ox + 1, c.out_channels,
+                                          along_row);
+        });
+      }
+      // The other border positions down their columns, in tiles like the
+      // rows'.
+      ky = {0, c.kernel_h};
+      for_each_border(xs, ow_, [&](std::size_t ox) {
+        kx = taps_inside(std::ptrdiff_t(ox * c.stride) - pad, c.in_width,
+                         c.kernel_w);
+        for_each_row_tile<kConvRowTile>(
+            ys.lo, ys.hi, c.out_channels,
+            [&]<std::size_t U, std::size_t T>(std::size_t oc0,
+                                              std::size_t oy0) {
+              tile.template operator()<U, T, true>(oc0, oy0, ox);
+            });
+      });
+      // The activation, over the whole output once every position is
+      // written: outside the tiles, as in the batch path.
+      ep.apply(out, out, c.out_channels * oh_ * ow_);
+    });
   });
 }
 

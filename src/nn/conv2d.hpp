@@ -52,6 +52,14 @@ class Conv2D final : public AffineLayer {
   [[nodiscard]] const Tensor& bias() const noexcept { return b_; }
 
  private:
+  /// forward_fused at n = 1, run across the sample's own outputs: row
+  /// tiles (util/tile.hpp) of consecutive positions along each row. The
+  /// positions whose windows cross the padded left or right border are
+  /// peeled off, each with its own taps, and run in tiles down their
+  /// columns.
+  void forward_one(const float* in, float* out,
+                   const Epilogue& ep) const noexcept;
+
   Config cfg_;
   std::size_t oh_, ow_;
   Tensor w_;   // (out_c, in_c, kh, kw)

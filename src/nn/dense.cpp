@@ -71,7 +71,14 @@ Tensor Dense::backward(const Tensor& x, const Tensor& /*y*/,
     throw std::invalid_argument(name() + ": gradient size mismatch");
   }
   const Tensor g = grad_out.rank() == 1 ? grad_out : grad_out.reshaped({out_});
-  gw_ += x.rank() == 1 ? outer(g, x) : outer(g, x.reshaped({in_}));
+  // gw_ += g xᵀ in place, row by row: each element adds the float product
+  // g[o] * x[p] once, with no out × in temporary.
+  const float* xv = x.data();
+  for (std::size_t o = 0; o < out_; ++o) {
+    const float go = g[o];
+    float* row = gw_.data() + o * in_;
+    for (std::size_t p = 0; p < in_; ++p) row[p] += go * xv[p];
+  }
   gb_ += g;
   return matvec_t(w_, g);
 }

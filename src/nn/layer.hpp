@@ -65,9 +65,11 @@ class Layer {
                              std::size_t n) const noexcept = 0;
 
   /// Concrete forward pass of one sample: the one-column case of
-  /// forward_batch (at n = 1 the neuron-major layout is the flat tensor).
-  /// Throws std::invalid_argument unless x has input_size() elements; the
-  /// result has output_shape().
+  /// forward_batch. At n = 1 the neuron-major layout is the flat tensor,
+  /// so Conv2D and MaxPool2D vectorise across the sample's own outputs
+  /// along each row (util/tile.hpp), with the bits of its column in any
+  /// batch. Throws std::invalid_argument unless x has input_size()
+  /// elements; the result has output_shape().
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
   /// Gradient of the loss w.r.t. this layer's input, given the input `x`

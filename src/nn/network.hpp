@@ -92,6 +92,13 @@ class Network {
   void forward_step(const Step& s, const float* in, float* out,
                     std::size_t n) const noexcept;
 
+  /// Runs the steps of layers l..k (1 <= l <= k <= num_layers(),
+  /// unchecked) over n neuron-major samples held in `cur`, ping-ponging
+  /// with `spare`; the last step writes `out` instead when it is not null.
+  /// Returns the buffer holding layer k's output.
+  float* forward_steps(std::size_t l, std::size_t k, float* cur, float* spare,
+                       std::size_t n, float* out) const noexcept;
+
   /// Full forward pass keeping every activation for backward():
   /// acts[0] = x and acts[i] = G^i(x), so acts.back() = G(x). The caller
   /// owns `acts` (training keeps one list per step).
@@ -152,11 +159,6 @@ class Network {
   };
 
   void check_layer_index(std::size_t k, const char* what) const;
-  /// Runs the steps of layers l..k over n neuron-major samples held in
-  /// `cur`, ping-ponging with `spare`; the last step writes `out` instead
-  /// when it is not null. Returns the buffer holding layer k's output.
-  float* forward_steps(std::size_t l, std::size_t k, float* cur, float* spare,
-                       std::size_t n, float* out) const noexcept;
   /// The box counterpart of forward_steps: `cur` holds layer l's input
   /// bounds (the caller's batch or one of the two scratch batches), each
   /// step writes the scratch batch `cur` is not, or `out`, and the batch

@@ -65,12 +65,25 @@ MaxPool2D::WindowMax MaxPool2D::window_max(
 
 void MaxPool2D::forward_batch(const float* in, float* out,
                               std::size_t n) const noexcept {
+  const std::size_t plane = cfg_.in_height * cfg_.in_width;
+  // A single sample runs across its own outputs, and so does an odd
+  // batch's last sample, copied out; the tiles below cover the samples
+  // before it in tiles of two or more.
+  if (n == 1) {
+    forward_one(in, out);
+    return;
+  }
+  const std::size_t paired = n - n % 2;
+  if (paired < n) {
+    run_one_column(in, out, n, paired, cfg_.channels * plane,
+                   cfg_.channels * oh_ * ow_,
+                   [&](const float* x, float* y) { forward_one(x, y); });
+  }
   dispatch_kernel([&] {
-    const std::size_t plane = cfg_.in_height * cfg_.in_width;
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       for (std::size_t ox = 0; ox < ow_; ++ox) {
         // Neurons of a tile are channels at this (oy, ox).
-        for_each_tile<kMaxPoolTile>(
+        for_each_pair_tile<kMaxPoolTile>(
             n, cfg_.channels,
             [&]<std::size_t U, std::size_t T>(std::size_t ch0,
                                               std::size_t s0) {
@@ -101,6 +114,48 @@ void MaxPool2D::forward_batch(const float* in, float* out,
             });
       }
     }
+  });
+}
+
+void MaxPool2D::forward_one(const float* in, float* out) const noexcept {
+  const std::size_t plane = cfg_.in_height * cfg_.in_width;
+  with_step(cfg_.stride, [&]<std::size_t Step>() {
+    dispatch_kernel([&] {
+      const std::size_t stride = Step == 0 ? cfg_.stride : Step;
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        // Neurons of a tile are channels, its columns consecutive
+        // positions along the row: the same window offsets, `stride`
+        // floats apart.
+        for_each_row_tile<kMaxPoolRowTile>(
+            0, ow_, cfg_.channels,
+            [&]<std::size_t U, std::size_t T>(std::size_t ch0,
+                                              std::size_t ox0) {
+              float best[U][T];
+              for (std::size_t u = 0; u < U; ++u) {
+                for (std::size_t t = 0; t < T; ++t) {
+                  best[u][t] = -std::numeric_limits<float>::infinity();
+                }
+              }
+              for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+                for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+                  const std::size_t iy = oy * stride + ky;
+                  for (std::size_t u = 0; u < U; ++u) {
+                    const float* x = in + (ch0 + u) * plane +
+                                     iy * cfg_.in_width + ox0 * stride + kx;
+                    for (std::size_t t = 0; t < T; ++t) {
+                      const float v = x[t * stride];
+                      best[u][t] = v > best[u][t] ? v : best[u][t];
+                    }
+                  }
+                }
+              }
+              for (std::size_t u = 0; u < U; ++u) {
+                float* y = out + ((ch0 + u) * oh_ + oy) * ow_ + ox0;
+                for (std::size_t t = 0; t < T; ++t) y[t] = best[u][t];
+              }
+            });
+      }
+    });
   });
 }
 

@@ -47,6 +47,10 @@ class MaxPool2D final : public Pooling {
                        BoxBatch& out) const override;
 
  private:
+  /// forward_batch at n = 1, run across the sample's own outputs: row
+  /// tiles (util/tile.hpp) of consecutive positions along each row.
+  void forward_one(const float* in, float* out) const noexcept;
+
   struct WindowMax {
     float value;
     std::size_t index;  // flat input index

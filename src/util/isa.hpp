@@ -11,11 +11,14 @@
 // body and its tile lambdas are inlined into, and vectorised for, each
 // entry. The CPU is checked once; each call switches on the level.
 //
-// Every level computes the same bits. The kernels vectorise only across
-// samples: each output accumulates its own terms in a fixed order, in
-// double, and FP contraction is off (the build passes -ffp-contract=off;
-// the dispatched sources also pin it for clang), so no multiply-add is
-// ever fused. A wider vector only does more samples at once.
+// Every level computes the same bits. The kernels vectorise across
+// independent outputs only: across the samples of a batch, or, for a
+// single sample of Conv2D and MaxPool2D, across consecutive outputs along
+// one row (util/tile.hpp). Each output accumulates its own terms in a
+// fixed order, in double, and FP contraction is off (the build passes
+// -ffp-contract=off; the dispatched sources also pin it for clang), so no
+// multiply-add is ever fused. A wider vector only does more outputs at
+// once.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +73,17 @@ class ScopedKernelIsa {
 // target has FMA, so the entries turn contraction off themselves: the
 // contraction pass runs on the entry, where the inlined kernel ends up.
 // clang contracts while it emits each expression, so the kernel sources pin
-// it with `#pragma clang fp contract(off)` instead.
+// it with `#pragma clang fp contract(off)` instead. The GCC entries also
+// turn predictive commoning off: in a one-sample row tile each tap reads
+// the previous tap's inputs shifted by one, and GCC kept them in scalar
+// registers from tap to tap and rebuilt each vector from them, which made
+// the lab convnet's Conv2D at batch 1 about 1.5× slower than loading the
+// vector again.
 #if defined(__clang__)
 #define RANM_KERNEL_ENTRY [[gnu::flatten]]
 #else
-#define RANM_KERNEL_ENTRY [[gnu::flatten, gnu::optimize("fp-contract=off")]]
+#define RANM_KERNEL_ENTRY \
+  [[gnu::flatten, gnu::optimize("fp-contract=off", "no-predictive-commoning")]]
 #endif
 
 namespace detail {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/box_cluster_monitor.hpp"
@@ -236,6 +237,67 @@ TEST(BatchQuery, MultiLayerWarnsBatchMatchesScalar) {
     multi.warns_batch({}, {});
     multi.warns_batch({probes.data(), 1}, {buf.get(), 1});
     EXPECT_EQ(out[0], multi.warns(probes[0]));
+  }
+}
+
+// Monitors at an affine layer and at the activation after it (which the
+// network's passes run as one fused step), and at the Dense layer and its
+// activation: the batched pass stops at every attached layer, so each
+// monitor sees its own layer's activations, in the full 32-sample block
+// and in the one-sample block after it.
+TEST(BatchQuery, MultiLayerMonitorsAtAnAffineLayerAndItsActivation) {
+  Rng rng(909);
+  const Network net = make_small_convnet(6, 6, 2, 8, 3, rng);
+  // g1 Conv2D, g2 LeakyReLU, g3 MaxPool2D, g4 Flatten, g5 Dense,
+  // g6 LeakyReLU, g7 Dense.
+  std::vector<Tensor> data;
+  for (int i = 0; i < 33; ++i) {
+    data.push_back(Tensor::random_uniform(net.input_shape(), rng, -1.0F, 1.0F));
+  }
+  const std::size_t conv_out = net.layer(1).output_size();
+  const std::vector<std::pair<std::size_t, NeuronSelection>> attached = {
+      {1, NeuronSelection::all(conv_out)},
+      {2, NeuronSelection::indices(conv_out, {0, 7, 35, 71})},
+      {5, NeuronSelection::all(8)},
+      {6, NeuronSelection::all(8)}};
+  MultiLayerMonitor multi(net, WarnPolicy::kAny);
+  std::vector<MinMaxMonitor> scalar;
+  for (const auto& [layer, selection] : attached) {
+    multi.attach(layer, selection,
+                 std::make_unique<MinMaxMonitor>(selection.output_dim()));
+    scalar.emplace_back(selection.output_dim());
+  }
+  multi.build_standard(data, /*batch_size=*/33);
+  // The reference: each layer's features from the unfused one-sample
+  // pass, observed one at a time.
+  for (const Tensor& x : data) {
+    for (std::size_t e = 0; e < attached.size(); ++e) {
+      const Tensor act = net.forward_to(attached[e].first, x);
+      scalar[e].observe(attached[e].second.project(
+          std::vector<float>(act.data(), act.data() + act.numel())));
+    }
+  }
+  for (std::size_t e = 0; e < attached.size(); ++e) {
+    const auto& built = dynamic_cast<const MinMaxMonitor&>(multi.monitor(e));
+    ASSERT_EQ(built.dimension(), scalar[e].dimension());
+    for (std::size_t j = 0; j < built.dimension(); ++j) {
+      EXPECT_EQ(built.lower(j), scalar[e].lower(j))
+          << "layer " << attached[e].first << " neuron " << j;
+      EXPECT_EQ(built.upper(j), scalar[e].upper(j))
+          << "layer " << attached[e].first << " neuron " << j;
+    }
+  }
+  std::vector<Tensor> probes(data.begin(), data.begin() + 16);
+  for (int i = 0; i < 17; ++i) {
+    probes.push_back(
+        Tensor::random_uniform(net.input_shape(), rng, -1.5F, 1.5F));
+  }
+  ASSERT_EQ(probes.size(), 33U);
+  auto buf = std::make_unique<bool[]>(probes.size());
+  std::span<bool> out(buf.get(), probes.size());
+  multi.warns_batch(probes, out);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(out[i], multi.warns(probes[i])) << "sample " << i;
   }
 }
 

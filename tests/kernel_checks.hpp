@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -419,6 +420,95 @@ inline void check_fused_tile_edges() {
       for (const std::size_t n : conv_batches) {
         expect_fused_step_matches_chain(net, n, rng);
       }
+    }
+  }
+}
+
+// ---- One-sample tiles ----------------------------------------------------
+
+/// The first step of `net` (its whole net: one layer, or an affine layer
+/// and its activation) at batch 1 on each of 33 zero-prone samples,
+/// against the sample's column of a 32-sample call (full tiles only) and,
+/// for the last, of a 33-sample call (its leftover column), byte for byte.
+inline void expect_one_sample_matches_columns(const Network& net,
+                                              const std::string& what,
+                                              Rng& rng) {
+  const Network::Step step = net.step(1, net.num_layers());
+  ASSERT_EQ(step.last, net.num_layers()) << what;
+  const std::size_t in_dim = net.layer(1).input_size();
+  const std::size_t out_dim = net.layer(step.last).output_size();
+  const FeatureBatch in33 = zero_prone_batch(in_dim, 33, rng);
+  FeatureBatch in32(in_dim, 32);
+  for (std::size_t j = 0; j < in_dim; ++j) {
+    for (std::size_t i = 0; i < 32; ++i) in32.at(j, i) = in33.at(j, i);
+  }
+  std::vector<float> out32(out_dim * 32), out33(out_dim * 33), one(out_dim),
+      column(out_dim);
+  net.forward_step(step, in32.storage().data(), out32.data(), 32);
+  net.forward_step(step, in33.storage().data(), out33.data(), 33);
+  for (std::size_t i = 0; i < 33; ++i) {
+    const std::vector<float> x = in33.sample(i);
+    net.forward_step(step, x.data(), one.data(), 1);
+    const bool leftover = i == 32;
+    const std::size_t n = leftover ? 33 : 32;
+    const float* out = leftover ? out33.data() : out32.data();
+    for (std::size_t j = 0; j < out_dim; ++j) column[j] = out[j * n + i];
+    expect_same_bytes(one, column,
+                      what + (leftover ? " leftover column of 33" : " i=") +
+                          (leftover ? "" : std::to_string(i)));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// The batch-1 tiles of Conv2D and MaxPool2D, which run across one
+// sample's outputs (util/tile.hpp): output widths 1-17, on either side of
+// 2, 4 and 8 doubles and of the 16-position row tile, so every full,
+// halved and overlapping tile and every peeled border position runs.
+// Conv2D at padding 0, 1 and 2, stride 1 and 2, 1 and 3 input channels,
+// with no activation, ReLU and LeakyReLU fused, on zero-prone weights;
+// MaxPool2D at stride 2 (window 2) and stride 1 (window 3).
+inline void check_one_sample_tiles() {
+  Rng rng(25);
+  for (std::size_t ow = 1; ow <= 17; ++ow) {
+    for (const std::size_t in_channels : {1UL, 3UL}) {
+      for (const std::size_t padding : {0UL, 1UL, 2UL}) {
+        for (const std::size_t stride : {1UL, 2UL}) {
+          // A window wide enough that every output sees an input.
+          const std::size_t kernel_w =
+              std::max<std::size_t>(3, 2 * padding + 1);
+          Conv2D::Config cfg{in_channels,
+                             4,
+                             (ow - 1) * stride + kernel_w - 2 * padding,
+                             7,
+                             3,
+                             kernel_w,
+                             stride,
+                             padding};
+          for (int which = 0; which < 3; ++which) {
+            Network net;
+            auto& conv = net.emplace<Conv2D>(cfg);
+            if (which == 1) net.emplace<ReLU>(conv.output_shape());
+            if (which == 2) net.emplace<LeakyReLU>(conv.output_shape(), 0.01F);
+            ASSERT_EQ(conv.out_width(), ow);
+            randomise(net, rng);
+            make_zero_prone(conv.weights(), conv.bias());
+            expect_one_sample_matches_columns(
+                net, conv.name() + " activation " + std::to_string(which),
+                rng);
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+    for (const std::size_t stride : {2UL, 1UL}) {
+      const std::size_t window = stride == 2 ? 2 : 3;
+      Network net;
+      auto& pool = net.emplace<MaxPool2D>(
+          Pooling::Config{3, 5, (ow - 1) * stride + window, window, stride});
+      ASSERT_EQ(pool.output_shape()[2], ow);
+      expect_one_sample_matches_columns(
+          net, pool.name() + " width " + std::to_string(ow), rng);
+      if (::testing::Test::HasFailure()) return;
     }
   }
 }
