@@ -4,32 +4,36 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "absint/bound_backend.hpp"
+#include "nn/dense.hpp"
+
 namespace ranm {
 namespace {
 
-/// The rounding radii after an elementwise map y_j = s_j·x_j + t_j whose
-/// centre `c` and generators `gens` were computed in double and rounded to
-/// float once: the radii `e` scaled by |s_j| and grown by 4u·m_j, rounded
-/// up, where m_j = |c_j| + Σ_i |g_ij| + |s_j|·e_j bounds |y_j| over the
-/// set. The forward pass rounds y_j at most twice and storing the centre
-/// and each generator rounds once more, each within u·m_j; 4u covers these
-/// and the transfer's own double roundings.
-std::vector<float> elementwise_radii(const std::vector<float>& c,
-                                     const std::vector<float>& gens,
-                                     std::span<const double> scale,
-                                     std::span<const float> e) {
+/// The rounding radii r_j + k·u·m_j, rounded up, after a transfer that
+/// rounds its centre `c` and generators `gens` (neuron-major) to float:
+/// r_j = |s_j|·e_j (`s` empty: e_j) carries the input radius over, and
+/// m_j = |c_j| + Σ_i |g_ij| + r_j + |b_j|, with b_j row j's bias (`b`: one
+/// per run of rows / b.size() rows, or empty). An elementwise map
+/// y_j = s_j·x_j + t_j computed in double takes k = 4: m_j bounds |y_j|
+/// over the set, the forward pass rounds y_j at most twice and storing the
+/// centre and each generator rounds once more, each within u·m_j, and 4u
+/// covers these and the transfer's own double roundings. The affine
+/// transfers take k = 5 (zonotope.hpp).
+std::vector<float> grown_radii(const std::vector<float>& c,
+                               const std::vector<float>& gens,
+                               std::span<const double> s,
+                               std::span<const float> e, double k,
+                               std::span<const float> b = {}) {
   const std::size_t d = c.size();
-  std::vector<double> scaled(d), m(d);
-  for (std::size_t j = 0; j < d; ++j) {
-    scaled[j] = std::fabs(scale[j]) * e[j];
-    m[j] = std::fabs(c[j]) + scaled[j];
-  }
-  for (std::size_t g = 0; g < gens.size(); g += d) {
-    for (std::size_t j = 0; j < d; ++j) m[j] += std::fabs(gens[g + j]);
-  }
+  const std::size_t ng = d == 0 ? 0 : gens.size() / d;
   std::vector<float> err(d);
   for (std::size_t j = 0; j < d; ++j) {
-    err[j] = round_up(scaled[j] + 4.0 * kFloatUnitRoundoff * m[j]);
+    const double r = s.empty() ? double(e[j]) : std::fabs(s[j]) * e[j];
+    double m = std::fabs(c[j]) + r;
+    for (std::size_t i = 0; i < ng; ++i) m += std::fabs(gens[j * ng + i]);
+    if (!b.empty()) m += std::fabs(b[j / (d / b.size())]);
+    err[j] = round_up(r + k * kFloatUnitRoundoff * m);
   }
   return err;
 }
@@ -81,26 +85,37 @@ Zonotope Zonotope::from_box(const IntervalVector& box) {
                                  (double(c[j]) - r) - double(box[j].lo));
     err[j] = miss > 0.0 ? round_up(miss) : 0.0F;
   }
-  gens.assign(nondeg.size() * d, 0.0F);
-  for (std::size_t i = 0; i < nondeg.size(); ++i) {
-    gens[i * d + nondeg[i]] = box[nondeg[i]].radius();
+  const std::size_t ng = nondeg.size();
+  gens.assign(d * ng, 0.0F);
+  for (std::size_t i = 0; i < ng; ++i) {
+    gens[nondeg[i] * ng + i] = box[nondeg[i]].radius();
   }
   return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
-std::span<const float> Zonotope::generator(std::size_t i) const {
-  if (i >= num_generators()) {
+std::vector<float> Zonotope::generator(std::size_t i) const {
+  const std::size_t ng = num_generators();
+  if (i >= ng) {
     throw std::out_of_range("Zonotope::generator");
   }
-  return {gens_.data() + i * dim(), dim()};
+  std::vector<float> g(dim());
+  for (std::size_t j = 0; j < dim(); ++j) g[j] = gens_[j * ng + i];
+  return g;
+}
+
+BoxBatch Zonotope::radius_box() const {
+  BoxBatch box(dim(), 1);
+  for (std::size_t j = 0; j < dim(); ++j) {
+    box.lo(j, 0) = -err_[j];
+    box.hi(j, 0) = err_[j];
+  }
+  return box;
 }
 
 Interval Zonotope::concretize(std::size_t j) const noexcept {
-  const std::size_t d = dim();
+  const std::size_t ng = num_generators();
   double r = err_[j];
-  for (std::size_t i = 0; i < num_generators(); ++i) {
-    r += std::fabs(gens_[i * d + j]);
-  }
+  for (std::size_t i = 0; i < ng; ++i) r += std::fabs(gens_[j * ng + i]);
   return Interval::make_unchecked(round_down(double(center_[j]) - r),
                                   round_up(double(center_[j]) + r));
 }
@@ -120,51 +135,27 @@ Zonotope Zonotope::affine(std::span<const float> w, std::size_t rows,
   if (b.size() != rows) {
     throw std::invalid_argument("Zonotope::affine: bias size mismatch");
   }
-  return linear(rows, b, [&](const float* x, double* y, bool absolute) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* wrow = w.data() + r * d;
-      double acc = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        const double wv = absolute ? std::fabs(wrow[j]) : wrow[j];
-        acc += wv * x[j];
-      }
-      y[r] = acc;
-    }
-  });
+  const std::size_t ng = num_generators();
+  const std::vector<float> zero(rows, 0.0F);
+  std::vector<float> centre(rows), gens(rows * ng);
+  dense_forward(w.data(), b.data(), rows, d, center_.data(), centre.data(), 1);
+  dense_forward(w.data(), zero.data(), rows, d, gens_.data(), gens.data(), ng);
+  BoxBatch err;
+  VectorizedBoundBackend{}.affine(w, rows, d, zero, radius_box(), err);
+  return affine_image(std::move(centre), std::move(gens),
+                      err.upper().storage(), b);
 }
 
-Zonotope Zonotope::linear(std::size_t rows, std::span<const float> b,
-                          const LinearMap& map) const {
-  if (!b.empty() && b.size() != rows) {
-    throw std::invalid_argument("Zonotope::linear: bias size mismatch");
+Zonotope Zonotope::affine_image(std::vector<float> centre,
+                                std::vector<float> gens,
+                                std::span<const float> abs_err,
+                                std::span<const float> b) {
+  if (abs_err.size() != centre.size() ||
+      (!b.empty() && centre.size() % b.size() != 0)) {
+    throw std::invalid_argument("Zonotope::affine_image: size mismatch");
   }
-  const std::size_t ng = num_generators();
-  std::vector<double> acc(rows), centre(rows), gen_sum(rows, 0.0),
-      err_in(rows);
-  map(center_.data(), centre.data(), false);
-  map(err_.data(), err_in.data(), true);
-  std::vector<float> gens(ng * rows);
-  for (std::size_t i = 0; i < ng; ++i) {
-    map(gens_.data() + i * dim(), acc.data(), false);
-    float* out = gens.data() + i * rows;
-    for (std::size_t r = 0; r < rows; ++r) {
-      out[r] = static_cast<float>(acc[r]);
-      gen_sum[r] += std::fabs(acc[r]);
-    }
-  }
-  std::vector<float> c(rows), err(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double bias = b.empty() ? 0.0 : double(b[r]);
-    c[r] = static_cast<float>(centre[r] + bias);
-    // |A x| <= m over the set. The forward pass rounds A x to float and
-    // then rounds its bias add (or scale), each within u·(m + |b|); storing
-    // the centre and generators as floats rounds them within u·(m + |b|)
-    // together. 4u covers these three and their second-order terms.
-    const double m = std::fabs(centre[r]) + gen_sum[r] + err_in[r];
-    err[r] = round_up(err_in[r] +
-                      4.0 * kFloatUnitRoundoff * (m + std::fabs(bias)));
-  }
-  return Zonotope(std::move(c), std::move(gens), std::move(err));
+  std::vector<float> err = grown_radii(centre, gens, {}, abs_err, 5.0, b);
+  return Zonotope(std::move(centre), std::move(gens), std::move(err));
 }
 
 Zonotope Zonotope::normalize(std::span<const float> mean,
@@ -174,16 +165,15 @@ Zonotope Zonotope::normalize(std::span<const float> mean,
     throw std::invalid_argument("Zonotope::normalize: size mismatch");
   }
   const std::vector<double> s(scale.begin(), scale.end());
+  const std::size_t ng = num_generators();
   std::vector<float> c(d), gens(gens_.size());
   for (std::size_t j = 0; j < d; ++j) {
     c[j] = static_cast<float>((double(center_[j]) - mean[j]) * s[j]);
-  }
-  for (std::size_t i = 0; i < num_generators(); ++i) {
-    for (std::size_t j = 0; j < d; ++j) {
-      gens[i * d + j] = static_cast<float>(gens_[i * d + j] * s[j]);
+    for (std::size_t i = 0; i < ng; ++i) {
+      gens[j * ng + i] = static_cast<float>(gens_[j * ng + i] * s[j]);
     }
   }
-  std::vector<float> err = elementwise_radii(c, gens, s, err_);
+  std::vector<float> err = grown_radii(c, gens, s, err_, 4.0);
   return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
@@ -222,23 +212,21 @@ Zonotope Zonotope::leaky_relu(float alpha) const {
     if (fresh[j] > 0.0F) ++n_fresh;
   }
 
-  std::vector<float> c(d), gens((ng + n_fresh) * d, 0.0F);
-  for (std::size_t j = 0; j < d; ++j) {
-    c[j] = static_cast<float>(center_[j] * slope[j] + shift[j]);
-  }
-  for (std::size_t i = 0; i < ng; ++i) {
-    for (std::size_t j = 0; j < d; ++j) {
-      gens[i * d + j] = static_cast<float>(gens_[i * d + j] * slope[j]);
-    }
-  }
+  // Row j: the input generators scaled by the slope, then the fresh
+  // generators, of which at most one (dimension j's own) is nonzero.
+  const std::size_t out_ng = ng + n_fresh;
+  std::vector<float> c(d), gens(d * out_ng, 0.0F);
   std::size_t next = ng;
   for (std::size_t j = 0; j < d; ++j) {
-    if (fresh[j] > 0.0F) {
-      gens[next * d + j] = fresh[j];
-      ++next;
+    c[j] = static_cast<float>(center_[j] * slope[j] + shift[j]);
+    const float* in = gens_.data() + j * ng;
+    float* out = gens.data() + j * out_ng;
+    for (std::size_t i = 0; i < ng; ++i) {
+      out[i] = static_cast<float>(in[i] * slope[j]);
     }
+    if (fresh[j] > 0.0F) out[next++] = fresh[j];
   }
-  std::vector<float> err = elementwise_radii(c, gens, slope, err_);
+  std::vector<float> err = grown_radii(c, gens, slope, err_, 4.0);
   return Zonotope(std::move(c), std::move(gens), std::move(err));
 }
 
@@ -247,39 +235,6 @@ Zonotope Zonotope::monotone_via_box(Interval (*f)(const Interval&)) const {
   std::vector<Interval> image(box.size());
   for (std::size_t j = 0; j < box.size(); ++j) image[j] = f(box[j]);
   return from_box(IntervalVector(std::move(image)));
-}
-
-Zonotope Zonotope::reduced(float eps) const {
-  const std::size_t d = dim();
-  const std::size_t ng = num_generators();
-  std::vector<bool> keep(ng, true);
-  std::vector<float> slack(d, 0.0F);
-  for (std::size_t i = 0; i < ng; ++i) {
-    double mag = 0.0;
-    for (std::size_t j = 0; j < d; ++j) mag += std::fabs(gens_[i * d + j]);
-    if (mag < eps) {
-      keep[i] = false;
-      for (std::size_t j = 0; j < d; ++j) {
-        slack[j] += std::fabs(gens_[i * d + j]);
-      }
-    }
-  }
-  std::vector<float> gens;
-  for (std::size_t i = 0; i < ng; ++i) {
-    if (keep[i]) {
-      gens.insert(gens.end(), gens_.begin() + i * d,
-                  gens_.begin() + (i + 1) * d);
-    }
-  }
-  // One box generator per dimension that lost mass.
-  for (std::size_t j = 0; j < d; ++j) {
-    if (slack[j] > 0.0F) {
-      std::vector<float> g(d, 0.0F);
-      g[j] = slack[j];
-      gens.insert(gens.end(), g.begin(), g.end());
-    }
-  }
-  return Zonotope(center_, std::move(gens), err_);
 }
 
 }  // namespace ranm

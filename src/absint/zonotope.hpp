@@ -12,28 +12,35 @@
 // Centre and generators are floats, while the concrete forward pass rounds
 // every layer's output to float. Each dimension therefore also carries a
 // rounding radius e_j: the set is c + Σ ε_i g_i + δ with |δ_j| <= e_j (one
-// fresh noise symbol per dimension, stored as a diagonal). The linear and
+// fresh noise symbol per dimension, stored as a diagonal). The affine and
 // elementwise transfers grow it to cover the forward pass's rounding, so
 // the zonotope holds the concrete float activation at any Δ.
+//
+// Dense, Conv2D and AvgPool2D (y = A x + b) run their own kernels: the
+// forward kernel on c with the bias gives the centre c', the forward
+// pass's own float result, so it carries the same two roundings of A c
+// (AvgPool2D: of the window sum, then its float scale, which A holds,
+// with b = 0); the same kernel on the generators, a batch with one column
+// each, and a zero bias gives g'_i, rounded once (AvgPool2D's twice); and
+// the box kernel on [-e, e] gives a >= |A|·e. With m = |c'| + Σ|g'_i| + a
+// and |A c| <= |c'| + |b|, those roundings move the forward value at most
+// 4u·(m + |b|) from c' + Σ ε_i g'_i + a·[-1, 1], u = 2^-24, to first
+// order. (AvgPool2D's box kernel scales by 1/k² in double where the pass's
+// scale is the float one, which can leave a short of |A|·e by a relative
+// u, inside the 4u too.) The radius grows to a + 5u·(m + |b|), rounded up:
+// the extra u covers the terms of order u² and the double accumulation.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
+#include "absint/box_batch.hpp"
 #include "absint/interval.hpp"
 
 namespace ranm {
 
-/// A linear map without bias for Zonotope::linear: writes A·x (|A|·x when
-/// `absolute`) for one input vector x, accumulated in double.
-using LinearMap =
-    std::function<void(const float* x, double* y, bool absolute)>;
-
 /// Zonotope over R^d with a shared set of noise symbols.
-/// Generators are stored row-major: gens_[i * dim + j] is the j-th
-/// coordinate of generator i.
 class Zonotope {
  public:
   Zonotope() = default;
@@ -44,6 +51,12 @@ class Zonotope {
   /// Zonotope from an interval box (one generator per non-degenerate dim).
   static Zonotope from_box(const IntervalVector& box);
 
+  /// Builds a zonotope from explicit parts (sizes validated): `gens` holds
+  /// dim × num_generators values, neuron-major; an empty `rounding` means
+  /// zero radii.
+  Zonotope(std::vector<float> center, std::vector<float> gens,
+           std::vector<float> rounding = {});
+
   [[nodiscard]] std::size_t dim() const noexcept { return center_.size(); }
   [[nodiscard]] std::size_t num_generators() const noexcept {
     return dim() == 0 ? 0 : gens_.size() / dim();
@@ -51,9 +64,16 @@ class Zonotope {
   [[nodiscard]] const std::vector<float>& center() const noexcept {
     return center_;
   }
-
-  /// Generator i as a span of length dim().
-  [[nodiscard]] std::span<const float> generator(std::size_t i) const;
+  /// The generators as a FeatureBatch-layout batch with one column per
+  /// generator: dim() rows of num_generators(), row j coordinate j of each.
+  [[nodiscard]] const std::vector<float>& generators() const noexcept {
+    return gens_;
+  }
+  /// Generator i (a column of generators()), gathered into dim() values.
+  [[nodiscard]] std::vector<float> generator(std::size_t i) const;
+  /// The one-column box [-e, e] of the rounding radii, for a box kernel
+  /// to bound |A|·e.
+  [[nodiscard]] BoxBatch radius_box() const;
 
   /// Concretises dimension j to an interval:
   /// [c_j - sum_i |g_ij| - e_j, c_j + sum_i |g_ij| + e_j].
@@ -61,19 +81,20 @@ class Zonotope {
   /// Concretises the whole zonotope to its bounding box.
   [[nodiscard]] IntervalVector to_box() const;
 
-  /// Affine image y = W x + b with W given row-major (rows x dim()), as
-  /// linear() computes it. Returns a zonotope of dimension `rows`.
+  /// Affine image y = W x + b with W row-major (rows x dim()): Dense's
+  /// transfer, on its tile kernel (dense_forward) and its box kernel.
   [[nodiscard]] Zonotope affine(std::span<const float> w, std::size_t rows,
                                 std::span<const float> b) const;
 
-  /// Image under y = A x + b (`b` empty: no bias), sound for a forward
-  /// pass that accumulates A x in double, rounds it to float and then does
-  /// at most one more float operation (the bias add, or average pooling's
-  /// scale inside A). Centre and generators are A c and A g_i accumulated
-  /// in double, the bias added to the centre afterwards; the rounding radii
-  /// grow to cover the forward pass's and this transfer's float roundings.
-  [[nodiscard]] Zonotope linear(std::size_t rows, std::span<const float> b,
-                                const LinearMap& map) const;
+  /// The image under an affine layer from its kernels' outputs, as the
+  /// argument at the top of this file has them: `centre` (c'), `gens`
+  /// (g', neuron-major) and `abs_err` (a: the box kernel's upper bounds on
+  /// radius_box() with a zero bias). `b` holds one bias per run of
+  /// rows / b.size() rows (a Dense row, a Conv2D channel); empty for none.
+  [[nodiscard]] static Zonotope affine_image(std::vector<float> centre,
+                                             std::vector<float> gens,
+                                             std::span<const float> abs_err,
+                                             std::span<const float> b);
 
   /// Per-dimension normalisation y_j = (x_j - mean_j) * scale_j, in that
   /// order as the forward pass computes it; the rounding radii grow to
@@ -96,19 +117,9 @@ class Zonotope {
   /// sigmoid/tanh where we do not implement the tighter slope relaxation.
   [[nodiscard]] Zonotope monotone_via_box(Interval (*f)(const Interval&)) const;
 
-  /// Builds a zonotope from explicit parts (sizes validated); an empty
-  /// `rounding` means zero radii.
-  Zonotope(std::vector<float> center, std::vector<float> gens,
-           std::vector<float> rounding = {});
-
-  /// Drops generators whose total magnitude is below `eps`, folding their
-  /// mass into a single box generator per dimension (order reduction).
-  /// Keeps soundness; loses some precision.
-  [[nodiscard]] Zonotope reduced(float eps) const;
-
  private:
   std::vector<float> center_;
-  std::vector<float> gens_;  // num_generators x dim, row-major
+  std::vector<float> gens_;  // dim x num_generators, see generators()
   std::vector<float> err_;   // dim rounding radii, >= 0
 };
 

@@ -182,11 +182,20 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
         "MultiLayerMonitor::build_robust: zero batch size");
   }
 
-  // The box domain propagates whole chunks on the vectorized backend's
-  // batched kernels; the zonotope domain is inherently per-sample
-  // (per-sample generator sets). Either way the resulting bounds are
-  // folded into each attached monitor one batched call per chunk, so the
-  // monitors' per-call setup amortises over the chunk.
+  // Both domains propagate one segment per attached layer, in ascending
+  // order: the network's steps run between attached layers and never fuse
+  // across one, so every attached layer's bounds are its own, and only
+  // attached layers are concretised. The box domain propagates whole
+  // chunks on the vectorized backend's batched kernels, the zonotope
+  // domain one sample at a time (its generators are the batch its affine
+  // kernels run). Either way the bounds are folded into each attached
+  // monitor one batched call per chunk, so the monitors' per-call setup
+  // amortises over the chunk.
+  std::vector<std::size_t> attached;
+  for (const Entry& e : entries_) attached.push_back(e.layer_k);
+  std::sort(attached.begin(), attached.end());
+  attached.erase(std::unique(attached.begin(), attached.end()),
+                 attached.end());
   for (std::size_t start = 0; start < data.size(); start += batch_size) {
     const std::size_t n = std::min(batch_size, data.size() - start);
     const std::span<const Tensor> chunk(data.data() + start, n);
@@ -198,16 +207,10 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
       hi_batches.emplace_back(e.selection.output_dim(), n);
     }
     if (spec.domain == BoundDomain::kBox) {
-      // One segment per attached layer: the network's steps run between
-      // attached layers and never fuse across one, so every attached
-      // layer's bounds are its own.
       const VectorizedBoundBackend backend;
       BoxBatch box;
       std::size_t done = spec.kp;  // box holds layer done's bounds
-      for (std::size_t k = spec.kp + 1; k <= max_layer_; ++k) {
-        bool attached = false;
-        for (const Entry& e : entries_) attached |= e.layer_k == k;
-        if (!attached) continue;
+      for (const std::size_t k : attached) {
         box = done == spec.kp
                   ? net_.propagate_ball_batch(spec.kp, k, chunk, spec.delta,
                                               backend)
@@ -232,8 +235,10 @@ void MultiLayerMonitor::build_robust(const std::vector<Tensor>& data,
       for (std::size_t i = 0; i < n; ++i) {
         const Tensor at_kp = net_.forward_to(spec.kp, chunk[i]);
         Zonotope zono = Zonotope::linf_ball(at_kp.span(), spec.delta);
-        for (std::size_t k = spec.kp + 1; k <= max_layer_; ++k) {
-          zono = net_.layer(k).propagate(zono);
+        std::size_t done = spec.kp;  // zono is layer done's zonotope
+        for (const std::size_t k : attached) {
+          zono = net_.propagate_zonotope(done + 1, k, zono);
+          done = k;
           const IntervalVector box = zono.to_box();
           for (std::size_t e = 0; e < entries_.size(); ++e) {
             if (entries_[e].layer_k != k) continue;

@@ -52,9 +52,11 @@ class MultiLayerMonitor {
   void build_standard(const std::vector<Tensor>& data,
                       std::size_t batch_size = kDefaultBatch);
 
-  /// Robust construction: one abstract propagation per input (box or
-  /// zonotope per `spec.domain`), with the resulting bounds folded into
-  /// each attached monitor in batched chunks.
+  /// Robust construction: each chunk's Δ-balls at layer spec.kp
+  /// propagated to every attached layer in turn (box: the whole chunk as
+  /// one batch; zonotope: one zonotope per input, whose generators are the
+  /// batch the affine kernels run), with the bounds folded into each
+  /// attached monitor in batched chunks.
   /// Requires spec.kp < the smallest attached layer.
   void build_robust(const std::vector<Tensor>& data,
                     const PerturbationSpec& spec,

@@ -52,9 +52,9 @@ class PerturbationEstimator {
   /// Batched estimate over a whole minibatch: column i of the result is
   /// pe^G_k(inputs[i], kp, Δ). The box domain is one
   /// Network::propagate_ball_batch on the vectorized bound backend; the
-  /// zonotope domain falls back to per-sample
-  /// propagation (zonotopes carry per-sample generator sets that do not
-  /// batch) and concretises each result into the BoxBatch.
+  /// zonotope domain propagates one zonotope per input (its generators
+  /// are the batch the affine layers' kernels run) and concretises each
+  /// result into the BoxBatch.
   [[nodiscard]] BoxBatch estimate_batch(std::span<const Tensor> inputs) const;
 
   /// The concrete feature vector G^k(input) (the Δ = 0 operation path).

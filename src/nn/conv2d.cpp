@@ -53,19 +53,27 @@ Shape Conv2D::output_shape() const { return {cfg_.out_channels, oh_, ow_}; }
 
 void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
                            const Epilogue& ep) const noexcept {
+  forward_biased(in, out, n, b_.data(), ep);
+}
+
+void Conv2D::forward_biased(const float* in, float* out, std::size_t n,
+                            const float* bias,
+                            const Epilogue& ep) const noexcept {
   const auto& c = cfg_;
   // A single sample runs across its own outputs, and so does an odd
   // batch's last sample, copied out; the tiles below cover the samples
   // before it in tiles of two or more.
   if (n == 1) {
-    forward_one(in, out, ep);
+    forward_one(in, out, bias, ep);
     return;
   }
   const std::size_t paired = n - n % 2;
   if (paired < n) {
     run_one_column(in, out, n, paired, c.in_channels * c.in_height * c.in_width,
                    c.out_channels * oh_ * ow_,
-                   [&](const float* x, float* y) { forward_one(x, y, ep); });
+                   [&](const float* x, float* y) {
+                     forward_one(x, y, bias, ep);
+                   });
   }
   dispatch_kernel([&] {
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
@@ -115,7 +123,7 @@ void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
                 // The bias in a local: a load between the stores would keep
                 // the stores, and with them the accumulation, from
                 // vectorising.
-                const float b = b_[oc0 + u];
+                const float b = bias[oc0 + u];
 #pragma GCC unroll 64
                 for (std::size_t t = 0; t < T; ++t) {
                   y[t] = static_cast<float>(acc[u][t]) + b;
@@ -135,7 +143,7 @@ void Conv2D::forward_fused(const float* in, float* out, std::size_t n,
   });
 }
 
-void Conv2D::forward_one(const float* in, float* out,
+void Conv2D::forward_one(const float* in, float* out, const float* bias,
                          const Epilogue& ep) const noexcept {
   const auto& c = cfg_;
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
@@ -200,7 +208,7 @@ void Conv2D::forward_one(const float* in, float* out,
 #pragma GCC unroll 64
         for (std::size_t u = 0; u < U; ++u) {
           float* y = out + ((oc0 + u) * oh_ + oy0) * ow_ + ox0;
-          const float b = b_[oc0 + u];
+          const float b = bias[oc0 + u];
 #pragma GCC unroll 64
           for (std::size_t t = 0; t < T; ++t) {
             y[t * out_step] = static_cast<float>(acc[u][t]) + b;
@@ -294,49 +302,7 @@ Tensor Conv2D::backward(const Tensor& x, const Tensor& /*y*/,
   return grad_in;
 }
 
-Zonotope Conv2D::propagate(const Zonotope& in) const {
-  if (in.dim() != input_size()) {
-    throw std::invalid_argument(name() + ": zonotope input size mismatch");
-  }
-  const auto& c = cfg_;
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
-  const LinearMap convolve = [&](const float* x, double* y, bool absolute) {
-    for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
-      for (std::size_t oy = 0; oy < oh_; ++oy) {
-        const std::ptrdiff_t y0 = std::ptrdiff_t(oy * c.stride) - pad;
-        const TapRange ky = taps_inside(y0, c.in_height, c.kernel_h);
-        for (std::size_t ox = 0; ox < ow_; ++ox) {
-          const std::ptrdiff_t x0 = std::ptrdiff_t(ox * c.stride) - pad;
-          const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
-          double acc = 0.0;
-          for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
-            for (std::size_t r = ky.lo; r < ky.hi; ++r) {
-              const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
-              const float* w =
-                  w_.data() + ((oc * c.in_channels + ic) * c.kernel_h + r) *
-                                  c.kernel_w;
-              for (std::size_t q = kx.lo; q < kx.hi; ++q) {
-                const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
-                const double wv = absolute ? std::fabs(w[q]) : w[q];
-                acc += wv * x[(ic * c.in_height + iy) * c.in_width + ix];
-              }
-            }
-          }
-          y[(oc * oh_ + oy) * ow_ + ox] = acc;
-        }
-      }
-    }
-  };
-  std::vector<float> bias(output_size());
-  for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
-    std::fill_n(bias.begin() + std::ptrdiff_t(oc * oh_ * ow_), oh_ * ow_,
-                b_[oc]);
-  }
-  return in.linear(output_size(), bias, convolve);
-}
-
-void Conv2D::propagate_fused(const BoundBackend& backend, const BoxBatch& in,
-                             BoxBatch& out, const Epilogue& ep) const {
+Conv2DGeometry Conv2D::geometry() const noexcept {
   Conv2DGeometry g;
   g.in_channels = cfg_.in_channels;
   g.in_height = cfg_.in_height;
@@ -348,7 +314,31 @@ void Conv2D::propagate_fused(const BoundBackend& backend, const BoxBatch& in,
   g.kernel_w = cfg_.kernel_w;
   g.stride = cfg_.stride;
   g.padding = cfg_.padding;
-  backend.conv2d(g, w_.span(), b_.span(), in, out, ep);
+  return g;
+}
+
+Zonotope Conv2D::propagate(const Zonotope& in) const {
+  if (in.dim() != input_size()) {
+    throw std::invalid_argument(name() + ": zonotope input size mismatch");
+  }
+  // The centre with the bias, as the forward pass computes it; the
+  // generators and |W|·e with a zero bias (Zonotope::affine_image).
+  const std::vector<float> zero(cfg_.out_channels, 0.0F);
+  std::vector<float> centre(output_size()),
+      gens(output_size() * in.num_generators());
+  forward_biased(in.center().data(), centre.data(), 1, b_.data(), {});
+  forward_biased(in.generators().data(), gens.data(), in.num_generators(),
+                 zero.data(), {});
+  BoxBatch err;
+  VectorizedBoundBackend{}.conv2d(geometry(), w_.span(), zero,
+                                  in.radius_box(), err);
+  return Zonotope::affine_image(std::move(centre), std::move(gens),
+                                err.upper().storage(), b_.span());
+}
+
+void Conv2D::propagate_fused(const BoundBackend& backend, const BoxBatch& in,
+                             BoxBatch& out, const Epilogue& ep) const {
+  backend.conv2d(geometry(), w_.span(), b_.span(), in, out, ep);
 }
 
 void Conv2D::init_params(Rng& rng) {

@@ -52,13 +52,18 @@ class Conv2D final : public AffineLayer {
   [[nodiscard]] const Tensor& bias() const noexcept { return b_; }
 
  private:
-  /// forward_fused at n = 1, run across the sample's own outputs: row
+  /// forward_fused with `bias` (one per output channel) for the layer's:
+  /// propagate() runs it on a zonotope's generators with a zero bias.
+  void forward_biased(const float* in, float* out, std::size_t n,
+                      const float* bias, const Epilogue& ep) const noexcept;
+  /// forward_biased at n = 1, run across the sample's own outputs: row
   /// tiles (util/tile.hpp) of consecutive positions along each row. The
   /// positions whose windows cross the padded left or right border are
   /// peeled off, each with its own taps, and run in tiles down their
   /// columns.
-  void forward_one(const float* in, float* out,
+  void forward_one(const float* in, float* out, const float* bias,
                    const Epilogue& ep) const noexcept;
+  [[nodiscard]] Conv2DGeometry geometry() const noexcept;
 
   Config cfg_;
   std::size_t oh_, ow_;

@@ -30,27 +30,28 @@ std::string Dense::name() const {
   return "Dense(" + std::to_string(in_) + "->" + std::to_string(out_) + ")";
 }
 
-void Dense::forward_fused(const float* in, float* out, std::size_t n,
-                          const Epilogue& ep) const noexcept {
+void dense_forward(const float* w, const float* bias, std::size_t rows,
+                   std::size_t cols, const float* in, float* out,
+                   std::size_t n) noexcept {
   dispatch_kernel([&] {
     for_each_tile<kDenseTile>(
-        n, out_, [&]<std::size_t U, std::size_t T>(std::size_t o0,
+        n, rows, [&]<std::size_t U, std::size_t T>(std::size_t o0,
                                                    std::size_t s0) {
           double acc[U][T] = {};
-          const float* w = w_.data() + o0 * in_;
+          const float* wt = w + o0 * cols;
           const float* x = in + s0;
-          for (std::size_t p = 0; p < in_; ++p, x += n) {
+          for (std::size_t p = 0; p < cols; ++p, x += n) {
             double xd[T];
             for (std::size_t t = 0; t < T; ++t) xd[t] = x[t];
             for (std::size_t u = 0; u < U; ++u) {
-              const double wv = w[u * in_ + p];
+              const double wv = wt[u * cols + p];
               for (std::size_t t = 0; t < T; ++t) acc[u][t] += wv * xd[t];
             }
           }
           for (std::size_t u = 0; u < U; ++u) {
             // The bias in a local: a load between the stores would keep the
             // stores, and with them the accumulation, from vectorising.
-            const float b = b_[o0 + u];
+            const float b = bias[o0 + u];
             float* y = out + (o0 + u) * n + s0;
             for (std::size_t t = 0; t < T; ++t) {
               y[t] = static_cast<float>(acc[u][t]) + b;
@@ -58,6 +59,11 @@ void Dense::forward_fused(const float* in, float* out, std::size_t n,
           }
         });
   });
+}
+
+void Dense::forward_fused(const float* in, float* out, std::size_t n,
+                          const Epilogue& ep) const noexcept {
+  dense_forward(w_.data(), b_.data(), out_, in_, in, out, n);
   // The activation runs right after the tiles, over the outputs they have
   // just written: the network's passes call this on one block of at most
   // 32 samples, so those are still in cache. It is a loop of its own

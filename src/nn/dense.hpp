@@ -5,6 +5,14 @@
 
 namespace ranm {
 
+/// The Dense tile kernel, y = W x + b (W row-major, rows × cols) over n
+/// neuron-major samples, each output accumulated in double, cast to float,
+/// then biased: Dense::forward_fused's, and Zonotope::affine's on a
+/// zonotope's centre and, with a zero bias, its generators.
+void dense_forward(const float* w, const float* bias, std::size_t rows,
+                   std::size_t cols, const float* in, float* out,
+                   std::size_t n) noexcept;
+
 /// Affine layer with weight matrix W (out x in) and bias b (out).
 class Dense final : public AffineLayer {
  public:

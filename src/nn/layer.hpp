@@ -4,9 +4,11 @@
 // parameters. Each Layer here is one g_k. Every layer implements one
 // concrete forward kernel over a neuron-major batch and two *abstract
 // transformers* — a batched one for the interval (box) domain, run on a
-// BoundBackend's kernels, and one for the zonotope domain — which is what
-// lets the monitor construction compute the perturbation estimate of
-// Definition 1 with either bound engine.
+// BoundBackend's kernels, and one for the zonotope domain, which the
+// affine layers run on those same two kernels (a zonotope's generators
+// are a neuron-major batch) — which is what lets the monitor construction
+// compute the perturbation estimate of Definition 1 with either bound
+// engine.
 //
 // Layers fix their input shape at construction time so that the kernels
 // and abstract transformers can operate on flat vectors (row-major CHW

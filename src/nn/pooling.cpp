@@ -268,28 +268,16 @@ Zonotope AvgPool2D::propagate(const Zonotope& in) const {
   if (in.dim() != input_size()) {
     throw std::invalid_argument(name() + ": zonotope input size mismatch");
   }
-  // The forward pass's float scale, inside the map: the pass rounds the
-  // window sum to float, then multiplies by inv in float.
-  const double inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
-  const std::size_t plane = cfg_.in_height * cfg_.in_width;
-  const LinearMap window_mean = [&](const float* x, double* y,
-                                    bool /*absolute: inv > 0*/) {
-    for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-      for (std::size_t oy = 0; oy < oh_; ++oy) {
-        for (std::size_t ox = 0; ox < ow_; ++ox) {
-          double acc = 0.0;
-          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-              acc += x[ch * plane + (oy * cfg_.stride + ky) * cfg_.in_width +
-                       ox * cfg_.stride + kx];
-            }
-          }
-          y[(ch * oh_ + oy) * ow_ + ox] = inv * acc;
-        }
-      }
-    }
-  };
-  return in.linear(output_size(), {}, window_mean);
+  // The forward kernel on the centre and on the generators, and the box
+  // kernel on the radii (Zonotope::affine_image); pooling has no bias.
+  std::vector<float> centre(output_size()),
+      gens(output_size() * in.num_generators());
+  forward_batch(in.center().data(), centre.data(), 1);
+  forward_batch(in.generators().data(), gens.data(), in.num_generators());
+  BoxBatch err;
+  VectorizedBoundBackend{}.avg_pool(geometry(), in.radius_box(), err);
+  return Zonotope::affine_image(std::move(centre), std::move(gens),
+                                err.upper().storage(), {});
 }
 
 }  // namespace ranm

@@ -48,18 +48,24 @@ inline constexpr std::size_t kNeuronTile = 4;
 
 /// A full tile: `neurons` output neurons × `samples` columns. The columns
 /// are samples of a batch, or for a row tile consecutive outputs along a
-/// row of one sample.
+/// row of one sample. `leftover_neurons`, when set, is the neurons of
+/// for_each_tile's tiles of fewer samples than the full one.
 struct TileShape {
   std::size_t neurons;
   std::size_t samples;
+  std::size_t leftover_neurons = 0;
 };
 
 // Each kernel's full tile, measured per kernel on the lab convnet at batch
 // 32. The forward kernels see at most 32 samples per call (Network's
 // block), so a 32-sample tile covers a block.
 /// Dense forward: its U × T accumulators are past the unroll budget, and
-/// measured faster left to the loop vectoriser than forced to unroll.
-inline constexpr TileShape kDenseTile{8, 32};
+/// measured faster left to the loop vectoriser than forced to unroll. Its
+/// tiles of 16 and 8 samples take 4 neurons: 8 × 16 and 8 × 8 are
+/// unrolled completely into more accumulators than there are registers,
+/// and ran 3-8× slower per multiply-add than 8 × 32 or 4 × 16 (32 × 256
+/// weights, GCC 12, each dispatch level).
+inline constexpr TileShape kDenseTile{8, 32, 4};
 /// Conv2D forward (neurons: output channels at one position): faster with
 /// its tile loops' unroll forced.
 inline constexpr TileShape kConvTile{6, 32};
@@ -89,16 +95,17 @@ void tile_neurons(std::size_t o, std::size_t neurons, std::size_t c0,
   if constexpr (U > 1) tile_neurons<U / 2, T>(o, neurons, c0, tile);
 }
 
-// Columns [c0, n): full T-column tiles, then what is left in halves of T,
-// down to tiles of Min columns. Returns the first column not covered
-// (fewer than Min are left).
-template <std::size_t U, std::size_t T, std::size_t Min, typename Tile>
+// Columns [c0, n): full T-column tiles of U neurons, then what is left in
+// halves of T, of L neurons, down to tiles of Min columns. Returns the
+// first column not covered (fewer than Min are left).
+template <std::size_t U, std::size_t T, std::size_t Min, std::size_t L = U,
+          typename Tile>
 std::size_t tile_columns(std::size_t c0, std::size_t n, std::size_t neurons,
                          Tile& tile) {
   static_assert(T >= Min);
   for (; c0 + T <= n; c0 += T) tile_neurons<U, T>(0, neurons, c0, tile);
   if constexpr (T > Min) {
-    return tile_columns<U, T / 2, Min>(c0, n, neurons, tile);
+    return tile_columns<L, T / 2, Min, L>(c0, n, neurons, tile);
   } else {
     return c0;
   }
@@ -110,14 +117,15 @@ std::size_t tile_columns(std::size_t c0, std::size_t n, std::size_t neurons,
 /// `tile.template operator()<U, T>(o0, s0)`, each computing neurons
 /// [o0, o0 + U) for samples [s0, s0 + T). The full tiles of `Shape` come
 /// first; the samples left over take tiles of half, a quarter, ... of its
-/// samples and the neurons left over in each take half, a quarter, ... of
-/// its neurons, down to one sample, which takes kNeuronTile neurons at a
-/// time.
+/// samples (of Shape.leftover_neurons neurons, if set) and the neurons
+/// left over in each take half, a quarter, ... of its neurons, down to
+/// one sample, which takes kNeuronTile neurons at a time.
 template <TileShape Shape, typename Tile>
 void for_each_tile(std::size_t n, std::size_t neurons, Tile&& tile) {
-  std::size_t s0 =
-      detail::tile_columns<Shape.neurons, Shape.samples, 2>(0, n, neurons,
-                                                             tile);
+  constexpr std::size_t L =
+      Shape.leftover_neurons == 0 ? Shape.neurons : Shape.leftover_neurons;
+  std::size_t s0 = detail::tile_columns<Shape.neurons, Shape.samples, 2, L>(
+      0, n, neurons, tile);
   for (; s0 < n; ++s0) {
     detail::tile_neurons<kNeuronTile, 1>(0, neurons, s0, tile);
   }

@@ -1,6 +1,7 @@
 // Kernel checks that must hold at every dispatch level (util/isa.hpp):
-// the forward-pass and training goldens, and the vectorized box backend
-// against the reference backend on layer chains. Their own test files run
+// the forward-pass and training goldens, the zonotope transfers that run
+// the affine layers' kernels, and the vectorized box backend against the
+// reference backend on layer chains. Their own test files run
 // them at the CPU's level; simd_test runs them at every level the CPU
 // supports.
 #pragma once
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "nn/normalization.hpp"
 #include "nn/pooling.hpp"
 #include "one_box.hpp"
+#include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/tile.hpp"
 
@@ -511,6 +514,141 @@ inline void check_one_sample_tiles() {
       if (::testing::Test::HasFailure()) return;
     }
   }
+}
+
+// ---- Zonotopes -----------------------------------------------------------
+
+/// The Δ-ball around c over ng of its coordinates, spread evenly across
+/// it, the others fixed: one generator per perturbed coordinate, so the
+/// affine layers of a chain see exactly ng generators (even at Δ = 0).
+/// Fills `lo` and `hi` with the floats nearest c ± Δ inside the real ball
+/// (c itself on the fixed coordinates).
+inline Zonotope partial_ball(const std::vector<float>& c, std::size_t ng,
+                             float delta, std::vector<float>& lo,
+                             std::vector<float>& hi) {
+  const std::size_t d = c.size();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> gens(d * ng, 0.0F);
+  lo = c;
+  hi = c;
+  for (std::size_t i = 0; i < ng; ++i) {
+    const std::size_t j = i * d / ng;
+    gens[j * ng + i] = delta;
+    lo[j] = c[j] - delta;
+    hi[j] = c[j] + delta;
+    if (double(lo[j]) < double(c[j]) - delta) {
+      lo[j] = std::nextafter(lo[j], inf);
+    }
+    if (double(hi[j]) > double(c[j]) + delta) {
+      hi[j] = std::nextafter(hi[j], -inf);
+    }
+  }
+  return Zonotope(c, std::move(gens));
+}
+
+/// Layer by layer, each layer's concretised zonotope must hold the
+/// layer-by-layer float forward pass of every point. When `degenerate`
+/// (Δ = 0: the points are all the centre), it must also be no wider than
+/// rounding radii make it, 2^-12·(1 + |y|) against at most 7.6e-6·(1 +
+/// |y|) seen: generators that picked up mass they should not have would
+/// widen it and still hold the points. Returns the boxes' bounds, every
+/// layer's in turn.
+inline std::vector<float> expect_zonotope_holds_points(
+    const Network& net, Zonotope z, const std::vector<Tensor>& points,
+    const std::string& what, bool degenerate = false) {
+  std::vector<Tensor> ys = points;
+  std::vector<float> bounds;
+  for (std::size_t k = 1; k <= net.num_layers(); ++k) {
+    z = net.layer(k).propagate(z);
+    const IntervalVector box = z.to_box();
+    for (std::size_t j = 0; j < box.size(); ++j) {
+      bounds.push_back(box[j].lo);
+      bounds.push_back(box[j].hi);
+    }
+    for (std::size_t p = 0; p < ys.size(); ++p) {
+      ys[p] = net.layer(k).forward(ys[p]);
+      for (std::size_t j = 0; j < box.size(); ++j) {
+        const bool tight =
+            !degenerate || double(box[j].hi) - box[j].lo <=
+                               0x1p-12 * (1.0 + std::fabs(ys[p][j]));
+        if (tight && ys[p][j] >= box[j].lo && ys[p][j] <= box[j].hi) continue;
+        ADD_FAILURE() << what << ", layer " << k << " (" << net.layer(k).name()
+                      << "), point " << p << ", neuron " << j << ": "
+                      << ys[p][j] << (tight ? " outside [" : ", box too wide [")
+                      << box[j].lo << ", " << box[j].hi << "]";
+        return bounds;
+      }
+    }
+  }
+  return bounds;
+}
+
+// The zonotope transfers of Conv2D, AvgPool2D and Dense run those layers'
+// own forward kernels on a zonotope's generators as a batch and their box
+// kernels on its radii. A chain of Conv2D (stride 2, padding 1), AvgPool2D
+// (window 3, so its float scale is not 1/9 exactly) and Dense, with no
+// activation between them, then LeakyReLU, Dense and ReLU, at 1, 2, 7 and
+// 33 generators: the one-sample tiles, an odd last column, the pair tiles
+// and the full tiles all run. At Δ = 0 and Δ > 0 every layer's box must
+// hold the float forward pass at the ball's vertices (all of them up to 7
+// generators, 64 random ones at 33) and at random points inside, at Δ = 0
+// be no wider than its rounding radii, and be the baseline level's box
+// bit for bit.
+inline void check_zonotope_chains() {
+  Rng rng(26);
+  Network net;
+  auto& conv = net.emplace<Conv2D>(Conv2D::Config{2, 7, 8, 5, 3, 3, 2, 1});
+  auto& avg = net.emplace<AvgPool2D>(
+      Pooling::Config{5, conv.out_height(), conv.out_width(), 3, 1});
+  net.emplace<Flatten>(avg.output_shape());
+  net.emplace<Dense>(avg.output_size(), 9);
+  net.emplace<LeakyReLU>(Shape{9}, 0.1F);
+  net.emplace<Dense>(9, 4);
+  net.emplace<ReLU>(Shape{4});
+  randomise(net, rng);
+  const std::size_t d = net.layer(1).input_size();
+  std::vector<Zonotope> balls;
+  std::vector<float> here;
+  for (const std::size_t ng : {1UL, 2UL, 7UL, 33UL}) {
+    for (const float delta : {0.0F, 0.01F, 0.3F}) {
+      std::vector<float> c(d), lo, hi;
+      for (float& v : c) v = rng.uniform_f(-1.0F, 1.0F);
+      balls.push_back(partial_ball(c, ng, delta, lo, hi));
+      std::vector<Tensor> points;
+      const std::size_t vertices = ng <= 7 ? std::size_t{1} << ng : 64;
+      for (std::size_t v = 0; v < vertices + 16; ++v) {
+        Tensor x(net.layer(1).input_shape());
+        std::copy(c.begin(), c.end(), x.data());
+        for (std::size_t i = 0; i < ng; ++i) {
+          const std::size_t j = i * d / ng;
+          if (v < vertices) {
+            // Vertex v: bit i of v (past 7 generators, a coin) picks
+            // generator i's end.
+            const bool up = ng <= 7 ? ((v >> i) & 1U) != 0
+                                    : rng.uniform_f(0.0F, 1.0F) < 0.5F;
+            x[j] = up ? hi[j] : lo[j];
+          } else {
+            x[j] = std::clamp(rng.uniform_f(lo[j], hi[j]), lo[j], hi[j]);
+          }
+        }
+        points.push_back(std::move(x));
+      }
+      const std::vector<float> bounds = expect_zonotope_holds_points(
+          net, balls.back(), points,
+          std::to_string(ng) + " generators, Δ " + std::to_string(delta),
+          delta == 0.0F);
+      if (::testing::Test::HasFailure()) return;
+      here.insert(here.end(), bounds.begin(), bounds.end());
+    }
+  }
+  const ScopedKernelIsa baseline(Isa::kBaseline);
+  std::vector<float> base;
+  for (const Zonotope& ball : balls) {
+    const std::vector<float> bounds =
+        expect_zonotope_holds_points(net, ball, {}, "");
+    base.insert(base.end(), bounds.begin(), bounds.end());
+  }
+  expect_same_bytes(here, base, "zonotope boxes against the baseline level");
 }
 
 // ---- Training ----------------------------------------------------------

@@ -1,7 +1,8 @@
 // Every dispatch level of the batched kernels (util/isa.hpp) computes the
 // same bits: the forward-pass and training goldens, the forward kernels
 // and the fused affine + activation steps at their tile edges, the
-// one-sample row tiles of Conv2D and MaxPool2D, and the
+// one-sample row tiles of Conv2D and MaxPool2D, the zonotope transfers
+// that run the affine layers' kernels on generators, and the
 // vectorized box backend's bit-identity with the reference backend, each
 // run at every level. Levels this CPU lacks are skipped under their name,
 // so CI can tell a skipped level from a passing one.
@@ -44,6 +45,8 @@ TEST_P(KernelIsa, ForwardTileEdges) { check_forward_tile_edges(); }
 TEST_P(KernelIsa, FusedTileEdges) { check_fused_tile_edges(); }
 
 TEST_P(KernelIsa, OneSampleTiles) { check_one_sample_tiles(); }
+
+TEST_P(KernelIsa, ZonotopeChains) { check_zonotope_chains(); }
 
 TEST_P(KernelIsa, LabConvnetTrainingGolden) {
   check_lab_convnet_training_golden();

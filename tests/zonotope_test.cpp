@@ -190,24 +190,6 @@ TEST(Zonotope, TighterThanIntervalOnAffineChain) {
   EXPECT_LT(ztotal, itotal);  // strictly tighter in aggregate
 }
 
-TEST(Zonotope, ReducedStaysSound) {
-  Rng rng(7);
-  const std::size_t d = 3;
-  std::vector<float> center{0.0F, 1.0F, -1.0F};
-  Zonotope z = Zonotope::linf_ball(center, 1.0F);
-  // Chain a couple of affine maps to create many small generators.
-  std::vector<float> w(d * d);
-  for (auto& v : w) v = rng.uniform_f(-0.3F, 0.3F);
-  Zonotope out = z.affine(w, d, std::vector<float>(d, 0.0F)).relu();
-  Zonotope red = out.reduced(0.05F);
-  const auto full = out.to_box();
-  const auto small = red.to_box();
-  for (std::size_t j = 0; j < d; ++j) {
-    EXPECT_LE(small[j].lo, full[j].lo + 1e-5F);
-    EXPECT_GE(small[j].hi, full[j].hi - 1e-5F);
-  }
-}
-
 TEST(Zonotope, GeneratorAccessor) {
   Zonotope z = Zonotope::linf_ball(std::vector<float>{1.0F, 2.0F}, 0.5F);
   ASSERT_EQ(z.num_generators(), 2U);

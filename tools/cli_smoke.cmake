@@ -24,6 +24,15 @@ run(${RANM_CLI} build --net ${WORK_DIR}/net.bin --data ${WORK_DIR}/train.bin
 run(${RANM_CLI} eval --net ${WORK_DIR}/net.bin --monitor ${WORK_DIR}/mon.bin
     --layer 6 --in-dist ${WORK_DIR}/train.bin --ood ${WORK_DIR}/ood.bin)
 
+# The same robust build in the zonotope domain, and its monitor through
+# eval.
+run(${RANM_CLI} build --net ${WORK_DIR}/net.bin --data ${WORK_DIR}/train.bin
+    --layer 6 --type onoff --robust --delta 0.005 --domain zonotope
+    --out ${WORK_DIR}/mon_zono.bin)
+run(${RANM_CLI} eval --net ${WORK_DIR}/net.bin
+    --monitor ${WORK_DIR}/mon_zono.bin --layer 6 --in-dist ${WORK_DIR}/train.bin
+    --ood ${WORK_DIR}/ood.bin)
+
 # Compile the frozen monitor and run the compiled artifact through the
 # same eval/info paths — the deployment form must be a drop-in.
 run(${RANM_CLI} compile --monitor ${WORK_DIR}/mon.bin
