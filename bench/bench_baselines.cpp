@@ -14,9 +14,9 @@
 #include <cstdio>
 
 #include "core/box_cluster_monitor.hpp"
+#include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "data/perturb.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
@@ -104,11 +104,11 @@ int main() {
   }
 
   // 5. On-off with Hamming enlargement (ref [1]).
-  OnOffMonitor onoff_plain(ThresholdSpec::from_means(stats));
+  IntervalMonitor onoff_plain(ThresholdSpec::from_means(stats));
   builder.build_standard(onoff_plain, setup.train.inputs);
   add("standard on-off", onoff_plain);
   for (unsigned radius : {1U, 2U}) {
-    OnOffMonitor ham(ThresholdSpec::from_means(stats));
+    IntervalMonitor ham(ThresholdSpec::from_means(stats));
     builder.build_standard(ham, setup.train.inputs);
     ham.enlarge_hamming(radius);
     char name[64];
@@ -121,7 +121,7 @@ int main() {
   builder.build_robust(robust, setup.train.inputs,
                        PerturbationSpec{0, 0.005F, BoundDomain::kBox});
   add("robust min-max (this paper)", robust);
-  OnOffMonitor onoff_rob(ThresholdSpec::from_means(stats));
+  IntervalMonitor onoff_rob(ThresholdSpec::from_means(stats));
   builder.build_robust(onoff_rob, setup.train.inputs,
                        PerturbationSpec{0, 0.005F, BoundDomain::kBox});
   add("robust on-off (this paper)", onoff_rob);

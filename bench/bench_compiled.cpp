@@ -40,7 +40,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -346,13 +345,13 @@ int run(int argc, char** argv) {
   bench_family(
       "onoff", f, batch_sizes, base_reps, results,
       [&] {
-        auto monitor = std::make_unique<OnOffMonitor>(means);
+        auto monitor = std::make_unique<IntervalMonitor>(means);
         f.fold(*monitor, false);
         return monitor;
       },
       [&](std::size_t s) {
         auto monitor = std::make_unique<ShardedMonitor>(
-            ShardedMonitor::onoff(ShardPlan::contiguous(kDim, s), means));
+            ShardedMonitor::interval(ShardPlan::contiguous(kDim, s), means));
         f.fold(*monitor, false);
         return monitor;
       });

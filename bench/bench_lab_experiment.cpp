@@ -13,7 +13,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
 #include "util/table.hpp"
@@ -71,8 +70,8 @@ int main() {
   const auto mm_std_eval = run("min-max", mm_std, false);
   const auto mm_rob_eval = run("min-max", mm_rob, true);
 
-  OnOffMonitor oo_std(ThresholdSpec::from_means(stats));
-  OnOffMonitor oo_rob(ThresholdSpec::from_means(stats));
+  IntervalMonitor oo_std(ThresholdSpec::from_means(stats));
+  IntervalMonitor oo_rob(ThresholdSpec::from_means(stats));
   (void)run("on-off", oo_std, false);
   (void)run("on-off", oo_rob, true);
 

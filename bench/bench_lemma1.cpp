@@ -11,7 +11,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -43,7 +42,7 @@ int main() {
     const PerturbationSpec spec{kp, delta, BoundDomain::kBox};
 
     MinMaxMonitor mm(builder.feature_dim());
-    OnOffMonitor oo(ThresholdSpec::from_means(stats));
+    IntervalMonitor oo(ThresholdSpec::from_means(stats));
     IntervalMonitor iv(ThresholdSpec::from_percentiles(stats, 2));
     builder.build_robust(mm, train, spec);
     builder.build_robust(oo, train, spec);

@@ -12,7 +12,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "eval/experiment.hpp"
 #include "eval/roc.hpp"
 #include "util/table.hpp"
@@ -33,8 +32,8 @@ int main() {
       builder.collect_stats(setup.train.inputs, /*keep_samples=*/true);
   const unsigned cap = 8;
 
-  OnOffMonitor standard(ThresholdSpec::from_means(stats));
-  OnOffMonitor robust(ThresholdSpec::from_means(stats));
+  IntervalMonitor standard(ThresholdSpec::from_means(stats));
+  IntervalMonitor robust(ThresholdSpec::from_means(stats));
   builder.build_standard(standard, setup.train.inputs);
   builder.build_robust(robust, setup.train.inputs,
                        PerturbationSpec{0, 0.005F, BoundDomain::kBox});

@@ -29,7 +29,6 @@
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/multi_layer_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
@@ -393,7 +392,7 @@ int run(int argc, char** argv) {
 
   MinMaxMonitor minmax(32);
   f.builder.build_standard(minmax, f.train);
-  OnOffMonitor onoff(ThresholdSpec::from_means(f.stats));
+  IntervalMonitor onoff(ThresholdSpec::from_means(f.stats));
   f.builder.build_standard(onoff, f.train);
   IntervalMonitor interval2(ThresholdSpec::from_percentiles(f.stats, 2));
   f.builder.build_standard(interval2, f.train);
@@ -475,10 +474,10 @@ int run(int argc, char** argv) {
   const ThresholdSpec spec_means = ThresholdSpec::from_means(f.stats);
   bench_sharded(
       "onoff", f, 256, construct_reps, query_reps, shard_counts, results,
-      [&] { return std::make_unique<OnOffMonitor>(spec_means); },
+      [&] { return std::make_unique<IntervalMonitor>(spec_means); },
       [&](std::size_t s) {
-        return ShardedMonitor::onoff(ShardPlan::contiguous(32, s),
-                                     spec_means);
+        return ShardedMonitor::interval(ShardPlan::contiguous(32, s),
+                                        spec_means);
       });
   bench_sharded(
       "interval", f, 256, construct_reps, query_reps, shard_counts, results,

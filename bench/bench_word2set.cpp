@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bdd/bdd.hpp"
-#include "core/onoff_monitor.hpp"
+#include "core/interval_monitor.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -26,7 +26,7 @@ int main() {
                     "bdd nodes", "insert us"});
 
   for (std::size_t dc : {0UL, 8UL, 32UL, 64UL, 128UL, 192UL, 240UL, 256UL}) {
-    OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(dim, 0.0F)));
+    IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(dim, 0.0F)));
     // Build bounds: `dc` randomly chosen neurons straddle the threshold
     // (don't-care), the rest are pinned to 1 or 0.
     std::vector<float> lo(dim), hi(dim);
@@ -59,7 +59,7 @@ int main() {
                    "~25% don't-cares each)");
   table2.set_header({"insertions", "words stored", "bdd nodes"});
   const std::size_t dim2 = 64;
-  OnOffMonitor acc(ThresholdSpec::onoff(std::vector<float>(dim2, 0.0F)));
+  IntervalMonitor acc(ThresholdSpec::onoff(std::vector<float>(dim2, 0.0F)));
   std::size_t next_report = 1;
   for (std::size_t n = 1; n <= 1024; ++n) {
     std::vector<float> lo(dim2), hi(dim2);

@@ -7,7 +7,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "eval/experiment.hpp"
 #include "eval/metrics.hpp"
 #include "util/table.hpp"
@@ -40,7 +39,7 @@ int main() {
   // Three monitors of increasing granularity, all built robustly with a
   // small input perturbation bound.
   const PerturbationSpec spec{0, 0.01F, BoundDomain::kBox};
-  OnOffMonitor onoff(ThresholdSpec::from_means(stats));
+  IntervalMonitor onoff(ThresholdSpec::from_means(stats));
   IntervalMonitor two_bit(ThresholdSpec::from_percentiles(stats, 2));
   IntervalMonitor three_bit(ThresholdSpec::from_percentiles(stats, 3));
   builder.build_robust(onoff, setup.train.inputs, spec);

@@ -1,8 +1,10 @@
 // libFuzzer harness for the type-erased monitor loader — the widest
 // untrusted-input surface in the repo. One byte stream may dispatch into
-// any artifact family: legacy flat monitors (min-max, on-off, interval),
-// sharded RSH1 artifacts (per-shard neuron lists + nested flat payloads),
-// and compiled RCM1 artifacts (box/cube/BDD programs). The corpus also
+// any artifact family: legacy flat monitors (min-max, and interval
+// monitors under the on-off tag at 1 bit or the interval tag otherwise;
+// an on-off tag over a wider spec is refused), sharded RSH1 artifacts
+// (per-shard neuron lists + nested flat payloads), and compiled RCM1
+// artifacts (box/cube/BDD programs). The corpus also
 // keeps the retired V2 bodies (custom variable order, profile counts)
 // and their mutants, which the loader must now refuse cleanly.
 //

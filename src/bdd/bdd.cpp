@@ -151,14 +151,23 @@ NodeRef BddManager::or_all(std::vector<NodeRef> terms) {
   return terms[0];
 }
 
-NodeRef BddManager::cube(std::span<const CubeBit> bits) {
-  if (bits.size() > num_vars_) {
+NodeRef BddManager::cube(std::span<const CubeBit> bits,
+                         std::uint32_t first_var, NodeRef below) {
+  if (first_var > num_vars_ || bits.size() > num_vars_ - first_var) {
     throw std::invalid_argument("BddManager::cube: more bits than variables");
   }
+  if (below >= nodes_.size()) {
+    throw std::invalid_argument("BddManager::cube: below out of range");
+  }
+  // Terminals sit at kTerminalVar, below every variable.
+  if (level(below) < first_var + bits.size()) {
+    throw std::invalid_argument(
+        "BddManager::cube: below depends on a variable above the cube's end");
+  }
   // Build bottom-up (highest variable first) for linear node creation.
-  NodeRef acc = kTrue;
+  NodeRef acc = below;
   for (std::size_t i = bits.size(); i-- > 0;) {
-    const auto v = static_cast<std::uint32_t>(i);
+    const auto v = static_cast<std::uint32_t>(first_var + i);
     switch (bits[i]) {
       case CubeBit::kDontCare:
         break;

@@ -106,10 +106,15 @@ class BddManager {
   /// walking the set once per word.
   [[nodiscard]] NodeRef or_all(std::vector<NodeRef> terms);
 
-  /// Conjunction of literals; bits[i] == kDontCare contributes nothing.
-  /// This is exactly the paper's word2set: constrained bits become
-  /// literals, don't-cares are simply absent (footnote 2 — linear size).
-  [[nodiscard]] NodeRef cube(std::span<const CubeBit> bits);
+  /// Conjunction of literals over variables first_var .. first_var +
+  /// bits.size() - 1, ANDed onto `below`; bits[i] == kDontCare
+  /// contributes nothing. This is exactly the paper's word2set:
+  /// constrained bits become literals, don't-cares are simply absent
+  /// (footnote 2 — linear size). `below` must depend on no variable before
+  /// the cube's last one, so the literals are prepended without an AND.
+  [[nodiscard]] NodeRef cube(std::span<const CubeBit> bits,
+                             std::uint32_t first_var = 0,
+                             NodeRef below = kTrue);
 
   // -- structural operations ----------------------------------------------
   /// Cofactor: f with variable v fixed to `value`.
@@ -140,7 +145,7 @@ class BddManager {
   /// Evaluates f under an assignment supplied by `lookup(var) -> bool`.
   /// The caller guarantees lookup is defined for every variable in f's
   /// support; no per-node bounds check is paid. This is the scalar query
-  /// path of the on-off and interval monitors: the lookup codes a
+  /// path of the interval (and so on-off) monitors: the lookup codes a
   /// variable only when the walk reaches it, and no std::vector<bool>
   /// assignment is built.
   template <typename Lookup>

@@ -34,9 +34,9 @@ struct CompileOptions {
     std::size_t cube_limit);
 
 /// Lowers a frozen monitor (Monitor::lower_program) and wraps the program
-/// in a CompiledMonitor. Supported sources: MinMaxMonitor, OnOffMonitor,
-/// IntervalMonitor, BoxClusterMonitor (finalized), and ShardedMonitor
-/// over those; a sharded source lowers on its own pool. Throws
+/// in a CompiledMonitor. Supported sources: MinMaxMonitor,
+/// IntervalMonitor (on-off included), BoxClusterMonitor (finalized), and
+/// ShardedMonitor over those; a sharded source lowers on its own pool. Throws
 /// std::invalid_argument on an unsupported or already compiled source and
 /// std::logic_error on an unfinalized box-cluster.
 [[nodiscard]] CompiledMonitor compile_monitor(const Monitor& monitor,

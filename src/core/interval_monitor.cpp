@@ -1,6 +1,7 @@
 #include "core/interval_monitor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,7 +13,14 @@ namespace ranm {
 IntervalMonitor::IntervalMonitor(ThresholdSpec spec)
     : spec_(std::move(spec)),
       mgr_(static_cast<std::uint32_t>(spec_.dimension() * spec_.bits())),
-      set_(bdd::kFalse) {}
+      set_(bdd::kFalse),
+      slots_(mgr_.num_vars()) {
+  const std::size_t nbits = spec_.bits();
+  for (std::size_t v = 0; v < slots_.size(); ++v) {
+    slots_[v] = {static_cast<std::uint32_t>(v / nbits),
+                 static_cast<std::uint32_t>(nbits - 1 - v % nbits)};
+  }
+}
 
 void IntervalMonitor::observe(std::span<const float> feature) {
   if (feature.size() != dimension()) {
@@ -37,23 +45,49 @@ void IntervalMonitor::observe_bounds(std::span<const float> lo,
                                      std::span<const float> hi) {
   check_bounds_ordered(lo, hi, dimension(),
                        "IntervalMonitor::observe_bounds");
-  std::vector<std::uint32_t> vars(spec_.bits());
-  set_ = mgr_.or_(set_, bound_word(lo, hi, vars));
+  std::vector<bdd::CubeBit> cube(mgr_.num_vars());
+  set_ = mgr_.or_(set_, bound_word(lo, hi, cube));
   invalidate_lowered();
 }
 
 bdd::NodeRef IntervalMonitor::bound_word(std::span<const float> lo,
                                          std::span<const float> hi,
-                                         std::vector<std::uint32_t>& vars) {
-  // Built from the last neuron upward so each conjunction touches
-  // already-built structure below it only.
+                                         std::vector<bdd::CubeBit>& cube) {
+  // Built from the last neuron upward onto the word below it. A code
+  // range that is an aligned block fixes the bits where its ends agree
+  // and frees the rest, so its neuron is cube literals: cube holds them
+  // for the run of neurons [j + 1, run_end), prepended as one cube when a
+  // neuron outside a block, or the first neuron, is reached.
+  const std::size_t nbits = spec_.bits();
   bdd::NodeRef word = bdd::kTrue;
+  std::size_t run_end = dimension();
+  const auto prepend_run = [&](std::size_t first) {
+    const std::size_t v = first * nbits;
+    word = mgr_.cube(std::span(cube).subspan(v, run_end * nbits - v),
+                     static_cast<std::uint32_t>(v), word);
+  };
   for (std::size_t j = dimension(); j-- > 0;) {
     const auto [clo, chi] = spec_.code_range(j, lo[j], hi[j]);
-    std::iota(vars.begin(), vars.end(),
-              static_cast<std::uint32_t>(j * vars.size()));
-    word = mgr_.and_(bdd::code_in_range(mgr_, vars, clo, chi), word);
+    const std::uint64_t free = clo ^ chi;
+    if ((free & (free + 1)) == 0 && (clo & free) == 0) {
+      // A free bit is 0 in clo, so bit | free << 1 is kZero, kOne or
+      // kDontCare without a branch.
+      for (std::size_t b = 0; b < nbits; ++b) {
+        const std::size_t shift = nbits - 1 - b;
+        cube[j * nbits + b] = static_cast<bdd::CubeBit>(
+            ((clo >> shift) & 1U) | (((free >> shift) & 1U) << 1));
+      }
+      continue;
+    }
+    prepend_run(j + 1);
+    std::array<std::uint32_t, 16> vars{};  // ThresholdSpec caps bits at 16
+    const std::span<std::uint32_t> neuron_vars(vars.data(), nbits);
+    std::iota(neuron_vars.begin(), neuron_vars.end(),
+              static_cast<std::uint32_t>(j * nbits));
+    word = mgr_.and_(bdd::code_in_range(mgr_, neuron_vars, clo, chi), word);
+    run_end = j;
   }
+  prepend_run(0);
   return word;
 }
 
@@ -118,7 +152,7 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
   const std::size_t d = dimension();
   if (n == 0) return;
   std::vector<float> lo_scratch(d), hi_scratch(d);
-  std::vector<std::uint32_t> vars(spec_.bits());
+  std::vector<bdd::CubeBit> cube(mgr_.num_vars());
   // The words meet in a balanced OR-tree, so the set is walked once per
   // batch, not per word; a bound violation leaves the set untouched.
   std::vector<bdd::NodeRef> words(n);
@@ -127,7 +161,7 @@ void IntervalMonitor::observe_bounds_batch(const FeatureBatch& lo,
     hi.copy_sample(i, hi_scratch);
     check_bounds_ordered(lo_scratch, hi_scratch, d,
                          "IntervalMonitor::observe_bounds_batch");
-    words[i] = bound_word(lo_scratch, hi_scratch, vars);
+    words[i] = bound_word(lo_scratch, hi_scratch, cube);
   }
   set_ = mgr_.or_(set_, mgr_.or_all(std::move(words)));
   invalidate_lowered();
@@ -140,11 +174,10 @@ bool IntervalMonitor::contains(std::span<const float> feature) const {
   }
   // Codes lazily: a neuron is coded only when the walk visits one of
   // its bit variables.
-  const std::size_t nbits = spec_.bits();
-  return mgr_.eval_with(set_, [this, feature, nbits](std::uint32_t var) {
-    const std::size_t j = var / nbits;
-    const std::uint64_t code = spec_.code(j, feature[j]);
-    return ((code >> (nbits - 1 - var % nbits)) & 1ULL) != 0;
+  return mgr_.eval_with(set_, [this, feature](std::uint32_t var) {
+    const VarSlot slot = slots_[var];
+    const std::uint64_t code = spec_.code(slot.neuron, feature[slot.neuron]);
+    return ((code >> slot.shift) & 1ULL) != 0;
   });
 }
 
@@ -170,6 +203,15 @@ std::vector<std::uint64_t> IntervalMonitor::codes(
     out[j] = spec_.code(j, feature[j]);
   }
   return out;
+}
+
+void IntervalMonitor::enlarge_hamming(unsigned radius) {
+  std::vector<std::uint32_t> vars(mgr_.num_vars());
+  std::iota(vars.begin(), vars.end(), 0U);
+  for (unsigned r = 0; r < radius; ++r) {
+    set_ = mgr_.hamming_expand(set_, vars);
+  }
+  invalidate_lowered();
 }
 
 std::optional<unsigned> IntervalMonitor::hamming_distance(

@@ -6,7 +6,6 @@
 
 #include "bdd/bdd.hpp"
 #include "core/interval_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 
 namespace ranm {
@@ -50,27 +49,11 @@ void emit_bdd(std::ostringstream& out, const bdd::BddManager& mgr,
   }
 }
 
-/// Extracts (manager, root) from a flat BDD monitor, null for others.
-struct FlatBdd {
-  const bdd::BddManager* mgr = nullptr;
-  bdd::NodeRef root = bdd::kFalse;
-};
-
-FlatBdd flat_bdd(const Monitor& m) {
-  if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&m)) {
-    return {&oo->manager(), oo->root()};
-  }
-  if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&m)) {
-    return {&iv->manager(), iv->root()};
-  }
-  return {};
-}
-
 }  // namespace
 
 std::string monitor_to_dot(const Monitor& monitor) {
-  if (const FlatBdd flat = flat_bdd(monitor); flat.mgr != nullptr) {
-    return flat.mgr->to_dot(flat.root);
+  if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&monitor)) {
+    return iv->manager().to_dot(iv->root());
   }
   const auto* sm = dynamic_cast<const ShardedMonitor*>(&monitor);
   if (sm == nullptr) {
@@ -81,8 +64,8 @@ std::string monitor_to_dot(const Monitor& monitor) {
   std::ostringstream out;
   out << "digraph bdd {\n";
   for (std::size_t s = 0; s < sm->shard_count(); ++s) {
-    const FlatBdd flat = flat_bdd(sm->shard(s));
-    if (flat.mgr == nullptr) {
+    const auto* iv = dynamic_cast<const IntervalMonitor*>(&sm->shard(s));
+    if (iv == nullptr) {
       throw std::invalid_argument(
           "monitor_to_dot: sharded monitor's inner family has no BDD: " +
           sm->shard(s).describe());
@@ -92,7 +75,7 @@ std::string monitor_to_dot(const Monitor& monitor) {
     std::string prefix = "s";
     prefix += std::to_string(s);
     prefix += "_n";
-    emit_bdd(out, *flat.mgr, flat.root, prefix, "    ");
+    emit_bdd(out, iv->manager(), iv->root(), prefix, "    ");
     out << "  }\n";
   }
   out << "}\n";

@@ -1,9 +1,9 @@
 // Graphviz rendering of BDD-backed monitors (`ranm_cli info --dot`).
 //
-// Flat on-off/interval monitors render as one digraph; sharded monitors
-// render as one digraph with a subgraph cluster per shard (node ids
-// prefixed s<k>_ so the shards' arenas cannot collide). Each internal
-// node is labelled with its BDD variable.
+// Flat interval monitors (on-off is the 1-bit one) render as one digraph;
+// sharded monitors render as one digraph with a subgraph cluster per shard
+// (node ids prefixed s<k>_ so the shards' arenas cannot collide). Each
+// internal node is labelled with its BDD variable.
 #pragma once
 
 #include <string>

@@ -7,7 +7,6 @@
 #include "compile/program.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 
 namespace ranm {
 
@@ -39,21 +38,6 @@ ShardedMonitor ShardedMonitor::minmax(ShardPlan plan) {
   for (std::size_t s = 0; s < plan.shard_count(); ++s) {
     shards.push_back(
         std::make_unique<MinMaxMonitor>(plan.neurons(s).size()));
-  }
-  return ShardedMonitor(std::move(plan), std::move(shards));
-}
-
-ShardedMonitor ShardedMonitor::onoff(ShardPlan plan,
-                                     const ThresholdSpec& spec) {
-  if (spec.dimension() != plan.dimension()) {
-    throw std::invalid_argument(
-        "ShardedMonitor::onoff: spec dimension does not match the plan");
-  }
-  std::vector<std::unique_ptr<Monitor>> shards;
-  shards.reserve(plan.shard_count());
-  for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-    shards.push_back(
-        std::make_unique<OnOffMonitor>(spec.subset(plan.neurons(s))));
   }
   return ShardedMonitor(std::move(plan), std::move(shards));
 }
@@ -201,9 +185,6 @@ namespace {
 
 /// BDD node count of an inner monitor, 0 for non-BDD families.
 std::size_t inner_bdd_nodes(const Monitor& m) {
-  if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&m)) {
-    return oo->bdd_node_count();
-  }
   if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&m)) {
     return iv->bdd_node_count();
   }
@@ -212,9 +193,6 @@ std::size_t inner_bdd_nodes(const Monitor& m) {
 
 /// Stored pattern count of an inner monitor, -1 for non-pattern families.
 double inner_patterns(const Monitor& m) {
-  if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&m)) {
-    return oo->pattern_count();
-  }
   if (const auto* iv = dynamic_cast<const IntervalMonitor*>(&m)) {
     return iv->pattern_count();
   }

@@ -53,10 +53,8 @@ class ShardedMonitor final : public Monitor {
   /// S independent per-shard min-max envelopes (exactly equivalent to the
   /// unsharded MinMaxMonitor for any plan).
   [[nodiscard]] static ShardedMonitor minmax(ShardPlan plan);
-  /// Per-shard OnOffMonitors over slices of a full-dimension 1-bit spec.
-  [[nodiscard]] static ShardedMonitor onoff(ShardPlan plan,
-                                            const ThresholdSpec& spec);
-  /// Per-shard IntervalMonitors over slices of a full-dimension spec.
+  /// Per-shard IntervalMonitors over slices of a full-dimension spec (a
+  /// 1-bit spec makes per-shard on-off monitors).
   [[nodiscard]] static ShardedMonitor interval(ShardPlan plan,
                                                const ThresholdSpec& spec);
 

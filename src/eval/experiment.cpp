@@ -5,7 +5,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "core/threshold_spec.hpp"
 #include "nn/init.hpp"
@@ -121,40 +120,28 @@ MonitorFamily parse_monitor_family(std::string_view name) {
 std::unique_ptr<Monitor> make_monitor(const MonitorOptions& opts,
                                       const NeuronStats& stats) {
   const std::size_t dim = stats.dimension();
-  // Threshold selection is shared between the sharded and unsharded
-  // shapes: the sharded factories slice the full-dimension spec per
-  // shard, so both see identical per-neuron thresholds.
-  if (opts.shards <= 1) {
-    switch (opts.family) {
-      case MonitorFamily::kMinMax:
-        return std::make_unique<MinMaxMonitor>(dim);
-      case MonitorFamily::kOnOff:
-        return std::make_unique<OnOffMonitor>(
-            ThresholdSpec::from_means(stats));
-      case MonitorFamily::kInterval:
-        return std::make_unique<IntervalMonitor>(
-            ThresholdSpec::from_percentiles(stats, opts.bits));
-    }
-    throw std::invalid_argument("make_monitor: unknown family");
-  }
-  ShardPlan plan =
-      ShardPlan::make(opts.strategy, dim, opts.shards, opts.shard_seed);
+  const auto plan = [&] {
+    return ShardPlan::make(opts.strategy, dim, opts.shards, opts.shard_seed);
+  };
   std::unique_ptr<ShardedMonitor> monitor;
-  switch (opts.family) {
-    case MonitorFamily::kMinMax:
-      monitor = std::make_unique<ShardedMonitor>(
-          ShardedMonitor::minmax(std::move(plan)));
-      break;
-    case MonitorFamily::kOnOff:
-      monitor = std::make_unique<ShardedMonitor>(ShardedMonitor::onoff(
-          std::move(plan), ThresholdSpec::from_means(stats)));
-      break;
-    case MonitorFamily::kInterval:
-      monitor = std::make_unique<ShardedMonitor>(ShardedMonitor::interval(
-          std::move(plan), ThresholdSpec::from_percentiles(stats, opts.bits)));
-      break;
+  if (opts.family == MonitorFamily::kMinMax) {
+    if (opts.shards <= 1) return std::make_unique<MinMaxMonitor>(dim);
+    monitor =
+        std::make_unique<ShardedMonitor>(ShardedMonitor::minmax(plan()));
+  } else {
+    // On-off is the 1-bit interval monitor over mean thresholds. The
+    // sharded factory slices the full-dimension spec per shard, so both
+    // shapes see identical per-neuron thresholds.
+    ThresholdSpec spec =
+        opts.family == MonitorFamily::kOnOff
+            ? ThresholdSpec::from_means(stats)
+            : ThresholdSpec::from_percentiles(stats, opts.bits);
+    if (opts.shards <= 1) {
+      return std::make_unique<IntervalMonitor>(std::move(spec));
+    }
+    monitor = std::make_unique<ShardedMonitor>(
+        ShardedMonitor::interval(plan(), spec));
   }
-  if (!monitor) throw std::invalid_argument("make_monitor: unknown family");
   monitor->set_threads(opts.threads);
   return monitor;
 }

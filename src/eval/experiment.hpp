@@ -86,6 +86,9 @@ struct DigitLabSetup {
 // ---- monitor zoo ----------------------------------------------------------
 
 /// Deployable monitor families shared by the CLI, benches, and examples.
+/// A family names a threshold policy, not a class: kOnOff is the 1-bit
+/// IntervalMonitor over mean thresholds (ThresholdSpec::from_means) and
+/// kInterval the B-bit one over percentile thresholds.
 enum class MonitorFamily { kMinMax, kOnOff, kInterval };
 
 [[nodiscard]] std::string_view monitor_family_name(

@@ -47,7 +47,7 @@ RocCurve compute_roc(std::span<const double> in_dist_scores,
 }
 
 std::vector<double> hamming_scores(const MonitorBuilder& builder,
-                                   const OnOffMonitor& monitor,
+                                   const IntervalMonitor& monitor,
                                    const std::vector<Tensor>& inputs,
                                    unsigned max_radius) {
   std::vector<double> scores;

@@ -11,8 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "core/interval_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 
 namespace ranm {
 
@@ -35,11 +35,11 @@ struct RocCurve {
 [[nodiscard]] RocCurve compute_roc(std::span<const double> in_dist_scores,
                                    std::span<const double> ood_scores);
 
-/// Hamming-distance scores of inputs against an on-off monitor's accepted
-/// pattern set, capped at `max_radius` (scores beyond the cap saturate to
-/// max_radius + 1). One score per input.
+/// Hamming-distance scores (in code bits) of inputs against a BDD
+/// monitor's accepted pattern set, capped at `max_radius` (scores beyond
+/// the cap saturate to max_radius + 1). One score per input.
 [[nodiscard]] std::vector<double> hamming_scores(
-    const MonitorBuilder& builder, const OnOffMonitor& monitor,
+    const MonitorBuilder& builder, const IntervalMonitor& monitor,
     const std::vector<Tensor>& inputs, unsigned max_radius);
 
 }  // namespace ranm

@@ -42,6 +42,9 @@ enum class LayerTag : std::uint32_t {
 
 enum class MonitorTag : std::uint32_t {
   kMinMax = 1,
+  // Both BDD tags hold an IntervalMonitor body. The tag written is a
+  // function of the spec width (kOnOff iff 1 bit), so on-off artifacts
+  // keep the tag and bytes that earlier loaders read.
   kOnOff = 2,
   kInterval = 3,
   // Retired: bodies with a custom variable order or per-node profile
@@ -327,14 +330,14 @@ MinMaxMonitor load_minmax_body(std::istream& in) {
                                     count);
 }
 
-OnOffMonitor load_onoff_body(std::istream& in) {
-  OnOffMonitor monitor(load_threshold_spec(in));
-  monitor.set_root(bdd::load_bdd(in, monitor.manager()));
-  return monitor;
-}
-
-IntervalMonitor load_interval_body(std::istream& in) {
-  IntervalMonitor monitor(load_threshold_spec(in));
+/// Body of a kOnOff or kInterval artifact; `tag` is the one read.
+IntervalMonitor load_interval_body(std::istream& in, MonitorTag tag) {
+  ThresholdSpec spec = load_threshold_spec(in);
+  if (tag == MonitorTag::kOnOff && spec.bits() != 1) {
+    throw std::runtime_error(
+        "load monitor: on-off artifact with a multi-bit threshold spec");
+  }
+  IntervalMonitor monitor(std::move(spec));
   monitor.set_root(bdd::load_bdd(in, monitor.manager()));
   return monitor;
 }
@@ -362,13 +365,12 @@ MonitorTag read_monitor_header(std::istream& in) {
 /// header word has already been consumed). The single switch serving
 /// every flat-monitor entry point.
 std::unique_ptr<Monitor> load_tagged_monitor_body(std::istream& in) {
-  switch (read_monitor_tag(in)) {
+  switch (const MonitorTag tag = read_monitor_tag(in)) {
     case MonitorTag::kMinMax:
       return std::make_unique<MinMaxMonitor>(load_minmax_body(in));
     case MonitorTag::kOnOff:
-      return std::make_unique<OnOffMonitor>(load_onoff_body(in));
     case MonitorTag::kInterval:
-      return std::make_unique<IntervalMonitor>(load_interval_body(in));
+      return std::make_unique<IntervalMonitor>(load_interval_body(in, tag));
     default:
       break;
   }
@@ -439,32 +441,20 @@ MinMaxMonitor load_minmax_monitor(std::istream& in) {
   return load_minmax_body(in);
 }
 
-void save_monitor(std::ostream& out, const OnOffMonitor& monitor) {
-  write_pod(out, kMonMagic);
-  write_pod(out, MonitorTag::kOnOff);
-  save_threshold_spec(out, monitor.spec());
-  bdd::save_bdd(out, monitor.manager(), monitor.root());
-}
-
-OnOffMonitor load_onoff_monitor(std::istream& in) {
-  if (read_monitor_header(in) != MonitorTag::kOnOff) {
-    throw std::runtime_error("load_onoff_monitor: bad header");
-  }
-  return load_onoff_body(in);
-}
-
 void save_monitor(std::ostream& out, const IntervalMonitor& monitor) {
   write_pod(out, kMonMagic);
-  write_pod(out, MonitorTag::kInterval);
+  write_pod(out,
+            monitor.bits() == 1 ? MonitorTag::kOnOff : MonitorTag::kInterval);
   save_threshold_spec(out, monitor.spec());
   bdd::save_bdd(out, monitor.manager(), monitor.root());
 }
 
 IntervalMonitor load_interval_monitor(std::istream& in) {
-  if (read_monitor_header(in) != MonitorTag::kInterval) {
+  const MonitorTag tag = read_monitor_header(in);
+  if (tag != MonitorTag::kOnOff && tag != MonitorTag::kInterval) {
     throw std::runtime_error("load_interval_monitor: bad header");
   }
-  return load_interval_body(in);
+  return load_interval_body(in, tag);
 }
 
 void save_monitor(std::ostream& out, const ShardedMonitor& monitor) {
@@ -502,8 +492,6 @@ ShardedMonitor load_sharded_monitor(std::istream& in) {
 void save_any_monitor(std::ostream& out, const Monitor& monitor) {
   if (const auto* mm = dynamic_cast<const MinMaxMonitor*>(&monitor)) {
     save_monitor(out, *mm);
-  } else if (const auto* oo = dynamic_cast<const OnOffMonitor*>(&monitor)) {
-    save_monitor(out, *oo);
   } else if (const auto* iv =
                  dynamic_cast<const IntervalMonitor*>(&monitor)) {
     save_monitor(out, *iv);

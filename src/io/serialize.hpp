@@ -13,7 +13,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "data/dataset.hpp"
 #include "nn/network.hpp"
@@ -41,9 +40,9 @@ void save_threshold_spec(std::ostream& out, const ThresholdSpec& spec);
 void save_monitor(std::ostream& out, const MinMaxMonitor& monitor);
 [[nodiscard]] MinMaxMonitor load_minmax_monitor(std::istream& in);
 
-void save_monitor(std::ostream& out, const OnOffMonitor& monitor);
-[[nodiscard]] OnOffMonitor load_onoff_monitor(std::istream& in);
-
+/// Writes the on-off tag for a 1-bit spec (the on-off monitor) and the
+/// interval tag otherwise; both tags load back as an IntervalMonitor, and
+/// an on-off artifact whose spec is not 1 bit is refused.
 void save_monitor(std::ostream& out, const IntervalMonitor& monitor);
 [[nodiscard]] IntervalMonitor load_interval_monitor(std::istream& in);
 
@@ -58,7 +57,7 @@ void save_monitor(std::ostream& out, const ShardedMonitor& monitor);
 [[nodiscard]] ShardedMonitor load_sharded_monitor(std::istream& in);
 
 /// Type-erased save: dispatches on the monitor's dynamic type.
-/// Supported: MinMaxMonitor, OnOffMonitor, IntervalMonitor,
+/// Supported: MinMaxMonitor, IntervalMonitor (on-off included),
 /// ShardedMonitor, and compile::CompiledMonitor (as an RCM1 artifact).
 /// Throws std::invalid_argument for other types (BoxClusterMonitor is a
 /// baseline that only deploys in compiled form).

@@ -15,7 +15,6 @@
 
 #include "core/interval_monitor.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "util/rng.hpp"
 
@@ -61,10 +60,9 @@ std::unique_ptr<Monitor> make_monitor(const Case& c,
   if (c.shards > 0) {
     const ShardPlan plan = ShardPlan::contiguous(spec.dimension(), c.shards);
     return std::make_unique<ShardedMonitor>(
-        c.family == Family::kOnOff ? ShardedMonitor::onoff(plan, spec)
-                                   : ShardedMonitor::interval(plan, spec));
+        ShardedMonitor::interval(plan, spec));
   }
-  if (c.family == Family::kOnOff) return std::make_unique<OnOffMonitor>(spec);
+  // The family picks the spec width: on-off is the 1-bit interval monitor.
   return std::make_unique<IntervalMonitor>(spec);
 }
 
@@ -86,9 +84,6 @@ struct BddOf {
 };
 
 BddOf bdd_of(const Monitor& m) {
-  if (const auto* on = dynamic_cast<const OnOffMonitor*>(&m)) {
-    return {&on->manager(), on->root(), on->bdd_node_count()};
-  }
   const auto& iv = dynamic_cast<const IntervalMonitor&>(m);
   return {&iv.manager(), iv.root(), iv.bdd_node_count()};
 }
@@ -212,7 +207,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BatchInsert, BoundViolationLeavesTheSetUntouched) {
   Rng rng(811);
   const ThresholdSpec spec = random_spec(6, 1, rng);
-  OnOffMonitor onoff(spec);
+  IntervalMonitor onoff(spec);
   IntervalMonitor interval(random_spec(6, 2, rng));
   FeatureBatch lo(6, 3), hi(6, 3);
   for (std::size_t i = 0; i < 3; ++i) {

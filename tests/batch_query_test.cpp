@@ -18,7 +18,6 @@
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
 #include "core/multi_layer_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
@@ -88,8 +87,8 @@ TEST(BatchQuery, OnOffStandardAndRobustMatchScalar) {
   Rng rng(202);
   for (int trial = 0; trial < 5; ++trial) {
     const std::size_t dim = 1 + rng.below(10);
-    OnOffMonitor standard(random_spec(dim, 1, rng));
-    OnOffMonitor robust(random_spec(dim, 1, rng));
+    IntervalMonitor standard(random_spec(dim, 1, rng));
+    IntervalMonitor robust(random_spec(dim, 1, rng));
     for (int s = 0; s < 15; ++s) {
       const auto v = random_feature(dim, rng);
       standard.observe(v);
@@ -132,7 +131,7 @@ TEST(BatchQuery, IntervalStandardAndRobustMatchScalar) {
 
 TEST(BatchQuery, EmptyBddSetNeverContains) {
   Rng rng(99);
-  OnOffMonitor m(random_spec(4, 1, rng));  // nothing observed
+  IntervalMonitor m(random_spec(4, 1, rng));  // nothing observed
   check_all_batch_sizes(m, rng, "onoff empty set");
 }
 
@@ -379,7 +378,7 @@ TEST(BatchQuery, NanFeaturesMatchScalarSemantics) {
   MinMaxMonitor minmax(2);
   minmax.observe(std::vector<float>{0.0F, 0.0F});
   minmax.observe(std::vector<float>{1.0F, 1.0F});
-  OnOffMonitor onoff(random_spec(2, 1, rng));
+  IntervalMonitor onoff(random_spec(2, 1, rng));
   onoff.observe(std::vector<float>{0.5F, 0.5F});
   IntervalMonitor interval(random_spec(2, 2, rng));
   interval.observe(std::vector<float>{0.5F, 0.5F});
@@ -411,7 +410,7 @@ TEST(BatchQuery, DefaultConstructedEmptyBatchIsANoOpQuery) {
   Rng rng(4321);
   MinMaxMonitor minmax(3);
   minmax.observe(std::vector<float>{0.0F, 0.0F, 0.0F});
-  OnOffMonitor onoff(random_spec(3, 1, rng));
+  IntervalMonitor onoff(random_spec(3, 1, rng));
   BoxClusterMonitor boxes(3, 1);
   boxes.observe(std::vector<float>{0.0F, 0.0F, 0.0F});
   Rng cluster_rng(7);
@@ -543,18 +542,18 @@ TEST(BatchQuery, EveryMutationDropsTheLoweredProgram) {
   const ThresholdSpec onoff_spec = random_spec(kDim, 1, rng);
   const ThresholdSpec interval_spec = random_spec(kDim, 2, rng);
 
-  auto onoff_mutations = observe_mutations<OnOffMonitor>();
+  auto onoff_mutations = observe_mutations<IntervalMonitor>();
   onoff_mutations.push_back(
       {"enlarge_hamming",
-       [](OnOffMonitor& m, const FeatureBatch&) { m.enlarge_hamming(3); }});
+       [](IntervalMonitor& m, const FeatureBatch&) { m.enlarge_hamming(3); }});
   onoff_mutations.push_back(
-      {"set_root", [](OnOffMonitor& m, const FeatureBatch&) {
+      {"set_root", [](IntervalMonitor& m, const FeatureBatch&) {
          m.set_root(bdd::kTrue);
        }});
-  check_every_mutation<OnOffMonitor>(
+  check_every_mutation<IntervalMonitor>(
       "onoff",
       [&] {
-        auto m = std::make_unique<OnOffMonitor>(onoff_spec);
+        auto m = std::make_unique<IntervalMonitor>(onoff_spec);
         fold_small(*m, kDim, 6, rng);
         return m;
       },
@@ -643,7 +642,7 @@ TEST(BoundsPrecondition, ViolatedBoundIsCaughtByEveryMonitor) {
   EXPECT_THROW(minmax.observe_bounds(lo, hi), std::invalid_argument);
 
   Rng rng(5);
-  OnOffMonitor onoff(random_spec(2, 1, rng));
+  IntervalMonitor onoff(random_spec(2, 1, rng));
   EXPECT_THROW(onoff.observe_bounds(lo, hi), std::invalid_argument);
 
   IntervalMonitor interval(random_spec(2, 2, rng));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/interval_monitor.hpp"
 #include "util/rng.hpp"
 
 namespace ranm::bdd {
@@ -110,6 +111,95 @@ TEST(BddRange, OffsetVariableBlock) {
   a[0] = a[7] = true;
   encode_bits(vars, 4, a);
   EXPECT_TRUE(mgr.eval(f, a));
+}
+
+TEST(BddRange, PrependedCubeEqualsConjunction) {
+  // A cube prepended onto `below` is the conjunction of its literals and
+  // `below`, and the same node as that conjunction.
+  Rng rng(23);
+  for (std::uint32_t bits = 1; bits <= 4; ++bits) {
+    const std::uint32_t nvars = 3 * bits;
+    BddManager mgr(nvars);
+    for (int trial = 0; trial < 50; ++trial) {
+      // `below`: a random range over the last neuron's block.
+      const auto last = make_vars(2 * bits, bits);
+      std::uint64_t a = rng.below(1ULL << bits), b = rng.below(1ULL << bits);
+      if (a > b) std::swap(a, b);
+      const NodeRef below = code_in_range(mgr, last, a, b);
+      // An aligned block over the middle neuron's bits.
+      const std::uint32_t k = static_cast<std::uint32_t>(rng.below(bits + 1));
+      const std::uint64_t lo = rng.below(1ULL << bits) >> k << k;
+      const std::uint64_t hi = lo + (1ULL << k) - 1;
+      std::vector<CubeBit> cube(bits);
+      for (std::uint32_t i = 0; i < bits; ++i) {
+        const std::uint32_t shift = bits - 1 - i;
+        cube[i] = shift < k                ? CubeBit::kDontCare
+                  : ((lo >> shift) & 1) != 0 ? CubeBit::kOne
+                                             : CubeBit::kZero;
+      }
+      const auto middle = make_vars(bits, bits);
+      EXPECT_EQ(mgr.cube(cube, bits, below),
+                mgr.and_(code_in_range(mgr, middle, lo, hi), below))
+          << "bits=" << bits << " [" << lo << ", " << hi << "]";
+    }
+    // `below` must sit under the cube's last variable.
+    const std::vector<CubeBit> one(bits, CubeBit::kOne);
+    EXPECT_NO_THROW((void)mgr.cube(one, 0, mgr.var(bits)));
+    EXPECT_THROW((void)mgr.cube(one, 0, mgr.var(bits - 1)),
+                 std::invalid_argument);
+    EXPECT_THROW((void)mgr.cube(one, 2 * bits + 1), std::invalid_argument);
+    EXPECT_THROW((void)mgr.cube(one, 0, NodeRef(mgr.arena_size())),
+                 std::invalid_argument);
+  }
+}
+
+TEST(BddRange, BoundWordEqualsRangeConjunction) {
+  // IntervalMonitor's robust word (aligned code ranges prepended as cube
+  // literals, the rest ANDed as range constraints) must be the same node
+  // as the conjunction of every neuron's code_in_range. Every [lo, hi] at
+  // B = 1..4 sits at every position of words of 1..5 neurons, the other
+  // neurons drawing random ranges.
+  Rng rng(29);
+  for (std::size_t bits = 1; bits <= 4; ++bits) {
+    const std::uint64_t codes = 1ULL << bits;
+    for (std::size_t dim = 1; dim <= 5; ++dim) {
+      // Thresholds at c + 0.5, so the value c has code c.
+      std::vector<std::vector<Threshold>> per_neuron(dim);
+      for (auto& ts : per_neuron) {
+        for (std::uint64_t c = 0; c + 1 < codes; ++c) {
+          ts.push_back(Threshold{float(c) + 0.5F, true});
+        }
+      }
+      IntervalMonitor m(ThresholdSpec(bits, std::move(per_neuron)));
+      BddManager& mgr = m.manager();
+      for (std::uint64_t lo = 0; lo < codes; ++lo) {
+        for (std::uint64_t hi = lo; hi < codes; ++hi) {
+          for (std::size_t pos = 0; pos < dim; ++pos) {
+            std::vector<std::uint64_t> clo(dim), chi(dim);
+            for (std::size_t j = 0; j < dim; ++j) {
+              clo[j] = j == pos ? lo : rng.below(codes);
+              chi[j] = j == pos ? hi : clo[j] + rng.below(codes - clo[j]);
+            }
+            std::vector<float> flo(dim), fhi(dim);
+            NodeRef expected = kTrue;
+            for (std::size_t j = 0; j < dim; ++j) {
+              flo[j] = float(clo[j]);
+              fhi[j] = float(chi[j]);
+              const auto vars = make_vars(std::uint32_t(j * bits),
+                                          std::uint32_t(bits));
+              expected = mgr.and_(expected,
+                                  code_in_range(mgr, vars, clo[j], chi[j]));
+            }
+            m.set_root(kFalse);
+            m.observe_bounds(flo, fhi);
+            EXPECT_EQ(m.root(), expected)
+                << "bits=" << bits << " dim=" << dim << " pos=" << pos
+                << " [" << lo << ", " << hi << "]";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BddRange, EncodeDecodeRoundTrip) {

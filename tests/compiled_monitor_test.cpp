@@ -25,7 +25,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "util/rng.hpp"
 
@@ -123,7 +122,7 @@ std::unique_ptr<Monitor> build_flat(Family family, std::size_t dim,
       monitor = std::make_unique<MinMaxMonitor>(dim);
       break;
     case Family::kOnOff:
-      monitor = std::make_unique<OnOffMonitor>(random_spec(dim, 1, rng));
+      monitor = std::make_unique<IntervalMonitor>(random_spec(dim, 1, rng));
       break;
     case Family::kInterval:
       monitor = std::make_unique<IntervalMonitor>(random_spec(dim, 2, rng));
@@ -185,7 +184,7 @@ TEST(CompiledMonitor, ShardedMatchesBitForBit) {
         ShardedMonitor interpreted =
             family == 0 ? ShardedMonitor::minmax(plan)
             : family == 1
-                ? ShardedMonitor::onoff(plan, random_spec(dim, 1, rng))
+                ? ShardedMonitor::interval(plan, random_spec(dim, 1, rng))
                 : ShardedMonitor::interval(plan, random_spec(dim, 2, rng));
         std::vector<std::vector<float>> stored;
         observe_all(interpreted, dim, robust, rng, stored);
@@ -313,15 +312,10 @@ TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
           const ShardPlan plan = ShardPlan::contiguous(dim, shards);
           std::unique_ptr<Monitor> interpreted;
           if (shards == 1) {
-            interpreted =
-                bits == 1
-                    ? std::unique_ptr<Monitor>(
-                          std::make_unique<OnOffMonitor>(spec))
-                    : std::make_unique<IntervalMonitor>(spec);
+            interpreted = std::make_unique<IntervalMonitor>(spec);
           } else {
             interpreted = std::make_unique<ShardedMonitor>(
-                bits == 1 ? ShardedMonitor::onoff(plan, spec)
-                          : ShardedMonitor::interval(plan, spec));
+                ShardedMonitor::interval(plan, spec));
           }
           std::vector<std::vector<float>> stored;
           for (std::size_t i = 0; i < count; ++i) {

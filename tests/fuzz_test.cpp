@@ -72,7 +72,7 @@ TEST_P(LoaderFuzz, TruncatedNetworkThrows) {
 
 TEST_P(LoaderFuzz, TruncatedMonitorThrows) {
   Rng rng{std::uint64_t(GetParam()) + 200};
-  OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(6, 0.0F)));
+  IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(6, 0.0F)));
   for (int i = 0; i < 10; ++i) {
     std::vector<float> v(6);
     for (auto& x : v) x = rng.uniform_f(-1, 1);

@@ -14,7 +14,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/monitor_builder.hpp"
-#include "core/onoff_monitor.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -69,7 +68,7 @@ class Lemma1 : public ::testing::TestWithParam<Lemma1Case> {
     // Thresholds from the training features.
     NeuronStats stats = builder.collect_stats(train, /*keep_samples=*/true);
     MinMaxMonitor minmax(d);
-    OnOffMonitor onoff(ThresholdSpec::from_means(stats));
+    IntervalMonitor onoff(ThresholdSpec::from_means(stats));
     IntervalMonitor interval(ThresholdSpec::from_percentiles(stats, 2));
 
     builder.build_robust(minmax, train, spec);
@@ -170,10 +169,10 @@ class Lemma1Rounding : public ::testing::TestWithParam<BoundDomain> {
 
     MonitorBuilder builder(net, k);
     const std::vector<float> zero{0.0F};
-    OnOffMonitor standard(ThresholdSpec::onoff(zero));
+    IntervalMonitor standard(ThresholdSpec::onoff(zero));
     builder.build_standard(standard, train);
     EXPECT_FALSE(builder.warns(standard, train[0]));
-    OnOffMonitor robust(ThresholdSpec::onoff(zero));
+    IntervalMonitor robust(ThresholdSpec::onoff(zero));
     builder.build_robust(robust, train, spec);
     EXPECT_FALSE(builder.warns(robust, train[0]))
         << "robust monitor warned on its own training input";

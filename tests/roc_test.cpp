@@ -79,7 +79,7 @@ TEST(Roc, HammingScoresSeparateFarInputs) {
     far.push_back(Tensor::random_uniform({4}, rng, 4.0F, 6.0F));
   }
   NeuronStats stats = builder.collect_stats(train, true);
-  OnOffMonitor monitor(ThresholdSpec::from_means(stats));
+  IntervalMonitor monitor(ThresholdSpec::from_means(stats));
   builder.build_standard(monitor, train);
 
   const auto in_scores = hamming_scores(builder, monitor, train, 6);

@@ -15,7 +15,6 @@
 #include "bdd/bdd_io.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "io/serialize.hpp"
 #include "nn/init.hpp"
 #include "util/rng.hpp"
@@ -146,7 +145,7 @@ TEST_P(SerializeProperty, PatternMonitorsStructuralRoundTrip) {
     const auto dim = std::size_t(2 + rng.below(5));
     std::vector<float> zeros(dim, 0.0F);
     std::vector<float> lo(dim, -1.0F), mid(dim, 0.0F), hi(dim, 1.0F);
-    OnOffMonitor onoff(ThresholdSpec::onoff(zeros));
+    IntervalMonitor onoff(ThresholdSpec::onoff(zeros));
     IntervalMonitor interval(ThresholdSpec::paper_two_bit(lo, mid, hi));
 
     Monitor* monitors[] = {&onoff, &interval};

@@ -97,7 +97,7 @@ TEST(Serialize, MinMaxMonitorRoundTrip) {
 
 TEST(Serialize, OnOffMonitorRoundTrip) {
   Rng rng(3);
-  OnOffMonitor m(ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
+  IntervalMonitor m(ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
   for (int i = 0; i < 20; ++i) {
     std::vector<float> v(5);
     for (auto& x : v) x = rng.uniform_f(-1, 1);
@@ -108,7 +108,7 @@ TEST(Serialize, OnOffMonitorRoundTrip) {
                    std::vector<float>{-0.5F, -0.5F, 0.1F, 2, 2});
   std::stringstream ss;
   save_monitor(ss, m);
-  auto loaded = load_onoff_monitor(ss);
+  auto loaded = load_interval_monitor(ss);
   EXPECT_DOUBLE_EQ(loaded.pattern_count(), m.pattern_count());
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<float> probe(5);
@@ -146,7 +146,7 @@ TEST(Serialize, AnyMonitorRoundTripsEachType) {
   MinMaxMonitor mm(2);
   mm.observe(std::vector<float>{1.0F, -1.0F});
   // On-off.
-  OnOffMonitor oo(ThresholdSpec::onoff(std::vector<float>(3, 0.0F)));
+  IntervalMonitor oo(ThresholdSpec::onoff(std::vector<float>(3, 0.0F)));
   oo.observe(std::vector<float>{1.0F, -1.0F, 1.0F});
   // Interval.
   IntervalMonitor iv(ThresholdSpec::paper_two_bit(
@@ -198,7 +198,7 @@ TEST(Serialize, MonitorTagMismatchThrows) {
   m.observe(std::vector<float>{0.0F, 0.0F});
   std::stringstream ss;
   save_monitor(ss, m);
-  EXPECT_THROW((void)load_onoff_monitor(ss), std::runtime_error);
+  EXPECT_THROW((void)load_interval_monitor(ss), std::runtime_error);
 }
 
 TEST(Serialize, DatasetRoundTrip) {
@@ -331,7 +331,7 @@ TEST(Serialize, BddMonitorBytesArePinned) {
   // Every BDD monitor has one variable order (neuron slot s is variable
   // s), and its artifact bytes must not drift from the format that
   // earlier builds wrote and deployed loaders read.
-  OnOffMonitor oo(ThresholdSpec::onoff(std::vector<float>(2, 0.0F)));
+  IntervalMonitor oo(ThresholdSpec::onoff(std::vector<float>(2, 0.0F)));
   oo.observe(std::vector<float>{1.0F, -1.0F});
   oo.observe_bounds(std::vector<float>{-1.0F, 0.5F},
                     std::vector<float>{1.0F, 1.0F});
@@ -354,6 +354,42 @@ TEST(Serialize, BddMonitorBytesArePinned) {
             "bf0100000000000000803f01000080bf0100000000000000803f0131444442"
             "040000000600000002000000000000000100000001000000000000000200"
             "000001000000020000000000000000000000030000000400000005000000");
+}
+
+std::string from_hex(const std::string& hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return bytes;
+}
+
+TEST(Serialize, OnOffArtifactLoadsAsOneBitIntervalMonitor) {
+  // The on-off artifact pinned above: the bytes deployed 1-bit monitors
+  // hold.
+  const std::string bytes = from_hex(
+      "314f4d520200000031535452020000000000000001000000000000000000"
+      "000001000000000131444442020000000400000001000000000000000100"
+      "000000000000020000000100000003000000");
+  std::istringstream in(bytes);
+  const std::unique_ptr<Monitor> loaded = load_any_monitor(in);
+  const auto* iv = dynamic_cast<const IntervalMonitor*>(loaded.get());
+  ASSERT_NE(iv, nullptr);
+  EXPECT_EQ(iv->bits(), 1U);
+
+  IntervalMonitor built(ThresholdSpec::onoff(std::vector<float>(2, 0.0F)));
+  built.observe(std::vector<float>{1.0F, -1.0F});
+  built.observe_bounds(std::vector<float>{-1.0F, 0.5F},
+                       std::vector<float>{1.0F, 1.0F});
+  for (const float a : {-1.0F, 0.0F, 1.0F}) {
+    for (const float b : {-1.0F, 0.0F, 1.0F}) {
+      const std::vector<float> probe{a, b};
+      EXPECT_EQ(iv->warn(probe), built.warn(probe)) << a << ", " << b;
+    }
+  }
+  std::stringstream resaved;
+  save_any_monitor(resaved, *iv);
+  EXPECT_EQ(resaved.str(), bytes);
 }
 
 /// A retired V2 artifact as `ranm_cli optimize` wrote it: RMO1, the V2
@@ -398,7 +434,7 @@ TEST(Serialize, RetiredVariableOrderArtifactIsRefused) {
       4, ThresholdSpec::onoff(std::vector<float>(3, 0.0F)), 1U);
   expect_refused_as_retired(bytes);
   std::istringstream in(bytes);
-  EXPECT_THROW((void)load_onoff_monitor(in), std::runtime_error);
+  EXPECT_THROW((void)load_interval_monitor(in), std::runtime_error);
 }
 
 TEST(Serialize, RetiredProfileArtifactIsRefused) {

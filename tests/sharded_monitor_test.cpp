@@ -30,7 +30,6 @@
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "io/serialize.hpp"
 #include "util/rng.hpp"
@@ -111,18 +110,13 @@ void check_equivalence(Family family, std::size_t dim, std::size_t bits,
                       : ShardStrategy::kRoundRobin,
       dim, shards);
 
-  auto make_inner = [&](const ThresholdSpec& s) -> std::unique_ptr<Monitor> {
-    if (family == Family::kOnOff) return std::make_unique<OnOffMonitor>(s);
-    return std::make_unique<IntervalMonitor>(s);
-  };
-
-  ShardedMonitor sharded = family == Family::kOnOff
-                               ? ShardedMonitor::onoff(plan, spec)
-                               : ShardedMonitor::interval(plan, spec);
+  // Both families are interval monitors; on-off is the 1-bit one.
+  ShardedMonitor sharded = ShardedMonitor::interval(plan, spec);
   sharded.set_threads(threads);
   std::vector<std::unique_ptr<Monitor>> refs;
   for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-    refs.push_back(make_inner(spec.subset(plan.neurons(s))));
+    refs.push_back(
+        std::make_unique<IntervalMonitor>(spec.subset(plan.neurons(s))));
   }
 
   // Identical observations: the sharded monitor folds whole vectors (via
@@ -382,7 +376,7 @@ TEST(ShardedMonitor, AcceptsSupersetOfUnshardedMonitor) {
 TEST(ShardedMonitor, ObserveBoundsViolationThrowsBeforeAnyShardMutates) {
   Rng rng(827);
   const std::size_t dim = 8;
-  ShardedMonitor sharded = ShardedMonitor::onoff(
+  ShardedMonitor sharded = ShardedMonitor::interval(
       ShardPlan::contiguous(dim, 2), random_spec(dim, 1, rng));
   FeatureBatch lo(dim, 4), hi(dim, 4);
   for (std::size_t i = 0; i < 4; ++i) {

@@ -25,7 +25,6 @@
 #include "compile/lower.hpp"
 #include "core/interval_monitor.hpp"
 #include "core/minmax_monitor.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/shard_plan.hpp"
 #include "core/sharded_monitor.hpp"
 #include "core/threshold_spec.hpp"
@@ -119,7 +118,9 @@ void emit_monitor_corpus() {
                             ranm::save_any_monitor(out, minmax);
                           }));
 
-  ranm::OnOffMonitor onoff(
+  // The on-off monitor is the 1-bit interval monitor; its artifact keeps
+  // the on-off tag.
+  ranm::IntervalMonitor onoff(
       ranm::ThresholdSpec::onoff(std::vector<float>(5, 0.0F)));
   ranm::Rng onoff_rng(42);
   for (int i = 0; i < 12; ++i) {

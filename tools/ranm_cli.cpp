@@ -28,7 +28,6 @@
 #include "core/monitor_builder.hpp"
 #include "core/monitor_dot.hpp"
 #include "core/monitorability.hpp"
-#include "core/onoff_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "data/digits.hpp"
 #include "eval/experiment.hpp"
