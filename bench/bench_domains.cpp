@@ -35,11 +35,14 @@
 // The bench fails if a column of the batched pass differs from the
 // one-column pass.
 //
-// Sweep 4 (train_step): one training sample of the lab convnet as the
-// trainer runs it, split into forward_trace (the one-sample forward pass
-// that keeps every activation) and backward (the MSE loss's gradient and
-// Network::backward), in us per sample, each stage timed by a clock read
-// between them.
+// Sweep 4 (train_step): one minibatch step of the lab convnet at the
+// trainer's batch of 16, in us per sample. One row times the whole step
+// (Network::train_step and Adam::step); the rows below it split that time
+// into forward (the pack and the forward steps, keeping every step's
+// output), backward (the loss and one backward kernel per layer, with no
+// input gradient at layer 1) and optimizer, timed by a clock read between
+// the stages of a replica run right after each step. The bench fails if
+// the step's gradients differ from 16 one-sample steps.
 //
 // Every timing is the median, with the minimum beside it, of 5 timed
 // blocks after one untimed warm-up call; the report stamps that statistic.
@@ -62,6 +65,7 @@
 #include "core/perturbation_estimator.hpp"
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -127,8 +131,11 @@ struct ForwardMeasurement {
 };
 
 struct TrainMeasurement {
-  std::string stage;  // "forward_trace" or "backward"
+  std::string stage;  // "step", "forward", "backward" or "optimizer"
   Timing time;
+  // Step row: the stage rows' median sum over this row's median. Stage
+  // rows: this row's median over the step row's.
+  double share = 0.0;
 };
 
 void write_json(const std::string& path, bool smoke,
@@ -178,9 +185,11 @@ void write_json(const std::string& path, bool smoke,
   for (const TrainMeasurement& m : train) {
     std::ostringstream row;
     row << "{\"mode\": \"train_step\", \"network\": \"lab_convnet\", "
-        << "\"stage\": \"" << m.stage
+        << "\"batch_size\": 16, \"stage\": \"" << m.stage
         << "\", \"us_per_sample\": " << m.time.median_us
-        << ", \"us_per_sample_min\": " << m.time.min_us << "}";
+        << ", \"us_per_sample_min\": " << m.time.min_us << ", \""
+        << (m.stage == "step" ? "stage_sum_over_step" : "share_of_step")
+        << "\": " << m.share << "}";
     rows.push_back(row.str());
   }
   benchutil::write_json_report(
@@ -192,8 +201,10 @@ void write_json(const std::string& path, bool smoke,
       "then its block loop with a clock read between stages (the stage "
       "rows: the pack and each step the network runs, an affine layer and "
       "its fused activation as one, the Flatten view as none); train_step: "
-      "us per training sample, its forward_trace and backward timed by a "
-      "clock read between them");
+      "us per sample of a 16-sample minibatch step, the whole step "
+      "(Network::train_step and Adam) and then a replica of its stages "
+      "with a clock read between them: forward (pack and steps), backward "
+      "(loss and one backward kernel per layer) and optimizer");
 }
 
 std::vector<DomainMeasurement> run_domain_compare(bool smoke) {
@@ -554,62 +565,158 @@ std::vector<ForwardMeasurement> run_forward_sweep(bool smoke, bool& sound) {
   return results;
 }
 
-std::vector<TrainMeasurement> run_train_step(bool smoke) {
-  TextTable table("E5d: one training sample of the lab convnet, forward "
-                  "trace and backward (us/sample median and min of 5 "
-                  "blocks)");
-  table.set_header({"stage", "us/sample", "min"});
+std::vector<TrainMeasurement> run_train_step(bool smoke, bool& sound) {
+  TextTable table("E5d: one minibatch training step of the lab convnet at "
+                  "batch 16, whole and per stage (us/sample median and min "
+                  "of 5 blocks)");
+  table.set_header({"stage", "us/sample", "min", "share"});
+  constexpr std::size_t kBatch = 16;  // the lab's minibatch
   const std::size_t side = smoke ? 12 : 32;
   Rng rng(83);
   Network net = make_small_convnet(side, side, 6, 32, 2, rng);
-  const std::size_t samples = smoke ? 4 : 64;
   std::vector<Tensor> inputs, targets;
-  for (std::size_t i = 0; i < samples; ++i) {
+  for (std::size_t i = 0; i < kBatch; ++i) {
     inputs.push_back(Tensor::random_uniform(net.input_shape(), rng));
     Tensor target({2});
     target[i % 2] = 1.0F;
     targets.push_back(std::move(target));
   }
-  const std::size_t reps = smoke ? 1 : 16;
-  // The trainer's step: forward_trace, then the loss's gradient scaled by
-  // 1/16 (the lab's batch) and Network::backward.
+  std::vector<std::size_t> rows(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) rows[i] = i;
+  const float scale = 1.0F / static_cast<float>(kBatch);
   MSELoss loss;
-  std::vector<Tensor> acts;
-  using Clock = std::chrono::steady_clock;
-  Clock::duration spent[2] = {};
-  const auto pass = [&] {
-    for (std::size_t i = 0; i < samples; ++i) {
-      const Clock::time_point t0 = Clock::now();
-      net.forward_trace(inputs[i], acts);
-      const Clock::time_point t1 = Clock::now();
-      LossResult lr = loss.evaluate(acts.back(), targets[i]);
-      lr.grad *= 1.0F / 16.0F;
-      g_sink += double(net.backward(acts, lr.grad)[0]);
-      spent[0] += t1 - t0;
-      spent[1] += Clock::now() - t1;
+  Adam optimizer(net.parameters(), net.gradients(), Adam::Config{});
+
+  // The minibatch step's gradients against 16 one-sample steps, whose
+  // layers each run backward_batch at n = 1, byte for byte.
+  const auto gradients = [&net] {
+    std::vector<float> out;
+    for (const Tensor* g : net.gradients()) {
+      out.insert(out.end(), g->data(), g->data() + g->numel());
     }
-    net.zero_gradients();
+    return out;
+  };
+  double batch_loss = 0.0, one_loss = 0.0;
+  net.zero_gradients();
+  net.train_step(inputs, targets, rows, loss, scale, batch_loss);
+  const std::vector<float> batch = gradients();
+  net.zero_gradients();
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    net.train_step(inputs, targets, {rows.data() + i, 1}, loss, scale,
+                   one_loss);
+  }
+  const std::vector<float> one = gradients();
+  if (batch_loss != one_loss ||
+      std::memcmp(batch.data(), one.data(), batch.size() * sizeof(float)) !=
+          0) {
+    std::fprintf(stderr,
+                 "bench_domains: the minibatch step's gradients differ from "
+                 "16 one-sample steps\n");
+    sound = false;
+  }
+  net.zero_gradients();
+
+  // Row 0 times the whole step, Network::train_step and the optimiser.
+  // Rows 1-3 time its stages in a replica run right after it, with a clock
+  // read between them: the pack and the forward steps keeping every
+  // step's output, the loss and one backward kernel per layer (none for
+  // layer 1's input), and the optimiser.
+  const std::size_t count = net.num_layers();
+  // Layer l's output rows: its own buffer, or a view's input rows.
+  std::vector<AlignedFloats> acts(count + 1);
+  std::vector<float*> at(count + 1);
+  std::vector<bool> kept(count + 1, true);
+  acts[0].resize(net.layer(1).input_size() * kBatch);
+  at[0] = acts[0].data();
+  std::size_t width = net.layer(1).input_size();
+  for (std::size_t l = 1; l <= count; ++l) {
+    acts[l].resize(net.layer(l).output_size() * kBatch);
+    at[l] = acts[l].data();
+    width = std::max(width, net.layer(l).output_size());
+  }
+  AlignedFloats grad(width * kBatch), spare(width * kBatch);
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kRows = 4;
+  Clock::duration spent[kRows] = {};
+  const auto pass = [&] {
+    Clock::time_point t = Clock::now();
+    double sum = 0.0;
+    net.train_step(inputs, targets, rows, loss, scale, sum);
+    optimizer.step();
+    Clock::time_point now = Clock::now();
+    spent[0] += now - t;
+    g_sink += sum;
+
+    t = Clock::now();
+    pack_neuron_major(inputs, net.layer(1).input_size(), kBatch, at[0]);
+    for (std::size_t l = 1; l <= count;) {
+      const Network::Step s = net.step(l, count);
+      if (s.view) {
+        at[s.last] = at[s.first - 1];
+      } else {
+        net.forward_step(s, at[s.first - 1], at[s.last], kBatch);
+        kept[s.first] = s.first == s.last;
+      }
+      l = s.last + 1;
+    }
+    now = Clock::now();
+    spent[1] += now - t;
+    t = now;
+    const float* out = at[count];
+    Tensor prediction(net.output_shape());
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      for (std::size_t j = 0; j < prediction.numel(); ++j) {
+        prediction[j] = out[j * kBatch + i];
+      }
+      LossResult lr = loss.evaluate(prediction, targets[i]);
+      g_sink += lr.value;
+      lr.grad *= scale;
+      for (std::size_t j = 0; j < lr.grad.numel(); ++j) {
+        grad[j * kBatch + i] = lr.grad[j];
+      }
+    }
+    for (std::size_t l = count; l >= 1; --l) {
+      net.layer(l).backward_batch(kept[l - 1] ? at[l - 1] : nullptr,
+                                  kept[l] ? at[l] : nullptr, grad.data(),
+                                  l == 1 ? nullptr : spare.data(), kBatch);
+      std::swap(grad, spare);
+    }
+    now = Clock::now();
+    spent[2] += now - t;
+    t = now;
+    optimizer.step();
+    spent[3] += Clock::now() - t;
   };
   pass();
-  std::vector<double> block_us[2];
+  const std::size_t reps = smoke ? 1 : 32;
+  std::vector<double> block_us[kRows];
   for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-    spent[0] = spent[1] = {};
+    for (Clock::duration& d : spent) d = {};
     for (std::size_t r = 0; r < reps; ++r) pass();
-    for (std::size_t stage = 0; stage < 2; ++stage) {
-      block_us[stage].push_back(
-          std::chrono::duration<double, std::micro>(spent[stage]).count() /
-          double(reps * samples));
+    for (std::size_t row = 0; row < kRows; ++row) {
+      block_us[row].push_back(
+          std::chrono::duration<double, std::micro>(spent[row]).count() /
+          double(reps * kBatch));
     }
   }
-  std::vector<TrainMeasurement> results;
-  for (std::size_t stage = 0; stage < 2; ++stage) {
-    std::sort(block_us[stage].begin(), block_us[stage].end());
-    TrainMeasurement m;
-    m.stage = stage == 0 ? "forward_trace" : "backward";
-    m.time = {block_us[stage][kBlocks / 2], block_us[stage].front()};
+  static constexpr const char* kStages[kRows] = {"step", "forward",
+                                                  "backward", "optimizer"};
+  std::vector<TrainMeasurement> results(kRows);
+  double sum = 0.0;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    TrainMeasurement& m = results[row];
+    m.stage = kStages[row];
+    std::sort(block_us[row].begin(), block_us[row].end());
+    m.time = {block_us[row][kBlocks / 2], block_us[row].front()};
+    if (row > 0) sum += m.time.median_us;
+  }
+  for (std::size_t row = 0; row < kRows; ++row) {
+    TrainMeasurement& m = results[row];
+    m.share = row == 0 ? sum / results[0].time.median_us
+                       : m.time.median_us / results[0].time.median_us;
     table.add_row({m.stage, TextTable::num(m.time.median_us, 2),
-                   TextTable::num(m.time.min_us, 2)});
-    results.push_back(m);
+                   TextTable::num(m.time.min_us, 2),
+                   TextTable::num(m.share, 3)});
   }
   table.print();
   return results;
@@ -625,7 +732,7 @@ int run(int argc, char** argv) {
       run_backend_sweep(smoke, sound);
   const std::vector<ForwardMeasurement> forward =
       run_forward_sweep(smoke, sound);
-  const std::vector<TrainMeasurement> train = run_train_step(smoke);
+  const std::vector<TrainMeasurement> train = run_train_step(smoke, sound);
   if (!sound) {
     std::fprintf(stderr, "bench_domains: bit-identity cross-check FAILED\n");
     return 1;
@@ -643,8 +750,9 @@ int run(int argc, char** argv) {
       "row (stage_sum_over_prefix within 5%% of 1); the fused Conv2D step "
       "g1+g2 and Dense step g5+g6 take most of it, the pack at most 5%%; "
       "g1+g2 at batch 1, which runs across the sample's outputs, within "
-      "2x of its batch-32 time per sample. (d) a training sample's "
-      "backward costs more than its forward_trace.\n",
+      "2x of its batch-32 time per sample. (d) the train_step stage rows "
+      "sum to their step row (stage_sum_over_step within 5%% of 1), the "
+      "backward at most 40 us/sample and the forward at most 20.\n",
       json_path.c_str(), g_sink);
   return 0;
 }

@@ -16,20 +16,35 @@ Activation::Activation(Shape shape)
   if (numel_ == 0) throw std::invalid_argument("Activation: empty shape");
 }
 
-void Activation::check_gradient_sizes(const Tensor& x, const Tensor& y,
-                                      const Tensor& grad_out) const {
-  if (grad_out.numel() != x.numel() || y.numel() != x.numel()) {
-    throw std::invalid_argument(name() + ": gradient size mismatch");
-  }
+namespace {
+
+/// The backward kernel of an activation whose derivative at output y is
+/// d(y): grad_in[e] = grad_out[e] * d(y[e]) over `count` elements. It
+/// has no parameters, so a null grad_in leaves nothing to do.
+template <typename D>
+void scale_by_derivative(const float* y, const float* grad_out,
+                         float* grad_in, std::size_t count, D d) noexcept {
+  if (grad_in == nullptr) return;
+  dispatch_kernel([&] {
+    // A local copy: read through the closure, a constant the derivative
+    // captured (LeakyReLU's α) might alias grad_in, and its load would
+    // turn the select into a branch.
+    const D derivative = d;
+    for (std::size_t e = 0; e < count; ++e) {
+      grad_in[e] = grad_out[e] * derivative(y[e]);
+    }
+  });
 }
+
+}  // namespace
 
 // ---- ReLU -----------------------------------------------------------------
 
-Tensor ReLU::backward(const Tensor& x, const Tensor& y,
-                      const Tensor& grad_out) {
-  return scale_gradient(x, y, grad_out, [](float v, float /*y*/) {
-    return v > 0.0F ? 1.0F : 0.0F;
-  });
+void ReLU::backward_batch(const float* /*x*/, const float* y,
+                          const float* grad_out, float* grad_in,
+                          std::size_t n) {
+  scale_by_derivative(y, grad_out, grad_in, n * numel_,
+                      [](float yv) { return yv > 0.0F ? 1.0F : 0.0F; });
 }
 
 void ReLU::forward_batch(const float* in, float* out,
@@ -57,12 +72,12 @@ std::string LeakyReLU::name() const {
   return "LeakyReLU(" + std::to_string(alpha_) + ")";
 }
 
-Tensor LeakyReLU::backward(const Tensor& x, const Tensor& y,
-                           const Tensor& grad_out) {
+void LeakyReLU::backward_batch(const float* /*x*/, const float* y,
+                               const float* grad_out, float* grad_in,
+                               std::size_t n) {
   const float a = alpha_;
-  return scale_gradient(x, y, grad_out, [a](float v, float /*y*/) {
-    return v > 0.0F ? 1.0F : a;
-  });
+  scale_by_derivative(y, grad_out, grad_in, n * numel_,
+                      [a](float yv) { return yv > 0.0F ? 1.0F : a; });
 }
 
 void LeakyReLU::forward_batch(const float* in, float* out,
@@ -81,11 +96,11 @@ void LeakyReLU::propagate_batch(const BoundBackend& backend,
 
 // ---- Sigmoid ----------------------------------------------------------------
 
-Tensor Sigmoid::backward(const Tensor& x, const Tensor& y,
-                         const Tensor& grad_out) {
-  return scale_gradient(x, y, grad_out, [](float /*v*/, float yv) {
-    return yv * (1.0F - yv);
-  });
+void Sigmoid::backward_batch(const float* /*x*/, const float* y,
+                             const float* grad_out, float* grad_in,
+                             std::size_t n) {
+  scale_by_derivative(y, grad_out, grad_in, n * numel_,
+                      [](float yv) { return yv * (1.0F - yv); });
 }
 
 void Sigmoid::forward_batch(const float* in, float* out,
@@ -107,10 +122,11 @@ void Sigmoid::propagate_batch(const BoundBackend& backend,
 
 // ---- Tanh -----------------------------------------------------------------
 
-Tensor Tanh::backward(const Tensor& x, const Tensor& y,
-                      const Tensor& grad_out) {
-  return scale_gradient(x, y, grad_out,
-                        [](float /*v*/, float yv) { return 1.0F - yv * yv; });
+void Tanh::backward_batch(const float* /*x*/, const float* y,
+                          const float* grad_out, float* grad_in,
+                          std::size_t n) {
+  scale_by_derivative(y, grad_out, grad_in, n * numel_,
+                      [](float yv) { return 1.0F - yv * yv; });
 }
 
 void Tanh::forward_batch(const float* in, float* out,

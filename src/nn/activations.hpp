@@ -7,8 +7,13 @@
 namespace ranm {
 
 /// Common base for shape-preserving elementwise activations. Each final
-/// activation's forward kernel and backward pass are loops of their own
-/// over its expression, so no element pays for a virtual call.
+/// activation's forward kernel and backward kernel are loops of their own
+/// over its expression, so no element pays for a virtual call. The
+/// backward kernel reads the derivative off the output y alone: ReLU's
+/// relu(v) > 0 and LeakyReLU's max(v, αv) > 0 both hold exactly when
+/// v > 0 (NaN and ±0 included, util/epilogue.hpp), and Sigmoid's and
+/// Tanh's derivatives are functions of y, so a fused affine step, which
+/// keeps no pre-activations, can be differentiated.
 class Activation : public Layer {
  public:
   explicit Activation(Shape shape);
@@ -23,27 +28,8 @@ class Activation : public Layer {
     for (std::size_t i = 0; i < count; ++i) out[i] = fn(in[i]);
   }
 
-  /// The backward pass of an activation whose derivative at input v with
-  /// output y = f(v) is d(v, y): grad_out[i] * d(x[i], y[i]) for every
-  /// element. Throws std::invalid_argument on a size mismatch.
-  template <typename D>
-  [[nodiscard]] Tensor scale_gradient(const Tensor& x, const Tensor& y,
-                                      const Tensor& grad_out, D d) const {
-    check_gradient_sizes(x, y, grad_out);
-    Tensor g = grad_out;
-    const float* xv = x.data();
-    const float* yv = y.data();
-    float* gv = g.data();
-    for (std::size_t i = 0; i < g.numel(); ++i) gv[i] *= d(xv[i], yv[i]);
-    return g;
-  }
-
   Shape shape_;
   std::size_t numel_;
-
- private:
-  void check_gradient_sizes(const Tensor& x, const Tensor& y,
-                            const Tensor& grad_out) const;
 };
 
 /// Rectified linear unit: max(0, x).
@@ -57,8 +43,8 @@ class ReLU final : public Activation {
   }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
@@ -76,8 +62,8 @@ class LeakyReLU final : public Activation {
   }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
@@ -93,8 +79,8 @@ class Sigmoid final : public Activation {
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
@@ -107,8 +93,8 @@ class Tanh final : public Activation {
   [[nodiscard]] std::string name() const override { return "Tanh"; }
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
+#include "util/aligned.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/tile.hpp"
@@ -256,50 +258,159 @@ void Conv2D::forward_one(const float* in, float* out, const float* bias,
   });
 }
 
-Tensor Conv2D::backward(const Tensor& x, const Tensor& /*y*/,
-                        const Tensor& grad_out) {
-  if (x.numel() != input_size() || grad_out.numel() != output_size()) {
-    throw std::invalid_argument(name() + ": gradient size mismatch");
-  }
+void Conv2D::backward_batch(const float* x, const float* /*y*/,
+                            const float* grad_out, float* grad_in,
+                            std::size_t n) {
   const auto& c = cfg_;
   const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(c.padding);
-  Tensor grad_in(input_shape());
-  const float* g = grad_out.data();
-  const float* in = x.data();
+  const std::size_t positions = oh_ * ow_;
+  const std::size_t taps = c.in_channels * c.kernel_h * c.kernel_w;
+  // The parameter gradients as rows of kLanes output channels: one row per
+  // tap, then one for the bias, a tap whose input is 1 (gv * 1 is gv, so
+  // its row adds the bias's terms exactly). Each sample's gradient goes
+  // position-major, [position][channel], and its input into a zero-padded
+  // plane with one more channel of ones for the bias tap, so a position's
+  // taps are loads at fixed offsets from its window.
+  constexpr std::size_t kLanes = kConvGradTile.samples;
+  const std::size_t lanes = (c.out_channels + kLanes - 1) / kLanes * kLanes;
+  const std::size_t ph = c.in_height + 2 * c.padding;
+  const std::size_t pw = c.in_width + 2 * c.padding;
+  const std::size_t padded = ph * pw;
+  thread_local AlignedFloats sums_buffer, gpos_buffer, plane_buffer;
+  thread_local std::vector<std::size_t> offsets;
+  float* sums = grown(sums_buffer, (taps + 1) * lanes);
+  float* gpos = grown(gpos_buffer, positions * lanes);
+  float* plane = grown(plane_buffer, (c.in_channels + 1) * padded);
+  std::fill_n(sums, (taps + 1) * lanes, 0.0F);
+  std::fill_n(gpos, positions * lanes, 0.0F);
+  std::fill_n(plane, c.in_channels * padded, 0.0F);
+  std::fill_n(plane + c.in_channels * padded, padded, 1.0F);
   for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        const float gv = g[(oc * oh_ + oy) * ow_ + ox];
-        if (gv == 0.0F) continue;
-        gb_[oc] += gv;
-        for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
-          for (std::size_t ky = 0; ky < c.kernel_h; ++ky) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * c.stride + ky) - pad;
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(c.in_height)) {
-              continue;
+    for (std::size_t t = 0; t < taps; ++t) {
+      sums[t * lanes + oc] = gw_[oc * taps + t];
+    }
+    sums[taps * lanes + oc] = gb_[oc];
+  }
+  offsets.resize(taps + 1);
+  for (std::size_t t = 0; t < taps; ++t) {
+    const std::size_t ic = t / (c.kernel_h * c.kernel_w);
+    const std::size_t r = t / c.kernel_w % c.kernel_h;
+    offsets[t] = ic * padded + r * pw + t % c.kernel_w;
+  }
+  offsets[taps] = c.in_channels * padded;
+  dispatch_kernel([&] {
+    // kLanes channels as one vector. Given an array of accumulators
+    // instead, GCC's vectoriser transposed them at every position.
+    using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
+    // U taps (rows of sums) × the channels from oc0, over every position
+    // of one sample in order: each lane adds gv * tap, skipped by a blend
+    // where gv is zero and, at a border position, for a tap outside the
+    // image.
+    const auto tile = [&]<std::size_t U, std::size_t>(std::size_t t0,
+                                                      std::size_t oc0) {
+      Lanes acc[U];
+      std::size_t off[U], row[U], col[U];
+      for (std::size_t k = 0; k < U; ++k) {
+        std::memcpy(&acc[k], sums + (t0 + k) * lanes + oc0, sizeof(Lanes));
+        off[k] = offsets[t0 + k];
+        row[k] = (t0 + k) / c.kernel_w % c.kernel_h;
+        col[k] = (t0 + k) % c.kernel_w;
+      }
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        const TapRange ky = taps_inside(std::ptrdiff_t(oy * c.stride) - pad,
+                                        c.in_height, c.kernel_h);
+        for (std::size_t ox = 0; ox < ow_; ++ox) {
+          const TapRange kx = taps_inside(std::ptrdiff_t(ox * c.stride) - pad,
+                                          c.in_width, c.kernel_w);
+          Lanes gv;
+          std::memcpy(&gv, gpos + (oy * ow_ + ox) * lanes + oc0, sizeof(Lanes));
+          const auto live = gv != 0.0F;
+          const float* window = plane + oy * c.stride * pw + ox * c.stride;
+          const bool border = ky.lo != 0 || ky.hi != c.kernel_h ||
+                              kx.lo != 0 || kx.hi != c.kernel_w;
+          if (!border) {
+            for (std::size_t k = 0; k < U; ++k) {
+              const Lanes sum = acc[k] + gv * window[off[k]];
+              acc[k] = live ? sum : acc[k];
             }
-            for (std::size_t kx = 0; kx < c.kernel_w; ++kx) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * c.stride + kx) - pad;
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(c.in_width)) {
-                continue;
+            continue;
+          }
+          for (std::size_t k = 0; k < U; ++k) {
+            if (t0 + k < taps && (row[k] < ky.lo || row[k] >= ky.hi ||
+                                  col[k] < kx.lo || col[k] >= kx.hi)) {
+              continue;  // a tap outside the image
+            }
+            const Lanes sum = acc[k] + gv * window[off[k]];
+            acc[k] = live ? sum : acc[k];
+          }
+        }
+      }
+      for (std::size_t k = 0; k < U; ++k) {
+        std::memcpy(sums + (t0 + k) * lanes + oc0, &acc[k], sizeof(Lanes));
+      }
+    };
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
+        for (std::size_t iy = 0; iy < c.in_height; ++iy) {
+          float* row = plane + ic * padded + (iy + c.padding) * pw + c.padding;
+          const float* from = x + (ic * c.in_height + iy) * c.in_width * n + s;
+          for (std::size_t ix = 0; ix < c.in_width; ++ix) {
+            row[ix] = from[ix * n];
+          }
+        }
+      }
+      for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+        const float* from = grad_out + oc * positions * n + s;
+        for (std::size_t p = 0; p < positions; ++p) {
+          gpos[p * lanes + oc] = from[p * n];
+        }
+      }
+      for (std::size_t oc0 = 0; oc0 < lanes; oc0 += kLanes) {
+        detail::tile_neurons<kConvGradTile.neurons, kLanes>(0, taps + 1, oc0,
+                                                            tile);
+      }
+    }
+  });
+  for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+    for (std::size_t t = 0; t < taps; ++t) {
+      gw_[oc * taps + t] = sums[t * lanes + oc];
+    }
+    gb_[oc] = sums[taps * lanes + oc];
+  }
+  if (grad_in == nullptr) return;
+  // grad_in: each input adds its terms from +0 in the order of the output
+  // positions and taps that reach it, across the samples' lanes, skipping
+  // a zero gv.
+  std::fill_n(grad_in, input_size() * n, 0.0F);
+  dispatch_kernel([&] {
+    for (std::size_t oc = 0; oc < c.out_channels; ++oc) {
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        const std::ptrdiff_t y0 = std::ptrdiff_t(oy * c.stride) - pad;
+        const TapRange ky = taps_inside(y0, c.in_height, c.kernel_h);
+        for (std::size_t ox = 0; ox < ow_; ++ox) {
+          const std::ptrdiff_t x0 = std::ptrdiff_t(ox * c.stride) - pad;
+          const TapRange kx = taps_inside(x0, c.in_width, c.kernel_w);
+          const float* g = grad_out + ((oc * oh_ + oy) * ow_ + ox) * n;
+          for (std::size_t ic = 0; ic < c.in_channels; ++ic) {
+            for (std::size_t r = ky.lo; r < ky.hi; ++r) {
+              const std::size_t iy = std::size_t(y0 + std::ptrdiff_t(r));
+              for (std::size_t q = kx.lo; q < kx.hi; ++q) {
+                const std::size_t ix = std::size_t(x0 + std::ptrdiff_t(q));
+                const float wv = w_[oc * taps +
+                                    (ic * c.kernel_h + r) * c.kernel_w + q];
+                float* gi =
+                    grad_in + ((ic * c.in_height + iy) * c.in_width + ix) * n;
+                for (std::size_t s = 0; s < n; ++s) {
+                  const float a = gi[s] + g[s] * wv;
+                  gi[s] = g[s] != 0.0F ? a : gi[s];
+                }
               }
-              const std::size_t widx =
-                  ((oc * c.in_channels + ic) * c.kernel_h + ky) * c.kernel_w +
-                  kx;
-              const std::size_t iidx =
-                  (ic * c.in_height + std::size_t(iy)) * c.in_width +
-                  std::size_t(ix);
-              gw_[widx] += gv * in[iidx];
-              grad_in[iidx] += gv * w_[widx];
             }
           }
         }
       }
     }
-  }
-  return grad_in;
+  });
 }
 
 Conv2DGeometry Conv2D::geometry() const noexcept {

@@ -29,8 +29,8 @@ class Conv2D final : public AffineLayer {
 
   void forward_fused(const float* in, float* out, std::size_t n,
                      const Epilogue& ep) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_fused(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out, const Epilogue& ep) const override;

@@ -1,9 +1,10 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/linalg.hpp"
+#include "util/aligned.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
 #include "util/tile.hpp"
@@ -13,6 +14,24 @@
 #endif
 
 namespace ranm {
+
+namespace {
+
+/// Column s of a neuron-major batch of n samples (`dim` rows of n) to
+/// row s of `out` (n rows of `dim`): out[s * dim + j] = rows[j * n + s],
+/// in blocks of 16 rows, so the runs each sample is written stay in L1.
+void transpose_columns(const float* rows, std::size_t dim, std::size_t n,
+                       float* out) noexcept {
+  constexpr std::size_t kBlock = 16;
+  for (std::size_t j0 = 0; j0 < dim; j0 += kBlock) {
+    const std::size_t j1 = std::min(dim, j0 + kBlock);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t j = j0; j < j1; ++j) out[s * dim + j] = rows[j * n + s];
+    }
+  }
+}
+
+}  // namespace
 
 Dense::Dense(std::size_t in, std::size_t out)
     : in_(in),
@@ -71,22 +90,66 @@ void Dense::forward_fused(const float* in, float* out, std::size_t n,
   if (!ep.identity()) dispatch_kernel([&] { ep.apply(out, out, out_ * n); });
 }
 
-Tensor Dense::backward(const Tensor& x, const Tensor& /*y*/,
-                       const Tensor& grad_out) {
-  if (x.numel() != in_ || grad_out.numel() != out_) {
-    throw std::invalid_argument(name() + ": gradient size mismatch");
-  }
-  const Tensor g = grad_out.rank() == 1 ? grad_out : grad_out.reshaped({out_});
-  // gw_ += g xᵀ in place, row by row: each element adds the float product
-  // g[o] * x[p] once, with no out × in temporary.
-  const float* xv = x.data();
+void Dense::backward_batch(const float* x, const float* /*y*/,
+                           const float* grad_out, float* grad_in,
+                           std::size_t n) {
+  // gb_: each output's terms in sample order.
+  float* gb = gb_.data();
   for (std::size_t o = 0; o < out_; ++o) {
-    const float go = g[o];
-    float* row = gw_.data() + o * in_;
-    for (std::size_t p = 0; p < in_; ++p) row[p] += go * xv[p];
+    const float* g = grad_out + o * n;
+    float b = gb[o];
+    for (std::size_t s = 0; s < n; ++s) b += g[s];
+    gb[o] = b;
   }
-  gb_ += g;
-  return matvec_t(w_, g);
+  // Per block of kBlock inputs, W = its width when it is a full block:
+  // - gw_ += g xᵀ, with no skip. The inputs go sample-major, so the
+  //   block of a weight row adds one sample's products at a time across
+  //   its lanes, and every element adds its samples in order.
+  // - grad_in = Wᵀ g, per sample: each input adds its terms in output
+  //   order from +0, skipping the outputs whose gradient is zero (the
+  //   sums of the per-sample matvec).
+  // Both keep the block of xt or of W in L1 across the rows or samples.
+  thread_local AlignedFloats xt_buffer;
+  float* xt = grown(xt_buffer, n * in_);
+  transpose_columns(x, in_, n, xt);
+  constexpr std::size_t kBlock = 64;
+  float* gw = gw_.data();
+  const float* w = w_.data();
+  dispatch_kernel([&] {
+    const auto block = [&]<std::size_t W>(std::size_t p0, std::size_t width) {
+      const std::size_t lanes = W == 0 ? width : W;
+      float acc[kBlock];
+      for (std::size_t o = 0; o < out_; ++o) {
+        const float* g = grad_out + o * n;
+        float* row = gw + o * in_ + p0;
+        for (std::size_t t = 0; t < lanes; ++t) acc[t] = row[t];
+        for (std::size_t s = 0; s < n; ++s) {
+          const float gv = g[s];
+          const float* xs = xt + s * in_ + p0;
+          for (std::size_t t = 0; t < lanes; ++t) acc[t] += gv * xs[t];
+        }
+        for (std::size_t t = 0; t < lanes; ++t) row[t] = acc[t];
+      }
+      if (grad_in == nullptr) return;
+      for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t t = 0; t < lanes; ++t) acc[t] = 0.0F;
+        for (std::size_t o = 0; o < out_; ++o) {
+          const float gv = grad_out[o * n + s];
+          if (gv == 0.0F) continue;
+          const float* wr = w + o * in_ + p0;
+          for (std::size_t t = 0; t < lanes; ++t) acc[t] += gv * wr[t];
+        }
+        for (std::size_t t = 0; t < lanes; ++t) {
+          grad_in[(p0 + t) * n + s] = acc[t];
+        }
+      }
+    };
+    std::size_t p0 = 0;
+    for (; p0 + kBlock <= in_; p0 += kBlock) {
+      block.template operator()<kBlock>(p0, kBlock);
+    }
+    if (p0 < in_) block.template operator()<0>(p0, in_ - p0);
+  });
 }
 
 Zonotope Dense::propagate(const Zonotope& in) const {

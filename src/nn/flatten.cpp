@@ -16,12 +16,12 @@ void Flatten::forward_batch(const float* in, float* out,
   std::copy_n(in, n * shape_numel(in_shape_), out);
 }
 
-Tensor Flatten::backward(const Tensor& /*x*/, const Tensor& /*y*/,
-                         const Tensor& grad_out) {
-  if (grad_out.numel() != input_size()) {
-    throw std::invalid_argument("Flatten: gradient size mismatch");
+void Flatten::backward_batch(const float* /*x*/, const float* /*y*/,
+                             const float* grad_out, float* grad_in,
+                             std::size_t n) {
+  if (grad_in != nullptr) {
+    std::copy_n(grad_out, n * shape_numel(in_shape_), grad_in);
   }
-  return grad_out.reshaped(in_shape_);
 }
 
 Zonotope Flatten::propagate(const Zonotope& in) const { return in; }

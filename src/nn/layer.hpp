@@ -2,13 +2,13 @@
 //
 // The paper models a trained DNN as G = g_n ∘ ... ∘ g_1 with fixed
 // parameters. Each Layer here is one g_k. Every layer implements one
-// concrete forward kernel over a neuron-major batch and two *abstract
-// transformers* — a batched one for the interval (box) domain, run on a
-// BoundBackend's kernels, and one for the zonotope domain, which the
-// affine layers run on those same two kernels (a zonotope's generators
-// are a neuron-major batch) — which is what lets the monitor construction
-// compute the perturbation estimate of Definition 1 with either bound
-// engine.
+// concrete forward kernel and one backward kernel (for training) over a
+// neuron-major batch, and two *abstract transformers* — a batched one for
+// the interval (box) domain, run on a BoundBackend's kernels, and one for
+// the zonotope domain, which the affine layers run on those same two
+// kernels (a zonotope's generators are a neuron-major batch) — which is
+// what lets the monitor construction compute the perturbation estimate of
+// Definition 1 with either bound engine.
 //
 // Layers fix their input shape at construction time so that the kernels
 // and abstract transformers can operate on flat vectors (row-major CHW
@@ -32,8 +32,8 @@ class Rng;
 /// reentrant: the forward kernel, the abstract transformers and the shape
 /// queries keep no per-call state, so any number of threads may share one
 /// layer.
-/// Only training mutates it — backward() accumulates parameter gradients
-/// and the optimiser updates parameters().
+/// Only training mutates it — backward_batch() accumulates parameter
+/// gradients and the optimiser updates parameters().
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -74,11 +74,24 @@ class Layer {
   /// elements; the result has output_shape().
   [[nodiscard]] Tensor forward(const Tensor& x) const;
 
-  /// Gradient of the loss w.r.t. this layer's input, given the input `x`
-  /// of a forward() call, its output `y` = forward(x), and the gradient
-  /// w.r.t. that output. Accumulates parameter gradients (+=).
-  [[nodiscard]] virtual Tensor backward(const Tensor& x, const Tensor& y,
-                                        const Tensor& grad_out) = 0;
+  /// Backward kernel over n neuron-major samples, the layout of
+  /// forward_batch: `x` holds the input rows of a forward_batch call, `y`
+  /// its output rows, and `grad_out` the gradient of the loss w.r.t. those
+  /// outputs (output_size() rows of n). Adds every sample's parameter
+  /// gradient to gradients(), and unless `grad_in` is null writes the
+  /// gradient w.r.t. the inputs to its input_size() rows of n; a null
+  /// `grad_in` computes no input gradient at all. The activations read
+  /// only `y` (each derivative is a function of the output) and the other
+  /// layers only `x`, so the one a layer does not read may be null.
+  ///
+  /// The bits do not depend on the batch: each parameter-gradient element
+  /// adds its per-sample terms in sample order, and each sample's terms in
+  /// the layer's own fixed order, so one call over n samples equals n
+  /// one-sample calls in sample order. Unchecked: the caller validates the
+  /// buffer sizes, and the buffers must not overlap.
+  virtual void backward_batch(const float* x, const float* y,
+                              const float* grad_out, float* grad_in,
+                              std::size_t n) = 0;
 
   /// Sound zonotope transfer function.
   [[nodiscard]] virtual Zonotope propagate(const Zonotope& in) const = 0;

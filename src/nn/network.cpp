@@ -1,7 +1,9 @@
 // The batched passes, forward_batch and propagate_box_batch (and
 // propagate_ball_batch, which starts the box pass from the inputs), run a
 // batch in blocks of 32 samples through two reused per-thread scratch
-// buffers, one step per kernel call. add() plans the steps once: a Conv2D
+// buffers, one step per kernel call; train_step runs a whole minibatch
+// through the same steps and keeps every step's output for the backward
+// kernels. add() plans the steps once: a Conv2D
 // or Dense layer and the ReLU or LeakyReLU after it are one step, whose
 // kernel applies the activation as an epilogue (util/epilogue.hpp) before
 // its outputs leave it, and Flatten is a view step that runs nothing. A
@@ -23,6 +25,7 @@
 
 #include "nn/activations.hpp"
 #include "nn/flatten.hpp"
+#include "util/tile.hpp"
 
 namespace ranm {
 
@@ -149,23 +152,21 @@ BoxScratch& box_scratch() {
   return scratch;
 }
 
-/// The blocked transpose behind pack_neuron_major and the balls of
-/// propagate_ball_batch. For each block of kPackBlock elements, every
-/// group of kPackSamples samples gathers its values of one element into a
-/// run that store(offset, values, count) writes at the run's neuron-major
-/// offset; the samples left over store runs of one.
-template <typename Store>
-void pack_blocked(std::span<const Tensor> inputs, std::size_t dim,
+/// The blocked transpose behind pack_neuron_major, the balls of
+/// propagate_ball_batch and the minibatch of train_step, over the n
+/// samples sample(0), ..., sample(n - 1). For each block of kPackBlock
+/// elements, every group of kPackSamples samples gathers its values of one
+/// element into a run that store(offset, values, count) writes at the
+/// run's neuron-major offset; the samples left over store runs of one.
+template <typename Sample, typename Store>
+void pack_blocked(std::size_t n, Sample&& sample, std::size_t dim,
                   std::size_t stride, Store&& store) noexcept {
-  const std::size_t n = inputs.size();
   for (std::size_t j0 = 0; j0 < dim; j0 += kPackBlock) {
     const std::size_t j1 = std::min(dim, j0 + kPackBlock);
     std::size_t i = 0;
     for (; i + kPackSamples <= n; i += kPackSamples) {
       const float* x[kPackSamples];
-      for (std::size_t t = 0; t < kPackSamples; ++t) {
-        x[t] = inputs[i + t].data();
-      }
+      for (std::size_t t = 0; t < kPackSamples; ++t) x[t] = sample(i + t);
       for (std::size_t j = j0; j < j1; ++j) {
         float run[kPackSamples];
         for (std::size_t t = 0; t < kPackSamples; ++t) run[t] = x[t][j];
@@ -173,7 +174,7 @@ void pack_blocked(std::span<const Tensor> inputs, std::size_t dim,
       }
     }
     for (; i < n; ++i) {
-      const float* x = inputs[i].data();
+      const float* x = sample(i);
       for (std::size_t j = j0; j < j1; ++j) store(j * stride + i, x + j, 1);
     }
   }
@@ -209,10 +210,11 @@ void copy_columns(const BoxBatch& from, std::size_t from_col, BoxBatch& to,
 
 void pack_neuron_major(std::span<const Tensor> inputs, std::size_t dim,
                        std::size_t stride, float* out) noexcept {
-  pack_blocked(inputs, dim, stride,
-               [out](std::size_t at, const float* v, std::size_t count) {
-                 std::copy_n(v, count, out + at);
-               });
+  pack_blocked(
+      inputs.size(), [inputs](std::size_t i) { return inputs[i].data(); },
+      dim, stride, [out](std::size_t at, const float* v, std::size_t count) {
+        std::copy_n(v, count, out + at);
+      });
 }
 
 Network::Step Network::step(std::size_t first, std::size_t k) const noexcept {
@@ -316,27 +318,96 @@ FeatureBatch Network::forward_batch(std::span<const Tensor> inputs) const {
   return forward_batch(layers_.size(), inputs);
 }
 
-void Network::forward_trace(const Tensor& x, std::vector<Tensor>& acts) const {
+void Network::train_step(std::span<const Tensor> inputs,
+                         std::span<const Tensor> targets,
+                         std::span<const std::size_t> rows, const Loss& loss,
+                         float grad_scale, double& loss_sum) {
   if (layers_.empty()) throw std::logic_error("Network: no layers");
-  acts.resize(layers_.size() + 1);
-  acts[0] = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    acts[i + 1] = layers_[i]->forward(acts[i]);
+  const std::size_t n = rows.size();
+  const std::size_t in_dim = layers_.front()->input_size();
+  for (const std::size_t r : rows) {
+    if (r >= inputs.size() || r >= targets.size()) {
+      throw std::invalid_argument("Network::train_step: row " +
+                                  std::to_string(r) + " out of range");
+    }
+    if (inputs[r].numel() != in_dim) {
+      throw std::invalid_argument(
+          "Network::train_step: input " + std::to_string(r) + " has " +
+          std::to_string(inputs[r].numel()) + " elements, expected " +
+          std::to_string(in_dim));
+    }
   }
-}
+  if (n == 0) return;
 
-Tensor Network::backward(std::span<const Tensor> acts,
-                         const Tensor& grad_out) {
-  if (layers_.empty()) throw std::logic_error("Network: no layers");
-  if (acts.size() != layers_.size() + 1) {
-    throw std::invalid_argument(
-        "Network::backward: need one activation per layer plus the input");
+  // The forward pass keeps the packed minibatch and every step's output in
+  // one buffer: layer l's output rows start at at[l] (at[0]: the input),
+  // a view's are its input's, and kept[l] is false for the affine layer
+  // of a fused step, whose own output no kernel writes.
+  const std::size_t count = layers_.size();
+  std::vector<std::size_t> at(count + 1, 0);
+  std::vector<bool> kept(count + 1, true);
+  std::size_t size = in_dim * n;
+  std::size_t width = in_dim;
+  for (std::size_t i = 1; i <= count;) {
+    const Step s = step(i, count);
+    width = std::max(width, layers_[s.first - 1]->output_size());
+    if (s.view) {
+      at[s.first] = at[s.first - 1];
+    } else {
+      at[s.last] = size;
+      size += layers_[s.last - 1]->output_size() * n;
+      kept[s.first] = s.first == s.last;
+    }
+    i = s.last + 1;
   }
-  Tensor g = grad_out;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->backward(acts[i], acts[i + 1], g);
+  thread_local AlignedFloats acts_buffer, grads_buffer;
+  float* acts = grown(acts_buffer, size);
+  float* grads = grown(grads_buffer, 2 * width * n);
+  pack_blocked(
+      n, [&](std::size_t i) { return inputs[rows[i]].data(); }, in_dim, n,
+      [acts](std::size_t to, const float* v, std::size_t len) {
+        std::copy_n(v, len, acts + to);
+      });
+  for (std::size_t i = 1; i <= count;) {
+    const Step s = step(i, count);
+    if (!s.view) forward_step(s, acts + at[s.first - 1], acts + at[s.last], n);
+    i = s.last + 1;
   }
-  return g;
+
+  // The loss per sample in order, its gradient into the column.
+  const float* out = acts + at[count];
+  const std::size_t out_dim = layers_.back()->output_size();
+  float* grad = grads;
+  float* spare = grads + width * n;
+  Tensor prediction(layers_.back()->output_shape());
+  std::vector<float> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < out_dim; ++j) prediction[j] = out[j * n + i];
+    LossResult lr = loss.evaluate(prediction, targets[rows[i]]);
+    if (lr.grad.numel() != out_dim) {
+      throw std::invalid_argument(
+          "Network::train_step: loss gradient size mismatch");
+    }
+    values[i] = lr.value;
+    lr.grad *= grad_scale;
+    for (std::size_t j = 0; j < out_dim; ++j) grad[j * n + i] = lr.grad[j];
+  }
+  for (const float v : values) loss_sum += v;
+
+  // Backward from the last layer down to the first with parameters: the
+  // layers before it train nothing, so it computes no input gradient.
+  std::size_t first_trained = count + 1;
+  for (std::size_t l = 1; l <= count && first_trained > count; ++l) {
+    if (!layers_[l - 1]->parameters().empty()) first_trained = l;
+  }
+  for (std::size_t l = count; l >= first_trained; --l) {
+    // An affine layer reads only its input and an activation only its
+    // output, so the output a fused step drops is never read.
+    layers_[l - 1]->backward_batch(kept[l - 1] ? acts + at[l - 1] : nullptr,
+                                   kept[l] ? acts + at[l] : nullptr, grad,
+                                   l == first_trained ? nullptr : spare, n);
+    std::swap(grad, spare);
+  }
 }
 
 BoxBatch Network::propagate_box_batch(std::size_t l, std::size_t k,
@@ -439,7 +510,9 @@ BoxBatch Network::propagate_ball_batch(std::size_t kp, std::size_t k,
     };
     const std::span<const Tensor> block = inputs.subspan(c0, b);
     if (kp == 0) {
-      pack_blocked(block, in_dim, b, ball_around);
+      pack_blocked(
+          b, [block](std::size_t i) { return block[i].data(); }, in_dim, b,
+          ball_around);
     } else {
       float* src = concrete.ping.data();
       pack_neuron_major(block, in_dim, b, src);

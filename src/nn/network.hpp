@@ -8,6 +8,7 @@
 
 #include "core/feature_batch.hpp"
 #include "nn/layer.hpp"
+#include "nn/loss.hpp"
 
 namespace ranm {
 
@@ -70,11 +71,11 @@ class Network {
       std::span<const Tensor> inputs) const;
 
   /// One kernel call of a batched pass (forward_batch,
-  /// propagate_box_batch): layers first..last, 1-indexed. A Conv2D or
-  /// Dense layer and the ReLU or LeakyReLU after it are one step (last =
-  /// first + 1) whose affine kernel applies the activation before its
-  /// outputs leave it. A Flatten layer is a view step: batches are already
-  /// flat, so the pass relabels its rows and runs nothing.
+  /// propagate_box_batch, train_step): layers first..last, 1-indexed. A
+  /// Conv2D or Dense layer and the ReLU or LeakyReLU after it are one step
+  /// (last = first + 1) whose affine kernel applies the activation before
+  /// its outputs leave it. A Flatten layer is a view step: batches are
+  /// already flat, so the pass relabels its rows and runs nothing.
   struct Step {
     std::size_t first = 0;
     std::size_t last = 0;
@@ -99,16 +100,24 @@ class Network {
   float* forward_steps(std::size_t l, std::size_t k, float* cur, float* spare,
                        std::size_t n, float* out) const noexcept;
 
-  /// Full forward pass keeping every activation for backward():
-  /// acts[0] = x and acts[i] = G^i(x), so acts.back() = G(x). The caller
-  /// owns `acts` (training keeps one list per step).
-  void forward_trace(const Tensor& x, std::vector<Tensor>& acts) const;
-
-  /// Backward pass through all layers over the activations forward_trace
-  /// recorded for one sample; accumulates parameter gradients and returns
-  /// the gradient w.r.t. the input.
-  [[nodiscard]] Tensor backward(std::span<const Tensor> acts,
-                                const Tensor& grad_out);
+  /// One minibatch training step over inputs[rows[i]] and
+  /// targets[rows[i]], i = 0..rows.size()-1. The rows are packed
+  /// neuron-major and run through the steps of forward_batch, keeping
+  /// every step's output; the loss is evaluated per sample in order, its
+  /// value added to `loss_sum` and its gradient scaled by `grad_scale`;
+  /// then each layer's backward_batch runs over the minibatch from the
+  /// last layer down to the first one with parameters, which computes no
+  /// input gradient. A fused step needs no pre-activations, since its
+  /// activation's derivative reads the output (Activation). Adds each
+  /// sample's parameter gradient to gradients(), sample after sample, so
+  /// the result does not depend on how the samples are split into steps.
+  /// Throws std::invalid_argument, before any gradient or `loss_sum`
+  /// changes, if a row is out of range, an input has the wrong element
+  /// count or the loss rejects a target.
+  void train_step(std::span<const Tensor> inputs,
+                  std::span<const Tensor> targets,
+                  std::span<const std::size_t> rows, const Loss& loss,
+                  float grad_scale, double& loss_sum);
 
   /// Sound box propagation through layers l..k (1 <= l <= k <= n) on the
   /// given bound backend's batched layer kernels, in the steps of

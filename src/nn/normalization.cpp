@@ -39,14 +39,16 @@ void Normalization::forward_batch(const float* in, float* out,
   }
 }
 
-Tensor Normalization::backward(const Tensor& /*x*/, const Tensor& /*y*/,
-                               const Tensor& grad_out) {
-  if (grad_out.numel() != input_size()) {
-    throw std::invalid_argument("Normalization: gradient size mismatch");
+void Normalization::backward_batch(const float* /*x*/, const float* /*y*/,
+                                   const float* grad_out, float* grad_in,
+                                   std::size_t n) {
+  if (grad_in == nullptr) return;
+  for (std::size_t j = 0; j < inv_std_.size(); ++j) {
+    const float s = inv_std_[j];
+    const float* g = grad_out + j * n;
+    float* gi = grad_in + j * n;
+    for (std::size_t i = 0; i < n; ++i) gi[i] = g[i] * s;
   }
-  Tensor g = grad_out;
-  for (std::size_t i = 0; i < g.numel(); ++i) g[i] *= inv_std_[i];
-  return g;
 }
 
 void Normalization::propagate_batch(const BoundBackend& backend,

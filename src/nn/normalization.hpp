@@ -26,8 +26,8 @@ class Normalization final : public Layer {
 
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;

@@ -1,7 +1,10 @@
 #include "nn/optimizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "util/isa.hpp"
 
 namespace ranm {
 
@@ -35,12 +38,20 @@ SGD::SGD(std::vector<Tensor*> params, std::vector<Tensor*> grads,
 }
 
 void SGD::update(std::size_t i, Tensor& param, const Tensor& grad) {
-  Tensor& vel = velocity_[i];
-  for (std::size_t j = 0; j < param.numel(); ++j) {
-    const float g = grad[j] + cfg_.weight_decay * param[j];
-    vel[j] = cfg_.momentum * vel[j] - cfg_.learning_rate * g;
-    param[j] += vel[j];
-  }
+  const float lr = cfg_.learning_rate;
+  const float momentum = cfg_.momentum;
+  const float decay = cfg_.weight_decay;
+  float* p = param.data();
+  const float* gr = grad.data();
+  float* vel = velocity_[i].data();
+  const std::size_t count = param.numel();
+  dispatch_kernel([&] {
+    for (std::size_t j = 0; j < count; ++j) {
+      const float g = gr[j] + decay * p[j];
+      vel[j] = momentum * vel[j] - lr * g;
+      p[j] += vel[j];
+    }
+  });
 }
 
 Adam::Adam(std::vector<Tensor*> params, std::vector<Tensor*> grads,
@@ -61,16 +72,40 @@ void Adam::update(std::size_t i, Tensor& param, const Tensor& grad) {
   const auto t = static_cast<float>(t_);
   const float bc1 = 1.0F - std::pow(cfg_.beta1, t);
   const float bc2 = 1.0F - std::pow(cfg_.beta2, t);
-  Tensor& m = m_[i];
-  Tensor& v = v_[i];
-  for (std::size_t j = 0; j < param.numel(); ++j) {
-    const float g = grad[j] + cfg_.weight_decay * param[j];
-    m[j] = cfg_.beta1 * m[j] + (1.0F - cfg_.beta1) * g;
-    v[j] = cfg_.beta2 * v[j] + (1.0F - cfg_.beta2) * g * g;
-    const float mhat = m[j] / bc1;
-    const float vhat = v[j] / bc2;
-    param[j] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.epsilon);
-  }
+  const float lr = cfg_.learning_rate;
+  const float beta1 = cfg_.beta1;
+  const float beta2 = cfg_.beta2;
+  const float keep1 = 1.0F - beta1;
+  const float keep2 = 1.0F - beta2;
+  const float epsilon = cfg_.epsilon;
+  const float decay = cfg_.weight_decay;
+  float* p = param.data();
+  const float* gr = grad.data();
+  float* m = m_[i].data();
+  float* v = v_[i].data();
+  const std::size_t count = param.numel();
+  root_.resize(std::max(root_.size(), count));
+  float* root = root_.data();
+  // The moments, then the square roots in a loop of their own: GCC
+  // vectorises a sqrt only without errno, which only the whole
+  // translation unit's flags can turn off, and a scalar sqrt call in the
+  // moments' loop would keep all of it scalar. Every operation is
+  // correctly rounded, so the split changes no bits.
+  dispatch_kernel([&] {
+    for (std::size_t j = 0; j < count; ++j) {
+      const float g = gr[j] + decay * p[j];
+      m[j] = beta1 * m[j] + keep1 * g;
+      v[j] = beta2 * v[j] + keep2 * g * g;
+      root[j] = v[j] / bc2;
+    }
+  });
+  for (std::size_t j = 0; j < count; ++j) root[j] = std::sqrt(root[j]);
+  dispatch_kernel([&] {
+    for (std::size_t j = 0; j < count; ++j) {
+      const float mhat = m[j] / bc1;
+      p[j] -= lr * mhat / (root[j] + epsilon);
+    }
+  });
 }
 
 }  // namespace ranm

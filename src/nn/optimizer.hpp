@@ -64,8 +64,8 @@ class Adam final : public Optimizer {
  private:
   Config cfg_;
   std::vector<Tensor> m_, v_;
+  std::vector<float> root_;  // scratch: one parameter tensor's sqrt(v̂)
   std::size_t t_ = 0;
-  std::size_t step_of_last_update_ = 0;
 };
 
 }  // namespace ranm

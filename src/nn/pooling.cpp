@@ -1,5 +1,7 @@
 #include "nn/pooling.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -46,21 +48,6 @@ Pool2DGeometry Pooling::geometry() const noexcept {
 std::string MaxPool2D::name() const {
   return "MaxPool2D(k=" + std::to_string(cfg_.window) +
          ", s=" + std::to_string(cfg_.stride) + ")";
-}
-
-MaxPool2D::WindowMax MaxPool2D::window_max(
-    const float* in, std::size_t ch, std::size_t oy,
-    std::size_t ox) const noexcept {
-  WindowMax best{-std::numeric_limits<float>::infinity(), 0};
-  for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-    for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-      const std::size_t iy = oy * cfg_.stride + ky;
-      const std::size_t ix = ox * cfg_.stride + kx;
-      const std::size_t idx = (ch * cfg_.in_height + iy) * cfg_.in_width + ix;
-      if (in[idx] > best.value) best = {in[idx], idx};
-    }
-  }
-  return best;
 }
 
 void MaxPool2D::forward_batch(const float* in, float* out,
@@ -159,21 +146,52 @@ void MaxPool2D::forward_one(const float* in, float* out) const noexcept {
   });
 }
 
-Tensor MaxPool2D::backward(const Tensor& x, const Tensor& /*y*/,
-                           const Tensor& grad_out) {
-  if (x.numel() != input_size() || grad_out.numel() != output_size()) {
-    throw std::invalid_argument(name() + ": gradient size mismatch");
-  }
-  Tensor grad_in(input_shape());
-  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        grad_in[window_max(x.data(), ch, oy, ox).index] +=
-            grad_out[(ch * oh_ + oy) * ow_ + ox];
+void MaxPool2D::backward_batch(const float* x, const float* /*y*/,
+                               const float* grad_out, float* grad_in,
+                               std::size_t n) {
+  if (grad_in == nullptr) return;  // no parameters
+  std::fill_n(grad_in, input_size() * n, 0.0F);
+  const std::size_t plane = cfg_.in_height * cfg_.in_width;
+  dispatch_kernel([&] {
+    // Each output's window max across a run of samples, branch-free: the
+    // first strictly greater input, from -inf, in the forward kernel's
+    // window order, so the first maximum wins on ties. A window with no
+    // input above -inf keeps flat input index 0. Then each sample's
+    // gradient goes to its maximum, in output order.
+    constexpr std::size_t kRun = 16;
+    for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        for (std::size_t ox = 0; ox < ow_; ++ox) {
+          const float* g = grad_out + ((ch * oh_ + oy) * ow_ + ox) * n;
+          for (std::size_t s0 = 0; s0 < n; s0 += kRun) {
+            const std::size_t run = std::min(kRun, n - s0);
+            float best[kRun];
+            std::uint32_t at[kRun];
+            for (std::size_t t = 0; t < kRun; ++t) {
+              best[t] = -std::numeric_limits<float>::infinity();
+              at[t] = 0;
+            }
+            for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+              for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+                const std::size_t iy = oy * cfg_.stride + ky;
+                const std::size_t idx =
+                    ch * plane + iy * cfg_.in_width + ox * cfg_.stride + kx;
+                const float* v = x + idx * n + s0;
+                for (std::size_t t = 0; t < run; ++t) {
+                  const bool above = v[t] > best[t];
+                  best[t] = above ? v[t] : best[t];
+                  at[t] = above ? std::uint32_t(idx) : at[t];
+                }
+              }
+            }
+            for (std::size_t t = 0; t < run; ++t) {
+              grad_in[std::size_t(at[t]) * n + s0 + t] += g[s0 + t];
+            }
+          }
+        }
       }
     }
-  }
-  return grad_in;
+  });
 }
 
 Zonotope MaxPool2D::propagate(const Zonotope& in) const {
@@ -235,28 +253,30 @@ void AvgPool2D::forward_batch(const float* in, float* out,
   });
 }
 
-Tensor AvgPool2D::backward(const Tensor& /*x*/, const Tensor& /*y*/,
-                           const Tensor& grad_out) {
-  if (grad_out.numel() != output_size()) {
-    throw std::invalid_argument(name() + ": gradient size mismatch");
-  }
+void AvgPool2D::backward_batch(const float* /*x*/, const float* /*y*/,
+                               const float* grad_out, float* grad_in,
+                               std::size_t n) {
+  if (grad_in == nullptr) return;  // no parameters
+  std::fill_n(grad_in, input_size() * n, 0.0F);
   const float inv = 1.0F / static_cast<float>(cfg_.window * cfg_.window);
-  Tensor grad_in(input_shape());
-  for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
-    for (std::size_t oy = 0; oy < oh_; ++oy) {
-      for (std::size_t ox = 0; ox < ow_; ++ox) {
-        const float g = grad_out[(ch * oh_ + oy) * ow_ + ox] * inv;
-        for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
-          for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
-            const std::size_t iy = oy * cfg_.stride + ky;
-            const std::size_t ix = ox * cfg_.stride + kx;
-            grad_in[(ch * cfg_.in_height + iy) * cfg_.in_width + ix] += g;
+  dispatch_kernel([&] {
+    for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
+      for (std::size_t oy = 0; oy < oh_; ++oy) {
+        for (std::size_t ox = 0; ox < ow_; ++ox) {
+          const float* g = grad_out + ((ch * oh_ + oy) * ow_ + ox) * n;
+          for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
+            for (std::size_t kx = 0; kx < cfg_.window; ++kx) {
+              const std::size_t iy = oy * cfg_.stride + ky;
+              const std::size_t ix = ox * cfg_.stride + kx;
+              float* gi = grad_in +
+                          ((ch * cfg_.in_height + iy) * cfg_.in_width + ix) * n;
+              for (std::size_t s = 0; s < n; ++s) gi[s] += g[s] * inv;
+            }
           }
         }
       }
     }
-  }
-  return grad_in;
+  });
 }
 
 void AvgPool2D::propagate_batch(const BoundBackend& backend,

@@ -40,8 +40,8 @@ class MaxPool2D final : public Pooling {
   /// Routes each output gradient to its window's argmax, recomputed from
   /// `x` in the forward kernel's window order (first maximum wins on
   /// ties).
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
@@ -50,14 +50,6 @@ class MaxPool2D final : public Pooling {
   /// forward_batch at n = 1, run across the sample's own outputs: row
   /// tiles (util/tile.hpp) of consecutive positions along each row.
   void forward_one(const float* in, float* out) const noexcept;
-
-  struct WindowMax {
-    float value;
-    std::size_t index;  // flat input index
-  };
-  [[nodiscard]] WindowMax window_max(const float* in, std::size_t ch,
-                                     std::size_t oy,
-                                     std::size_t ox) const noexcept;
 };
 
 /// Average pooling (linear, so both abstract transformers are exact).
@@ -67,12 +59,11 @@ class AvgPool2D final : public Pooling {
   [[nodiscard]] std::string name() const override;
   void forward_batch(const float* in, float* out,
                      std::size_t n) const noexcept override;
-  [[nodiscard]] Tensor backward(const Tensor& x, const Tensor& y,
-                                const Tensor& grad_out) override;
+  void backward_batch(const float* x, const float* y, const float* grad_out,
+                      float* grad_in, std::size_t n) override;
   [[nodiscard]] Zonotope propagate(const Zonotope& in) const override;
   void propagate_batch(const BoundBackend& backend, const BoxBatch& in,
                        BoxBatch& out) const override;
-
 };
 
 }  // namespace ranm

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "nn/optimizer.hpp"
@@ -23,24 +24,16 @@ std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
 
   std::vector<EpochStats> history;
   history.reserve(cfg.epochs);
-  std::vector<Tensor> acts;  // one step's activations, reused across steps
+  const float grad_scale = 1.0F / static_cast<float>(cfg.batch_size);
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const auto order = rng.permutation(inputs.size());
     double epoch_loss = 0.0;
-    std::size_t batch_count = 0;
     net.zero_gradients();
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const std::size_t idx = order[pos];
-      net.forward_trace(inputs[idx], acts);
-      LossResult lr = loss.evaluate(acts.back(), targets[idx]);
-      epoch_loss += lr.value;
-      lr.grad *= 1.0F / static_cast<float>(cfg.batch_size);
-      (void)net.backward(acts, lr.grad);
-      ++batch_count;
-      if (batch_count == cfg.batch_size || pos + 1 == order.size()) {
-        optimizer.step();  // also zeroes the gradient accumulators
-        batch_count = 0;
-      }
+    for (std::size_t pos = 0; pos < order.size(); pos += cfg.batch_size) {
+      const std::size_t n = std::min(cfg.batch_size, order.size() - pos);
+      net.train_step(inputs, targets, std::span(order).subspan(pos, n), loss,
+                     grad_scale, epoch_loss);
+      optimizer.step();  // also zeroes the gradient accumulators
     }
     EpochStats stats;
     stats.epoch = epoch;

@@ -26,8 +26,10 @@ struct TrainConfig {
 };
 
 /// Trains `net` in place. `inputs` and `targets` must have equal length.
-/// Gradients are averaged over each mini-batch; the optimiser is stepped
-/// once per batch. Returns per-epoch statistics.
+/// Each epoch shuffles the samples and runs one Network::train_step per
+/// mini-batch of cfg.batch_size (the last may be shorter), its gradients
+/// scaled by 1 / cfg.batch_size, then steps the optimiser. Returns
+/// per-epoch statistics.
 std::vector<EpochStats> train(Network& net, Optimizer& optimizer,
                               const Loss& loss,
                               const std::vector<Tensor>& inputs,

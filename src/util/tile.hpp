@@ -78,6 +78,10 @@ inline constexpr TileShape kBoxAffineTile{3, 16};
 /// Box bounds of AvgPool2D.
 inline constexpr TileShape kBoxAvgPoolTile{1, 16};
 
+/// Conv2D weight gradient (neurons: taps, the bias one more; columns: 8
+/// output channels as one vector).
+inline constexpr TileShape kConvGradTile{8, 8};
+
 // The row tiles of one sample, measured on the lab convnet at batch 1.
 /// Conv2D (neurons: output channels; columns: positions along a row).
 inline constexpr TileShape kConvRowTile{6, 16};
@@ -190,6 +194,15 @@ void run_one_column(const float* in, float* out, std::size_t n,
   for (std::size_t j = 0; j < in_dim; ++j) x[j] = in[j * n + s];
   one(x.data(), y.data());
   for (std::size_t j = 0; j < out_dim; ++j) out[j * n + s] = y[j];
+}
+
+/// Grows the calling thread's scratch `buffer` to at least `size` floats
+/// and returns it; the buffer only grows, so a kernel run again at the
+/// same size allocates nothing.
+template <typename Buffer>
+float* grown(Buffer& buffer, std::size_t size) {
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
 }
 
 }  // namespace ranm

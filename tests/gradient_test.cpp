@@ -1,10 +1,13 @@
 // Numerical gradient checking for every trainable layer: the analytic
-// backward pass must match central finite differences on both the input
-// gradient and the parameter gradients.
+// backward kernel must match central finite differences on both the input
+// gradient and the parameter gradients, on one sample and on the last
+// column of a 3-sample batch.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -25,48 +28,83 @@ float objective(const Layer& layer, const Tensor& x, const Tensor& coef) {
   return acc;
 }
 
+/// Layer's backward_batch with x as column `column` of an n-sample
+/// neuron-major batch: the other columns hold other random inputs, with a
+/// random output gradient, or a zero one when `others_zero` (so they add
+/// nothing to the parameter gradients). Returns that column's input
+/// gradient.
+Tensor backward_column(Layer& layer, const Tensor& x, const Tensor& coef,
+                       Rng& rng, std::size_t n, std::size_t column,
+                       bool others_zero) {
+  const std::size_t in = layer.input_size();
+  const std::size_t out = layer.output_size();
+  std::vector<float> xs(in * n), ys(out * n), gs(out * n), gi(in * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Tensor xi = i == column ? x : Tensor::random_uniform({in}, rng);
+    const Tensor gv = i == column  ? coef
+                      : others_zero ? Tensor({out})
+                                    : Tensor::random_uniform({out}, rng);
+    for (std::size_t j = 0; j < in; ++j) xs[j * n + i] = xi[j];
+    for (std::size_t j = 0; j < out; ++j) gs[j * n + i] = gv[j];
+  }
+  layer.forward_batch(xs.data(), ys.data(), n);
+  layer.backward_batch(xs.data(), ys.data(), gs.data(), gi.data(), n);
+  Tensor grad(layer.input_shape());
+  for (std::size_t j = 0; j < in; ++j) grad[j] = gi[j * n + column];
+  return grad;
+}
+
+/// The input gradient on one sample and on column 2 of a 3-sample batch.
 void check_input_gradient(Layer& layer, const Tensor& x, Rng& rng,
                           float tol = 2e-2F) {
   Tensor coef = Tensor::random_uniform({layer.output_size()}, rng);
-  Tensor analytic = layer.backward(x, layer.forward(x),
-                                   coef.reshaped(layer.output_shape()));
+  for (const auto& [n, column] : {std::pair{1U, 0U}, std::pair{3U, 2U}}) {
+    const Tensor analytic =
+        backward_column(layer, x, coef, rng, n, column, /*others_zero=*/false);
 
-  const float eps = 1e-2F;
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    Tensor xp = x, xm = x;
-    xp[i] += eps;
-    xm[i] -= eps;
-    const float fp = objective(layer, xp, coef);
-    const float fm = objective(layer, xm, coef);
-    const float numeric = (fp - fm) / (2.0F * eps);
-    EXPECT_NEAR(analytic[i], numeric, tol)
-        << layer.name() << " input gradient at " << i;
+    const float eps = 1e-2F;
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      Tensor xp = x, xm = x;
+      xp[i] += eps;
+      xm[i] -= eps;
+      const float fp = objective(layer, xp, coef);
+      const float fm = objective(layer, xm, coef);
+      const float numeric = (fp - fm) / (2.0F * eps);
+      EXPECT_NEAR(analytic[i], numeric, tol)
+          << layer.name() << " input gradient at " << i << ", column "
+          << column << " of " << n;
+    }
   }
 }
 
+/// The parameter gradients on one sample and on column 2 of a 3-sample
+/// batch whose other columns' output gradients are zero.
 void check_param_gradients(Layer& layer, const Tensor& x, Rng& rng,
                            float tol = 2e-2F) {
   Tensor coef = Tensor::random_uniform({layer.output_size()}, rng);
-  for (Tensor* g : layer.gradients()) g->zero();
-  (void)layer.backward(x, layer.forward(x),
-                       coef.reshaped(layer.output_shape()));
+  for (const auto& [n, column] : {std::pair{1U, 0U}, std::pair{3U, 2U}}) {
+    for (Tensor* g : layer.gradients()) g->zero();
+    (void)backward_column(layer, x, coef, rng, n, column,
+                          /*others_zero=*/true);
 
-  auto params = layer.parameters();
-  auto grads = layer.gradients();
-  ASSERT_EQ(params.size(), grads.size());
-  const float eps = 1e-2F;
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    Tensor& param = *params[p];
-    for (std::size_t i = 0; i < param.numel(); ++i) {
-      const float orig = param[i];
-      param[i] = orig + eps;
-      const float fp = objective(layer, x, coef);
-      param[i] = orig - eps;
-      const float fm = objective(layer, x, coef);
-      param[i] = orig;
-      const float numeric = (fp - fm) / (2.0F * eps);
-      EXPECT_NEAR((*grads[p])[i], numeric, tol)
-          << layer.name() << " param " << p << " gradient at " << i;
+    auto params = layer.parameters();
+    auto grads = layer.gradients();
+    ASSERT_EQ(params.size(), grads.size());
+    const float eps = 1e-2F;
+    for (std::size_t p = 0; p < params.size(); ++p) {
+      Tensor& param = *params[p];
+      for (std::size_t i = 0; i < param.numel(); ++i) {
+        const float orig = param[i];
+        param[i] = orig + eps;
+        const float fp = objective(layer, x, coef);
+        param[i] = orig - eps;
+        const float fm = objective(layer, x, coef);
+        param[i] = orig;
+        const float numeric = (fp - fm) / (2.0F * eps);
+        EXPECT_NEAR((*grads[p])[i], numeric, tol)
+            << layer.name() << " param " << p << " gradient at " << i
+            << ", column " << column << " of " << n;
+      }
     }
   }
 }

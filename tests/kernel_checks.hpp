@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,9 +26,12 @@
 #include "nn/dense.hpp"
 #include "nn/flatten.hpp"
 #include "nn/init.hpp"
+#include "nn/loss.hpp"
 #include "nn/network.hpp"
 #include "nn/normalization.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/pooling.hpp"
+#include "nn/trainer.hpp"
 #include "one_box.hpp"
 #include "util/isa.hpp"
 #include "util/rng.hpp"
@@ -303,6 +307,7 @@ inline void expect_same_bytes(std::span<const float> got,
                               std::span<const float> want,
                               const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty()) return;  // memcmp must not see an empty vector's null
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0)
       << what;
@@ -651,20 +656,149 @@ inline void check_zonotope_chains() {
   expect_same_bytes(here, base, "zonotope boxes against the baseline level");
 }
 
+// ---- Backward kernels ----------------------------------------------------
+
+/// The parameter gradients of `layer`, concatenated.
+inline std::vector<float> gradient_values(Layer& layer) {
+  std::vector<float> out;
+  for (const Tensor* g : layer.gradients()) {
+    out.insert(out.end(), g->data(), g->data() + g->numel());
+  }
+  return out;
+}
+
+/// One layer's backward_batch over n samples in one call against n
+/// one-sample calls in sample order, byte for byte: the parameter
+/// gradients they accumulate and every input gradient. The output
+/// gradients hold +0, -0 (every third and fifth element) and an all-zero
+/// column (column 1), so the kernels' zero skips run; every fourth sample
+/// is quantised to quarters, so max-pool windows tie and the activations
+/// see exact zeros. A null grad_in must leave the parameter gradients the
+/// same bytes.
+inline void expect_backward_columns(Layer& layer, Rng& rng) {
+  const std::size_t in = layer.input_size();
+  const std::size_t out = layer.output_size();
+  for (const std::size_t n : {1U, 3U, 16U, 17U}) {
+    std::vector<float> x(in * n), y(out * n), g(out * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < in; ++j) {
+        const float v = rng.uniform_f(-1.0F, 1.0F);
+        x[j * n + i] = i % 4 == 0 ? std::round(v * 4.0F) / 4.0F : v;
+      }
+      for (std::size_t j = 0; j < out; ++j) {
+        const std::size_t e = j * n + i;
+        g[e] = i == 1          ? (j % 2 == 0 ? 0.0F : -0.0F)
+               : e % 3 == 0 ? 0.0F
+               : e % 5 == 0 ? -0.0F
+                            : rng.uniform_f(-1.0F, 1.0F);
+      }
+    }
+    layer.forward_batch(x.data(), y.data(), n);
+    const std::string what = layer.name() + " at n = " + std::to_string(n);
+
+    for (Tensor* t : layer.gradients()) t->zero();
+    std::vector<float> grad_in(in * n);
+    layer.backward_batch(x.data(), y.data(), g.data(), grad_in.data(), n);
+    const std::vector<float> batch = gradient_values(layer);
+
+    for (Tensor* t : layer.gradients()) t->zero();
+    std::vector<float> one_in(in * n), xs(in), ys(out), gs(out), gi(in);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < in; ++j) xs[j] = x[j * n + i];
+      for (std::size_t j = 0; j < out; ++j) {
+        ys[j] = y[j * n + i];
+        gs[j] = g[j * n + i];
+      }
+      layer.backward_batch(xs.data(), ys.data(), gs.data(), gi.data(), 1);
+      for (std::size_t j = 0; j < in; ++j) one_in[j * n + i] = gi[j];
+    }
+    expect_same_bytes(batch, gradient_values(layer),
+                      what + ": parameter gradients");
+    expect_same_bytes(grad_in, one_in, what + ": input gradients");
+
+    for (Tensor* t : layer.gradients()) t->zero();
+    layer.backward_batch(x.data(), y.data(), g.data(), nullptr, n);
+    expect_same_bytes(batch, gradient_values(layer),
+                      what + ": parameter gradients without grad_in");
+  }
+}
+
+// Every layer kind's backward kernel at batch sizes 1, 3, 16 and 17:
+// Dense inside one block of inputs and across blocks with a remainder;
+// Conv2D padded like the lab convnet's (6 channels in 8 lanes), strided
+// and unpadded over 2 channels, and with 9 output channels (two lane
+// vectors) and a 5 × 5 kernel whose padding leaves windows of the border
+// rows almost empty; MaxPool2D in tiles and overlapping; AvgPool2D; and
+// Flatten, Normalization and the four activations.
+inline void check_backward_columns() {
+  Rng rng(37);
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Dense>(37, 5));
+  layers.push_back(std::make_unique<Dense>(150, 9));
+  const auto conv = [](std::size_t in_c, std::size_t side, std::size_t out_c,
+                       std::size_t k, std::size_t stride, std::size_t pad) {
+    Conv2D::Config cfg;
+    cfg.in_channels = in_c;
+    cfg.in_height = side;
+    cfg.in_width = side + 1;
+    cfg.out_channels = out_c;
+    cfg.kernel_h = k;
+    cfg.kernel_w = k;
+    cfg.stride = stride;
+    cfg.padding = pad;
+    return std::make_unique<Conv2D>(cfg);
+  };
+  layers.push_back(conv(1, 8, 6, 3, 1, 1));
+  layers.push_back(conv(2, 9, 3, 3, 2, 0));
+  layers.push_back(conv(1, 6, 9, 5, 1, 3));
+  const auto pool = [](std::size_t window, std::size_t stride) {
+    Pooling::Config cfg;
+    cfg.channels = 3;
+    cfg.in_height = 6;
+    cfg.in_width = 7;
+    cfg.window = window;
+    cfg.stride = stride;
+    return cfg;
+  };
+  layers.push_back(std::make_unique<MaxPool2D>(pool(2, 2)));
+  layers.push_back(std::make_unique<MaxPool2D>(pool(3, 1)));
+  layers.push_back(std::make_unique<AvgPool2D>(pool(3, 2)));
+  layers.push_back(std::make_unique<Flatten>(Shape{2, 3, 4}));
+  layers.push_back(std::make_unique<Normalization>(
+      Shape{2, 5}, random_stats(10, rng, -0.5F, 0.5F),
+      random_stats(10, rng, 0.5F, 2.0F)));
+  layers.push_back(std::make_unique<ReLU>(Shape{13}));
+  layers.push_back(std::make_unique<LeakyReLU>(Shape{13}, 0.1F));
+  layers.push_back(std::make_unique<Sigmoid>(Shape{13}));
+  layers.push_back(std::make_unique<Tanh>(Shape{13}));
+  for (auto& layer : layers) {
+    for (Tensor* p : layer->parameters()) {
+      for (std::size_t i = 0; i < p->numel(); ++i) {
+        (*p)[i] = rng.uniform_f(-0.6F, 0.6F);
+      }
+    }
+    expect_backward_columns(*layer, rng);
+  }
+}
+
 // ---- Training ----------------------------------------------------------
+
+// FNV-1a step over the raw bytes of one float.
+inline std::uint64_t hash_float(std::uint64_t h, float v) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  for (int b = 0; b < 4; ++b) {
+    h ^= (bits >> (8 * b)) & 0xFFU;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 // FNV-1a over the raw bytes of every trainable parameter.
 inline std::uint64_t weight_hash(Network& net) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const Tensor* p : net.parameters()) {
-    for (std::size_t i = 0; i < p->numel(); ++i) {
-      std::uint32_t bits = 0;
-      std::memcpy(&bits, p->data() + i, sizeof(bits));
-      for (int b = 0; b < 4; ++b) {
-        h ^= (bits >> (8 * b)) & 0xFFU;
-        h *= 1099511628211ULL;
-      }
-    }
+    for (std::size_t i = 0; i < p->numel(); ++i) h = hash_float(h, (*p)[i]);
   }
   return h;
 }
@@ -687,6 +821,124 @@ inline void check_lab_convnet_training_golden() {
   cfg.seed = 5;
   LabSetup setup = make_lab_setup(cfg);
   EXPECT_EQ(weight_hash(setup.net), 18152838330587704031ULL);
+}
+
+// Golden, recorded on the per-sample trainer the minibatch step replaced:
+// the lab convnet at the shape perfbench trains (32×32, 6 channels,
+// hidden 32), 2 epochs over 100 samples, so each epoch ends on a short
+// minibatch of 4 and the next one starts from zeroed gradients. The hash
+// covers every weight and the last epoch's mean loss.
+inline void check_lab_convnet_full_shape_golden() {
+  LabConfig cfg;
+  cfg.train_samples = 100;
+  cfg.test_samples = 1;
+  cfg.ood_samples = 1;
+  cfg.epochs = 2;
+  cfg.seed = 11;
+  LabSetup setup = make_lab_setup(cfg);
+  EXPECT_EQ(hash_float(weight_hash(setup.net), setup.final_train_loss),
+            1937976383117587073ULL);
+}
+
+// A chain with a backward pass of every kind: Normalization, a strided
+// unpadded Conv2D over 2 channels with its ReLU fused, AvgPool2D, Tanh, an
+// overlapping MaxPool2D (window 2, stride 1), Sigmoid, Flatten, and Dense
+// with ReLU fused before the Dense head. Every fourth input is quantised
+// to quarters, so max-pool windows tie and ReLU sees exact zeros.
+inline Network backward_chain(Rng& rng) {
+  Network net;
+  const Shape in{2, 9, 9};
+  net.emplace<Normalization>(
+      in, random_stats(shape_numel(in), rng, -0.2F, 0.2F),
+      random_stats(shape_numel(in), rng, 0.5F, 2.0F));
+  Conv2D::Config conv;
+  conv.in_channels = 2;
+  conv.in_height = 9;
+  conv.in_width = 9;
+  conv.out_channels = 3;
+  conv.stride = 2;
+  conv.padding = 0;
+  net.emplace<Conv2D>(conv);  // 3 x 4 x 4
+  net.emplace<ReLU>(Shape{3, 4, 4});
+  Pooling::Config avg;
+  avg.channels = 3;
+  avg.in_height = 4;
+  avg.in_width = 4;
+  avg.window = 2;
+  avg.stride = 1;
+  net.emplace<AvgPool2D>(avg);  // 3 x 3 x 3
+  net.emplace<Tanh>(Shape{3, 3, 3});
+  Pooling::Config max = avg;
+  max.in_height = 3;
+  max.in_width = 3;
+  net.emplace<MaxPool2D>(max);  // 3 x 2 x 2
+  net.emplace<Sigmoid>(Shape{3, 2, 2});
+  net.emplace<Flatten>(Shape{3, 2, 2});
+  net.emplace<Dense>(12, 5);
+  net.emplace<ReLU>(Shape{5});
+  net.emplace<Dense>(5, 3);
+  randomise(net, rng);
+  return net;
+}
+
+// 37 training pairs for backward_chain (a short last minibatch of 5 at
+// batch 8): MSE targets in [-1, 1]^3, or a class index in {0, 1, 2}.
+inline void backward_chain_data(Rng& rng, bool classes,
+                                std::vector<Tensor>& inputs,
+                                std::vector<Tensor>& targets) {
+  for (std::size_t i = 0; i < 37; ++i) {
+    Tensor x = Tensor::random_uniform({2, 9, 9}, rng, -1.0F, 1.0F);
+    if (i % 4 == 0) {
+      for (std::size_t j = 0; j < x.numel(); ++j) {
+        x[j] = std::round(x[j] * 4.0F) / 4.0F;
+      }
+    }
+    inputs.push_back(std::move(x));
+    if (classes) {
+      targets.push_back(Tensor::vector({static_cast<float>(i % 3)}));
+    } else {
+      targets.push_back(Tensor::random_uniform({3}, rng, -1.0F, 1.0F));
+    }
+  }
+}
+
+// Golden, recorded on the per-sample trainer the minibatch step replaced:
+// backward_chain trained 3 epochs at batch 8, under SGD with momentum and
+// weight decay on MSE, and under Adam on softmax cross-entropy. The hashes
+// cover every weight and every epoch's mean loss.
+inline void check_backward_chain_training_golden() {
+  const auto run = [](bool adam) {
+    Rng rng(adam ? 31 : 29);
+    Network net = backward_chain(rng);
+    std::vector<Tensor> inputs, targets;
+    backward_chain_data(rng, adam, inputs, targets);
+    std::uint64_t h = 1469598103934665603ULL;
+    TrainConfig cfg;
+    cfg.epochs = 3;
+    cfg.batch_size = 8;
+    cfg.on_epoch = [&h](const EpochStats& s) {
+      EXPECT_TRUE(std::isfinite(s.mean_loss));
+      h = hash_float(h, s.mean_loss);
+    };
+    if (adam) {
+      Adam::Config ac;
+      ac.learning_rate = 1e-2F;
+      Adam opt(net.parameters(), net.gradients(), ac);
+      SoftmaxCrossEntropyLoss loss;
+      (void)train(net, opt, loss, inputs, targets, cfg, rng);
+    } else {
+      SGD::Config sc;
+      sc.learning_rate = 0.05F;
+      sc.weight_decay = 1e-3F;
+      SGD opt(net.parameters(), net.gradients(), sc);
+      MSELoss loss;
+      (void)train(net, opt, loss, inputs, targets, cfg, rng);
+    }
+    return h ^ weight_hash(net);
+  };
+  EXPECT_EQ(run(false), 14514655589470451824ULL) << "SGD + MSE";
+  EXPECT_EQ(run(true), 6101747300938125536ULL)
+      << "Adam + softmax cross-entropy";
 }
 
 // ---- Box bounds: vectorized against reference --------------------------

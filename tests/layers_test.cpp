@@ -155,8 +155,10 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   cfg.in_width = 2;
   MaxPool2D pool(cfg);
   Tensor x({1, 2, 2}, std::vector<float>{1, 4, 2, 3});
-  Tensor g = pool.backward(x, pool.forward(x),
-                           Tensor({1, 1, 1}, std::vector<float>{10.0F}));
+  const Tensor y = pool.forward(x);
+  const float grad_out = 10.0F;
+  Tensor g(x.shape());
+  pool.backward_batch(x.data(), y.data(), &grad_out, g.data(), 1);
   EXPECT_FLOAT_EQ(g[1], 10.0F);  // the max (value 4) received the gradient
   EXPECT_FLOAT_EQ(g[0], 0.0F);
   EXPECT_FLOAT_EQ(g[2], 0.0F);
@@ -179,8 +181,11 @@ TEST(Flatten, RoundTripShape) {
   Tensor x({2, 3, 4}, 1.0F);
   Tensor y = f.forward(x);
   EXPECT_EQ(y.shape(), (Shape{24}));
-  Tensor g = f.backward(x, y, Tensor({24}, 2.0F));
+  const Tensor grad_out({24}, 2.0F);
+  Tensor g(f.input_shape());
+  f.backward_batch(x.data(), y.data(), grad_out.data(), g.data(), 1);
   EXPECT_EQ(g.shape(), (Shape{2, 3, 4}));
+  for (std::size_t i = 0; i < g.numel(); ++i) EXPECT_EQ(g[i], 2.0F);
 }
 
 TEST(Pooling, WindowLargerThanInputThrows) {

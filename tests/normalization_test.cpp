@@ -40,7 +40,10 @@ TEST(Normalization, BackwardScalesGradient) {
   Normalization norm(Shape{2}, std::vector<float>{0.0F, 0.0F},
                      std::vector<float>{2.0F, 4.0F});
   const Tensor x = Tensor::vector({1.0F, 1.0F});
-  Tensor g = norm.backward(x, norm.forward(x), Tensor::vector({1.0F, 1.0F}));
+  const Tensor grad_out = Tensor::vector({1.0F, 1.0F});
+  Tensor g({2});
+  norm.backward_batch(x.data(), norm.forward(x).data(), grad_out.data(),
+                      g.data(), 1);
   EXPECT_FLOAT_EQ(g[0], 2.0F);
   EXPECT_FLOAT_EQ(g[1], 4.0F);
 }

@@ -52,6 +52,16 @@ TEST_P(KernelIsa, LabConvnetTrainingGolden) {
   check_lab_convnet_training_golden();
 }
 
+TEST_P(KernelIsa, BackwardColumns) { check_backward_columns(); }
+
+TEST_P(KernelIsa, LabConvnetFullShapeTrainingGolden) {
+  check_lab_convnet_full_shape_golden();
+}
+
+TEST_P(KernelIsa, BackwardChainTrainingGolden) {
+  check_backward_chain_training_golden();
+}
+
 TEST_P(KernelIsa, BackendDiffChains) {
   check_random_mlp_chains();
   check_conv_norm_pool_chain();

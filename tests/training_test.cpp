@@ -181,5 +181,15 @@ TEST(Trainer, LabConvnetOneEpochWeightsAreGolden) {
   check_lab_convnet_training_golden();
 }
 
+// The same at the lab convnet's full shape, and on a chain with every
+// backward kind under both optimisers and losses (kernel_checks.hpp).
+TEST(Trainer, LabConvnetFullShapeWeightsAreGolden) {
+  check_lab_convnet_full_shape_golden();
+}
+
+TEST(Trainer, BackwardChainWeightsAreGolden) {
+  check_backward_chain_training_golden();
+}
+
 }  // namespace
 }  // namespace ranm
