@@ -20,6 +20,7 @@
 #include "core/multi_layer_monitor.hpp"
 #include "core/sharded_monitor.hpp"
 #include "nn/init.hpp"
+#include "oracle.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -83,56 +84,22 @@ TEST(BatchQuery, MinMaxMatchesScalar) {
   }
 }
 
+// The BDD family runs through the shared verdict oracle (oracle.hpp):
+// flat and 4-shard, standard and robust, cube and node-array lowerings,
+// probes at thresholds, +-0, +-inf and NaN.
 TEST(BatchQuery, OnOffStandardAndRobustMatchScalar) {
-  Rng rng(202);
-  for (int trial = 0; trial < 5; ++trial) {
-    const std::size_t dim = 1 + rng.below(10);
-    IntervalMonitor standard(random_spec(dim, 1, rng));
-    IntervalMonitor robust(random_spec(dim, 1, rng));
-    for (int s = 0; s < 15; ++s) {
-      const auto v = random_feature(dim, rng);
-      standard.observe(v);
-      // Wide bounds produce don't-care bits, exercising the BDD cube
-      // insertion with unconstrained variables.
-      std::vector<float> lo(v), hi(v);
-      for (std::size_t j = 0; j < dim; ++j) {
-        const float d = float(rng.uniform());
-        lo[j] -= d;
-        hi[j] += d;
-      }
-      robust.observe_bounds(lo, hi);
-    }
-    check_all_batch_sizes(standard, rng, "onoff standard");
-    check_all_batch_sizes(robust, rng, "onoff robust");
-  }
+  oracle::check_interval_matrix(1, 202);
 }
 
 TEST(BatchQuery, IntervalStandardAndRobustMatchScalar) {
-  Rng rng(303);
-  for (const std::size_t bits : {1UL, 2UL, 3UL}) {
-    const std::size_t dim = 1 + rng.below(8);
-    IntervalMonitor standard(random_spec(dim, bits, rng));
-    IntervalMonitor robust(random_spec(dim, bits, rng));
-    for (int s = 0; s < 15; ++s) {
-      const auto v = random_feature(dim, rng);
-      standard.observe(v);
-      std::vector<float> lo(v), hi(v);
-      for (std::size_t j = 0; j < dim; ++j) {
-        const float d = float(rng.uniform() * 1.5);
-        lo[j] -= d;
-        hi[j] += d;
-      }
-      robust.observe_bounds(lo, hi);
-    }
-    check_all_batch_sizes(standard, rng, "interval standard");
-    check_all_batch_sizes(robust, rng, "interval robust");
-  }
+  oracle::check_interval_matrix(2, 303);
+  oracle::check_interval_matrix(3, 404);
 }
 
 TEST(BatchQuery, EmptyBddSetNeverContains) {
   Rng rng(99);
-  IntervalMonitor m(random_spec(4, 1, rng));  // nothing observed
-  check_all_batch_sizes(m, rng, "onoff empty set");
+  IntervalMonitor m(oracle::random_spec(4, 1, rng));  // nothing observed
+  oracle::expect_engines_agree(m, oracle::probe_batches(4, {}, rng));
 }
 
 TEST(BatchQuery, BoxClusterMatchesScalar) {
@@ -396,13 +363,12 @@ TEST(BatchQuery, NanFeaturesMatchScalarSemantics) {
       batch.at(0, i) = i % 3 == 0 ? nan : float(i) * 0.1F;
       batch.at(1, i) = i % 5 == 0 ? nan : 0.5F;
     }
-    for (const Monitor* m :
-         {static_cast<const Monitor*>(&minmax),
-          static_cast<const Monitor*>(&onoff),
-          static_cast<const Monitor*>(&interval),
-          static_cast<const Monitor*>(&boxes)}) {
+    for (const Monitor* m : {static_cast<const Monitor*>(&minmax),
+                             static_cast<const Monitor*>(&boxes)}) {
       expect_batch_matches_scalar(*m, batch, "NaN batch");
     }
+    oracle::expect_engines_agree(onoff, {batch});
+    oracle::expect_engines_agree(interval, {batch});
   }
 }
 

@@ -6,9 +6,10 @@
 // monitor must answer contains / contains_batch exactly like the monitor
 // it was lowered from — including NaN features, empty batches, size-1
 // batches, and batch sizes that are not multiples of any internal lane
-// width. Both lowering paths for the BDD families are exercised: the
-// bounded cube cover (default) and the flat node array (forced via
-// cube_limit = 0). BDD programs on both sides of the evaluator crossover
+// width. The BDD families run through the shared verdict oracle
+// (oracle.hpp), with data that reaches both lowerings: covers within the
+// cube limit and covers beyond it, which lower to the flat node array.
+// BDD programs on both sides of the evaluator crossover
 // (compile::kBddWalkHopCost) pin the bit-parallel sweep and the
 // interleaved walk to the same verdicts.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "compile/compiled_monitor.hpp"
@@ -26,6 +28,7 @@
 #include "core/minmax_monitor.hpp"
 #include "core/neuron_stats.hpp"
 #include "core/sharded_monitor.hpp"
+#include "oracle.hpp"
 #include "util/rng.hpp"
 
 namespace ranm {
@@ -33,7 +36,6 @@ namespace {
 
 using compile::compile_monitor;
 using compile::CompiledMonitor;
-using compile::CompileOptions;
 using compile::kBddWalkHopCost;
 
 std::vector<float> random_feature(std::size_t dim, Rng& rng) {
@@ -140,31 +142,37 @@ std::unique_ptr<Monitor> build_flat(Family family, std::size_t dim,
 
 TEST(CompiledMonitor, FlatFamiliesMatchBitForBit) {
   Rng rng(4242);
-  for (const Family family : {Family::kMinMax, Family::kOnOff,
-                              Family::kInterval, Family::kBoxCluster}) {
+  for (const Family family : {Family::kMinMax, Family::kBoxCluster}) {
     for (const bool robust : {false, true}) {
       for (const bool with_nan : {false, true}) {
-        // cube_limit 0 forces the BDD families onto the flat-node-array
-        // path; the default lowers small covers to bitmask cubes. Both
-        // must agree with the interpreter.
-        for (const std::size_t cube_limit : {std::size_t(64),
-                                             std::size_t(0)}) {
-          SCOPED_TRACE("family=" + std::to_string(int(family)) +
-                       (robust ? " robust" : " standard") +
-                       (with_nan ? " nan" : "") + " cube_limit=" +
-                       std::to_string(cube_limit));
-          const std::size_t dim = 5 + rng.below(6);
-          std::vector<std::vector<float>> stored;
-          const std::unique_ptr<Monitor> interpreted =
-              build_flat(family, dim, robust, rng, stored);
-          const CompiledMonitor compiled =
-              compile_monitor(*interpreted, CompileOptions{cube_limit});
-          EXPECT_EQ(compiled.shard_count(), 1U);
-          EXPECT_EQ(compiled.source(), interpreted->describe());
-          expect_match(*interpreted, compiled, dim, stored, with_nan, rng);
-        }
+        SCOPED_TRACE("family=" + std::to_string(int(family)) +
+                     (robust ? " robust" : " standard") +
+                     (with_nan ? " nan" : ""));
+        const std::size_t dim = 5 + rng.below(6);
+        std::vector<std::vector<float>> stored;
+        const std::unique_ptr<Monitor> interpreted =
+            build_flat(family, dim, robust, rng, stored);
+        const CompiledMonitor compiled = compile_monitor(*interpreted);
+        EXPECT_EQ(compiled.shard_count(), 1U);
+        EXPECT_EQ(compiled.source(), interpreted->describe());
+        expect_match(*interpreted, compiled, dim, stored, with_nan, rng);
       }
     }
+  }
+  // On-off and interval: few observations lower to a cube cover, many to
+  // the node array; the oracle checks both against the scalar walk.
+  std::uint64_t seed = 4243;
+  for (const std::size_t bits : {1UL, 2UL}) {
+    std::set<compile::ProgramKind> kinds;
+    for (const bool robust : {false, true}) {
+      for (const std::size_t observations : {15UL, 150UL}) {
+        const auto got = oracle::check_interval_case(
+            {bits, robust, 1, observations, seed++});
+        kinds.insert(got.begin(), got.end());
+      }
+    }
+    EXPECT_EQ(kinds.count(compile::ProgramKind::kCube), 1U) << bits;
+    EXPECT_EQ(kinds.count(compile::ProgramKind::kBdd), 1U) << bits;
   }
 }
 
@@ -181,11 +189,20 @@ TEST(CompiledMonitor, ShardedMatchesBitForBit) {
             shards % 2 == 0 ? ShardStrategy::kContiguous
                             : ShardStrategy::kRoundRobin,
             dim, shards);
-        ShardedMonitor interpreted =
-            family == 0 ? ShardedMonitor::minmax(plan)
-            : family == 1
-                ? ShardedMonitor::interval(plan, random_spec(dim, 1, rng))
-                : ShardedMonitor::interval(plan, random_spec(dim, 2, rng));
+        if (family != 0) {
+          // The BDD family: the oracle's thresholds and probes, queried
+          // inline and on 4 threads after a lowering on the monitor's
+          // own pool.
+          ShardedMonitor interpreted = ShardedMonitor::interval(
+              plan, oracle::random_spec(dim, std::size_t(family), rng));
+          const auto stored = oracle::observe(interpreted, robust, 15, rng);
+          interpreted.set_threads(shards > 1 ? 3 : 1);
+          const auto probes = oracle::probe_batches(dim, stored, rng);
+          oracle::expect_engines_agree(interpreted, probes);
+          oracle::expect_engines_agree(interpreted, probes, 4);
+          continue;
+        }
+        ShardedMonitor interpreted = ShardedMonitor::minmax(plan);
         std::vector<std::vector<float>> stored;
         observe_all(interpreted, dim, robust, rng, stored);
         // Parallel shard lowering (on the monitor's own pool) must
@@ -245,24 +262,6 @@ TEST(CompiledMonitor, MovedMonitorsMatchScalar) {
   check(*moved_compiled, "moved compiled");
 }
 
-TEST(CompiledMonitor, CubeAndBddLoweringsAgree) {
-  Rng rng(555);
-  const std::size_t dim = 8;
-  IntervalMonitor interpreted(random_spec(dim, 2, rng));
-  std::vector<std::vector<float>> stored;
-  // Robust observations produce don't-care variables, the cube-friendly
-  // case the default lowering is built for.
-  observe_all(interpreted, dim, true, rng, stored);
-  const CompiledMonitor as_cubes =
-      compile_monitor(interpreted, CompileOptions{1U << 20});
-  const CompiledMonitor as_bdd =
-      compile_monitor(interpreted, CompileOptions{0});
-  EXPECT_GT(as_bdd.total_nodes(), 0U);
-  EXPECT_EQ(as_bdd.total_cubes(), 0U);
-  expect_match(interpreted, as_cubes, dim, stored, true, rng);
-  expect_match(interpreted, as_bdd, dim, stored, true, rng);
-}
-
 /// Supported variables of a BDD unit: the cost model's path-length bound.
 std::size_t supported_vars(const compile::CompiledUnit& unit) {
   std::size_t vars = 0;
@@ -303,11 +302,15 @@ TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
                        " shards=" + std::to_string(shards) + " bits=" +
                        std::to_string(bits) +
                        (robust ? " robust" : " standard"));
-          // Per shard: 20 variables and 1500 random patterns put the
-          // program past kBddWalkHopCost * 64 * vars nodes; 6 neurons
-          // and 15 patterns keep it under kBddWalkHopCost * 8 * vars.
-          const std::size_t dim = shards * (large ? 20 / bits : 6);
-          const std::size_t count = large ? 1500 : 15;
+          // Large: per shard 20 variables and 1500 random patterns put
+          // the program past kBddWalkHopCost * 64 * vars nodes. Small:
+          // per 8-neuron shard, every neuron below all its thresholds or
+          // above them all, an even number above: 128 words whose cover
+          // needs 128 cubes (past the cube limit, so the node array) while
+          // the parity BDD stays under kBddWalkHopCost * 8 * vars nodes.
+          const std::size_t per_shard = large ? 20 / bits : 8;
+          const std::size_t dim = shards * per_shard;
+          const std::size_t count = large ? 1500 : 128;
           const ThresholdSpec spec = random_spec(dim, bits, rng);
           const ShardPlan plan = ShardPlan::contiguous(dim, shards);
           std::unique_ptr<Monitor> interpreted;
@@ -319,7 +322,15 @@ TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
           }
           std::vector<std::vector<float>> stored;
           for (std::size_t i = 0; i < count; ++i) {
-            std::vector<float> v = random_feature(dim, rng);
+            std::vector<float> v(dim);
+            if (large) {
+              v = random_feature(dim, rng);
+            } else {
+              const std::size_t word = i | ((std::popcount(i) % 2) << 7);
+              for (std::size_t j = 0; j < dim; ++j) {
+                v[j] = (word >> (j % per_shard)) & 1U ? 3.0F : -3.0F;
+              }
+            }
             stored.push_back(v);
             if (robust) {
               // Narrow boxes: a few straddled thresholds per pattern.
@@ -334,9 +345,7 @@ TEST(CompiledMonitor, BddEvaluatorsAgreeAcrossTheCrossover) {
               interpreted->observe(v);
             }
           }
-          // cube_limit 0: always the flat node array.
-          CompiledMonitor compiled =
-              compile_monitor(*interpreted, CompileOptions{0});
+          CompiledMonitor compiled = compile_monitor(*interpreted);
           expect_crossover_side(compiled, large);
           if (shards == 1) {
             EXPECT_EQ(compiled.total_nodes(),
