@@ -4,6 +4,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "io/serialize.hpp"
 #include "io/wire.hpp"
 
 namespace ranm::compile {
@@ -42,18 +43,11 @@ void save_unit(std::ostream& out, const CompiledUnit& unit) {
     }
     case ProgramKind::kCube:
     case ProgramKind::kBdd: {
-      const CodingTable& ct = unit.coding;
-      write_u64(out, ct.bits);
-      const std::size_t m = ct.thresholds_per_neuron();
-      for (std::size_t j = 0; j < ct.dim; ++j) {
-        for (std::size_t t = 0; t < m; ++t) {
-          write_pod(out, ct.values[j * m + t]);
-          write_pod(out, ct.inclusive[j * m + t]);
-        }
-      }
+      write_u64(out, unit.coding->bits());
+      write_threshold_table(out, *unit.coding);
       if (unit.kind == ProgramKind::kCube) {
         const CubeProgram& p = unit.cube;
-        const std::size_t W = ct.num_words();
+        const std::size_t W = unit.coding->num_words();
         write_u64(out, p.num_cubes);
         for (std::size_t c = 0; c < p.num_cubes; ++c) {
           for (std::size_t w = 0; w < W; ++w) {
@@ -79,23 +73,6 @@ void save_unit(std::ostream& out, const CompiledUnit& unit) {
   throw std::invalid_argument("save_compiled_monitor: corrupt program kind");
 }
 
-CodingTable load_coding(std::istream& in, std::uint64_t dim) {
-  CodingTable ct;
-  ct.dim = static_cast<std::size_t>(dim);
-  const std::uint64_t bits = read_u64(in);
-  if (bits == 0 || bits > 16) fail("implausible coding bits");
-  ct.bits = static_cast<std::size_t>(bits);
-  const std::size_t m = ct.thresholds_per_neuron();
-  (void)bounded_numel({dim, m});  // table allocation bound
-  ct.values.resize(ct.dim * m);
-  ct.inclusive.resize(ct.dim * m);
-  for (std::size_t k = 0; k < ct.dim * m; ++k) {
-    ct.values[k] = read_pod<float>(in);
-    ct.inclusive[k] = read_pod<std::uint8_t>(in);
-  }
-  return ct;
-}
-
 CompiledUnit load_unit(std::istream& in, std::uint64_t expected_dim) {
   const std::uint32_t kind_raw = read_u32(in);
   const std::uint64_t dim = read_dim_u64(in);
@@ -118,11 +95,12 @@ CompiledUnit load_unit(std::istream& in, std::uint64_t expected_dim) {
     }
     case std::uint32_t(ProgramKind::kCube): {
       unit.kind = ProgramKind::kCube;
-      unit.coding = load_coding(in, dim);
+      unit.coding = read_threshold_table(in, dim, read_u64(in),
+                                         "load_compiled_monitor");
       CubeProgram& p = unit.cube;
       // W derives from the coding table, never from the stream — one
       // fewer field that could disagree with the allocation size.
-      const std::size_t W = unit.coding.num_words();
+      const std::size_t W = unit.coding->num_words();
       const std::uint64_t num_cubes = read_dim_u64(in);
       p.num_cubes = static_cast<std::size_t>(num_cubes);
       const std::uint64_t numel = bounded_numel({num_cubes, W});
@@ -140,10 +118,11 @@ CompiledUnit load_unit(std::istream& in, std::uint64_t expected_dim) {
     }
     case std::uint32_t(ProgramKind::kBdd): {
       unit.kind = ProgramKind::kBdd;
-      unit.coding = load_coding(in, dim);
+      unit.coding = read_threshold_table(in, dim, read_u64(in),
+                                         "load_compiled_monitor");
       BddProgram& p = unit.bdd;
       const std::uint64_t node_count = read_dim_u64(in);
-      const std::uint64_t num_vars = unit.coding.num_vars();
+      const std::uint64_t num_vars = unit.coding->num_vars();
       p.root = read_u32(in);
       if (p.root >= 2 && std::uint64_t(p.root) - 2 >= node_count) {
         fail("bdd root out of range");

@@ -12,8 +12,9 @@
 //     u32  program kind         1 = box, 2 = cube, 3 = bdd
 //     u64  unit dim             must match the shard's neuron count
 //     box:  u64 num_boxes, u8 reject_nan, f32 lo[], f32 hi[] (box-major)
-//     cube/bdd: coding table (u64 bits, then per neuron 2^bits - 1
-//       threshold values (f32) + inclusivity flags (u8))
+//     cube/bdd: coding table (u64 bits, then the ThresholdSpec table
+//       bytes an RTS1 spec also writes: per neuron 2^bits - 1 pairs of
+//       threshold value (f32) + inclusive flag (u8))
 //     cube: u64 num_cubes, per cube W mask words + W value words
 //       (W derived from dim and bits, never read from the stream)
 //     bdd:  u64 node_count, u32 root, per node u32 var + u32 lo + u32 hi
@@ -22,8 +23,11 @@
 // allocates from it, and the BDD loader re-validates the structural
 // invariants evaluation termination rests on: child refs are terminals or
 // strictly larger than their parent's ref, vars are in range, and the
-// root is in bounds. A corrupted artifact fails loudly on the check — the
-// PR 1 loader-bug class must not recur here.
+// root is in bounds. The coding table is a ThresholdSpec, whose
+// constructor refuses flags other than 0 or 1 and values that do not
+// ascend strictly (NaN included): every engine reads the flags the same
+// way only because no other byte can load. A corrupted artifact fails
+// loudly on the check; a loader that trusts the writer must not recur.
 #pragma once
 
 #include <cstdint>

@@ -71,8 +71,8 @@ bool CompiledMonitor::contains(std::span<const float> feature) const {
   return out;
 }
 
-std::shared_ptr<const Program> CompiledMonitor::lower_program(
-    std::size_t) const {
+std::shared_ptr<const Program> CompiledMonitor::lower_program()
+    const {
   return program_;
 }
 

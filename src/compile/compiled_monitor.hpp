@@ -52,9 +52,9 @@ class CompiledMonitor final : public Monitor {
                             const FeatureBatch& hi) override;
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
-  /// The frozen program itself, whatever the cube limit.
-  [[nodiscard]] std::shared_ptr<const Program> lower_program(
-      std::size_t cube_limit) const override;
+  /// The frozen program itself.
+  [[nodiscard]] std::shared_ptr<const Program> lower_program()
+      const override;
 
   // ---- compiled-monitor surface ------------------------------------------
 

@@ -6,33 +6,21 @@
 namespace ranm::compile {
 namespace {
 
-CodingTable lower_coding(const ThresholdSpec& spec) {
-  CodingTable ct;
-  ct.dim = spec.dimension();
-  ct.bits = spec.bits();
-  const std::size_t m = ct.thresholds_per_neuron();
-  ct.values.resize(ct.dim * m);
-  ct.inclusive.resize(ct.dim * m);
-  for (std::size_t j = 0; j < ct.dim; ++j) {
-    const auto ts = spec.thresholds(j);
-    for (std::size_t t = 0; t < m; ++t) {
-      ct.values[j * m + t] = ts[t].value;
-      ct.inclusive[j * m + t] = ts[t].inclusive_below ? 1 : 0;
-    }
-  }
-  return ct;
-}
+/// Largest cube cover worth lowering to bitmask compares; a BDD whose
+/// cover is larger (or whose enumeration exceeds the work bound) lowers
+/// to a flat node array instead.
+constexpr std::size_t kCubeLimit = 64;
 
 /// Bounded cube-cover extraction: DFS over the BDD, one cube per path to
 /// TRUE, variables not on the path as don't-cares (mask bit clear).
-/// Aborts (returns false) past `cube_limit` covers or past the work
+/// Aborts (returns false) past kCubeLimit cubes or past the work
 /// bound — path counts can blow up combinatorially on dense sets even
 /// when the node count is small, so the visit counter, not just the cube
 /// counter, bounds the enumeration. BDD variable v is bit v of the
-/// CodingTable layout.
+/// ThresholdSpec code word.
 bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
                    std::size_t num_vars, std::size_t num_words,
-                   std::size_t cube_limit, CubeProgram& out) {
+                   CubeProgram& out) {
   out.num_cubes = 0;
   out.mask.clear();
   out.value.clear();
@@ -42,7 +30,7 @@ bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
     out.num_cubes = 1;
     out.mask.assign(num_words, 0ULL);
     out.value.assign(num_words, 0ULL);
-    return cube_limit >= 1;
+    return true;
   }
   std::vector<std::uint64_t> mask(num_words, 0ULL), value(num_words, 0ULL);
   struct Frame {
@@ -53,11 +41,11 @@ bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
   // Each accepted cube is one root-to-TRUE path of at most num_vars
   // nodes, and the DFS touches every node on it a constant number of
   // times (descend twice, unwind once, plus dead-end FALSE probes), so a
-  // cover of cube_limit cubes legitimately costs O(num_vars * cube_limit)
+  // cover of kCubeLimit cubes legitimately costs O(num_vars * kCubeLimit)
   // visits. Anything past that is the combinatorial path blow-up the
   // bound exists to cut off.
   const std::size_t work_limit =
-      3 * std::max<std::size_t>(num_vars, 64) * (cube_limit + 1) + 1024;
+      3 * std::max<std::size_t>(num_vars, 64) * (kCubeLimit + 1) + 1024;
   std::size_t visits = 0;
   while (!stack.empty()) {
     Frame& f = stack.back();
@@ -82,7 +70,7 @@ bool extract_cubes(const bdd::BddManager& mgr, bdd::NodeRef root,
     const bdd::NodeRef child = polarity ? nv.hi : nv.lo;
     if (child == bdd::kFalse) continue;
     if (child == bdd::kTrue) {
-      if (++out.num_cubes > cube_limit) return false;
+      if (++out.num_cubes > kCubeLimit) return false;
       out.mask.insert(out.mask.end(), mask.begin(), mask.end());
       out.value.insert(out.value.end(), value.begin(), value.end());
       continue;
@@ -195,12 +183,11 @@ BddProgram flatten_bdd(const bdd::BddManager& mgr, bdd::NodeRef root) {
 
 std::unique_ptr<CompiledUnit> lower_bdd_set(const bdd::BddManager& mgr,
                                             bdd::NodeRef root,
-                                            const ThresholdSpec& spec,
-                                            std::size_t cube_limit) {
+                                            const ThresholdSpec& spec) {
   auto unit = std::make_unique<CompiledUnit>();
-  unit->coding = lower_coding(spec);
-  if (extract_cubes(mgr, root, unit->coding.num_vars(),
-                    unit->coding.num_words(), cube_limit, unit->cube)) {
+  unit->coding = spec;
+  if (extract_cubes(mgr, root, spec.num_vars(), spec.num_words(),
+                    unit->cube)) {
     unit->kind = ProgramKind::kCube;
   } else {
     unit->cube = CubeProgram{};
@@ -211,14 +198,13 @@ std::unique_ptr<CompiledUnit> lower_bdd_set(const bdd::BddManager& mgr,
   return unit;
 }
 
-CompiledMonitor compile_monitor(const Monitor& monitor,
-                                const CompileOptions& options) {
+CompiledMonitor compile_monitor(const Monitor& monitor) {
   // A compiled monitor's program is its own, so it would recompile to
-  // itself; refuse rather than pretend the cube limit applied.
+  // itself; refuse rather than pretend it was lowered again.
   std::shared_ptr<const Program> program =
       dynamic_cast<const CompiledMonitor*>(&monitor) != nullptr
           ? nullptr
-          : monitor.lower_program(options.cube_limit);
+          : monitor.lower_program();
   if (program == nullptr) {
     throw std::invalid_argument("compile_monitor: unsupported monitor type " +
                                 monitor.describe());

@@ -5,7 +5,8 @@
 // lower_bdd_set, which first attempts a bounded cube-cover extraction —
 // robust builds with don't-cares usually cover in a handful of cubes,
 // which evaluate as plain bitmask compares — and falls back to flattening
-// the reachable BDD into a topologically-ordered node array. A
+// the reachable BDD into a topologically-ordered node array. Lowering has
+// no options: the cube limit is a constant of the lowering. A
 // ShardedMonitor lowers shard by shard into one program, on its own pool
 // (Monitor::set_threads): each shard's lowering touches only that shard's
 // private manager. compile_monitor lowers (Monitor::lower_program) and
@@ -18,20 +19,12 @@
 
 namespace ranm::compile {
 
-struct CompileOptions {
-  /// Largest cube cover worth lowering to bitmask compares; BDDs whose
-  /// cover is larger (or whose enumeration exceeds the work bound) lower
-  /// to a flat node array instead.
-  std::size_t cube_limit = 64;
-};
-
 /// Lowers the BDD set `root` of `mgr`, over the variables `spec` codes
 /// (neuron j owns bits j*bits .. j*bits+bits-1, MSB first), to a
-/// finalized cube program of at most `cube_limit` cubes or else a flat
-/// BDD program.
+/// finalized unit carrying a copy of `spec`: a cube program when the
+/// set's cover fits in 64 cubes, else a flat BDD program.
 [[nodiscard]] std::unique_ptr<CompiledUnit> lower_bdd_set(
-    const bdd::BddManager& mgr, bdd::NodeRef root, const ThresholdSpec& spec,
-    std::size_t cube_limit);
+    const bdd::BddManager& mgr, bdd::NodeRef root, const ThresholdSpec& spec);
 
 /// Lowers a frozen monitor (Monitor::lower_program) and wraps the program
 /// in a CompiledMonitor. Supported sources: MinMaxMonitor,
@@ -39,7 +32,6 @@ struct CompileOptions {
 /// ShardedMonitor over those; a sharded source lowers on its own pool. Throws
 /// std::invalid_argument on an unsupported or already compiled source and
 /// std::logic_error on an unfinalized box-cluster.
-[[nodiscard]] CompiledMonitor compile_monitor(const Monitor& monitor,
-                                              const CompileOptions& options = {});
+[[nodiscard]] CompiledMonitor compile_monitor(const Monitor& monitor);
 
 }  // namespace ranm::compile

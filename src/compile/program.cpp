@@ -20,191 +20,23 @@ struct EvalScratch {
   std::vector<std::uint64_t> vals;     // per-node block verdicts (BDD sweep)
 };
 
-/// Samples coded per stack-buffer block.
+/// Samples per block of the BDD sweep.
 constexpr std::size_t kLane = 64;
 /// Codewords up to this many words fit the lazy paths' stack buffer.
 constexpr std::size_t kMaxStackWords = 16;
 
-/// Branchless one-threshold code bit: v passes c under the inclusive
-/// flag (0/1). Both compares are computed and the flag selects with mask
-/// arithmetic — the flags are data, so a ternary here is a
-/// hard-to-predict branch per threshold in the per-sample paths.
-inline std::uint32_t pass_bit(float v, float c, std::uint32_t incl) {
-  return (std::uint32_t(v > c) & incl) | (std::uint32_t(v >= c) & (incl ^ 1U));
-}
-
-/// Codes sample i's supported neurons into `word` (MSB-first bit layout,
-/// identical to fill_words). One pass per sample — the lazy cube and BDD
-/// paths both build this codeword once, then test bits, instead of
-/// re-coding a neuron every time a cube or node touches it. Fully
-/// branchless per neuron apart from the support skip: the threshold
-/// compares select on the inclusive flags with mask arithmetic, because
-/// a mispredicted branch per threshold costs more than the compare.
-void code_sample_word(const CodingTable& ct, const FeatureBatch& batch,
+/// ORs sample i's supported neurons into `word` through the unit's
+/// one-sample coder: the lazy cube and BDD paths both build this
+/// codeword once, then test bits, instead of re-coding a neuron every
+/// time a cube or node touches it.
+void code_sample_word(const ThresholdSpec& spec, const FeatureBatch& batch,
                       const std::uint32_t* row_map, std::size_t i,
                       const std::uint64_t* support, std::uint64_t* word) {
-  const std::size_t nbits = ct.bits;
-  const std::size_t m = ct.thresholds_per_neuron();
-  if (nbits == 2) {
-    // Both variables of a 2-bit neuron share one word (j*2 is even).
-    for (std::size_t j = 0; j < ct.dim; ++j) {
-      const std::size_t var = j * 2;
-      const std::uint64_t used =
-          (support[var >> 6] >> (var & 63)) & 3ULL;
-      if (used == 0) continue;
-      const float v = batch.at(row_map != nullptr ? row_map[j] : j, i);
-      const float* tv = ct.values.data() + j * 3;
-      const std::uint8_t* inc = ct.inclusive.data() + j * 3;
-      const std::uint32_t code = pass_bit(v, tv[0], inc[0]) +
-                                 pass_bit(v, tv[1], inc[1]) +
-                                 pass_bit(v, tv[2], inc[2]);
-      const std::uint64_t swapped =
-          ((code & 1U) << 1) | ((code >> 1) & 1U);
-      word[var >> 6] |= swapped << (var & 63);
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < ct.dim; ++j) {
-    std::uint64_t used = 0;
-    for (std::size_t b = 0; b < nbits; ++b) {
-      const std::size_t var = j * nbits + b;
-      used |= (support[var >> 6] >> (var & 63)) & 1ULL;
-    }
-    if (used == 0) continue;
-    const float v = batch.at(row_map != nullptr ? row_map[j] : j, i);
-    const float* tv = ct.values.data() + j * m;
-    const std::uint8_t* inc = ct.inclusive.data() + j * m;
-    std::uint32_t code = 0;
-    for (std::size_t t = 0; t < m; ++t) code += pass_bit(v, tv[t], inc[t]);
-    for (std::size_t b = 0; b < nbits; ++b) {
-      const std::size_t var = j * nbits + b;
-      word[var >> 6] |=
-          std::uint64_t((code >> (nbits - 1 - b)) & 1U) << (var & 63);
-    }
-  }
-}
-
-/// Packs every sample's codeword into sample-major u64 words: bit
-/// (var & 63) of words[i * W + var/64] is variable var's value for
-/// sample i. Sample-major keeps each lane's whole codeword on one cache
-/// line for the downstream cube compares and BDD walks. Coding runs
-/// through a stack-local block buffer so the threshold compares
-/// vectorize (nothing in the loop can alias the float rows). Neurons
-/// none of whose variables appear in the unit's `support` are skipped —
-/// don't-care-rich cube covers pay only for the variables they test.
-///
-/// kWords pins the codeword stride at compile time (0 = runtime): the
-/// packing passes store through dst[i * W], and with W a runtime value
-/// that is an unknown-stride read-modify-write the vectorizer refuses.
-/// Monitors up to 64 variables (W == 1) and 128 variables (W == 2) —
-/// every configuration the paper evaluates — get constant-stride loops.
-template <std::size_t kWords>
-void fill_words_stride(const CodingTable& ct, const FeatureBatch& batch,
-                       const std::uint32_t* row_map, EvalScratch& s,
-                       const std::uint64_t* support) {
-  const std::size_t n = batch.size();
-  const std::size_t W = kWords != 0 ? kWords : ct.num_words();
-  const std::size_t nbits = ct.bits;
-  const std::size_t m = ct.thresholds_per_neuron();
-  const std::size_t nblocks = (n + kLane - 1) / kLane;
-  s.words.assign(n * W, 0ULL);
-  std::uint64_t* words = s.words.data();
-  std::uint32_t codes[kLane];
-  for (std::size_t j = 0; j < ct.dim; ++j) {
-    bool used = false;
-    for (std::size_t b = 0; b < nbits; ++b) {
-      const std::size_t var = j * nbits + b;
-      used = used || ((support[var >> 6] >> (var & 63)) & 1ULL) != 0;
-    }
-    if (!used) continue;
-    const float* row =
-        batch.neuron(row_map != nullptr ? row_map[j] : j).data();
-    const float* values = ct.values.data() + j * m;
-    const std::uint8_t* inclusive = ct.inclusive.data() + j * m;
-    if (m == 1) {
-      // 1-bit coding (the on-off family): one fused compare-and-pack
-      // pass, no intermediate code buffer.
-      const std::size_t var = j;
-      const std::size_t w = var >> 6;
-      const std::uint32_t shift = std::uint32_t(var & 63);
-      const float c = values[0];
-      std::uint64_t* dst = words + w;
-      if (inclusive[0] != 0) {
-        for (std::size_t i = 0; i < n; ++i) {
-          dst[i * W] |= std::uint64_t(row[i] > c) << shift;
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) {
-          dst[i * W] |= std::uint64_t(row[i] >= c) << shift;
-        }
-      }
-      continue;
-    }
-    if (nbits == 2) {
-      // 2-bit coding: one fused pass computes the code (three threshold
-      // compares, if-converted selects for the inclusive flags) and
-      // stores it bit-swapped — both variables of a 2-bit neuron share
-      // one word (j*2 is even), and MSB-first variable order puts code
-      // bit 1 at the lower shift. Fusing avoids the intermediate code
-      // buffer and its extra passes entirely.
-      const std::size_t var = j * 2;
-      const std::uint32_t shift = std::uint32_t(var & 63);
-      const float t0 = values[0], t1 = values[1], t2 = values[2];
-      const bool i0 = inclusive[0] != 0, i1 = inclusive[1] != 0,
-                 i2 = inclusive[2] != 0;
-      std::uint64_t* dst = words + (var >> 6);
-      for (std::size_t i = 0; i < n; ++i) {
-        const float v = row[i];
-        const std::uint32_t code = std::uint32_t(i0 ? v > t0 : v >= t0) +
-                                   std::uint32_t(i1 ? v > t1 : v >= t1) +
-                                   std::uint32_t(i2 ? v > t2 : v >= t2);
-        const std::uint64_t swapped =
-            ((code & 1U) << 1) | ((code >> 1) & 1U);
-        dst[i * W] |= swapped << shift;
-      }
-      continue;
-    }
-    for (std::size_t blk = 0; blk < nblocks; ++blk) {
-      const std::size_t base = blk * kLane;
-      const std::size_t count = std::min(kLane, n - base);
-      const float* rb = row + base;
-      for (std::size_t i = 0; i < count; ++i) codes[i] = 0;
-      for (std::size_t t = 0; t < m; ++t) {
-        const float c = values[t];
-        if (inclusive[t] != 0) {
-          for (std::size_t i = 0; i < count; ++i) codes[i] += rb[i] > c;
-        } else {
-          for (std::size_t i = 0; i < count; ++i) codes[i] += rb[i] >= c;
-        }
-      }
-      for (std::size_t b = 0; b < nbits; ++b) {
-        const std::size_t var = j * nbits + b;
-        const std::uint32_t shift = std::uint32_t(var & 63);
-        const std::uint32_t maskbit = 1U << (nbits - 1 - b);
-        std::uint64_t* dst = words + base * W + (var >> 6);
-        for (std::size_t i = 0; i < count; ++i) {
-          dst[i * W] |=
-              std::uint64_t((codes[i] & maskbit) != 0) << shift;
-        }
-      }
-    }
-  }
-}
-
-void fill_words(const CodingTable& ct, const FeatureBatch& batch,
-                const std::uint32_t* row_map, EvalScratch& s,
-                const std::uint64_t* support) {
-  switch (ct.num_words()) {
-    case 1:
-      fill_words_stride<1>(ct, batch, row_map, s, support);
-      return;
-    case 2:
-      fill_words_stride<2>(ct, batch, row_map, s, support);
-      return;
-    default:
-      fill_words_stride<0>(ct, batch, row_map, s, support);
-      return;
-  }
+  spec.code_word(
+      [&batch, row_map, i](std::size_t j) {
+        return batch.at(row_map != nullptr ? row_map[j] : j, i);
+      },
+      support, word);
 }
 
 void eval_box(const BoxProgram& p, const FeatureBatch& batch,
@@ -286,11 +118,11 @@ void match_cubes_stride(const CubeProgram& p, std::size_t n, std::size_t w64,
   }
 }
 
-void eval_cube(const CodingTable& ct, const CubeProgram& p,
+void eval_cube(const ThresholdSpec& spec, const CubeProgram& p,
                const FeatureBatch& batch, const std::uint32_t* row_map,
                bool* out, EvalScratch& s, const std::uint64_t* support) {
   const std::size_t n = batch.size();
-  const std::size_t W = ct.num_words();
+  const std::size_t W = spec.num_words();
   // `support` is the union of the cube masks: variables outside it are
   // don't-cares in every cube, so their neurons never need coding.
   if (n < kSmallBatch && W <= kMaxStackWords) {
@@ -299,7 +131,7 @@ void eval_cube(const CodingTable& ct, const CubeProgram& p,
     // query never pays per-neuron sweep setup dim times over.
     for (std::size_t i = 0; i < n; ++i) {
       std::uint64_t word[kMaxStackWords] = {};
-      code_sample_word(ct, batch, row_map, i, support, word);
+      code_sample_word(spec, batch, row_map, i, support, word);
       bool in = false;
       for (std::size_t c = 0; c < p.num_cubes && !in; ++c) {
         bool match = true;
@@ -312,7 +144,7 @@ void eval_cube(const CodingTable& ct, const CubeProgram& p,
     }
     return;
   }
-  fill_words(ct, batch, row_map, s, support);
+  spec.code_words(batch, row_map, support, s.words);
   switch (W) {
     case 1:
       match_cubes_stride<1>(p, n, W, s.words.data(), out);
@@ -479,7 +311,7 @@ bool bdd_walks(std::size_t num_nodes, std::size_t path_len, std::size_t n) {
          num_nodes * blocks > kBddWalkHopCost * path_len * n;
 }
 
-void eval_bdd(const CodingTable& ct, const BddProgram& p,
+void eval_bdd(const ThresholdSpec& spec, const BddProgram& p,
               const FeatureBatch& batch, const std::uint32_t* row_map,
               bool* out, EvalScratch& s, const std::uint64_t* support) {
   const std::size_t n = batch.size();
@@ -487,7 +319,7 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
     std::fill(out, out + n, p.root == 1);
     return;
   }
-  const std::size_t W = ct.num_words();
+  const std::size_t W = spec.num_words();
   // `support` holds the variables that label a node: neurons with none
   // of them never influence a verdict, so coding skips them (robust sets
   // drop many).
@@ -498,14 +330,14 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
     std::uint64_t words[kSmallBatch * kMaxStackWords];
     std::fill(words, words + n * W, 0ULL);
     for (std::size_t i = 0; i < n; ++i) {
-      code_sample_word(ct, batch, row_map, i, support, words + i * W);
+      code_sample_word(spec, batch, row_map, i, support, words + i * W);
     }
     walk_bdd(p, words, W, n, out);
     return;
   }
   // Pack sample-major codewords once (the per-neuron compare loops
   // vectorize); both evaluators read the same codeword bits.
-  fill_words(ct, batch, row_map, s, support);
+  spec.code_words(batch, row_map, support, s.words);
   if (bdd_walks(p.nodes.size(), popcount_words(support, W), n)) {
     walk_bdd(p, s.words.data(), W, n, out);
   } else {
@@ -520,13 +352,13 @@ void eval_bdd(const CodingTable& ct, const BddProgram& p,
 /// eval_bdd dispatches on.
 std::size_t unit_cost_per_sample(const CompiledUnit& unit,
                                  std::size_t batch) noexcept {
-  const CodingTable& ct = unit.coding;
-  const std::size_t coding = ct.dim * ct.thresholds_per_neuron();
+  const std::size_t coding = unit.coding ? unit.coding->values().size() : 0;
+  const std::size_t words = unit.coding ? unit.coding->num_words() : 0;
   switch (unit.kind) {
     case ProgramKind::kBox:
       return unit.box.dim * unit.box.num_boxes;
     case ProgramKind::kCube:
-      return coding + unit.cube.num_cubes * ct.num_words();
+      return coding + unit.cube.num_cubes * words;
     case ProgramKind::kBdd: {
       const std::size_t nodes = unit.bdd.nodes.size();
       const std::size_t path_len =
@@ -557,11 +389,11 @@ void eval_unit(const CompiledUnit& unit, const FeatureBatch& batch,
       eval_box(unit.box, batch, row_map, out, scratch);
       return;
     case ProgramKind::kCube:
-      eval_cube(unit.coding, unit.cube, batch, row_map, out, scratch,
+      eval_cube(*unit.coding, unit.cube, batch, row_map, out, scratch,
                 unit.support.data());
       return;
     case ProgramKind::kBdd:
-      eval_bdd(unit.coding, unit.bdd, batch, row_map, out, scratch,
+      eval_bdd(*unit.coding, unit.bdd, batch, row_map, out, scratch,
                unit.support.data());
       return;
   }
@@ -603,7 +435,7 @@ bool worth_pool(const Program& program, std::size_t n) {
 void CompiledUnit::finalize() {
   support.clear();
   if (kind == ProgramKind::kBox) return;
-  const std::size_t W = coding.num_words();
+  const std::size_t W = coding->num_words();
   support.assign(W, 0ULL);
   if (kind == ProgramKind::kCube) {
     for (std::size_t k = 0; k < cube.num_cubes * W; ++k) {

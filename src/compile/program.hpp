@@ -26,10 +26,11 @@
 // fan-out, pool gate and AND over shards.
 //
 // Evaluation sweeps samples batch-lane-innermost (like the vectorized
-// bound backend): per-neuron parameters load once per batch row, coding
-// fuses compare-and-pack into sample-major u64 codewords (each lane's
-// whole codeword stays on one cache line for the cube compares), and
-// cube covers skip coding any neuron no cube tests.
+// bound backend): per-neuron parameters load once per batch row, and the
+// unit's ThresholdSpec codes the batch (ThresholdSpec::code_words) into
+// sample-major u64 codewords (each lane's whole codeword stays on one
+// cache line for the cube compares). Cube covers skip coding any neuron
+// no cube tests.
 //
 // BDD programs have two evaluators over the same codeword bits, and a
 // cost model (kBddWalkHopCost) picks one per call:
@@ -67,14 +68,16 @@
 // Verdict semantics mirror the interpreted monitors bit-for-bit, NaN
 // included: min-max boxes keep the `!(v < lo || v > hi)` form (NaN is
 // contained), box-cluster boxes keep `v >= lo && v <= hi` (NaN is
-// rejected), and threshold coding keeps `v > c` / `v >= c` (NaN codes
-// to 0). The differential tests pin this equivalence.
+// rejected), and threshold coding is the interpreted monitors' own
+// coder. The verdict oracle (tests/oracle.hpp) pins this equivalence.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/feature_batch.hpp"
+#include "core/threshold_spec.hpp"
 
 namespace ranm {
 class ThreadPool;
@@ -102,35 +105,13 @@ struct BoxProgram {
   std::vector<float> lo, hi;
 };
 
-/// Per-neuron threshold table mapping a raw value to its B-bit code —
-/// the lowered form of ThresholdSpec, flattened for row sweeps.
-struct CodingTable {
-  std::size_t dim = 0;
-  std::size_t bits = 0;
-  /// Neuron-major: neuron j's m = 2^bits - 1 ascending thresholds at
-  /// [j*m .. j*m + m); `inclusive[k]` == 1 codes on v > c, 0 on v >= c.
-  std::vector<float> values;
-  std::vector<std::uint8_t> inclusive;
-
-  [[nodiscard]] std::size_t thresholds_per_neuron() const noexcept {
-    return (std::size_t(1) << bits) - 1;
-  }
-  /// BDD variables of the coded word (neuron j owns bits
-  /// j*bits .. j*bits+bits-1, MSB first — the IntervalMonitor layout).
-  [[nodiscard]] std::size_t num_vars() const noexcept { return dim * bits; }
-  /// 64-bit words per packed codeword.
-  [[nodiscard]] std::size_t num_words() const noexcept {
-    return (num_vars() + 63) / 64;
-  }
-};
-
 /// Cube-cover membership over the packed codeword: cube c matches iff
 /// (word & mask[c]) == value[c] on every 64-bit word; membership is the
 /// OR over cubes. Don't-care variables simply have their mask bit clear.
 struct CubeProgram {
   std::size_t num_cubes = 0;
   /// Cube-major: cube c's words at [c*W .. c*W + W) with W from the
-  /// unit's CodingTable::num_words().
+  /// unit's ThresholdSpec::num_words().
   std::vector<std::uint64_t> mask, value;
 };
 
@@ -151,14 +132,14 @@ struct BddProgram {
 };
 
 /// One lowered monitor (one shard's worth): exactly one of the three
-/// programs is active, selected by `kind`. Cube and BDD programs share
-/// the coding table.
+/// programs is active, selected by `kind`. Cube and BDD programs read
+/// the code word of the source monitor's coding table, copied here.
 struct CompiledUnit {
   ProgramKind kind = ProgramKind::kBox;
-  BoxProgram box;      // kind == kBox
-  CodingTable coding;  // kind == kCube or kBdd
-  CubeProgram cube;    // kind == kCube
-  BddProgram bdd;      // kind == kBdd
+  BoxProgram box;                      // kind == kBox
+  std::optional<ThresholdSpec> coding;  // kind == kCube or kBdd
+  CubeProgram cube;                    // kind == kCube
+  BddProgram bdd;                      // kind == kBdd
 
   /// Derived, never serialised: the union of tested coding variables
   /// (cube masks / BDD node labels) as num_words() bitmask words.
@@ -173,7 +154,7 @@ struct CompiledUnit {
   void finalize();
 
   [[nodiscard]] std::size_t dimension() const noexcept {
-    return kind == ProgramKind::kBox ? box.dim : coding.dim;
+    return kind == ProgramKind::kBox ? box.dim : coding->dimension();
   }
 };
 

@@ -39,8 +39,8 @@ class BoxClusterMonitor final : public Monitor {
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
   /// Throws std::logic_error before finalize().
-  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
-      std::size_t cube_limit) const override;
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit()
+      const override;
 
   /// Runs k-means (k-means++ seeding, `iterations` Lloyd steps) on the
   /// buffered observation midpoints, then builds one hull box per cluster

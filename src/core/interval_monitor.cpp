@@ -22,22 +22,37 @@ IntervalMonitor::IntervalMonitor(ThresholdSpec spec)
   }
 }
 
+namespace {
+
+/// The packed code word of one feature vector: BDD variable v is bit
+/// v & 63 of word v / 64.
+std::vector<std::uint64_t> code_word(const ThresholdSpec& spec,
+                                     std::span<const float> feature) {
+  std::vector<std::uint64_t> word(spec.num_words(), 0ULL);
+  spec.code_word([feature](std::size_t j) { return feature[j]; },
+                 spec.all_vars(), word.data());
+  return word;
+}
+
+/// Variable `var` of a packed code word as a fixed cube bit.
+bdd::CubeBit word_bit(const std::uint64_t* word, std::size_t var) {
+  return static_cast<bdd::CubeBit>((word[var >> 6] >> (var & 63)) & 1ULL);
+}
+
+}  // namespace
+
 void IntervalMonitor::observe(std::span<const float> feature) {
   if (feature.size() != dimension()) {
     throw std::invalid_argument(
         "IntervalMonitor::observe: dimension mismatch");
   }
   // A concrete word fixes every bit, so the insertion is a single cube.
-  const std::size_t nbits = spec_.bits();
-  std::vector<bdd::CubeBit> bits(dimension() * nbits);
-  for (std::size_t j = 0; j < dimension(); ++j) {
-    const std::uint64_t code = spec_.code(j, feature[j]);
-    for (std::size_t b = 0; b < nbits; ++b) {
-      const bool bit = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
-      bits[j * nbits + b] = bit ? bdd::CubeBit::kOne : bdd::CubeBit::kZero;
-    }
+  const std::vector<std::uint64_t> word = code_word(spec_, feature);
+  std::vector<bdd::CubeBit> cube(mgr_.num_vars());
+  for (std::size_t v = 0; v < cube.size(); ++v) {
+    cube[v] = word_bit(word.data(), v);
   }
-  set_ = mgr_.or_(set_, mgr_.cube(bits));
+  set_ = mgr_.or_(set_, mgr_.cube(cube));
   invalidate_lowered();
 }
 
@@ -91,53 +106,23 @@ bdd::NodeRef IntervalMonitor::bound_word(std::span<const float> lo,
   return word;
 }
 
-void IntervalMonitor::fill_bit_matrix(const FeatureBatch& batch,
-                                      std::vector<std::uint8_t>& bits) const {
-  const std::size_t n = batch.size();
-  const std::size_t nbits = spec_.bits();
-  bits.resize(dimension() * nbits * n);
-  std::vector<std::uint32_t> codes(n);
-  for (std::size_t j = 0; j < dimension(); ++j) {
-    // Threshold-major code sweep over the contiguous batch row. Because
-    // thresholds ascend, the exceeded set is always a prefix, so the code
-    // equals the branchless count of exceeded thresholds — each pass is a
-    // vectorisable compare-and-accumulate.
-    const auto ts = spec_.thresholds(j);
-    const auto row = batch.neuron(j);
-    std::fill(codes.begin(), codes.end(), 0U);
-    for (const Threshold& t : ts) {
-      const float c = t.value;
-      if (t.inclusive_below) {
-        for (std::size_t i = 0; i < n; ++i) codes[i] += row[i] > c;
-      } else {
-        for (std::size_t i = 0; i < n; ++i) codes[i] += row[i] >= c;
-      }
-    }
-    for (std::size_t b = 0; b < nbits; ++b) {
-      std::uint8_t* dst = bits.data() + (j * nbits + b) * n;
-      const std::uint32_t mask = 1U << (nbits - 1 - b);
-      for (std::size_t i = 0; i < n; ++i) {
-        dst[i] = (codes[i] & mask) != 0 ? 1 : 0;
-      }
-    }
-  }
-}
-
 void IntervalMonitor::observe_batch(const FeatureBatch& batch) {
   check_batch(batch, batch.size(), "IntervalMonitor::observe_batch");
   const std::size_t n = batch.size();
   if (n == 0) return;
-  const std::size_t nvars = dimension() * spec_.bits();
-  std::vector<std::uint8_t> bits;
-  fill_bit_matrix(batch, bits);
-  // One cube scratch buffer for the whole batch. The words meet in a
-  // balanced OR-tree, so the set is walked once per batch, not per word.
-  std::vector<bdd::CubeBit> cube(nvars);
+  // The batch coder codes neuron-major (each neuron's thresholds stay hot
+  // across its whole row) into one code word per sample, and each word
+  // is one cube. One cube scratch buffer serves the whole batch, and the
+  // words meet in a balanced OR-tree, so the set is walked once per
+  // batch, not per word.
+  std::vector<std::uint64_t> codes;
+  spec_.code_words(batch, nullptr, spec_.all_vars(), codes);
+  const std::size_t W = spec_.num_words();
+  std::vector<bdd::CubeBit> cube(mgr_.num_vars());
   std::vector<bdd::NodeRef> words(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t v = 0; v < nvars; ++v) {
-      cube[v] = bits[v * n + i] != 0 ? bdd::CubeBit::kOne
-                                     : bdd::CubeBit::kZero;
+    for (std::size_t v = 0; v < cube.size(); ++v) {
+      cube[v] = word_bit(codes.data() + i * W, v);
     }
     words[i] = mgr_.cube(cube);
   }
@@ -181,9 +166,9 @@ bool IntervalMonitor::contains(std::span<const float> feature) const {
   });
 }
 
-std::unique_ptr<compile::CompiledUnit> IntervalMonitor::lower_unit(
-    std::size_t cube_limit) const {
-  return compile::lower_bdd_set(mgr_, set_, spec_, cube_limit);
+std::unique_ptr<compile::CompiledUnit> IntervalMonitor::lower_unit()
+    const {
+  return compile::lower_bdd_set(mgr_, set_, spec_);
 }
 
 std::string IntervalMonitor::describe() const {
@@ -221,13 +206,10 @@ std::optional<unsigned> IntervalMonitor::hamming_distance(
         "IntervalMonitor::hamming_distance: dimension mismatch");
   }
   if (set_ == bdd::kFalse) return std::nullopt;
-  const std::size_t nbits = spec_.bits();
-  std::vector<bool> point(dimension() * nbits);
-  for (std::size_t j = 0; j < dimension(); ++j) {
-    const std::uint64_t code = spec_.code(j, feature[j]);
-    for (std::size_t b = 0; b < nbits; ++b) {
-      point[j * nbits + b] = ((code >> (nbits - 1 - b)) & 1ULL) != 0;
-    }
+  const std::vector<std::uint64_t> word = code_word(spec_, feature);
+  std::vector<bool> point(mgr_.num_vars());
+  for (std::size_t v = 0; v < point.size(); ++v) {
+    point[v] = word_bit(word.data(), v) == bdd::CubeBit::kOne;
   }
   const auto d = mgr_.min_hamming_distance(set_, point);
   if (!d || *d > max_radius) return std::nullopt;

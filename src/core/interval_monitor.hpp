@@ -43,15 +43,15 @@ class IntervalMonitor final : public Monitor {
   [[nodiscard]] bool contains(std::span<const float> feature) const override;
   [[nodiscard]] std::string describe() const override;
 
-  // Batch construction codes neuron-major (each neuron's threshold table
-  // stays hot across the whole batch row) into a bit matrix, one cube per
-  // sample. Batched queries run the lowered program, which codes with the
-  // same thresholds (Monitor::contains_batch).
+  // Batch construction codes the batch through the spec's batch coder,
+  // one cube per sample. Batched queries run the lowered program, which
+  // carries a copy of the spec and codes through the same coders
+  // (Monitor::contains_batch).
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
-      std::size_t cube_limit) const override;
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit()
+      const override;
 
   /// The code word ab(v): one code per neuron.
   [[nodiscard]] std::vector<std::uint64_t> codes(
@@ -88,9 +88,6 @@ class IntervalMonitor final : public Monitor {
   }
 
  private:
-  /// bits[v * n + i] = value of BDD variable v for sample i.
-  void fill_bit_matrix(const FeatureBatch& batch,
-                       std::vector<std::uint8_t>& bits) const;
   /// word2set of one bound vector: the conjunction over neurons of
   /// "code_j in [code(l_j), code(u_j)]". `cube` is scratch.
   [[nodiscard]] bdd::NodeRef bound_word(std::span<const float> lo,

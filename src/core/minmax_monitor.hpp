@@ -38,8 +38,8 @@ class MinMaxMonitor final : public Monitor {
   void observe_batch(const FeatureBatch& batch) override;
   void observe_bounds_batch(const FeatureBatch& lo,
                             const FeatureBatch& hi) override;
-  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit(
-      std::size_t cube_limit) const override;
+  [[nodiscard]] std::unique_ptr<compile::CompiledUnit> lower_unit()
+      const override;
 
   /// Number of observe/observe_bounds calls folded in so far.
   [[nodiscard]] std::size_t observation_count() const noexcept {

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "compile/lower.hpp"
 #include "compile/program.hpp"
 
 namespace ranm {
@@ -101,13 +100,13 @@ void Monitor::contains_batch_by_shard(const FeatureBatch& batch,
   compile::eval_program(*program, batch, out.data(), pool(), rows.data());
 }
 
-std::unique_ptr<compile::CompiledUnit> Monitor::lower_unit(std::size_t) const {
+std::unique_ptr<compile::CompiledUnit> Monitor::lower_unit() const {
   return nullptr;
 }
 
-std::shared_ptr<const compile::Program> Monitor::lower_program(
-    std::size_t cube_limit) const {
-  std::unique_ptr<compile::CompiledUnit> unit = lower_unit(cube_limit);
+std::shared_ptr<const compile::Program> Monitor::lower_program()
+    const {
+  std::unique_ptr<compile::CompiledUnit> unit = lower_unit();
   if (unit == nullptr) return nullptr;
   auto program = std::make_shared<compile::Program>(1);
   (*program)[0].unit = std::move(*unit);
@@ -131,7 +130,7 @@ std::shared_ptr<const compile::Program> Monitor::lowered() const {
   // once and the rest wait for that program instead of building their own.
   MutexLock lock(lowered_mu_);
   if (lowered_ == nullptr) {
-    lowered_ = lower_program(compile::CompileOptions{}.cube_limit);
+    lowered_ = lower_program();
   }
   return lowered_;
 }

@@ -123,17 +123,16 @@ class Monitor {
   [[nodiscard]] virtual std::string describe() const = 0;
 
   /// This flat monitor as one unit with the same verdicts, or null (the
-  /// default) for a family without a lowering. BDD sets whose cube cover
-  /// needs more than `cube_limit` cubes lower to a node array.
-  [[nodiscard]] virtual std::unique_ptr<compile::CompiledUnit> lower_unit(
-      std::size_t cube_limit) const;
+  /// default) for a family without a lowering.
+  [[nodiscard]] virtual std::unique_ptr<compile::CompiledUnit> lower_unit()
+      const;
 
   /// This monitor as one program with the same verdicts, or null for a
   /// family without a lowering. The default wraps lower_unit in one
   /// identity shard. compile_monitor and contains_batch both lower
   /// through here.
   [[nodiscard]] virtual std::shared_ptr<const compile::Program>
-  lower_program(std::size_t cube_limit) const;
+  lower_program() const;
 
   /// Shard-level parallelism of the batched queries (and of a sharded
   /// monitor's construction and lowering): at most `threads` shards run

@@ -156,14 +156,13 @@ void ShardedMonitor::observe_bounds_batch(const FeatureBatch& lo,
   observations_ += n;
 }
 
-std::shared_ptr<const compile::Program> ShardedMonitor::lower_program(
-    std::size_t cube_limit) const {
+std::shared_ptr<const compile::Program> ShardedMonitor::lower_program()
+    const {
   auto program = std::make_shared<compile::Program>(shards_.size());
   std::atomic<bool> lowered{true};
   // Each task reads one shard's private state and writes one slot.
   for_each_shard([&](std::size_t s) {
-    std::unique_ptr<compile::CompiledUnit> unit =
-        shards_[s]->lower_unit(cube_limit);
+    std::unique_ptr<compile::CompiledUnit> unit = shards_[s]->lower_unit();
     if (unit == nullptr) {
       lowered = false;
       return;

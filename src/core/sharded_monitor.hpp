@@ -78,8 +78,8 @@ class ShardedMonitor final : public Monitor {
   /// One program shard per plan shard, in plan order: shard s's
   /// lower_unit reading the rows plan().neurons(s). Null when a shard has
   /// no lowering. The shards lower on the pool.
-  [[nodiscard]] std::shared_ptr<const compile::Program> lower_program(
-      std::size_t cube_limit) const override;
+  [[nodiscard]] std::shared_ptr<const compile::Program> lower_program()
+      const override;
 
   // ---- sharding-specific surface ----------------------------------------
 

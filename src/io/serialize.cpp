@@ -263,40 +263,53 @@ Network load_network_file(const std::string& path) {
   return load_network(in);
 }
 
+void write_threshold_table(std::ostream& out, const ThresholdSpec& spec) {
+  const auto values = spec.values();
+  const auto inclusive = spec.inclusive();
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    write_pod(out, values[k]);
+    write_pod(out, inclusive[k]);
+  }
+}
+
+ThresholdSpec read_threshold_table(std::istream& in, std::uint64_t dim,
+                                   std::uint64_t bits, const char* who) {
+  if (bits == 0 || bits > 16) {
+    throw std::runtime_error(std::string(who) + ": implausible coding bits");
+  }
+  const std::uint64_t numel = bounded_numel({dim, (1ULL << bits) - 1});
+  // Grown as the pairs arrive, so a truncated stream fails before a
+  // hostile header's whole table is allocated.
+  std::vector<float> values;
+  std::vector<std::uint8_t> inclusive;
+  for (std::uint64_t k = 0; k < numel; ++k) {
+    values.push_back(read_pod<float>(in));
+    inclusive.push_back(read_pod<std::uint8_t>(in));
+  }
+  try {
+    return ThresholdSpec(static_cast<std::size_t>(bits), std::move(values),
+                         std::move(inclusive));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string(who) + ": " + e.what());
+  }
+}
+
 void save_threshold_spec(std::ostream& out, const ThresholdSpec& spec) {
   write_pod(out, kSpecMagic);
   write_u64(out, spec.dimension());
   write_u64(out, spec.bits());
-  for (std::size_t j = 0; j < spec.dimension(); ++j) {
-    for (const Threshold& t : spec.thresholds(j)) {
-      write_pod(out, t.value);
-      write_pod(out, static_cast<std::uint8_t>(t.inclusive_below ? 1 : 0));
-    }
-  }
+  write_threshold_table(out, spec);
 }
 
 ThresholdSpec load_threshold_spec(std::istream& in) {
   if (read_pod<std::uint32_t>(in) != kSpecMagic) {
     throw std::runtime_error("load_threshold_spec: bad magic");
   }
-  const auto dim = static_cast<std::size_t>(read_u64(in));
-  const auto bits = static_cast<std::size_t>(read_u64(in));
-  // kMaxMonitorDim (not the looser kMaxLoadElems): per_neuron below
-  // allocates dim vector headers up front, so the bound must keep that
-  // in the tens of megabytes even for an adversarial header.
-  if (bits == 0 || bits > 16 || dim == 0 || dim > kMaxMonitorDim) {
+  const std::uint64_t dim = read_u64(in);
+  if (dim == 0 || dim > kMaxMonitorDim) {
     throw std::runtime_error("load_threshold_spec: implausible header");
   }
-  const std::size_t m = (std::size_t(1) << bits) - 1;
-  std::vector<std::vector<Threshold>> per_neuron(dim);
-  for (auto& ts : per_neuron) {
-    ts.resize(m);
-    for (auto& t : ts) {
-      t.value = read_pod<float>(in);
-      t.inclusive_below = read_pod<std::uint8_t>(in) != 0;
-    }
-  }
-  return ThresholdSpec(bits, std::move(per_neuron));
+  return read_threshold_table(in, dim, read_u64(in), "load_threshold_spec");
 }
 
 void save_monitor(std::ostream& out, const MinMaxMonitor& monitor) {

@@ -32,8 +32,22 @@ void save_network_file(const std::string& path, const Network& net);
 
 // ---- threshold specs ------------------------------------------------------
 
+/// RTS1: magic, u64 dim, u64 bits, then the threshold table.
 void save_threshold_spec(std::ostream& out, const ThresholdSpec& spec);
 [[nodiscard]] ThresholdSpec load_threshold_spec(std::istream& in);
+
+/// The threshold table's bytes, shared by RTS1 specs (and so every
+/// interval and on-off monitor artifact) and RCM1 compiled units: per
+/// neuron, 2^bits - 1 (f32 value, u8 inclusive flag) pairs, neuron-major.
+void write_threshold_table(std::ostream& out, const ThresholdSpec& spec);
+/// Reads the table of a `dim`-neuron, `bits`-bit spec. Throws
+/// std::runtime_error (prefixed with `who`) on a truncated stream, an
+/// oversized table, a flag other than 0 or 1, or values that do not
+/// ascend strictly (NaN included).
+[[nodiscard]] ThresholdSpec read_threshold_table(std::istream& in,
+                                                 std::uint64_t dim,
+                                                 std::uint64_t bits,
+                                                 const char* who);
 
 // ---- monitors ---------------------------------------------------------------
 

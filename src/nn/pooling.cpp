@@ -156,20 +156,22 @@ void MaxPool2D::backward_batch(const float* x, const float* /*y*/,
     // Each output's window max across a run of samples, branch-free: the
     // first strictly greater input, from -inf, in the forward kernel's
     // window order, so the first maximum wins on ties. A window with no
-    // input above -inf keeps flat input index 0. Then each sample's
-    // gradient goes to its maximum, in output order.
+    // input above -inf (all -inf or NaN) keeps its first tap. Then each
+    // sample's gradient goes to its maximum, in output order.
     constexpr std::size_t kRun = 16;
     for (std::size_t ch = 0; ch < cfg_.channels; ++ch) {
       for (std::size_t oy = 0; oy < oh_; ++oy) {
         for (std::size_t ox = 0; ox < ow_; ++ox) {
           const float* g = grad_out + ((ch * oh_ + oy) * ow_ + ox) * n;
+          const auto first_tap = std::uint32_t(
+              ch * plane + oy * cfg_.stride * cfg_.in_width + ox * cfg_.stride);
           for (std::size_t s0 = 0; s0 < n; s0 += kRun) {
             const std::size_t run = std::min(kRun, n - s0);
             float best[kRun];
             std::uint32_t at[kRun];
             for (std::size_t t = 0; t < kRun; ++t) {
               best[t] = -std::numeric_limits<float>::infinity();
-              at[t] = 0;
+              at[t] = first_tap;
             }
             for (std::size_t ky = 0; ky < cfg_.window; ++ky) {
               for (std::size_t kx = 0; kx < cfg_.window; ++kx) {

@@ -164,13 +164,15 @@ TEST(BddRange, BoundWordEqualsRangeConjunction) {
     const std::uint64_t codes = 1ULL << bits;
     for (std::size_t dim = 1; dim <= 5; ++dim) {
       // Thresholds at c + 0.5, so the value c has code c.
-      std::vector<std::vector<Threshold>> per_neuron(dim);
-      for (auto& ts : per_neuron) {
+      std::vector<float> values;
+      for (std::size_t j = 0; j < dim; ++j) {
         for (std::uint64_t c = 0; c + 1 < codes; ++c) {
-          ts.push_back(Threshold{float(c) + 0.5F, true});
+          values.push_back(float(c) + 0.5F);
         }
       }
-      IntervalMonitor m(ThresholdSpec(bits, std::move(per_neuron)));
+      std::vector<std::uint8_t> inclusive(values.size(), 1);
+      IntervalMonitor m(
+          ThresholdSpec(bits, std::move(values), std::move(inclusive)));
       BddManager& mgr = m.manager();
       for (std::uint64_t lo = 0; lo < codes; ++lo) {
         for (std::uint64_t hi = lo; hi < codes; ++hi) {

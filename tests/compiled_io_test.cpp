@@ -9,9 +9,12 @@
 // through the type-erased load_any_monitor dispatch.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "compile/compiled_io.hpp"
@@ -29,7 +32,6 @@ namespace {
 
 using compile::compile_monitor;
 using compile::CompiledMonitor;
-using compile::CompileOptions;
 
 std::vector<float> random_feature(std::size_t dim, Rng& rng) {
   std::vector<float> v(dim);
@@ -44,14 +46,24 @@ ThresholdSpec random_spec(std::size_t dim, std::size_t bits, Rng& rng) {
                    : ThresholdSpec::from_percentiles(stats, bits);
 }
 
-/// A sharded interval build: exercises cube programs (robust shards tend
-/// to cover) and BDD programs, plus the per-shard neuron lists.
-CompiledMonitor make_sharded_compiled(Rng& rng, std::size_t cube_limit) {
-  const std::size_t dim = 10;
+/// A sharded interval build over 3 shards, with per-shard neuron lists.
+/// Twelve points cover in cubes. With `node_array`, one more box whose
+/// code range on every neuron, [1, 2], is not an aligned block gives each
+/// 7-neuron shard a cover of 2^7 cubes, past the cube limit, so every
+/// shard lowers to a BDD node array.
+CompiledMonitor make_sharded_compiled(Rng& rng, bool node_array) {
+  const std::size_t dim = node_array ? 21 : 10;
+  const std::vector<float> c1(dim, -1.0F), c2(dim, 0.0F), c3(dim, 1.0F);
   ShardedMonitor source = ShardedMonitor::interval(
-      ShardPlan::contiguous(dim, 3), random_spec(dim, 2, rng));
+      ShardPlan::contiguous(dim, 3),
+      node_array ? ThresholdSpec::paper_two_bit(c1, c2, c3)
+                 : random_spec(dim, 2, rng));
   for (int i = 0; i < 12; ++i) source.observe(random_feature(dim, rng));
-  return compile_monitor(source, CompileOptions{cube_limit});
+  if (node_array) {
+    source.observe_bounds(std::vector<float>(dim, -0.5F),
+                          std::vector<float>(dim, 0.5F));
+  }
+  return compile_monitor(source);
 }
 
 /// A flat min-max build: exercises the box program and the identity
@@ -84,11 +96,15 @@ void expect_same_verdicts(const CompiledMonitor& a, const Monitor& b,
 
 TEST(CompiledIo, RoundTripIsByteIdenticalAndVerdictPreserving) {
   Rng rng(2024);
-  for (const std::size_t cube_limit : {std::size_t(64), std::size_t(0)}) {
-    SCOPED_TRACE("cube_limit=" + std::to_string(cube_limit));
+  for (const bool node_array : {false, true}) {
+    SCOPED_TRACE(node_array ? "node arrays" : "cubes");
     for (const bool box : {false, true}) {
       const CompiledMonitor original =
-          box ? make_box_compiled(rng) : make_sharded_compiled(rng, cube_limit);
+          box ? make_box_compiled(rng) : make_sharded_compiled(rng, node_array);
+      if (!box) {
+        EXPECT_EQ(original.total_nodes() > 0, node_array);
+        EXPECT_EQ(original.total_cubes() == 0, node_array);
+      }
       const std::string bytes = save_to_string(original);
       std::istringstream in(bytes, std::ios::binary);
       const CompiledMonitor loaded = compile::load_compiled_monitor(in);
@@ -104,7 +120,7 @@ TEST(CompiledIo, RoundTripIsByteIdenticalAndVerdictPreserving) {
 
 TEST(CompiledIo, LoadAnyMonitorDispatchesOnMagic) {
   Rng rng(88);
-  const CompiledMonitor original = make_sharded_compiled(rng, 64);
+  const CompiledMonitor original = make_sharded_compiled(rng, false);
   std::ostringstream out(std::ios::binary);
   save_any_monitor(out, original);
   std::istringstream in(out.str(), std::ios::binary);
@@ -122,7 +138,7 @@ TEST(CompiledIo, BadMagicIsRejected) {
 
 TEST(CompiledIo, EveryTruncationIsRejected) {
   Rng rng(512);
-  const std::string bytes = save_to_string(make_sharded_compiled(rng, 64));
+  const std::string bytes = save_to_string(make_sharded_compiled(rng, false));
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     std::istringstream in(bytes.substr(0, len), std::ios::binary);
     EXPECT_THROW((void)compile::load_compiled_monitor(in),
@@ -134,9 +150,9 @@ TEST(CompiledIo, EveryTruncationIsRejected) {
 TEST(CompiledIo, RandomCorruptionNeverCrashes) {
   Rng rng(7700);
   const std::string clean_sharded = save_to_string(
-      make_sharded_compiled(rng, 64));
+      make_sharded_compiled(rng, false));
   const std::string clean_bdd = save_to_string(
-      make_sharded_compiled(rng, 0));
+      make_sharded_compiled(rng, true));
   const std::string clean_box = save_to_string(make_box_compiled(rng));
   int survived = 0;
   for (int iter = 0; iter < 400; ++iter) {
@@ -251,6 +267,92 @@ TEST(CompiledIo, BackwardBddChildRefIsRejected) {
   io::write_u32(out, 1);  //   hi -> TRUE
   std::istringstream in(out.str(), std::ios::binary);
   EXPECT_THROW((void)compile::load_compiled_monitor(in), std::runtime_error);
+}
+
+// ---- coding-table validation --------------------------------------------
+//
+// The coding table is a ThresholdSpec: a flag other than 0 or 1 would read
+// as inclusive to one coder and exclusive to another, and unordered or NaN
+// thresholds break the monotone codes every engine assumes.
+
+/// A one-shard cube artifact over `values.size() / (2^bits - 1)` neurons
+/// with the given table and one all-zero cube.
+std::string crafted_cube_artifact(std::size_t bits,
+                                  const std::vector<float>& values,
+                                  const std::vector<std::uint8_t>& flags) {
+  const std::size_t dim = values.size() / ((std::size_t(1) << bits) - 1);
+  std::ostringstream out(std::ios::binary);
+  write_preamble(out, dim, 1);
+  io::write_u64(out, 0);    // identity shard
+  io::write_u32(out, 2);    // kind: cube
+  io::write_u64(out, dim);  // unit dim
+  io::write_u64(out, bits);
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    io::write_pod(out, values[k]);
+    io::write_pod(out, flags[k]);
+  }
+  io::write_u64(out, 1);  // num_cubes
+  io::write_u64(out, 0);  // mask
+  io::write_u64(out, 0);  // value
+  return out.str();
+}
+
+bool loads(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  try {
+    (void)compile::load_compiled_monitor(in);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+TEST(CompiledIo, InclusiveFlagOtherThanZeroOrOneIsRejected) {
+  EXPECT_TRUE(loads(crafted_cube_artifact(1, {0.0F, 0.0F}, {1, 0})));
+  EXPECT_FALSE(loads(crafted_cube_artifact(1, {0.0F, 0.0F}, {1, 2})));
+  EXPECT_FALSE(loads(crafted_cube_artifact(1, {0.0F, 0.0F}, {255, 1})));
+  // The same table bytes in a monitor artifact (RTS1 inside RMO1).
+  IntervalMonitor onoff(ThresholdSpec::onoff(std::vector<float>{0.0F}));
+  onoff.observe(std::vector<float>{1.0F});
+  std::ostringstream out(std::ios::binary);
+  save_any_monitor(out, onoff);
+  std::string bytes = out.str();
+  // magic, tag, spec magic, dim, bits, then the first (value, flag).
+  const std::size_t flag_at = 4 + 4 + 4 + 8 + 8 + 4;
+  ASSERT_EQ(bytes[flag_at], 1);
+  bytes[flag_at] = 2;
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW((void)load_any_monitor(in), std::runtime_error);
+}
+
+TEST(CompiledIo, UnorderedOrNanThresholdsAreRejected) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(loads(crafted_cube_artifact(2, {0.0F, 1.0F, 2.0F}, {1, 0, 1})));
+  EXPECT_FALSE(loads(crafted_cube_artifact(2, {0.0F, 2.0F, 1.0F}, {1, 0, 1})));
+  EXPECT_FALSE(loads(crafted_cube_artifact(2, {0.0F, 1.0F, 1.0F}, {1, 0, 1})));
+  EXPECT_FALSE(loads(crafted_cube_artifact(2, {0.0F, nan, 2.0F}, {1, 0, 1})));
+  EXPECT_FALSE(loads(crafted_cube_artifact(1, {nan, 0.0F}, {1, 1})));
+}
+
+// The committed valid monitor seeds of fuzz/corpus (written by
+// tools/make_corpus) load and re-save byte for byte: the RCM1 and
+// threshold-table bytes a saved monitor holds do not drift.
+TEST(CompiledIo, CommittedMonitorSeedsResaveByteIdentically) {
+  for (const char* name :
+       {"compiled_box", "compiled_cubes", "compiled_bdd", "compiled_sharded",
+        "interval", "onoff", "sharded", "minmax"}) {
+    SCOPED_TRACE(name);
+    std::ifstream file(std::string(RANM_CORPUS_DIR) + "/monitor/" + name,
+                       std::ios::binary);
+    ASSERT_TRUE(file) << "missing seed";
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    std::istringstream in(bytes, std::ios::binary);
+    const std::unique_ptr<Monitor> loaded = load_any_monitor(in);
+    std::ostringstream out(std::ios::binary);
+    save_any_monitor(out, *loaded);
+    EXPECT_EQ(out.str(), bytes);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -163,6 +165,34 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(g[0], 0.0F);
   EXPECT_FLOAT_EQ(g[2], 0.0F);
   EXPECT_FLOAT_EQ(g[3], 0.0F);
+}
+
+TEST(MaxPool2D, BackwardOfADegenerateWindowStaysInTheWindow) {
+  // A window with no input above -inf, all -inf or all NaN, sends its
+  // gradient to its own first tap, never to another window's input.
+  Pooling::Config cfg;
+  cfg.channels = 1;
+  cfg.in_height = 4;
+  cfg.in_width = 4;
+  MaxPool2D pool(cfg);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Windows: top-left ordinary (max at 1), top-right all -inf, bottom-left
+  // all NaN, bottom-right NaN and -inf mixed.
+  Tensor x({1, 4, 4}, std::vector<float>{1, 4, -inf, -inf,     //
+                                         2, 3, -inf, -inf,     //
+                                         nan, nan, nan, -inf,  //
+                                         nan, nan, -inf, nan});
+  const Tensor y = pool.forward(x);
+  const std::vector<float> grad_out{1.0F, 10.0F, 100.0F, 1000.0F};
+  Tensor g(x.shape());
+  pool.backward_batch(x.data(), y.data(), grad_out.data(), g.data(), 1);
+  std::vector<float> want(16, 0.0F);
+  want[1] = 1.0F;      // the ordinary window's max
+  want[2] = 10.0F;     // first tap of the all -inf window
+  want[8] = 100.0F;    // first tap of the all-NaN window
+  want[10] = 1000.0F;  // first tap of the mixed window
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(g[i], want[i]) << i;
 }
 
 TEST(AvgPool2D, ForwardAverages) {

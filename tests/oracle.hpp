@@ -53,8 +53,9 @@ inline constexpr std::size_t kGridSize = 19;
 inline ThresholdSpec random_spec(std::size_t dim, std::size_t bits,
                                  Rng& rng) {
   const std::size_t m = (std::size_t(1) << bits) - 1;
-  std::vector<std::vector<Threshold>> per_neuron(dim);
-  for (auto& ts : per_neuron) {
+  std::vector<float> values;
+  std::vector<std::uint8_t> inclusive;
+  for (std::size_t j = 0; j < dim; ++j) {
     std::vector<std::size_t> grid(kGridSize);
     for (std::size_t k = 0; k < kGridSize; ++k) grid[k] = k;
     for (std::size_t k = 0; k < m; ++k) {
@@ -62,10 +63,11 @@ inline ThresholdSpec random_spec(std::size_t dim, std::size_t bits,
     }
     std::sort(grid.begin(), grid.begin() + std::ptrdiff_t(m));
     for (std::size_t k = 0; k < m; ++k) {
-      ts.push_back(Threshold{grid_value(grid[k]), rng.below(2) == 0});
+      values.push_back(grid_value(grid[k]));
+      inclusive.push_back(std::uint8_t(rng.below(2)));
     }
   }
-  return ThresholdSpec(bits, std::move(per_neuron));
+  return ThresholdSpec(bits, std::move(values), std::move(inclusive));
 }
 
 /// One probe value: a finite grid point (often exactly a threshold), a

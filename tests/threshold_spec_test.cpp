@@ -85,15 +85,27 @@ TEST(ThresholdSpec, FromMinMaxDegenerateNeuron) {
 }
 
 TEST(ThresholdSpec, ValidatesConstruction) {
-  EXPECT_THROW(ThresholdSpec(0, {{Threshold{0.0F, true}}}),
-               std::invalid_argument);
-  EXPECT_THROW(ThresholdSpec(1, {}), std::invalid_argument);
+  EXPECT_THROW(ThresholdSpec(0, {0.0F}, {1}), std::invalid_argument);
+  EXPECT_THROW(ThresholdSpec(17, {0.0F}, {1}), std::invalid_argument);
+  EXPECT_THROW(ThresholdSpec(1, {}, {}), std::invalid_argument);
   // Wrong threshold count for 2 bits.
-  EXPECT_THROW(ThresholdSpec(2, {{Threshold{0.0F, true}}}),
+  EXPECT_THROW(ThresholdSpec(2, {0.0F}, {1}), std::invalid_argument);
+  // One flag per value.
+  EXPECT_THROW(ThresholdSpec(1, {0.0F, 1.0F}, {1}), std::invalid_argument);
+  // Non-ascending, and NaN, which orders nowhere.
+  EXPECT_THROW(ThresholdSpec(2, {1.0F, 1.0F, 2.0F}, {1, 1, 1}),
                std::invalid_argument);
-  // Non-ascending.
-  EXPECT_THROW(ThresholdSpec(2, {{Threshold{1.0F, true}, Threshold{1.0F,
-               true}, Threshold{2.0F, true}}}), std::invalid_argument);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(ThresholdSpec(1, {nan}, {1}), std::invalid_argument);
+  EXPECT_THROW(ThresholdSpec(2, {0.0F, nan, 2.0F}, {1, 1, 1}),
+               std::invalid_argument);
+  // Flags are 0 or 1: any other byte would read as inclusive to one
+  // coder and exclusive to another.
+  EXPECT_THROW(ThresholdSpec(1, {0.0F}, {2}), std::invalid_argument);
+  // +-inf are ordinary extremes; the next neuron starts a fresh run.
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_NO_THROW(ThresholdSpec(2, {-inf, 0.0F, inf, -1.0F, 0.0F, 1.0F},
+                                {0, 1, 0, 1, 0, 1}));
 }
 
 TEST(ThresholdSpec, FromPercentilesEqualMass) {
@@ -112,7 +124,7 @@ TEST(ThresholdSpec, FromPercentilesHandlesConstantNeuron) {
   for (int i = 0; i < 10; ++i) stats.add(std::vector<float>{1.0F});
   // Repeated values force nextafter-based tie-breaking; must not throw.
   const auto spec = ThresholdSpec::from_percentiles(stats, 2);
-  EXPECT_EQ(spec.thresholds(0).size(), 3U);
+  EXPECT_EQ(spec.values().size(), 3U);
 }
 
 TEST(ThresholdSpec, FromMeans) {
@@ -126,19 +138,24 @@ TEST(ThresholdSpec, FromMeans) {
 }
 
 TEST(ThresholdSpec, ThresholdsAccessor) {
-  const auto spec = ThresholdSpec::onoff(std::vector<float>{0.5F});
-  ASSERT_EQ(spec.thresholds(0).size(), 1U);
-  EXPECT_FLOAT_EQ(spec.thresholds(0)[0].value, 0.5F);
-  EXPECT_THROW((void)spec.thresholds(1), std::out_of_range);
+  const auto spec = ThresholdSpec::paper_two_bit(
+      std::vector<float>{0.5F}, std::vector<float>{1.0F},
+      std::vector<float>{1.5F});
+  EXPECT_EQ(spec.thresholds_per_neuron(), 3U);
+  ASSERT_EQ(spec.values().size(), 3U);
+  EXPECT_FLOAT_EQ(spec.values()[0], 0.5F);
+  EXPECT_FLOAT_EQ(spec.values()[2], 1.5F);
+  EXPECT_EQ(spec.inclusive()[0], 1U);
+  EXPECT_EQ(spec.inclusive()[1], 0U);
+  EXPECT_EQ(spec.inclusive()[2], 1U);
+  EXPECT_THROW((void)spec.subset(std::vector<std::uint32_t>{1}),
+               std::out_of_range);
 }
 
 TEST(ThresholdSpec, ThreeBitCodes) {
   // 3 bits => 7 thresholds => 8 codes.
-  std::vector<std::vector<Threshold>> per_neuron(1);
-  for (int i = 1; i <= 7; ++i) {
-    per_neuron[0].push_back(Threshold{float(i), true});
-  }
-  const ThresholdSpec spec(3, std::move(per_neuron));
+  const ThresholdSpec spec(3, {1.0F, 2.0F, 3.0F, 4.0F, 5.0F, 6.0F, 7.0F},
+                           std::vector<std::uint8_t>(7, 1));
   EXPECT_EQ(spec.num_codes(), 8U);
   EXPECT_EQ(spec.code(0, 0.5F), 0U);
   EXPECT_EQ(spec.code(0, 4.5F), 4U);

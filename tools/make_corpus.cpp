@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -164,13 +165,19 @@ void emit_monitor_corpus() {
                             ranm::save_any_monitor(out, box);
                           }));
   const ranm::compile::CompiledMonitor cubes =
-      ranm::compile::compile_monitor(interval, {.cube_limit = 64});
+      ranm::compile::compile_monitor(interval);
   write_seed_with_mutants("monitor", "compiled_cubes",
                           serialized([&](auto& out) {
                             ranm::save_any_monitor(out, cubes);
                           }));
+  // One box whose 2-bit code range is [1, 2] on each of 7 neurons: not an
+  // aligned block, so each neuron splits every path in two, and the
+  // 2^7-cube cover is past the cube limit. The set lowers to a node array.
+  ranm::IntervalMonitor unaligned(two_bit_spec(7));
+  unaligned.observe_bounds(std::vector<float>(7, -0.5F),
+                           std::vector<float>(7, 0.5F));
   const ranm::compile::CompiledMonitor bddprog =
-      ranm::compile::compile_monitor(interval, {.cube_limit = 0});
+      ranm::compile::compile_monitor(unaligned);
   write_seed_with_mutants("monitor", "compiled_bdd",
                           serialized([&](auto& out) {
                             ranm::save_any_monitor(out, bddprog);
@@ -203,6 +210,36 @@ void emit_monitor_corpus() {
   put_u64(huge_spec, 1ULL << 24);   // dim
   put_u64(huge_spec, 16);           // bits
   write_seed("monitor", "hostile_spec_huge_dim", huge_spec);
+
+  // RCM1 coding tables that only a loader trusting the writer accepts: an
+  // inclusive flag of 2 (an engine reading `!= 0` and one masking with it
+  // would code a value on the threshold differently), and values that do
+  // not ascend (a NaN threshold).
+  const auto crafted_rcm1 = [](std::uint8_t flag, float threshold1) {
+    std::string bytes;
+    put_u32(bytes, 0x52434D31U);  // RCM1
+    put_u32(bytes, 1);            // version
+    put_u64(bytes, 2);            // dim
+    put_u64(bytes, 1);            // shard_count
+    put_u64(bytes, 7);            // source length
+    bytes += "crafted";
+    put_u64(bytes, 0);  // identity shard
+    put_u32(bytes, 2);  // kind: cube
+    put_u64(bytes, 2);  // unit dim
+    put_u64(bytes, 1);  // coding bits
+    for (const float value : {0.0F, threshold1}) {
+      bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+      bytes += static_cast<char>(flag);
+    }
+    put_u64(bytes, 1);  // num_cubes
+    put_u64(bytes, 3);  // mask
+    put_u64(bytes, 3);  // value
+    return bytes;
+  };
+  write_seed("monitor", "hostile_compiled_inclusive_flag",
+             crafted_rcm1(2, 0.5F));
+  write_seed("monitor", "hostile_compiled_nan_threshold",
+             crafted_rcm1(1, std::numeric_limits<float>::quiet_NaN()));
 
   std::string huge_shards;
   put_u32(huge_shards, 0x52534831U);  // RSH1

@@ -64,9 +64,9 @@ namespace {
       "         [--shard-seed S]\n"
       "         [--robust] [--delta F] [--kp K] [--domain box|zonotope]\n"
       "         --out FILE\n"
-      "  compile --monitor FILE --out FILE [--threads T]\n"
-      "         [--cube-limit N]   (lower a frozen monitor to an RCM1\n"
-      "         compiled artifact; eval/serve load it like any monitor)\n"
+      "  compile --monitor FILE --out FILE [--threads T]   (lower a\n"
+      "         frozen monitor to an RCM1 compiled artifact; eval/serve\n"
+      "         load it like any monitor)\n"
       "  eval   --net FILE --monitor FILE --layer K --in-dist FILE\n"
       "         [--ood FILE ...] [--threads T]\n"
       "  query  --socket PATH | --tcp HOST:PORT [--in-dist FILE]\n"
@@ -341,10 +341,8 @@ int cmd_build(const ArgParser& args) {
 /// loads anywhere a monitor loads (eval, serve), and is frozen: new
 /// training data needs a rebuild + recompile.
 int cmd_compile(const ArgParser& args) {
-  args.check_known({"monitor", "out", "threads", "cube-limit"});
-  compile::CompileOptions opts;
+  args.check_known({"monitor", "out", "threads"});
   const std::size_t threads = parse_threads(args);
-  opts.cube_limit = args.get_size("cube-limit", 64, 1U << 20);
 
   std::ifstream in(args.require("monitor"), std::ios::binary);
   if (!in) throw std::runtime_error("cannot open monitor file");
@@ -355,10 +353,9 @@ int cmd_compile(const ArgParser& args) {
   monitor->set_threads(threads);
 
   Timer timer;
-  const compile::CompiledMonitor lowered =
-      compile::compile_monitor(*monitor, opts);
-  const compile::CompiledMonitor compiled(
-      lowered.dimension(), source, lowered.lower_program(opts.cube_limit));
+  const compile::CompiledMonitor lowered = compile::compile_monitor(*monitor);
+  const compile::CompiledMonitor compiled(lowered.dimension(), source,
+                                          lowered.lower_program());
   const double secs = timer.seconds();
 
   std::ofstream out(args.require("out"), std::ios::binary);
