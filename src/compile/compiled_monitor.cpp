@@ -71,8 +71,7 @@ bool CompiledMonitor::contains(std::span<const float> feature) const {
   return out;
 }
 
-std::shared_ptr<const Program> CompiledMonitor::lower_program()
-    const {
+std::shared_ptr<const Program> CompiledMonitor::lower_program() const {
   return program_;
 }
 

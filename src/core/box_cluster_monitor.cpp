@@ -188,8 +188,7 @@ bool BoxClusterMonitor::contains(std::span<const float> feature) const {
   return false;
 }
 
-std::unique_ptr<compile::CompiledUnit> BoxClusterMonitor::lower_unit()
-    const {
+std::unique_ptr<compile::CompiledUnit> BoxClusterMonitor::lower_unit() const {
   const auto& hulls = boxes();  // throws logic_error before finalize
   auto unit = std::make_unique<compile::CompiledUnit>();
   unit->kind = compile::ProgramKind::kBox;

@@ -166,8 +166,7 @@ bool IntervalMonitor::contains(std::span<const float> feature) const {
   });
 }
 
-std::unique_ptr<compile::CompiledUnit> IntervalMonitor::lower_unit()
-    const {
+std::unique_ptr<compile::CompiledUnit> IntervalMonitor::lower_unit() const {
   return compile::lower_bdd_set(mgr_, set_, spec_);
 }
 

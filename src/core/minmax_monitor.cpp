@@ -124,8 +124,7 @@ void MinMaxMonitor::observe_bounds_batch(const FeatureBatch& lo,
   invalidate_lowered();
 }
 
-std::unique_ptr<compile::CompiledUnit> MinMaxMonitor::lower_unit()
-    const {
+std::unique_ptr<compile::CompiledUnit> MinMaxMonitor::lower_unit() const {
   auto unit = std::make_unique<compile::CompiledUnit>();
   unit->kind = compile::ProgramKind::kBox;
   // One box with the scalar path's `v < L || v > U` test: NaN contained.

@@ -104,8 +104,7 @@ std::unique_ptr<compile::CompiledUnit> Monitor::lower_unit() const {
   return nullptr;
 }
 
-std::shared_ptr<const compile::Program> Monitor::lower_program()
-    const {
+std::shared_ptr<const compile::Program> Monitor::lower_program() const {
   std::unique_ptr<compile::CompiledUnit> unit = lower_unit();
   if (unit == nullptr) return nullptr;
   auto program = std::make_shared<compile::Program>(1);

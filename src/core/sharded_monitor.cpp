@@ -156,8 +156,7 @@ void ShardedMonitor::observe_bounds_batch(const FeatureBatch& lo,
   observations_ += n;
 }
 
-std::shared_ptr<const compile::Program> ShardedMonitor::lower_program()
-    const {
+std::shared_ptr<const compile::Program> ShardedMonitor::lower_program() const {
   auto program = std::make_shared<compile::Program>(shards_.size());
   std::atomic<bool> lowered{true};
   // Each task reads one shard's private state and writes one slot.
